@@ -26,8 +26,8 @@ freshness off one monotonic counter rather than enumerating affected
 entries.
 
 Batches can carry a *whole-batch budget*: ``run_queries`` (and the
-``run_knk_queries`` / deprecated ``run_keyword_queries`` sugar) accept
-``deadline_ms`` (and ``max_expansions``) for the entire workload.  The
+``run_knk_queries`` sugar) accept ``deadline_ms`` (and
+``max_expansions``) for the entire workload.  The
 remaining allowance is divided evenly across the remaining queries
 before each query starts, so an early query that overruns shrinks the
 slices of later ones, and a batch whose budget is already spent degrades
@@ -42,14 +42,13 @@ keywords seed the same offset sweeps run them once (batch-level PKA).
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.budget import QueryBudget
 from repro.core.framework import KnkQueryResult, PPKWS, QueryResult
 from repro.core.pp_rclique import CompletionCache
 from repro.core.vectorized import SweepMemo
-from repro.datasets.queries import KeywordQuery, KnkQuery
+from repro.datasets.queries import KnkQuery
 from repro.graph.labeled_graph import Label, Vertex
 from repro.obs import observe_batch_cache
 
@@ -295,40 +294,6 @@ class BatchSession:
             ))
             batch.charge(slice_budget)
         return results
-
-    def run_keyword_queries(
-        self,
-        semantic: str,
-        queries: Sequence[KeywordQuery],
-        k: int = 10,
-        deadline_ms: Optional[float] = None,
-        max_expansions: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """Deprecated shim over :meth:`run_queries`.
-
-        Historically hard-coded ``blinks`` / ``rclique``; now any
-        registered keyword semantics (``keywords`` / ``tau`` / ``k`` /
-        ``require_public_private`` params) dispatches through the
-        registry.  Use :meth:`run_queries` directly in new code.
-        """
-        warnings.warn(
-            "BatchSession.run_keyword_queries is deprecated; use "
-            "BatchSession.run_queries with explicit parameter dicts",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run_queries(
-            semantic,
-            [
-                {
-                    "keywords": list(q.keywords), "tau": q.tau, "k": k,
-                    "require_public_private": True,
-                }
-                for q in queries
-            ],
-            deadline_ms=deadline_ms,
-            max_expansions=max_expansions,
-        )
 
     def run_knk_queries(
         self,

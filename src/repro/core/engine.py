@@ -73,8 +73,6 @@ __all__ = [
     "semantics_spec",
     "registered_semantics",
     "registry_version",
-    "register_shard_task",
-    "shard_task",
     "ensure_builtin_semantics",
 ]
 
@@ -106,9 +104,6 @@ class PipelineContext:
     state: Any = None
     answers: Any = None
     scratch: Dict[str, Any] = field(default_factory=dict)
-    #: a shard plan (repro.serving.shards) when this run may fan its
-    #: completion work out to shard workers; None = single-process.
-    shards: Optional[Any] = None
     #: a repro.core.vectorized.VectorizedPlan when this run should use
     #: the numpy kernels for steps that offer them; None = pure bodies.
     vectorized: Optional[Any] = None
@@ -118,22 +113,16 @@ class PipelineContext:
 class StepSpec:
     """One named pipeline step: a side-effecting callable on the context.
 
-    ``sharded_run``, when present, is a drop-in alternative body used
-    *only* when the context carries a shard plan (``ctx.shards``): it
-    must leave the context in a bit-identical state to ``run`` — the
-    equivalence suite holds it to that — while fanning the heavy part of
-    the work out across shard workers.
-
-    ``vectorized_run`` is the same contract for a context carrying a
+    ``vectorized_run``, when present, is a drop-in alternative body used
+    *only* when the context carries a
     :class:`~repro.core.vectorized.VectorizedPlan` (``ctx.vectorized``):
-    a drop-in body that routes the heavy array work through the numpy
-    kernels.  Precedence when both plans are present: sharded wins (the
-    shard fan-out already amortizes the sweep work across processes).
+    it must leave the context in a bit-identical state to ``run`` — the
+    equivalence suite holds it to that — while routing the heavy array
+    work through the numpy kernels.
     """
 
     name: str
     run: Callable[[PipelineContext], None]
-    sharded_run: Optional[Callable[[PipelineContext], None]] = None
     vectorized_run: Optional[Callable[[PipelineContext], None]] = None
 
 
@@ -178,13 +167,11 @@ class SemanticsSpec:
         params: Dict[str, Any],
         budget: Optional[QueryBudget] = None,
         cache: Optional[Any] = None,
-        shards: Optional[Any] = None,
         vectorized: Optional[Any] = None,
     ) -> AnyResult:
         """Run this semantics through the engine (see :func:`run_pipeline`)."""
         return run_pipeline(
-            self, engine, attachment, params, budget, cache, shards,
-            vectorized,
+            self, engine, attachment, params, budget, cache, vectorized
         )
 
 
@@ -195,7 +182,6 @@ def run_pipeline(
     params: Dict[str, Any],
     budget: Optional[QueryBudget] = None,
     cache: Optional[Any] = None,
-    shards: Optional[Any] = None,
     vectorized: Optional[Any] = None,
 ) -> AnyResult:
     """The one PEval → ARefine → AComplete loop all semantics share.
@@ -216,7 +202,6 @@ def run_pipeline(
         breakdown=breakdown,
         budget=budget,
         cache=cache,
-        shards=shards,
         vectorized=vectorized,
     )
     spec.validate(ctx)
@@ -236,9 +221,7 @@ def run_pipeline(
                 ctx.budget.recheck()
             faults.fire(ENGINE_STEP)
             body = s.run
-            if ctx.shards is not None and s.sharded_run is not None:
-                body = s.sharded_run
-            elif ctx.vectorized is not None and s.vectorized_run is not None:
+            if ctx.vectorized is not None and s.vectorized_run is not None:
                 body = s.vectorized_run
             with _Timer() as t:
                 body(ctx)
@@ -340,40 +323,6 @@ def registry_version() -> int:
     """
     ensure_builtin_semantics()
     return _REGISTRY_VERSION
-
-
-# ----------------------------------------------------------------------
-# the shard-task registry
-# ----------------------------------------------------------------------
-# Shard workers receive (kind, payload) tasks over a pipe and look the
-# handler up here; a sharded_run step enqueues tasks by the same kind.
-# Handlers register at module import (alongside the semantics spec), so
-# ensure_builtin_semantics() populates this registry in workers too.
-_SHARD_TASKS: Dict[str, Callable[..., Any]] = {}
-
-
-def register_shard_task(
-    kind: str, fn: Callable[..., Any]
-) -> Callable[..., Any]:
-    """Register the worker-side handler for shard task ``kind``."""
-    with _REGISTRY_LOCK:
-        if kind in _SHARD_TASKS:
-            raise ValueError(f"duplicate shard task {kind!r}")
-        _SHARD_TASKS[kind] = fn
-    return fn
-
-
-def shard_task(kind: str) -> Callable[..., Any]:
-    """The handler registered for shard task ``kind``."""
-    ensure_builtin_semantics()
-    with _REGISTRY_LOCK:
-        try:
-            return _SHARD_TASKS[kind]
-        except KeyError:
-            known = ", ".join(sorted(_SHARD_TASKS))
-            raise QueryError(
-                f"unknown shard task {kind!r} (registered: {known})"
-            ) from None
 
 
 _BUILTINS_LOADED = False

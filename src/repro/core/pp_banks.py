@@ -38,7 +38,6 @@ from repro.core.pp_blinks import (
     init_blinks_state,
     salvage_blinks,
     step_acomplete,
-    step_acomplete_sharded,
     step_acomplete_vectorized,
     step_arefine,
     step_peval,
@@ -104,10 +103,7 @@ BANKS = register_semantics(SemanticsSpec(
     steps=(
         StepSpec("peval", step_peval),
         StepSpec("arefine", step_arefine),
-        StepSpec(
-            "acomplete", step_acomplete,
-            step_acomplete_sharded, step_acomplete_vectorized,
-        ),
+        StepSpec("acomplete", step_acomplete, step_acomplete_vectorized),
         StepSpec("materialize", _step_materialize),
     ),
     validate=validate_blinks_params,

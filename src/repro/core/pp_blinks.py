@@ -43,7 +43,6 @@ from repro.core.engine import (
     SemanticsSpec,
     StepSpec,
     register_semantics,
-    register_shard_task,
 )
 from repro.core.framework import (
     Attachment,
@@ -339,11 +338,11 @@ def _acomplete(
     """Step 3: Algo 5 — expand, retrieve missing keywords, qualify.
 
     ``swept`` lets a caller inject the part-(a) public sweeps computed
-    elsewhere (the shard workers or the vectorized kernel); the merge
-    below is insensitive to who ran them, so the answers stay
-    bit-identical.  ``public_probe`` likewise replaces the per-root
-    part-(b) KPADS lookup with precomputed (batched) results — it must
-    return exactly what ``keyword_distance_with_witness`` would.
+    elsewhere (the vectorized kernel); the merge below is insensitive to
+    who ran them, so the answers stay bit-identical.  ``public_probe``
+    likewise replaces the per-root part-(b) KPADS lookup with
+    precomputed (batched) results — it must return exactly what
+    ``keyword_distance_with_witness`` would.
     """
     public = engine.public
     provider = engine.index.provider()
@@ -577,81 +576,6 @@ def step_acomplete_vectorized(ctx: PipelineContext) -> None:
     ctx.answers = answers[: p["k"]]
 
 
-# ----------------------------------------------------------------------
-# the sharded AComplete (repro.serving.shards fan-out)
-# ----------------------------------------------------------------------
-def _shard_task_blinks_sweep(
-    host: object, network: str, owner: str,
-    payload: Dict[str, object], bound: object,
-) -> Dict[Label, List[Tuple[Vertex, Vertex, float]]]:
-    """Worker body: run this shard's per-keyword public sweeps.
-
-    Each sweep is the same offset multi-source Dijkstra the serial step
-    runs, over the worker's shared-memory public-graph replica, with
-    seeds built (and ordered) by the parent — so the reached-set is
-    bit-identical to a serial sweep.
-    """
-    engine = host.engine(network)  # type: ignore[attr-defined]
-    tau = payload["tau"]
-    out: Dict[Label, List[Tuple[Vertex, Vertex, float]]] = {}
-    for q, seeds in payload["seeds_by_keyword"].items():  # type: ignore[union-attr]
-        cover = _offset_sweep(engine.public, [tuple(s) for s in seeds], tau)
-        out[q] = [(v, m.vertex, m.distance) for v, m in cover.items()]
-    return out
-
-
-register_shard_task("blinks_sweep", _shard_task_blinks_sweep)
-
-
-def step_acomplete_sharded(ctx: PipelineContext) -> None:
-    """AComplete with part (a) fanned out: one sweep task set per shard.
-
-    Keywords are dealt round-robin over the shards (a sweep is
-    whole-graph work, so the split is by keyword, not by partition);
-    parts (b) and (c) merge locally exactly as the serial step does, and
-    they only read the sweeps' per-vertex minima — order-insensitive, so
-    the answers are bit-identical to the serial run.
-    """
-    p = ctx.params
-    plan = ctx.shards
-    if ctx.cache is None:
-        ctx.cache = CompletionCache(ctx.options.dp_completion)
-    keywords, tau = p["keywords"], p["tau"]
-    seeds_by_kw = _portal_sweep_seeds(
-        ctx.engine.public, ctx.attachment, ctx.state, keywords
-    )
-    swept: Dict[Label, Dict[Vertex, Match]] = {q: {} for q in keywords}
-    seeded = [q for q in keywords if seeds_by_kw[q]]
-    if seeded:
-        groups: Dict[int, Dict[Label, List[Tuple[float, Vertex, Vertex]]]] = {}
-        for i, q in enumerate(seeded):
-            groups.setdefault(i % plan.num_shards, {})[q] = seeds_by_kw[q]
-
-        def merge(result: Dict[Label, List[Tuple[Vertex, Vertex, float]]]) -> float:
-            for q, hits in result.items():
-                swept[q] = {v: Match(w, d) for v, w, d in hits}
-            return INF
-
-        plan.scatter(
-            "blinks_sweep",
-            [
-                (shard, {"seeds_by_keyword": groups[shard], "tau": tau}, 0.0)
-                for shard in sorted(groups)
-            ],
-            initial_bound=INF,
-            on_result=merge,
-        )
-    answers = _acomplete(
-        ctx.engine, ctx.attachment, ctx.state, keywords, tau,
-        p["k"], ctx.counters, ctx.cache, p["require_public_private"],
-        ctx.budget, swept=swept,
-    )
-    ctx.counters.completion_lookups = ctx.cache.misses + ctx.cache.hits
-    ctx.counters.completion_cache_hits = ctx.cache.hits
-    answers.sort(key=RootedAnswer.sort_key)
-    ctx.answers = answers[: p["k"]]
-
-
 def salvage_blinks(ctx: PipelineContext, step: str) -> List[RootedAnswer]:
     # AComplete mutates partials in place, so improvements it made before
     # expiry are kept by the salvage too.
@@ -666,10 +590,7 @@ BLINKS = register_semantics(SemanticsSpec(
     steps=(
         StepSpec("peval", step_peval),
         StepSpec("arefine", step_arefine),
-        StepSpec(
-            "acomplete", step_acomplete,
-            step_acomplete_sharded, step_acomplete_vectorized,
-        ),
+        StepSpec("acomplete", step_acomplete, step_acomplete_vectorized),
     ),
     validate=validate_blinks_params,
     init=init_blinks_state,

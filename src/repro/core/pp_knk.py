@@ -22,7 +22,7 @@ declares the steps and registers the :data:`KNK` spec.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.budget import QueryBudget
 from repro.core.engine import (
@@ -30,7 +30,6 @@ from repro.core.engine import (
     SemanticsSpec,
     StepSpec,
     register_semantics,
-    register_shard_task,
 )
 from repro.core.framework import (
     Attachment,
@@ -258,96 +257,13 @@ def _step_acomplete_vectorized(ctx: PipelineContext) -> None:
     ctx.counters.completion_cache_hits = ctx.cache.hits
 
 
-# ----------------------------------------------------------------------
-# the sharded AComplete (repro.serving.shards fan-out)
-# ----------------------------------------------------------------------
-def _shard_task_knk_complete(
-    host: object, network: str, owner: str,
-    payload: Dict[str, object], bound: Callable[[], float],
-) -> List[Tuple[Vertex, float]]:
-    """Worker body: public candidates for one shard's portal group.
-
-    ``payload["portals"]`` arrives sorted ascending by private distance,
-    so once a portal's ``d`` exceeds the current merge bound every later
-    portal is prunable too (``total = d + pub_d >= d``) — the DKWS
-    notify-push early exit.  The strict ``>`` keeps ties eligible, which
-    is what makes the merged top-k bit-identical to the serial ranking.
-    """
-    engine = host.engine(network)  # type: ignore[attr-defined]
-    keyword = payload["keyword"]
-    k = payload["k"]
-    cache = CompletionCache(engine.options.dp_completion)
-    out: List[Tuple[Vertex, float]] = []
-    for portal, d in payload["portals"]:  # type: ignore[union-attr]
-        if d > bound():
-            break
-        for witness, pub_d in cache.lookup_candidates(engine, portal, keyword, k):
-            out.append((witness, d + pub_d))
-    return out
-
-
-register_shard_task("knk_complete", _shard_task_knk_complete)
-
-
-def _step_acomplete_sharded(ctx: PipelineContext) -> None:
-    """AComplete via scatter-gather: portal groups fan out per shard.
-
-    The merge is a per-witness min over ``(private d) + (public d)`` —
-    order-insensitive — and the monotonic bound shipped to workers is
-    the current kth-best distance, which final merging can only lower,
-    so worker-side pruning never removes a true top-k candidate.
-    """
-    p = ctx.params
-    plan = ctx.shards
-    partial = ctx.state
-    keyword, k = p["keyword"], p["k"]
-    best: Dict[Vertex, float] = {}
-    for m in partial.answer.matches:
-        if m.vertex is not None and m.distance < best.get(m.vertex, INF):
-            best[m.vertex] = m.distance
-
-    def kth_bound() -> float:
-        if len(best) < k:
-            return INF
-        return sorted(best.values())[k - 1]
-
-    groups: Dict[int, List[Tuple[Vertex, float]]] = {}
-    for portal, d in partial.portal_entries:
-        groups.setdefault(plan.shard_of(portal), []).append((portal, d))
-    tasks = []
-    for shard in sorted(groups):
-        portals = sorted(groups[shard], key=lambda e: (e[1], repr(e[0])))
-        tasks.append((
-            shard,
-            {"portals": portals, "keyword": keyword, "k": k},
-            portals[0][1],  # cheapest portal = the task's cost floor
-        ))
-
-    def merge(result: List[Tuple[Vertex, float]]) -> float:
-        for witness, total in result:
-            if total < best.get(witness, INF):
-                best[witness] = total
-        return kth_bound()
-
-    plan.scatter("knk_complete", tasks, initial_bound=kth_bound(),
-                 on_result=merge)
-    ranked = sorted(best.items(), key=lambda item: (item[1], repr(item[0])))
-    final = KnkAnswer(partial.answer.source, keyword, [])
-    final.matches = [Match(v, d) for v, d in ranked[:k]]
-    ctx.answers = final
-    ctx.counters.completion_lookups = len(partial.portal_entries)
-
-
 KNK = register_semantics(SemanticsSpec(
     name="knk",
     summary="Top-k nearest keyword matches (PP-knk, Sec. IV-C).",
     steps=(
         StepSpec("peval", _step_peval),
         StepSpec("arefine", _step_arefine),
-        StepSpec(
-            "acomplete", _step_acomplete,
-            _step_acomplete_sharded, _step_acomplete_vectorized,
-        ),
+        StepSpec("acomplete", _step_acomplete, _step_acomplete_vectorized),
     ),
     validate=_validate,
     init=_init,

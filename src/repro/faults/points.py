@@ -113,7 +113,7 @@ EXECUTOR_WORKER = _point(
 )
 SHARD_WORKER = _point(
     "serving.shards.worker", "serving",
-    "shard worker body after a task is received (kill = shard process death)",
+    "shard worker body after a request is received (kill = shard process death)",
 )
 CACHE_LOOKUP = _point(
     "serving.cache.lookup", "serving",

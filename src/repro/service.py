@@ -139,7 +139,7 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.serving import AnswerCache, RWLock
-from repro.serving.shards import LocalShardPlan, ShardServingPool
+from repro.serving.shards import ShardServingPool
 
 __all__ = ["OpSpec", "PPKWSService", "PROTOCOL_VERSION", "ERROR_CODES"]
 
@@ -157,10 +157,7 @@ ERROR_CODES: Tuple[str, ...] = (
 )
 
 #: Request fields accepted on every op, next to the per-op spec fields.
-#: ``fanout`` asks a query to scatter-gather its AComplete across the
-#: shard pool (or an inline :class:`LocalShardPlan` when none is
-#: enabled) instead of being routed whole to a single shard worker.
-GLOBAL_REQUEST_FIELDS = frozenset({"op", "v", "trace", "no_cache", "fanout"})
+GLOBAL_REQUEST_FIELDS = frozenset({"op", "v", "trace", "no_cache"})
 
 #: The one central exception -> wire-code map (first match wins; order
 #: matters because the later entries are superclasses of earlier ones).
@@ -182,6 +179,24 @@ def _error_code(exc: BaseException) -> str:
         if isinstance(exc, exc_type):
             return code
     return "internal"
+
+
+def _error_response(exc: BaseException) -> Dict[str, Any]:
+    """The wire error body for ``exc`` (a whole response or a batch item)."""
+    code = _error_code(exc)
+    if isinstance(exc, ReproError) and code != "internal":
+        # A bare str() of e.g. KeyError is just the quoted key
+        # ("'collab'") — leaked engine internals rather than a
+        # message — so non-library errors get the class prefix.
+        message = str(exc) or repr(exc)
+    else:
+        message = f"{type(exc).__name__}: {exc}"
+    return {
+        "status": "error",
+        "error": message,
+        "code": code,
+        "retryable": getattr(exc, "retryable", False),
+    }
 
 
 def _require(request: Dict[str, Any], *fields: str) -> None:
@@ -718,7 +733,7 @@ class PPKWSService:
         # Replicate the networks that predate the pool.  The pool is
         # published *first* so concurrent admin ops broadcast on their
         # own; each network's write lock serializes this loop against
-        # them, and replicated() skips names such a broadcast already
+        # them, and pool.networks() skips names such a broadcast already
         # shipped (worker-side attach replay is idempotent).
         for name in self.networks():
             with self._network_lock(name).write_locked():
@@ -726,7 +741,7 @@ class PPKWSService:
                     engine = self._engine(name)
                 except UnknownNetworkError:
                     continue  # dropped while we were replicating
-                if pool.replicated(name):
+                if name in pool.networks():
                     continue
                 pool.admin_create(name, engine)
                 for owner in engine.owners():
@@ -772,7 +787,6 @@ class PPKWSService:
         error_class: Optional[str] = None
         internal_error = False
         query_class = False
-        warnings: List[str] = []
         op = request.get("op") if isinstance(request, dict) else None
         try:
             faults.fire(SERVICE_EXECUTE)
@@ -794,14 +808,7 @@ class PPKWSService:
                     f"unsupported protocol version {version!r} "
                     f"(this service speaks v{PROTOCOL_VERSION})"
                 )
-            warnings = [
-                f"unknown field {f!r}"
-                for f in sorted((str(f) for f in request), key=str)
-                if f not in spec.known_fields
-            ]
-            for f in spec.required:
-                if f not in request:
-                    raise ReproError(f"missing field {f!r}")
+            self._check_fields(spec, request)
             if spec.mode == "control":
                 # Introspection must survive overload: no admission slot.
                 response = spec.handler(self, request)
@@ -811,34 +818,36 @@ class PPKWSService:
         except (ReproError, KeyError, TypeError, ValueError, OSError,
                 AttributeError) as exc:
             error_class = type(exc).__name__
-            code = _error_code(exc)
-            internal_error = code == "internal"
-            if isinstance(exc, ReproError) and not internal_error:
-                # A bare str() of e.g. KeyError is just the quoted key
-                # ("'collab'") — leaked engine internals rather than a
-                # message — so non-library errors get the class prefix.
-                message = str(exc) or repr(exc)
-            else:
-                message = f"{error_class}: {exc}"
-            response = {
-                "status": "error",
-                "error": message,
-                "code": code,
-                "retryable": getattr(exc, "retryable", False),
-            }
-            if code == "overloaded":
+            response = _error_response(exc)
+            internal_error = response["code"] == "internal"
+            if response["code"] == "overloaded":
                 # How long the caller should back off before resubmitting:
                 # roughly one average request draining from the pool.
                 response["retry_after_ms"] = self._retry_after_hint_ms()
         finally:
             self._tls.ctx = None
-        warnings += ctx.get("warnings", ())
-        if warnings:
-            response["warnings"] = warnings
+        if "warnings" in ctx:
+            response["warnings"] = ctx["warnings"]
         response["v"] = PROTOCOL_VERSION
         self._observe_request(request, op, response, ctx, started,
                               error_class, internal_error, query_class)
         return response
+
+    def _check_fields(
+        self, spec: "OpSpec", request: Dict[str, Any], prefix: str = ""
+    ) -> None:
+        """Warn about unknown fields, then reject a missing required one.
+
+        In that order, so the warnings survive onto the error response.
+        ``prefix`` names the batch item the request came from.
+        """
+        known = spec.known_fields
+        for f in sorted((str(f) for f in request), key=str):
+            if f not in known:
+                self._warn(f"{prefix}unknown field {f!r}")
+        for f in spec.required:
+            if f not in request:
+                raise ReproError(f"{prefix}missing field {f!r}")
 
     def _execute_locked(
         self, spec: "OpSpec", request: Dict[str, Any]
@@ -866,9 +875,7 @@ class PPKWSService:
         With sharding enabled, the miss path of a query op executes in
         a shard worker *process* (``pool.route``) instead of here — the
         read lock is still held in this process, so replicas cannot
-        drift mid-request — unless the request asks for ``fanout``
-        (scatter-gather runs the pipeline locally and only AComplete
-        fans out).
+        drift mid-request.
         """
         cache = self._answer_cache
         key = None
@@ -879,17 +886,33 @@ class PPKWSService:
             and not request.get("trace")  # a trace describes a real run
         ):
             key = self._cache_key(spec, request)
-        pool = self._shard_pool
-        if pool is None or not spec.cacheable or request.get("fanout"):
-            pool = None
+        pool = self._shard_pool if spec.cacheable else None
 
         def run() -> Dict[str, Any]:
             if pool is not None:
                 return pool.route(request)
             return spec.handler(self, request)
         if key is None:
+            return run()  # skips the epoch read (a registry-lock round trip)
+        return self._through_cache(
+            key, self.network_epoch(request["network"]), run
+        )
+
+    def _through_cache(
+        self,
+        key: Optional[Tuple[Any, ...]],
+        epoch: int,
+        run: Callable[[], Dict[str, Any]],
+        prefix: str = "",
+    ) -> Dict[str, Any]:
+        """Answer-cache lookup -> ``run`` -> store; ``key=None`` just runs.
+
+        Only ``status: "ok"`` responses are stored.  ``prefix`` names
+        the batch item in the store-failure warning.
+        """
+        cache = self._answer_cache
+        if cache is None or key is None:
             return run()
-        epoch = self.network_epoch(request["network"])
         try:
             hit = cache.lookup(key, epoch)
         except FaultInjectedError:
@@ -905,7 +928,9 @@ class PPKWSService:
                 cache.store(key, epoch, response)
             except FaultInjectedError:
                 # The answer is sound; only its memoization was lost.
-                self._warn("answer cache store failed; response not cached")
+                self._warn(
+                    f"{prefix}answer cache store failed; response not cached"
+                )
         return response
 
     def _cache_key(
@@ -1065,23 +1090,11 @@ class PPKWSService:
         """The one wire handler every registered semantics runs through."""
         engine = self._engine(request["network"])
         budget = engine.make_budget(**_budget_args(request))
-        shards: Optional[Any] = None
-        if request.get("fanout"):
-            pool = self._shard_pool
-            if pool is not None and pool.replicated(request["network"]):
-                shards = pool.plan(request["network"], request["owner"])
-            else:
-                # No pool (or a not-yet-replicated network): run the
-                # sharded step bodies inline so ``fanout`` behaves the
-                # same everywhere — this is also the dict-backend path
-                # the equivalence suite pins bit-identical.
-                shards = LocalShardPlan(engine, owner=request["owner"])
         result = spec.run(
             engine,
             engine.attachment(request["owner"]),
             spec.wire_params(request),
             budget=budget,
-            shards=shards,
             vectorized=plan_for(engine, request.get("execution_mode")),
         )
         self._stash(result, budget)
@@ -1127,13 +1140,12 @@ class PPKWSService:
             budget_args.get("deadline_ms"), budget_args.get("max_expansions")
         )
         ops = _current_ops()
-        cache = self._answer_cache
         epoch = self.network_epoch(network)
         results: List[Dict[str, Any]] = []
         counts: Dict[str, int] = {}
         for i, item in enumerate(queries):
             entry = self._batch_item(
-                session, ops, i, item, batch, len(queries) - i, cache, epoch,
+                session, ops, i, item, batch, len(queries) - i, epoch,
                 request,
             )
             results.append(entry)
@@ -1150,7 +1162,6 @@ class PPKWSService:
         item: Any,
         batch: Any,
         items_left: int,
-        cache: Optional[AnswerCache],
         epoch: int,
         request: Dict[str, Any],
     ) -> Dict[str, Any]:
@@ -1173,58 +1184,33 @@ class PPKWSService:
             item_request = dict(item)
             item_request["network"] = request["network"]
             item_request["owner"] = request["owner"]
-            for f in op_spec.required:
-                if f not in item_request:
-                    raise ReproError(f"queries[{index}]: missing field {f!r}")
-            for f in sorted((str(f) for f in item_request), key=str):
-                if f not in op_spec.known_fields | {"execution_mode"}:
-                    self._warn(f"queries[{index}]: unknown field {f!r}")
-            key = None
-            if cache is not None and not item_request.get("no_cache"):
-                key = self._cache_key(op_spec, item_request)
-            if key is not None:
-                try:
-                    hit = cache.lookup(key, epoch)
-                except FaultInjectedError:
-                    hit = None
-                observe_answer_cache(self._metrics_registry(), hit is not None)
-                if hit is not None:
-                    hit["cached"] = True
-                    return hit
-            sem_spec = semantics_spec(item_op)
-            slice_budget = batch.slice_for(items_left)
-            result = session.query(
-                item_op,
-                budget=slice_budget,
-                execution_mode=item_request.get("execution_mode"),
-                **sem_spec.wire_params(item_request),
+            prefix = f"queries[{index}]: "
+            self._check_fields(op_spec, item_request, prefix)
+            key = (
+                None if item_request.get("no_cache")
+                else self._cache_key(op_spec, item_request)
             )
-            batch.charge(slice_budget)
-            entry: Dict[str, Any] = _degradation_fields(result)
-            entry.update(sem_spec.wire_payload(result))
-            if key is not None and entry.get("status") == "ok":
-                try:
-                    cache.store(key, epoch, entry)
-                except FaultInjectedError:
-                    self._warn(
-                        f"queries[{index}]: answer cache store failed; "
-                        "response not cached"
-                    )
-            entry["cached"] = False
+
+            def run() -> Dict[str, Any]:
+                sem_spec = semantics_spec(item_op)
+                slice_budget = batch.slice_for(items_left)
+                result = session.query(
+                    item_op,
+                    budget=slice_budget,
+                    execution_mode=item_request.get("execution_mode"),
+                    **sem_spec.wire_params(item_request),
+                )
+                batch.charge(slice_budget)
+                entry: Dict[str, Any] = _degradation_fields(result)
+                entry.update(sem_spec.wire_payload(result))
+                return entry
+
+            entry = self._through_cache(key, epoch, run, prefix)
+            entry.setdefault("cached", False)
             return entry
         except (ReproError, KeyError, TypeError, ValueError,
                 AttributeError) as exc:
-            code = _error_code(exc)
-            if isinstance(exc, ReproError) and code != "internal":
-                message = str(exc) or repr(exc)
-            else:
-                message = f"{type(exc).__name__}: {exc}"
-            return {
-                "status": "error",
-                "error": message,
-                "code": code,
-                "retryable": getattr(exc, "retryable", False),
-            }
+            return _error_response(exc)
 
     def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
         engine = self._engine(request["network"])

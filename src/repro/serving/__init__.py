@@ -13,18 +13,17 @@ This package holds the serving-side machinery the facade composes:
   network's epoch, so a stale answer can never be served).
 * :mod:`~repro.serving.shards` — the process-based tier: the public
   graph's CSR buffers exported to shared memory, one service replica
-  per shard *process*, scatter-gather with monotonic-bound merging.
+  per worker *process*, whole requests routed round-robin.
   ``ServiceExecutor(..., mode="process")`` turns it on.
 """
 
 from repro.serving.cache import AnswerCache
 from repro.serving.executor import ServiceExecutor
 from repro.serving.rwlock import RWLock
-from repro.serving.shards import LocalShardPlan, ShardServingPool
+from repro.serving.shards import ShardServingPool
 
 __all__ = [
     "AnswerCache",
-    "LocalShardPlan",
     "RWLock",
     "ServiceExecutor",
     "ShardServingPool",

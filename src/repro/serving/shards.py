@@ -1,12 +1,10 @@
-"""Process-based shard serving: shared-memory CSR shards behind a pool.
+"""Process-based serving: a pool of shared-memory engine replicas.
 
 Threads cannot multiply CPU-bound keyword-search throughput under the
 GIL — the serving benchmark's ``workers_only_speedup`` hovered around
 1x no matter how many workers the :class:`~repro.serving.executor.
-ServiceExecutor` ran.  This module is the escape hatch, following DKWS
-(the same authors' distributed successor to PPKWS): evaluate per
-partition in separate *processes*, merge with monotonic bounds, and
-notify-push a tightening bound so shards stop early.
+ServiceExecutor` ran.  This module is the escape hatch: whole requests
+execute in separate *processes*, each a full replica of the service.
 
 Architecture
 ------------
@@ -17,196 +15,47 @@ Architecture
   worker re-attaches zero-copy — k workers cost one copy of the
   adjacency payload, not k.  The (cheap, picklable) PADS/KPADS sketches
   ride along in the admin log, so workers never rebuild the index.
-* **Edge-cut partition.**  Interned vertex ids are split into
-  contiguous ranges balanced by CSR edge count; the crossing-edge count
-  per boundary (the *frontier*, the moral equivalent of the paper's
-  portal table) is reported in :meth:`ShardServingPool.health`.
-* **Workers.**  Each shard is one ``spawn``-ed process running a full
+* **Workers.**  Each worker is one ``spawn``-ed process running a full
   :class:`~repro.service.PPKWSService` replica (answer cache off — the
   parent's cache is authoritative).  Admin ops are *replayed* from an
   ordered log: the parent broadcasts every ``create`` / ``attach`` /
   ``detach`` / ``drop`` and keeps the log so a respawned worker can be
   rebuilt from scratch.
-* **Two read paths.**  :meth:`ShardServingPool.route` ships a whole
-  request to one worker (round-robin) — the default for cache-eligible
-  queries, putting the entire evaluation outside the parent's GIL.
-  :meth:`ShardServingPool.plan` returns a scatter-gather plan a
-  ``sharded_run`` pipeline step uses to fan one query's AComplete out
-  across *all* workers (request field ``"fanout": true``).
-* **Notify-push bounds.**  ``scatter`` allocates a ticket in a shared
-  ``Array('d')``; after each shard's result merges, the tightened bound
-  is written there and still-running shards read it between work items,
-  cancelling work whose cost floor exceeds it.  Bounds are monotone
-  under min-merging, so pruning never changes the final top-k — the
-  equivalence suite pins sharded answers bit-identical to serial ones.
+* **One read path.**  :meth:`ShardServingPool.route` ships a whole
+  request to one worker (round-robin), putting the entire evaluation
+  outside the parent's GIL.  A query is never split across workers:
+  every worker holds the whole graph and index, so an intra-query
+  scatter-gather had nothing worker-local to prune and measured slower
+  than the serial body (EXPERIMENTS.md, "Serving paths").
 
 Fault injection: the ``serving.shards.worker`` point fires in the
-worker after every task/request receive.  A ``kill`` there exits the
+worker after every request receive.  A ``kill`` there exits the
 process (the real crash); the parent maps the dead pipe to a
 well-formed ``code: "internal"`` response, respawns the worker and
 replays the admin log — chaos tests assert the pool self-heals.
 
 Metrics: ``ppkws_shard_requests_total{kind}``,
-``ppkws_shard_merge_seconds``, ``ppkws_shard_respawns_total``,
-``ppkws_shard_cancelled_total`` (see the README catalogue / RA003).
+``ppkws_shard_respawns_total`` (see the README catalogue / RA003).
 """
 
 from __future__ import annotations
 
-import bisect
 import os
 import threading
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import FaultInjectedError, ReproError, WorkerKilledError
 from repro.faults.points import SHARD_WORKER
 from repro.graph.frozen import FrozenGraph, freeze
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["LocalShardPlan", "ShardPartition", "ShardServingPool"]
-
-#: one scatter-gather in flight per slot of the shared bound array
-_MAX_TICKETS = 64
-
-_INF = float("inf")
-
-#: task tuple accepted by ``scatter``: (shard index, payload, cost floor)
-ShardTask = Tuple[int, Dict[str, Any], float]
-
-
-# ----------------------------------------------------------------------
-# partitioning
-# ----------------------------------------------------------------------
-class ShardPartition:
-    """Contiguous interned-id ranges balanced by CSR edge count.
-
-    ``starts[i]`` is the first id of shard ``i``; :meth:`shard_of` is a
-    dict lookup plus a bisect.  ``frontier`` counts the edges whose
-    endpoints land in different shards — the cut size the partition
-    pays, reported in pool health.
-    """
-
-    def __init__(self, graph: Any, shards: int) -> None:
-        if shards < 1:
-            raise ValueError("shards must be positive")
-        frozen = graph if isinstance(graph, FrozenGraph) else freeze(graph)
-        # Balancing needs per-vertex edge counts and the frontier needs
-        # raw neighbor ids — one O(E) pass over the flat buffers, vs.
-        # E dict lookups through the protocol.
-        indptr, indices, _ = frozen.csr()  # ra: ignore[RA005]
-        n = frozen.num_vertices
-        total = indptr[n] if n else 0
-        self.num_shards = shards
-        self._id_of = {v: i for i, v in enumerate(frozen.vertex_table)}
-        # Greedy sweep: close a shard once it holds its fair share of
-        # the remaining edge endpoints (leaving at least one id per
-        # remaining shard).
-        starts: List[int] = [0]
-        acc = 0
-        for i in range(n):
-            if len(starts) >= shards:
-                break
-            acc += indptr[i + 1] - indptr[i]
-            if acc * shards >= total * len(starts) and i + 1 <= n - (
-                shards - len(starts)
-            ):
-                starts.append(i + 1)
-        while len(starts) < shards:  # tiny graphs: pad with empty shards
-            starts.append(n)
-        self.starts: Tuple[int, ...] = tuple(starts)
-        self.frontier = sum(
-            1
-            for i in range(n)
-            for pos in range(indptr[i], indptr[i + 1])
-            if i < indices[pos]
-            and self._shard_of_id(i) != self._shard_of_id(indices[pos])
-        )
-
-    def _shard_of_id(self, i: int) -> int:
-        return bisect.bisect_right(self.starts, i) - 1
-
-    def shard_of(self, vertex: Any) -> int:
-        """The shard owning ``vertex`` (shard 0 for private-only ids)."""
-        i = self._id_of.get(vertex)
-        return self._shard_of_id(i) if i is not None else 0
-
-    def sizes(self) -> List[int]:
-        """Vertices per shard."""
-        n = len(self._id_of)
-        ends = list(self.starts[1:]) + [n]
-        return [e - s for s, e in zip(self.starts, ends)]
-
-
-# ----------------------------------------------------------------------
-# the in-process plan (tests / dict-backend fallback)
-# ----------------------------------------------------------------------
-class LocalShardPlan:
-    """Scatter-gather over the *local* engine: same plan surface, no IPC.
-
-    Runs every shard task inline through the registered handler against
-    the parent's own engine, preserving the scatter order, bound updates
-    and cancellation logic — so the equivalence suite can pin the
-    sharded step bodies bit-identical to the serial ones on any backend
-    without paying for a process pool.
-    """
-
-    def __init__(self, engine: Any, shards: int = 2, owner: str = "") -> None:
-        self.partition = ShardPartition(engine.public, shards)
-        self._engine = engine
-        self._owner = owner
-        self.tasks_run = 0
-        self.tasks_cancelled = 0
-
-    @property
-    def num_shards(self) -> int:
-        return self.partition.num_shards
-
-    def shard_of(self, vertex: Any) -> int:
-        return self.partition.shard_of(vertex)
-
-    def engine(self, network: str) -> Any:
-        """Host hook for task handlers: the one local engine."""
-        return self._engine
-
-    def scatter(
-        self,
-        kind: str,
-        tasks: List[ShardTask],
-        initial_bound: float,
-        on_result: Callable[[Any], float],
-    ) -> None:
-        from repro.core.engine import shard_task
-
-        handler = shard_task(kind)
-        bound = initial_bound
-
-        def read_bound() -> float:
-            return bound
-
-        for _, payload, cost_floor in sorted(tasks, key=lambda t: t[0]):
-            if cost_floor > bound:
-                self.tasks_cancelled += 1
-                continue
-            self.tasks_run += 1
-            result = handler(self, "local", self._owner, payload, read_bound)
-            bound = min(bound, on_result(result))
+__all__ = ["ShardServingPool"]
 
 
 # ----------------------------------------------------------------------
 # the worker process
 # ----------------------------------------------------------------------
-class _WorkerHost:
-    """What a shard task sees in the worker: engines plus the bound."""
-
-    def __init__(self, service: Any) -> None:
-        self.service = service
-
-    def engine(self, network: str) -> Any:
-        return self.service._engine(network)
-
-
-def _apply_admin(host: _WorkerHost, pending: Dict[str, list], rec: tuple) -> None:
+def _apply_admin(svc: Any, pending: Dict[str, list], rec: tuple) -> None:
     """Apply one admin-log record to the worker's replica service.
 
     ``attach`` for a network this worker has not created yet is buffered
@@ -216,7 +65,6 @@ def _apply_admin(host: _WorkerHost, pending: Dict[str, list], rec: tuple) -> Non
     from repro.core.framework import PPKWS, PublicIndex
 
     op = rec[0]
-    svc = host.service
     if op == "create":
         _, name, handle, (pads, kpads, scores), options = rec
         graph = FrozenGraph.from_shared(handle)
@@ -255,15 +103,14 @@ def _apply_admin(host: _WorkerHost, pending: Dict[str, list], rec: tuple) -> Non
         raise ReproError(f"unknown admin record {op!r}")
 
 
-def _shard_worker_main(shard_id: int, conn: Any, bounds: Any) -> None:
-    """Spawn entry point: serve one shard until ``stop`` or death."""
+def _shard_worker_main(shard_id: int, conn: Any) -> None:
+    """Spawn entry point: serve one replica until ``stop`` or death."""
     from repro import faults
-    from repro.core.engine import ensure_builtin_semantics, shard_task
+    from repro.core.engine import ensure_builtin_semantics
     from repro.service import PPKWSService
 
     ensure_builtin_semantics()
     svc = PPKWSService(answer_cache_size=0)
-    host = _WorkerHost(svc)
     pending: Dict[str, list] = {}
     conn.send(("ready", shard_id))
     while True:
@@ -291,13 +138,13 @@ def _shard_worker_main(shard_id: int, conn: Any, bounds: Any) -> None:
             continue
         if op == "admin":
             try:
-                _apply_admin(host, pending, msg[1])
+                _apply_admin(svc, pending, msg[1])
             except ReproError as exc:
                 conn.send(("error", type(exc).__name__, str(exc)))
             else:
                 conn.send(("ok", None))
             continue
-        # task / execute: the injection point for shard-process chaos.
+        # execute: the injection point for worker-process chaos.
         try:
             faults.fire(SHARD_WORKER)
         except WorkerKilledError:
@@ -307,17 +154,6 @@ def _shard_worker_main(shard_id: int, conn: Any, bounds: Any) -> None:
             continue
         if op == "execute":
             conn.send(("ok", svc.execute(msg[1])))
-        elif op == "task":
-            _, kind, network, owner, payload, ticket = msg
-            try:
-                handler = shard_task(kind)
-                result = handler(
-                    host, network, owner, payload, lambda: bounds[ticket]
-                )
-            except ReproError as exc:
-                conn.send(("error", type(exc).__name__, str(exc)))
-            else:
-                conn.send(("ok", result))
         else:  # pragma: no cover - protocol drift guard
             conn.send(("error", "ReproError", f"unknown message {op!r}"))
 
@@ -339,7 +175,7 @@ class _Worker:
 
 
 class ShardServingPool:
-    """k shard-worker processes plus the scatter-gather machinery.
+    """k replica worker processes behind a round-robin request router.
 
     Construct via :meth:`repro.service.PPKWSService.enable_sharding`,
     which also replays existing networks into the pool and broadcasts
@@ -361,17 +197,12 @@ class ShardServingPool:
         self._ctx = multiprocessing.get_context("spawn")
         self._registry = registry
         self._spawn_timeout_s = spawn_timeout_s
-        #: scatter bound slots shared with every worker (inherited)
-        self._bounds = self._ctx.Array("d", _MAX_TICKETS, lock=False)
-        self._ticket_lock = threading.Lock()
-        self._next_ticket = 0
         #: the replayable admin history (records as shipped to workers)
         self._log: List[tuple] = []
         self._log_lock = threading.Lock()
-        #: network -> live shared-memory segments (owned by the pool)
+        #: replicated network -> its live shared-memory segments (owned
+        #: by the pool)
         self._segments: Dict[str, list] = {}
-        #: network -> parent-side partition (feeds plan()/health())
-        self._partitions: Dict[str, ShardPartition] = {}
         #: the last fault schedule shipped (re-armed on respawn)
         self._fault_state: Tuple[Optional[tuple], Optional[int]] = (None, None)
         self._respawns = 0
@@ -392,7 +223,7 @@ class ShardServingPool:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_shard_worker_main,
-            args=(w.shard_id, child_conn, self._bounds),
+            args=(w.shard_id, child_conn),
             name=f"ppkws-shard-{w.shard_id}",
             daemon=True,
         )
@@ -512,7 +343,6 @@ class ShardServingPool:
         frozen = graph if isinstance(graph, FrozenGraph) else freeze(graph)
         handle, segments = frozen.export_shared()
         self._segments[name] = segments
-        self._partitions[name] = ShardPartition(frozen, len(self._workers))
         index = engine.index
         self._broadcast((
             "create", name, handle,
@@ -530,7 +360,6 @@ class ShardServingPool:
         with self._log_lock:
             self._compact_log(name)
         self._broadcast(("drop", name))
-        self._partitions.pop(name, None)
         for seg in self._segments.pop(name, ()):  # workers re-attach no more
             try:
                 seg.close()
@@ -559,7 +388,7 @@ class ShardServingPool:
             except FaultInjectedError:
                 pass  # the respawn re-armed them from _fault_state
 
-    # -- the two read paths ----------------------------------------------
+    # -- the read path ---------------------------------------------------
     def route(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Execute a whole request in one worker (round-robin).
 
@@ -595,104 +424,11 @@ class ShardServingPool:
             "retryable": False,
         }
 
-    def replicated(self, name: str) -> bool:
-        """Whether ``name`` has been shipped to the workers."""
-        return name in self._partitions
-
-    def plan(self, network: str, owner: str) -> "_PoolShardPlan":
-        """A scatter-gather plan for one query on ``network``."""
-        partition = self._partitions.get(network)
-        if partition is None:
-            raise ReproError(f"network {network!r} is not replicated")
-        return _PoolShardPlan(self, partition, network, owner)
-
-    def _take_ticket(self, initial_bound: float) -> int:
-        with self._ticket_lock:
-            ticket = self._next_ticket % _MAX_TICKETS
-            self._next_ticket += 1
-        self._bounds[ticket] = initial_bound
-        return ticket
-
-    def scatter(
-        self,
-        network: str,
-        owner: str,
-        kind: str,
-        tasks: List[ShardTask],
-        initial_bound: float,
-        on_result: Callable[[Any], float],
-    ) -> None:
-        """Fan tasks out, merge in shard order, push tightened bounds.
-
-        Sends to every involved worker first (locks taken in ascending
-        shard order — deadlock-free against concurrent routes), then
-        receives in the same order; after each merge the new bound is
-        written to the shared slot so still-running shards prune against
-        it.  A worker death surfaces as
-        :class:`~repro.exceptions.FaultInjectedError` (wire code
-        ``internal``) after the respawn.
-        """
-        if not tasks:
-            return
-        ticket = self._take_ticket(initial_bound)
-        started = time.perf_counter()
-        dispatched: List[Tuple[_Worker, Dict[str, Any]]] = []
-        cancelled = 0
-        acquired: List[_Worker] = []
-        try:
-            for shard, payload, cost_floor in sorted(tasks, key=lambda t: t[0]):
-                if cost_floor > self._bounds[ticket]:
-                    cancelled += 1
-                    continue
-                w = self._workers[shard % len(self._workers)]
-                w.lock.acquire()
-                acquired.append(w)
-                try:
-                    w.conn.send(
-                        ("task", kind, network, owner, payload, ticket)
-                    )
-                except (EOFError, OSError, BrokenPipeError):
-                    self._respawn_locked(w)
-                    raise FaultInjectedError(
-                        SHARD_WORKER.name,
-                        f"shard worker {w.shard_id} died mid-scatter "
-                        "(respawned from the admin log)",
-                    ) from None
-                dispatched.append((w, payload))
-            for w, _payload in dispatched:
-                try:
-                    status = w.conn.recv()
-                except (EOFError, OSError, BrokenPipeError):
-                    self._respawn_locked(w)
-                    raise FaultInjectedError(
-                        SHARD_WORKER.name,
-                        f"shard worker {w.shard_id} died mid-task "
-                        "(respawned from the admin log)",
-                    ) from None
-                if status[0] != "ok":
-                    raise FaultInjectedError(SHARD_WORKER.name, status[2])
-                self._bounds[ticket] = min(
-                    self._bounds[ticket], on_result(status[1])
-                )
-        finally:
-            for w in acquired:
-                w.lock.release()
-            if self._registry is not None:
-                self._registry.inc(
-                    "ppkws_shard_requests_total",
-                    amount=float(len(dispatched)),
-                    labels={"kind": kind},
-                )
-                if cancelled:
-                    self._registry.inc(
-                        "ppkws_shard_cancelled_total", amount=float(cancelled)
-                    )
-                self._registry.observe(
-                    "ppkws_shard_merge_seconds",
-                    time.perf_counter() - started,
-                )
-
     # -- introspection ---------------------------------------------------
+    def networks(self) -> List[str]:
+        """The names shipped to the workers (and not dropped since)."""
+        return sorted(self._segments)
+
     def health(self) -> Dict[str, Any]:
         """A JSON-friendly pool snapshot for the ``health`` op."""
         alive = sum(
@@ -706,47 +442,5 @@ class ShardServingPool:
             "alive": alive,
             "respawns": self._respawns,
             "shutdown": self._shutdown,
-            "networks": {
-                name: {
-                    "shard_sizes": part.sizes(),
-                    "frontier_edges": part.frontier,
-                }
-                for name, part in sorted(self._partitions.items())
-            },
+            "networks": self.networks(),
         }
-
-
-class _PoolShardPlan:
-    """The per-query view a ``sharded_run`` step drives (pool-backed)."""
-
-    __slots__ = ("_pool", "partition", "_network", "_owner")
-
-    def __init__(
-        self,
-        pool: ShardServingPool,
-        partition: ShardPartition,
-        network: str,
-        owner: str,
-    ) -> None:
-        self._pool = pool
-        self.partition = partition
-        self._network = network
-        self._owner = owner
-
-    @property
-    def num_shards(self) -> int:
-        return self.partition.num_shards
-
-    def shard_of(self, vertex: Any) -> int:
-        return self.partition.shard_of(vertex)
-
-    def scatter(
-        self,
-        kind: str,
-        tasks: List[ShardTask],
-        initial_bound: float,
-        on_result: Callable[[Any], float],
-    ) -> None:
-        self._pool.scatter(
-            self._network, self._owner, kind, tasks, initial_bound, on_result
-        )

@@ -172,59 +172,6 @@ def test_random_graph_pipeline_equivalence(seed):
     assert _canon_knk(kf.answer) == _canon_knk(kp.answer)
 
 
-# ----------------------------------------------------------------------
-# sharded (scatter-gather) runs are bit-identical to serial runs
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [2, 9])
-@pytest.mark.parametrize("shards", [2, 3])
-def test_sharded_run_bit_identical(seed, shards):
-    """The sharded AComplete step bodies must not change any answer.
-
-    Runs knk and blinks through ``spec.run`` with a
-    :class:`~repro.serving.shards.LocalShardPlan` (the same scatter /
-    bound / cancellation logic the process pool drives, minus the IPC)
-    on both backends and compares against the serial runs — wire
-    payloads included, so ordering is pinned too.
-    """
-    from repro.core.engine import ensure_builtin_semantics, semantics_spec
-    from repro.serving import LocalShardPlan
-
-    ensure_builtin_semantics()
-    labels = ("t0", "t1", "t2")
-    pub = random_connected_graph(60, 25, seed, labels=labels)
-    priv = LabeledGraph("priv")
-    priv.add_edge(0, "m1")
-    priv.add_edge("m1", "m2")
-    priv.add_edge("m2", 13)
-    priv.add_labels("m1", {"t0"})
-    priv.add_labels("m2", {"t1"})
-    queries = [
-        ("knk", {"source": "m1", "keyword": "t2", "k": 4}),
-        ("blinks", {"keywords": ["t0", "t1"], "tau": 8.0, "k": 5}),
-    ]  # wire-style requests; wire_params fills each spec's defaults
-    for engine in _engines(pub, priv):
-        att = engine.attachment("bob")
-        for name, request in queries:
-            spec = semantics_spec(name)
-            params = spec.wire_params(dict(request))
-            serial = spec.run(engine, att, dict(params))
-            sharded = spec.run(
-                engine, att, dict(params),
-                shards=LocalShardPlan(engine, shards=shards, owner="bob"),
-            )
-            def payload(result):
-                # strip the per-step wall times — the one legitimately
-                # nondeterministic field
-                out = spec.wire_payload(result)
-                out.pop("breakdown", None)
-                return out
-
-            assert payload(sharded) == payload(serial), (
-                f"{name} diverged on seed={seed} shards={shards} "
-                f"backend={type(engine.public).__name__}"
-            )
-
-
 def test_shared_frozen_index_reuse(small_public_private):
     """One frozen index can back many engines (the deployment story)."""
     pub, priv = small_public_private

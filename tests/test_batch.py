@@ -19,6 +19,17 @@ _FREEZE = os.environ.get("REPRO_ENGINE_BACKEND", "frozen") != "dict"
 _MODE = os.environ.get("REPRO_EXECUTION_MODE")
 
 
+def _params(queries, k=10):
+    """``run_queries`` parameter dicts for a keyword workload."""
+    return [
+        {
+            "keywords": list(q.keywords), "tau": q.tau, "k": k,
+            "require_public_private": True,
+        }
+        for q in queries
+    ]
+
+
 @pytest.fixture
 def session(small_public_private):
     pub, priv = small_public_private
@@ -60,22 +71,10 @@ class TestBatchSession:
             KeywordQuery(("db", "ai"), 4.0),
             KeywordQuery(("db", "cv"), 4.0),
         ]
-        results = batch.run_keyword_queries("blinks", queries)
+        results = batch.run_queries("blinks", _params(queries))
         assert len(results) == 2
-        results = batch.run_keyword_queries("rclique", queries)
+        results = batch.run_queries("rclique", _params(queries))
         assert len(results) == 2
-
-    def test_unknown_semantic(self, session):
-        batch, _ = session
-        with pytest.raises(QueryError):
-            batch.run_keyword_queries("nope", [])
-
-    def test_run_keyword_queries_is_deprecated(self, session):
-        batch, _ = session
-        with pytest.warns(DeprecationWarning, match="run_queries"):
-            batch.run_keyword_queries(
-                "blinks", [KeywordQuery(("db", "ai"), 4.0)]
-            )
 
     def test_run_queries_generic_parameter_dicts(self, session):
         """The replacement API: any semantics, explicit parameter dicts."""
@@ -107,7 +106,7 @@ class TestBatchSession:
             KeywordQuery(("db", "cv"), 4.0),
             KeywordQuery(("db", "ml"), 4.0),
         ]
-        results = batch.run_keyword_queries("blinks", queries, deadline_ms=0.0)
+        results = batch.run_queries("blinks", _params(queries), deadline_ms=0.0)
         assert len(results) == 3
         assert all(r.degraded for r in results)
 
@@ -117,9 +116,9 @@ class TestBatchSession:
             KeywordQuery(("db", "ai"), 4.0),
             KeywordQuery(("db", "cv"), 4.0),
         ]
-        plain = batch.run_keyword_queries("blinks", queries)
-        budgeted = batch.run_keyword_queries(
-            "blinks", queries, deadline_ms=1e9, max_expansions=10**9
+        plain = batch.run_queries("blinks", _params(queries))
+        budgeted = batch.run_queries(
+            "blinks", _params(queries), deadline_ms=1e9, max_expansions=10**9
         )
         assert all(not r.degraded for r in budgeted)
         for a, b in zip(plain, budgeted):

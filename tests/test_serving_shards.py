@@ -1,4 +1,4 @@
-"""Tests for process-based shard serving (repro.serving.shards).
+"""Tests for the process-based replica pool (repro.serving.shards).
 
 The process-pool tests spawn real shard workers; they share one
 module-scoped pooled service to keep spawn cost bounded.  Response
@@ -12,16 +12,13 @@ import random
 
 import pytest
 
-from repro import faults
-from repro.core.engine import register_shard_task
+from repro.core.engine import registered_semantics, semantics_spec
 from repro.exceptions import ReproError
 from repro.faults import FaultSchedule, FaultSpec
 from repro.faults.points import SHARD_WORKER
 from repro.graph.frozen import FrozenGraph, freeze
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.registry import MetricsRegistry
-from repro.serving import LocalShardPlan, ShardServingPool
-from repro.serving.shards import ShardPartition
 from repro.service import PPKWSService
 
 
@@ -59,6 +56,24 @@ BANKS = {
     "op": "banks", "network": "net", "owner": "bob",
     "keywords": ["DB", "AI"], "tau": 14.0, "k": 3,
 }
+#: one request per built-in query op — each must cross the worker pipe
+QUERIES = {
+    "knk": KNK,
+    "blinks": BLINKS,
+    "banks": BANKS,
+    "rclique": {
+        "op": "rclique", "network": "net", "owner": "bob",
+        "keywords": ["DB", "AI"], "tau": 14.0, "k": 3,
+    },
+    "knk_multi": {
+        "op": "knk_multi", "network": "net", "owner": "bob",
+        "source": "u0", "keywords": ["DB", "AI"], "k": 4, "mode": "or",
+    },
+    "truss": {
+        "op": "truss", "network": "net", "owner": "bob",
+        "k": 2, "keywords": ["DB"],
+    },
+}
 
 
 def make_service(**kwargs):
@@ -67,57 +82,6 @@ def make_service(**kwargs):
     svc.create_network("net", pub)
     svc.attach_user("net", "bob", priv)
     return svc
-
-
-# ----------------------------------------------------------------------
-# partitioning
-# ----------------------------------------------------------------------
-class TestShardPartition:
-    def test_sizes_cover_every_vertex(self):
-        pub, _ = build_graphs()
-        part = ShardPartition(pub, 3)
-        assert part.num_shards == 3
-        assert sum(part.sizes()) == pub.num_vertices
-        assert all(s >= 0 for s in part.sizes())
-
-    def test_shard_of_matches_contiguous_ranges(self):
-        pub, _ = build_graphs()
-        frozen = freeze(pub)
-        part = ShardPartition(frozen, 4)
-        seen = [part.shard_of(v) for v in frozen.vertex_table]
-        # contiguous interned-id ranges: shard ids are non-decreasing
-        assert seen == sorted(seen)
-        assert set(seen) <= set(range(4))
-
-    def test_private_only_vertex_lands_on_shard_zero(self):
-        pub, _ = build_graphs()
-        part = ShardPartition(pub, 2)
-        assert part.shard_of("not-a-public-vertex") == 0
-
-    def test_single_shard_has_empty_frontier(self):
-        pub, _ = build_graphs()
-        part = ShardPartition(pub, 1)
-        assert part.frontier == 0
-        assert part.sizes() == [pub.num_vertices]
-
-    def test_frontier_bounded_by_edge_count(self):
-        pub, _ = build_graphs()
-        part = ShardPartition(pub, 3)
-        assert 0 < part.frontier <= pub.num_edges
-
-    def test_more_shards_than_vertices_pads_empty(self):
-        g = LabeledGraph()
-        g.add_vertex("a", ["x"])
-        g.add_vertex("b", [])
-        g.add_edge("a", "b", 1.0)
-        part = ShardPartition(g, 5)
-        assert sum(part.sizes()) == 2
-        assert len(part.sizes()) == 5
-
-    def test_zero_shards_rejected(self):
-        pub, _ = build_graphs()
-        with pytest.raises(ValueError):
-            ShardPartition(pub, 0)
 
 
 # ----------------------------------------------------------------------
@@ -148,81 +112,26 @@ class TestSharedExportRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# the in-process plan
+# the retired scatter-gather field is just an unknown field now
 # ----------------------------------------------------------------------
-def _probe_handler(host, network, owner, payload, bound):
-    """Shard-task handler used by the LocalShardPlan unit tests."""
-    return {"value": payload["value"], "bound_seen": bound()}
+def assert_fanout_is_ignored(svc, base):
+    """``fanout`` changes nothing but the unknown-field warning."""
+    plain = svc.execute(dict(base))
+    assert plain["status"] == "ok"
+    assert "warnings" not in plain
+    fanned = svc.execute(dict(base, fanout=True))
+    assert fanned.pop("warnings") == ["unknown field 'fanout'"]
+    assert strip(fanned) == strip(plain)
 
 
-register_shard_task("test_probe", _probe_handler)
-
-
-class TestLocalShardPlan:
-    def _engine(self):
-        svc = make_service()
-        return svc._engine("net")
-
-    def test_scatter_runs_tasks_in_shard_order(self):
-        plan = LocalShardPlan(self._engine(), shards=2, owner="bob")
-        seen = []
-
-        def on_result(result):
-            seen.append(result["value"])
-            return float("inf")
-
-        tasks = [(1, {"value": "b"}, 0.0), (0, {"value": "a"}, 0.0)]
-        plan.scatter("test_probe", tasks, float("inf"), on_result)
-        assert seen == ["a", "b"]
-        assert plan.tasks_run == 2
-        assert plan.tasks_cancelled == 0
-
-    def test_scatter_cancels_tasks_above_the_bound(self):
-        plan = LocalShardPlan(self._engine(), shards=2, owner="bob")
-        ran = []
-
-        def on_result(result):
-            ran.append(result["value"])
-            return 5.0  # tighten the bound after the first merge
-
-        tasks = [
-            (0, {"value": "cheap"}, 0.0),
-            (1, {"value": "pruned"}, 10.0),  # floor above tightened bound
-        ]
-        plan.scatter("test_probe", tasks, 100.0, on_result)
-        assert ran == ["cheap"]
-        assert plan.tasks_cancelled == 1
-
-    def test_handlers_observe_the_initial_bound(self):
-        plan = LocalShardPlan(self._engine(), shards=1, owner="bob")
-        out = []
-        plan.scatter(
-            "test_probe",
-            [(0, {"value": 1}, 0.0)],
-            42.0,
-            lambda r: out.append(r["bound_seen"]) or float("inf"),
-        )
-        assert out == [42.0]
-
-    def test_unknown_kind_raises(self):
-        plan = LocalShardPlan(self._engine(), shards=1, owner="bob")
-        with pytest.raises(ReproError):
-            plan.scatter(
-                "no_such_kind", [(0, {}, 0.0)], float("inf"), lambda r: 0.0
-            )
-
-
-# ----------------------------------------------------------------------
-# serial vs fanout equivalence without any pool (dict/local path)
-# ----------------------------------------------------------------------
-class TestLocalFanoutEquivalence:
+class TestRetiredFanoutField:
     @pytest.mark.parametrize("request_base", [KNK, BLINKS, BANKS])
-    def test_fanout_matches_serial(self, request_base):
-        svc = make_service()
-        serial = strip(svc.execute(dict(request_base)))
-        assert serial["status"] == "ok"
-        fanned = strip(svc.execute(dict(request_base, fanout=True)))
-        assert fanned == serial
+    def test_fanout_is_ignored_without_a_pool(self, request_base):
+        assert_fanout_is_ignored(make_service(), request_base)
+
+    def test_help_no_longer_lists_fanout(self):
+        resp = make_service().execute({"op": "help"})
+        assert resp["global_fields"] == ["no_cache", "op", "trace", "v"]
 
 
 # ----------------------------------------------------------------------
@@ -247,32 +156,33 @@ class TestShardServingPool:
     def test_routed_request_matches_serial(self, pooled):
         svc, _ = pooled
         baseline = make_service()
-        for base in (KNK, BLINKS, BANKS):
+        builtin = {
+            name for name in registered_semantics()
+            if semantics_spec(name).validate.__module__.startswith("repro.")
+        }
+        assert builtin == set(QUERIES)  # a new op needs a routed request
+        for base in QUERIES.values():
             serial = strip(baseline.execute(dict(base)))
+            assert serial["status"] == "ok"
+            assert serial.get("answers") or serial["answer"]["matches"]
             routed = strip(svc.execute(dict(base)))
             assert routed == serial
 
-    def test_pool_fanout_matches_serial(self, pooled):
+    def test_fanout_is_ignored_with_a_pool(self, pooled):
         svc, _ = pooled
-        baseline = make_service()
         for base in (KNK, BLINKS, BANKS):
-            serial = strip(baseline.execute(dict(base)))
-            fanned = strip(svc.execute(dict(base, fanout=True)))
-            assert fanned == serial
+            assert_fanout_is_ignored(svc, base)
 
     def test_shard_metrics_recorded(self, pooled):
         svc, registry = pooled
         svc.execute(dict(KNK))  # routed
-        svc.execute(dict(KNK, fanout=True))  # scattered
         assert registry.value(
             "ppkws_shard_requests_total", labels={"kind": "execute"}
         ) >= 1
         series = registry.snapshot()["counters"]["ppkws_shard_requests_total"]
-        assert "kind=execute" in series
-        assert any(k != "kind=execute" for k in series)  # a scatter kind
-        assert registry.histogram("ppkws_shard_merge_seconds") is not None
+        assert list(series) == ["kind=execute"]
 
-    def test_health_reports_partitions(self, pooled):
+    def test_health_reports_pool(self, pooled):
         svc, _ = pooled
         resp = svc.execute({"op": "health"})
         shards = resp["shards"]
@@ -280,9 +190,7 @@ class TestShardServingPool:
         assert shards["shards"] == 2
         assert shards["alive"] == 2
         assert shards["shutdown"] is False
-        net = shards["networks"]["net"]
-        assert sum(net["shard_sizes"]) == 60
-        assert net["frontier_edges"] > 0
+        assert shards["networks"] == ["net"]
 
     def test_admin_churn_replicates(self, pooled):
         svc, _ = pooled
@@ -305,11 +213,11 @@ class TestShardServingPool:
             req = dict(KNK, network="net2")
             assert svc.execute(req)["status"] == "ok"
             health = svc.execute({"op": "health"})["shards"]
-            assert "net2" in health["networks"]
+            assert health["networks"] == ["net", "net2"]
         finally:
             svc.drop_network("net2")
         health = svc.execute({"op": "health"})["shards"]
-        assert "net2" not in health["networks"]
+        assert health["networks"] == ["net"]
         assert svc.execute(dict(KNK, network="net2"))["code"] == (
             "unknown_network"
         )
@@ -350,9 +258,6 @@ class TestShardChaos:
             assert health["respawns"] >= 1
             baseline = make_service()
             assert strip(svc.execute(dict(KNK))) == strip(
-                baseline.execute(dict(KNK))
-            )
-            assert strip(svc.execute(dict(KNK, fanout=True))) == strip(
                 baseline.execute(dict(KNK))
             )
         finally:
@@ -412,8 +317,8 @@ class _RecordingPool:
             svc._shard_lock.release()
         type(self).calls.append(acquired)
 
-    def replicated(self, name):
-        return True
+    def networks(self):
+        return []
 
     def admin_create(self, *args, **kwargs):
         pass
