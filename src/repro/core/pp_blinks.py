@@ -23,8 +23,6 @@ declares the steps and registers the :data:`BLINKS` spec.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import (
     Callable,
     Dict,
@@ -55,10 +53,14 @@ from repro.core.pp_rclique import CompletionCache
 from repro.core.repair import try_requalify
 from repro.core.vectorized import merge_rank
 from repro.exceptions import QueryError
-from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
+from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.traversal import INF
 from repro.semantics.answers import Match, RootedAnswer
-from repro.semantics.blinks import blinks_search, keyword_expansion
+from repro.semantics.blinks import (
+    blinks_search,
+    keyword_expansion,
+    offset_expansion,
+)
 from repro.semantics.wire import (
     rooted_cache_params,
     rooted_payload,
@@ -104,17 +106,16 @@ def peval_blinks(
     for r in sorted(roots, key=repr):
         if budget is not None:
             budget.checkpoint()
-        partial = PartialAnswer(answer=RootedAnswer(r, {}))
+        partial = partials[r] = PartialAnswer(answer=RootedAnswer(r, {}))
         for q in keywords:
             hit = per_keyword[q].get(r)
             if hit is None:
                 partial.missing.add(q)
-                partial.set_match(q, None, INF)
+                hit = Match(None, INF)
             else:
-                partial.set_match(q, hit.vertex, hit.distance)
                 partial.private_matched.add(q)
                 partial.keyword_indicators.append(KeywordIndicator(r, q))
-        partials[r] = partial
+            partial.answer.matches[q] = hit  # the cover's own Match: no copy
     return partials
 
 
@@ -133,6 +134,9 @@ def arefine_keywords(
         return
     oracle = attachment.oracle
     pairs = attachment.refined_by_source if reduced else None
+    # Eq. 5's portal-pair minimum does not depend on the root: one table
+    # per keyword, built on first use, serves every indicator.
+    via: Dict[Label, Dict[Vertex, Tuple[float, Vertex]]] = {}
     for partial in partials.values():
         for ind in partial.keyword_indicators:
             if budget is not None:
@@ -141,8 +145,11 @@ def arefine_keywords(
             match = partial.match(ind.keyword)
             if match is None:
                 continue
+            table = via.get(ind.keyword)
+            if table is None:
+                table = via[ind.keyword] = oracle.keyword_detours(ind.keyword, pairs)
             refined, witness = oracle.refine_vertex_keyword_with_witness(
-                ind.root, ind.keyword, match.distance, pairs_by_source=pairs
+                ind.root, ind.keyword, match.distance, via=table
             )
             if refined < match.distance:
                 # The refined path ends at the portal-side nearest keyword
@@ -151,40 +158,6 @@ def arefine_keywords(
                 counters.refinements_applied += 1
                 if witness is not None:
                     match.vertex = witness
-
-
-def _offset_sweep(
-    public: "LabeledGraph",
-    seeds: List[Tuple[float, Vertex, Vertex]],
-    tau: float,
-    budget: Optional[QueryBudget] = None,
-) -> Dict[Vertex, Match]:
-    """Multi-source Dijkstra with per-source starting offsets.
-
-    ``seeds`` are ``(offset, portal, witness)`` triples; the result maps
-    every public vertex ``u`` with ``min(offset + d(portal, u)) <= tau``
-    to a :class:`Match` carrying that minimal total and the witness of
-    the winning seed.
-    """
-    counter = itertools.count()
-    heap: List[Tuple[float, int, Vertex, Vertex]] = []
-    for offset, portal, witness in seeds:
-        if offset <= tau:
-            heap.append((offset, next(counter), portal, witness))
-    heapq.heapify(heap)
-    reached: Dict[Vertex, Match] = {}
-    while heap:
-        if budget is not None:
-            budget.checkpoint()
-        d, _, v, witness = heapq.heappop(heap)
-        if v in reached:
-            continue
-        reached[v] = Match(witness, d)
-        for u, w in public.neighbor_items(v):
-            nd = d + w
-            if u not in reached and nd <= tau:
-                heapq.heappush(heap, (nd, next(counter), u, witness))
-    return reached
 
 
 def _portal_sweep_seeds(
@@ -196,7 +169,7 @@ def _portal_sweep_seeds(
     """Per-keyword ``(offset, portal, witness)`` seeds for the public sweep.
 
     Portal order is ``repr``-sorted so the seed list — and hence the
-    heap tie-breaking inside :func:`_offset_sweep` — is identical no
+    heap tie-breaking inside :func:`offset_expansion` — is identical no
     matter which process (or hash seed) builds it.
     """
     portal_seeds: List[Tuple[Vertex, PartialAnswer]] = [
@@ -221,120 +194,112 @@ def _merge_swept_root(
     keywords: List[Label],
 ) -> None:
     """Part (a) for one swept vertex: flood-update or plant an answer."""
-    if u in answers:
-        existing = answers[u]
-        for q in keywords:
-            hit = swept[q].get(u)
-            dst = existing.answer.matches.get(q)
-            if hit is not None and (dst is None or hit.distance < dst.distance):
-                existing.set_match(q, hit.vertex, hit.distance)
-                existing.missing.discard(q)
-    else:
-        partial = PartialAnswer(answer=RootedAnswer(u, {}))
-        for q in keywords:
-            hit = swept[q].get(u)
-            if hit is None:
-                partial.set_match(q, None, INF)
-                partial.missing.add(q)
-            else:
-                partial.set_match(q, hit.vertex, hit.distance)
-        answers[u] = partial
-
-
-def _complete_root(
-    engine: PPKWS,
-    attachment: Attachment,
-    root: Vertex,
-    partial: PartialAnswer,
-    keywords: List[Label],
-    cache: CompletionCache,
-    provider: object,
-    public_probe: Optional[
-        Callable[[Vertex, Label], Tuple[float, Optional[Vertex]]]
-    ],
-) -> None:
-    """Part (b) for one root: retrieve/improve keywords via the public side."""
-    root_is_public = root in engine.public
-    root_is_private = root in attachment.private
+    existing = answers.get(u)
+    if existing is None:
+        existing = answers[u] = PartialAnswer(answer=RootedAnswer(u, {}))
+    matches = existing.answer.matches
     for q in keywords:
-        match = partial.match(q)
-        current = match.distance if match is not None else INF
-        best, witness = INF, None
-        if root_is_public:
-            if public_probe is not None:
-                best, witness = public_probe(root, q)
-            else:
-                best, witness = provider.keyword_distance_with_witness(  # type: ignore[attr-defined]
-                    root, q
-                )
-        if root_is_private:
-            for portal, d1 in (
-                attachment.oracle.vertex_portal.portal_distances(root).items()
-            ):
-                pub_d, w = cache.lookup(engine, portal, q)
+        hit = swept[q].get(u)
+        dst = matches.get(q)
+        if hit is None:
+            if dst is None:
+                matches[q] = Match(None, INF)
+                existing.missing.add(q)
+        elif dst is None or hit.distance < dst.distance:
+            # a fresh Match: covers may be shared through the sweep memo
+            matches[q] = Match(hit.vertex, hit.distance)
+            existing.missing.discard(q)
+
+
+def _complete_roots(
+    ctx: PipelineContext,
+    answers: Dict[Vertex, PartialAnswer],
+    public_probe: Callable[[Vertex, Label], Tuple[float, Optional[Vertex]]],
+) -> None:
+    """Part (b): retrieve/improve every root's keywords via the public side.
+
+    A public root probes KPADS directly; a private root exits through its
+    portals and finishes with ``d_hat(portal, q)`` read from the keyword's
+    PKA row (Sec. VI-B) — filled once per query through ``ctx.cache``,
+    its reads accounted in bulk.
+    """
+    if ctx.cache is None:
+        ctx.cache = CompletionCache(ctx.options.dp_completion)
+    engine, cache, keywords = ctx.engine, ctx.cache, ctx.params["keywords"]
+    public = engine.public
+    vpm = ctx.attachment.oracle.vertex_portal
+    rows = {q: cache.row(engine, vpm.portals, q) for q in keywords}
+    reads = 0
+    for root, partial in answers.items():
+        if ctx.budget is not None:
+            ctx.budget.checkpoint()
+        exits = vpm.portal_distances(root)
+        reads += len(exits)
+        root_is_public = root in public
+        matches = partial.answer.matches
+        for q in keywords:
+            match = matches.get(q)
+            current = match.distance if match is not None else INF
+            best, witness = public_probe(root, q) if root_is_public else (INF, None)
+            row = rows[q]
+            for portal, d1 in exits.items():
+                if row is None:  # dp_completion off: every read re-queries
+                    pub_d, w = cache.lookup(engine, portal, q)
+                elif d1 < current:
+                    pub_d, w = row[portal]
+                else:
+                    continue  # d1 + d_hat >= current cannot improve the match
                 if w is not None and d1 + pub_d < best:
                     best, witness = d1 + pub_d, w
-        if witness is not None and best < current:
-            partial.set_match(q, witness, best)
-            partial.missing.discard(q)
-            partial.public_matched.add(q)
+            if witness is not None and best < current:
+                matches[q] = Match(witness, best)
+                partial.missing.discard(q)
+                partial.public_matched.add(q)
+    if cache.enabled:
+        # every portal is a root, so each row entry was some root's first
+        # read (counted by the fill); all the other reads hit the table
+        cache.hits += reads * len(keywords) - sum(len(r) for r in rows.values())
 
 
-def _qualify(
-    engine: PPKWS,
-    attachment: Attachment,
-    candidates: Iterable[PartialAnswer],
-    keywords: List[Label],
-    tau: float,
-    k: int,
-    counters: QueryCounters,
-    cache: CompletionCache,
-    require_public_private: bool,
-    budget: Optional[QueryBudget] = None,
-) -> List[RootedAnswer]:
+def _qualify(ctx: PipelineContext, candidates: Iterable[PartialAnswer]) -> None:
     """Part (c): walk candidates in weight order, stop at k survivors.
 
     ``candidates`` must arrive in ``sort_key()`` order; the walk stops
     once the top-k survivors are in hand, so the (comparatively
-    expensive) witness repair only ever touches the cheap prefix.
+    expensive) witness repair only ever touches the cheap prefix — and
+    the survivors are the ranked answers as they stand.
     """
+    p, counters = ctx.params, ctx.counters
     final: List[RootedAnswer] = []
     for partial in candidates:
-        if budget is not None:
-            budget.checkpoint()
-        if len(final) >= k:
+        if ctx.budget is not None:
+            ctx.budget.checkpoint()
+        if len(final) >= p["k"]:
             break
-        if partial.missing or not partial.answer.within_bound(tau):
+        if partial.missing or not partial.answer.within_bound(p["tau"]):
             counters.answers_pruned += 1
             continue
         if any(not m.is_resolved() for m in partial.answer.matches.values()):
             counters.answers_pruned += 1
             continue
-        if require_public_private and not try_requalify(
-            engine, attachment, partial, keywords, cache
+        if p["require_public_private"] and not try_requalify(
+            ctx.engine, ctx.attachment, partial, p["keywords"], ctx.cache
         ):
             counters.answers_pruned += 1
             continue
         final.append(partial.answer)
-    return final
+    counters.completion_lookups = ctx.cache.misses + ctx.cache.hits
+    counters.completion_cache_hits = ctx.cache.hits
+    ctx.answers = final
 
 
 def _acomplete(
-    engine: PPKWS,
-    attachment: Attachment,
-    partials: Dict[Vertex, PartialAnswer],
-    keywords: List[Label],
-    tau: float,
-    k: int,
-    counters: QueryCounters,
-    cache: CompletionCache,
-    require_public_private: bool,
-    budget: Optional[QueryBudget] = None,
+    ctx: PipelineContext,
     swept: Optional[Dict[Label, Dict[Vertex, Match]]] = None,
     public_probe: Optional[
         Callable[[Vertex, Label], Tuple[float, Optional[Vertex]]]
     ] = None,
-) -> List[RootedAnswer]:
+) -> None:
     """Step 3: Algo 5 — expand, retrieve missing keywords, qualify.
 
     ``swept`` lets a caller inject the part-(a) public sweeps computed
@@ -344,8 +309,10 @@ def _acomplete(
     precomputed (batched) results — it must return exactly what
     ``keyword_distance_with_witness`` would.
     """
-    public = engine.public
-    provider = engine.index.provider()
+    public, partials = ctx.engine.public, ctx.state
+    keywords, tau = ctx.params["keywords"], ctx.params["tau"]
+    if public_probe is None:
+        public_probe = ctx.engine.index.provider().keyword_distance_with_witness
 
     # (a) Backward expansion from portal-rooted partial answers (lines 2-8).
     #
@@ -357,35 +324,25 @@ def _acomplete(
     # single sweep — same final matches, |Q| sweeps instead of |P|.
     answers: Dict[Vertex, PartialAnswer] = dict(partials)
     if swept is None:
-        seeds_by_kw = _portal_sweep_seeds(public, attachment, partials, keywords)
+        seeds_by_kw = _portal_sweep_seeds(public, ctx.attachment, partials, keywords)
         swept = {
-            q: _offset_sweep(public, seeds, tau, budget) if seeds else {}
+            q: offset_expansion(public, seeds, tau, ctx.budget) if seeds else {}
             for q, seeds in seeds_by_kw.items()
         }
     touched: Set[Vertex] = set()
     for cover in swept.values():
         touched.update(cover)
     for u in sorted(touched, key=repr):
-        if budget is not None:
-            budget.checkpoint()
+        if ctx.budget is not None:
+            ctx.budget.checkpoint()
         _merge_swept_root(answers, u, swept, keywords)
 
     # (b) Retrieve missing keywords / improve via the public graph
     # (CompleteAns, lines 20-23).
-    for root, partial in answers.items():
-        if budget is not None:
-            budget.checkpoint()
-        _complete_root(
-            engine, attachment, root, partial, keywords, cache,
-            provider, public_probe,
-        )
+    _complete_roots(ctx, answers, public_probe)
 
     # (c) Qualification.
-    candidates = sorted(answers.values(), key=lambda p: p.answer.sort_key())
-    return _qualify(
-        engine, attachment, candidates, keywords, tau, k,
-        counters, cache, require_public_private, budget,
-    )
+    _qualify(ctx, sorted(answers.values(), key=lambda p: p.answer.sort_key()))
 
 
 # ----------------------------------------------------------------------
@@ -415,18 +372,7 @@ def step_arefine(ctx: PipelineContext) -> None:
 
 
 def step_acomplete(ctx: PipelineContext) -> None:
-    p = ctx.params
-    if ctx.cache is None:
-        ctx.cache = CompletionCache(ctx.options.dp_completion)
-    answers = _acomplete(
-        ctx.engine, ctx.attachment, ctx.state, p["keywords"], p["tau"],
-        p["k"], ctx.counters, ctx.cache, p["require_public_private"],
-        ctx.budget,
-    )
-    ctx.counters.completion_lookups = ctx.cache.misses + ctx.cache.hits
-    ctx.counters.completion_cache_hits = ctx.cache.hits
-    answers.sort(key=RootedAnswer.sort_key)
-    ctx.answers = answers[: p["k"]]
+    _acomplete(ctx)  # by module name: the vectorized step and tests share it
 
 
 # ----------------------------------------------------------------------
@@ -435,8 +381,8 @@ def step_acomplete(ctx: PipelineContext) -> None:
 def _acomplete_fast(
     ctx: PipelineContext,
     swept: Dict[Label, Dict[Vertex, Match]],
-) -> Optional[List[RootedAnswer]]:
-    """Array-merged AComplete parts (a)-(c); None means fall back.
+) -> bool:
+    """Array-merged AComplete parts (a)-(c); False means fall back.
 
     The bulk of a sweep's cover is *new public-only* roots — vertices
     that are neither existing partials nor private-side vertices.  For
@@ -450,14 +396,10 @@ def _acomplete_fast(
     mid-AComplete counter timing differ (the merge charges its roots in
     bulk).
     """
-    engine, attachment = ctx.engine, ctx.attachment
-    plan = ctx.vectorized
-    runtime = plan.runtime
-    public, private = engine.public, attachment.private
-    p = ctx.params
-    keywords, tau, k = p["keywords"], p["tau"], p["k"]
+    runtime = ctx.vectorized.runtime
+    public, private = ctx.engine.public, ctx.attachment.private
+    keywords = ctx.params["keywords"]
     partials: Dict[Vertex, PartialAnswer] = ctx.state
-    cache = ctx.cache
 
     intern = runtime.public.intern
     slow_ids: Set[int] = set()
@@ -469,7 +411,7 @@ def _acomplete_fast(
             slow_ids.add(intern(v))
     ranked = merge_rank(runtime, keywords, swept, slow_ids)
     if ranked is None:
-        return None
+        return False
     if ctx.budget is not None:
         # The pure step charges one checkpoint per touched root in part
         # (a) and one per answer in part (b); charge the fast-path roots
@@ -491,14 +433,7 @@ def _acomplete_fast(
     def probe(root: Vertex, q: Label) -> Tuple[float, Optional[Vertex]]:
         return probed[q][root]
 
-    provider = engine.index.provider()
-    for root, partial in answers.items():
-        if ctx.budget is not None:
-            ctx.budget.checkpoint()
-        _complete_root(
-            engine, attachment, root, partial, keywords, cache,
-            provider, probe,
-        )
+    _complete_roots(ctx, answers, probe)
 
     slow_sorted = sorted(
         answers.values(), key=lambda pa: pa.answer.sort_key()
@@ -517,10 +452,8 @@ def _acomplete_fast(
                 yield ranked.materialize(fi, swept)
                 fi += 1
 
-    return _qualify(
-        engine, attachment, merged(), keywords, tau, k,
-        ctx.counters, cache, p["require_public_private"], ctx.budget,
-    )
+    _qualify(ctx, merged())
+    return True
 
 
 def step_acomplete_vectorized(ctx: PipelineContext) -> None:
@@ -537,11 +470,8 @@ def step_acomplete_vectorized(ctx: PipelineContext) -> None:
     :mod:`repro.core.vectorized`), so answers are bit-identical either
     way.
     """
-    p = ctx.params
     plan = ctx.vectorized
-    if ctx.cache is None:
-        ctx.cache = CompletionCache(ctx.options.dp_completion)
-    keywords, tau = p["keywords"], p["tau"]
+    keywords, tau = ctx.params["keywords"], ctx.params["tau"]
     seeds_by_kw = _portal_sweep_seeds(
         ctx.engine.public, ctx.attachment, ctx.state, keywords
     )
@@ -550,8 +480,7 @@ def step_acomplete_vectorized(ctx: PipelineContext) -> None:
     swept: Dict[Label, Dict[Vertex, Match]] = {q: {} for q in keywords}
     for q, cover in zip(seeded, covers):
         swept[q] = cover
-    answers = _acomplete_fast(ctx, swept)
-    if answers is None:
+    if not _acomplete_fast(ctx, swept):
         # Part (b)'s answer roots are known up front (partials + every
         # swept vertex), so the public-side probes still batch into one
         # kernel call per keyword instead of one scan per (root, keyword).
@@ -565,15 +494,7 @@ def step_acomplete_vectorized(ctx: PipelineContext) -> None:
         def probe(root: Vertex, q: Label) -> Tuple[float, Optional[Vertex]]:
             return probed[q][root]
 
-        answers = _acomplete(
-            ctx.engine, ctx.attachment, ctx.state, keywords, tau,
-            p["k"], ctx.counters, ctx.cache, p["require_public_private"],
-            ctx.budget, swept=swept, public_probe=probe,
-        )
-    ctx.counters.completion_lookups = ctx.cache.misses + ctx.cache.hits
-    ctx.counters.completion_cache_hits = ctx.cache.hits
-    answers.sort(key=RootedAnswer.sort_key)
-    ctx.answers = answers[: p["k"]]
+        _acomplete(ctx, swept, probe)
 
 
 def salvage_blinks(ctx: PipelineContext, step: str) -> List[RootedAnswer]:

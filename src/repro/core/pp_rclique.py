@@ -20,7 +20,7 @@ declares the steps and registers the :data:`RCLIQUE` spec.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.budget import QueryBudget
 from repro.core.engine import (
@@ -89,6 +89,20 @@ class CompletionCache:
         if self.enabled:
             self._table[key] = result
         return result
+
+    def row(
+        self, engine: PPKWS, portals: Iterable[Vertex], keyword: Label
+    ) -> Optional[Dict[Vertex, Tuple[float, Optional[Vertex]]]]:
+        """``keyword``'s PKA row over ``portals``, filled through :meth:`lookup`.
+
+        ``None`` when the table is disabled: the caller then pays one
+        :meth:`lookup` per read, which is what the ablation measures.
+        A caller reading the row directly accounts its reads in bulk on
+        :attr:`hits` (the fill already counted each entry's first read).
+        """
+        if not self.enabled:
+            return None
+        return {p: self.lookup(engine, p, keyword) for p in portals}
 
     def lookup_candidates(
         self,

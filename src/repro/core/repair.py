@@ -20,82 +20,90 @@ are untouched.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.partial import PartialAnswer
 from repro.core.qualify import answer_sides
 from repro.graph.labeled_graph import Label, Vertex
+from repro.graph.traversal import INF
 
 __all__ = ["try_requalify"]
 
 _EPS = 1e-12
 
 
-def _reach_portal(engine, attachment, root: Vertex, portal: Vertex) -> float:
+def _reach_portal(
+    engine, attachment, root: Vertex, portal: Vertex, reach: Dict[Vertex, float]
+) -> float:
     """Best known root-to-portal distance (private map and/or public).
 
     Besides the private-only map and the public sketch, Eq.-4 detours
     ``d'(root, p_i) + dc(p_i, portal)`` through the Algo-7 combined
     portal map are considered: the combined distance between two portals
     can beat both single-graph routes (a mixed path alternating sides),
-    and ``dc`` is the only structure that records it.
+    and ``dc`` is the only structure that records it.  ``reach`` memoizes
+    the root's values: they do not depend on the keyword being repaired.
     """
-    reach = attachment.oracle.vertex_portal.get(root, portal)
-    if root in engine.public:
-        reach = min(reach, engine.index.provider().vertex_distance(root, portal))
-    pmap = attachment.portal_map
-    for pi, d1 in attachment.oracle.vertex_portal.portal_distances(root).items():
-        if d1 < reach:
-            reach = min(reach, d1 + pmap.get(pi, portal))
-    return reach
+    best = reach.get(portal)
+    if best is None:
+        from_root = attachment.oracle.vertex_portal.portal_distances(root)
+        best = from_root.get(portal, INF)
+        if root in engine.public:
+            best = min(best, engine.index.provider().vertex_distance(root, portal))
+        pmap = attachment.portal_map
+        for pi, d1 in from_root.items():
+            if d1 < best:
+                best = min(best, d1 + pmap.get(pi, portal))
+        reach[portal] = best
+    return best
 
 
 def _public_route(
-    engine, attachment, root: Vertex, keyword: Label, cache
+    engine, attachment, root: Vertex, keyword: Label, cache,
+    reach: Dict[Vertex, float],
 ) -> Tuple[float, Optional[Vertex]]:
     """Best public-side witness for (root, keyword), root public or private.
 
     Portals carrying the keyword (in either graph — labels union on the
     combined view) also count: a portal belongs to ``G.V``.
     """
-    best, witness = float("inf"), None
+    best, witness = INF, None
     if root in engine.public:
         best, witness = engine.index.provider().keyword_distance_with_witness(
             root, keyword
         )
-    if root in attachment.private:
-        for portal, d1 in (
-            attachment.oracle.vertex_portal.portal_distances(root).items()
-        ):
-            pub_d, w = cache.lookup(engine, portal, keyword)
-            if w is not None and d1 + pub_d < best:
-                best, witness = d1 + pub_d, w
+    for portal, d1 in (
+        attachment.oracle.vertex_portal.portal_distances(root).items()
+    ):
+        pub_d, w = cache.lookup(engine, portal, keyword)
+        if w is not None and d1 + pub_d < best:
+            best, witness = d1 + pub_d, w
     for portal in attachment.portals:
         if attachment.private.has_label(portal, keyword):
-            reach = _reach_portal(engine, attachment, root, portal)
-            if reach < best:
-                best, witness = reach, portal
+            d = _reach_portal(engine, attachment, root, portal, reach)
+            if d < best:
+                best, witness = d, portal
     return best, witness
 
 
 def _private_route(
-    engine, attachment, root: Vertex, keyword: Label
+    engine, attachment, root: Vertex, keyword: Label, reach: Dict[Vertex, float]
 ) -> Tuple[float, Optional[Vertex]]:
     """Best private-side witness for (root, keyword) through the portals."""
-    oracle = attachment.oracle
-    best, witness = float("inf"), None
+    pkd = attachment.oracle.pkd
+    best, witness = INF, None
     for pj in attachment.portals:
-        reach = _reach_portal(engine, attachment, root, pj)
+        d = _reach_portal(engine, attachment, root, pj, reach)
         # a portal in G'.V carrying the keyword (even only via its public
         # labels) is itself a private-side witness
-        if engine.public.has_label(pj, keyword) or (
-            attachment.private.has_label(pj, keyword)
+        if d < best and (
+            engine.public.has_label(pj, keyword)
+            or attachment.private.has_label(pj, keyword)
         ):
-            if reach < best:
-                best, witness = reach, pj
-        entry = oracle.pkd.get(pj, keyword)
-        if entry is not None and reach + entry.distance < best:
-            best, witness = reach + entry.distance, entry.vertex
+            best, witness = d, pj
+        entry = pkd.get(pj, keyword)
+        if entry is not None and d + entry.distance < best:
+            best, witness = d + entry.distance, entry.vertex
     return best, witness
 
 
@@ -120,6 +128,7 @@ def try_requalify(
     if touches_private and touches_public:
         return True
 
+    reach: Dict[Vertex, float] = {}  # root -> portal distances, shared by keywords
     for q in sorted(keywords):
         match = matches.get(q)
         if match is None or match.vertex is None:
@@ -131,13 +140,15 @@ def try_requalify(
             public, private,
         )
         if not touches_public:
-            d, witness = _public_route(engine, attachment, partial.root, q, cache)
+            d, witness = _public_route(
+                engine, attachment, partial.root, q, cache, reach
+            )
             if witness is not None and abs(d - match.distance) <= _EPS:
                 if others_private or witness in private:
                     match.vertex = witness
                     partial.public_matched.add(q)
         elif not touches_private:
-            d, witness = _private_route(engine, attachment, partial.root, q)
+            d, witness = _private_route(engine, attachment, partial.root, q, reach)
             if witness is not None and abs(d - match.distance) <= _EPS:
                 if others_public or witness in public:
                     match.vertex = witness

@@ -13,7 +13,7 @@ the sweep kernel rests on one observation: with strictly positive edge
 weights, Dijkstra settles vertices in *distance layers* and entries of
 equal distance cannot relax each other, so the heap's pop order within a
 layer is fully determined by the tie-break counter of
-:func:`repro.core.pp_blinks._offset_sweep`.  That counter orders entries
+:func:`repro.semantics.blinks.offset_expansion`.  That counter orders entries
 lexicographically by ``(class, r, c)`` where seeds (class 0) carry their
 seed-list index and pushes (class 1) carry the global pop rank of their
 source plus the CSR position of the generating edge.  The kernel settles
@@ -79,7 +79,7 @@ SweepColumn = Tuple[Seeds, float]
 
 
 class SweepCover(Dict[Vertex, Match]):
-    """A sweep result: the `_offset_sweep` dict plus intern-space arrays.
+    """A sweep result: the `offset_expansion` dict plus intern-space arrays.
 
     The dict part is bit-identical to the pure sweep (same keys, Match
     values and insertion order); ``ids``/``dists`` hold the same cover as
@@ -473,11 +473,11 @@ def offset_sweep_batch(
     columns: Sequence[SweepColumn],
     budget: Optional[QueryBudget] = None,
 ) -> List[SweepCover]:
-    """Layer-batched multi-column replica of `_offset_sweep`.
+    """Layer-batched multi-column replica of `offset_expansion`.
 
     Each column is an independent ``(seeds, tau)`` sweep; columns share
     every kernel invocation (flat node index ``col * n + u``) but never
-    interact.  Returns, per column, the exact dict `_offset_sweep`
+    interact.  Returns, per column, the exact dict `offset_expansion`
     would: same keys, same Match values, same insertion (pop) order.
 
     Budget accounting is per settled layer (``cost=len(winners)``) —

@@ -169,6 +169,37 @@ class CombinedDistanceOracle:
                         best = total
         return best
 
+    def keyword_detours(
+        self,
+        keyword: Label,
+        pairs_by_source: Optional[Mapping[Vertex, Tuple[Vertex, ...]]] = None,
+    ) -> Dict[Vertex, Tuple[float, Vertex]]:
+        """Eq. 5's inner minimum as a table, root-independent.
+
+        ``via[p_i] = min_j dc(p_i, p_j) + PKD(p_j, keyword)`` with the
+        PKD witness of the first minimizing ``p_j``; portals with no
+        finite detour are absent.  ``O(|P|^2)`` once per (query,
+        keyword), so each root refines with an ``O(|P|)`` scan.
+        ``pairs_by_source`` restricts the ``(p_i, p_j)`` pairs as in
+        :meth:`refine_pair`; without it every portal pair counts.
+        """
+        pmap, pkd = self.portal_map, self.pkd
+        if pairs_by_source is None:
+            pairs_by_source = dict.fromkeys(pmap.portals, tuple(pmap.portals))
+        tails = {pj: pkd.get(pj, keyword) for pj in pmap.portals}
+        via: Dict[Vertex, Tuple[float, Vertex]] = {}
+        for pi, middles in pairs_by_source.items():
+            best, witness = INF, None
+            for pj in middles:
+                entry = tails.get(pj)
+                if entry is not None:
+                    total = pmap.get(pi, pj) + entry.distance
+                    if total < best:
+                        best, witness = total, entry.vertex
+            if witness is not None:
+                via[pi] = (best, witness)
+        return via
+
     def refine_vertex_keyword(
         self,
         v: Vertex,
@@ -190,45 +221,28 @@ class CombinedDistanceOracle:
         keyword: Label,
         upper: float,
         pairs_by_source: Optional[Mapping[Vertex, Tuple[Vertex, ...]]] = None,
+        via: Optional[Mapping[Vertex, Tuple[float, Vertex]]] = None,
     ) -> Tuple[float, Optional[Vertex]]:
         """Eq. 5 plus the keyword vertex realizing the refined distance.
 
         The witness is ``None`` when ``upper`` was not improved (the
-        caller's existing match vertex remains correct).
+        caller's existing match vertex remains correct).  ``via`` is the
+        keyword's :meth:`keyword_detours` table when the caller already
+        holds it (ARefine builds one per query keyword).
         """
         best = upper
         witness: Optional[Vertex] = None
         from_v = self.vertex_portal.portal_distances(v)
         if not from_v:
             return best, witness
-        pmap = self.portal_map
-        pkd = self.pkd
-        # PKD tails depend only on the middle portal: fetch each once.
-        tails: Dict[Vertex, Tuple[float, Vertex]] = {}
+        if via is None:
+            via = self.keyword_detours(keyword, pairs_by_source)
         for pi, d1 in from_v.items():
             if d1 >= best:
                 continue
-            middles = (
-                pairs_by_source.get(pi, ())
-                if pairs_by_source is not None
-                else pmap.portals
-            )
-            for pj in middles:
-                cached = tails.get(pj)
-                if cached is None:
-                    entry = pkd.get(pj, keyword)
-                    if entry is None:
-                        tails[pj] = (INF, pj)
-                        continue
-                    cached = (entry.distance, entry.vertex)
-                    tails[pj] = cached
-                tail, tail_witness = cached
-                if tail is INF:
-                    continue
-                total = d1 + pmap.get(pi, pj) + tail
-                if total < best:
-                    best = total
-                    witness = tail_witness
+            hit = via.get(pi)
+            if hit is not None and d1 + hit[0] < best:
+                best, witness = d1 + hit[0], hit[1]
         return best, witness
 
     # ------------------------------------------------------------------

@@ -7,15 +7,14 @@ from the root to one keyword origin per query keyword.  Trees are ranked
 by total root-to-leaf distance, like the figure trees in the paper's
 Fig. 1/2.
 
-Implementation: one multi-origin Dijkstra per keyword that additionally
-records predecessor links, so each root's tree is reconstructed by
-walking the per-keyword shortest-path forests backwards.
+Implementation: one multi-origin Dijkstra per keyword (the Blinks
+expansion kernel) that additionally records predecessor links, so each
+root's tree is reconstructed by walking the per-keyword shortest-path
+forests backwards.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -23,6 +22,7 @@ from repro.exceptions import QueryError
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.protocol import GraphLike
 from repro.semantics.answers import Match, RootedAnswer
+from repro.semantics.blinks import keyword_expansion
 
 __all__ = ["TreeAnswer", "banks_search", "keyword_expansion_with_paths"]
 
@@ -84,31 +84,8 @@ def keyword_expansion_with_paths(
     ``pred[v]`` is the next vertex on the shortest path from ``v`` back
     towards its nearest origin (``None`` at the origins themselves).
     """
-    reached: Dict[Vertex, Match] = {}
     pred: Dict[Vertex, Optional[Vertex]] = {}
-    tentative: Dict[Vertex, float] = {}
-    counter = itertools.count()
-    heap: List[Tuple[float, int, Vertex, Vertex, Optional[Vertex]]] = []
-    # Seed in repr order so equal-distance witness ties resolve the same
-    # way regardless of set iteration order (PYTHONHASHSEED).
-    for o in sorted(origins, key=repr):
-        if o in graph:
-            heap.append((0.0, next(counter), o, o, None))
-    heapq.heapify(heap)
-    while heap:
-        d, _, v, origin, parent = heapq.heappop(heap)
-        if v in reached:
-            continue
-        reached[v] = Match(origin, d)
-        pred[v] = parent
-        for u, w in graph.neighbor_items(v):
-            if u in reached:
-                continue
-            nd = d + w
-            if nd <= tau and nd < tentative.get(u, float("inf")):
-                tentative[u] = nd
-                heapq.heappush(heap, (nd, next(counter), u, origin, v))
-    return reached, pred
+    return keyword_expansion(graph, origins, tau, pred=pred), pred
 
 
 def banks_search(

@@ -22,12 +22,61 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set,
 from repro.exceptions import QueryError
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.protocol import GraphLike
+from repro.graph.traversal import INF
 from repro.semantics.answers import Match, RootedAnswer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.budget import QueryBudget
 
-__all__ = ["blinks_search", "keyword_expansion"]
+__all__ = ["blinks_search", "keyword_expansion", "offset_expansion"]
+
+
+def offset_expansion(
+    graph: "GraphLike",
+    seeds: Iterable[Tuple[float, Vertex, Vertex]],
+    tau: float,
+    budget: Optional["QueryBudget"] = None,
+    pred: Optional[Dict[Vertex, Optional[Vertex]]] = None,
+) -> Dict[Vertex, Match]:
+    """Multi-source Dijkstra with per-source starting offsets, cut at ``tau``.
+
+    ``seeds`` are ``(offset, vertex, witness)`` triples; the result maps
+    every vertex ``u`` with ``min(offset + d(vertex, u)) <= tau`` to a
+    :class:`Match` carrying that minimal total and the witness of the
+    winning seed.  Equal totals resolve by seed order, then push order;
+    a vertex is pushed only on a strict improvement (an entry that ties
+    or trails an earlier one always loses to it).  ``pred``, if given,
+    receives each reached vertex's predecessor on its shortest path
+    (``None`` at a seed).  ``budget`` (if given) is charged one
+    expansion per heap pop.
+    """
+    heap: List[Tuple[float, int, Vertex, Vertex, Optional[Vertex]]] = [
+        (offset, rank, v, witness, None)
+        for rank, (offset, v, witness) in enumerate(seeds)
+        if offset <= tau
+    ]
+    counter = heap[-1][1] + 1 if heap else 0  # past the last seed's rank
+    pushed: Dict[Vertex, float] = {}
+    for offset, _, v, _, _ in heap:
+        pushed[v] = min(offset, pushed.get(v, INF))
+    heapq.heapify(heap)
+    reached: Dict[Vertex, Match] = {}
+    while heap:
+        if budget is not None:
+            budget.checkpoint()
+        d, _, v, witness, parent = heapq.heappop(heap)
+        if v in reached:
+            continue
+        reached[v] = Match(witness, d)
+        if pred is not None:
+            pred[v] = parent
+        for u, w in graph.neighbor_items(v):
+            nd = d + w
+            if nd <= tau and nd < pushed.get(u, INF):
+                pushed[u] = nd
+                heapq.heappush(heap, (nd, counter, u, witness, v))
+                counter += 1
+    return reached
 
 
 def keyword_expansion(
@@ -35,37 +84,18 @@ def keyword_expansion(
     origins: Iterable[Vertex],
     tau: float,
     budget: Optional["QueryBudget"] = None,
+    pred: Optional[Dict[Vertex, Optional[Vertex]]] = None,
 ) -> Dict[Vertex, Match]:
     """Multi-origin Dijkstra with witness tracking, cut off at ``tau``.
 
     Returns, for every vertex within distance ``tau`` of some origin, a
-    :class:`Match` holding the nearest origin and its distance.
-    ``budget`` (if given) is charged one expansion per heap pop.
+    :class:`Match` holding the nearest origin and its distance.  Origins
+    seed in ``repr`` order so equal-distance witness ties resolve the
+    same way regardless of set iteration order (PYTHONHASHSEED).
+    ``budget`` and ``pred`` are :func:`offset_expansion`'s.
     """
-    reached: Dict[Vertex, Match] = {}
-    heap: List[Tuple[float, int, Vertex, Vertex]] = []
-    counter = 0
-    # Seed in repr order so equal-distance witness ties resolve the same
-    # way regardless of set iteration order (PYTHONHASHSEED).
-    for o in sorted(origins, key=repr):
-        if o in graph:
-            heap.append((0.0, counter, o, o))
-            counter += 1
-    heapq.heapify(heap)
-    while heap:
-        if budget is not None:
-            budget.checkpoint()
-        d, _, v, origin = heapq.heappop(heap)
-        if v in reached:
-            continue
-        if d > tau:
-            break
-        reached[v] = Match(origin, d)
-        for u, w in graph.neighbor_items(v):
-            if u not in reached and d + w <= tau:
-                counter += 1
-                heapq.heappush(heap, (d + w, counter, u, origin))
-    return reached
+    seeds = [(0.0, o, o) for o in sorted(origins, key=repr) if o in graph]
+    return offset_expansion(graph, seeds, tau, budget, pred)
 
 
 def blinks_search(

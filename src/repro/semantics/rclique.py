@@ -73,74 +73,103 @@ def build_neighbor_lists(
     """One bounded multi-origin Dijkstra per keyword, keeping ``m`` origins.
 
     Each vertex's list holds its ``m`` nearest *distinct* origins in
-    non-decreasing distance order (entries pop off the heap in distance
-    order, so appends keep lists sorted).  ``budget`` (if given) is
-    charged one expansion per heap pop.
+    non-decreasing distance order (entries leave the queue in distance
+    order, so appends keep lists sorted).  The search is label-setting
+    over ``(vertex, origin)`` pairs: a pair is queued only on a strict
+    improvement of its best queued distance, so it settles once —
+    ``O(|V| * min(m, |origins|) * deg)`` queue entries per keyword.
+
+    Entries leave in ``(distance, push order)`` order, ties among equal
+    distances being what fixes each list's order.  The queue is one FIFO
+    bucket per distinct distance under a heap of those distances — the
+    same order as a heap of entries, with list appends in place of
+    sifts wherever distances repeat (always, on unit weights).
+    ``budget`` (if given) is charged one expansion per entry dequeued.
     """
     out: Dict[Label, Dict[Vertex, List[Tuple[float, Vertex]]]] = {}
     for keyword, origins in candidates.items():
-        lists: Dict[Vertex, List[Tuple[float, Vertex]]] = {}
-        heap: List[Tuple[float, int, Vertex, Vertex]] = []
-        counter = itertools.count()
         # Seed in repr order so equal-distance ties resolve the same way
         # regardless of set iteration order (PYTHONHASHSEED).
-        for o in sorted(origins, key=repr):
-            if o in graph:
-                heap.append((0.0, next(counter), o, o))
-        heapq.heapify(heap)
-        while heap:
-            if budget is not None:
-                budget.checkpoint()
-            d, _, v, origin = heapq.heappop(heap)
-            lst = lists.setdefault(v, [])
-            if len(lst) >= m or any(o == origin for _, o in lst):
-                continue
-            lst.append((d, origin))
-            for u, w in graph.neighbor_items(v):
-                nd = d + w
-                if nd <= tau and len(lists.get(u, ())) < m:
-                    heapq.heappush(heap, (nd, next(counter), u, origin))
+        seeds = [o for o in sorted(origins, key=repr) if o in graph]
+        #: per origin: vertex -> smallest distance queued so far
+        queued: List[Dict[Vertex, float]] = [{o: 0.0} for o in seeds]
+        buckets = {0.0: [(o, rank) for rank, o in enumerate(seeds)]}
+        frontier = [0.0]
+        lists: Dict[Vertex, List[Tuple[float, Vertex]]] = {}
+        while frontier:
+            d = heapq.heappop(frontier)
+            # edge weights are positive: bucket d is complete once popped
+            for v, rank in buckets.pop(d):
+                if budget is not None:
+                    budget.checkpoint()
+                lst = lists.get(v)
+                if lst is None:
+                    lst = lists[v] = []
+                best = queued[rank]
+                if len(lst) >= m or d > best[v]:
+                    continue  # list full, or stale: the pair settled closer
+                lst.append((d, seeds[rank]))
+                for u, w in graph.neighbor_items(v):
+                    nd = d + w
+                    if (
+                        nd <= tau
+                        and nd < best.get(u, INF)
+                        and len(lists.get(u, ())) < m
+                    ):
+                        best[u] = nd
+                        bucket = buckets.get(nd)
+                        if bucket is None:
+                            buckets[nd] = [(u, rank)]
+                            heapq.heappush(frontier, nd)
+                        else:
+                            bucket.append((u, rank))
         out[keyword] = lists
     return NeighborLists(out)
 
 
+#: per keyword ``i``, in ``repr`` order of the root: the root and, for
+#: every other keyword ``j``, ``(j, the root's nearest-origin list for j)``
+_Stars = List[List[Tuple[Vertex, List[Tuple[int, Sequence[Tuple[float, Vertex]]]]]]]
+
+
 def _find_top_answer(
     keywords: Sequence[Label],
-    candidates: Dict[Label, Set[Vertex]],
+    stars: _Stars,
     exclusions: Tuple[FrozenSet[Vertex], ...],
-    index: NeighborLists,
     budget: Optional["QueryBudget"] = None,
 ) -> Optional[RootedAnswer]:
     """Algo 2's ``FindTopAnswer``: best star within the (excluded) space."""
-    best: Optional[RootedAnswer] = None
+    best: Optional[Tuple[int, Vertex, List[Tuple[int, Vertex, float]]]] = None
     best_weight = INF
-    for i, qi in enumerate(keywords):
-        # repr order: equal-weight stars tie-break deterministically.
-        for root in sorted(candidates[qi], key=repr):
+    for i, rows in enumerate(stars):
+        for root, others in rows:
             if budget is not None:
                 budget.checkpoint()
             if root in exclusions[i]:
                 continue
-            matches: Dict[Label, Match] = {qi: Match(root, 0.0)}
             weight = 0.0
-            feasible = True
-            for j, qj in enumerate(keywords):
-                if j == i:
-                    continue
-                hit = index.nearest(root, qj, exclusions[j])
-                if hit is None:
-                    feasible = False
-                    break
-                d, u = hit
-                matches[qj] = Match(u, d)
+            picks: List[Tuple[int, Vertex, float]] = []
+            for j, nearest in others:
+                excluded = exclusions[j]
+                for d, u in nearest:
+                    if u not in excluded:
+                        break
+                else:
+                    break  # keyword j has no candidate left near this root
                 weight += d
                 if weight >= best_weight:
-                    feasible = False
                     break
-            if feasible and weight < best_weight:
-                best = RootedAnswer(root, matches)
-                best_weight = weight
-    return best
+                picks.append((j, u, d))
+            else:
+                if weight < best_weight:
+                    best, best_weight = (i, root, picks), weight
+    if best is None:
+        return None
+    i, root, picks = best
+    matches: Dict[Label, Match] = {keywords[i]: Match(root, 0.0)}
+    for j, u, d in picks:
+        matches[keywords[j]] = Match(u, d)
+    return RootedAnswer(root, matches)
 
 
 def rclique_search(
@@ -208,9 +237,20 @@ def rclique_search(
         cutoff = max(tau, _graph_radius_bound(graph))
     m = neighbor_list_size if neighbor_list_size is not None else k + 1
     index = build_neighbor_lists(graph, candidates, cutoff, m, budget=budget)
+    # repr order: equal-weight stars tie-break deterministically.
+    stars: _Stars = [
+        [
+            (root, [
+                (j, index.lists[qj].get(root, ()))
+                for j, qj in enumerate(unique_keywords) if j != i
+            ])
+            for root in sorted(candidates[qi], key=repr)
+        ]
+        for i, qi in enumerate(unique_keywords)
+    ]
 
     empty = tuple(frozenset() for _ in unique_keywords)
-    first = _find_top_answer(unique_keywords, candidates, empty, index, budget)
+    first = _find_top_answer(unique_keywords, stars, empty, budget)
     if first is None:
         return []
 
@@ -233,13 +273,11 @@ def rclique_search(
         signature = tuple(
             sorted(((q, m.vertex) for q, m in answer.matches.items()), key=repr)
         )
-        fresh = signature not in seen_answers
-        if fresh:
-            seen_answers.add(signature)
-            if not enforce_bound or answer.within_bound(tau):
-                results.append(answer)
-        else:
+        if signature in seen_answers:
             continue
+        seen_answers.add(signature)
+        if not enforce_bound or answer.within_bound(tau):
+            results.append(answer)
         # Decompose (Algo 2 line 10): one subspace per keyword, excluding
         # that keyword's matched vertex.
         for i, qi in enumerate(unique_keywords):
@@ -253,9 +291,7 @@ def rclique_search(
             if new_space in seen_spaces:
                 continue
             seen_spaces.add(new_space)
-            nxt = _find_top_answer(
-                unique_keywords, candidates, new_space, index, budget
-            )
+            nxt = _find_top_answer(unique_keywords, stars, new_space, budget)
             if nxt is not None:
                 heapq.heappush(heap, (nxt.weight(), next(tiebreak), new_space, nxt))
 

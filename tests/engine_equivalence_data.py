@@ -44,16 +44,20 @@ KEYWORD_QUERIES: Tuple[Tuple[Tuple[str, ...], float, int], ...] = (
     (("b", "c", "z"), 8.0, 4),
 )
 
-#: ``max_expansions`` budgets per rooted query (None = unbudgeted).
-ROOTED_BUDGETS: Tuple[Optional[int], ...] = (None, 40, 150)
+#: ``max_expansions`` budgets per rooted query (None = unbudgeted).  Cap
+#: 10 expires inside PEval for every semantics; 40 and 150 did too for
+#: Blinks/BANKS until the expansion kernels stopped queueing entries that
+#: could never settle, and now land in AComplete / materialize.
+ROOTED_BUDGETS: Tuple[Optional[int], ...] = (None, 10, 40, 150)
 
 #: ``max_expansions`` budgets per k-nk query.
 KNK_BUDGETS: Tuple[Optional[int], ...] = (None, 5, 12)
 
 #: Budgets for the ablated-options engine (reduced refinement and the
 #: completion cache both off): cap 50 interrupts ARefine on blinks, 400
-#: interrupts AComplete on r-clique, pinning salvage paths the default
-#: options never reach (no refined portal pairs => ARefine is loop-free).
+#: interrupts PEval, ARefine or AComplete on r-clique depending on the
+#: query, pinning salvage paths the default options never reach (no
+#: refined portal pairs => ARefine is loop-free).
 ABLATION_BUDGETS: Tuple[Optional[int], ...] = (None, 50, 400)
 
 

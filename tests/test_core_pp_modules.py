@@ -110,6 +110,33 @@ class TestCompletionCache:
         assert c1 == c2
         assert cache.hits == 1
 
+    @pytest.mark.parametrize("seed", (11, 23, 37))
+    def test_pka_row_equals_per_portal_lookups(self, seed):
+        """AComplete's per-keyword PKA row vs. one ``lookup`` per read."""
+        from tests.engine_equivalence_data import build_engine
+
+        engine = build_engine(seed)
+        portals = engine.attachment("owner").oracle.vertex_portal.portals
+        cache = CompletionCache(enabled=True)
+        for keyword in ("a", "b", "z", "nope"):
+            row = cache.row(engine, portals, keyword)
+            assert set(row) == set(portals)
+            for portal in portals:
+                fresh = CompletionCache(enabled=True).lookup(engine, portal, keyword)
+                assert row[portal] == fresh
+        # the fill is each entry's first read: all misses, then all hits
+        assert (cache.misses, cache.hits) == (4 * len(portals), 0)
+        again = cache.row(engine, portals, "a")
+        assert again == {p: cache.lookup(engine, p, "a") for p in portals}
+        assert (cache.misses, cache.hits) == (4 * len(portals), 2 * len(portals))
+
+    def test_disabled_cache_has_no_row(self, engine_pair):
+        """dp_completion off bypasses the table: callers pay per read."""
+        engine, att = engine_pair
+        cache = CompletionCache(enabled=False)
+        assert cache.row(engine, att.portals, "db") is None
+        assert (cache.misses, cache.hits) == (0, 0)
+
 
 class TestDisconnectedPrivateGraph:
     """The model explicitly allows disconnected private graphs (Sec. II)."""

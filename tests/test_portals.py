@@ -273,6 +273,42 @@ class TestCombinedOracle:
         refined_d = oracle.refine_vertex_keyword("x1", "cv", upper)
         assert refined_d == pytest.approx(true)
 
+    @pytest.mark.parametrize("reduced", (True, False))
+    @pytest.mark.parametrize("seed", (11, 23, 37))
+    def test_keyword_detours_equal_the_per_root_double_loop(self, seed, reduced):
+        """ARefine's per-keyword Eq.-5 table vs. the loop it replaced.
+
+        The reference below *is* the old per-root body: every root
+        re-walks its ``(p_i, p_j)`` pairs in map order with a strict
+        ``<``, so distance *and* witness must agree, ties included.
+        """
+        from tests.engine_equivalence_data import build_engine
+
+        attachment = build_engine(seed).attachment("owner")
+        oracle = attachment.oracle
+        pairs = attachment.refined_by_source if reduced else None
+        pmap, pkd, vpm = oracle.portal_map, oracle.pkd, oracle.vertex_portal
+        for keyword in ("a", "b", "z", "nope"):
+            table = oracle.keyword_detours(keyword, pairs)
+            for v in attachment.private.vertices():
+                for upper in (INF, 3.0, 1.0, 0.0):
+                    best, witness = upper, None
+                    for pi, d1 in vpm.portal_distances(v).items():
+                        middles = pmap.portals if pairs is None else pairs.get(pi, ())
+                        for pj in middles:
+                            entry = pkd.get(pj, keyword)
+                            if entry is None:
+                                continue
+                            total = d1 + pmap.get(pi, pj) + entry.distance
+                            if total < best:
+                                best, witness = total, entry.vertex
+                    assert oracle.refine_vertex_keyword_with_witness(
+                        v, keyword, upper, pairs
+                    ) == (best, witness)
+                    assert oracle.refine_vertex_keyword_with_witness(
+                        v, keyword, upper, via=table
+                    ) == (best, witness)
+
     def test_private_to_public_vertex(self, small_public_private):
         pub, priv = small_public_private
         oracle, _ = _build_oracle(pub, priv, exact=True)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.budget import QueryBudget
 from repro.exceptions import QueryError
 from repro.graph import LabeledGraph, dijkstra
 from repro.semantics import build_neighbor_lists, rclique_search
 from tests.conftest import random_connected_graph
+from tests.reference_neighbor_lists import reference_neighbor_lists
 
 
 @pytest.fixture
@@ -47,6 +51,71 @@ class TestNeighborLists:
             two_cluster_graph, {"x": {"a1"}}, tau=1.0, m=2
         )
         assert "b1" not in lists.lists["x"]
+
+
+def _index_case(seed: int):
+    """A seeded graph, candidate sets (labels plus extra 'portal'
+    candidates shared by every keyword), a radius and a list size."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 28)
+    graph = random_connected_graph(n, extra_edges=rng.randint(0, n), seed=seed)
+    if seed % 3:  # 1: unit weights, every distance ties with many others;
+        # 2: float weights, ties only where paths coincide; 0: as generated
+        reweighted = LabeledGraph(graph.name)
+        for v in graph.vertices():
+            reweighted.add_vertex(v, graph.labels(v))
+        for u, v, _ in graph.edges():
+            w = 1.0 if seed % 3 == 1 else rng.choice([0.5, 0.75, 1.25, 2.0])
+            reweighted.add_edge(u, v, w)
+        graph = reweighted
+    extra = set(rng.sample(range(n), rng.randint(0, 4))) | {"ghost"}
+    candidates = {
+        q: set(graph.vertices_with_label(q)) | extra for q in ("a", "b", "c")
+    }
+    widest = max(len(c) for c in candidates.values())
+    m = rng.choice([1, 2, 3, widest + 1])  # binding and slack list sizes
+    tau = rng.choice([1.0, 2.5, 4.0, 50.0])
+    return graph, candidates, tau, m
+
+
+class TestNeighborIndexProperties:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_equals_reference_implementation(self, seed):
+        """Exactly the old per-edge-push index, tie order included."""
+        graph, candidates, tau, m = _index_case(seed)
+        got = build_neighbor_lists(graph, candidates, tau, m).lists
+        want = reference_neighbor_lists(graph, candidates, tau, m)
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_entries_are_exact_nearest_origins(self, seed):
+        """Against one plain Dijkstra per origin, no shared code."""
+        graph, candidates, tau, m = _index_case(seed)
+        index = build_neighbor_lists(graph, candidates, tau, m).lists
+        for q, origins in candidates.items():
+            exact = {o: dijkstra(graph, o) for o in origins if o in graph}
+            for v in graph.vertices():
+                entries = index[q].get(v, [])
+                listed = [o for _, o in entries]
+                distances = [d for d, _ in entries]
+                assert len(set(listed)) == len(listed) <= m
+                assert distances == sorted(distances)
+                for d, o in entries:
+                    assert d == exact[o][v] and d <= tau
+                # the list is the m nearest: nothing unlisted is closer
+                within = sorted(
+                    dist[v] for dist in exact.values() if dist.get(v, tau + 1) <= tau
+                )
+                assert distances == within[:m]
+
+    def test_budget_charged_once_per_settled_pair(self):
+        """Unit weights, slack lists: nothing stale or rejected is queued."""
+        graph, candidates, tau, _ = _index_case(1)
+        m = 1 + max(len(c) for c in candidates.values())
+        budget = QueryBudget(max_expansions=10**9)
+        index = build_neighbor_lists(graph, candidates, tau, m, budget=budget)
+        settled = sum(len(l) for ls in index.lists.values() for l in ls.values())
+        assert budget.expansions == settled > 0
 
 
 class TestRcliqueSearch:

@@ -7,7 +7,7 @@ same dict insertion order.  This suite pins that contract at two
 levels:
 
 * **kernel level** — ``offset_sweep_batch`` against
-  ``pp_blinks._offset_sweep``, ``probe_many`` /
+  ``semantics.blinks.offset_expansion``, ``probe_many`` /
   ``top_candidates_many`` against the ``KeywordSketch`` scans, on the
   seeded equivalence networks plus a tie-heavy unit-weight graph;
 * **query level** — full pipelines through :class:`BatchSession` in
@@ -47,7 +47,7 @@ from repro.core.framework import (
     query_model_m1,
     query_model_m2,
 )
-from repro.core.pp_blinks import _offset_sweep
+from repro.semantics.blinks import offset_expansion as _offset_sweep
 from repro.core.vectorized import (
     SweepMemo,
     numpy_available,
