@@ -189,6 +189,9 @@ _BLOCKING_MODULE_CALLS: Dict[Tuple[str, str], str] = {
 _BLOCKING_BARE_CALLS: Dict[str, str] = {
     "open": "file-io",
     "deepcopy": "deepcopy",
+    # AnswerCache's copiers: O(response) Python, must stay off its lock
+    "_wire_snapshot": "wire-copy",
+    "_wire_clone": "wire-copy",
     "sleep": "sleep",
     "atomic_write": "file-io",
     "save_index": "file-io",

@@ -104,7 +104,7 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import faults
@@ -290,14 +290,16 @@ class OpSpec:
     cacheable: bool = False
     cache_params: Optional[Callable[[Dict[str, Any]], Tuple[Any, ...]]] = None
     summary: str = ""
+    #: every accepted field: computed once, read on every request
+    known_fields: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("read", "admin", "control"):
             raise ValueError(f"bad op mode {self.mode!r}")
-
-    @property
-    def known_fields(self) -> frozenset:
-        return GLOBAL_REQUEST_FIELDS | set(self.required) | set(self.optional)
+        object.__setattr__(
+            self, "known_fields",
+            GLOBAL_REQUEST_FIELDS.union(self.required, self.optional),
+        )
 
 
 #: budget knobs shared by every query op
@@ -766,10 +768,10 @@ class PPKWSService:
     # ------------------------------------------------------------------
     @contextmanager
     def _admit(self) -> Iterator[None]:
-        """Reserve an execution slot, or fail fast when saturated."""
-        if self._max_in_flight is None:
-            yield
-            return
+        """Reserve an execution slot, or fail fast when saturated.
+
+        Only entered when ``max_in_flight`` is set (see :meth:`execute`).
+        """
         with self._admission_lock:
             if self._in_flight >= self._max_in_flight:
                 raise ServiceOverloadedError(self._in_flight, self._max_in_flight)
@@ -812,6 +814,8 @@ class PPKWSService:
             if spec.mode == "control":
                 # Introspection must survive overload: no admission slot.
                 response = spec.handler(self, request)
+            elif self._max_in_flight is None:  # nothing to admit against
+                response = self._execute_locked(spec, request)
             else:
                 with self._admit():
                     response = self._execute_locked(spec, request)
@@ -842,9 +846,10 @@ class PPKWSService:
         ``prefix`` names the batch item the request came from.
         """
         known = spec.known_fields
-        for f in sorted((str(f) for f in request), key=str):
-            if f not in known:
-                self._warn(f"{prefix}unknown field {f!r}")
+        if not request.keys() <= known:
+            for f in sorted((str(f) for f in request), key=str):
+                if f not in known:
+                    self._warn(f"{prefix}unknown field {f!r}")
         for f in spec.required:
             if f not in request:
                 raise ReproError(f"{prefix}missing field {f!r}")
@@ -926,8 +931,9 @@ class PPKWSService:
         if response.get("status") == "ok":
             try:
                 cache.store(key, epoch, response)
-            except FaultInjectedError:
-                # The answer is sound; only its memoization was lost.
+            except (FaultInjectedError, TypeError):
+                # The answer is sound; only its memoization was lost (a
+                # fault, or a payload that is not wire-shaped).
                 self._warn(
                     f"{prefix}answer cache store failed; response not cached"
                 )

@@ -19,14 +19,20 @@ old name can never revive answers from its previous life.
 
 Entries additionally carry a TTL (wall-clock freshness bound for
 operators who mutate state outside the facade) and the table is
-bounded LRU.  Stored values are deep-copied on both insert and hit so
-neither the service nor its callers can mutate a cached answer in
-place.
+bounded LRU.  Stored values are *wire-shaped* — exact ``dict`` /
+``list`` containers over immutable atoms (``str`` / ``int`` / ``float``
+/ ``bool`` / ``None``, as keys too; tuples of those as values) — which
+is what lets a hit skip ``deepcopy``.  Insert (:func:`_wire_snapshot`)
+copies every container, shares the atoms and refuses anything else (a
+``set``, a ``dict`` subclass, an object) with ``TypeError``; the service
+serves such an answer uncached.  A hit (:func:`_wire_clone`) then
+inspects no leaf: one ``.copy()`` per container, atoms shared with the
+entry.  No container is ever shared and no atom can change, so neither
+the service nor its callers can mutate a cached answer in place.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from collections import OrderedDict
@@ -36,6 +42,43 @@ from repro import faults
 from repro.faults.points import CACHE_LOOKUP, CACHE_STORE
 
 __all__ = ["AnswerCache"]
+
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+_CONTAINERS = frozenset({dict, list})
+
+
+def _is_atom(value: Any) -> bool:
+    """Whether ``value`` is immutable all the way down (shareable)."""
+    kind = type(value)
+    return kind in _ATOMS or (kind is tuple and all(map(_is_atom, value)))
+
+
+def _wire_snapshot(value: Any) -> Any:
+    """A private copy of wire-shaped ``value``; ``TypeError`` otherwise."""
+    kind = type(value)
+    if kind is list:
+        return [v if type(v) in _ATOMS else _wire_snapshot(v) for v in value]
+    if kind is dict and _ATOMS.issuperset(map(type, value)):  # the keys
+        return {
+            k: v if type(v) in _ATOMS else _wire_snapshot(v)
+            for k, v in value.items()
+        }
+    if _is_atom(value):
+        return value
+    raise TypeError(f"uncacheable {kind.__name__} in response")
+
+
+def _wire_clone(value: Any) -> Any:
+    """Copy the containers of a :func:`_wire_snapshot`; share its atoms."""
+    if type(value) is list:
+        return [_wire_clone(v) if type(v) in _CONTAINERS else v for v in value]
+    if type(value) is dict:
+        out = value.copy()
+        for k, v in value.items():
+            if type(v) in _CONTAINERS:
+                out[k] = _wire_clone(v)
+        return out
+    return value
 
 
 class AnswerCache:
@@ -75,13 +118,12 @@ class AnswerCache:
 
         A present entry whose epoch differs from ``epoch`` (the network
         changed since it was stored) or whose TTL has lapsed is purged
-        and counts as a miss.  Hits return a deep copy and refresh the
-        entry's LRU position.
+        and counts as a miss.  Hits return a container copy
+        (:func:`_wire_clone`) and refresh the entry's LRU position.
 
-        The deep copy happens *outside* the lock: stored values are
-        deep-copied on insert and never mutated in place, so copying a
-        reference after release is safe — and a large response no longer
-        serializes every concurrent hit behind one copy.
+        The copy happens *outside* the lock (entries are never mutated
+        in place, so copying a reference after release is safe): a large
+        response does not serialize every concurrent hit behind one copy.
         """
         faults.fire(CACHE_LOOKUP)
         with self._lock:
@@ -102,12 +144,13 @@ class AnswerCache:
                 return None
             self._table.move_to_end(key)
             self.hits += 1
-        return copy.deepcopy(value)
+        return _wire_clone(value)
 
     def store(self, key: Hashable, epoch: int, value: Any) -> None:
-        """Insert (a deep copy of) ``value`` computed under ``epoch``."""
+        """Insert a snapshot of ``value`` computed under ``epoch``, or raise
+        ``TypeError`` (nothing stored) if ``value`` is not wire-shaped."""
         faults.fire(CACHE_STORE)
-        snapshot = copy.deepcopy(value)
+        snapshot = _wire_snapshot(value)
         with self._lock:
             if key in self._table:
                 self._table.move_to_end(key)

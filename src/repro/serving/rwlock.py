@@ -22,13 +22,29 @@ Semantics:
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Callable
 
 from repro import faults
 from repro.faults.points import RWLOCK_ACQUIRE_READ, RWLOCK_ACQUIRE_WRITE
 
 __all__ = ["RWLock"]
+
+
+class _Held:
+    """``with`` form of one lock side.  A plain object: a
+    ``@contextmanager`` generator per request showed in the hit floor."""
+
+    __slots__ = ("_enter", "_exit")
+
+    def __init__(self, enter: Callable[[], None], exit_: Callable[[], None]):
+        self._enter = enter
+        self._exit = exit_
+
+    def __enter__(self) -> None:
+        self._enter()
+
+    def __exit__(self, *exc: Any) -> None:
+        self._exit()
 
 
 class RWLock:
@@ -77,23 +93,13 @@ class RWLock:
             self._cond.notify_all()
 
     # -- context managers ----------------------------------------------
-    @contextmanager
-    def read_locked(self) -> Iterator[None]:
+    def read_locked(self) -> _Held:
         """``with lock.read_locked():`` — shared access."""
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+        return _Held(self.acquire_read, self.release_read)
 
-    @contextmanager
-    def write_locked(self) -> Iterator[None]:
+    def write_locked(self) -> _Held:
         """``with lock.write_locked():`` — exclusive access."""
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+        return _Held(self.acquire_write, self.release_write)
 
     # -- introspection (tests / metrics) --------------------------------
     @property

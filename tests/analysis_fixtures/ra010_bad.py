@@ -1,13 +1,14 @@
 """RA010 bad fixture: blocking operations under exclusive locks.
 
-``AnswerCache.lookup`` reintroduces the PR 8 bug verbatim — a deepcopy
+``AnswerCache.lookup`` reintroduces the PR 8 bug — the hit copy
 inside the table lock, convoying every concurrent lookup behind the
 copy.  ``Journal.append`` blocks one call hop away: the lock is held at
 the call site, the file IO happens inside the callee.
 """
 
-import copy
 import threading
+
+from repro.serving.cache import _wire_clone
 
 
 class AnswerCache:
@@ -20,7 +21,7 @@ class AnswerCache:
             entry = self._table.get(key)
             if entry is None:
                 return None
-            return copy.deepcopy(entry)
+            return _wire_clone(entry)
 
 
 class Journal:

@@ -1,13 +1,14 @@
 """RA010 good fixture: slow work happens outside exclusive locks.
 
 ``AnswerCache.lookup`` is the PR 8 fix shape — take a reference under
-the lock, deepcopy after releasing it.  ``Index.query`` shows the
+the lock, copy after releasing it.  ``Index.query`` shows the
 rwlock read-side exemption: blocking IO under a *read* lock is fine
 because readers do not serialize each other.
 """
 
-import copy
 import threading
+
+from repro.serving.cache import _wire_clone
 
 
 class AnswerCache:
@@ -20,7 +21,7 @@ class AnswerCache:
             entry = self._table.get(key)
         if entry is None:
             return None
-        return copy.deepcopy(entry)
+        return _wire_clone(entry)
 
 
 class Index:

@@ -69,6 +69,10 @@ class TestFixturePairs:
         assert any("RuntimeError" in m for m in messages)
         assert sum("blind" in m for m in messages) == 2
 
+    def test_ra010_flags_the_cache_copier_under_the_table_lock(self):
+        findings = _run_rule("RA010", "ra010_bad.py")
+        assert any("_wire_clone(...)" in f.message for f in findings)
+
     def test_ra006_flags_the_import_form_too(self):
         findings = _run_rule("RA006", "ra006_bad_import.py")
         assert any("from time import time" in f.message for f in findings)

@@ -263,6 +263,15 @@ class TestWarnings:
             "unknown field 'alpha'", "unknown field 'zeta'"
         ]
 
+    def test_non_string_unknown_key_warns_in_sorted_position(self, service):
+        req = blinks_req(zeta=1)
+        req[7] = "seven"
+        resp = service.execute(req)
+        assert resp["status"] == "ok"
+        assert resp["warnings"] == [
+            "unknown field '7'", "unknown field 'zeta'"
+        ]
+
     def test_global_fields_never_warn(self, service):
         resp = service.execute(blinks_req(v=1, trace=False, no_cache=False))
         assert "warnings" not in resp

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.serving import AnswerCache
+from repro.serving import cache as cache_module
 
 
 class FakeClock:
@@ -167,56 +168,57 @@ class TestThreadSafety:
         assert len(cache) <= 64
 
 
-class _SlowToCopy:
-    """A cached payload whose deep copy takes a measurable sleep.
-
-    ``time.sleep`` releases the GIL, so copies of *different* hits can
-    genuinely overlap — unless they are serialized behind a lock.
-    """
-
-    COPY_S = 0.05
-
-    def __deepcopy__(self, memo):
-        time.sleep(self.COPY_S)
-        return _SlowToCopy()
-
-
 class TestHitContention:
-    def test_concurrent_hits_do_not_serialize_on_the_copy(self):
-        # Regression: lookup() used to deep-copy the value while still
+    def test_concurrent_hits_do_not_serialize_on_the_copy(self, monkeypatch):
+        # Regression: lookup() used to copy the value while still
         # holding the table lock, so N concurrent hits on a large
-        # response took N * copy_time wall time.  The copy now happens
-        # after release; four overlapping hits should take roughly one
-        # copy, not four.
-        cache = AnswerCache(max_entries=8, ttl_s=None)
-        cache.store("big", 0, _SlowToCopy())
-        n_threads = 4
-        barrier = threading.Barrier(n_threads)
-        errors = []
-
-        def hit():
-            try:
-                barrier.wait(5)
-                got = cache.lookup("big", 0)
-                assert isinstance(got, _SlowToCopy)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hit) for _ in range(n_threads)]
-        start = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10)
-        elapsed = time.perf_counter() - start
-        assert not errors
-        assert cache.hits == n_threads
-        # Serialized copies would need >= 4 * COPY_S (0.2s).  Allow
-        # 2.5x one copy for scheduler noise; the pre-fix behaviour
-        # fails this by a wide margin.
-        assert elapsed < 2.5 * _SlowToCopy.COPY_S, (
-            f"hits serialized: {elapsed:.3f}s for {n_threads} copies"
+        # response took N * copy_time.
+        self._runs_outside_the_table_lock(
+            monkeypatch, "_wire_clone", lambda cache: cache.lookup("big", 0)
         )
+
+    def test_store_snapshot_runs_outside_the_table_lock(self, monkeypatch):
+        self._runs_outside_the_table_lock(
+            monkeypatch, "_wire_snapshot",
+            lambda cache: cache.store("new", 0, {"n": [2]}),
+        )
+
+    @staticmethod
+    def _runs_outside_the_table_lock(monkeypatch, copier, blocked_call):
+        """While one thread is parked *inside* ``copier``, every other
+        operation on the table completes."""
+        cache = AnswerCache(max_entries=8, ttl_s=None)
+        cache.store("big", 0, {"n": [1]})
+        real = getattr(cache_module, copier)
+        parked, release = threading.Event(), threading.Event()
+
+        def parking_copier(value):
+            if not parked.is_set():  # only the first caller parks
+                parked.set()
+                assert release.wait(10)
+            return real(value)
+
+        monkeypatch.setattr(cache_module, copier, parking_copier)
+        seen = []
+
+        def others():
+            cache.store("other", 0, {"n": [3]})
+            seen.append(cache.lookup("other", 0))
+            seen.append(cache.stats()["entries"])
+
+        first = threading.Thread(target=blocked_call, args=(cache,))
+        second = threading.Thread(target=others)
+        first.start()
+        try:
+            assert parked.wait(5)
+            second.start()
+            second.join(5)
+            assert not second.is_alive(), "table lock held across the copy"
+            assert seen == [{"n": [3]}, 2]
+        finally:
+            release.set()
+            first.join(5)
+        assert not first.is_alive()
 
     def test_hit_rate_is_consistent_under_races(self):
         # hit_rate reads two counters; unlocked it could pair a fresh
