@@ -21,7 +21,7 @@ from repro.core.partial import (
     PartialKnkAnswer,
     salvage_rooted_answers,
 )
-from repro.core.batch import BatchBudget, BatchSession, PersistentCompletionCache
+from repro.core.batch import BatchBudget, BatchSession
 from repro.core.dynamic import DynamicPrivateGraph
 from repro.core.engine import (
     PipelineContext,
@@ -41,7 +41,6 @@ __all__ = [
     "BatchBudget",
     "BatchSession",
     "DEFAULT_CHECK_INTERVAL",
-    "PersistentCompletionCache",
     "CompletionCache",
     "DynamicPrivateGraph",
     "KeywordIndicator",

@@ -5,8 +5,8 @@ portal-to-keyword lookups *within* one query.  A session issuing many
 queries against the same attachment repeats those lookups across queries
 — the portal set is fixed and query keywords recur — so this module
 extends the idea across a whole batch: one
-:class:`PersistentCompletionCache` is shared by every query of a
-:class:`BatchSession`.
+:class:`~repro.core.pp_rclique.CompletionCache` is shared by every query
+of a :class:`BatchSession`.
 
 Cache entries depend only on the portal identity and the (immutable)
 public index, so they never go stale while the attachment lives; after
@@ -52,7 +52,7 @@ from repro.datasets.queries import KnkQuery
 from repro.graph.labeled_graph import Label, Vertex
 from repro.obs import observe_batch_cache
 
-__all__ = ["PersistentCompletionCache", "BatchSession", "BatchBudget"]
+__all__ = ["BatchSession", "BatchBudget"]
 
 
 class BatchBudget:
@@ -101,20 +101,6 @@ class BatchBudget:
         return QueryBudget(deadline_ms=share_ms, max_expansions=share_exp)
 
 
-class PersistentCompletionCache(CompletionCache):
-    """A :class:`CompletionCache` that survives across queries."""
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters (tables are kept)."""
-        self.hits = 0
-        self.misses = 0
-
-    def invalidate(self) -> None:
-        """Drop all cached entries (the attachment changed)."""
-        self._table.clear()
-        self._list_table.clear()
-
-
 class BatchSession:
     """Evaluate many queries for one owner with a shared completion cache.
 
@@ -141,9 +127,7 @@ class BatchSession:
         self.engine = engine
         self.owner = owner
         self.attachment = engine.attachment(owner)
-        self.cache = PersistentCompletionCache(
-            enabled=engine.options.dp_completion
-        )
+        self.cache = CompletionCache(enabled=engine.options.dp_completion)
         #: session default for the step bodies ("pure" / "vectorized" /
         #: "auto"); None defers to the engine's QueryOptions.  Per-call
         #: arguments override both.

@@ -17,11 +17,12 @@ registry, and :func:`run_pipeline` is the **only** code that
 * records the query into :mod:`repro.obs` (``ppkws_step_seconds``,
   ``ppkws_query_work_total``) exactly once.
 
-The five original pipelines (``pp_blinks``, ``pp_rclique``, ``pp_knk``,
-``pp_knk_multi``, ``pp_banks``) are specs now; ``pp_truss`` — the
-public-private k-truss port — is the sixth, and the proof that adding a
-semantics is a one-module job.  Analysis rule RA008 keeps it that way:
-``repro/core/pp_*.py`` modules may not hand-roll step loops.
+The five original pipelines (``blinks``, ``rclique``, ``knk`` and
+``knk_multi`` — one module, ``pp_knk`` — and ``banks``) are specs now;
+``pp_truss`` — the public-private k-truss port — is the sixth, and the
+proof that adding a semantics is a one-module job.  Analysis rule RA008
+keeps it that way: ``repro/core/pp_*.py`` modules may not hand-roll step
+loops.
 
 Degradation contract (kept bit-identical to the pre-engine pipelines):
 
@@ -344,7 +345,6 @@ def ensure_builtin_semantics() -> None:
         import repro.core.pp_blinks  # noqa: F401
         import repro.core.pp_rclique  # noqa: F401
         import repro.core.pp_knk  # noqa: F401
-        import repro.core.pp_knk_multi  # noqa: F401
         import repro.core.pp_banks  # noqa: F401
         import repro.core.pp_truss  # noqa: F401
         _BUILTINS_LOADED = True

@@ -252,8 +252,8 @@ class QueryOptions:
     keeping results bit-identical to the unbudgeted code.  Per-call
     arguments on the :class:`PPKWS` entry points override these.
 
-    ``execution_mode`` selects the step bodies for the generic
-    :meth:`PPKWS.query` entry point (and everything built on it —
+    ``execution_mode`` selects the step bodies for :meth:`PPKWS.query`
+    and everything built on it (the named methods,
     :class:`~repro.core.batch.BatchSession`, the wire protocol):
     ``"pure"`` runs the reference dict/heap code, ``"vectorized"`` the
     numpy kernels of :mod:`repro.core.vectorized` (bit-identical
@@ -482,13 +482,13 @@ class PPKWS:
 
         Budget expiry degrades gracefully: see :class:`QueryResult`.
         """
-        from repro.core.pp_rclique import pp_rclique_query
-
-        return pp_rclique_query(
-            self, self.attachment(owner), list(keywords), tau, k,
-            require_public_private,
-            budget=self.make_budget(deadline_ms, max_expansions, budget),
+        result: QueryResult = self.query(
+            "rclique", owner, deadline_ms=deadline_ms,
+            max_expansions=max_expansions, budget=budget,
+            keywords=list(keywords), tau=tau, k=k,
+            require_public_private=require_public_private,
         )
+        return result
 
     def blinks(
         self,
@@ -505,13 +505,13 @@ class PPKWS:
 
         Budget expiry degrades gracefully: see :class:`QueryResult`.
         """
-        from repro.core.pp_blinks import pp_blinks_query
-
-        return pp_blinks_query(
-            self, self.attachment(owner), list(keywords), tau, k,
-            require_public_private,
-            budget=self.make_budget(deadline_ms, max_expansions, budget),
+        result: QueryResult = self.query(
+            "blinks", owner, deadline_ms=deadline_ms,
+            max_expansions=max_expansions, budget=budget,
+            keywords=list(keywords), tau=tau, k=k,
+            require_public_private=require_public_private,
         )
+        return result
 
     def banks(
         self,
@@ -530,13 +530,13 @@ class PPKWS:
         lazily over the combined view (exact paths, no materialization).
         Budget expiry degrades gracefully: see :class:`QueryResult`.
         """
-        from repro.core.pp_banks import pp_banks_query
-
-        return pp_banks_query(
-            self, self.attachment(owner), list(keywords), tau, k,
-            require_public_private,
-            budget=self.make_budget(deadline_ms, max_expansions, budget),
+        result: QueryResult = self.query(
+            "banks", owner, deadline_ms=deadline_ms,
+            max_expansions=max_expansions, budget=budget,
+            keywords=list(keywords), tau=tau, k=k,
+            require_public_private=require_public_private,
         )
+        return result
 
     def knk(
         self,
@@ -552,12 +552,12 @@ class PPKWS:
 
         Budget expiry degrades gracefully: see :class:`KnkQueryResult`.
         """
-        from repro.core.pp_knk import pp_knk_query
-
-        return pp_knk_query(
-            self, self.attachment(owner), source, keyword, k,
-            budget=self.make_budget(deadline_ms, max_expansions, budget),
+        result: KnkQueryResult = self.query(
+            "knk", owner, deadline_ms=deadline_ms,
+            max_expansions=max_expansions, budget=budget,
+            source=source, keyword=keyword, k=k,
         )
+        return result
 
     def knk_multi(
         self,
@@ -575,12 +575,12 @@ class PPKWS:
 
         Budget expiry degrades gracefully: see :class:`KnkQueryResult`.
         """
-        from repro.core.pp_knk_multi import pp_knk_multi_query
-
-        return pp_knk_multi_query(
-            self, self.attachment(owner), source, list(keywords), k, mode,
-            budget=self.make_budget(deadline_ms, max_expansions, budget),
+        result: KnkQueryResult = self.query(
+            "knk_multi", owner, deadline_ms=deadline_ms,
+            max_expansions=max_expansions, budget=budget,
+            source=source, keywords=list(keywords), k=k, mode=mode,
         )
+        return result
 
     def query(
         self,

@@ -24,16 +24,15 @@ salvages the trees already built plus the remaining rooted answers.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.core.budget import QueryBudget
 from repro.core.engine import (
     PipelineContext,
     SemanticsSpec,
     StepSpec,
     register_semantics,
 )
-from repro.core.framework import Attachment, PPKWS, QueryResult
+from repro.core.framework import QueryResult
 from repro.core.pp_blinks import (
     init_blinks_state,
     salvage_blinks,
@@ -43,7 +42,6 @@ from repro.core.pp_blinks import (
     step_peval,
     validate_blinks_params,
 )
-from repro.graph.labeled_graph import Label
 from repro.graph.traversal import shortest_path
 from repro.graph.views import combine_lazy
 from repro.semantics.answers import RootedAnswer
@@ -54,7 +52,7 @@ from repro.semantics.wire import (
     rooted_wire_params,
 )
 
-__all__ = ["pp_banks_query"]
+__all__ = ["BANKS"]
 
 
 def _step_materialize(ctx: PipelineContext) -> None:
@@ -118,24 +116,3 @@ BANKS = register_semantics(SemanticsSpec(
     wire_cache_params=rooted_cache_params,
 ))
 
-
-def pp_banks_query(
-    engine: PPKWS,
-    attachment: Attachment,
-    keywords: List[Label],
-    tau: float,
-    k: int,
-    require_public_private: bool,
-    budget: Optional[QueryBudget] = None,
-) -> QueryResult:
-    """PP-Blinks followed by lazy tree materialization."""
-    return BANKS.run(
-        engine, attachment,
-        {
-            "keywords": list(keywords),
-            "tau": tau,
-            "k": k,
-            "require_public_private": require_public_private,
-        },
-        budget=budget,
-    )

@@ -44,7 +44,6 @@ from repro.core.engine import (
 )
 from repro.core.framework import (
     Attachment,
-    PPKWS,
     QueryCounters,
     QueryResult,
 )
@@ -67,7 +66,7 @@ from repro.semantics.wire import (
     rooted_wire_params,
 )
 
-__all__ = ["pp_blinks_query", "peval_blinks", "arefine_keywords"]
+__all__ = ["peval_blinks", "arefine_keywords"]
 
 
 def peval_blinks(
@@ -531,35 +530,3 @@ BLINKS = register_semantics(SemanticsSpec(
     ),
 ))
 
-
-def pp_blinks_query(
-    engine: PPKWS,
-    attachment: Attachment,
-    keywords: List[Label],
-    tau: float,
-    k: int,
-    require_public_private: bool,
-    cache: Optional[CompletionCache] = None,
-    budget: Optional[QueryBudget] = None,
-) -> QueryResult:
-    """Run the full PEval -> ARefine -> AComplete pipeline for Blinks.
-
-    ``cache`` lets batch sessions share one completion cache across
-    queries; by default each query gets a fresh one (the paper's PKA).
-
-    ``budget`` enables cooperative cancellation: expiry mid-step degrades
-    the query to the best answers completed so far (salvaged from the
-    partial answers) instead of raising, with ``QueryResult.degraded``,
-    ``completed_steps`` and ``interrupted_step`` recording what ran.
-    """
-    return BLINKS.run(
-        engine, attachment,
-        {
-            "keywords": list(keywords),
-            "tau": tau,
-            "k": k,
-            "require_public_private": require_public_private,
-        },
-        budget=budget,
-        cache=cache,
-    )

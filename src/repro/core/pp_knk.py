@@ -15,14 +15,31 @@ combined-graph top-k is returned, because private match distances are
 exact on ``Gc`` after refinement while public candidates only ever carry
 over-estimates.
 
+The multi-keyword extension (paper Sec. II) is the same pipeline — k-nk
+is its one-keyword case.  PEval sweeps with the conjunctive or
+disjunctive match predicate; AComplete's public side differs per mode:
+
+* **disjunction** completes each portal with the *best single-keyword*
+  KPADS candidates of every query keyword — a vertex matching any
+  keyword matches the disjunction, so merging per-keyword candidate
+  lists is exact with respect to the sketches;
+* **conjunction** completes each portal with candidates drawn from the
+  *rarest* keyword's KPADS lists and keeps only those carrying all query
+  keywords (labels are checked on the public graph).  This mirrors the
+  classic rarest-first strategy for conjunctive retrieval; candidates
+  the sketch does not surface may be missed, so the conjunctive variant
+  is approximate on the public side — private-side answers remain exact.
+
 Budget checkpoints, step timing, degradation bookkeeping and obs hooks
 all live in :mod:`repro.core.engine` (rule RA008); this module only
-declares the steps and registers the :data:`KNK` spec.
+declares the steps and registers the :data:`KNK` and :data:`KNK_MULTI`
+specs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.budget import QueryBudget
 from repro.core.engine import (
@@ -31,43 +48,31 @@ from repro.core.engine import (
     StepSpec,
     register_semantics,
 )
-from repro.core.framework import (
-    Attachment,
-    KnkQueryResult,
-    PPKWS,
-    QueryCounters,
-)
+from repro.core.framework import Attachment, KnkQueryResult
 from repro.core.partial import PairIndicator, PartialKnkAnswer
 from repro.core.pp_rclique import CompletionCache
 from repro.exceptions import QueryError
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.traversal import INF, dijkstra_ordered
 from repro.semantics.answers import KnkAnswer, Match
-from repro.semantics.wire import knk_cache_params, knk_payload, knk_wire_params
+from repro.semantics.knk import check_knk_query, display_keyword, match_predicate
+from repro.semantics.wire import (
+    knk_cache_params,
+    knk_multi_cache_params,
+    knk_multi_wire_params,
+    knk_payload,
+    knk_wire_params,
+)
 
-__all__ = ["pp_knk_query", "peval_knk", "salvage_knk_answer"]
-
-
-def salvage_knk_answer(partial: PartialKnkAnswer, k: int) -> KnkAnswer:
-    """Best-effort k-nk answer from the private matches found so far.
-
-    Private-sweep matches carry exact private-graph distances (only ever
-    *tightened* by refinement towards the combined-graph distance), so
-    every salvaged distance is achievable on ``Gc``.  Refinement may have
-    unsorted the list, hence the re-sort.  Bounded work — safe after
-    budget expiry.
-    """
-    source = partial.answer
-    matches = [m.copy() for m in source.matches if m.is_resolved()]
-    matches.sort(key=lambda m: (m.distance, repr(m.vertex)))
-    return KnkAnswer(source.source, source.keyword, matches[:k])
+__all__ = ["peval_knk"]
 
 
 def peval_knk(
     attachment: Attachment,
     source: Vertex,
-    keyword: Label,
+    keywords: Sequence[Label],
     k: int,
+    mode: str = "and",
     budget: Optional[QueryBudget] = None,
     partial: Optional[PartialKnkAnswer] = None,
 ) -> PartialKnkAnswer:
@@ -79,28 +84,75 @@ def peval_knk(
     """
     private = attachment.private
     portals = attachment.portals
+    matches = match_predicate(private, keywords, mode)
     if partial is None:
-        partial = PartialKnkAnswer(answer=KnkAnswer(source, keyword, []))
+        partial = PartialKnkAnswer(
+            answer=KnkAnswer(source, display_keyword(keywords, mode), [])
+        )
     answer = partial.answer
     for v, d in dijkstra_ordered(private, source, budget=budget):
         if v in portals:
             partial.portal_entries.append((v, d))
-        if private.has_label(v, keyword):
+        if matches(v):
             answer.matches.append(Match(v, d))
-            partial.pair_indicators.append(PairIndicator(source, v, keyword))
+            partial.pair_indicators.append(
+                PairIndicator(source, v, answer.keyword)
+            )
             if len(answer.matches) >= k:
                 break
     return partial
 
 
-def _arefine(
-    attachment: Attachment,
-    partial: PartialKnkAnswer,
-    counters: QueryCounters,
-    reduced: bool,
-    budget: Optional[QueryBudget] = None,
-) -> None:
+# ----------------------------------------------------------------------
+# the specs
+# ----------------------------------------------------------------------
+def _query_of(params: Dict[str, Any]) -> Tuple[Sequence[Label], str]:
+    """``(keywords, mode)`` of either spelling.
+
+    ``knk`` sends one ``keyword`` and no mode: with one keyword
+    conjunction and disjunction are the same query.
+    """
+    if "keyword" in params:
+        return [params["keyword"]], "and"
+    return params["keywords"], params["mode"]
+
+
+def _validate(ctx: PipelineContext) -> None:
+    p = ctx.params
+    keywords, mode = _query_of(p)
+    check_knk_query(keywords, p["k"], mode)
+    if p["source"] not in ctx.attachment.private:
+        raise QueryError(
+            f"k-nk query vertex {p['source']!r} must belong to the private graph"
+        )
+
+
+def _init(ctx: PipelineContext) -> None:
+    # The partial exists before the sweep starts so a budget expiring
+    # mid-peval still has matches to salvage.
+    p = ctx.params
+    keywords, p["mode"] = _query_of(p)
+    p["keywords"] = list(dict.fromkeys(keywords))
+    if ctx.cache is None:  # no session PKA to share: this query's own
+        ctx.cache = CompletionCache(ctx.options.dp_completion)
+    ctx.state = PartialKnkAnswer(answer=KnkAnswer(
+        p["source"], display_keyword(p["keywords"], p["mode"]), []
+    ))
+
+
+def _step_peval(ctx: PipelineContext) -> None:
+    p = ctx.params
+    ctx.state = peval_knk(
+        ctx.attachment, p["source"], p["keywords"], p["k"], p["mode"],
+        ctx.budget, ctx.state,
+    )
+    ctx.counters.partial_answers = len(ctx.state.answer.matches)
+
+
+def _step_arefine(ctx: PipelineContext) -> None:
     """Step 2: refine match and portal distances with portal detours."""
+    attachment, partial, counters = ctx.attachment, ctx.state, ctx.counters
+    budget, reduced = ctx.budget, ctx.options.reduced_refinement
     if reduced and not attachment.has_refined_portals:
         counters.refinement_checks += len(partial.pair_indicators) + len(
             partial.portal_entries
@@ -133,16 +185,26 @@ def _arefine(
     partial.portal_entries = refined_portals
 
 
-def _acomplete(
-    engine: PPKWS,
-    attachment: Attachment,
-    partial: PartialKnkAnswer,
-    keyword: Label,
-    k: int,
-    cache: CompletionCache,
-    budget: Optional[QueryBudget] = None,
-) -> KnkAnswer:
-    """Step 3: merge public candidates reached through portals (Appx. A)."""
+def _step_acomplete(
+    ctx: PipelineContext,
+    batched: Optional[Dict[Vertex, List[Tuple[Vertex, float]]]] = None,
+) -> None:
+    """Step 3: merge public candidates reached through portals (Appx. A).
+
+    ``batched`` holds the vectorized step's per-portal candidate lists;
+    without it each portal is probed after its budget checkpoint.
+    """
+    p, partial, budget = ctx.params, ctx.state, ctx.budget
+    engine, cache = ctx.engine, ctx.cache
+    public = engine.public
+    k, probe = p["k"], p["keywords"]
+    required = None
+    if p["mode"] == "and" and len(probe) > 1:
+        # Rarest-first, keeping candidates that carry every keyword.  One
+        # keyword needs no filter: a KPADS list for ``q`` holds only
+        # vertices that carry ``q``.
+        required = frozenset(probe)
+        probe = [min(probe, key=lambda t: (public.label_frequency(t), t))]
     best: Dict[Vertex, float] = {}
     for m in partial.answer.matches:
         if m.vertex is not None and m.distance < best.get(m.vertex, INF):
@@ -150,111 +212,57 @@ def _acomplete(
     for portal, d in partial.portal_entries:
         if budget is not None:
             budget.checkpoint()
-        for witness, pub_d in cache.lookup_candidates(engine, portal, keyword, k):
-            total = d + pub_d
-            if total < best.get(witness, INF):
-                best[witness] = total
+        if batched is not None:
+            lists = [batched[portal]]
+        else:
+            lists = [cache.lookup_candidates(engine, portal, q, k) for q in probe]
+        for candidates in lists:
+            for witness, pub_d in candidates:
+                if required is not None and not required <= public.labels(witness):
+                    continue
+                total = d + pub_d
+                if total < best.get(witness, INF):
+                    best[witness] = total
     ranked = sorted(best.items(), key=lambda item: (item[1], repr(item[0])))
-    final = KnkAnswer(partial.answer.source, keyword, [])
-    final.matches = [Match(v, d) for v, d in ranked[:k]]
-    return final
-
-
-# ----------------------------------------------------------------------
-# the spec
-# ----------------------------------------------------------------------
-def _validate(ctx: PipelineContext) -> None:
-    p = ctx.params
-    if p["k"] < 1:
-        raise QueryError(f"k must be >= 1, got {p['k']}")
-    if p["source"] not in ctx.attachment.private:
-        raise QueryError(
-            f"k-nk query vertex {p['source']!r} must belong to the private graph"
-        )
-
-
-def _init(ctx: PipelineContext) -> None:
-    # The partial exists before the sweep starts so a budget expiring
-    # mid-peval still has matches to salvage.
-    p = ctx.params
-    ctx.state = PartialKnkAnswer(answer=KnkAnswer(p["source"], p["keyword"], []))
-
-
-def _step_peval(ctx: PipelineContext) -> None:
-    p = ctx.params
-    ctx.state = peval_knk(
-        ctx.attachment, p["source"], p["keyword"], p["k"], ctx.budget, ctx.state
+    ctx.answers = KnkAnswer(
+        partial.answer.source, partial.answer.keyword,
+        [Match(v, d) for v, d in ranked[:k]],
     )
-    ctx.counters.partial_answers = len(ctx.state.answer.matches)
+    ctx.counters.completion_lookups = cache.misses + cache.hits
+    ctx.counters.completion_cache_hits = cache.hits
 
 
-def _step_arefine(ctx: PipelineContext) -> None:
-    _arefine(
-        ctx.attachment, ctx.state, ctx.counters,
-        ctx.options.reduced_refinement, ctx.budget,
-    )
-
-
-def _step_acomplete(ctx: PipelineContext) -> None:
-    p = ctx.params
-    if ctx.cache is None:
-        ctx.cache = CompletionCache(ctx.options.dp_completion)
-    ctx.answers = _acomplete(
-        ctx.engine, ctx.attachment, ctx.state, p["keyword"], p["k"],
-        ctx.cache, ctx.budget,
-    )
-    ctx.counters.completion_lookups = ctx.cache.misses + ctx.cache.hits
-    ctx.counters.completion_cache_hits = ctx.cache.hits
-
-
-def _salvage(ctx: PipelineContext, step: str) -> KnkAnswer:
-    return salvage_knk_answer(ctx.state, ctx.params["k"])
-
-
-# ----------------------------------------------------------------------
-# the vectorized AComplete (repro.core.vectorized numpy kernels)
-# ----------------------------------------------------------------------
 def _step_acomplete_vectorized(ctx: PipelineContext) -> None:
     """AComplete with the portal probes batched through the numpy kernel.
 
     One :meth:`CompletionCache.lookup_candidates_many` resolves every
     portal's public top-k in a single kernel invocation with the serial
-    hit/miss accounting replicated, then the merge replays the serial
-    loop over the precomputed lists — ranking and counters are
-    bit-identical.  The kernel declines graphs whose vertex reprs
-    collide or whose candidate lists include private vertices; the step
-    then falls back to the serial body.
+    hit/miss accounting replicated, then the serial merge runs over the
+    precomputed lists — ranking and counters are bit-identical.  The
+    kernel declines graphs whose vertex reprs collide or whose candidate
+    lists include private vertices; the step then probes serially.
     """
-    p = ctx.params
-    if ctx.cache is None:
-        ctx.cache = CompletionCache(ctx.options.dp_completion)
-    partial = ctx.state
-    keyword, k = p["keyword"], p["k"]
-    runtime = ctx.vectorized.runtime
+    portals = [portal for portal, _ in ctx.state.portal_entries]
     lists = ctx.cache.lookup_candidates_many(
-        ctx.engine, [portal for portal, _ in partial.portal_entries],
-        keyword, k, runtime,
+        ctx.engine, portals, ctx.params["keyword"], ctx.params["k"],
+        ctx.vectorized.runtime,
     )
-    if lists is None:
-        _step_acomplete(ctx)
-        return
-    best: Dict[Vertex, float] = {}
-    for m in partial.answer.matches:
-        if m.vertex is not None and m.distance < best.get(m.vertex, INF):
-            best[m.vertex] = m.distance
-    for (portal, d), candidates in zip(partial.portal_entries, lists):
-        if ctx.budget is not None:
-            ctx.budget.checkpoint()
-        for witness, pub_d in candidates:
-            total = d + pub_d
-            if total < best.get(witness, INF):
-                best[witness] = total
-    ranked = sorted(best.items(), key=lambda item: (item[1], repr(item[0])))
-    final = KnkAnswer(partial.answer.source, keyword, [])
-    final.matches = [Match(v, d) for v, d in ranked[:k]]
-    ctx.answers = final
-    ctx.counters.completion_lookups = ctx.cache.misses + ctx.cache.hits
-    ctx.counters.completion_cache_hits = ctx.cache.hits
+    _step_acomplete(ctx, None if lists is None else dict(zip(portals, lists)))
+
+
+def _salvage(ctx: PipelineContext, step: str) -> KnkAnswer:
+    """Best-effort k-nk answer from the private matches found so far.
+
+    Private-sweep matches carry exact private-graph distances (only ever
+    *tightened* by refinement towards the combined-graph distance), so
+    every salvaged distance is achievable on ``Gc``.  Refinement may have
+    unsorted the list, hence the re-sort.  Bounded work — safe after
+    budget expiry.
+    """
+    found = ctx.state.answer
+    matches = [m.copy() for m in found.matches if m.is_resolved()]
+    matches.sort(key=lambda m: (m.distance, repr(m.vertex)))
+    return KnkAnswer(found.source, found.keyword, matches[: ctx.params["k"]])
 
 
 KNK = register_semantics(SemanticsSpec(
@@ -277,28 +285,15 @@ KNK = register_semantics(SemanticsSpec(
     wire_cache_params=knk_cache_params,
 ))
 
-
-def pp_knk_query(
-    engine: PPKWS,
-    attachment: Attachment,
-    source: Vertex,
-    keyword: Label,
-    k: int,
-    cache: "CompletionCache | None" = None,
-    budget: Optional[QueryBudget] = None,
-) -> KnkQueryResult:
-    """Run the full PEval -> ARefine -> AComplete pipeline for k-nk.
-
-    ``cache`` lets batch sessions share one completion cache across
-    queries; by default each query gets a fresh one (the paper's PKA).
-
-    ``budget`` enables cooperative cancellation: expiry mid-step degrades
-    the query to the private matches found so far (see
-    :class:`~repro.core.framework.KnkQueryResult`).
-    """
-    return KNK.run(
-        engine, attachment,
-        {"source": source, "keyword": keyword, "k": k},
-        budget=budget,
-        cache=cache,
-    )
+# The same pipeline under its multi-keyword wire spelling; the batched
+# candidate kernel takes one keyword, so AComplete stays serial here.
+KNK_MULTI = register_semantics(replace(
+    KNK,
+    name="knk_multi",
+    summary="Multi-keyword k-nk, conjunctive or disjunctive (Sec. II ext.).",
+    steps=KNK.steps[:2] + (StepSpec("acomplete", _step_acomplete),),
+    wire_required=("network", "owner", "source", "keywords"),
+    wire_optional=("k", "mode"),
+    wire_params=knk_multi_wire_params,
+    wire_cache_params=knk_multi_cache_params,
+))

@@ -47,7 +47,7 @@ from repro.semantics.wire import (
     rooted_wire_params,
 )
 
-__all__ = ["pp_rclique_query", "peval_rclique", "arefine_pairs", "CompletionCache"]
+__all__ = ["peval_rclique", "arefine_pairs", "CompletionCache"]
 
 
 class CompletionCache:
@@ -58,6 +58,11 @@ class CompletionCache:
     once.  With the optimization disabled the cache is bypassed and every
     answer re-queries the sketches (the ablation benchmark measures the
     difference).
+
+    Entries depend only on the portal, the keyword and the (immutable)
+    public index, so one cache may outlive a query: a
+    :class:`~repro.core.batch.BatchSession` shares one across its
+    queries and calls :meth:`invalidate` when the attachment changes.
     """
 
     __slots__ = ("enabled", "_table", "_list_table", "hits", "misses")
@@ -70,6 +75,16 @@ class CompletionCache:
         ] = {}
         self.hits = 0
         self.misses = 0
+
+    def reset_counters(self) -> None:
+        """Zero the hit/miss counters (tables are kept)."""
+        self.hits = 0
+        self.misses = 0
+
+    def invalidate(self) -> None:
+        """Drop all cached entries (the attachment changed)."""
+        self._table.clear()
+        self._list_table.clear()
 
     def lookup(
         self,
@@ -366,34 +381,3 @@ RCLIQUE = register_semantics(SemanticsSpec(
     ),
 ))
 
-
-def pp_rclique_query(
-    engine: PPKWS,
-    attachment: Attachment,
-    keywords: List[Label],
-    tau: float,
-    k: int,
-    require_public_private: bool,
-    cache: Optional[CompletionCache] = None,
-    budget: Optional[QueryBudget] = None,
-) -> QueryResult:
-    """Run the full PEval -> ARefine -> AComplete pipeline for r-clique.
-
-    ``cache`` lets batch sessions share one completion cache across
-    queries; by default each query gets a fresh one (the paper's PKA).
-
-    ``budget`` enables cooperative cancellation: expiry mid-step degrades
-    the query to the best answers completed so far (see
-    :class:`~repro.core.framework.QueryResult`).
-    """
-    return RCLIQUE.run(
-        engine, attachment,
-        {
-            "keywords": list(keywords),
-            "tau": tau,
-            "k": k,
-            "require_public_private": require_public_private,
-        },
-        budget=budget,
-        cache=cache,
-    )

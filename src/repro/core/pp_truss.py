@@ -38,9 +38,8 @@ declares the steps and registers the :data:`TRUSS` spec.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
-from repro.core.budget import QueryBudget
 from repro.core.engine import (
     PipelineContext,
     SemanticsSpec,
@@ -64,7 +63,7 @@ from repro.semantics.wire import (
     truss_wire_params,
 )
 
-__all__ = ["pp_truss_query"]
+__all__ = ["TRUSS"]
 
 
 def _combined_neighbors(
@@ -233,22 +232,3 @@ TRUSS = register_semantics(SemanticsSpec(
     wire_cache_params=truss_cache_params,
 ))
 
-
-def pp_truss_query(
-    engine: PPKWS,
-    attachment: Attachment,
-    k: int,
-    keywords: Sequence[Label] = (),
-    require_public_private: bool = True,
-    budget: Optional[QueryBudget] = None,
-) -> QueryResult:
-    """PEval -> ARefine -> AComplete for public-private k-truss."""
-    return TRUSS.run(
-        engine, attachment,
-        {
-            "k": k,
-            "keywords": list(keywords),
-            "require_public_private": require_public_private,
-        },
-        budget=budget,
-    )

@@ -15,8 +15,9 @@ Zero overhead when disabled
 No schedule is active unless one is installed, and every production
 hook reduces to a module-level ``is_active()`` check (one global read
 plus a ``None`` comparison) per *operation* — never per inner-loop
-iteration.  ``benchmarks/test_faults_overhead.py`` holds that contract
-the same way ``test_obs_overhead.py`` does for observability.
+iteration.  The ``bench/`` workloads run with no schedule active, so
+the ``BENCHMARK.json`` bounds hold that contract, as they do for
+observability.
 
 Actions
 -------

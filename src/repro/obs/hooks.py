@@ -3,8 +3,8 @@
 Each hook is one function call per *query* (never per inner-loop
 iteration) and returns immediately when no registry is installed, so the
 un-observed fast path pays a global read plus a ``None`` check — within
-noise of the pre-observability code (asserted by
-``benchmarks/test_obs_overhead.py``).
+noise of the pre-observability code (``bench/`` runs un-observed, so the
+``BENCHMARK.json`` bounds hold it).
 
 The pipeline hook lives here rather than in the pipeline modules so the
 metric names stay in one catalogue:

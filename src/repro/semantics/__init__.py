@@ -9,8 +9,7 @@ query model M2 (``Baseline-Blinks`` / ``Baseline-rclique`` /
 from repro.semantics.answers import KnkAnswer, Match, RootedAnswer
 from repro.semantics.banks import TreeAnswer, banks_search
 from repro.semantics.blinks import blinks_search, keyword_expansion
-from repro.semantics.knk import knk_search
-from repro.semantics.knk_multi import knk_multi_search
+from repro.semantics.knk import knk_multi_search, knk_search
 from repro.semantics.rclique import (
     NeighborLists,
     build_neighbor_lists,

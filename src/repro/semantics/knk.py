@@ -6,11 +6,23 @@ query vertex ``v`` that carry keyword ``q``, ranked by distance.  The
 index-free evaluation is a single Dijkstra from ``v`` that collects
 matches lazily and stops at the ``k``-th — which is also exactly what
 PEval runs on the private graph.
+
+The paper notes (Sec. II) that the semantics "have been extended to the
+conjunction and disjunction of multiple keywords":
+
+* **conjunction** (``mode="and"``): the k nearest vertices carrying
+  *every* query keyword;
+* **disjunction** (``mode="or"``): the k nearest vertices carrying *at
+  least one* query keyword.
+
+Both are the same distance-ordered sweep with a different match
+predicate, so :func:`knk_search` is :func:`knk_multi_search` with one
+keyword — under either mode.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from typing import Callable, Iterable, Optional, Sequence, Set
 
 from repro.exceptions import QueryError
 from repro.graph.labeled_graph import Label, Vertex
@@ -18,18 +30,59 @@ from repro.graph.protocol import GraphLike
 from repro.graph.traversal import dijkstra_ordered
 from repro.semantics.answers import KnkAnswer, Match
 
-__all__ = ["knk_search"]
+__all__ = [
+    "knk_search",
+    "knk_multi_search",
+    "check_knk_query",
+    "display_keyword",
+    "match_predicate",
+]
+
+_MODES = ("and", "or")
 
 
-def knk_search(
+def check_knk_query(keywords: Sequence[Label], k: int, mode: str) -> None:
+    """Raise :class:`QueryError` unless ``(keywords, k, mode)`` is a query."""
+    if k < 1:
+        raise QueryError(f"k must be >= 1, got {k}")
+    if not keywords:
+        raise QueryError("multi-keyword k-nk needs at least one keyword")
+    if mode not in _MODES:
+        raise QueryError(f"mode must be one of {_MODES}, got {mode!r}")
+
+
+def display_keyword(keywords: Sequence[Label], mode: str) -> str:
+    """``"kw1&kw2"`` / ``"kw1|kw2"``: an answer's ``keyword`` field."""
+    return ("&" if mode == "and" else "|").join(keywords)
+
+
+def match_predicate(
+    graph: "GraphLike", keywords: Sequence[Label], mode: str
+) -> Callable[[Vertex], bool]:
+    """The vertex-match test for a k-nk query.
+
+    With one keyword conjunction and disjunction are the same test, and
+    a plain ``has_label`` answers it without building a label set.
+    """
+    if len(keywords) == 1:
+        keyword = keywords[0]
+        return lambda v: graph.has_label(v, keyword)
+    keyword_set = frozenset(keywords)
+    if mode == "and":
+        return lambda v: keyword_set <= graph.labels(v)
+    return lambda v: bool(keyword_set & graph.labels(v))
+
+
+def knk_multi_search(
     graph: "GraphLike",
     source: Vertex,
-    keyword: Label,
+    keywords: Sequence[Label],
     k: int,
+    mode: str = "and",
     cutoff: Optional[float] = None,
     extra_matches: Optional[Iterable[Vertex]] = None,
 ) -> KnkAnswer:
-    """Top-``k`` nearest vertices to ``source`` carrying ``keyword``.
+    """Top-``k`` nearest vertices matching ``keywords`` under ``mode``.
 
     Parameters
     ----------
@@ -40,19 +93,34 @@ def knk_search(
         the portal nodes this way so answers can later be completed with
         public-graph matches reached through them.
 
-    The source vertex itself is a valid match when it carries the keyword
-    (distance 0), consistent with [13].
+    The source vertex itself is a valid match when it carries the
+    keywords (distance 0), consistent with [13].  The answer's
+    ``keyword`` field records the query as ``"kw1&kw2"`` / ``"kw1|kw2"``
+    for display purposes.
     """
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
-    if not keyword:
-        raise QueryError("k-nk query needs a non-empty keyword")
-
+    check_knk_query(keywords, k, mode)
+    predicate = match_predicate(graph, keywords, mode)
     extras: Set[Vertex] = set(extra_matches or ())
-    answer = KnkAnswer(source, keyword, [])
+    answer = KnkAnswer(source, display_keyword(keywords, mode), [])
     for v, d in dijkstra_ordered(graph, source, cutoff=cutoff):
-        if graph.has_label(v, keyword) or v in extras:
+        if predicate(v) or v in extras:
             answer.matches.append(Match(v, d))
             if len(answer.matches) >= k:
                 break
     return answer
+
+
+def knk_search(
+    graph: "GraphLike",
+    source: Vertex,
+    keyword: Label,
+    k: int,
+    cutoff: Optional[float] = None,
+    extra_matches: Optional[Iterable[Vertex]] = None,
+) -> KnkAnswer:
+    """Top-``k`` nearest vertices to ``source`` carrying ``keyword``."""
+    if not keyword:
+        raise QueryError("k-nk query needs a non-empty keyword")
+    return knk_multi_search(
+        graph, source, [keyword], k, cutoff=cutoff, extra_matches=extra_matches
+    )

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
+from repro.exceptions import QueryError
+
 __all__ = [
     "serialize_rooted",
     "serialize_knk",
@@ -110,9 +112,41 @@ def truss_payload(result: Any) -> Dict[str, Any]:
     }
 
 
+def _keywords(request: Dict[str, Any]) -> Tuple[str, ...]:
+    """The request's ``keywords``: a list of non-empty strings, or
+    :class:`QueryError` (wire code ``bad_request``).
+
+    Params and cache keys both read the field here: a bare string would
+    otherwise be ``list()``-split into characters and answered (and
+    cached) as a query nobody sent.
+    """
+    keywords = request.get("keywords", ())
+    if isinstance(keywords, (list, tuple)):
+        for q in keywords:
+            if not isinstance(q, str) or not q:
+                break
+        else:
+            return tuple(keywords)
+    raise QueryError(
+        f"field 'keywords' must be a list of non-empty strings, "
+        f"got {keywords!r}"
+    )
+
+
+def _keyword(request: Dict[str, Any]) -> str:
+    """The request's ``keyword``: one non-empty string, or
+    :class:`QueryError`."""
+    keyword = request["keyword"]
+    if not isinstance(keyword, str) or not keyword:
+        raise QueryError(
+            f"field 'keyword' must be a non-empty string, got {keyword!r}"
+        )
+    return keyword
+
+
 def rooted_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
     return {
-        "keywords": list(request["keywords"]),
+        "keywords": list(_keywords(request)),
         "tau": float(request.get("tau", 5.0)),
         "k": int(request.get("k", 10)),
         "require_public_private": True,
@@ -122,7 +156,7 @@ def rooted_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
 def knk_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "source": request["source"],
-        "keyword": request["keyword"],
+        "keyword": _keyword(request),
         "k": int(request.get("k", 10)),
     }
 
@@ -130,7 +164,7 @@ def knk_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
 def knk_multi_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "source": request["source"],
-        "keywords": list(request["keywords"]),
+        "keywords": list(_keywords(request)),
         "k": int(request.get("k", 10)),
         "mode": str(request.get("mode", "and")),
     }
@@ -139,31 +173,31 @@ def knk_multi_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
 def truss_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "k": int(request["k"]),
-        "keywords": list(request.get("keywords", [])),
+        "keywords": list(_keywords(request)),
         "require_public_private": True,
     }
 
 
 def rooted_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
     return (
-        tuple(request["keywords"]),
+        _keywords(request),
         float(request.get("tau", 5.0)),
         int(request.get("k", 10)),
     )
 
 
 def knk_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
-    return (request["source"], request["keyword"], int(request.get("k", 10)))
+    return (request["source"], _keyword(request), int(request.get("k", 10)))
 
 
 def knk_multi_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
     return (
         request["source"],
-        tuple(request["keywords"]),
+        _keywords(request),
         int(request.get("k", 10)),
         str(request.get("mode", "and")),
     )
 
 
 def truss_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
-    return (int(request["k"]), tuple(request.get("keywords", ())))
+    return (int(request["k"]), _keywords(request))

@@ -2,8 +2,8 @@
 
 The paper amortizes work *within* a query (PKA memoization) and the
 batch layer amortizes portal lookups *within* one owner's session
-(:class:`~repro.core.batch.PersistentCompletionCache`).  This module
-generalizes the idea one level up: completed ``status: "ok"`` responses
+(:class:`~repro.core.batch.BatchSession`'s completion cache).  This
+module generalizes the idea one level up: completed ``status: "ok"`` responses
 are cached at the serving layer keyed on
 ``(network, owner, op, canonicalized params)``, so a repeated query is
 answered without touching the engine at all.

@@ -53,6 +53,9 @@ ROOTED_BUDGETS: Tuple[Optional[int], ...] = (None, 10, 40, 150)
 #: ``max_expansions`` budgets per k-nk query.
 KNK_BUDGETS: Tuple[Optional[int], ...] = (None, 5, 12)
 
+#: the single keywords the k-nk workload asks for (``z`` is private-only).
+KNK_KEYWORDS: Tuple[str, ...] = ("a", "z")
+
 #: Budgets for the ablated-options engine (reduced refinement and the
 #: completion cache both off): cap 50 interrupts ARefine on blinks, 400
 #: interrupts PEval, ARefine or AComplete on r-clique depending on the
@@ -197,13 +200,19 @@ def run_ablation_workload(engine: PPKWS) -> Dict[str, List[Dict[str, Any]]]:
     return out
 
 
+def knk_sources(engine: PPKWS) -> List[Any]:
+    """The workload's k-nk query vertices: two members and a portal."""
+    attachment = engine.attachment("owner")
+    members = sorted(
+        (v for v in attachment.private.vertices() if isinstance(v, str)),
+        key=repr,
+    )
+    return [members[0], members[2], sorted(attachment.portals, key=repr)[0]]
+
+
 def run_workload(engine: PPKWS) -> Dict[str, List[Dict[str, Any]]]:
     """Every (semantics, query, budget) combination, canonicalized."""
-    private = engine.attachment("owner").private
-    members = sorted(
-        (v for v in private.vertices() if isinstance(v, str)), key=repr
-    )
-    portal = sorted(engine.attachment("owner").portals, key=repr)[0]
+    sources = knk_sources(engine)
 
     out: Dict[str, List[Dict[str, Any]]] = {
         "blinks": [], "rclique": [], "banks": [], "knk": [], "knk_multi": [],
@@ -220,8 +229,8 @@ def run_workload(engine: PPKWS) -> Dict[str, List[Dict[str, Any]]]:
                 out[semantics].append(
                     {"query": dict(query), "result": canon_rooted_result(result)}
                 )
-    for source in [members[0], members[2], portal]:
-        for keyword in ("a", "z"):
+    for source in sources:
+        for keyword in KNK_KEYWORDS:
             for cap in KNK_BUDGETS:
                 result = engine.knk(
                     "owner", source, keyword, k=4, budget=_budget(cap)
@@ -236,12 +245,12 @@ def run_workload(engine: PPKWS) -> Dict[str, List[Dict[str, Any]]]:
     for mode in ("and", "or"):
         for cap in KNK_BUDGETS:
             result = engine.knk_multi(
-                "owner", members[0], ["a", "b"], k=4, mode=mode,
+                "owner", sources[0], ["a", "b"], k=4, mode=mode,
                 budget=_budget(cap),
             )
             out["knk_multi"].append(
                 {
-                    "query": {"source": repr(members[0]),
+                    "query": {"source": repr(sources[0]),
                               "keywords": ["a", "b"], "k": 4, "mode": mode,
                               "max_expansions": cap},
                     "result": canon_knk_result(result),

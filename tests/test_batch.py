@@ -65,6 +65,16 @@ class TestBatchSession:
         direct = engine.knk("bob", "x1", "cv", 3)
         assert results[0].answer.distances() == direct.answer.distances()
 
+    def test_knk_multi_shares_the_session_cache(self, session):
+        batch, engine = session
+        params = {"source": "x1", "keywords": ["cv", "db"], "k": 3, "mode": "or"}
+        first, again = batch.run_queries("knk_multi", [params, params])
+        assert batch.cache_misses > 0
+        # the repeat re-hits the same (portal, keyword, k) lists
+        assert batch.cache_hits == batch.cache_misses
+        direct = engine.knk_multi("bob", "x1", ["cv", "db"], 3, mode="or")
+        assert first.answer == again.answer == direct.answer
+
     def test_keyword_workload(self, session):
         batch, _ = session
         queries = [

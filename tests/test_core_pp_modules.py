@@ -71,13 +71,13 @@ class TestPEvalBlinks:
 class TestPEvalKnk:
     def test_portals_collected_in_order(self, engine_pair):
         _, att = engine_pair
-        partial = peval_knk(att, "x1", "cv", k=3)
+        partial = peval_knk(att, "x1", ["cv"], k=3)
         distances = [d for _, d in partial.portal_entries]
         assert distances == sorted(distances)
 
     def test_matches_stop_at_k(self, engine_pair):
         _, att = engine_pair
-        partial = peval_knk(att, "x1", "db", k=1)
+        partial = peval_knk(att, "x1", ["db"], k=1)
         assert len(partial.answer.matches) == 1
 
 

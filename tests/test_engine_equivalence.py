@@ -29,10 +29,15 @@ from repro.validation import validate_rooted_answer
 from tests.engine_equivalence_data import (
     ABLATION_BUDGETS,
     KEYWORD_QUERIES,
+    KNK_BUDGETS,
+    KNK_KEYWORDS,
     ROOTED_BUDGETS,
     SEEDS,
+    _budget,
     build_engine,
+    canon_knk_result,
     canon_rooted_result,
+    knk_sources,
     run_ablation_workload,
     run_workload,
     seeded_network,
@@ -123,3 +128,52 @@ def test_capped_run_is_the_uncapped_answers_or_a_valid_degraded_set(
                 for answer in got.answers:
                     report = validate_rooted_answer(gc, answer, tau)
                     assert report.valid, (label, report.problems)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_knk_is_knk_multi_with_one_keyword(seed: int) -> None:
+    """Answers, counters and capped-run bookkeeping, under either mode."""
+    engine = build_engine(seed)
+    for source in knk_sources(engine):
+        for keyword in KNK_KEYWORDS:
+            for cap in KNK_BUDGETS:
+                single = canon_knk_result(engine.knk(
+                    "owner", source, keyword, k=4, budget=_budget(cap)
+                ))
+                for mode in ("and", "or"):
+                    multi = canon_knk_result(engine.knk_multi(
+                        "owner", source, [keyword], k=4, mode=mode,
+                        budget=_budget(cap),
+                    ))
+                    assert multi == single, (seed, source, keyword, cap, mode)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_named_methods_are_query_by_name(seed: int) -> None:
+    """``engine.<name>(...)`` is ``engine.query("<name>", ...)``."""
+    engine = build_engine(seed)
+    keywords, tau, k = KEYWORD_QUERIES[0]
+    source = knk_sources(engine)[0]
+    for cap in (None, 10):
+        for name in ("blinks", "rclique", "banks"):
+            named = getattr(engine, name)(
+                "owner", list(keywords), tau, k=k, budget=_budget(cap)
+            )
+            generic = engine.query(
+                name, "owner", budget=_budget(cap), keywords=list(keywords),
+                tau=tau, k=k, require_public_private=True,
+            )
+            assert canon_rooted_result(named) == canon_rooted_result(generic)
+        named = engine.knk("owner", source, "a", k=4, budget=_budget(cap))
+        generic = engine.query(
+            "knk", "owner", budget=_budget(cap), source=source, keyword="a", k=4
+        )
+        assert canon_knk_result(named) == canon_knk_result(generic)
+        named = engine.knk_multi(
+            "owner", source, ["a", "b"], k=4, mode="or", budget=_budget(cap)
+        )
+        generic = engine.query(
+            "knk_multi", "owner", budget=_budget(cap), source=source,
+            keywords=["a", "b"], k=4, mode="or",
+        )
+        assert canon_knk_result(named) == canon_knk_result(generic)

@@ -4,7 +4,7 @@ Three layers:
 
 * the :func:`repro.semantics.truss.truss_search` oracle on hand-built
   graphs (known trusses, keyword filtering, the ``k < 2`` contract);
-* the headline equivalence — ``pp_truss_query`` through the engine's
+* the headline equivalence — the ``truss`` spec through the engine's
   PEval/ARefine/AComplete pipeline equals the oracle run on the
   *materialized* combined graph, across several seeded random
   public-private graphs and several ``k``;
@@ -20,8 +20,8 @@ import random
 import pytest
 
 from repro.core.batch import BatchSession
+from repro.core.engine import semantics_spec
 from repro.core.framework import PPKWS
-from repro.core.pp_truss import pp_truss_query
 from repro.exceptions import QueryError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.semantics.truss import TrussAnswer, edge_key, truss_search
@@ -137,9 +137,8 @@ class TestPipelineMatchesBruteForce:
         pub, priv = seeded_pp_graph(seed)
         engine = engine_for(pub, priv)
         combined = pub.union(priv)
-        result = pp_truss_query(
-            engine, engine.attachment("alice"), k,
-            require_public_private=False,
+        result = engine.query(
+            "truss", "alice", k=k, require_public_private=False,
         )
         assert not result.degraded
         assert result.answers == truss_search(combined, k)
@@ -150,8 +149,8 @@ class TestPipelineMatchesBruteForce:
         engine = engine_for(pub, priv)
         combined = pub.union(priv)
         for keywords in (["a"], ["a", "b"], ["a", "b", "c", "d"]):
-            result = pp_truss_query(
-                engine, engine.attachment("alice"), 3, keywords,
+            result = engine.query(
+                "truss", "alice", k=3, keywords=keywords,
                 require_public_private=False,
             )
             assert result.answers == truss_search(combined, 3, keywords)
@@ -161,7 +160,7 @@ class TestPipelineMatchesBruteForce:
         pub, priv = seeded_pp_graph(seed)
         engine = engine_for(pub, priv)
         combined = pub.union(priv)
-        result = pp_truss_query(engine, engine.attachment("alice"), 3)
+        result = engine.query("truss", "alice", k=3)
         expected = [
             a for a in truss_search(combined, 3)
             if spans_both(a, pub, priv)
@@ -187,12 +186,12 @@ class TestPipelineMachinery:
         pub, priv = seeded_pp_graph(3)
         engine = engine_for(pub, priv)
         with pytest.raises(QueryError, match="k >= 2"):
-            pp_truss_query(engine, engine.attachment("alice"), 1)
+            engine.query("truss", "alice", k=1)
 
     def test_breakdown_and_counters_populated(self):
         pub, priv = seeded_pp_graph(3)
         engine = engine_for(pub, priv)
-        result = pp_truss_query(engine, engine.attachment("alice"), 3)
+        result = engine.query("truss", "alice", k=3)
         assert result.completed_steps == ("peval", "arefine", "acomplete")
         assert result.breakdown.peval >= 0.0
         assert result.counters.refinement_checks == priv.num_edges
@@ -202,9 +201,7 @@ class TestPipelineMachinery:
         pub, priv = seeded_pp_graph(3)
         engine = engine_for(pub, priv)
         budget = engine.make_budget(max_expansions=2)
-        result = pp_truss_query(
-            engine, engine.attachment("alice"), 3, budget=budget
-        )
+        result = engine.query("truss", "alice", k=3, budget=budget)
         assert result.degraded
         assert result.interrupted_step in ("peval", "arefine", "acomplete")
         # Salvage peels private edges only: every salvaged answer lives
@@ -216,9 +213,7 @@ class TestPipelineMachinery:
         pub, priv = seeded_pp_graph(17)
         engine = engine_for(pub, priv)
         budget = engine.make_budget(max_expansions=priv.num_edges + 3)
-        result = pp_truss_query(
-            engine, engine.attachment("alice"), 3, budget=budget
-        )
+        result = engine.query("truss", "alice", k=3, budget=budget)
         assert result.degraded
         assert all(isinstance(a, TrussAnswer) for a in result.answers)
 
@@ -230,14 +225,16 @@ class TestEntryPoints:
     def test_engine_generic_query(self):
         pub, priv = seeded_pp_graph(3)
         engine = engine_for(pub, priv)
-        direct = pp_truss_query(engine, engine.attachment("alice"), 3)
+        direct = semantics_spec("truss").run(
+            engine, engine.attachment("alice"), {"k": 3}
+        )
         generic = engine.query("truss", "alice", k=3)
         assert generic.answers == direct.answers
 
     def test_batch_session_generic_query(self):
         pub, priv = seeded_pp_graph(3)
         engine = engine_for(pub, priv)
-        direct = pp_truss_query(engine, engine.attachment("alice"), 3)
+        direct = engine.query("truss", "alice", k=3)
         session = BatchSession(engine, "alice")
         assert session.query("truss", k=3).answers == direct.answers
 
@@ -255,7 +252,7 @@ class TestEntryPoints:
         assert set(first) == {"vertices", "edges"}
         assert all(isinstance(e, list) and len(e) == 2 for e in first["edges"])
         engine = svc._engine("net")
-        expected = pp_truss_query(engine, engine.attachment("alice"), 3)
+        expected = engine.query("truss", "alice", k=3)
         assert len(resp["answers"]) == len(expected.answers)
 
     def test_wire_rejects_bad_k(self):

@@ -148,6 +148,22 @@ class TestItemErrors:
         assert "not a query op" in resp["results"][2]["error"]
         assert "missing field 'keywords'" in resp["results"][3]["error"]
 
+    def test_malformed_keyword_fields_fail_that_item_only(self, service):
+        before = service.answer_cache.stats()
+        resp = _batch(service, [
+            dict(BLINKS_ITEM, keywords="ai"),     # not list()-split
+            dict(KNK_ITEM, keyword=["cv"]),       # unhashable, not internal
+            dict(KNK_ITEM, keyword=""),
+            {"op": "knk_multi", "source": "x1", "keywords": "ai"},
+            {"op": "truss", "k": 3, "keywords": ["db", 7]},
+        ])
+        assert resp["status"] == "ok"
+        for entry in resp["results"]:
+            assert entry["status"] == "error"
+            assert entry["code"] == "bad_request"
+            assert "keyword" in entry["error"]
+        assert service.answer_cache.stats() == before
+
     def test_item_network_and_owner_are_overridden(self, service):
         # Item-level network/owner must not escape the batch's.
         resp = _batch(service, [

@@ -255,6 +255,43 @@ class TestErrorCodeMap:
         assert resp["code"] == "bad_request"
         assert "string" in resp["error"]
 
+    @pytest.mark.parametrize("request_", [
+        # a bare string must not be list()-split into ['a', 'i']
+        blinks_req(keywords="ai"),
+        blinks_req(op="banks", keywords="ai"),
+        blinks_req(op="rclique", keywords="ai"),
+        blinks_req(keywords=["db", ""]),
+        blinks_req(keywords=["db", 7]),
+        {"op": "truss", "network": "net", "owner": "bob", "k": 3,
+         "keywords": "ai"},
+        {"op": "knk_multi", "network": "net", "owner": "bob",
+         "source": "x1", "keywords": "ai"},
+        knk_req(keyword=["cv"]),
+        knk_req(keyword=""),
+    ], ids=lambda r: f"{r['op']}-{r.get('keywords', r.get('keyword'))!r}")
+    def test_malformed_keyword_fields_are_bad_requests(self, service, request_):
+        before = service.answer_cache.stats()
+        resp = service.execute(request_)
+        assert resp["status"] == "error"
+        assert resp["code"] == "bad_request"
+        assert "keyword" in resp["error"]
+        # rejected before the cache saw a key: nothing counted or stored
+        assert service.answer_cache.stats() == before
+
+    def test_bad_knk_multi_mode_is_rejected_before_any_step(self, service):
+        from repro import faults
+        from repro.faults.points import ENGINE_STEP
+
+        request = {"op": "knk_multi", "network": "net", "owner": "bob",
+                   "source": "x1", "keywords": ["db"], "mode": "nand"}
+        schedule = faults.FaultSchedule([faults.FaultSpec(ENGINE_STEP, "raise")])
+        with faults.injected(schedule):
+            resp = service.execute(request)
+        # a step that started would have hit the fault (code ``internal``)
+        assert resp["code"] == "bad_request"
+        assert "mode must be one of" in resp["error"]
+        assert schedule.hits(ENGINE_STEP) == 0
+
 
 class TestWarnings:
     def test_multiple_unknown_fields_sorted(self, service):
