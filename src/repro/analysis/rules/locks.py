@@ -8,9 +8,10 @@ attribute              guarded by               owner
 ====================== ======================== =========================
 ``_engines``           ``_engines_lock``        ``PPKWSService``
 ``_epochs``            ``_engines_lock``        ``PPKWSService``
+``_lifecycles``        ``_engines_lock``        ``PPKWSService``
 ``_network_locks``     ``_network_locks_lock``  ``PPKWSService``
 ``_attachments``       ``_attachments_lock``    ``PPKWS``
-``_attachment_epoch``  ``_attachments_lock``    ``PPKWS``
+``_owner_epochs``      ``_attachments_lock``    ``PPKWS``
 ====================== ======================== =========================
 
 The rule flags any *write* (rebind, item assignment, ``del``, augmented
@@ -35,9 +36,10 @@ __all__ = ["LockDisciplineRule", "GUARDED_ATTRIBUTES"]
 GUARDED_ATTRIBUTES: Dict[str, str] = {
     "_engines": "_engines_lock",
     "_epochs": "_engines_lock",
+    "_lifecycles": "_engines_lock",
     "_network_locks": "_network_locks_lock",
     "_attachments": "_attachments_lock",
-    "_attachment_epoch": "_attachments_lock",
+    "_owner_epochs": "_attachments_lock",
 }
 
 #: method calls that mutate a dict/map in place.
@@ -160,8 +162,8 @@ class LockDisciplineRule(Rule):
     id = "RA001"
     title = "registry writes must hold the matching lock"
     rationale = (
-        "PPKWSService._engines/_epochs/_network_locks and "
-        "PPKWS._attachments/_attachment_epoch are read by concurrent "
+        "PPKWSService._engines/_epochs/_lifecycles/_network_locks and "
+        "PPKWS._attachments/_owner_epochs are read by concurrent "
         "requests; unlocked writes race with check-then-act sequences."
     )
 

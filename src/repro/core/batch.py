@@ -8,22 +8,21 @@ extends the idea across a whole batch: one
 :class:`~repro.core.pp_rclique.CompletionCache` is shared by every query
 of a :class:`BatchSession`.
 
-Cache entries depend only on the portal identity and the (immutable)
-public index, so they never go stale while the attachment lives; after
-mutating the private graph (new portals) call :meth:`BatchSession.invalidate`.
-Answers are bit-identical to individually evaluated queries — the cache
-memoizes pure lookups — which the test suite asserts.
+A session holds facts of two lifetimes.  *Public-side* facts — the PKA
+rows and the sweep memo — depend only on the portal or seed identity and
+the (immutable) public index, so no attach or detach, of this owner or
+any other, makes them stale: they live as long as the session
+(:meth:`BatchSession.invalidate` drops them on request).  Answers are
+bit-identical to individually evaluated queries — the cache memoizes
+pure lookups — which the test suite asserts.
 
-Sessions also track the engine's
-:attr:`~repro.core.framework.PPKWS.attachment_epoch`: when any owner
-attaches or detaches between two queries, the session conservatively
-drops its cached lookups and re-reads its owner's current
-:class:`~repro.core.framework.Attachment` before the next query runs
-(so a detach+re-attach of the same owner is picked up mid-batch instead
-of silently querying the dead attachment).  This mirrors the service
-layer's epoch-based answer-cache invalidation — both layers key
-freshness off one monotonic counter rather than enumerating affected
-entries.
+The one *owner-side* fact is the session's
+:class:`~repro.core.framework.Attachment`.  It follows its own owner's
+:meth:`~repro.core.framework.PPKWS.owner_epoch`: when that owner was
+detached, re-attached or repaired between two queries, the session
+re-reads the current attachment before the next query runs (a query
+while detached raises instead of silently using the dead one).  The
+service's answer cache keys its entries' freshness off the same counter.
 
 Batches can carry a *whole-batch budget*: ``run_queries`` (and the
 ``run_knk_queries`` sugar) accept ``deadline_ms`` (and
@@ -136,24 +135,21 @@ class BatchSession:
         #: queries — queries sharing keywords (hence sweep seeds) reuse
         #: each other's vectorized expansions.
         self.sweep_memo = SweepMemo()
-        self._engine_epoch = engine.attachment_epoch
+        self._owner_epoch = engine.owner_epoch(owner)
 
     # ------------------------------------------------------------------
     def _refresh_if_stale(self) -> None:
-        """Invalidate + re-read the attachment if the engine changed.
+        """Re-read the attachment if this session's owner's epoch moved.
 
-        Conservative: *any* attach/detach on the engine (even of another
-        owner) drops the session's cached lookups — one integer compare
-        per query buys never serving a stale entry.  Raises
-        :class:`~repro.exceptions.OwnerNotAttachedError` if this
-        session's owner was detached in the meantime.
+        Another owner's attach/detach changes nothing here, and the PKA
+        and sweep memo hold public-side facts, so they are kept either
+        way.  Raises :class:`~repro.exceptions.OwnerNotAttachedError`
+        for as long as this session's owner is detached.
         """
-        current = self.engine.attachment_epoch
-        if current != self._engine_epoch:
-            self._engine_epoch = current
-            self.cache.invalidate()
-            self.sweep_memo.invalidate()
+        current = self.engine.owner_epoch(self.owner)
+        if current != self._owner_epoch:
             self.attachment = self.engine.attachment(self.owner)
+            self._owner_epoch = current
 
     def _cache_marks(self) -> tuple:
         return (self.cache.hits, self.cache.misses)

@@ -111,6 +111,10 @@ class DynamicPrivateGraph:
         att.private.add_vertex(v, labels)
         if v in self.engine.public:
             self._rebuild()
+        else:
+            # Reachable from nothing yet, but already a legal query source
+            # (and root): cached answers about it are out of date.
+            self.engine._bump_owner_epoch(self.owner)
 
     def add_labels(self, v: Vertex, labels: set) -> None:
         """Attach labels to a private vertex and extend the PKD map."""
@@ -123,9 +127,10 @@ class DynamicPrivateGraph:
             if d < INF:
                 for t in labels:
                     att.oracle.pkd.record(p, t, v, d)
-        # The maps changed in place: move the epoch or the answer/batch
-        # caches keep returning answers computed without the new labels.
-        self.engine._bump_attachment_epoch()
+        # The maps changed in place: move this owner's epoch or the
+        # service's answer cache keeps returning answers computed without
+        # the new labels.
+        self.engine._bump_owner_epoch(self.owner)
 
     # ------------------------------------------------------------------
     # non-monotone updates: rebuild

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -338,10 +339,11 @@ class PPKWS:
         # Single-key reads stay lock-free: dict lookups are atomic and
         # queries hold the Attachment object itself, which is immutable.
         self._attachments_lock = threading.Lock()
-        # Bumped on every attach/detach; cache layers (BatchSession's
-        # completion cache, the service's answer cache) compare epochs
-        # instead of enumerating which entries a change affected.
-        self._attachment_epoch = 0
+        # owner -> how often that owner's attachment changed; never
+        # shrinks (a re-attach must not repeat an old value).  Owner-side
+        # caches (BatchSession's Attachment, the service's answer cache)
+        # compare it instead of enumerating the entries a change affected.
+        self._owner_epochs: Counter[str] = Counter()
 
     # ------------------------------------------------------------------
     def attach(self, owner: str, private: LabeledGraph) -> Attachment:
@@ -380,7 +382,7 @@ class PPKWS:
             if owner in self._attachments:
                 raise GraphError(f"owner {owner!r} already attached")
             self._attachments[owner] = attachment
-            self._attachment_epoch += 1
+            self._owner_epochs[owner] += 1
         return attachment
 
     def detach(self, owner: str) -> None:
@@ -389,32 +391,33 @@ class PPKWS:
             if owner not in self._attachments:
                 raise OwnerNotAttachedError(owner)
             del self._attachments[owner]
-            self._attachment_epoch += 1
+            self._owner_epochs[owner] += 1
 
     def _replace_attachment(self, owner: str, attachment: Attachment) -> None:
         """Swap in repaired per-user state (dynamic incremental updates).
 
         Takes the attachment lock like :meth:`attach`/:meth:`detach` and
-        bumps the epoch: the repaired maps can change which answers are
-        current, so cached results keyed on the old epoch must die with
-        it.  (An unlocked write here used to race with ``owners()`` and
-        concurrent attach/detach; RA001 now pins the discipline.)
+        bumps the owner's epoch: the repaired maps can change which of
+        its answers are current, so cached results keyed on the old epoch
+        must die with it.  (An unlocked write here used to race with
+        ``owners()`` and concurrent attach/detach; RA001 pins the
+        discipline.)
         """
         with self._attachments_lock:
             if owner not in self._attachments:
                 raise OwnerNotAttachedError(owner)
             self._attachments[owner] = attachment
-            self._attachment_epoch += 1
+            self._owner_epochs[owner] += 1
 
-    def _bump_attachment_epoch(self) -> None:
-        """Invalidate epoch-keyed caches after an in-place map mutation.
+    def _bump_owner_epoch(self, owner: str) -> None:
+        """Invalidate ``owner``'s cached answers after an in-place mutation.
 
         Dynamic label additions repair the portal-keyword map without
         replacing the :class:`Attachment`; the epoch must still move or
-        the answer/batch caches keep serving pre-mutation results.
+        the answer cache keeps serving pre-mutation results.
         """
         with self._attachments_lock:
-            self._attachment_epoch += 1
+            self._owner_epochs[owner] += 1
 
     def attachment(self, owner: str) -> Attachment:
         """The per-user state for ``owner``."""
@@ -423,16 +426,22 @@ class PPKWS:
         except KeyError:
             raise OwnerNotAttachedError(owner) from None
 
+    def owner_epoch(self, owner: str) -> int:
+        """How often ``owner``'s attachment changed (0: never attached).
+
+        The lifetime of every owner-side cached fact: a private graph is
+        visible to its owner only (Sec. II), so an attach, detach or
+        dynamic repair can change that owner's answers and nobody
+        else's.  Public-side facts (PKA rows, sweep columns) depend on
+        the immutable public index and outlive every attachment.
+        """
+        return self._owner_epochs[owner]  # a Counter: 0, uninserted, if absent
+
     @property
     def attachment_epoch(self) -> int:
-        """Monotonic counter of attachment-map changes (attach/detach).
-
-        Cache layers snapshot this and conservatively invalidate when it
-        moves: any change to the engine's attachments may change which
-        answers are current, and comparing one integer is far cheaper
-        than deciding which cached entries a given change touched.
-        """
-        return self._attachment_epoch
+        """Monotonic count of attachment changes, all owners together."""
+        with self._attachments_lock:
+            return sum(self._owner_epochs.values())
 
     def owners(self) -> List[str]:
         """Attached owners.

@@ -60,9 +60,9 @@ class CompletionCache:
     difference).
 
     Entries depend only on the portal, the keyword and the (immutable)
-    public index, so one cache may outlive a query: a
-    :class:`~repro.core.batch.BatchSession` shares one across its
-    queries and calls :meth:`invalidate` when the attachment changes.
+    public index, so one cache may outlive a query — and any attach or
+    detach: a :class:`~repro.core.batch.BatchSession` shares one across
+    its queries for as long as the session lives.
     """
 
     __slots__ = ("enabled", "_table", "_list_table", "hits", "misses")
@@ -82,7 +82,7 @@ class CompletionCache:
         self.misses = 0
 
     def invalidate(self) -> None:
-        """Drop all cached entries (the attachment changed)."""
+        """Drop all cached entries (never needed for correctness)."""
         self._table.clear()
         self._list_table.clear()
 

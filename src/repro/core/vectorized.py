@@ -815,7 +815,7 @@ class SweepMemo:
         self._table[key] = result
 
     def invalidate(self) -> None:
-        """Drop every memoized sweep (attachment epoch changed)."""
+        """Drop every memoized sweep (never needed for correctness)."""
         self._table.clear()
 
 

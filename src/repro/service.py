@@ -59,10 +59,13 @@ Completed ``status: "ok"`` responses of the query ops are cached in a
 cross-request LRU+TTL :class:`repro.serving.AnswerCache` keyed on
 ``(network, owner, op, canonicalized params)`` (defaults applied, so
 ``{"tau": 5.0}`` and an omitted ``tau`` share an entry).  Staleness is
-epoch-based: every ``create`` / ``attach`` / ``detach`` / ``drop``
-bumps the network's epoch and entries from older epochs are never
-served — an answer cached before an ``attach`` cannot be returned after
-it.  Cache hits carry ``"cached": true``; per-request ``"no_cache":
+epoch-based and per *owner*: a private graph is visible to its owner
+only, so an entry lives until that owner's attachment changes
+(``attach`` / ``detach`` / a dynamic repair) or its network is created
+or dropped, and an entry from before such a change is never served
+after it; another owner's ``attach`` leaves it a hit.  (The ``epoch`` of
+``stats`` / ``health`` still counts every admin op of the network.)
+Cache hits carry ``"cached": true``; per-request ``"no_cache":
 true`` bypasses the cache, and ``"trace": true`` requests always
 execute (their trace describes a real run).  Budget fields are
 deliberately *not* part of the key: a cached answer is a complete,
@@ -380,8 +383,8 @@ class PPKWSService:
     ``answer_cache_size`` / ``answer_cache_ttl_s`` configure the
     cross-request answer cache (entries / per-entry freshness bound in
     seconds).  A size of ``0`` disables answer caching entirely; a TTL
-    of ``None`` keeps entries until evicted or their network's epoch
-    moves.
+    of ``None`` keeps entries until evicted or their owner's attachment
+    (or their network's life) changes.
 
     ``registry`` receives this service's request metrics; when ``None``
     the process-wide registry (:func:`repro.obs.install`) is used, and
@@ -411,6 +414,9 @@ class PPKWSService:
         #: name -> monotonic epoch; bumped by every admin op, *never*
         #: deleted (a re-created network must not revive old answers)
         self._epochs: Dict[str, int] = {}
+        #: name -> the epoch of its last create / adopt / drop: which
+        #: life of the name an answer-cache entry belongs to
+        self._lifecycles: Dict[str, int] = {}
         #: name -> the network's reader-writer lock (kept across drop so
         #: late requests against a dropped name still lock consistently)
         self._network_locks: Dict[Any, RWLock] = {}
@@ -498,6 +504,15 @@ class PPKWSService:
         with self._engines_lock:
             self._epochs[network] = self._epochs.get(network, 0) + 1
 
+    def _answer_token(self, network: str, owner: Any) -> Tuple[int, Any]:
+        """What a cached answer of ``owner`` must match to be served:
+        (the network's life, that owner's engine epoch).  One registry-lock
+        round trip; the engine's per-owner read is a lock-free dict get."""
+        with self._engines_lock:
+            engine = self._engines.get(network)
+            lifecycle = self._lifecycles.get(network, 0)
+        return lifecycle, None if engine is None else engine.owner_epoch(owner)
+
     # ------------------------------------------------------------------
     # administration
     # ------------------------------------------------------------------
@@ -554,7 +569,9 @@ class PPKWSService:
                 if name in self._engines:
                     raise ReproError(f"network {name!r} already exists")
                 self._engines[name] = engine
-                self._epochs[name] = self._epochs.get(name, 0) + 1
+                self._epochs[name] = self._lifecycles[name] = (
+                    self._epochs.get(name, 0) + 1
+                )
 
     def _create_network_exclusive(
         self,
@@ -605,7 +622,9 @@ class PPKWSService:
             raise
         with self._engines_lock:
             self._engines[name] = engine
-            self._epochs[name] = self._epochs.get(name, 0) + 1
+            self._epochs[name] = self._lifecycles[name] = (
+                self._epochs.get(name, 0) + 1
+            )
 
     def _quarantine_index(self, index_path: str, exc: IndexCorruptError) -> None:
         """Move a corrupt index file aside and report the event.
@@ -648,7 +667,9 @@ class PPKWSService:
                     # to drop until the create finishes).
                     raise UnknownNetworkError(name)
                 del self._engines[name]
-                self._epochs[name] = self._epochs.get(name, 0) + 1
+                self._epochs[name] = self._lifecycles[name] = (
+                    self._epochs.get(name, 0) + 1
+                )
             pool = self._shard_pool
             if pool is not None:
                 pool.admin_drop(name)
@@ -659,8 +680,9 @@ class PPKWSService:
     def attach_user(self, network: str, owner: str, private: LabeledGraph) -> int:
         """Attach a user's private graph; returns the portal count.
 
-        Takes the network's write lock and bumps its cache epoch, so no
-        answer computed before the attach survives it.
+        Takes the network's write lock.  The engine bumps this owner's
+        epoch, so none of *its* answers computed before the attach
+        survives it; other owners' cached answers stay valid.
         """
         with self._network_lock(network).write_locked():
             engine = self._engine(network)
@@ -672,7 +694,8 @@ class PPKWSService:
         return len(attachment.portals)
 
     def detach_user(self, network: str, owner: str) -> None:
-        """Detach a user's private graph (write lock + epoch bump)."""
+        """Detach a user's private graph (write lock; the owner's cached
+        answers die with the attachment, nobody else's)."""
         with self._network_lock(network).write_locked():
             self._engine(network).detach(owner)
             self._bump_epoch(network)
@@ -873,9 +896,10 @@ class PPKWSService:
     ) -> Dict[str, Any]:
         """Serve a read op, via the answer cache when eligible.
 
-        Runs under the network's read lock, so the epoch observed here
-        cannot move before the store: admin ops need the write side.
-        A stored entry is only ever reused while its epoch is current.
+        Runs under the network's read lock, so the token observed here
+        (:meth:`_answer_token`) cannot move before the store: admin ops
+        need the write side.  A stored entry is only ever reused while
+        its network's life and its owner's epoch are both current.
 
         With sharding enabled, the miss path of a query op executes in
         a shard worker *process* (``pool.route``) instead of here — the
@@ -898,15 +922,15 @@ class PPKWSService:
                 return pool.route(request)
             return spec.handler(self, request)
         if key is None:
-            return run()  # skips the epoch read (a registry-lock round trip)
+            return run()  # skips the token read (a registry-lock round trip)
         return self._through_cache(
-            key, self.network_epoch(request["network"]), run
+            key, self._answer_token(request["network"], request["owner"]), run
         )
 
     def _through_cache(
         self,
         key: Optional[Tuple[Any, ...]],
-        epoch: int,
+        epoch: Tuple[int, Any],
         run: Callable[[], Dict[str, Any]],
         prefix: str = "",
     ) -> Dict[str, Any]:
@@ -1146,7 +1170,7 @@ class PPKWSService:
             budget_args.get("deadline_ms"), budget_args.get("max_expansions")
         )
         ops = _current_ops()
-        epoch = self.network_epoch(network)
+        epoch = self._answer_token(network, request["owner"])
         results: List[Dict[str, Any]] = []
         counts: Dict[str, int] = {}
         for i, item in enumerate(queries):
@@ -1168,7 +1192,7 @@ class PPKWSService:
         item: Any,
         batch: Any,
         items_left: int,
-        epoch: int,
+        epoch: Tuple[int, Any],
         request: Dict[str, Any],
     ) -> Dict[str, Any]:
         """One batch item: cache lookup, execution, error isolation."""

@@ -9,8 +9,9 @@ This package holds the serving-side machinery the facade composes:
   reader-writer lock the service takes per network: read-only queries
   share it, admin ops (attach / detach / drop) take it exclusively.
 * :class:`~repro.serving.cache.AnswerCache` — the cross-request LRU+TTL
-  answer cache with epoch-based invalidation (every admin op bumps the
-  network's epoch, so a stale answer can never be served).
+  answer cache with epoch-based invalidation (an owner's attach or
+  detach bumps that owner's epoch, so none of its stale answers can be
+  served; other owners' entries stay hits).
 * :mod:`~repro.serving.shards` — the process-based tier: the public
   graph's CSR buffers exported to shared memory, one service replica
   per worker *process*, whole requests routed round-robin.

@@ -8,14 +8,18 @@ are cached at the serving layer keyed on
 ``(network, owner, op, canonicalized params)``, so a repeated query is
 answered without touching the engine at all.
 
-Staleness is handled by *epochs*, not by enumerating affected keys: the
-service keeps a monotonically increasing epoch per network name and
-bumps it on every ``attach`` / ``detach`` / ``drop`` / ``create``.  An
-entry remembers the epoch it was computed under; a lookup presents the
-network's *current* epoch and any entry with a different epoch is
-treated as a miss and purged.  Because the epoch survives ``drop`` (the
-map is keyed by name and never shrinks), re-creating a network under an
-old name can never revive answers from its previous life.
+Staleness is handled by *epochs*, not by enumerating affected keys.  An
+entry remembers the epoch it was computed under — an opaque token,
+compared with ``!=`` only; a lookup presents the *current* one and any
+entry with a different token is treated as a miss and purged.  The
+service's token is ``(network life, owner epoch)``: an answer is an
+owner-side fact (a private graph is visible to its owner only), so it
+lives until *that owner's* attachment changes (``attach`` / ``detach`` /
+a dynamic repair, counted by the engine) or the network is created or
+dropped.  Another owner's ``attach`` leaves it a hit.  Both counters
+never shrink and the life survives ``drop`` (keyed by name), so neither
+a re-attach nor re-creating a network under an old name can revive
+answers from a previous life.
 
 Entries additionally carry a TTL (wall-clock freshness bound for
 operators who mutate state outside the facade) and the table is
@@ -102,23 +106,23 @@ class AnswerCache:
         self._clock = clock
         self._lock = threading.Lock()
         #: key -> (epoch, stored_at, value)
-        self._table: "OrderedDict[Hashable, Tuple[int, float, Any]]" = (
+        self._table: "OrderedDict[Hashable, Tuple[Any, float, Any]]" = (
             OrderedDict()
         )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.expirations = 0
-        #: lookups dropped because the network epoch moved on
+        #: lookups dropped because the entry's epoch token moved on
         self.stale_hits = 0
 
     # ------------------------------------------------------------------
-    def lookup(self, key: Hashable, epoch: int) -> Optional[Any]:
+    def lookup(self, key: Hashable, epoch: Any) -> Optional[Any]:
         """The cached value for ``key`` at ``epoch``, or ``None``.
 
-        A present entry whose epoch differs from ``epoch`` (the network
-        changed since it was stored) or whose TTL has lapsed is purged
-        and counts as a miss.  Hits return a container copy
+        A present entry whose epoch differs from ``epoch`` (its owner's
+        attachment changed since it was stored) or whose TTL has lapsed
+        is purged and counts as a miss.  Hits return a container copy
         (:func:`_wire_clone`) and refresh the entry's LRU position.
 
         The copy happens *outside* the lock (entries are never mutated
@@ -146,7 +150,7 @@ class AnswerCache:
             self.hits += 1
         return _wire_clone(value)
 
-    def store(self, key: Hashable, epoch: int, value: Any) -> None:
+    def store(self, key: Hashable, epoch: Any, value: Any) -> None:
         """Insert a snapshot of ``value`` computed under ``epoch``, or raise
         ``TypeError`` (nothing stored) if ``value`` is not wire-shaped."""
         faults.fire(CACHE_STORE)

@@ -8,9 +8,10 @@ class Service:
         # Constructor initialisation is exempt: the object is unshared.
         self._engines = {}
         self._engines_lock = threading.Lock()
+        self._lifecycles = {}
         self._attachments = {}
         self._attachments_lock = threading.Lock()
-        self._attachment_epoch = 0
+        self._owner_epochs = {}
 
     def register(self, name, engine):
         self._engines[name] = engine  # unlocked item write
@@ -19,8 +20,9 @@ class Service:
         del self._engines[name]  # unlocked delete
 
     def evict(self, name):
-        self._engines.pop(name, None)  # unlocked mutating method
+        self._lifecycles.pop(name, None)  # unlocked mutating method
 
     def swap(self, owner, attachment):
         self._attachments[owner] = attachment  # unlocked item write
-        self._attachment_epoch += 1  # unlocked epoch bump
+        # unlocked epoch bump
+        self._owner_epochs[owner] = self._owner_epochs.get(owner, 0) + 1

@@ -155,24 +155,62 @@ class TestBatchSession:
 
 
 class TestEpochInvalidation:
-    """Sessions track the engine's attachment epoch (see the module
-    docstring): any attach/detach between two queries conservatively
-    drops the completion cache and re-reads the owner's attachment."""
+    """Sessions hold facts of two lifetimes (see the module docstring):
+    the PKA and sweep memo are public-side and survive every attach and
+    detach; the ``Attachment`` follows its own owner's epoch only."""
 
-    def test_attach_mid_batch_invalidates_completion_cache(
+    def test_other_owners_attach_keeps_completion_cache_warm(
         self, session, small_public_private
     ):
         batch, engine = session
         _, priv = small_public_private
-        batch.rclique(["db", "ml"], tau=5.0)
+        batch.blinks(["db", "ai"], tau=4.0)
+        misses_before, hits_before = batch.cache_misses, batch.cache_hits
+        attachment = batch.attachment
+        sweeps_before = dict(batch.sweep_memo._table)
+
+        engine.attach("carol", priv.copy())
+        batch.blinks(["db", "ai"], tau=4.0)
+        engine.detach("carol")
+        batch.blinks(["db", "ai"], tau=4.0)
+
+        # the repeats are pure hits: no PKA refill, no sweep re-run, and
+        # bob's attachment was never re-read
+        assert batch.cache_misses == misses_before
+        assert batch.cache_hits > hits_before
+        assert batch.attachment is attachment
+        assert batch.sweep_memo._table == sweeps_before
+        assert batch.sweep_memo.misses == len(sweeps_before)
+        if batch.execution_mode == "vectorized" and _FREEZE:
+            assert sweeps_before and batch.sweep_memo.hits > 0
+
+    def test_own_reattach_swaps_the_attachment_and_keeps_public_facts(
+        self, session, small_public_private
+    ):
+        from repro.exceptions import OwnerNotAttachedError
+
+        batch, engine = session
+        _, priv = small_public_private
+        keywords = ["db", "ml"]
+        batch.rclique(keywords, tau=5.0)
         misses_before = batch.cache_misses
+        old_attachment = batch.attachment
 
-        engine.attach("carol", priv)  # bumps the attachment epoch
+        engine.detach("bob")
+        for _ in range(2):  # every query while detached, not just the first
+            with pytest.raises(OwnerNotAttachedError):
+                batch.rclique(keywords, tau=5.0)
+        engine.attach("bob", priv.copy())
 
-        # the repeat query would have been pure hits; after the attach
-        # the session must start cold again
-        batch.rclique(["db", "ml"], tau=5.0)
-        assert batch.cache_misses > misses_before
+        after = batch.rclique(keywords, tau=5.0)
+        assert batch.attachment is engine.attachment("bob")
+        assert batch.attachment is not old_attachment
+        # same portals, same keywords: the PKA rows are still good
+        assert batch.cache_misses == misses_before
+        direct = engine.rclique("bob", keywords, tau=5.0)
+        assert [a.sort_key() for a in after.answers] == [
+            a.sort_key() for a in direct.answers
+        ]
 
     def test_attach_mid_batch_keeps_answers_identical(
         self, session, small_public_private

@@ -205,6 +205,55 @@ class TestAdminChurnUnderQueries:
             for resp in batch:
                 assert resp["status"] == "ok", resp
 
+    def test_churn_loses_no_epoch_bump_and_no_hit_of_the_stable_owner(self):
+        """Per-owner lifetimes under churn: every attach/detach is counted
+        on its own owner (a lost ``_owner_epochs`` update would let a
+        re-attach repeat an old token), and the stable owner's cached
+        answer stays a hit through all of it."""
+        import sys
+
+        svc = PPKWSService(sketch_k=2)
+        svc.execute({
+            "op": "create_network", "network": "n",
+            "public_edges": PUBLIC_EDGES, "public_labels": PUBLIC_LABELS,
+        })
+        attach = {
+            "op": "attach", "network": "n",
+            "private_edges": PRIVATE_EDGES, "private_labels": PRIVATE_LABELS,
+        }
+        svc.execute(dict(attach, owner="stable"))
+        knk = {"op": "knk", "network": "n", "owner": "stable",
+               "source": "p2", "keyword": "db", "k": 2}
+        cold = svc.execute(knk)
+        rounds, churners, queriers = 40, 3, 2
+
+        def work(i: int) -> List[Dict[str, Any]]:
+            if i >= churners:
+                return [svc.execute(knk) for _ in range(4 * rounds)]
+            for _ in range(rounds):
+                svc.execute(dict(attach, owner=f"churn{i}"))
+                svc.execute({"op": "detach", "network": "n",
+                             "owner": f"churn{i}"})
+            return []
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = _run_threads(churners + queriers, work)
+        finally:
+            sys.setswitchinterval(interval)
+
+        engine = svc._engine("n")
+        assert engine.owner_epoch("stable") == 1
+        for i in range(churners):
+            assert engine.owner_epoch(f"churn{i}") == 2 * rounds
+        assert engine.attachment_epoch == 1 + churners * 2 * rounds
+        assert svc.network_epoch("n") == 2 + churners * 2 * rounds
+        for resp in results[churners] + results[churners + 1]:
+            assert resp["cached"] is True, resp
+            assert resp["answer"] == cold["answer"]
+        assert svc.answer_cache.stale_hits == 0
+
     def test_engine_owners_iteration_is_safe(self, small_public_private):
         """Direct engine-level churn: owners() during attach/detach."""
         from repro import PPKWS

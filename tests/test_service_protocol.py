@@ -6,10 +6,11 @@ the *behavioral* wire contract of the v1 protocol:
 * the cross-request answer cache — hits marked ``cached``, ``no_cache``
   / ``trace`` bypass, canonicalized keys (defaults applied), only
   ``status: "ok"`` responses cached;
-* epoch-based invalidation — the acceptance property that an answer
-  cached *before* an ``attach`` / ``detach`` / ``drop`` is **never**
-  served after it, including through the direct Python API and through
-  a drop-and-recreate of the same network name;
+* epoch-based invalidation — the acceptance property that an owner's
+  answer cached *before* its ``attach`` / ``detach`` / dynamic repair or
+  its network's ``drop`` is **never** served after it, including through
+  the direct Python API, ``batch`` items and a drop-and-recreate of the
+  same network name — while every *other* owner's answers stay hits;
 * the central exception-type -> error-code map;
 * concurrent serving through :class:`~repro.serving.ServiceExecutor`
   against multiple networks.
@@ -146,18 +147,28 @@ class TestAnswerCacheSemantics:
 
 class TestEpochInvalidation:
     def test_answer_cached_before_attach_is_never_served_after(self, service):
-        """The acceptance property: an attach strictly invalidates."""
+        """The acceptance property, per owner: an attach or detach
+        strictly invalidates *its owner's* answers and nobody else's (a
+        private graph is visible to its owner only)."""
         cold = service.execute(blinks_req())
         assert service.execute(blinks_req())["cached"] is True
 
         service.attach_user("net", "carol", _tiny_private())
 
+        # bob's answers are unaffected by carol's attach: still a hit
         after = service.execute(blinks_req())
-        assert "cached" not in after  # recomputed, not served from cache
-        # bob's answers are unaffected by carol's attach — but they must
-        # come from a fresh evaluation, which the next repeat then caches
+        assert after["cached"] is True
         assert after["answers"] == cold["answers"]
-        assert service.execute(blinks_req())["cached"] is True
+
+        # carol's own answers do die with her attachment
+        carol_req = blinks_req(owner="carol", keywords=["db"])
+        assert service.execute(carol_req)["status"] == "ok"
+        assert service.execute(carol_req)["cached"] is True
+        service.detach_user("net", "carol")
+        assert service.execute(carol_req)["code"] == "unknown_owner"
+        service.attach_user("net", "carol", _tiny_private())
+        assert "cached" not in service.execute(carol_req)
+        assert service.execute(blinks_req())["cached"] is True  # bob again
 
     def test_detach_and_reattach_changes_the_answer(self, small_public_private):
         """Content-visible staleness: re-attaching with a different
@@ -224,6 +235,139 @@ class TestEpochInvalidation:
     def test_stats_reports_the_epoch(self, service):
         resp = service.execute({"op": "stats", "network": "net"})
         assert resp["epoch"] == service.network_epoch("net") == 2
+
+
+@pytest.fixture
+def two_owners(small_public_private) -> PPKWSService:
+    """bob and carol on one network, each with a private copy."""
+    pub, priv = small_public_private
+    svc = PPKWSService(sketch_k=2)
+    svc.create_network("net", pub)
+    svc.attach_user("net", "bob", priv.copy())
+    svc.attach_user("net", "carol", priv.copy())
+    return svc
+
+
+def _ask(svc, owner, via):
+    """bob's/carol's knk answer as a single request or a one-item batch.
+
+    Returns the query's entry with ``cached`` normalized to a bool; a
+    batch that fails as a whole (detached owner) returns its top level.
+    """
+    if via == "single":
+        entry = svc.execute(knk_req(owner=owner))
+    else:
+        item = {k: v for k, v in knk_req().items()
+                if k not in ("network", "owner")}
+        resp = svc.execute({"op": "batch", "network": "net", "owner": owner,
+                            "queries": [item]})
+        entry = resp["results"][0] if resp["status"] == "ok" else resp
+    entry["cached"] = bool(entry.get("cached"))
+    return entry
+
+
+def _best(entry):
+    return entry["answer"]["matches"][0]["distance"]
+
+
+@pytest.mark.parametrize("via", ["single", "batch"])
+class TestOwnerIsolation:
+    """An owner-side cached fact lives until *that owner's* attachment
+    (or the network's life) changes — through single requests and
+    ``batch`` items alike, which share entries and the validity token."""
+
+    def _warm(self, svc, via):
+        for owner in ("bob", "carol"):
+            assert _ask(svc, owner, via)["cached"] is False
+            assert _ask(svc, owner, via)["cached"] is True
+
+    def test_other_owners_attach_and_detach_leave_a_hit(self, two_owners, via):
+        self._warm(two_owners, via)
+        cold = _ask(two_owners, "bob", via)
+        two_owners.detach_user("net", "carol")
+        two_owners.attach_user("net", "dave", _tiny_private())
+        hit = _ask(two_owners, "bob", via)
+        assert hit["cached"] is True
+        assert hit["answer"] == cold["answer"]
+        assert two_owners.answer_cache.stale_hits == 0
+
+    def test_detached_owner_is_unknown_never_a_cached_ok(self, two_owners, via):
+        self._warm(two_owners, via)
+        two_owners.detach_user("net", "bob")
+        gone = _ask(two_owners, "bob", via)
+        assert gone["status"] == "error"
+        assert gone["code"] == "unknown_owner"
+        assert gone["cached"] is False
+        assert _ask(two_owners, "carol", via)["cached"] is True
+
+    def test_reattach_with_a_different_graph_serves_the_new_answer(
+        self, two_owners, small_public_private, via
+    ):
+        _, priv = small_public_private
+        self._warm(two_owners, via)
+        old_best = _best(_ask(two_owners, "bob", via))
+        two_owners.detach_user("net", "bob")
+        changed = priv.copy()
+        changed.add_edge("x1", "x3")  # x3 carries "cv": distance becomes 1
+        two_owners.attach_user("net", "bob", changed)
+
+        fresh = _ask(two_owners, "bob", via)
+        assert fresh["cached"] is False
+        assert _best(fresh) == 1.0 < old_best
+        assert _ask(two_owners, "bob", via)["cached"] is True
+        carol = _ask(two_owners, "carol", via)
+        assert carol["cached"] is True
+        assert _best(carol) == old_best
+
+    def test_drop_and_recreate_revives_no_owner(
+        self, two_owners, small_public_private, via
+    ):
+        pub, priv = small_public_private
+        self._warm(two_owners, via)
+        two_owners.drop_network("net")
+        assert _ask(two_owners, "bob", via)["code"] == "unknown_network"
+        two_owners.create_network("net", pub)
+        # before anyone re-attaches: unknown owners, not their old answers
+        for owner in ("bob", "carol"):
+            gone = _ask(two_owners, owner, via)
+            assert gone["code"] == "unknown_owner"
+            assert gone["cached"] is False
+        # the new life's first attach repeats the old life's owner epoch
+        # (1); the network's life in the token keeps the entries dead
+        two_owners.attach_user("net", "bob", priv.copy())
+        two_owners.attach_user("net", "carol", priv.copy())
+        for owner in ("bob", "carol"):
+            assert _ask(two_owners, owner, via)["cached"] is False
+
+    def test_dynamic_mutation_invalidates_its_owner_only(self, two_owners, via):
+        """``DynamicPrivateGraph`` repairs bump only the engine's epoch
+        for that owner; the answer cache must see it (it used to read
+        the service's own per-network counter and kept serving the
+        pre-mutation answer)."""
+        from repro.core.dynamic import DynamicPrivateGraph
+
+        self._warm(two_owners, via)
+        old_best = _best(_ask(two_owners, "bob", via))
+        dyn = DynamicPrivateGraph(two_owners._engine("net"), "bob")
+
+        dyn.add_labels("x4", {"cv"})  # in-place repair: x1-x2-x4
+        relabelled = _ask(two_owners, "bob", via)
+        assert relabelled["cached"] is False
+        assert _best(relabelled) == 2.0 < old_best
+
+        dyn.add_edge("x1", "x4")  # incremental repair, attachment swapped
+        shortcut = _ask(two_owners, "bob", via)
+        assert shortcut["cached"] is False
+        assert _best(shortcut) == 1.0
+
+        dyn.remove_edge("x1", "x4")  # rebuild: detach + attach
+        rebuilt = _ask(two_owners, "bob", via)
+        assert rebuilt["cached"] is False
+        assert _best(rebuilt) == 2.0
+
+        carol = _ask(two_owners, "carol", via)
+        assert carol["cached"] is True
+        assert _best(carol) == old_best
 
 
 class TestErrorCodeMap:
