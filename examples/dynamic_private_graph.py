@@ -36,7 +36,7 @@ def main() -> None:
     index = PublicIndex.build(public, k=2)
     build_s = time.perf_counter() - start
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "public-index.jsonl")
+        path = os.path.join(tmp, "public.idx")
         save_index(index, path)
         size_kb = os.path.getsize(path) / 1024
         print(f"built index in {build_s:.1f}s, persisted {size_kb:.0f} KiB")

@@ -8,7 +8,7 @@ Commands
 ``bench``     run one paper experiment and print its table
 
 The CLI works entirely over the text graph format of
-:mod:`repro.graph.io` and the JSON-lines index format of
+:mod:`repro.graph.io` and the flat binary index format of
 :mod:`repro.core.persist`, so a dataset generated once can be indexed and
 queried across runs.
 """

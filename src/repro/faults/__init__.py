@@ -30,9 +30,10 @@ Actions
     Sleep ``delay_s`` seconds (slow disk / lock convoy simulation).
 ``truncate``
     At a write-stream point (see :func:`wrap_write`): write only the
-    first ``truncate_at`` bytes, then raise
-    :class:`~repro.exceptions.TornWriteError` — a byte-accurate torn
-    write.  At a non-stream point it degrades to a raise.
+    first ``truncate_at`` bytes (characters, on the graph files' text
+    stream), then raise :class:`~repro.exceptions.TornWriteError` — on
+    the binary index stream a byte-accurate torn write.  At a non-stream
+    point it degrades to a raise.
 
 Activation
 ----------
@@ -64,7 +65,9 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    IO, AnyStr, Dict, Generic, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.exceptions import (
     FaultInjectedError,
@@ -220,13 +223,14 @@ class FaultSchedule:
             self._act(point, spec)
 
     def wrap_write(
-        self, fh: IO[str], point: FaultPoint
-    ) -> Union[IO[str], "_TruncatingWriter"]:
+        self, fh: IO[AnyStr], point: FaultPoint
+    ) -> Union[IO[AnyStr], "_TruncatingWriter[AnyStr]"]:
         """Count one hit of stream-``point``; maybe wrap ``fh``.
 
         A due ``truncate`` spec returns a proxy that tears the stream at
-        ``truncate_at`` bytes; any other due spec acts immediately (so a
-        ``raise`` armed on the stream point fails the write up front).
+        ``truncate_at`` bytes (characters, on a text stream); any other
+        due spec acts immediately (so a ``raise`` armed on the stream
+        point fails the write up front).
         """
         spec = self._arm(point)
         if spec is None:
@@ -237,16 +241,19 @@ class FaultSchedule:
         return _TruncatingWriter(fh, point, spec, self)
 
 
-class _TruncatingWriter:
+class _TruncatingWriter(Generic[AnyStr]):
     """Write proxy that persists a prefix then simulates a crash.
 
-    Only ``write`` is proxied — the atomic-write helpers never call
-    anything else on the stream they expose.
+    The prefix is ``truncate_at`` units of whatever the stream takes:
+    bytes on a binary stream (the index file — a byte-accurate tear),
+    characters on a text one (the graph files).  Only ``write`` is
+    proxied — the atomic-write helpers never call anything else on the
+    stream they expose.
     """
 
     def __init__(
         self,
-        fh: IO[str],
+        fh: IO[AnyStr],
         point: FaultPoint,
         spec: FaultSpec,
         schedule: FaultSchedule,
@@ -257,7 +264,7 @@ class _TruncatingWriter:
         self._schedule = schedule
         self._written = 0
 
-    def write(self, data: str) -> int:
+    def write(self, data: AnyStr) -> int:
         remaining = self._spec.truncate_at - self._written
         if len(data) <= remaining:
             self._written += len(data)
@@ -295,8 +302,8 @@ def fire(point: FaultPoint) -> None:
 
 
 def wrap_write(
-    fh: IO[str], point: FaultPoint
-) -> Union[IO[str], _TruncatingWriter]:
+    fh: IO[AnyStr], point: FaultPoint
+) -> Union[IO[AnyStr], "_TruncatingWriter[AnyStr]"]:
     """Hit stream-``point``; returns ``fh`` (possibly wrapped)."""
     schedule = _ACTIVE
     if schedule is None:

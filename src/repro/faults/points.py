@@ -71,7 +71,7 @@ def _point(
 # -- index persistence (repro.core.persist) ----------------------------
 PERSIST_SAVE_WRITE = _point(
     "persist.save.write", "persist",
-    "byte stream of the index tmp-file write (truncate = torn write)",
+    "byte stream of the binary index tmp-file write (truncate = torn write)",
     stream=True,
 )
 PERSIST_SAVE_FSYNC = _point(
@@ -90,7 +90,7 @@ PERSIST_LOAD_READ = _point(
 # -- graph text persistence (repro.graph.io) ---------------------------
 GRAPH_SAVE_WRITE = _point(
     "graph.save.write", "graph-io",
-    "byte stream of the graph tmp-file write (truncate = torn write)",
+    "text stream of the graph tmp-file write (truncate = torn write)",
     stream=True,
 )
 GRAPH_SAVE_FSYNC = _point(

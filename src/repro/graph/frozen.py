@@ -48,6 +48,7 @@ process-based shard tier (:mod:`repro.serving.shards`) is built on.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 from array import array
 from dataclasses import dataclass
@@ -506,6 +507,23 @@ class FrozenGraph:
             + self._indices.itemsize * len(self._indices)
             + self._weights.itemsize * len(self._weights)
         )
+
+    def digest(self) -> str:
+        """sha-256 of the graph as laid out: vertex table, CSR, label buckets.
+
+        Identifies the graph an on-disk index was built over
+        (:mod:`repro.core.persist`).  Order-sensitive on purpose: a false
+        mismatch costs one index rebuild, a false match serves wrong
+        answers.  Labels are sorted because set iteration order differs
+        between processes.
+        """
+        digest = hashlib.sha256(ascii(self._vertex_of).encode("ascii"))
+        for buffer in self.csr():
+            digest.update(buffer)
+        for label in sorted(self._label_ids, key=repr):
+            digest.update(ascii(label).encode("ascii"))
+            digest.update(self._label_ids[label])
+        return digest.hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.name!r}" if self.name else ""

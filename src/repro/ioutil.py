@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import os
 from contextlib import contextmanager
-from typing import IO, Iterator, cast
+from typing import IO, Any, Iterator, cast
 
 from repro import faults
 from repro.faults.points import FaultPoint
@@ -50,18 +50,23 @@ def atomic_write(
     write_point: FaultPoint,
     fsync_point: FaultPoint,
     rename_point: FaultPoint,
-) -> Iterator[IO[str]]:
-    """Yield a text stream whose contents reach ``path`` atomically.
+    binary: bool = False,
+) -> Iterator[IO[Any]]:
+    """Yield a stream whose contents reach ``path`` atomically.
 
-    The caller writes the complete new contents to the yielded stream;
-    on normal exit the data is flushed, fsynced and renamed over
+    The stream takes ``str`` (UTF-8 text, the graph files) or, with
+    ``binary=True``, ``bytes`` (the index file) — the protocol is the
+    same.  The caller writes the complete new contents to the yielded
+    stream; on normal exit the data is flushed, fsynced and renamed over
     ``path`` in one atomic step.  On any exception the tmp file is
     removed and ``path`` is untouched.
     """
     tmp = f"{path}.tmp.{os.getpid()}.{next(_TMP_COUNTER)}"
-    fh = open(tmp, "w", encoding="utf-8")
+    fh: IO[Any] = (
+        open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+    )
     try:
-        yield cast("IO[str]", faults.wrap_write(fh, write_point))
+        yield cast("IO[Any]", faults.wrap_write(fh, write_point))
         fh.flush()
         faults.fire(fsync_point)
         os.fsync(fh.fileno())

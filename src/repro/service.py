@@ -527,10 +527,11 @@ class PPKWSService:
         ``index_path`` enables index persistence: an existing file there
         is loaded instead of rebuilding the PADS/KPADS sketches (the only
         expensive artifact), and after a fresh build the index is saved
-        there for the next start.  A missing or *stale* file (the graph
-        changed since it was written) silently falls back to a fresh
-        build that overwrites it — persistence is a cache, never a
-        correctness risk.  A *corrupt* file (failed checksum, truncation,
+        there for the next start.  A missing or *stale* file (written
+        for another graph — checked by digest, not just size — or under
+        another ``sketch_k``) silently falls back to a fresh build that
+        overwrites it — persistence is a cache, never a correctness
+        risk.  A *corrupt* file (failed checksum, truncation,
         version skew — :class:`~repro.exceptions.IndexCorruptError`) is
         quarantined to ``<index_path>.corrupt`` and reported via a
         ``warnings`` entry on the response before the rebuild, so disk
@@ -589,6 +590,8 @@ class PPKWSService:
             if index_path is not None:
                 try:
                     index = load_index(frozen_public, index_path)
+                    if index.pads.k != self._sketch_k:
+                        index = None  # stale: written under another sketch_k
                 except FileNotFoundError:
                     index = None
                 except IndexCorruptError as exc:

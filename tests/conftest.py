@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import struct
 
 import pytest
 
@@ -126,3 +128,57 @@ def random_connected_graph(
         if rng.random() < 0.6:
             g.add_labels(v, rng.sample(labels, rng.randint(1, len(labels))))
     return g
+
+
+# ----------------------------------------------------------------------
+# the binary index file, taken apart and put back by hand
+# ----------------------------------------------------------------------
+# Deliberately *not* imported from ``repro.core.persist``: the corruption
+# suites craft damaged files behind a valid checksum, and an accidental
+# change of the on-disk layout should fail them.
+INDEX_SECTIONS = (
+    "meta",
+    "pagerank.ids", "pagerank.scores",
+    "pads.owners", "pads.indptr", "pads.centers", "pads.dists",
+    "kpads.indptr", "kpads.centers", "kpads.dists", "kpads.witnesses",
+    "cand.indptr", "cand.dists", "cand.vertices",
+)
+INDEX_TRAILER_BYTES = 32
+
+
+def index_section_bounds(raw: bytes) -> list:
+    """Byte offsets where the header, each section and the trailer start."""
+    count = struct.unpack_from("<I", raw, 12)[0]
+    lengths = struct.unpack_from(f"<{count}Q", raw, 16)
+    bounds = [0, 16 + 8 * count]
+    for length in lengths:
+        bounds.append(bounds[-1] + length)
+    assert bounds[-1] == len(raw) - INDEX_TRAILER_BYTES
+    return bounds
+
+
+def split_index_file(raw: bytes) -> dict:
+    """``{section name: bytes}`` of a well-formed index file."""
+    bounds = index_section_bounds(raw)[1:]
+    assert len(bounds) == len(INDEX_SECTIONS) + 1
+    return {
+        name: raw[a:b]
+        for name, a, b in zip(INDEX_SECTIONS, bounds, bounds[1:])
+    }
+
+
+def join_index_file(sections, version=3, count=None, lengths=None) -> bytes:
+    """An index file over ``sections`` with a *correct* checksum.
+
+    ``version`` / ``count`` / ``lengths`` override what the header says,
+    so a test can put any inconsistency behind a valid trailer.
+    """
+    blobs = list(sections.values()) if isinstance(sections, dict) else list(sections)
+    lengths = list(lengths) if lengths is not None else [len(b) for b in blobs]
+    body = (
+        b"PPKWSIDX"
+        + struct.pack("<II", version, len(blobs) if count is None else count)
+        + struct.pack(f"<{len(lengths)}Q", *lengths)
+        + b"".join(blobs)
+    )
+    return body + hashlib.sha256(body).digest()

@@ -7,17 +7,20 @@ Four layers:
 * the atomic-write protocol (:mod:`repro.ioutil`) under injected
   crashes at every stage;
 * the ``save_index`` torn-write regression: a truncation at *every*
-  record boundary must leave the previous index intact and loadable;
-* corrupt-index detection across all record types (bit flip,
-  truncation, version skew) and the service's quarantine behaviour.
+  section boundary, and at a stride of offsets inside the sections, must
+  leave the previous index intact and loadable;
+* corrupt-index detection across every section (bit flip, truncation,
+  and version skew / length-table / id-range / item-size damage behind
+  a valid checksum), stale-index detection (graph digest, ``sketch_k``)
+  and the service's quarantine behaviour.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
+from array import array
 
 import pytest
 
@@ -37,7 +40,13 @@ from repro.graph.io import load_graph, save_graph
 from repro.ioutil import atomic_write
 from repro.obs import MetricsRegistry, install, uninstall
 from repro.service import PPKWSService
-from tests.conftest import random_connected_graph
+from tests.conftest import (
+    INDEX_SECTIONS,
+    index_section_bounds,
+    join_index_file,
+    random_connected_graph,
+    split_index_file,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -166,6 +175,19 @@ class TestSchedule:
             wrapped.write("456789")
         assert sink.getvalue() == "0123456"
         assert excinfo.value.byte_offset == 7
+        assert sched.total_injected() == 1
+
+    def test_wrap_write_truncates_a_bytes_stream_at_byte_offset(self):
+        sched = FaultSchedule(
+            [FaultSpec(fp.PERSIST_SAVE_WRITE, "truncate", truncate_at=5)]
+        )
+        sink = io.BytesIO()
+        wrapped = sched.wrap_write(sink, fp.PERSIST_SAVE_WRITE)
+        wrapped.write("é".encode("utf-8"))  # one character, two bytes
+        with pytest.raises(TornWriteError) as excinfo:
+            wrapped.write(b"\x00\x01\x02\x03\x04")
+        assert sink.getvalue() == b"\xc3\xa9\x00\x01\x02"
+        assert excinfo.value.byte_offset == 5
         assert sched.total_injected() == 1
 
     def test_wrap_write_with_no_due_spec_returns_stream(self):
@@ -299,6 +321,24 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == ["out.txt"]
 
 
+    def test_binary_stream_follows_the_same_protocol(self, tmp_path):
+        path = tmp_path / "out.bin"
+        with atomic_write(str(path), *self.POINTS, binary=True) as fh:
+            fh.write(b"\x00\xffold")
+        assert path.read_bytes() == b"\x00\xffold"
+        sched = FaultSchedule(
+            [FaultSpec(fp.GRAPH_SAVE_WRITE, "truncate", truncate_at=3)]
+        )
+        with faults.injected(sched):
+            with pytest.raises(TornWriteError):
+                with atomic_write(str(path), *self.POINTS, binary=True) as fh:
+                    fh.write(b"\x01\x02")
+                    fh.write(b"\x03\x04")
+        assert sched.total_injected() == 1
+        assert path.read_bytes() == b"\x00\xffold"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+
 class TestGraphIOAtomicity:
     def test_torn_graph_save_preserves_previous_file(self, tmp_path):
         g1 = random_connected_graph(8, 2, seed=1)
@@ -331,29 +371,31 @@ class TestGraphIOAtomicity:
 # ----------------------------------------------------------------------
 class TestIndexTornWriteRegression:
     def test_truncation_at_every_record_boundary(self, tmp_path, index_and_graph):
-        """A crash after any whole number of records must be harmless.
+        """A crash after any number of bytes must be harmless.
 
         Before v2, ``save_index`` wrote straight to ``path``: a torn
         write left a parseable prefix that ``load_index`` accepted.
-        Now, for every record boundary K, an injected truncation at K
-        bytes must leave the previous file byte-identical and loadable.
+        Now, for every section boundary K (header, each of the 14
+        sections, the trailer) and a stride of offsets inside them, an
+        injected truncation at K bytes must leave the previous file
+        byte-identical and loadable.
         """
         index, g = index_and_graph
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         good_bytes = path.read_bytes()
-        lines = good_bytes.decode("utf-8").splitlines(keepends=True)
-        assert len(lines) >= 5  # header + records + trailer
-        boundaries = [0]
-        for line in lines:
-            boundaries.append(boundaries[-1] + len(line))
-        for offset in boundaries[:-1]:  # the full length would succeed
+        boundaries = index_section_bounds(good_bytes)
+        assert len(boundaries) == len(INDEX_SECTIONS) + 2
+        offsets = sorted(set(boundaries) | set(range(1, len(good_bytes), 61)))
+        assert offsets[-1] < len(good_bytes)  # the full length would succeed
+        for offset in offsets:
             sched = FaultSchedule([
                 FaultSpec(fp.PERSIST_SAVE_WRITE, "truncate", truncate_at=offset)
             ])
             with faults.injected(sched):
-                with pytest.raises(TornWriteError):
+                with pytest.raises(TornWriteError) as excinfo:
                     save_index(index, path)
+            assert excinfo.value.byte_offset == offset
             assert sched.total_injected() == 1, f"offset {offset} never fired"
             assert path.read_bytes() == good_bytes, f"torn at {offset}"
             load_index(g, path)  # still loadable
@@ -384,101 +426,182 @@ class TestIndexTornWriteRegression:
 # ----------------------------------------------------------------------
 # corrupt-index detection (satellite 4)
 # ----------------------------------------------------------------------
-def _lines(path) -> list:
-    return path.read_text(encoding="utf-8").splitlines(keepends=True)
+#: a text-v2 index as a previous release wrote it (header, one record,
+#: checksummed trailer) -- the format this one no longer reads
+_TEXT_V2 = (
+    '{"record": "header", "version": 2, "k": 2, "kpads_per_center": 4, '
+    '"num_vertices": 1}\n'
+    '{"record": "pagerank", "v": "i:0", "score": 1.0}\n'
+    '{"record": "trailer", "records": 2, "sha256": "' + "0" * 64 + '"}\n'
+)
+
+#: parameter name -> the sections a flipped byte lands in
+_FLIP_GROUPS = {
+    "header": ("header",),
+    "meta": ("meta",),
+    "pagerank": ("pagerank.ids", "pagerank.scores"),
+    "pads": ("pads.owners", "pads.indptr", "pads.centers", "pads.dists"),
+    "kpads": ("kpads.indptr", "kpads.centers", "kpads.dists", "kpads.witnesses"),
+    "cand": ("cand.indptr", "cand.dists", "cand.vertices"),
+    "trailer": ("trailer",),
+}
 
 
-def _line_index(lines, kind: str) -> int:
-    for i, line in enumerate(lines):
-        if json.loads(line).get("record") == kind:
-            return i
-    raise AssertionError(f"no {kind!r} record")
+def _saved(tmp_path, index):
+    path = tmp_path / "idx.jsonl"
+    save_index(index, path)
+    return path, path.read_bytes()
 
 
-def _with_trailer(body_lines) -> str:
-    """Rebuild a file with a *correct* trailer over ``body_lines``."""
-    digest = hashlib.sha256("".join(body_lines).encode("utf-8")).hexdigest()
-    trailer = json.dumps(
-        {"record": "trailer", "records": len(body_lines), "sha256": digest}
-    )
-    return "".join(body_lines) + trailer + "\n"
+def _edited(sections: dict, name: str, typecode: str, edit) -> dict:
+    """``sections`` with ``edit(array)`` applied to section ``name``."""
+    column = array(typecode, sections[name])
+    edit(column)
+    return {**sections, name: column.tobytes()}
 
 
 class TestCorruptIndexDetection:
-    @pytest.mark.parametrize("kind", ["header", "pagerank", "pads", "kpads"])
+    @pytest.mark.parametrize("kind", list(_FLIP_GROUPS))
     def test_bit_flip_in_each_record_type(self, tmp_path, index_and_graph, kind):
         index, g = index_and_graph
-        path = tmp_path / "idx.jsonl"
-        save_index(index, path)
-        lines = _lines(path)
-        i = _line_index(lines, kind)
-        # flip one character inside the record payload
-        flipped = lines[i].replace('"record"', '"recorE"', 1)
-        assert flipped != lines[i]
-        lines[i] = flipped
-        path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(IndexCorruptError, match="checksum mismatch"):
+        path, raw = _saved(tmp_path, index)
+        bounds = index_section_bounds(raw)
+        starts = dict(zip(("header",) + INDEX_SECTIONS + ("trailer",), bounds))
+        ends = dict(zip(("header",) + INDEX_SECTIONS, bounds[1:]))
+        ends["trailer"] = len(raw)
+        for name in _FLIP_GROUPS[kind]:
+            assert ends[name] > starts[name], f"{name} is empty"
+            # the first byte past any magic, a middle byte and the last byte
+            first = starts[name] + (8 if name == "header" else 0)
+            for at in {first, (first + ends[name]) // 2, ends[name] - 1}:
+                flipped = bytearray(raw)
+                flipped[at] ^= 0x04
+                path.write_bytes(bytes(flipped))
+                with pytest.raises(IndexCorruptError, match="checksum mismatch"):
+                    load_index(g, path)
+
+    def test_flipped_magic_is_an_unsupported_format(self, tmp_path, index_and_graph):
+        index, g = index_and_graph
+        path, raw = _saved(tmp_path, index)
+        path.write_bytes(b"Q" + raw[1:])
+        with pytest.raises(IndexCorruptError, match="unsupported index format"):
             load_index(g, path)
 
-    def test_truncation_at_every_line_boundary_is_detected(
+    def test_text_v2_file_is_an_unsupported_format(self, tmp_path, index_and_graph):
+        """No fallback reader: a previous release's file is damage."""
+        _, g = index_and_graph
+        path = tmp_path / "idx.jsonl"
+        path.write_text(_TEXT_V2, encoding="utf-8")
+        with pytest.raises(IndexCorruptError, match="unsupported index format"):
+            load_index(g, path)
+
+    def test_truncation_at_every_section_boundary_is_detected(
         self, tmp_path, index_and_graph
     ):
         index, g = index_and_graph
-        path = tmp_path / "idx.jsonl"
-        save_index(index, path)
-        lines = _lines(path)
-        for n in range(len(lines)):  # keep first n lines only
-            path.write_text("".join(lines[:n]), encoding="utf-8")
-            with pytest.raises(IndexCorruptError):
+        path, raw = _saved(tmp_path, index)
+        for offset in index_section_bounds(raw):  # keep the first ``offset`` bytes
+            path.write_bytes(raw[:offset])
+            with pytest.raises(IndexCorruptError, match="empty|checksum mismatch"):
                 load_index(g, path)
 
-    def test_mid_line_truncation_is_detected(self, tmp_path, index_and_graph):
+    def test_mid_section_truncation_is_detected(self, tmp_path, index_and_graph):
         index, g = index_and_graph
-        path = tmp_path / "idx.jsonl"
-        save_index(index, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 9])  # tear the trailer line
-        with pytest.raises(IndexCorruptError, match="not valid JSON|missing checksum"):
-            load_index(g, path)
+        path, raw = _saved(tmp_path, index)
+        for offset in list(range(1, len(raw), 53)) + [len(raw) - 9, len(raw) - 1]:
+            path.write_bytes(raw[:offset])  # the last two tear the trailer
+            with pytest.raises(
+                IndexCorruptError, match="checksum mismatch|unsupported index format"
+            ):
+                load_index(g, path)
 
     def test_version_skew_with_valid_checksum(self, tmp_path, index_and_graph):
         index, g = index_and_graph
-        path = tmp_path / "idx.jsonl"
-        save_index(index, path)
-        lines = _lines(path)
-        i = _line_index(lines, "header")
-        header = json.loads(lines[i])
-        header["version"] = 99
-        lines[i] = json.dumps(header) + "\n"
-        path.write_text(_with_trailer(lines[:-1]), encoding="utf-8")
-        with pytest.raises(IndexCorruptError, match="version"):
+        path, raw = _saved(tmp_path, index)
+        path.write_bytes(join_index_file(split_index_file(raw), version=99))
+        with pytest.raises(IndexCorruptError, match="version 99"):
             load_index(g, path)
 
     def test_record_count_mismatch(self, tmp_path, index_and_graph):
+        """The section table disagrees with the body, checksum valid."""
         index, g = index_and_graph
-        path = tmp_path / "idx.jsonl"
-        save_index(index, path)
-        lines = _lines(path)
-        trailer = json.loads(lines[-1])
-        trailer["records"] += 1
-        lines[-1] = json.dumps(trailer) + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(IndexCorruptError, match="record"):
-            load_index(g, path)
+        path, raw = _saved(tmp_path, index)
+        sections = split_index_file(raw)
+        lengths = [len(blob) for blob in sections.values()]
+        damaged = [
+            join_index_file(sections, count=len(sections) + 1),
+            join_index_file(sections, lengths=[lengths[0] + 8] + lengths[1:]),
+            join_index_file(sections, lengths=lengths[:-1] + [lengths[-1] - 4]),
+            join_index_file(list(sections.values())[:-1]),
+        ]
+        for blob in damaged:
+            path.write_bytes(blob)
+            with pytest.raises(IndexCorruptError, match="section table"):
+                load_index(g, path)
 
     def test_undecodable_record_behind_valid_checksum(
         self, tmp_path, index_and_graph
     ):
+        """An id past the vertex table, in each id section."""
         index, g = index_and_graph
-        path = tmp_path / "idx.jsonl"
-        save_index(index, path)
-        lines = _lines(path)
-        i = _line_index(lines, "pagerank")
-        rec = json.loads(lines[i])
-        del rec["score"]
-        lines[i] = json.dumps(rec) + "\n"
-        path.write_text(_with_trailer(lines[:-1]), encoding="utf-8")
-        with pytest.raises(IndexCorruptError, match="undecodable"):
+        path, raw = _saved(tmp_path, index)
+        sections = split_index_file(raw)
+        id_sections = [
+            "pagerank.ids", "pads.owners", "pads.centers", "kpads.centers",
+            "kpads.witnesses", "cand.vertices",
+        ]
+        for name in id_sections:
+            for bad_id in (g.num_vertices, -1):
+                def poke(column, bad_id=bad_id):
+                    column[len(column) // 2] = bad_id
+                path.write_bytes(join_index_file(_edited(sections, name, "i", poke)))
+                with pytest.raises(
+                    IndexCorruptError, match=f"undecodable.*{name}.*out of range"
+                ):
+                    load_index(g, path)
+
+    @pytest.mark.parametrize("damage", [
+        "item size", "row pointer order", "row pointer end", "row count",
+        "column lengths", "pagerank lengths", "meta json", "meta field",
+    ])
+    def test_undecodable_section_behind_valid_checksum(
+        self, tmp_path, index_and_graph, damage
+    ):
+        index, g = index_and_graph
+        path, raw = _saved(tmp_path, index)
+        sections = split_index_file(raw)
+        if damage == "item size":
+            sections["pads.dists"] += b"\x00\x00\x00"
+            reason = "item size"
+        elif damage == "row pointer order":
+            def swap(column):
+                column[1], column[2] = column[2] + 1, column[1]
+            sections = _edited(sections, "pads.indptr", "i", swap)
+            reason = "pads.indptr"
+        elif damage == "row pointer end":
+            sections = _edited(
+                sections, "cand.indptr", "i", lambda c: c.__setitem__(-1, c[-1] + 1)
+            )
+            reason = "cand.indptr"
+        elif damage == "row count":
+            sections = _edited(sections, "kpads.indptr", "i", lambda c: c.pop(1))
+            reason = "kpads.indptr"
+        elif damage == "column lengths":
+            sections = _edited(sections, "kpads.witnesses", "i", lambda c: c.pop())
+            reason = "kpads.indptr"
+        elif damage == "pagerank lengths":
+            sections = _edited(sections, "pagerank.scores", "d", lambda c: c.pop())
+            reason = "pagerank"
+        elif damage == "meta json":
+            sections["meta"] = sections["meta"][:-1]
+            reason = "undecodable"
+        else:
+            meta = json.loads(sections["meta"])
+            del meta["kpads_per_center"]
+            sections["meta"] = json.dumps(meta).encode("utf-8")
+            reason = "kpads_per_center"
+        path.write_bytes(join_index_file(sections))
+        with pytest.raises(IndexCorruptError, match=f"undecodable.*{reason}"):
             load_index(g, path)
 
     def test_empty_file(self, tmp_path, index_and_graph):
@@ -498,6 +621,37 @@ class TestCorruptIndexDetection:
         with pytest.raises(IndexBuildError) as excinfo:
             load_index(other, path)
         assert not isinstance(excinfo.value, IndexCorruptError)
+
+    @pytest.mark.parametrize("change", ["edge", "weight", "label", "vertex name"])
+    def test_same_size_graph_with_any_difference_is_stale(
+        self, tmp_path, index_and_graph, change
+    ):
+        """The vertex count alone used to decide "same graph"."""
+        index, g = index_and_graph
+        path, _ = _saved(tmp_path, index)
+        # rebuilt, not ``g.copy()``: the digest is layout-sensitive and a
+        # copy may order neighbours differently (a harmless false "stale")
+        other = random_connected_graph(12, 4, seed=7)
+        u, v, w = next(iter(g.edges()))
+        if change == "edge":
+            spare = next(x for x in g.vertices() if x != u and not g.has_edge(u, x))
+            other.remove_edge(u, v)
+            other.add_edge(u, spare, w)
+        elif change == "weight":
+            other.add_edge(u, v, w + 0.5)
+        elif change == "label":
+            other.add_labels(u, {"never-seen"})
+        else:
+            other = LabeledGraph()
+            for x in g.vertices():  # same shape, every vertex renamed
+                other.add_vertex(f"v{x}", g.labels(x))
+                for y, weight in g.neighbor_items(x):
+                    other.add_edge(f"v{x}", f"v{y}", weight)
+        assert other.num_vertices == g.num_vertices
+        with pytest.raises(IndexBuildError) as excinfo:
+            load_index(other, path)
+        assert not isinstance(excinfo.value, IndexCorruptError)
+        load_index(random_connected_graph(12, 4, seed=7), path)  # equal: loads
 
     def test_corrupt_is_an_index_build_error(self, tmp_path, index_and_graph):
         """Callers catching IndexBuildError (the pre-v2 contract) still
@@ -552,6 +706,74 @@ class TestServiceQuarantine:
         assert resp["status"] == "ok"
         assert "warnings" not in resp
         assert not os.path.exists(index_path + ".corrupt")
+
+    def test_same_vertices_different_graph_is_rebuilt_not_served(self, tmp_path):
+        """Regression: ``num_vertices`` alone used to decide "same graph".
+
+        Same four vertices, different edges and labels: the file of the
+        first network was loaded for the second, so ``PADS(a)`` listed
+        ``b`` (no longer a neighbour) and the KPADS witness for ``x``
+        was ``a`` (which no longer carries ``x``).
+        """
+        index_path = str(tmp_path / "net.idx")
+
+        def create(edges, labels):
+            svc = PPKWSService(sketch_k=2)
+            resp = svc.execute({
+                "op": "create_network", "network": "net", "index_path": index_path,
+                "public_edges": edges, "public_labels": labels,
+            })
+            assert resp["status"] == "ok" and "warnings" not in resp
+            return svc._engine("net").index
+
+        create([["a", "b"], ["b", "c"], ["c", "d"]], {"a": ["x"], "d": ["y"]})
+        first = open(index_path, "rb").read()
+        index = create([["a", "c"], ["a", "d"], ["b", "d"]], {"b": ["x"], "c": ["y"]})
+        assert index.pads.entries["a"].get("b") != 1.0  # a-b is not an edge now
+        assert set(index.kpads.witnesses["x"].values()) == {"b"}
+        assert not os.path.exists(index_path + ".corrupt")  # stale, not corrupt
+        assert open(index_path, "rb").read() != first  # ... and replaced
+        # a restart over the second graph now loads what was just written
+        stamp = os.stat(index_path).st_mtime_ns
+        create([["a", "c"], ["a", "d"], ["b", "d"]], {"b": ["x"], "c": ["y"]})
+        assert os.stat(index_path).st_mtime_ns == stamp
+
+    def test_index_of_another_sketch_k_is_rebuilt_not_served(self, tmp_path):
+        """Regression: a ``sketch_k=3`` service served a ``k=2`` file."""
+        g = self._make_graph()
+        index_path = str(tmp_path / "net.idx")
+        PPKWSService(sketch_k=2).create_network("net", g, index_path=index_path)
+        k2_bytes = open(index_path, "rb").read()
+        svc = PPKWSService(sketch_k=3)
+        resp = svc.execute({
+            "op": "create_network", "network": "net",
+            "public": g, "index_path": index_path,
+        })
+        assert resp["status"] == "ok" and "warnings" not in resp
+        assert svc._engine("net").index.pads.k == 3
+        assert not os.path.exists(index_path + ".corrupt")
+        assert open(index_path, "rb").read() != k2_bytes
+        assert load_index(svc._engine("net").public, index_path).pads.k == 3
+
+    def test_text_v2_index_is_quarantined_once_and_rebuilt(self, tmp_path):
+        """A previous release's file: one quarantine, one warning, one rebuild."""
+        g = self._make_graph()
+        index_path = str(tmp_path / "net.idx")
+        with open(index_path, "w", encoding="utf-8") as fh:
+            fh.write(_TEXT_V2)
+        reg = MetricsRegistry()
+        svc = PPKWSService(sketch_k=2, registry=reg)
+        resp = svc.execute({
+            "op": "create_network", "network": "net",
+            "public": g, "index_path": index_path,
+        })
+        assert resp["status"] == "ok"
+        assert len(resp["warnings"]) == 1
+        assert "unsupported index format" in resp["warnings"][0]
+        assert open(index_path + ".corrupt", encoding="utf-8").read() == _TEXT_V2
+        assert sorted(os.listdir(tmp_path)) == ["net.idx", "net.idx.corrupt"]
+        assert reg.value("ppkws_index_corrupt_total") == 1.0
+        assert load_index(svc._engine("net").public, index_path).pads.k == 2
 
     def test_direct_api_quarantines_without_a_request(self, tmp_path):
         """_warn outside a request must be a no-op, not a crash."""

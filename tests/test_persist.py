@@ -1,15 +1,26 @@
-"""Tests for public-index persistence (JSON-lines format)."""
+"""Tests for public-index persistence (the flat binary format)."""
 
 from __future__ import annotations
 
 import json
+import os
+import random
+import struct
+from array import array
 
 import pytest
 
 from repro.core import PPKWS, PublicIndex, load_index, save_index
-from repro.exceptions import IndexBuildError
+from repro.exceptions import IndexBuildError, IndexCorruptError
 from repro.graph import LabeledGraph
-from tests.conftest import random_connected_graph
+from repro.sketches.base import DistanceSketch
+from repro.sketches.kpads import KeywordSketch
+from tests.conftest import (
+    join_index_file,
+    random_connected_graph,
+    split_index_file,
+)
+from tests.engine_equivalence_data import SEEDS, run_workload, seeded_network
 
 
 @pytest.fixture
@@ -82,29 +93,30 @@ class TestErrors:
             load_index(other, path)
 
     def test_missing_header(self, tmp_path, index_and_graph):
-        _, g = index_and_graph
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"record": "pagerank", "v": "i:1", "score": 1}) + "\n")
+        index, g = index_and_graph
+        path = tmp_path / "bad.idx"
+        save_index(index, path)
+        path.write_bytes(path.read_bytes()[:20])  # torn inside the header
         with pytest.raises(IndexBuildError):
             load_index(g, path)
 
     def test_bad_version(self, tmp_path, index_and_graph):
-        _, g = index_and_graph
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"record": "header", "version": 99}) + "\n")
-        with pytest.raises(IndexBuildError):
+        index, g = index_and_graph
+        path = tmp_path / "bad.idx"
+        save_index(index, path)
+        sections = split_index_file(path.read_bytes())
+        path.write_bytes(join_index_file(sections, version=99))
+        with pytest.raises(IndexBuildError, match="version 99"):
             load_index(g, path)
 
     def test_unknown_record(self, tmp_path, index_and_graph):
+        """A section this version does not know, behind a valid checksum."""
         index, g = index_and_graph
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            json.dumps({
-                "record": "header", "version": 1, "k": 2,
-                "kpads_per_center": 4, "num_vertices": g.num_vertices,
-            }) + "\n" + json.dumps({"record": "mystery"}) + "\n"
-        )
-        with pytest.raises(IndexBuildError):
+        path = tmp_path / "bad.idx"
+        save_index(index, path)
+        sections = list(split_index_file(path.read_bytes()).values())
+        path.write_bytes(join_index_file(sections + [b"mystery!"]))
+        with pytest.raises(IndexCorruptError, match="section table"):
             load_index(g, path)
 
     def test_unsupported_vertex_type(self, tmp_path):
@@ -113,8 +125,173 @@ class TestErrors:
         with pytest.raises(IndexBuildError):
             save_index(index, tmp_path / "idx.jsonl")
 
-    def test_malformed_vertex_token(self):
-        from repro.core.persist import _decode_vertex
+    @pytest.mark.parametrize("vertex", [True, 1.5, None, (1, 2)])
+    def test_refused_vertex_types_leave_no_file(self, tmp_path, vertex):
+        """``bool`` is an ``int`` to ``isinstance`` — and still refused."""
+        g = LabeledGraph.from_edges([(vertex, "b")], {"b": {"x"}})
+        index = PublicIndex.build(g, k=1)
+        with pytest.raises(IndexBuildError, match="only int and str"):
+            save_index(index, tmp_path / "idx")
+        assert os.listdir(tmp_path) == []
 
-        with pytest.raises(IndexBuildError):
-            _decode_vertex("x:1")
+
+# ----------------------------------------------------------------------
+# the round-trip property: order and floats included
+# ----------------------------------------------------------------------
+_NAMES = ["plain", "two words", "a:b", "i:7", "line\nbreak", "naïve-ü", "日本", ""]
+
+
+def _property_graph(seed: int, vertices: str, weights: str) -> LabeledGraph:
+    rng = random.Random(seed)
+    n = 14
+    if vertices == "int":
+        names = list(range(n))
+    elif vertices == "str":
+        names = [f"{_NAMES[i % len(_NAMES)]}#{i}" for i in range(n)]
+    else:  # mixed; 7 and "7" are different vertices
+        names = [i if i % 2 else f"{_NAMES[i % len(_NAMES)]}{i}" for i in range(n)]
+        names[0] = "7"
+    weight = {
+        "unit": lambda: 1.0,
+        "float": lambda: rng.choice([0.1 + 0.2, 0.3, 1 / 3, 2.5]),
+        "mixed": lambda: rng.choice([1.0, 2.0, 0.1 + 0.2, 1 / 3]),
+    }[weights]
+    g = LabeledGraph(f"prop{seed}")
+    g.add_vertex(names[0])
+    for i in range(1, n):
+        g.add_edge(names[i], names[rng.randrange(i)], weight())
+    for _ in range(8):
+        u, v = rng.sample(names, 2)
+        if not g.has_edge(u, v):
+            g.add_edge(u, v, weight())
+    for v in names:
+        g.add_labels(v, rng.sample(["x", "key word", "ключ", "a:b"], rng.randint(0, 2)))
+    return g
+
+
+def _maps(index: PublicIndex):
+    """Every map of the index as ``(name, items list)``, order preserved."""
+    yield "pagerank", list(index.pagerank_scores.items())
+    yield "pads owners", list(index.pads.entries)
+    for v, sketch in index.pads.entries.items():
+        yield f"pads[{v!r}]", list(sketch.items())
+    for name in ("entries", "witnesses", "candidates"):
+        outer = getattr(index.kpads, name)
+        yield f"kpads.{name} keys", list(outer)
+        for t, inner in outer.items():
+            yield f"kpads.{name}[{t!r}]", list(inner.items())
+
+
+def _assert_same_index(loaded: PublicIndex, built: PublicIndex) -> None:
+    assert (loaded.pads.k, loaded.pads.kind) == (built.pads.k, built.pads.kind)
+    assert (loaded.kpads.k, loaded.kpads.per_center) == (
+        built.kpads.k, built.kpads.per_center,
+    )
+    for (name, got), (_, want) in zip(_maps(loaded), _maps(built)):
+        assert got == want, name  # list equality: the order is part of it
+        # == lets 1 pass for 1.0 and 'a' for 'a'; types and float bits must
+        # match too (repr of a float is its shortest exact form)
+        assert repr(got) == repr(want), name
+    assert len(list(_maps(loaded))) == len(list(_maps(built)))
+
+
+class TestRoundTripProperty:
+    @pytest.mark.parametrize("weights", ["unit", "float", "mixed"])
+    @pytest.mark.parametrize("vertices", ["int", "str", "mixed"])
+    @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "dict"])
+    def test_loaded_index_is_the_built_one(self, tmp_path, vertices, weights, freeze):
+        for seed in (1, 2, 3):
+            g = _property_graph(seed, vertices, weights)
+            built = PublicIndex.build(g, k=2, freeze=freeze)
+            path = tmp_path / f"{seed}.idx"
+            save_index(built, path)
+            _assert_same_index(load_index(built.graph, path), built)
+            # the other backend's view of the same graph loads it too
+            _assert_same_index(load_index(g, path), built)
+
+    def test_equal_indexes_give_identical_bytes(self, tmp_path):
+        g = _property_graph(5, "mixed", "mixed")
+        save_index(PublicIndex.build(g, k=2), tmp_path / "a.idx")
+        save_index(PublicIndex.build(g, k=2), tmp_path / "b.idx")
+        first = (tmp_path / "a.idx").read_bytes()
+        assert (tmp_path / "b.idx").read_bytes() == first
+        # ... and a loaded index saves back to the same bytes
+        save_index(load_index(g, tmp_path / "a.idx"), tmp_path / "c.idx")
+        assert (tmp_path / "c.idx").read_bytes() == first
+
+    def test_keyword_without_carriers_and_empty_candidate_list(self, tmp_path):
+        g = LabeledGraph.from_edges([("a", "b"), ("b", "c")], {"a": {"x"}})
+        built = PublicIndex.build(g, k=2)
+        pads = built.pads
+        # "ghost" has no carriers; center "c" of "x" has no candidates and
+        # the maps are deliberately not in the graph's vertex order
+        kpads = KeywordSketch(
+            {"ghost": {}, "x": {"c": 2.0, "a": 0.0}},
+            {"ghost": {}, "x": {"c": "a", "a": "a"}},
+            pads.k,
+            {"ghost": {}, "x": {"c": [], "a": [(0.0, "a"), (1.0, "b")]}},
+            per_center=2,
+        )
+        hand_made = PublicIndex(built.graph, pads, kpads, built.pagerank_scores)
+        save_index(hand_made, tmp_path / "idx")
+        loaded = load_index(g, tmp_path / "idx")
+        _assert_same_index(loaded, hand_made)
+        assert loaded.kpads.candidates["x"]["c"] == []
+        assert loaded.kpads.entries["ghost"] == {}
+
+    def test_vertex_missing_from_the_graph_is_refused_at_save(self, tmp_path):
+        g = LabeledGraph.from_edges([(1, 2)], {1: {"x"}})
+        built = PublicIndex.build(g, k=1)
+        stray = DistanceSketch({1: {99: 1.0}}, 1, kind="PADS")
+        bad = PublicIndex(built.graph, stray, built.kpads, built.pagerank_scores)
+        with pytest.raises(IndexBuildError, match="flattened"):
+            save_index(bad, tmp_path / "idx")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "dict"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_engine_over_loaded_index_replays_the_golden_workload(
+        self, tmp_path, seed, freeze
+    ):
+        """The strongest order check: every golden row, byte for byte."""
+        data = os.path.join(
+            os.path.dirname(__file__), "data", "engine_equivalence.json"
+        )
+        with open(data, encoding="utf-8") as fh:
+            expected = json.load(fh)["seeds"][str(seed)]
+        public, private = seeded_network(seed)
+        built = PublicIndex.build(public, k=2, freeze=freeze)
+        save_index(built, tmp_path / "idx")
+        loaded = load_index(built.graph, tmp_path / "idx")
+        engine = PPKWS(built.graph, sketch_k=2, index=loaded, freeze=freeze)
+        engine.attach("owner", private)
+        actual = run_workload(engine)
+        for semantics in ("blinks", "rclique", "banks", "knk", "knk_multi"):
+            assert json.dumps(actual[semantics], sort_keys=True) == json.dumps(
+                expected[semantics], sort_keys=True
+            ), f"seed {seed} {semantics}"
+
+
+class TestLayout:
+    """The documented layout, read back without the loader."""
+
+    def test_sections_are_what_the_docstring_says(self, tmp_path, index_and_graph):
+        index, g = index_and_graph
+        path = tmp_path / "idx"
+        save_index(index, path)
+        raw = path.read_bytes()
+        assert raw[:8] == b"PPKWSIDX"
+        assert struct.unpack_from("<II", raw, 8) == (3, 14)
+        sections = split_index_file(raw)
+        meta = json.loads(sections["meta"])
+        assert meta["k"] == 2 and meta["num_vertices"] == g.num_vertices
+        assert meta["vertices"] == list(index.graph.vertices())
+        assert meta["labels"] == list(index.kpads.entries)
+        ids = array("i", sections["pads.centers"])
+        dists = array("d", sections["pads.dists"])
+        assert len(ids) == len(dists) == index.pads.total_entries
+        first_owner = meta["vertices"][array("i", sections["pads.owners"])[0]]
+        stop = array("i", sections["pads.indptr"])[1]
+        assert dict(
+            zip((meta["vertices"][i] for i in ids[:stop]), dists[:stop])
+        ) == index.pads.entries[first_owner]
