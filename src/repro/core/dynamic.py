@@ -31,10 +31,7 @@ from repro.core.framework import Attachment, PPKWS
 from repro.exceptions import GraphError
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import INF
-from repro.portals.distance_map import (
-    all_pairs_portal_distances,
-    refine_portal_distances,
-)
+from repro.portals.distance_map import combined_portal_maps
 from repro.portals.oracle import CombinedDistanceOracle
 
 __all__ = ["DynamicPrivateGraph"]
@@ -200,12 +197,13 @@ class DynamicPrivateGraph:
                         heapq.heappush(heap, (nd, next(counter), nbr))
 
     def _refresh_portal_map(self) -> None:
-        """Recompute the Algo-7 combined portal map from the repaired
-        private distances (the |P|^2 fixpoint is cheap)."""
+        """Recompute the portal maps from the repaired vertex-portal
+        distances: attach's own builder, so no private traversal and only
+        ``d'``-bounded public sweeps."""
         att = self.attachment
-        private_pm = all_pairs_portal_distances(att.private, att.portals)
-        public_pm = all_pairs_portal_distances(self.engine.public, att.portals)
-        combined_pm, refined = refine_portal_distances(public_pm, private_pm)
+        combined_pm, private_pm, refined = combined_portal_maps(
+            self.engine.public, att.portals, att.oracle.vertex_portal
+        )
         new_att = Attachment(
             owner=att.owner,
             private=att.private,

@@ -8,7 +8,12 @@ Usage mirrors the paper's deployment story:
 2. :meth:`PPKWS.attach` a user's private graph: portal discovery, the
    small per-user maps (portal distances on both sides, the Algo-7
    combined refinement, PKD, vertex-portal distances) are built here in
-   ``O(|P| * (|G'| + |P|^2))`` — cheap because ``|G'| << |G|``.
+   ``O(|P| * (|G'| + |P|^2))`` — cheap because ``|G'| << |G|``.  The
+   sweeps behind that bound: one full Dijkstra over ``G'`` per portal
+   (it fills the vertex-portal map, PKD and ``d'(p_i, p_j)`` at once),
+   and one sweep over ``G`` per portal that looks for the later portals
+   only and stops at the radius where ``G'`` is already as short — the
+   public graph's size never enters.
 3. Query via :meth:`PPKWS.rclique`, :meth:`PPKWS.blinks` or
    :meth:`PPKWS.knk`; each runs PEval / ARefine / AComplete and returns
    the answers plus a per-step timing breakdown (the quantity plotted in
@@ -38,11 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.protocol import GraphLike
 from repro.graph.pagerank import pagerank
 from repro.graph.public_private import combine, portal_nodes
-from repro.portals.distance_map import (
-    PortalDistanceMap,
-    all_pairs_portal_distances,
-    refine_portal_distances,
-)
+from repro.portals.distance_map import PortalDistanceMap, combined_portal_maps
 from repro.portals.keyword_map import build_private_maps
 from repro.portals.oracle import CombinedDistanceOracle, SketchPublicDistance
 from repro.semantics.answers import KnkAnswer, RootedAnswer
@@ -362,10 +363,10 @@ class PPKWS:
                 f"private graph of {owner!r} has no portal nodes; "
                 "public-private answers cannot exist"
             )
-        private_pm = all_pairs_portal_distances(private, portals)
-        public_pm = all_pairs_portal_distances(self.public, portals)
-        combined_pm, refined = refine_portal_distances(public_pm, private_pm)
         pkd, vpm = build_private_maps(private, portals)
+        combined_pm, private_pm, refined = combined_portal_maps(
+            self.public, portals, vpm
+        )
         oracle = CombinedDistanceOracle(
             private, combined_pm, vpm, pkd, self._provider
         )

@@ -32,6 +32,7 @@ from repro.graph.views import CombinedView, combine_lazy
 from repro.graph.traversal import (
     INF,
     bfs_hops,
+    bounded_target_distances,
     dijkstra,
     dijkstra_ordered,
     dijkstra_with_paths,
@@ -63,6 +64,7 @@ __all__ = [
     "assign_zipf_labels",
     "barabasi_albert_graph",
     "bfs_hops",
+    "bounded_target_distances",
     "combine",
     "combine_lazy",
     "community_graph",

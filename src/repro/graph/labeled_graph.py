@@ -91,7 +91,7 @@ class LabeledGraph:
         """
         if u == v:
             raise GraphError(f"self-loop on {u!r} is not allowed")
-        if weight <= 0:
+        if not weight > 0:  # NaN included: it fails every comparison
             raise GraphError(f"edge weight must be positive, got {weight}")
         self.add_vertex(u)
         self.add_vertex(v)

@@ -40,6 +40,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Set,
     Tuple,
@@ -59,6 +60,7 @@ __all__ = [
     "dijkstra_with_paths",
     "dijkstra_ordered",
     "multi_source_dijkstra",
+    "bounded_target_distances",
     "shortest_path",
     "shortest_distance",
     "bfs_hops",
@@ -218,6 +220,41 @@ def _frozen_multi_source(
     return {vx[i]: d for i, d in dist.items()}
 
 
+def _frozen_bounded_targets(
+    graph: FrozenGraph, source: Vertex, bounds: Mapping[Vertex, float]
+) -> Dict[Vertex, float]:
+    src = graph.intern(source)
+    indptr, indices, weights = graph.csr()
+    pending = {graph.intern(t): b for t, b in bounds.items() if t in graph}
+    found: Dict[int, float] = {}
+    radius = max(pending.values(), default=0.0)
+    tentative: Dict[int, float] = {src: 0.0}
+    heap: List[Tuple[float, int]] = [(0.0, src)]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if d >= radius:
+            break
+        if d > tentative[i]:
+            continue
+        bound = pending.pop(i, None)
+        if bound is not None:
+            if d < bound:
+                found[i] = d
+            if not pending:
+                break
+            if bound >= radius:
+                radius = max(pending.values())
+        for pos in range(indptr[i], indptr[i + 1]):
+            nd = d + weights[pos]
+            if nd < radius:
+                j = indices[pos]
+                if nd < tentative.get(j, INF):
+                    tentative[j] = nd
+                    heapq.heappush(heap, (nd, j))
+    vx = graph.vertex_table
+    return {vx[i]: d for i, d in found.items()}
+
+
 def _frozen_shortest_path(
     graph: FrozenGraph,
     source: Vertex,
@@ -293,6 +330,10 @@ def dijkstra(
     budget: Optional["QueryBudget"] = None,
 ) -> Dict[Vertex, float]:
     """Single-source shortest distances from ``source``.
+
+    The returned map iterates in settle order, i.e. by non-decreasing
+    distance (the portal-keyword map relies on it: the first vertex seen
+    with a label is the nearest one).
 
     Parameters
     ----------
@@ -453,6 +494,56 @@ def multi_source_dijkstra(
                 if cutoff is None or nd <= cutoff:
                     heapq.heappush(heap, (nd, next(counter), u))
     return dist
+
+
+def bounded_target_distances(
+    graph: "GraphLike", source: Vertex, bounds: Mapping[Vertex, float]
+) -> Dict[Vertex, float]:
+    """``d(source, t)`` for each target ``t`` closer than ``bounds[t]``.
+
+    The multi-target sweep behind the public half of the portal maps
+    (Sec. V-C): the caller already holds an upper bound per target — the
+    private-graph distance — and a distance at or beyond its bound
+    cannot matter to it, so such targets (and targets absent from
+    ``graph``) are left out of the result rather than searched for.  An
+    ``inf`` bound asks for the plain distance.
+
+    The sweep keeps a tentative-distance table (one heap entry per strict
+    improvement), never queues a vertex at or beyond the largest bound
+    still open, and stops once the settled distance reaches it — every
+    target still unsettled then lies at or beyond its own bound.  It
+    therefore settles only vertices *strictly inside* that radius, and
+    hands back the targets alone, not a map of everything it touched.
+    """
+    if isinstance(graph, FrozenGraph):
+        return _frozen_bounded_targets(graph, source, bounds)
+    _check_source(graph, source)
+    pending = {t: b for t, b in bounds.items() if t in graph}
+    found: Dict[Vertex, float] = {}
+    radius = max(pending.values(), default=0.0)
+    tentative: Dict[Vertex, float] = {source: 0.0}
+    counter = itertools.count()
+    heap: List[Tuple[float, int, Vertex]] = [(0.0, next(counter), source)]
+    while heap:
+        d, _, v = heapq.heappop(heap)
+        if d >= radius:
+            break
+        if d > tentative[v]:
+            continue  # stale: v was queued again at a smaller distance
+        bound = pending.pop(v, None)
+        if bound is not None:
+            if d < bound:
+                found[v] = d
+            if not pending:
+                break
+            if bound >= radius:
+                radius = max(pending.values())
+        for u, w in graph.neighbor_items(v):
+            nd = d + w
+            if nd < radius and nd < tentative.get(u, INF):
+                tentative[u] = nd
+                heapq.heappush(heap, (nd, next(counter), u))
+    return found
 
 
 def shortest_distance(

@@ -3,6 +3,7 @@
 from repro.portals.distance_map import (
     PortalDistanceMap,
     all_pairs_portal_distances,
+    combined_portal_maps,
     refine_portal_distances,
 )
 from repro.portals.keyword_map import (
@@ -27,5 +28,6 @@ __all__ = [
     "VertexPortalDistanceMap",
     "all_pairs_portal_distances",
     "build_private_maps",
+    "combined_portal_maps",
     "refine_portal_distances",
 ]

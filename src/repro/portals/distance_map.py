@@ -4,7 +4,8 @@ Portals are the only places where shortest paths can cross between the
 public and private graphs, and there are few of them, so PPKWS
 precomputes:
 
-* ``d(p_i, p_j)``  — all-pairs portal distances on the public graph ``G``,
+* ``d(p_i, p_j)``  — all-pairs portal distances on the public graph ``G``
+  (only where they are shorter than ``d'``: nothing else can matter),
 * ``d'(p_i, p_j)`` — all-pairs portal distances on the private graph ``G'``,
 
 and then *refines* them into the combined-graph portal distances
@@ -23,16 +24,29 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.graph.labeled_graph import Vertex
 from repro.graph.protocol import GraphLike
-from repro.graph.traversal import INF, dijkstra
+from repro.graph.traversal import INF, bounded_target_distances
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.portals.keyword_map import VertexPortalDistanceMap
 
 __all__ = [
     "PortalDistanceMap",
     "all_pairs_portal_distances",
     "refine_portal_distances",
+    "combined_portal_maps",
 ]
 
 
@@ -70,9 +84,22 @@ class PortalDistanceMap:
 
     def improve(self, p: Vertex, q: Vertex, d: float) -> bool:
         """Lower ``d(p, q)`` to ``d`` if smaller; report whether it changed."""
-        if p == q or d >= self.get(p, q):
+        if p == q:
             return False
-        self.set(p, q, d)
+        adj = self._adj
+        row = adj.get(p)
+        if row is None:
+            if d >= INF:
+                return False
+            row = adj[p] = {}
+        elif d >= row.get(q, INF):
+            return False
+        row[q] = d
+        back = adj.get(q)
+        if back is None:
+            adj[q] = {p: d}
+        else:
+            back[p] = d
         return True
 
     def pairs(self) -> Iterable[Tuple[Vertex, Vertex, float]]:
@@ -98,25 +125,33 @@ class PortalDistanceMap:
 
 
 def all_pairs_portal_distances(
-    graph: "GraphLike", portals: Iterable[Vertex]
+    graph: "GraphLike",
+    portals: Iterable[Vertex],
+    bounds: Optional[PortalDistanceMap] = None,
 ) -> PortalDistanceMap:
-    """All-pairs shortest distances between ``portals`` within ``graph``.
+    """Shortest distances between ``portals`` within ``graph``.
 
-    Runs one Dijkstra per portal, early-terminated once the other portals
-    are settled.  Portals absent from ``graph`` simply stay unreachable —
-    this happens for private-only analysis of portals of another owner.
+    One multi-target sweep per portal, aimed at the *later* portals only
+    (the graph is undirected, so each pair is searched once).  ``bounds``
+    is the map the result will be min-combined with: a pair is recorded
+    only where ``graph`` is strictly shorter than ``bounds`` says, and
+    each sweep stops where that is no longer possible — with the private
+    map as ``bounds`` the public sweeps cost what ``G'`` is wide, not
+    what ``G`` is.  Without ``bounds`` every reachable pair is recorded.
+    Portals absent from ``graph`` simply stay unreachable — this happens
+    for private-only analysis of portals of another owner.
     """
     portal_list = sorted(portals, key=repr)
     pmap = PortalDistanceMap(portal_list)
     present = [p for p in portal_list if p in graph]
-    target_set = set(present)
-    for p in present:
-        dist = dijkstra(graph, p, targets=set(target_set))
-        for q in present:
-            if q != p:
-                d = dist.get(q, INF)
-                if d < INF:
-                    pmap.improve(p, q, d)
+    for i, p in enumerate(present[:-1], start=1):
+        later = present[i:]
+        if bounds is None:
+            limits = dict.fromkeys(later, INF)
+        else:
+            limits = {q: bounds.get(p, q) for q in later}
+        for q, d in bounded_target_distances(graph, p, limits).items():
+            pmap.set(p, q, d)
     return pmap
 
 
@@ -132,40 +167,81 @@ def refine_portal_distances(
     distance — exactly the pairs that can make answer refinement
     worthwhile (Lemma VI.1): a detour through an unrefined pair is a
     private-graph path and can never beat a private shortest distance.
+
+    ``public_map`` enters through ``min(d, d')`` only, so it may omit any
+    pair that is not strictly shorter than its ``private_map`` entry
+    (:func:`all_pairs_portal_distances` with ``bounds``).  The loops read
+    and write the maps' symmetric rows directly: a relaxation is two dict
+    probes, not four :meth:`PortalDistanceMap.get` calls.
     """
     portals = public_map.portals | private_map.portals
     combined = PortalDistanceMap(portals)
+    adj = combined._adj
+    public_adj, private_adj = public_map._adj, private_map._adj
+    no_row: Dict[Vertex, float] = {}
     counter = itertools.count()  # tie-break: portals may be incomparable
     queue: List[Tuple[float, int, Vertex, Vertex]] = []
 
     # Initialization: pointwise minimum of the two maps (Algo 7 lines 2-5).
     for p, q in itertools.combinations(sorted(portals, key=repr), 2):
-        d = min(public_map.get(p, q), private_map.get(p, q))
+        d = min(
+            public_adj.get(p, no_row).get(q, INF),
+            private_adj.get(p, no_row).get(q, INF),
+        )
         if d < INF:
-            combined.set(p, q, d)
+            adj.setdefault(p, {})[q] = d
+            adj.setdefault(q, {})[p] = d
             heapq.heappush(queue, (d, next(counter), p, q))
 
     # Fixpoint relaxation through intermediate portals (lines 6-14).
-    portal_list = list(portals)
+    portal_list = [p for p in portals if p in adj]  # the rest reach nothing
     while queue:
         dist, _, p1, p2 = heapq.heappop(queue)
-        if dist > combined.get(p1, p2):
+        row1, row2 = adj[p1], adj[p2]
+        if dist > row1[p2]:
             continue  # stale queue entry
         for pi in portal_list:
             if pi == p1 or pi == p2:
                 continue
-            via_p1 = combined.get(pi, p1)
-            if via_p1 + dist < combined.get(pi, p2):
-                combined.set(pi, p2, via_p1 + dist)
-                heapq.heappush(queue, (via_p1 + dist, next(counter), pi, p2))
-            via_p2 = combined.get(pi, p2)
-            if via_p2 + dist < combined.get(pi, p1):
-                combined.set(pi, p1, via_p2 + dist)
-                heapq.heappush(queue, (via_p2 + dist, next(counter), pi, p1))
+            via = row1.get(pi, INF) + dist
+            if via < row2.get(pi, INF):
+                adj[pi][p2] = row2[pi] = via
+                heapq.heappush(queue, (via, next(counter), pi, p2))
+            via = row2.get(pi, INF) + dist
+            if via < row1.get(pi, INF):
+                adj[pi][p1] = row1[pi] = via
+                heapq.heappush(queue, (via, next(counter), pi, p1))
 
     refined: Set[Tuple[Vertex, Vertex]] = set()
     for p, q, d in combined.pairs():
-        if d < private_map.get(p, q):
+        if d < private_adj.get(p, no_row).get(q, INF):
             refined.add((p, q))
             refined.add((q, p))
     return combined, refined
+
+
+def combined_portal_maps(
+    public: "GraphLike",
+    portals: Iterable[Vertex],
+    vertex_portal: "VertexPortalDistanceMap",
+) -> Tuple[PortalDistanceMap, PortalDistanceMap, Set[Tuple[Vertex, Vertex]]]:
+    """``(dc, d', refined pairs)`` of one private graph's portals.
+
+    The portal-map half of an attach, and what a monotone repair of a
+    dynamic private graph re-runs.  It traverses ``G'`` not at all: the
+    per-portal sweeps that filled ``vertex_portal`` settled every other
+    portal, so ``d'(p_i, p_j)`` is read off its portal rows (a pair keeps
+    the smaller of its two sweeps' readings — a float sum along a path
+    depends on the direction walked).  Then one public sweep per portal,
+    bounded by ``d'``, and the Algo-7 fixpoint.
+    """
+    portal_list = sorted(portals, key=repr)
+    private_map = PortalDistanceMap(portal_list)
+    present = [p for p in portal_list if p in vertex_portal.portals]
+    for p in present:
+        for q in present:
+            if q != p:
+                private_map.improve(p, q, vertex_portal.get(q, p))
+    public_map = all_pairs_portal_distances(public, portal_list, bounds=private_map)
+    combined, refined = refine_portal_distances(public_map, private_map)
+    return combined, private_map, refined

@@ -9,14 +9,19 @@ Two small private-graph-side indexes complete the picture:
   portal ``p`` — the entry/exit costs of paths that detour through the
   public graph (Eq. 4/5).
 
-Both are built with one Dijkstra per portal over the (small) private
-graph, so construction is ``O(|P| * |G'| log |G'|)``.
+Both are filled by the same full Dijkstra per portal over the (small)
+private graph, so construction is ``O(|P| * |G'| log |G'|)`` — and the
+portal rows of the vertex-portal map double as the private all-pairs
+portal distances ``d'(p_i, p_j)``
+(:func:`repro.portals.distance_map.combined_portal_maps` reads them
+there), so these ``|P|`` sweeps are the only private traversals an
+attach runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
 from repro.graph.traversal import INF, dijkstra
@@ -80,7 +85,8 @@ class VertexPortalDistanceMap:
 
     def get(self, v: Vertex, portal: Vertex) -> float:
         """``d'(v, portal)`` (``inf`` when unreachable)."""
-        return self._by_vertex.get(v, {}).get(portal, INF)
+        row = self._by_vertex.get(v)
+        return INF if row is None else row.get(portal, INF)
 
     def portal_distances(self, v: Vertex) -> Mapping[Vertex, float]:
         """All portal distances of ``v`` — the inner loop of Eq. 4/5."""
@@ -100,10 +106,22 @@ def build_private_maps(
     portal_list = sorted((p for p in portals if p in private), key=repr)
     pkd = PortalKeywordDistanceMap()
     vpm = VertexPortalDistanceMap(portal_list)
+    entries, by_vertex = pkd._entries, vpm._by_vertex
+    labels_of = private.labels
     for p in portal_list:
-        dist = dijkstra(private, p)
-        for v, d in dist.items():
-            vpm.record(v, p, d)
-            for t in private.labels(v):
-                pkd.record(p, t, v, d)
+        # The sweep settles by non-decreasing distance, so the first
+        # vertex seen with a label is PKD(p, t): insert-if-absent.
+        seen: Set[Label] = set()
+        for v, d in dijkstra(private, p).items():
+            row = by_vertex.get(v)
+            if row is None:
+                by_vertex[v] = {p: d}
+            else:
+                row[p] = d
+            labels = labels_of(v)
+            if not labels <= seen:
+                for t in labels:
+                    if t not in seen:
+                        seen.add(t)
+                        entries[(p, t)] = PortalKeywordEntry(v, d)
     return pkd, vpm

@@ -131,6 +131,7 @@ from repro.exceptions import (
 from repro.faults.points import SERVICE_EXECUTE
 from repro.graph.frozen import freeze
 from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.traversal import INF
 from repro.core.vectorized import plan_for
 from repro.obs import (
     MetricsRegistry,
@@ -215,7 +216,11 @@ def _graph_from_request(request: Dict[str, Any], field_name: str) -> LabeledGrap
     Accepts either a ready :class:`LabeledGraph` under ``field_name`` or
     the wire-friendly pair ``<field>_edges`` (list of ``[u, v]`` or
     ``[u, v, weight]``) and optional ``<field>_labels``
-    (vertex -> label list).
+    (vertex -> label list).  The wire form is validated, not trusted:
+    a weight that is not a positive finite number (``NaN`` would poison
+    every distance through its edge), labels that are not a list of
+    strings, or an unhashable vertex raise a :class:`ReproError` naming
+    the field — ``bad_request`` on the wire, before anything is built.
     """
     graph = request.get(field_name)
     if isinstance(graph, LabeledGraph):
@@ -225,17 +230,60 @@ def _graph_from_request(request: Dict[str, Any], field_name: str) -> LabeledGrap
             f"field {field_name!r} must be a LabeledGraph "
             f"(or send {field_name + '_edges'!r} instead)"
         )
-    edges_field = f"{field_name}_edges"
+    edges_field, labels_field = f"{field_name}_edges", f"{field_name}_labels"
     _require(request, edges_field)
+    edges = request[edges_field]
+    labels = request.get(labels_field) or {}
+    if not isinstance(edges, (list, tuple)):
+        raise ReproError(
+            f"field {edges_field!r} must be a list of [u, v] or [u, v, weight]"
+        )
+    if not isinstance(labels, dict):
+        raise ReproError(
+            f"field {labels_field!r} must map each vertex to a list of labels"
+        )
     out = LabeledGraph()
-    for edge in request[edges_field]:
-        if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+    where = edges_field
+    try:
+        for edge in edges:
+            if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+                raise ReproError(
+                    f"field {edges_field!r} entries must be [u, v] or [u, v, weight]"
+                )
+            if len(edge) == 3:
+                w = edge[2]
+                # NaN fails both comparisons; bool is an int only by accident
+                if (
+                    not isinstance(w, (int, float))
+                    or isinstance(w, bool)
+                    or not 0 < w < INF
+                ):
+                    raise ReproError(
+                        f"field {edges_field!r}: weight of edge "
+                        f"{list(edge[:2])!r} must be a positive finite "
+                        f"number, got {w!r}"
+                    )
+            out.add_edge(*edge)
+        where = labels_field
+        for v, ls in labels.items():
+            if not isinstance(ls, (list, tuple, set, frozenset)):
+                raise ReproError(
+                    f"field {labels_field!r}: labels of {v!r} must be a list "
+                    f"of strings, got {ls!r}"
+                )
+            out.add_vertex(v, ls)
+    except TypeError:
+        # what a JSON array or object does as a dict key or set member
+        raise ReproError(
+            f"field {where!r}: vertices and labels must be hashable "
+            f"(strings or numbers)"
+        ) from None
+    # one look at each *distinct* label, not at every vertex's list
+    for label in out.label_universe():
+        if not isinstance(label, str):
             raise ReproError(
-                f"field {edges_field!r} entries must be [u, v] or [u, v, weight]"
+                f"field {labels_field!r}: labels must be strings, got {label!r}"
             )
-        out.add_edge(*edge)
-    for v, ls in (request.get(f"{field_name}_labels") or {}).items():
-        out.add_vertex(v, ls)
     return out
 
 

@@ -219,3 +219,11 @@ class TestFromEdges:
         assert len(triangle_graph) == 3
         assert set(iter(triangle_graph)) == {"a", "b", "c"}
         assert "a" in triangle_graph
+
+
+def test_nan_weight_rejected():
+    """NaN fails every comparison, ``weight <= 0`` included."""
+    g = LabeledGraph()
+    with pytest.raises(GraphError):
+        g.add_edge("a", "b", float("nan"))
+    assert "a" not in g

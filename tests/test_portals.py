@@ -13,13 +13,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import INF, LabeledGraph, combine, dijkstra, portal_nodes
+from repro.graph import (
+    INF,
+    LabeledGraph,
+    combine,
+    dijkstra,
+    freeze,
+    portal_nodes,
+)
 from repro.portals import (
     CombinedDistanceOracle,
     ExactPublicDistance,
     PortalDistanceMap,
+    PortalKeywordDistanceMap,
+    VertexPortalDistanceMap,
     all_pairs_portal_distances,
     build_private_maps,
+    combined_portal_maps,
     refine_portal_distances,
 )
 from repro.sketches import build_kpads, build_pads
@@ -335,3 +345,356 @@ class TestCombinedOracle:
                 est, _ = oracle_est.private_to_public_keyword(v, t)
                 exact, _ = oracle_exact.private_to_public_keyword(v, t)
                 assert est >= exact - 1e-9
+
+
+# ----------------------------------------------------------------------
+# what an attach builds, against the recipe it replaced
+# ----------------------------------------------------------------------
+# The reference below is the attach body as it stood before the per-user
+# maps were rebuilt around one private sweep per portal: two unbounded
+# all-pairs passes (private, then public), the Algo-7 fixpoint through
+# ``PortalDistanceMap.get``/``set``, and a second set of private sweeps
+# for PKD and the vertex-portal map.  It survives only here.
+def _reference_all_pairs(graph, portals):
+    portal_list = sorted(portals, key=repr)
+    pmap = PortalDistanceMap(portal_list)
+    present = [p for p in portal_list if p in graph]
+    for p in present:
+        dist = dijkstra(graph, p, targets=set(present))
+        for q in present:
+            if q != p and dist.get(q, INF) < INF:
+                pmap.improve(p, q, dist[q])
+    return pmap
+
+
+def _reference_refine(public_map, private_map):
+    import heapq
+    import itertools
+
+    portals = public_map.portals | private_map.portals
+    combined = PortalDistanceMap(portals)
+    counter = itertools.count()
+    queue = []
+    for p, q in itertools.combinations(sorted(portals, key=repr), 2):
+        d = min(public_map.get(p, q), private_map.get(p, q))
+        if d < INF:
+            combined.set(p, q, d)
+            heapq.heappush(queue, (d, next(counter), p, q))
+    portal_list = list(portals)
+    while queue:
+        dist, _, p1, p2 = heapq.heappop(queue)
+        if dist > combined.get(p1, p2):
+            continue
+        for pi in portal_list:
+            if pi == p1 or pi == p2:
+                continue
+            via_p1 = combined.get(pi, p1)
+            if via_p1 + dist < combined.get(pi, p2):
+                combined.set(pi, p2, via_p1 + dist)
+                heapq.heappush(queue, (via_p1 + dist, next(counter), pi, p2))
+            via_p2 = combined.get(pi, p2)
+            if via_p2 + dist < combined.get(pi, p1):
+                combined.set(pi, p1, via_p2 + dist)
+                heapq.heappush(queue, (via_p2 + dist, next(counter), pi, p1))
+    refined = set()
+    for p, q, d in combined.pairs():
+        if d < private_map.get(p, q):
+            refined.add((p, q))
+            refined.add((q, p))
+    return combined, refined
+
+
+def _reference_private_maps(private, portals):
+    portal_list = sorted((p for p in portals if p in private), key=repr)
+    pkd = PortalKeywordDistanceMap()
+    vpm = VertexPortalDistanceMap(portal_list)
+    for p in portal_list:
+        for v, d in dijkstra(private, p).items():
+            vpm.record(v, p, d)
+            for t in private.labels(v):
+                pkd.record(p, t, v, d)  # compare-and-replace
+    return pkd, vpm
+
+
+def _reference_attach_maps(public, private, portals):
+    private_pm = _reference_all_pairs(private, portals)
+    public_pm = _reference_all_pairs(public, portals)
+    combined_pm, refined = _reference_refine(public_pm, private_pm)
+    pkd, vpm = _reference_private_maps(private, portals)
+    return private_pm, combined_pm, refined, pkd, vpm
+
+
+def _attach_maps(public, private, portals):
+    """The five maps exactly as :meth:`PPKWS.attach` builds them."""
+    pkd, vpm = build_private_maps(private, portals)
+    combined_pm, private_pm, refined = combined_portal_maps(public, portals, vpm)
+    return private_pm, combined_pm, refined, pkd, vpm
+
+
+def _in_order(private_pm, combined_pm, refined, pkd, vpm):
+    """Every map as nested lists: values *and* iteration order."""
+    return {
+        "private_portal_map": [
+            (p, list(row.items())) for p, row in private_pm._adj.items()
+        ],
+        "portal_map": [
+            (p, list(row.items())) for p, row in combined_pm._adj.items()
+        ],
+        "refined_portal_pairs": [list(refined), list(frozenset(refined))],
+        "pkd": list(pkd._entries.items()),
+        "vertex_portal": [
+            (v, list(row.items())) for v, row in vpm._by_vertex.items()
+        ],
+    }
+
+
+def _eighths(rng, most=24):
+    """A float weight on the 1/8 grid: 0.125 .. 3.0.
+
+    Non-integer floats whose path sums are exact, so a distance does not
+    depend on the direction its path was summed in.  That is what lets
+    the property below demand *bit* equality with the old recipe, which
+    kept the smaller of a pair's two directional sums where the new one
+    sweeps each public pair once (see DESIGN.md, "What an attach runs").
+    """
+    return rng.randint(1, most) / 8.0
+
+
+def _two_component_pair(seed):
+    """``(public, private, portals, tied)`` for the attach property.
+
+    The private graph has two components, each holding at least two
+    portals, so every cross-component ``d'`` is infinite and the public
+    sweeps for those pairs run unbounded.  ``tied`` is a portal pair
+    whose private distance equals its public one to the bit: ``q`` hangs
+    off ``p`` by a single private edge weighing ``d(p, q)`` on ``G``.
+    """
+    import random as _random
+
+    rng = _random.Random(seed)
+    n_pub = 36
+    pub = LabeledGraph(f"pub{seed}")
+    pub.add_vertex(0)
+    for v in range(1, n_pub):
+        pub.add_edge(v, rng.randrange(v), _eighths(rng))
+    for _ in range(n_pub // 3):
+        u, v = rng.sample(range(n_pub), 2)
+        if not pub.has_edge(u, v):
+            pub.add_edge(u, v, _eighths(rng))
+    for v in range(n_pub):
+        if rng.random() < 0.5:
+            pub.add_labels(v, rng.sample(["a", "b", "c"], rng.randint(1, 2)))
+
+    shared = rng.sample(range(n_pub), 7)
+    p, q = shared[0], shared[1]
+    sides = (
+        [p] + shared[2:4] + [f"x{i}" for i in range(7)],
+        shared[4:7] + [f"y{i}" for i in range(5)],
+    )
+    priv = LabeledGraph(f"priv{seed}")
+    for verts in sides:
+        for i in range(1, len(verts)):
+            priv.add_edge(verts[i], verts[rng.randrange(i)], _eighths(rng, 40))
+        for _ in range(3):
+            u, v = rng.sample(verts, 2)
+            if not priv.has_edge(u, v):
+                priv.add_edge(u, v, _eighths(rng, 40))
+    priv.add_edge(p, q, dijkstra(pub, p)[q])
+    for v in list(priv.vertices()):
+        if rng.random() < 0.6:
+            priv.add_labels(v, rng.sample(["a", "b", "c", "d"], rng.randint(1, 2)))
+    portals = portal_nodes(pub, priv)
+    assert portals == frozenset(shared)
+    return pub, priv, portals, (p, q)
+
+
+class TestAttachMaps:
+    @pytest.mark.parametrize("backend", ("dict", "csr"))
+    @pytest.mark.parametrize("seed", range(24))
+    def test_equal_brute_force_and_the_old_recipe(self, seed, backend):
+        pub, priv, portals, (p, q) = _two_component_pair(seed)
+        public = freeze(pub) if backend == "csr" else pub
+        maps = _attach_maps(public, priv, portals)
+        private_pm, combined_pm, refined, pkd, vpm = maps
+
+        # the construction did what it promises
+        assert any(
+            private_pm.get(a, b) == INF for a in portals for b in portals
+        ), "no cross-component pair: every public sweep was bounded"
+        assert private_pm.get(p, q) == dijkstra(pub, p)[q]
+
+        # dc == Dijkstra on the materialized union, for every portal pair
+        # (== not approx: sums on the 1/8 grid are exact)
+        union = pub.union(priv)
+        for a in portals:
+            exact = dijkstra(union, a)
+            for b in portals:
+                assert combined_pm.get(a, b) == exact.get(b, INF), (a, b)
+
+        # a tie between G and G' is not a refinement
+        assert ((p, q) in refined) == (
+            combined_pm.get(p, q) < private_pm.get(p, q)
+        )
+        if combined_pm.get(p, q) == dijkstra(pub, p)[q]:
+            assert (p, q) not in refined and (q, p) not in refined
+
+        # PKD == the nearest labelled private vertex, by brute force
+        for a in portals:
+            exact = dijkstra(priv, a)
+            for t in ("a", "b", "c", "d", "nope"):
+                carriers = [
+                    exact[v] for v in priv.vertices_with_label(t) if v in exact
+                ]
+                entry = pkd.get(a, t)
+                if not carriers:
+                    assert entry is None
+                    continue
+                assert entry.distance == min(carriers)
+                assert priv.has_label(entry.vertex, t)
+                assert exact[entry.vertex] == entry.distance
+            for v in priv.vertices():
+                assert vpm.get(v, a) == exact.get(v, INF)
+
+        # and all five maps are the old recipe's, to the bit and the order
+        assert _in_order(*maps) == _in_order(
+            *_reference_attach_maps(public, priv, portals)
+        )
+
+    @pytest.mark.parametrize("backend", ("dict", "csr"))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_inexact_float_sums_stay_within_rounding(self, seed, backend):
+        """Weights off the 1/8 grid: equal up to the direction of a sum.
+
+        ``0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1``: the old recipe swept
+        each public pair from both ends and kept the smaller sum, the
+        new one sweeps it once, so here the maps may differ in the last
+        bits — and in nothing else.
+        """
+        import random as _random
+
+        pub, priv, portals, _ = _two_component_pair(seed)
+        rng = _random.Random(seed)
+        for g in (pub, priv):
+            for u, v, w in list(g.edges()):
+                g.add_edge(u, v, w * rng.uniform(0.9, 1.1))
+        public = freeze(pub) if backend == "csr" else pub
+        private_pm, combined_pm, refined, _, _ = _attach_maps(
+            public, priv, portals
+        )
+        ref_private, ref_combined, _, _, _ = _reference_attach_maps(
+            public, priv, portals
+        )
+        union = pub.union(priv)
+        for a in portals:
+            exact = dijkstra(union, a)
+            for b in portals:
+                assert private_pm.get(a, b) == ref_private.get(a, b)
+                assert combined_pm.get(a, b) == pytest.approx(
+                    ref_combined.get(a, b), rel=1e-12
+                )
+                assert combined_pm.get(a, b) == pytest.approx(
+                    exact.get(b, INF), rel=1e-12
+                )
+        for a, b in refined:
+            assert combined_pm.get(a, b) < private_pm.get(a, b)
+
+    def test_tie_is_not_refined(self):
+        """G: a-b-c (0.5 + 0.75); G': a-c at 1.25.  Equal is not shorter."""
+        pub = LabeledGraph()
+        pub.add_edge("a", "b", 0.5)
+        pub.add_edge("b", "c", 0.75)
+        priv = LabeledGraph()
+        priv.add_edge("a", "c", 1.25)
+        for public in (pub, freeze(pub)):
+            _, combined_pm, refined, _, _ = _attach_maps(
+                public, priv, portal_nodes(pub, priv)
+            )
+            assert combined_pm.get("a", "c") == 1.25
+            assert refined == set()
+        priv.add_edge("a", "c", 1.5)  # now G is strictly shorter
+        _, combined_pm, refined, _, _ = _attach_maps(
+            pub, priv, portal_nodes(pub, priv)
+        )
+        assert combined_pm.get("a", "c") == 1.25
+        assert refined == {("a", "c"), ("c", "a")}
+
+    def test_attach_runs_one_private_sweep_per_portal(self, monkeypatch):
+        """|P| full private Dijkstras and nothing else over ``G'``."""
+        import repro.portals.distance_map as distance_map
+        import repro.portals.keyword_map as keyword_map
+        from repro.core.framework import PPKWS
+
+        pub, priv, portals, _ = _two_component_pair(3)
+        engine = PPKWS(pub, sketch_k=2)
+        calls = []
+
+        def counted(graph, source, *args, **kwargs):
+            calls.append((graph, source, args, kwargs))
+            return dijkstra(graph, source, *args, **kwargs)
+
+        public_sweeps = []
+        bounded = distance_map.bounded_target_distances
+
+        def counted_bounded(graph, source, bounds):
+            public_sweeps.append((graph, source))
+            return bounded(graph, source, bounds)
+
+        monkeypatch.setattr(keyword_map, "dijkstra", counted)
+        monkeypatch.setattr(
+            distance_map, "bounded_target_distances", counted_bounded
+        )
+        # any other traversal of either graph would have to come from here
+        assert not hasattr(distance_map, "dijkstra")
+        attachment = engine.attach("owner", priv)
+        assert sorted(source for _, source, _, _ in calls) == sorted(portals)
+        assert all(
+            graph is priv and not args and not kwargs
+            for graph, _, args, kwargs in calls
+        )
+        # the public half: one bounded sweep per portal but the last
+        assert len(public_sweeps) == len(portals) - 1
+        assert all(graph is engine.public for graph, _ in public_sweeps)
+        assert attachment.portals == portals
+
+    def test_public_sweep_stays_inside_the_private_radius(self):
+        """A 401-vertex public path, portals 200 hops apart, and a private
+        shortcut of length 3: the public sweep expands 3 vertices, not 201.
+        """
+        from repro.core.framework import PPKWS
+
+        class Recording(LabeledGraph):
+            __slots__ = ("expanded",)
+
+            def neighbor_items(self, v):
+                self.expanded.append(v)
+                return super().neighbor_items(v)
+
+        pub = Recording("path")
+        pub.expanded = []
+        names = [f"v{i:03d}" for i in range(401)]
+        for u, v in zip(names, names[1:]):
+            pub.add_edge(u, v)
+        priv = LabeledGraph("shortcut")
+        priv.add_edge("v100", "x", 1.5)
+        priv.add_edge("x", "v300", 1.5)
+
+        engine = PPKWS(pub, sketch_k=2, freeze=False)
+        del pub.expanded[:]  # the index build walked everything
+        attachment = engine.attach("owner", priv)
+        assert attachment.private_portal_map.get("v100", "v300") == 3.0
+        assert attachment.portal_map.get("v100", "v300") == 3.0
+        assert not attachment.has_refined_portals
+        # strictly inside d' = 3 of the sweep's source, and nothing else
+        exact = dijkstra(pub, "v100")
+        del pub.expanded[:]
+        engine.detach("owner")
+        engine.attach("owner", priv)
+        assert pub.expanded, "the public sweep never ran"
+        assert all(exact[v] < 3.0 for v in pub.expanded)
+        assert len(set(pub.expanded)) <= 5  # v098..v102
+
+        # the same kernel, asked without a bound, walks to the target
+        del pub.expanded[:]
+        full = all_pairs_portal_distances(pub, attachment.portals)
+        assert full.get("v100", "v300") == 200.0
+        assert len(set(pub.expanded)) >= 200

@@ -149,6 +149,61 @@ class TestExecuteAdminOps:
                             "public": "not a graph"})
         assert resp["status"] == "error"
 
+    @pytest.mark.parametrize("payload, names", [
+        ({"private_edges": [["a", "z", "1"]]}, "private_edges"),
+        ({"private_edges": [["a", "z", float("nan")]]}, "private_edges"),
+        ({"private_edges": [["a", "z", float("inf")]]}, "private_edges"),
+        ({"private_edges": [["a", "z", 0]]}, "private_edges"),
+        ({"private_edges": [["a", "z", True]]}, "private_edges"),
+        ({"private_edges": [["a", ["z"]]]}, "private_edges"),
+        ({"private_edges": "az"}, "private_edges"),
+        ({"private_edges": [["a", "z"]], "private_labels": [["z", "q"]]},
+         "private_labels"),
+        ({"private_edges": [["a", "z"]], "private_labels": {"z": "qq"}},
+         "private_labels"),
+        ({"private_edges": [["a", "z"]], "private_labels": {"z": [["q"]]}},
+         "private_labels"),
+        ({"private_edges": [["a", "z"]], "private_labels": {"z": [7]}},
+         "private_labels"),
+    ])
+    def test_wire_graphs_are_validated_not_trusted(self, payload, names):
+        """A malformed wire graph is the caller's error, named by field,
+        and leaves the network, the owner and the answer cache alone."""
+        svc = PPKWSService(sketch_k=2)
+        assert svc.execute({
+            "op": "create_network", "network": "n",
+            "public_edges": [["a", "b"], ["b", "c"], ["c", "d", 2.5]],
+            "public_labels": {"d": ["t"]},
+        })["status"] == "ok"
+        assert svc.execute({
+            "op": "attach", "network": "n", "owner": "other",
+            "private_edges": [["a", "y"]],
+        })["status"] == "ok"
+        query = {"op": "knk", "network": "n", "owner": "other",
+                 "source": "y", "keyword": "t", "k": 1}
+        first = svc.execute(query)
+        before = svc.execute({"op": "stats", "network": "n"})
+
+        resp = svc.execute(
+            {"op": "attach", "network": "n", "owner": "u", **payload}
+        )
+        assert resp["status"] == "error" and resp["code"] == "bad_request"
+        assert names in resp["error"]
+        assert svc.execute({"op": "stats", "network": "n"}) == before
+        assert svc.execute(
+            {"op": "knk", "network": "n", "owner": "u", "source": "a",
+             "keyword": "t", "k": 1}
+        )["code"] == "unknown_owner"
+        # the other owner's answer is still there, and still a cache hit
+        assert svc.execute(query) == {**first, "cached": True}
+
+        # the same function guards create_network
+        public = {k.replace("private", "public"): v for k, v in payload.items()}
+        resp = svc.execute({"op": "create_network", "network": "m", **public})
+        assert resp["status"] == "error" and resp["code"] == "bad_request"
+        assert names.replace("private", "public") in resp["error"]
+        assert svc.networks() == ["n"]
+
     def test_duplicate_create_via_execute(self, small_public_private):
         pub, _ = small_public_private
         svc = PPKWSService(sketch_k=2)

@@ -11,10 +11,12 @@ from repro.graph import (
     INF,
     LabeledGraph,
     bfs_hops,
+    bounded_target_distances,
     dijkstra,
     dijkstra_ordered,
     dijkstra_with_paths,
     eccentricity,
+    freeze,
     multi_source_dijkstra,
     nearest_vertices_with_label,
     path_weight,
@@ -208,3 +210,35 @@ def test_bfs_hops_lower_bound_on_distance(seed: int, n: int):
     dist = dijkstra(g, 0)
     for v, h in hops.items():
         assert dist[v] >= h - 1e-9
+
+
+class TestBoundedTargetDistances:
+    @pytest.mark.parametrize("backend", ("dict", "csr"))
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 5000))
+    def test_equals_dijkstra_below_each_bound(self, backend, seed):
+        """Exactly the targets closer than their bound, at their distance."""
+        import random
+
+        rng = random.Random(seed)
+        g = random_connected_graph(25, 8, seed)
+        g.add_edge("far", "farther", 1.0)  # a second component
+        graph = freeze(g) if backend == "csr" else g
+        source = rng.randrange(25)
+        exact = dijkstra(g, source)
+        targets = rng.sample(range(25), 6) + ["far", "ghost"]
+        bounds = {
+            t: rng.choice([INF, 0.0, 1.0, 2.0, 3.0, 5.0, exact.get(t, 4.0)])
+            for t in targets
+        }
+        assert bounded_target_distances(graph, source, bounds) == {
+            t: exact[t] for t, b in bounds.items() if exact.get(t, INF) < b
+        }
+
+    def test_no_targets_no_sweep(self, triangle_graph):
+        assert bounded_target_distances(triangle_graph, "a", {}) == {}
+
+    def test_unknown_source_raises(self, triangle_graph):
+        for graph in (triangle_graph, freeze(triangle_graph)):
+            with pytest.raises(VertexNotFoundError):
+                bounded_target_distances(graph, "zzz", {"a": INF})
