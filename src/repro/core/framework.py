@@ -135,10 +135,11 @@ class Attachment:
     def refined_by_source(self) -> Dict[Vertex, Tuple[Vertex, ...]]:
         """Refined portal pairs grouped by first portal (reduced ARefine).
 
-        Grouping lets the Eq.-4/5 loops keep their ``d1 >= best`` early
-        exit while only visiting refined middles, so the reduced path is
-        never slower than the full double loop.  Computed lazily and
-        cached on the instance.
+        The ``pairs_by_source`` argument of the oracle's Eq.-4/5 tables
+        (``vertex_detours`` / ``keyword_detours``): grouping lets a table
+        walk each first portal's refined second portals directly, so the
+        reduced table costs the refined pairs, never more than the full
+        ``|P|^2`` one.  Computed lazily and cached on the instance.
         """
         cached = getattr(self, "_refined_by_source", None)
         if cached is None:

@@ -61,6 +61,8 @@ from repro.semantics.blinks import (
     offset_expansion,
 )
 from repro.semantics.wire import (
+    check_bound,
+    check_count,
     rooted_cache_params,
     rooted_payload,
     rooted_wire_params,
@@ -350,6 +352,8 @@ def _acomplete(
 def validate_blinks_params(ctx: PipelineContext) -> None:
     if not ctx.params["keywords"]:
         raise QueryError("Blinks query needs at least one keyword")
+    check_bound("tau", ctx.params["tau"])
+    check_count("k", ctx.params["k"])
 
 
 def init_blinks_state(ctx: PipelineContext) -> None:

@@ -5,7 +5,9 @@
   keyword matches.  The sweep additionally records every portal it
   passes — each is a gateway to public-side matches.
 * **ARefine** tightens both the match distances and the portal distances
-  with two-portal detours (Eq. 4), identical to PP-r-clique.
+  with two-portal detours (Eq. 4), as PP-r-clique does — but every pair
+  starts at the query vertex, so Eq. 4's ``|P|^2`` half is one table per
+  query.
 * **AComplete** extends each recorded portal with the public-side
   keyword distance ``d_hat(p, q)`` from PADS/KPADS (with witness), merges
   public candidates into the private ranking and keeps the top k.
@@ -121,7 +123,11 @@ def _validate(ctx: PipelineContext) -> None:
     p = ctx.params
     keywords, mode = _query_of(p)
     check_knk_query(keywords, p["k"], mode)
-    if p["source"] not in ctx.attachment.private:
+    try:
+        known = p["source"] in ctx.attachment.private
+    except TypeError:  # unhashable: no graph holds it
+        known = False
+    if not known:
         raise QueryError(
             f"k-nk query vertex {p['source']!r} must belong to the private graph"
         )
@@ -150,7 +156,12 @@ def _step_peval(ctx: PipelineContext) -> None:
 
 
 def _step_arefine(ctx: PipelineContext) -> None:
-    """Step 2: refine match and portal distances with portal detours."""
+    """Step 2: refine match and portal distances with portal detours.
+
+    One :meth:`~repro.portals.oracle.CombinedDistanceOracle.vertex_detours`
+    table rooted at the query vertex serves every refinement, so each
+    match or portal costs an ``O(|P|)`` scan.
+    """
     attachment, partial, counters = ctx.attachment, ctx.state, ctx.counters
     budget, reduced = ctx.budget, ctx.options.reduced_refinement
     if reduced and not attachment.has_refined_portals:
@@ -159,8 +170,10 @@ def _step_arefine(ctx: PipelineContext) -> None:
         )
         return
     oracle = attachment.oracle
-    pairs = attachment.refined_by_source if reduced else None
     source = partial.answer.source
+    via = oracle.vertex_detours(
+        source, attachment.refined_by_source if reduced else None
+    )
     for match in partial.answer.matches:
         if budget is not None:
             budget.checkpoint()
@@ -168,7 +181,7 @@ def _step_arefine(ctx: PipelineContext) -> None:
         if match.vertex is None:
             continue
         refined = oracle.refine_pair(
-            source, match.vertex, match.distance, pairs_by_source=pairs
+            source, match.vertex, match.distance, via=via
         )
         if refined < match.distance:
             match.distance = refined
@@ -178,7 +191,7 @@ def _step_arefine(ctx: PipelineContext) -> None:
         if budget is not None:
             budget.checkpoint()
         counters.refinement_checks += 1
-        nd = oracle.refine_pair(source, portal, d, pairs_by_source=pairs)
+        nd = oracle.refine_pair(source, portal, d, via=via)
         if nd < d:
             counters.refinements_applied += 1
         refined_portals.append((portal, nd))

@@ -42,6 +42,8 @@ from repro.graph.labeled_graph import Label, Vertex
 from repro.semantics.answers import RootedAnswer
 from repro.semantics.rclique import rclique_search
 from repro.semantics.wire import (
+    check_bound,
+    check_count,
     rooted_cache_params,
     rooted_payload,
     rooted_wire_params,
@@ -313,6 +315,8 @@ def _acomplete(
 def _validate(ctx: PipelineContext) -> None:
     if not ctx.params["keywords"]:
         raise QueryError("r-clique query needs at least one keyword")
+    check_bound("tau", ctx.params["tau"])
+    check_count("k", ctx.params["k"])
 
 
 def _init(ctx: PipelineContext) -> None:

@@ -58,6 +58,7 @@ from repro.semantics.truss import (
     truss_components,
 )
 from repro.semantics.wire import (
+    check_count,
     truss_cache_params,
     truss_payload,
     truss_wire_params,
@@ -179,7 +180,7 @@ def _step_acomplete(ctx: PipelineContext) -> None:
 # the spec
 # ----------------------------------------------------------------------
 def _validate(ctx: PipelineContext) -> None:
-    if ctx.params["k"] < 2:
+    if check_count("k", ctx.params["k"]) < 2:
         raise QueryError(f"k-truss requires k >= 2, got {ctx.params['k']}")
 
 

@@ -32,35 +32,46 @@ __all__ = ["try_requalify"]
 _EPS = 1e-12
 
 
-def _reach_portal(
-    engine, attachment, root: Vertex, portal: Vertex, reach: Dict[Vertex, float]
-) -> float:
-    """Best known root-to-portal distance (private map and/or public).
+class _PortalReach:
+    """Best known distances from one root to the portals, memoized.
 
-    Besides the private-only map and the public sketch, Eq.-4 detours
+    The private side is the root's Eq.-4 table
+    (:meth:`~repro.portals.oracle.CombinedDistanceOracle.vertex_detours`):
     ``d'(root, p_i) + dc(p_i, portal)`` through the Algo-7 combined
-    portal map are considered: the combined distance between two portals
-    can beat both single-graph routes (a mixed path alternating sides),
-    and ``dc`` is the only structure that records it.  ``reach`` memoizes
-    the root's values: they do not depend on the keyword being repaired.
+    portal map, whose ``i = j`` term is the private-only distance — the
+    combined distance between two portals can beat both single-graph
+    routes (a mixed path alternating sides), and ``dc`` is the only
+    structure that records it.  A public root also has the sketch's
+    direct estimate.  The values do not depend on the keyword being
+    repaired, so one instance serves every keyword of an answer; the
+    table is built on first use.
     """
-    best = reach.get(portal)
-    if best is None:
-        from_root = attachment.oracle.vertex_portal.portal_distances(root)
-        best = from_root.get(portal, INF)
-        if root in engine.public:
-            best = min(best, engine.index.provider().vertex_distance(root, portal))
-        pmap = attachment.portal_map
-        for pi, d1 in from_root.items():
-            if d1 < best:
-                best = min(best, d1 + pmap.get(pi, portal))
-        reach[portal] = best
-    return best
+
+    __slots__ = ("engine", "attachment", "root", "_detours", "_memo")
+
+    def __init__(self, engine, attachment, root: Vertex) -> None:
+        self.engine, self.attachment, self.root = engine, attachment, root
+        self._detours: Optional[Dict[Vertex, float]] = None
+        self._memo: Dict[Vertex, float] = {}
+
+    def __call__(self, portal: Vertex) -> float:
+        best = self._memo.get(portal)
+        if best is None:
+            if self._detours is None:
+                self._detours = self.attachment.oracle.vertex_detours(self.root)
+            best = self._detours.get(portal, INF)
+            engine = self.engine
+            if self.root in engine.public:
+                best = min(
+                    best, engine.index.provider().vertex_distance(self.root, portal)
+                )
+            self._memo[portal] = best
+        return best
 
 
 def _public_route(
     engine, attachment, root: Vertex, keyword: Label, cache,
-    reach: Dict[Vertex, float],
+    reach: _PortalReach,
 ) -> Tuple[float, Optional[Vertex]]:
     """Best public-side witness for (root, keyword), root public or private.
 
@@ -80,20 +91,20 @@ def _public_route(
             best, witness = d1 + pub_d, w
     for portal in attachment.portals:
         if attachment.private.has_label(portal, keyword):
-            d = _reach_portal(engine, attachment, root, portal, reach)
+            d = reach(portal)
             if d < best:
                 best, witness = d, portal
     return best, witness
 
 
 def _private_route(
-    engine, attachment, root: Vertex, keyword: Label, reach: Dict[Vertex, float]
+    engine, attachment, root: Vertex, keyword: Label, reach: _PortalReach
 ) -> Tuple[float, Optional[Vertex]]:
     """Best private-side witness for (root, keyword) through the portals."""
     pkd = attachment.oracle.pkd
     best, witness = INF, None
     for pj in attachment.portals:
-        d = _reach_portal(engine, attachment, root, pj, reach)
+        d = reach(pj)
         # a portal in G'.V carrying the keyword (even only via its public
         # labels) is itself a private-side witness
         if d < best and (
@@ -128,7 +139,7 @@ def try_requalify(
     if touches_private and touches_public:
         return True
 
-    reach: Dict[Vertex, float] = {}  # root -> portal distances, shared by keywords
+    reach = _PortalReach(engine, attachment, partial.root)
     for q in sorted(keywords):
         match = matches.get(q)
         if match is None or match.vertex is None:

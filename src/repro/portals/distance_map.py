@@ -30,6 +30,7 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    Mapping,
     Optional,
     Set,
     Tuple,
@@ -48,6 +49,8 @@ __all__ = [
     "refine_portal_distances",
     "combined_portal_maps",
 ]
+
+_NO_ROW: Mapping[Vertex, float] = {}
 
 
 class PortalDistanceMap:
@@ -75,6 +78,14 @@ class PortalDistanceMap:
         if row is None:
             return INF
         return row.get(q, INF)
+
+    def row(self, p: Vertex) -> Mapping[Vertex, float]:
+        """Every stored ``d(p, q)`` by ``q`` — the diagonal is not stored.
+
+        The live row, not a copy: rooted Eq.-4 tables walk it once per
+        portal instead of calling :meth:`get` once per pair.  Read-only.
+        """
+        return self._adj.get(p, _NO_ROW)
 
     def set(self, p: Vertex, q: Vertex, d: float) -> None:
         """Record ``d(p, q)``; the diagonal is implicit and immutable."""

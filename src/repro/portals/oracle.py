@@ -12,6 +12,15 @@ Two layers:
   (vertex-portal, PKD) with the refined portal map ``dc`` and a public
   provider to evaluate the paper's Eq. 4 (vertex-vertex refinement) and
   Eq. 5 (vertex-keyword refinement) without ever touching ``Gc``.
+
+Both equations are a minimum over portal pairs ``(p_i, p_j)`` of a sum
+with one fixed end, so each is evaluated in two halves: an ``O(|P|^2)``
+table over the fixed end — :meth:`CombinedDistanceOracle.vertex_detours`
+(rooted at a vertex, Eq. 4) or
+:meth:`CombinedDistanceOracle.keyword_detours` (rooted at a keyword,
+Eq. 5) — and an ``O(|P|)`` scan per other end.  A caller whose
+refinements share the fixed end builds the table once and passes it as
+``via=``; otherwise the scan builds its own.
 """
 
 from __future__ import annotations
@@ -126,12 +135,51 @@ class CombinedDistanceOracle:
         self.public = public
 
     # ------------------------------------------------------------------
+    def vertex_detours(
+        self,
+        v1: Vertex,
+        pairs_by_source: Optional[Mapping[Vertex, Tuple[Vertex, ...]]] = None,
+        upper: float = INF,
+    ) -> Dict[Vertex, float]:
+        """Eq. 4's left half as a table rooted at ``v1``.
+
+        ``out[p_j] = min_i d'(v1, p_i) + dc(p_i, p_j)``; portals with no
+        finite detour are absent.  Without ``pairs_by_source`` every
+        portal pair counts, the ``i = j`` diagonal (``dc = 0``) included;
+        with it only the listed ``(p_i, p_j)`` pairs do, as in
+        :meth:`refine_pair`.  A ``p_i`` with ``d'(v1, p_i) >= upper``
+        cannot shorten anything below ``upper`` and is skipped.
+        ``O(|P|^2)`` once per left end, so each :meth:`refine_pair`
+        against it is an ``O(|P|)`` scan — the Eq.-4 counterpart of
+        :meth:`keyword_detours`.
+        """
+        out: Dict[Vertex, float] = {}
+        pmap = self.portal_map
+        for pi, d1 in self.vertex_portal.portal_distances(v1).items():
+            if d1 >= upper:
+                continue
+            row = pmap.row(pi)
+            if pairs_by_source is None:
+                if d1 < out.get(pi, INF):
+                    out[pi] = d1
+                for pj, dc in row.items():
+                    total = d1 + dc
+                    if total < out.get(pj, INF):
+                        out[pj] = total
+            else:
+                for pj in pairs_by_source.get(pi, ()):
+                    total = d1 + (0.0 if pj == pi else row.get(pj, INF))
+                    if total < out.get(pj, INF):
+                        out[pj] = total
+        return out
+
     def refine_pair(
         self,
         v1: Vertex,
         v2: Vertex,
         upper: float,
         pairs_by_source: Optional[Mapping[Vertex, Tuple[Vertex, ...]]] = None,
+        via: Optional[Mapping[Vertex, float]] = None,
     ) -> float:
         """Eq. 4: tighten a private-graph distance with portal detours.
 
@@ -144,29 +192,26 @@ class CombinedDistanceOracle:
         Sec.-VI-A reduced refinement passes the *refined* pairs, which is
         lossless: a detour through an unrefined pair is itself a
         private-graph path, so it cannot beat ``d'(v1, v2)``.
+
+        ``via`` is ``v1``'s :meth:`vertex_detours` table when the caller
+        already holds it (k-nk's ARefine builds one per query, since every
+        refinement there starts at the query vertex); it was built with
+        the pair restriction, so ``pairs_by_source`` is then unused.  The
+        scan adds ``d'(p_j, v2)`` to a pre-summed ``d'(v1, p_i) +
+        dc(p_i, p_j)``, which is how the sum always associated, and
+        rounding is monotone — so the result is the per-pair double
+        loop's to the bit.
         """
         best = upper
-        from_v1 = self.vertex_portal.portal_distances(v1)
         to_v2 = self.vertex_portal.portal_distances(v2)
-        if not from_v1 or not to_v2:
+        if not to_v2:
             return best
-        pmap = self.portal_map
-        for pi, d1 in from_v1.items():
-            if d1 >= best:
-                continue
-            if pairs_by_source is not None:
-                for pj in pairs_by_source.get(pi, ()):
-                    d2 = to_v2.get(pj)
-                    if d2 is None:
-                        continue
-                    total = d1 + pmap.get(pi, pj) + d2
-                    if total < best:
-                        best = total
-            else:
-                for pj, d2 in to_v2.items():
-                    total = d1 + pmap.get(pi, pj) + d2
-                    if total < best:
-                        best = total
+        if via is None:
+            via = self.vertex_detours(v1, pairs_by_source, upper)
+        for pj, d2 in to_v2.items():
+            head = via.get(pj)
+            if head is not None and head + d2 < best:
+                best = head + d2
         return best
 
     def keyword_detours(

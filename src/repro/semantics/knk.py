@@ -29,6 +29,7 @@ from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.protocol import GraphLike
 from repro.graph.traversal import dijkstra_ordered
 from repro.semantics.answers import KnkAnswer, Match
+from repro.semantics.wire import check_count
 
 __all__ = [
     "knk_search",
@@ -43,8 +44,7 @@ _MODES = ("and", "or")
 
 def check_knk_query(keywords: Sequence[Label], k: int, mode: str) -> None:
     """Raise :class:`QueryError` unless ``(keywords, k, mode)`` is a query."""
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
+    check_count("k", k)
     if not keywords:
         raise QueryError("multi-keyword k-nk needs at least one keyword")
     if mode not in _MODES:

@@ -16,6 +16,9 @@ This module holds the two families those callables come in:
 Defaults applied here (``tau`` 5.0, ``k`` 10, ``mode`` ``"and"``) are
 part of the wire contract: the cache-key functions apply the same
 defaults so ``{"k": 10}`` and an omitted ``k`` hit the same cache line.
+Fields are validated, never coerced: a value of the wrong type or range
+is a :class:`~repro.exceptions.QueryError` naming the field (wire code
+``bad_request``), raised by the params and the cache-key function alike.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ __all__ = [
     "knk_cache_params",
     "knk_multi_cache_params",
     "truss_cache_params",
+    "check_count",
+    "check_bound",
 ]
 
 
@@ -144,35 +149,86 @@ def _keyword(request: Dict[str, Any]) -> str:
     return keyword
 
 
+def check_count(field: str, value: Any) -> int:
+    """``value`` if it is an integer ``>= 1``, else :class:`QueryError`.
+
+    Nothing is coerced: ``2.5`` is not truncated, ``"2"`` is not parsed
+    (it would share ``2``'s cache line) and ``True`` is an ``int`` only
+    by accident.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise QueryError(
+            f"field {field!r} must be an integer >= 1, got {value!r}"
+        )
+    return value
+
+
+def check_bound(field: str, value: Any) -> float:
+    """``value`` as a float if it is a number ``>= 0``, else
+    :class:`QueryError` — ``NaN`` fails the comparison and is refused."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not value >= 0
+    ):
+        raise QueryError(
+            f"field {field!r} must be a number >= 0, got {value!r}"
+        )
+    return float(value)
+
+
+def _source(request: Dict[str, Any]) -> Any:
+    """The request's ``source`` vertex: a string or a number."""
+    source = request["source"]
+    if isinstance(source, bool) or not isinstance(source, (str, int, float)):
+        raise QueryError(
+            f"field 'source' must be a vertex (a string or a number), "
+            f"got {source!r}"
+        )
+    return source
+
+
+def _mode(request: Dict[str, Any]) -> str:
+    """The request's ``mode``: a string (its value is the engine's to
+    judge), defaulting to ``"and"``."""
+    mode = request.get("mode", "and")
+    if not isinstance(mode, str):
+        raise QueryError(f"field 'mode' must be a string, got {mode!r}")
+    return mode
+
+
+# Params and cache keys read every field through the same validators
+# above, so a value the engine would refuse can never reach — or be
+# served from — the answer cache.
 def rooted_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "keywords": list(_keywords(request)),
-        "tau": float(request.get("tau", 5.0)),
-        "k": int(request.get("k", 10)),
+        "tau": check_bound("tau", request.get("tau", 5.0)),
+        "k": check_count("k", request.get("k", 10)),
         "require_public_private": True,
     }
 
 
 def knk_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
     return {
-        "source": request["source"],
+        "source": _source(request),
         "keyword": _keyword(request),
-        "k": int(request.get("k", 10)),
+        "k": check_count("k", request.get("k", 10)),
     }
 
 
 def knk_multi_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
     return {
-        "source": request["source"],
+        "source": _source(request),
         "keywords": list(_keywords(request)),
-        "k": int(request.get("k", 10)),
-        "mode": str(request.get("mode", "and")),
+        "k": check_count("k", request.get("k", 10)),
+        "mode": _mode(request),
     }
 
 
 def truss_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
     return {
-        "k": int(request["k"]),
+        "k": check_count("k", request["k"]),
         "keywords": list(_keywords(request)),
         "require_public_private": True,
     }
@@ -181,23 +237,26 @@ def truss_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
 def rooted_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
     return (
         _keywords(request),
-        float(request.get("tau", 5.0)),
-        int(request.get("k", 10)),
+        check_bound("tau", request.get("tau", 5.0)),
+        check_count("k", request.get("k", 10)),
     )
 
 
 def knk_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
-    return (request["source"], _keyword(request), int(request.get("k", 10)))
+    return (
+        _source(request), _keyword(request),
+        check_count("k", request.get("k", 10)),
+    )
 
 
 def knk_multi_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
     return (
-        request["source"],
+        _source(request),
         _keywords(request),
-        int(request.get("k", 10)),
-        str(request.get("mode", "and")),
+        check_count("k", request.get("k", 10)),
+        _mode(request),
     )
 
 
 def truss_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
-    return (int(request["k"]), _keywords(request))
+    return (check_count("k", request["k"]), _keywords(request))

@@ -698,3 +698,88 @@ class TestAttachMaps:
         full = all_pairs_portal_distances(pub, attachment.portals)
         assert full.get("v100", "v300") == 200.0
         assert len(set(pub.expanded)) >= 200
+
+
+# ----------------------------------------------------------------------
+# Eq. 4 through the rooted table, against the double loop it replaced
+# ----------------------------------------------------------------------
+# The reference is ``CombinedDistanceOracle.refine_pair`` as it stood
+# before Eq. 4 was split into a table rooted at ``v1`` and an O(|P|) scan:
+# one ``(p_i, p_j)`` double loop per call, with the running-best early
+# exit.  It survives only here.
+def _reference_refine_pair(oracle, v1, v2, upper, pairs_by_source=None):
+    best = upper
+    from_v1 = oracle.vertex_portal.portal_distances(v1)
+    to_v2 = oracle.vertex_portal.portal_distances(v2)
+    if not from_v1 or not to_v2:
+        return best
+    pmap = oracle.portal_map
+    for pi, d1 in from_v1.items():
+        if d1 >= best:
+            continue
+        if pairs_by_source is not None:
+            for pj in pairs_by_source.get(pi, ()):
+                d2 = to_v2.get(pj)
+                if d2 is None:
+                    continue
+                total = d1 + pmap.get(pi, pj) + d2
+                if total < best:
+                    best = total
+        else:
+            for pj, d2 in to_v2.items():
+                total = d1 + pmap.get(pi, pj) + d2
+                if total < best:
+                    best = total
+    return best
+
+
+class TestVertexDetours:
+    @pytest.mark.parametrize("weights", ("eighths", "floats"))
+    @pytest.mark.parametrize("backend", ("dict", "csr"))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_refine_pair_equals_the_double_loop_to_the_bit(
+        self, seed, backend, weights
+    ):
+        """With and without ``via=``, full and reduced, every vertex pair.
+
+        The private graph has two components, so cross-component ``d'``
+        are infinite; the pairs include ``v1 == v2`` and portal
+        endpoints; ``floats`` moves every weight off the 1/8 grid so sums
+        round.  ``==``, not approx: the table pre-sums ``d'(v1, p_i) +
+        dc(p_i, p_j)`` just as the loop's left-to-right sum did, and
+        takes minima, which rounding preserves.
+        """
+        import random as _random
+
+        from repro.core.framework import PPKWS
+
+        pub, priv, portals, _ = _two_component_pair(seed)
+        if weights == "floats":
+            rng = _random.Random(seed)
+            for g in (pub, priv):
+                for u, v, w in list(g.edges()):
+                    g.add_edge(u, v, w * rng.uniform(0.9, 1.1))
+        engine = PPKWS(pub, sketch_k=2, freeze=backend == "csr")
+        attachment = engine.attach("owner", priv)
+        oracle = attachment.oracle
+        vertices = sorted(priv.vertices(), key=repr)
+        assert portals <= set(vertices)
+        assert any(
+            oracle.vertex_portal.get(v, p) == INF for v in vertices for p in portals
+        ), "the private graph is connected: no d' is infinite"
+        assert attachment.has_refined_portals
+
+        improved = 0
+        for pairs in (None, attachment.refined_by_source):
+            for v1 in vertices:
+                via = oracle.vertex_detours(v1, pairs)
+                private = dijkstra(priv, v1)
+                for v2 in vertices:
+                    for upper in (private.get(v2, INF), INF, 1.0):
+                        want = _reference_refine_pair(oracle, v1, v2, upper, pairs)
+                        assert oracle.refine_pair(v1, v2, upper, pairs) == want, (
+                            v1, v2, upper,
+                        )
+                        assert oracle.refine_pair(v1, v2, upper, via=via) == want
+                        improved += want < upper
+        assert improved, "no detour ever beat its bound"

@@ -422,6 +422,67 @@ class TestErrorCodeMap:
         # rejected before the cache saw a key: nothing counted or stored
         assert service.answer_cache.stats() == before
 
+    @pytest.mark.parametrize("field, request_", [
+        # nothing is coerced: each of these used to be answered (or was
+        # ``internal``) after an int()/float() or a failed hash
+        ("k", knk_req(k=True)),
+        ("k", knk_req(k=2.5)),
+        ("k", knk_req(k="2")),
+        ("k", knk_req(k=float("nan"))),
+        ("k", knk_req(k=0)),
+        ("k", blinks_req(k=2.0)),
+        ("k", {"op": "truss", "network": "net", "owner": "bob", "k": "3"}),
+        ("k", {"op": "knk_multi", "network": "net", "owner": "bob",
+               "source": "x1", "keywords": ["db"], "k": None}),
+        ("source", knk_req(source=["u"])),
+        ("source", knk_req(source=True)),
+        ("source", {"op": "knk_multi", "network": "net", "owner": "bob",
+                    "source": {"x": 1}, "keywords": ["db"]}),
+        ("mode", {"op": "knk_multi", "network": "net", "owner": "bob",
+                  "source": "x1", "keywords": ["db"], "mode": 1}),
+        ("tau", blinks_req(tau=float("nan"))),
+        ("tau", blinks_req(tau="5")),
+        ("tau", blinks_req(tau=True)),
+        ("tau", blinks_req(tau=-1)),
+        ("tau", blinks_req(op="rclique", tau=[4.0])),
+        ("tau", blinks_req(op="banks", tau=None)),
+    ], ids=lambda v: v if isinstance(v, str) else f"{v['op']}")
+    def test_malformed_scalar_fields_are_bad_requests(self, service, field, request_):
+        for warm in (knk_req(), blinks_req()):  # the well-formed lines exist
+            assert service.execute(warm)["status"] == "ok"
+        before = service.answer_cache.stats()
+        resp = service.execute(request_)
+        assert resp["status"] == "error"
+        assert resp["code"] == "bad_request"
+        assert repr(field) in resp["error"]
+        # rejected before the cache saw a key: no hit on k=2's line for
+        # k="2", nothing counted or stored
+        assert service.answer_cache.stats() == before
+
+    @pytest.mark.parametrize("request_", [
+        knk_req(k=1), blinks_req(tau=0), blinks_req(tau=3), blinks_req(k=1),
+        knk_req(source="x2"), knk_req(source=2),  # vertex 2 is a portal
+    ])
+    def test_well_formed_scalar_fields_still_answer(self, service, request_):
+        assert service.execute(request_)["status"] == "ok"
+
+    def test_int_and_float_tau_share_a_cache_line(self, service):
+        assert "cached" not in service.execute(blinks_req(tau=4))
+        assert service.execute(blinks_req(tau=4.0))["cached"] is True
+
+    def test_malformed_batch_item_fields_are_bad_requests(self, service):
+        resp = service.execute({
+            "op": "batch", "network": "net", "owner": "bob",
+            "queries": [
+                {"op": "knk", "source": ["u"], "keyword": "cv"},
+                {"op": "blinks", "keywords": ["db"], "tau": float("nan")},
+                {"op": "knk", "source": "x1", "keyword": "cv", "k": 2},
+            ],
+        })
+        codes = [entry.get("code") for entry in resp["results"]]
+        assert codes == ["bad_request", "bad_request", None]
+        assert resp["results"][2]["status"] == "ok"
+
     def test_bad_knk_multi_mode_is_rejected_before_any_step(self, service):
         from repro import faults
         from repro.faults.points import ENGINE_STEP
