@@ -2,8 +2,9 @@
 
 The public index is the only expensive artifact in PPKWS — built once
 per public graph, shared by every user — so it is kept on disk, in a form
-that loads faster than it rebuilds: one flat little-endian binary layout
-(format v3), written and read with the standard library only::
+that a restart serves from instead of rebuilding: one flat little-endian
+binary layout (format v3), written with the standard library and read as
+zero-copy ``numpy`` views of the file::
 
     "PPKWSIDX" | version u32 | section count u32 | u64 length per section
     meta             JSON: k, kpads_per_center, num_vertices, graph_sha256,
@@ -24,18 +25,34 @@ slices centers/dists per owner, ``kpads.indptr`` per keyword,
 **Entry order is data.**  ``estimate_with_witness``, ``top_candidates``
 and ``build_kpads`` break distance ties by first-seen, so every map is
 written in iteration order and rebuilt in it: a loaded index answers
-exactly as the built one.  ``save_index`` is a pure function of the
-index (equal indexes, byte-identical files) and writes through
+exactly as the built one.
+
+**``load_index`` verifies and wraps; it decodes no sketch row.**  The
+loaded :class:`~repro.sketches.base.DistanceSketch` and
+:class:`~repro.sketches.kpads.KeywordSketch` start with no rows and a
+*row source* over the verified sections.  A probe's miss decodes one PADS
+row (a vertex) or one KPADS ``(entries, witnesses, candidates)`` triple
+(a keyword) with the same ``dict(zip(...))`` over its slice, in the saved
+order; a hit is the plain ``dict.get`` of a built sketch.  Row sources
+pickle as their sections, so a loaded index replicates to shard workers
+undecoded.  Reading ``entries`` (whole-index views, ``save_index``)
+decodes every remaining row, in file order: a loaded index saves back to
+the bytes it was loaded from, touched or not.
+
+``save_index`` is a pure function of the index (equal indexes,
+byte-identical files) and writes through
 :func:`repro.ioutil.atomic_write`: a crash mid-save leaves the previous
 file intact, never a torn hybrid.
 
 ``load_index`` checks, in order: the magic (an empty file, a text index
 of a previous release); the trailing sha-256 on the raw buffer, before
 any section is decoded (truncation, a torn trailer, a bit flip
-anywhere); then version, length table, item sizes, id ranges and row
-pointers (damage older than the checksum).  Each failure raises
-:class:`~repro.exceptions.IndexCorruptError` and the service quarantines
-the file.  A *stale* file — sound, but for another graph by
+anywhere); then version, length table, item sizes, every id's range and
+every row pointer (damage older than the checksum).  The checks are
+whole-section array operations, so they stay eager: damage in a row no
+probe has touched yet still fails the load, never a later probe.  Each
+failure raises :class:`~repro.exceptions.IndexCorruptError` and the
+service quarantines the file.  A *stale* file — sound, but for another graph by
 ``num_vertices`` or ``graph_sha256`` (:meth:`FrozenGraph.digest
 <repro.graph.frozen.FrozenGraph.digest>`) — raises the base
 :class:`~repro.exceptions.IndexBuildError`: callers rebuild.
@@ -52,7 +69,11 @@ import sys
 from array import array
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Iterable, List, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
+
+import numpy as np
 
 from repro import faults
 from repro.core.framework import PublicIndex
@@ -81,6 +102,8 @@ _SECTIONS = {
     "kpads.witnesses": "i",
     "cand.indptr": "i", "cand.dists": "d", "cand.vertices": "i",
 }
+#: the loader's view of each typecode: little-endian whatever the platform
+_DTYPES = {"i": np.dtype("<i4"), "d": np.dtype("<f8")}
 #: magic, version, section count, byte length of the meta and of each section
 _HEADER = struct.Struct(f"<8sII{len(_SECTIONS) + 1}Q")
 
@@ -173,6 +196,69 @@ def _verified_sections(path: PathLike, raw: bytes) -> List[memoryview]:
     return [view[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+class _PadsRows:
+    """PADS rows straight from the ``pads.*`` sections (a sketch's source)."""
+
+    __slots__ = ("vertices", "row_of", "indptr", "centers", "dists")
+
+    def __init__(
+        self, vertices: List[Any], owners: Any, indptr: Any, centers: Any, dists: Any
+    ) -> None:
+        self.vertices = vertices
+        self.row_of = {vertices[i]: row for row, i in enumerate(owners.tolist())}
+        self.indptr, self.centers, self.dists = indptr, centers, dists
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.row_of)
+
+    def __call__(self, v: Any) -> Optional[Dict[Any, float]]:
+        row = self.row_of.get(v)
+        if row is None:
+            return None
+        a, b = self.indptr[row : row + 2].tolist()
+        centers = map(self.vertices.__getitem__, self.centers[a:b].tolist())
+        return dict(zip(centers, self.dists[a:b].tolist()))
+
+
+class _KpadsRows:
+    """KPADS ``(entries, witnesses, candidates)`` rows per keyword, straight
+    from the ``kpads.*`` and ``cand.*`` sections (a sketch's source)."""
+
+    __slots__ = (
+        "vertices", "row_of", "indptr", "centers", "dists", "witnesses",
+        "cand_indptr", "cand_dists", "cand_vertices",
+    )
+
+    def __init__(self, vertices: List[Any], labels: List[Any], *columns: Any) -> None:
+        self.vertices = vertices
+        self.row_of = {t: row for row, t in enumerate(labels)}
+        (self.indptr, self.centers, self.dists, self.witnesses,
+         self.cand_indptr, self.cand_dists, self.cand_vertices) = columns
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.row_of)
+
+    def __call__(self, keyword: Any) -> Optional[Tuple[Dict[Any, Any], ...]]:
+        row = self.row_of.get(keyword)
+        if row is None:
+            return None
+        vertex = self.vertices.__getitem__
+        a, b = self.indptr[row : row + 2].tolist()
+        centers = list(map(vertex, self.centers[a:b].tolist()))
+        ptr = self.cand_indptr[a : b + 1].tolist()
+        lo, hi = ptr[0], ptr[-1]
+        pairs = list(zip(
+            self.cand_dists[lo:hi].tolist(),
+            map(vertex, self.cand_vertices[lo:hi].tolist()),
+        ))
+        lists = [pairs[i - lo : j - lo] for i, j in zip(ptr, ptr[1:])]
+        return (
+            dict(zip(centers, self.dists[a:b].tolist())),
+            dict(zip(centers, map(vertex, self.witnesses[a:b].tolist()))),
+            dict(zip(centers, lists)),
+        )
+
+
 def load_index(graph: "GraphLike", path: PathLike) -> PublicIndex:
     """Read a :class:`PublicIndex` previously written by :func:`save_index`.
 
@@ -180,26 +266,28 @@ def load_index(graph: "GraphLike", path: PathLike) -> PublicIndex:
     either backend.  Raises :class:`~repro.exceptions.IndexCorruptError`
     when the file fails an integrity check and plain
     :class:`~repro.exceptions.IndexBuildError` when it is merely stale
-    for ``graph``.  The cyclic GC is paused while the maps are rebuilt —
-    a million containers, none of them garbage, otherwise trigger full
-    collections costing a third of the load — and one collection at the
-    end promotes them here, not inside the first requests served.
+    for ``graph``.  Every check runs here; the sketches then decode each
+    row from the verified sections on its first lookup.
+
+    The cyclic GC is not paused: the load builds a vertex list and two
+    row tables, not the million containers that once made a pause pay.
+    The closing ``gc.collect()`` stays.  It promotes what the caller has
+    just built (the public graph) here rather than inside the first
+    attach, which it halves (18.4 -> 9.2 ms on the bench graph, at no
+    measurable ``setup_s`` cost; EXPERIMENTS.md, "Sketch rows decoded on
+    first touch").
     """
     faults.fire(points.PERSIST_LOAD_READ)
     with open(path, "rb") as fh:
         raw = fh.read()
     sections = _verified_sections(path, raw)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
-        return _decode(graph, sections)
+        index = _decode(graph, sections)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         # Checksum fine but undecodable: damaged before it was computed.
         raise IndexCorruptError(path, f"undecodable index: {exc!r}") from exc
-    finally:
-        if gc_was_enabled:
-            gc.collect()
-            gc.enable()
+    gc.collect()
+    return index
 
 
 def _decode(graph: "GraphLike", sections: List[memoryview]) -> PublicIndex:
@@ -213,23 +301,23 @@ def _decode(graph: "GraphLike", sections: List[memoryview]) -> PublicIndex:
             f"index is for another graph (of {meta['num_vertices']} vertices)"
         )
 
-    def column(name: str) -> List[Any]:
-        section = array(_SECTIONS[name])
-        section.frombytes(views[name])  # ValueError unless whole items
-        if sys.byteorder == "big":  # pragma: no cover - platform
-            section.byteswap()
-        return section.tolist()
+    def column(name: str) -> Any:
+        """Section ``name`` as a read-only little-endian view, no copy."""
+        dtype = _DTYPES[_SECTIONS[name]]
+        if len(views[name]) % dtype.itemsize:
+            raise ValueError(f"{name}: length is not a multiple of the item size")
+        return np.frombuffer(views[name], dtype=dtype)
 
-    def vertex_column(name: str) -> List[Any]:
+    def vertex_column(name: str) -> Any:
         ids = column(name)
-        if ids and not 0 <= min(ids) <= max(ids) < len(vertices):
+        if ids.size and not 0 <= ids.min() <= ids.max() < len(vertices):
             raise ValueError(f"{name}: vertex id out of range")
-        return list(map(vertices.__getitem__, ids))
+        return ids
 
-    def indptr(name: str, rows: int, *columns: List[Any]) -> List[int]:
+    def indptr(name: str, rows: int, *columns: Any) -> Any:
         """Row pointer ``name``: ``rows`` slices of equally long ``columns``."""
         ptr = column(name)
-        shaped = len(ptr) == rows + 1 and ptr[0] == 0 and ptr == sorted(ptr)
+        shaped = len(ptr) == rows + 1 and ptr[0] == 0 and (ptr[1:] >= ptr[:-1]).all()
         if not shaped or any(len(c) != ptr[-1] for c in columns):
             raise ValueError(f"{name}: does not slice its columns")
         return ptr
@@ -239,23 +327,23 @@ def _decode(graph: "GraphLike", sections: List[memoryview]) -> PublicIndex:
         raise ValueError("pagerank: ids and scores differ in length")
     owners = vertex_column("pads.owners")
     centers, dists = vertex_column("pads.centers"), column("pads.dists")
-    ptr = indptr("pads.indptr", len(owners), centers, dists)
-    pads = {
-        v: dict(zip(centers[a:b], dists[a:b]))
-        for v, a, b in zip(owners, ptr, ptr[1:])
-    }
+    pads = _PadsRows(
+        vertices, owners, indptr("pads.indptr", len(owners), centers, dists),
+        centers, dists,
+    )
     centers, dists = vertex_column("kpads.centers"), column("kpads.dists")
     witnesses = vertex_column("kpads.witnesses")
     cand_dists, cand_vertices = column("cand.dists"), vertex_column("cand.vertices")
-    ptr = indptr("cand.indptr", len(centers), cand_dists, cand_vertices)
-    pairs = list(zip(cand_dists, cand_vertices))
-    lists = [pairs[a:b] for a, b in zip(ptr, ptr[1:])]
-    ptr = indptr("kpads.indptr", len(labels), centers, dists, witnesses, lists)
-    entries, wit, cand = {}, {}, {}
-    for t, a, b in zip(labels, ptr, ptr[1:]):
-        entries[t] = dict(zip(centers[a:b], dists[a:b]))
-        wit[t] = dict(zip(centers[a:b], witnesses[a:b]))
-        cand[t] = dict(zip(centers[a:b], lists[a:b]))
-    sketch = DistanceSketch(pads, k, kind="PADS")
-    kpads = KeywordSketch(entries, wit, k, cand, meta["kpads_per_center"])
-    return PublicIndex(graph, sketch, kpads, dict(zip(ids, scores)))
+    cand_ptr = indptr("cand.indptr", len(centers), cand_dists, cand_vertices)
+    kpads = _KpadsRows(
+        vertices, labels,
+        indptr("kpads.indptr", len(labels), centers, dists, witnesses),
+        centers, dists, witnesses, cand_ptr, cand_dists, cand_vertices,
+    )
+    per_center = meta["kpads_per_center"]
+    return PublicIndex(
+        graph,
+        DistanceSketch({}, k, kind="PADS", source=pads),
+        KeywordSketch({}, {}, k, {}, per_center, source=kpads),
+        dict(zip(map(vertices.__getitem__, ids.tolist()), scores.tolist())),
+    )

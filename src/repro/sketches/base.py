@@ -28,7 +28,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Protocol, Tuple,
+)
 
 from repro.exceptions import IndexBuildError
 from repro.graph.frozen import FrozenGraph
@@ -38,7 +41,17 @@ from repro.graph.traversal import INF
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.protocol import GraphLike
 
-__all__ = ["DistanceSketch", "build_sketch_from_ranks"]
+__all__ = ["DistanceSketch", "RowSource", "build_sketch_from_ranks"]
+
+
+class RowSource(Protocol):
+    """Where a loaded sketch's missing rows come from (the index file)."""
+
+    def __call__(self, key: Any) -> Any:
+        """The decoded row of ``key``; ``None`` when the file has none."""
+
+    def __iter__(self) -> Iterator[Any]:
+        """The row keys, in file order."""
 
 
 class DistanceSketch:
@@ -52,31 +65,61 @@ class DistanceSketch:
     Sketch distances are along real paths, so ``d_hat`` is always an upper
     bound of the true distance, and exact when ``u`` (or ``v``) is itself a
     center of the other's sketch.
+
+    The rows present so far are the plain dict ``rows``; every probe reads
+    it with ``dict.get``.  A built sketch holds all its rows.  A loaded one
+    (:func:`repro.core.persist.load_index`) starts empty and has a
+    ``source``: a callable that decodes one vertex's row from the index
+    file (``None`` for a vertex without one) and iterates the vertices in
+    file order.  Only a miss consults it, and the first decoded row wins
+    (``setdefault``), so racing readers all see one row object.
+    ``entries`` is the whole table: reading it decodes every missing row.
     """
 
-    __slots__ = ("entries", "k", "kind")
+    __slots__ = ("rows", "source", "k", "kind")
 
     def __init__(
         self,
         entries: Dict[Vertex, Dict[Vertex, float]],
         k: int,
         kind: str = "sketch",
+        source: Optional[RowSource] = None,
     ) -> None:
-        self.entries = entries
+        self.rows = entries
+        self.source = source
         self.k = k
         self.kind = kind
+
+    @property
+    def entries(self) -> Dict[Vertex, Dict[Vertex, float]]:
+        """Every row, in build (file) order; decodes the ones not yet present."""
+        source = self.source
+        if source is not None:
+            rows = self.rows
+            self.rows = {v: rows.get(v) or source(v) for v in source}
+            self.source = None
+        return self.rows
+
+    def fetch(self, v: Vertex) -> Optional[Dict[Vertex, float]]:
+        """The miss path of every probe: ``v``'s row, decoded on first touch."""
+        source = self.source
+        if source is None:
+            return self.rows.get(v)
+        row = source(v)
+        return None if row is None else self.rows.setdefault(v, row)
 
     # ------------------------------------------------------------------
     def sketch(self, v: Vertex) -> Mapping[Vertex, float]:
         """The sketch of ``v`` (empty mapping for unknown vertices)."""
-        return self.entries.get(v, {})
+        return self.rows.get(v) or self.fetch(v) or {}
 
     def estimate(self, u: Vertex, v: Vertex) -> float:
         """Estimated distance ``d_hat(u, v)`` (Eq. 2); ``inf`` if no overlap."""
+        rows = self.rows
         if u == v:
-            return 0.0 if u in self.entries else INF
-        su = self.entries.get(u)
-        sv = self.entries.get(v)
+            return 0.0 if u in rows or self.fetch(u) is not None else INF
+        su = rows.get(u) or self.fetch(u)
+        sv = rows.get(v) or self.fetch(v)
         if not su or not sv:
             return INF
         if len(su) > len(sv):
@@ -94,7 +137,7 @@ class DistanceSketch:
         KPADS keyword lookups use this: ``other`` is the merged keyword
         sketch (Eq. 3).
         """
-        sv = self.entries.get(v)
+        sv = self.rows.get(v) or self.fetch(v)
         if not sv or not other:
             return INF
         if len(sv) > len(other):

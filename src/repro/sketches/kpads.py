@@ -15,12 +15,12 @@ index in Appx. A).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.protocol import GraphLike
 from repro.graph.traversal import INF
-from repro.sketches.base import DistanceSketch
+from repro.sketches.base import DistanceSketch, RowSource
 
 __all__ = ["KeywordSketch", "build_kpads"]
 
@@ -34,9 +34,18 @@ class KeywordSketch:
     The single-witness estimator only needs ``entries``; the candidate
     lists power top-k retrieval for PP-knk's answer completion, where a
     single nearest match per portal would under-fill the top-k.
+
+    Rows are held as in :class:`~repro.sketches.base.DistanceSketch`: the
+    plain dicts ``rows`` / ``witness_rows`` / ``candidate_rows`` hold the
+    keywords present so far, and a loaded sketch's ``source`` decodes a
+    keyword's ``(entries, witnesses, candidates)`` triple on a miss.  The
+    triple is published witnesses and candidates first, so a reader that
+    finds a keyword in ``rows`` finds its witnesses too.
     """
 
-    __slots__ = ("entries", "witnesses", "candidates", "k", "per_center")
+    __slots__ = (
+        "rows", "witness_rows", "candidate_rows", "source", "k", "per_center",
+    )
 
     def __init__(
         self,
@@ -45,22 +54,72 @@ class KeywordSketch:
         k: int,
         candidates: Optional[Dict[Label, Dict[Vertex, List[Tuple[float, Vertex]]]]] = None,
         per_center: int = 1,
+        source: Optional[RowSource] = None,
     ) -> None:
-        self.entries = entries
-        self.witnesses = witnesses
-        self.candidates = candidates if candidates is not None else {}
+        self.rows = entries
+        self.witness_rows = witnesses
+        self.candidate_rows = candidates if candidates is not None else {}
+        self.source = source
         self.k = k
         self.per_center = per_center
 
+    def _complete(self) -> None:
+        """Decode every keyword not yet present, keeping file order."""
+        source = self.source
+        if source is not None:
+            triples = list(map(self.fetch, source))
+            self.witness_rows = dict(zip(source, (w for _, w, _ in triples)))
+            self.candidate_rows = dict(zip(source, (c for _, _, c in triples)))
+            self.rows = dict(zip(source, (e for e, _, _ in triples)))
+            self.source = None
+
+    @property
+    def entries(self) -> Dict[Label, Dict[Vertex, float]]:
+        """Every keyword's ``KPADS(t)``; decodes the ones not yet present."""
+        self._complete()
+        return self.rows
+
+    @property
+    def witnesses(self) -> Dict[Label, Dict[Vertex, Vertex]]:
+        """Every keyword's center -> witness map (decodes all, as ``entries``)."""
+        self._complete()
+        return self.witness_rows
+
+    @property
+    def candidates(self) -> Dict[Label, Dict[Vertex, List[Tuple[float, Vertex]]]]:
+        """Every keyword's candidate lists (decodes all, as ``entries``)."""
+        self._complete()
+        return self.candidate_rows
+
+    def fetch(self, keyword: Label) -> Tuple[Dict[Vertex, Any], ...]:
+        """``keyword``'s ``(entries, witnesses, candidates)``, decoded on
+        first touch (empty ones for an unknown keyword); every probe's miss
+        path."""
+        source, row = self.source, None
+        if source is not None and keyword not in self.rows:
+            row = source(keyword)
+        if row is None:
+            return (
+                self.rows.get(keyword) or {},
+                self.witness_rows.get(keyword) or {},
+                self.candidate_rows.get(keyword) or {},
+            )
+        entries, witnesses, candidates = row
+        witnesses = self.witness_rows.setdefault(keyword, witnesses)
+        candidates = self.candidate_rows.setdefault(keyword, candidates)
+        return self.rows.setdefault(keyword, entries), witnesses, candidates
+
     def sketch(self, keyword: Label) -> Mapping[Vertex, float]:
         """``KPADS(t)``: center -> min distance (empty if keyword unknown)."""
-        return self.entries.get(keyword, {})
+        return self.rows.get(keyword) or self.fetch(keyword)[0]
 
     def estimate(
         self, pads: DistanceSketch, v: Vertex, keyword: Label
     ) -> float:
         """Estimated ``d_hat(v, t)`` per Eq. 3; ``inf`` when not estimable."""
-        return pads.estimate_to_sketch(v, self.entries.get(keyword, {}))
+        return pads.estimate_to_sketch(
+            v, self.rows.get(keyword) or self.fetch(keyword)[0]
+        )
 
     def estimate_with_witness(
         self, pads: DistanceSketch, v: Vertex, keyword: Label
@@ -71,8 +130,8 @@ class KeywordSketch:
         the winning center, i.e. the vertex AComplete should report as the
         match for ``keyword``.
         """
-        kw_sketch = self.entries.get(keyword)
-        sv = pads.entries.get(v)
+        kw_sketch = self.rows.get(keyword) or self.fetch(keyword)[0]
+        sv = pads.rows.get(v) or pads.fetch(v)
         if not kw_sketch or not sv:
             return INF, None
         best = INF
@@ -84,7 +143,7 @@ class KeywordSketch:
                 best_center = w
         if best_center is None:
             return INF, None
-        witness = self.witnesses.get(keyword, {}).get(best_center)
+        witness = self.witness_rows.get(keyword, {}).get(best_center)
         return best, witness
 
     def top_candidates(
@@ -96,8 +155,8 @@ class KeywordSketch:
         PADS; distances are sketch estimates (upper bounds), each the
         length of a real path ``v -> center -> candidate``.
         """
-        kw_lists = self.candidates.get(keyword)
-        sv = pads.entries.get(v)
+        kw_lists = self.candidate_rows.get(keyword) or self.fetch(keyword)[2]
+        sv = pads.rows.get(v) or pads.fetch(v)
         if not kw_lists or not sv:
             return []
         best: Dict[Vertex, float] = {}

@@ -560,6 +560,31 @@ class TestCorruptIndexDetection:
                 ):
                     load_index(g, path)
 
+    @pytest.mark.parametrize("name,typecode,edit", [
+        *[(name, "i", poke) for name in (
+            "pagerank.ids", "pads.owners", "pads.centers", "kpads.centers",
+            "kpads.witnesses", "cand.vertices",
+        ) for poke in (
+            lambda c: c.__setitem__(-1, 10**6), lambda c: c.__setitem__(-1, -1),
+        )],
+        *[(name, "i", edit) for name in (
+            "pads.indptr", "kpads.indptr", "cand.indptr",
+        ) for edit in (
+            lambda c: c.__setitem__(-2, c[-1] + 1),  # the last row runs backwards
+            lambda c: c.__setitem__(-1, c[-1] + 1),  # ... or past its columns
+        )],
+    ])
+    def test_damaged_last_row_fails_the_load_not_a_probe(
+        self, tmp_path, index_and_graph, name, typecode, edit
+    ):
+        """Rows decode on first touch, but every check runs in load_index."""
+        index, g = index_and_graph
+        path, raw = _saved(tmp_path, index)
+        sections = _edited(split_index_file(raw), name, typecode, edit)
+        path.write_bytes(join_index_file(sections))
+        with pytest.raises(IndexCorruptError, match=f"undecodable.*{name}"):
+            load_index(g, path)
+
     @pytest.mark.parametrize("damage", [
         "item size", "row pointer order", "row pointer end", "row count",
         "column lengths", "pagerank lengths", "meta json", "meta field",

@@ -6,6 +6,8 @@ import json
 import os
 import random
 import struct
+import sys
+import threading
 from array import array
 
 import pytest
@@ -295,3 +297,104 @@ class TestLayout:
         assert dict(
             zip((meta["vertices"][i] for i in ids[:stop]), dists[:stop])
         ) == index.pads.entries[first_owner]
+
+
+# ----------------------------------------------------------------------
+# rows decoded on first touch
+# ----------------------------------------------------------------------
+class TestRowsOnFirstTouch:
+    def test_one_estimate_decodes_two_pads_rows(self, tmp_path, index_and_graph):
+        """Guards against a load that decodes every row up front."""
+        index, g = index_and_graph
+        save_index(index, tmp_path / "idx")
+        loaded = load_index(g, tmp_path / "idx")
+        assert (len(loaded.pads.rows), len(loaded.kpads.rows)) == (0, 0)
+        u, v = list(g.vertices())[:2]
+        assert loaded.pads.estimate(u, v) == index.pads.estimate(u, v)
+        assert sorted(loaded.pads.rows) == sorted([u, v])
+        assert len(loaded.kpads.rows) == 0
+        loaded.kpads.top_candidates(loaded.pads, u, "a", 3)
+        assert list(loaded.kpads.rows) == list(loaded.kpads.candidate_rows) == ["a"]
+
+    def test_untouched_and_touched_loads_save_the_same_bytes(
+        self, tmp_path, index_and_graph
+    ):
+        index, g = index_and_graph
+        save_index(index, tmp_path / "a.idx")
+        first = (tmp_path / "a.idx").read_bytes()
+        save_index(load_index(g, tmp_path / "a.idx"), tmp_path / "b.idx")
+        assert (tmp_path / "b.idx").read_bytes() == first
+        touched = load_index(g, tmp_path / "a.idx")
+        vertices = list(g.vertices())
+        touched.pads.estimate(vertices[-1], vertices[3])
+        touched.kpads.estimate_with_witness(touched.pads, vertices[5], "c")
+        save_index(touched, tmp_path / "c.idx")  # file order, not touch order
+        assert (tmp_path / "c.idx").read_bytes() == first
+
+    def test_concurrent_first_touch(self, tmp_path):
+        """Threads racing to decode the same rows answer as the built index."""
+        g = random_connected_graph(80, 40, seed=5)
+        built = PublicIndex.build(g, k=2)
+        save_index(built, tmp_path / "idx")
+        loaded = load_index(g, tmp_path / "idx")
+        vertices = list(g.vertices())
+
+        def answers(index):
+            pads, kpads = index.pads, index.kpads
+            out = []
+            for u in vertices:
+                out.append(pads.estimate(u, vertices[0]))
+                for t in ("a", "b", "c", "missing"):
+                    out.append(kpads.estimate_with_witness(pads, u, t))
+                    out.append(kpads.top_candidates(pads, u, t, 4))
+            return out
+
+        expected = answers(built)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _in_threads(8, lambda: answers(loaded))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
+
+    def test_first_decoded_row_wins(self, tmp_path, index_and_graph):
+        """Every thread decodes the same row before any publishes it; all
+        of them must end up reading the one row that was published."""
+        index, g = index_and_graph
+        save_index(index, tmp_path / "idx")
+        loaded = load_index(g, tmp_path / "idx")
+        pads, kpads = loaded.pads, loaded.kpads
+        decoded = threading.Barrier(4)
+
+        def in_step(source):
+            def decode(key):
+                row = source(key)
+                decoded.wait()
+                return row
+            return decode
+
+        pads.source, kpads.source = in_step(pads.source), in_step(kpads.source)
+        u = next(iter(g.vertices()))
+        rows = _in_threads(4, lambda: pads.sketch(u))
+        triples = _in_threads(4, lambda: kpads.fetch("a"))
+        assert all(row is pads.rows[u] for row in rows)
+        published = (kpads.rows["a"], kpads.witness_rows["a"], kpads.candidate_rows["a"])
+        assert all(a is b for triple in triples for a, b in zip(triple, published))
+
+
+def _in_threads(n, fn):
+    """``fn()`` run by ``n`` threads released together; their results."""
+    start = threading.Barrier(n)
+    results = [None] * n
+
+    def worker(i):
+        start.wait()
+        results[i] = fn()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return results

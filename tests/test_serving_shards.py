@@ -8,6 +8,7 @@ legitimately nondeterministic response field.
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -226,6 +227,28 @@ class TestShardServingPool:
         svc, _ = pooled
         resp = svc.execute(dict(KNK, no_cache=True))
         assert resp["status"] == "ok"
+
+
+class TestShardServingAfterWarmRestart:
+    def test_loaded_index_crosses_the_worker_pipe(self, tmp_path):
+        """A warm-loaded index, rows still undecoded, replicates to workers."""
+        pub, priv = build_graphs()
+        path = str(tmp_path / "net.idx")
+        PPKWSService().create_network("net", pub, index_path=path)  # build, save
+        saved = os.stat(path).st_mtime_ns
+        svc = PPKWSService(answer_cache_size=0)
+        svc.create_network("net", pub, index_path=path)  # warm load
+        assert os.stat(path).st_mtime_ns == saved  # loaded, not rebuilt
+        svc.attach_user("net", "bob", priv)
+        svc.enable_sharding(2)
+        try:
+            baseline = make_service()
+            for base in QUERIES.values():
+                serial = strip(baseline.execute(dict(base)))
+                assert serial["status"] == "ok"
+                assert strip(svc.execute(dict(base))) == serial
+        finally:
+            svc.disable_sharding()
 
 
 # ----------------------------------------------------------------------
