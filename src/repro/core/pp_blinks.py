@@ -14,7 +14,9 @@
   (b) *retrieving missing keywords* — every answer tries to improve each
   keyword with a public-side route (a KPADS lookup for public roots, the
   best portal detour for private roots); (c) *qualification* — distance
-  bound, completeness and the Def.-II.2 public-private test.
+  bound, completeness and the Def.-II.2 public-private test, walked in
+  weight order until k survive.  Public-only roots are ranked before
+  they are built: the walk builds only the prefix it reads.
 
 Budget checkpoints, step timing, degradation bookkeeping and obs hooks
 all live in :mod:`repro.core.engine` (rule RA008); this module only
@@ -23,6 +25,8 @@ declares the steps and registers the :data:`BLINKS` spec.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -193,8 +197,8 @@ def _merge_swept_root(
     u: Vertex,
     swept: Dict[Label, Dict[Vertex, Match]],
     keywords: List[Label],
-) -> None:
-    """Part (a) for one swept vertex: flood-update or plant an answer."""
+) -> PartialAnswer:
+    """Part (a) for one swept vertex: flood-update or plant its answer."""
     existing = answers.get(u)
     if existing is None:
         existing = answers[u] = PartialAnswer(answer=RootedAnswer(u, {}))
@@ -210,6 +214,7 @@ def _merge_swept_root(
             # a fresh Match: covers may be shared through the sweep memo
             matches[q] = Match(hit.vertex, hit.distance)
             existing.missing.discard(q)
+    return existing
 
 
 def _complete_roots(
@@ -294,6 +299,29 @@ def _qualify(ctx: PipelineContext, candidates: Iterable[PartialAnswer]) -> None:
     ctx.answers = final
 
 
+def _merge_ranked(
+    answers: Iterable[PartialAnswer],
+    n_fresh: int,
+    fresh_key: Callable[[int], Tuple[float, str]],
+    build: Callable[[int], PartialAnswer],
+) -> Iterator[PartialAnswer]:
+    """Part (c)'s candidates: built ``answers`` merged with ranked fresh roots.
+
+    Fresh rank ``i`` (key ``fresh_key(i)``, ascending) is built only when
+    the walk reaches it.  A tie goes to ``answers``, as in a stable sort
+    that lists the PEval partials (every portal is one) before new roots.
+    """
+    slow = sorted(((pa.answer.sort_key(), pa) for pa in answers), key=itemgetter(0))
+    si, fi = 0, 0
+    while si < len(slow) or fi < n_fresh:
+        if fi >= n_fresh or (si < len(slow) and slow[si][0] <= fresh_key(fi)):
+            yield slow[si][1]
+            si += 1
+        else:
+            yield build(fi)
+            fi += 1
+
+
 def _acomplete(
     ctx: PipelineContext,
     swept: Optional[Dict[Label, Dict[Vertex, Match]]] = None,
@@ -302,6 +330,12 @@ def _acomplete(
     ] = None,
 ) -> None:
     """Step 3: Algo 5 — expand, retrieve missing keywords, qualify.
+
+    Ranked before built: most swept vertices are *fresh* roots, neither
+    a PEval partial nor private, so with no portal exits and unread by
+    salvage.  Their matches stay flat per-keyword columns, ranked by
+    ``(weight, repr)``; the qualification walk builds only the prefix it
+    reads, in exactly the stable ``sort_key()`` order of building all.
 
     ``swept`` lets a caller inject the part-(a) public sweeps computed
     elsewhere (the vectorized kernel); the merge below is insensitive to
@@ -330,20 +364,52 @@ def _acomplete(
             q: offset_expansion(public, seeds, tau, ctx.budget) if seeds else {}
             for q, seeds in seeds_by_kw.items()
         }
-    touched: Set[Vertex] = set()
-    for cover in swept.values():
-        touched.update(cover)
+    touched: Set[Vertex] = set().union(*swept.values())
+    fresh: List[Vertex] = []  # repr order: the stable rank keeps it on ties
     for u in sorted(touched, key=repr):
         if ctx.budget is not None:
             ctx.budget.checkpoint()
-        _merge_swept_root(answers, u, swept, keywords)
+        if u in partials or u in ctx.attachment.private:
+            _merge_swept_root(answers, u, swept, keywords)
+        else:
+            fresh.append(u)
 
     # (b) Retrieve missing keywords / improve via the public graph
-    # (CompleteAns, lines 20-23).
+    # (CompleteAns, lines 20-23).  A fresh root has no portal exits: its
+    # match is the sweep's unless the probe's witness is strictly closer.
     _complete_roots(ctx, answers, public_probe)
+    if ctx.budget is not None and fresh:
+        ctx.budget.checkpoint(cost=len(fresh))
+    wins: List[List[Optional[Tuple[Vertex, float]]]] = [[] for _ in keywords]
+    dists: List[List[float]] = [[] for _ in keywords]
+    for q, win_col, dist_col in zip(keywords, wins, dists):
+        cover = swept[q]
+        for u in fresh:
+            hit = cover.get(u)
+            d = INF if hit is None else hit.distance
+            best, witness = public_probe(u, q)
+            won = witness is not None and best < d
+            win_col.append((witness, best) if won else None)
+            dist_col.append(best if won else d)
+    # sum() in keyword order is RootedAnswer.weight(), bit for bit
+    keys = [(sum(ds), repr(u)) for ds, u in zip(zip(*dists), fresh)]
+    order = sorted(range(len(fresh)), key=keys.__getitem__)
+
+    def build(rank: int) -> PartialAnswer:
+        i = order[rank]
+        partial = _merge_swept_root({}, fresh[i], swept, keywords)
+        for q, win_col in zip(keywords, wins):
+            win = win_col[i]
+            if win is not None:  # as _complete_roots writes a win
+                partial.set_match(q, *win)
+                partial.missing.discard(q)
+                partial.public_matched.add(q)
+        return partial
 
     # (c) Qualification.
-    _qualify(ctx, sorted(answers.values(), key=lambda p: p.answer.sort_key()))
+    _qualify(ctx, _merge_ranked(
+        answers.values(), len(order), lambda rank: keys[order[rank]], build
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -385,19 +451,13 @@ def _acomplete_fast(
     ctx: PipelineContext,
     swept: Dict[Label, Dict[Vertex, Match]],
 ) -> bool:
-    """Array-merged AComplete parts (a)-(c); False means fall back.
+    """The pure step's fresh-root ranking as arrays; False means fall back.
 
-    The bulk of a sweep's cover is *new public-only* roots — vertices
-    that are neither existing partials nor private-side vertices.  For
-    those the merged matches, weights and the ``(weight, repr)`` rank
-    are computed as arrays (:func:`repro.core.vectorized.merge_rank`),
-    and candidates are materialized lazily only as the qualification
-    walk reaches them.  Existing partials and private-side roots — a
-    handful per query — run through the same per-root helpers as the
-    pure step, and the two ordered streams merge lazily.  Answers are
-    bit-identical to the pure step; only budget checkpoint placement and
-    mid-AComplete counter timing differ (the merge charges its roots in
-    bulk).
+    :func:`repro.core.vectorized.merge_rank` computes the fresh roots'
+    matches, weights and ``(weight, repr)`` rank as arrays; the slow
+    roots and the lazy merge are the pure step's.  Answers are
+    bit-identical to it; only budget checkpoint placement and
+    mid-AComplete counter timing differ (fresh roots are charged in bulk).
     """
     runtime = ctx.vectorized.runtime
     public, private = ctx.engine.public, ctx.attachment.private
@@ -405,13 +465,7 @@ def _acomplete_fast(
     partials: Dict[Vertex, PartialAnswer] = ctx.state
 
     intern = runtime.public.intern
-    slow_ids: Set[int] = set()
-    for u in partials:
-        if u in public:
-            slow_ids.add(intern(u))
-    for v in private.vertices():
-        if v in public:
-            slow_ids.add(intern(v))
+    slow_ids = {intern(u) for u in chain(partials, private.vertices()) if u in public}
     ranked = merge_rank(runtime, keywords, swept, slow_ids)
     if ranked is None:
         return False
@@ -438,24 +492,10 @@ def _acomplete_fast(
 
     _complete_roots(ctx, answers, probe)
 
-    slow_sorted = sorted(
-        answers.values(), key=lambda pa: pa.answer.sort_key()
-    )
-    slow_keys = [pa.answer.sort_key() for pa in slow_sorted]
-
-    def merged() -> Iterator[PartialAnswer]:
-        si, fi, nfast = 0, 0, len(ranked)
-        while si < len(slow_sorted) or fi < nfast:
-            if fi >= nfast or (
-                si < len(slow_sorted) and slow_keys[si] <= ranked.key(fi)
-            ):
-                yield slow_sorted[si]
-                si += 1
-            else:
-                yield ranked.materialize(fi, swept)
-                fi += 1
-
-    _qualify(ctx, merged())
+    _qualify(ctx, _merge_ranked(
+        answers.values(), len(ranked), ranked.key,
+        lambda pos: ranked.materialize(pos, swept),
+    ))
     return True
 
 
@@ -465,11 +505,10 @@ def step_acomplete_vectorized(ctx: PipelineContext) -> None:
     Part (a)'s per-keyword offset sweeps run as columns of one shared
     kernel invocation (consulting the batch sweep memo first — the
     paper's PKA lifted to the batch level); parts (a)-(c) then merge and
-    rank through the array fast path (:func:`_acomplete_fast`), which
-    materializes only the candidate prefix the qualification walk
-    visits.  When the fast path cannot run (repr collision, foreign
-    covers) the pure merge takes over with batched part-(b) probes
-    injected.  All kernels reproduce the pure tie-breaking exactly (see
+    rank through the array fast path (:func:`_acomplete_fast`).  When
+    it cannot run (repr collision, foreign covers) the pure body takes
+    over with batched part-(b) probes injected; both build only the
+    candidate prefix the qualification walk reads.  All kernels reproduce the pure tie-breaking exactly (see
     :mod:`repro.core.vectorized`), so answers are bit-identical either
     way.
     """
