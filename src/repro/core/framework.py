@@ -47,6 +47,7 @@ from repro.portals.distance_map import PortalDistanceMap, combined_portal_maps
 from repro.portals.keyword_map import build_private_maps
 from repro.portals.oracle import CombinedDistanceOracle, SketchPublicDistance
 from repro.semantics.answers import KnkAnswer, RootedAnswer
+from repro.semantics.wire import check_count
 from repro.sketches.base import DistanceSketch
 from repro.sketches.kpads import KeywordSketch, build_kpads
 from repro.sketches.pads import build_pads
@@ -689,6 +690,7 @@ def query_model_m2(
         raise QueryError(
             f"semantics {semantic!r} does not support query model M2"
         )
+    check_count("k", k)  # the baselines scale k before their search sees it
     gc = combined if combined is not None else combine(public, private)
     # The spec's baseline_m2 owns the enumeration-prefix policy (Blinks
     # enumerates every root, r-clique a generous k*8 prefix — the

@@ -23,6 +23,7 @@ from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.protocol import GraphLike
 from repro.semantics.answers import Match, RootedAnswer
 from repro.semantics.blinks import keyword_expansion
+from repro.semantics.wire import check_bound, check_count
 
 __all__ = ["TreeAnswer", "banks_search", "keyword_expansion_with_paths"]
 
@@ -102,10 +103,8 @@ def banks_search(
     """
     if not keywords:
         raise QueryError("BANKS query needs at least one keyword")
-    if tau < 0:
-        raise QueryError(f"distance bound tau must be >= 0, got {tau}")
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
+    check_bound("tau", tau)
+    check_count("k", k)
 
     unique_keywords = list(dict.fromkeys(keywords))
     expansions: Dict[Label, Tuple[Dict[Vertex, Match], Dict[Vertex, Optional[Vertex]]]] = {}

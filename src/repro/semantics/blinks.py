@@ -24,6 +24,7 @@ from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.protocol import GraphLike
 from repro.graph.traversal import INF
 from repro.semantics.answers import Match, RootedAnswer
+from repro.semantics.wire import check_bound, check_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.budget import QueryBudget
@@ -124,10 +125,8 @@ def blinks_search(
     """
     if not keywords:
         raise QueryError("Blinks query needs at least one keyword")
-    if tau < 0:
-        raise QueryError(f"distance bound tau must be >= 0, got {tau}")
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
+    check_bound("tau", tau)
+    check_count("k", k)
 
     unique_keywords = list(dict.fromkeys(keywords))
     per_keyword: Dict[Label, Dict[Vertex, Match]] = {}

@@ -14,13 +14,15 @@ Nearest-candidate queries are answered from a per-query *neighbor index*
 (the paper builds Kargar-An's ``R = 3`` neighbor index): one multi-origin
 Dijkstra per keyword records for every vertex its ``m`` nearest candidate
 origins, so decomposition (which excludes candidates) can fall back to
-the next-nearest entry without re-searching.
+the next-nearest entry without re-searching.  Each search pauses between
+distance buckets, resuming only while a star could use what it settles.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -38,6 +40,7 @@ from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.protocol import GraphLike
 from repro.graph.traversal import INF
 from repro.semantics.answers import Match, RootedAnswer
+from repro.semantics.wire import check_bound, check_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.budget import QueryBudget
@@ -45,22 +48,92 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 __all__ = ["rclique_search", "NeighborLists", "build_neighbor_lists"]
 
 
+class _Search:
+    """One keyword's search (:func:`build_neighbor_lists`), paused between
+    distance buckets.  Weights are positive, so no later bucket appends
+    anything closer than ``frontier[0]``: an entry is final once appended,
+    a list complete once it holds ``m`` entries or the frontier is empty."""
+
+    __slots__ = ("graph", "tau", "m", "budget", "seeds", "queued", "buckets",
+                 "frontier", "lists")
+
+    def __init__(self, graph: "GraphLike", origins: Set[Vertex], tau: float,
+                 m: int, budget: Optional["QueryBudget"]) -> None:
+        self.graph, self.tau, self.m, self.budget = graph, tau, m, budget
+        # Seed in repr order so equal-distance ties resolve the same way
+        # regardless of set iteration order (PYTHONHASHSEED).
+        self.seeds = [o for o in sorted(origins, key=repr) if o in graph]
+        #: per origin: vertex -> smallest distance queued so far
+        self.queued: List[Dict[Vertex, float]] = [{o: 0.0} for o in self.seeds]
+        self.buckets = {0.0: [(o, rank) for rank, o in enumerate(self.seeds)]}
+        self.frontier = [0.0]
+        self.lists: Dict[Vertex, List[Tuple[float, Vertex]]] = {}
+        self.settle()  # distance 0: every origin lists itself
+
+    def settle(self) -> None:
+        """Dequeue the next bucket, one budget expansion per entry."""
+        graph, tau, m, budget = self.graph, self.tau, self.m, self.budget
+        queued, buckets, frontier, lists = (
+            self.queued, self.buckets, self.frontier, self.lists)
+        d = heapq.heappop(frontier)
+        # edge weights are positive: bucket d is complete once popped
+        for v, rank in buckets.pop(d):
+            if budget is not None:
+                budget.checkpoint()
+            lst = lists.get(v)
+            if lst is None:
+                lst = lists[v] = []
+            best = queued[rank]
+            if len(lst) >= m or d > best[v]:
+                continue  # list full, or stale: the pair settled closer
+            lst.append((d, self.seeds[rank]))
+            for u, w in graph.neighbor_items(v):
+                nd = d + w
+                if nd <= tau and nd < best.get(u, INF) and len(lists.get(u, ())) < m:
+                    best[u] = nd
+                    bucket = buckets.get(nd)
+                    if bucket is None:
+                        buckets[nd] = [(u, rank)]
+                        heapq.heappush(frontier, nd)
+                    else:
+                        bucket.append((u, rank))
+
+    def nearest(self, v: Vertex, excluded: FrozenSet[Vertex], weight: float = 0.0,
+                bound: float = INF) -> Optional[Tuple[float, Vertex]]:
+        """``v``'s first origin outside ``excluded``, settling buckets only
+        while ``weight`` plus the next one's distance is under ``bound``."""
+        while True:
+            lst = self.lists.get(v, ())
+            for d, u in lst:
+                if u not in excluded:
+                    return d, u
+            frontier = self.frontier
+            if len(lst) >= self.m or not (frontier and weight + frontier[0] < bound):
+                return None
+            self.settle()
+
+
 class NeighborLists:
-    """Per-vertex sorted lists of nearest candidate origins per keyword."""
+    """Per-vertex sorted lists of nearest candidate origins per keyword,
+    settled as read: :attr:`lists` completes every search."""
 
-    __slots__ = ("lists",)
+    __slots__ = ("searches",)
 
-    def __init__(self, lists: Dict[Label, Dict[Vertex, List[Tuple[float, Vertex]]]]):
-        self.lists = lists
+    def __init__(self, searches: Dict[Label, _Search]):
+        self.searches = searches
 
-    def nearest(
-        self, v: Vertex, keyword: Label, excluded: FrozenSet[Vertex]
-    ) -> Optional[Tuple[float, Vertex]]:
+    @property
+    def lists(self) -> Dict[Label, Dict[Vertex, List[Tuple[float, Vertex]]]]:
+        for search in self.searches.values():
+            while search.frontier:
+                search.settle()
+        return {q: search.lists for q, search in self.searches.items()}
+
+    def nearest(self, v: Vertex, keyword: Label,
+                excluded: FrozenSet[Vertex]) -> Optional[Tuple[float, Vertex]]:
         """The nearest non-excluded candidate for ``keyword`` from ``v``."""
-        for d, u in self.lists.get(keyword, {}).get(v, ()):
-            if u not in excluded:
-                return d, u
-        return None
+        search = self.searches.get(keyword)
+        return None if search is None else search.nearest(v, excluded)
 
 
 def build_neighbor_lists(
@@ -85,51 +158,17 @@ def build_neighbor_lists(
     same order as a heap of entries, with list appends in place of
     sifts wherever distances repeat (always, on unit weights).
     ``budget`` (if given) is charged one expansion per entry dequeued.
+    Only distance 0 is settled here, the rest as the index is read.
     """
-    out: Dict[Label, Dict[Vertex, List[Tuple[float, Vertex]]]] = {}
-    for keyword, origins in candidates.items():
-        # Seed in repr order so equal-distance ties resolve the same way
-        # regardless of set iteration order (PYTHONHASHSEED).
-        seeds = [o for o in sorted(origins, key=repr) if o in graph]
-        #: per origin: vertex -> smallest distance queued so far
-        queued: List[Dict[Vertex, float]] = [{o: 0.0} for o in seeds]
-        buckets = {0.0: [(o, rank) for rank, o in enumerate(seeds)]}
-        frontier = [0.0]
-        lists: Dict[Vertex, List[Tuple[float, Vertex]]] = {}
-        while frontier:
-            d = heapq.heappop(frontier)
-            # edge weights are positive: bucket d is complete once popped
-            for v, rank in buckets.pop(d):
-                if budget is not None:
-                    budget.checkpoint()
-                lst = lists.get(v)
-                if lst is None:
-                    lst = lists[v] = []
-                best = queued[rank]
-                if len(lst) >= m or d > best[v]:
-                    continue  # list full, or stale: the pair settled closer
-                lst.append((d, seeds[rank]))
-                for u, w in graph.neighbor_items(v):
-                    nd = d + w
-                    if (
-                        nd <= tau
-                        and nd < best.get(u, INF)
-                        and len(lists.get(u, ())) < m
-                    ):
-                        best[u] = nd
-                        bucket = buckets.get(nd)
-                        if bucket is None:
-                            buckets[nd] = [(u, rank)]
-                            heapq.heappush(frontier, nd)
-                        else:
-                            bucket.append((u, rank))
-        out[keyword] = lists
-    return NeighborLists(out)
+    return NeighborLists({
+        keyword: _Search(graph, origins, tau, m, budget)
+        for keyword, origins in candidates.items()
+    })
 
 
-#: per keyword ``i``, in ``repr`` order of the root: the root and, for
-#: every other keyword ``j``, ``(j, the root's nearest-origin list for j)``
-_Stars = List[List[Tuple[Vertex, List[Tuple[int, Sequence[Tuple[float, Vertex]]]]]]]
+#: per keyword ``i`` and, within it, in ``repr`` order of the root:
+#: ``(i, root, [(j, keyword j's search) for every other keyword j])``
+_Stars = List[Tuple[int, Vertex, List[Tuple[int, _Search]]]]
 
 
 def _find_top_answer(
@@ -138,31 +177,56 @@ def _find_top_answer(
     exclusions: Tuple[FrozenSet[Vertex], ...],
     budget: Optional["QueryBudget"] = None,
 ) -> Optional[RootedAnswer]:
-    """Algo 2's ``FindTopAnswer``: best star within the (excluded) space."""
+    """Algo 2's ``FindTopAnswer``: the star of least ``(weight, position)``.
+
+    A list that runs out resumes only while its next distance could still
+    beat the best weight.  Before any star is scored nothing bounds that,
+    so such a root is deferred: scored after the pass, in reverse, it
+    precedes all roots scored before it and wins ties (the next float up).
+    """
     best: Optional[Tuple[int, Vertex, List[Tuple[int, Vertex, float]]]] = None
     best_weight = INF
-    for i, rows in enumerate(stars):
-        for root, others in rows:
-            if budget is not None:
-                budget.checkpoint()
-            if root in exclusions[i]:
-                continue
-            weight = 0.0
-            picks: List[Tuple[int, Vertex, float]] = []
-            for j, nearest in others:
-                excluded = exclusions[j]
-                for d, u in nearest:
-                    if u not in excluded:
-                        break
-                else:
-                    break  # keyword j has no candidate left near this root
-                weight += d
-                if weight >= best_weight:
+    deferred: _Stars = []
+    for i, root, others in stars:
+        if budget is not None:
+            budget.checkpoint()
+        if root in exclusions[i]:
+            continue
+        weight = 0.0
+        picks: List[Tuple[int, Vertex, float]] = []
+        for j, search in others:
+            excluded = exclusions[j]
+            for d, u in search.lists.get(root, ()):
+                if u not in excluded:
                     break
-                picks.append((j, u, d))
             else:
-                if weight < best_weight:
-                    best, best_weight = (i, root, picks), weight
+                if best is None:
+                    deferred.append((i, root, others))
+                    break
+                frontier = search.frontier
+                found = frontier and weight + frontier[0] < best_weight and (
+                    search.nearest(root, excluded, weight, best_weight))
+                if not found:
+                    break  # keyword j has no candidate that could win
+                d, u = found
+            weight += d
+            if weight >= best_weight:
+                break
+            picks.append((j, u, d))
+        else:
+            if weight < best_weight:
+                best, best_weight = (i, root, picks), weight
+    for i, root, others in reversed(deferred):
+        bound = math.nextafter(best_weight, INF)
+        weight, picks = 0.0, []
+        for j, search in others:
+            found = search.nearest(root, exclusions[j], weight, bound)
+            if found is None or weight + found[0] >= bound:
+                break
+            weight += found[0]
+            picks.append((j, found[1], found[0]))
+        else:
+            best, best_weight = (i, root, picks), weight
     if best is None:
         return None
     i, root, picks = best
@@ -212,10 +276,8 @@ def rclique_search(
     """
     if not keywords:
         raise QueryError("r-clique query needs at least one keyword")
-    if tau < 0:
-        raise QueryError(f"distance bound tau must be >= 0, got {tau}")
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
+    check_bound("tau", tau)
+    check_count("k", k)
 
     unique_keywords = list(dict.fromkeys(keywords))
     extra = set(extra_candidates or ())
@@ -239,14 +301,10 @@ def rclique_search(
     index = build_neighbor_lists(graph, candidates, cutoff, m, budget=budget)
     # repr order: equal-weight stars tie-break deterministically.
     stars: _Stars = [
-        [
-            (root, [
-                (j, index.lists[qj].get(root, ()))
-                for j, qj in enumerate(unique_keywords) if j != i
-            ])
-            for root in sorted(candidates[qi], key=repr)
-        ]
+        (i, root, [(j, index.searches[qj])
+                   for j, qj in enumerate(unique_keywords) if j != i])
         for i, qi in enumerate(unique_keywords)
+        for root in sorted(candidates[qi], key=repr)
     ]
 
     empty = tuple(frozenset() for _ in unique_keywords)

@@ -130,6 +130,24 @@ def random_connected_graph(
     return g
 
 
+class Twin:
+    """A vertex type whose instances ``2i`` and ``2i + 1`` share a repr."""
+
+    __slots__ = ("i",)
+
+    def __init__(self, i: int) -> None:
+        self.i = i
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Twin) and other.i == self.i
+
+    def __hash__(self) -> int:
+        return hash(self.i)
+
+    def __repr__(self) -> str:
+        return f"Twin({self.i // 2})"
+
+
 # ----------------------------------------------------------------------
 # the binary index file, taken apart and put back by hand
 # ----------------------------------------------------------------------

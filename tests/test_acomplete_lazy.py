@@ -35,6 +35,7 @@ from repro.core.framework import PPKWS, QueryOptions
 from repro.graph.labeled_graph import LabeledGraph
 from repro.semantics.wire import rooted_payload
 
+from tests.conftest import Twin
 from tests.reference_acomplete import reference_acomplete
 
 _BACKENDS = {"dict": (False,), "frozen": (True,)}.get(
@@ -49,24 +50,6 @@ _MODES = (
 SEEDS = range(12)
 WEIGHTS = ("unit", "float", "mixed")
 EVERY_ROOT = 10**6
-
-
-class Twin:
-    """A vertex type whose instances ``2i`` and ``2i + 1`` share a repr."""
-
-    __slots__ = ("i",)
-
-    def __init__(self, i: int) -> None:
-        self.i = i
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Twin) and other.i == self.i
-
-    def __hash__(self) -> int:
-        return hash(self.i)
-
-    def __repr__(self) -> str:
-        return f"Twin({self.i // 2})"
 
 
 def _network(seed: int, n: int = 0):
