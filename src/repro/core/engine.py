@@ -71,6 +71,7 @@ __all__ = [
     "SemanticsSpec",
     "run_pipeline",
     "register_semantics",
+    "unregister_semantics",
     "semantics_spec",
     "registered_semantics",
     "registry_version",
@@ -253,7 +254,7 @@ def run_pipeline(
 # ----------------------------------------------------------------------
 _REGISTRY: Dict[str, SemanticsSpec] = {}
 _REGISTRY_LOCK = threading.Lock()
-#: bumped on every successful register_semantics; lets callers cache
+#: bumped on every successful (un)register_semantics; lets callers cache
 #: registry-derived structures with one lock-free int comparison instead
 #: of re-sorting the name list per request (the serving hot path).
 _REGISTRY_VERSION = 0
@@ -291,6 +292,14 @@ def register_semantics(spec: SemanticsSpec) -> SemanticsSpec:
     return spec
 
 
+def unregister_semantics(name: str) -> None:
+    """Undo :func:`register_semantics` for ``name``; bumps :func:`registry_version`."""
+    global _REGISTRY_VERSION
+    with _REGISTRY_LOCK:
+        del _REGISTRY[name]
+        _REGISTRY_VERSION += 1
+
+
 def semantics_spec(name: str) -> SemanticsSpec:
     """The registered spec called ``name``.
 
@@ -316,7 +325,7 @@ def registered_semantics() -> Tuple[str, ...]:
 
 
 def registry_version() -> int:
-    """A counter that changes whenever a semantics registers.
+    """A counter that changes whenever a semantics registers or is removed.
 
     Reading it is lock-free (a single int load), so per-request caches
     keyed on it cost one comparison instead of a lock + sort — see

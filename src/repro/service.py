@@ -162,6 +162,7 @@ ERROR_CODES: Tuple[str, ...] = (
 
 #: Request fields accepted on every op, next to the per-op spec fields.
 GLOBAL_REQUEST_FIELDS = frozenset({"op", "v", "trace", "no_cache"})
+_FLAG_FIELDS = ("no_cache", "trace")  # exact bools, else bad_request
 
 #: The one central exception -> wire-code map (first match wins; order
 #: matters because the later entries are superclasses of earlier ones).
@@ -394,8 +395,8 @@ def _current_ops() -> Dict[str, "OpSpec"]:
     """The live op registry: static ops plus one query op per semantics.
 
     Rebuilt (and memoized on :func:`~repro.core.engine.registry_version`)
-    whenever the semantics registry grows, so a semantics registered
-    *after* import still shows up in dispatch and ``help`` automatically.
+    whenever the semantics registry changes, so dispatch and ``help``
+    follow every (un)registration made after import automatically.
     The hot path is one lock-free int comparison — the previous memo key
     (the sorted name tuple) took the registry lock and re-sorted the
     names on *every* request, a measurable per-request tax under the
@@ -914,7 +915,7 @@ class PPKWSService:
     def _check_fields(
         self, spec: "OpSpec", request: Dict[str, Any], prefix: str = ""
     ) -> None:
-        """Warn about unknown fields, then reject a missing required one.
+        """Warn about unknown fields, then reject a missing field or bad flag.
 
         In that order, so the warnings survive onto the error response.
         ``prefix`` names the batch item the request came from.
@@ -927,6 +928,9 @@ class PPKWSService:
         for f in spec.required:
             if f not in request:
                 raise ReproError(f"{prefix}missing field {f!r}")
+        for f in _FLAG_FIELDS:
+            if f in request and type(request[f]) is not bool:
+                raise ReproError(f"{prefix}field {f!r} must be true or false")
 
     def _execute_locked(
         self, spec: "OpSpec", request: Dict[str, Any]
@@ -1080,7 +1084,7 @@ class PPKWSService:
             # when someone will actually see it — the per-request cost
             # of assembling one unconditionally showed up as a
             # measurable slice of serving throughput.
-            want_trace = isinstance(request, dict) and bool(request.get("trace"))
+            want_trace = isinstance(request, dict) and request.get("trace") is True
             record = status != "ok" or duration_ms >= self._slow_query_ms
             if want_trace or record:
                 trace = QueryTrace(

@@ -25,14 +25,17 @@ Entries additionally carry a TTL (wall-clock freshness bound for
 operators who mutate state outside the facade) and the table is
 bounded LRU.  Stored values are *wire-shaped* — exact ``dict`` /
 ``list`` containers over immutable atoms (``str`` / ``int`` / ``float``
-/ ``bool`` / ``None``, as keys too; tuples of those as values) — which
-is what lets a hit skip ``deepcopy``.  Insert (:func:`_wire_snapshot`)
-copies every container, shares the atoms and refuses anything else (a
-``set``, a ``dict`` subclass, an object) with ``TypeError``; the service
-serves such an answer uncached.  A hit (:func:`_wire_clone`) then
-inspects no leaf: one ``.copy()`` per container, atoms shared with the
-entry.  No container is ever shared and no atom can change, so neither
-the service nor its callers can mutate a cached answer in place.
+/ ``bool`` / ``None``, as keys too; tuples of those as values).  Insert
+(:func:`_wire_snapshot`) copies every container, shares the atoms and
+refuses anything else (a ``set``, a ``dict`` subclass, an object) with
+``TypeError``; the service serves such an answer uncached.  The same
+walk records each container's shape in its copy's type: a dict of atoms
+stays an exact ``dict``, lists and dicts of those become private tags,
+and so does every other dict.  A hit (:func:`_wire_clone`) copies the
+tagged rows with ``dict.copy`` in C, spends a Python frame only on the
+remaining containers, inspects no leaf and returns exact ``dict`` /
+``list`` only.  No container is ever shared and no atom can change, so
+neither the service nor its callers can mutate a cached answer in place.
 """
 
 from __future__ import annotations
@@ -48,7 +51,15 @@ from repro.faults.points import CACHE_LOOKUP, CACHE_STORE
 __all__ = ["AnswerCache"]
 
 _ATOMS = frozenset({str, int, float, bool, type(None)})
-_CONTAINERS = frozenset({dict, list})
+#: A snapshot keeps a dict of atoms an exact ``dict``: a hit copies it with
+#: one ``dict.copy``, and the collector untracks it (never a subclass).  A
+#: list of those is a ``_Rows``, a dict of them a ``_Table``, any other
+#: dict a ``_Nested``; no tag leaves this module.
+_Rows = type("_Rows", (tuple,), {"__slots__": ()})
+_Table = type("_Table", (dict,), {"__slots__": ()})
+_Nested = type("_Nested", (dict,), {"__slots__": ()})
+_FLAT = frozenset({dict})
+_CONTAINERS = frozenset({dict, list, _Rows, _Table, _Nested})
 
 
 def _is_atom(value: Any) -> bool:
@@ -58,30 +69,43 @@ def _is_atom(value: Any) -> bool:
 
 
 def _wire_snapshot(value: Any) -> Any:
-    """A private copy of wire-shaped ``value``; ``TypeError`` otherwise."""
+    """A private, shape-tagged copy of wire-shaped ``value`` (``TypeError``
+    otherwise); a container reads its children's shapes off their types."""
     kind = type(value)
     if kind is list:
-        return [v if type(v) in _ATOMS else _wire_snapshot(v) for v in value]
+        out = [v if type(v) in _ATOMS else _wire_snapshot(v) for v in value]
+        return _Rows(out) if _FLAT.issuperset(map(type, out)) else out
     if kind is dict and _ATOMS.issuperset(map(type, value)):  # the keys
-        return {
+        if _ATOMS.issuperset(map(type, value.values())):
+            return value.copy()
+        out = {
             k: v if type(v) in _ATOMS else _wire_snapshot(v)
             for k, v in value.items()
         }
+        return (_Table if _FLAT.issuperset(map(type, out.values())) else _Nested)(out)
     if _is_atom(value):
         return value
     raise TypeError(f"uncacheable {kind.__name__} in response")
 
 
 def _wire_clone(value: Any) -> Any:
-    """Copy the containers of a :func:`_wire_snapshot`; share its atoms."""
-    if type(value) is list:
-        return [_wire_clone(v) if type(v) in _CONTAINERS else v for v in value]
-    if type(value) is dict:
+    """Exact ``dict`` / ``list`` copies of a :func:`_wire_snapshot`'s
+    containers, sharing its atoms; rows of atoms are copied in C."""
+    kind = type(value)
+    if kind is _Nested:
         out = value.copy()
         for k, v in value.items():
             if type(v) in _CONTAINERS:
                 out[k] = _wire_clone(v)
         return out
+    if kind is dict:
+        return value.copy()
+    if kind is _Rows:
+        return list(map(dict.copy, value))
+    if kind is _Table:
+        return {k: v.copy() for k, v in value.items()}
+    if kind is list:
+        return [_wire_clone(v) if type(v) in _CONTAINERS else v for v in value]
     return value
 
 

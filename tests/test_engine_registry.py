@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-import repro.core.engine as engine_mod
 from repro.core.engine import (
     SemanticsSpec,
     StepSpec,
     register_semantics,
     registered_semantics,
     semantics_spec,
+    unregister_semantics,
 )
 from repro.core.framework import QueryResult
 from repro.exceptions import QueryError
@@ -53,9 +53,8 @@ def scratch_registry():
     """Roll back any names a test registers on top of the builtins."""
     before = set(registered_semantics())
     yield
-    with engine_mod._REGISTRY_LOCK:
-        for name in set(engine_mod._REGISTRY) - before:
-            del engine_mod._REGISTRY[name]
+    for name in set(registered_semantics()) - before:
+        unregister_semantics(name)
 
 
 class TestRegistration:
@@ -136,6 +135,28 @@ class TestPluginOnTheWire:
         })
         assert resp["status"] == "ok"
         assert resp["answers"] == ["marco"]
+
+    def test_rolled_back_plugin_leaves_help_and_dispatch(
+        self, small_public_private
+    ):
+        pub, priv = small_public_private
+        svc = PPKWSService(sketch_k=2)
+        svc.create_network("net", pub)
+        svc.attach_user("net", "bob", priv)
+        req = {"op": "echo_gone", "network": "net", "owner": "bob", "echo": "m"}
+        register_semantics(make_spec("echo_gone"))
+        try:
+            assert "echo_gone" in svc.execute({"op": "help"})["ops"]
+            assert svc.execute(req)["status"] == "ok"  # the op table is built
+        finally:
+            unregister_semantics("echo_gone")
+        assert registered_semantics() == BUILTINS
+        assert "echo_gone" not in svc.execute({"op": "help"})["ops"]
+        resp = svc.execute(req)
+        assert resp["code"] == "bad_request"
+        assert "unknown op 'echo_gone'" in resp["error"]
+        with pytest.raises(KeyError):
+            unregister_semantics("echo_gone")
 
     def test_plugin_colliding_with_static_op_fails_loudly(
         self, scratch_registry, small_public_private

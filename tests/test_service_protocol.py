@@ -109,6 +109,34 @@ class TestAnswerCacheSemantics:
         assert "cached" not in resp
         assert "trace" in resp  # a real run, with a real trace
 
+    @pytest.mark.parametrize("flag", ["no_cache", "trace"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None, [True]])
+    @pytest.mark.parametrize("via", ["single", "batch_item"])
+    def test_flags_take_exact_bools_only(self, service, flag, value, via):
+        service.execute(knk_req())  # a cached entry a bad flag must not touch
+        stats = service.answer_cache.stats()
+        if via == "single":
+            resp = service.execute(knk_req(**{flag: value}))
+            prefix = ""
+        else:
+            item = {k: v for k, v in knk_req(**{flag: value}).items()
+                    if k not in ("network", "owner")}
+            outer = service.execute({
+                "op": "batch", "network": "net", "owner": "bob",
+                "queries": [item, {k: v for k, v in item.items() if k != flag}],
+            })
+            assert outer["status"] == "ok"
+            resp, good = outer["results"]
+            assert good["status"] == "ok" and good["cached"] is True
+            prefix = "queries[0]: "
+        assert resp["status"] == "error"
+        assert resp["code"] == "bad_request"
+        assert resp["error"] == f"{prefix}field {flag!r} must be true or false"
+        assert "trace" not in resp and "cached" not in resp
+        after = service.answer_cache.stats()
+        assert after["entries"] == stats["entries"]
+        assert after["hits"] == stats["hits"] + (via == "batch_item")
+
     def test_error_responses_are_not_cached(self, service):
         bad = knk_req(owner="nobody")
         first = service.execute(bad)

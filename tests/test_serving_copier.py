@@ -4,16 +4,21 @@
 corrupt a cached entry" true is a shape contract — exact ``dict`` /
 ``list`` containers over immutable atoms — enforced once on insert
 (``_wire_snapshot``) and relied on by every hit (``_wire_clone``).
-These tests pin both halves against ``copy.deepcopy`` as the reference:
-equal trees, *no* shared container, *every* atom shared (that sharing is
-what holds the benchmark's ``peak_rss_mb``), and a refusal — answered,
-uncached, warned — for any payload outside the contract.
+The snapshot records each container's shape in its own type (a dict of
+atoms stays an exact ``dict``; a list or dict of those, and any other
+dict, get private tags), and a hit copies rows of atoms in C.  These
+tests pin both halves against ``copy.deepcopy`` as the reference: equal
+trees, *no* shared container, *every* atom shared (that sharing is what
+holds the benchmark's ``peak_rss_mb``), a tag only where its shape holds
+and never on a hit, and a refusal — answered, uncached, warned — for any
+payload outside the contract.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import os
 import random
 from collections import OrderedDict
 from dataclasses import replace
@@ -23,13 +28,23 @@ from typing import Any, Iterator, List
 import pytest
 
 from repro.core.engine import register_semantics
+from repro.core.framework import PPKWS, QueryOptions
 from repro.serving import AnswerCache
-from repro.serving.cache import _wire_clone, _wire_snapshot
+from repro.serving.cache import _Nested, _Rows, _Table, _wire_clone, _wire_snapshot
 from repro.service import PPKWSService
 from tests.test_engine_registry import make_spec, scratch_registry  # noqa: F401
 from tests.test_service_shapes import QUERY_OPS, _query
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "engine_equivalence.json"
+
+# CI's batch-matrix job re-runs this file per graph backend and default
+# execution mode, so each cell's built-in payloads go through the cache.
+_FREEZE = os.environ.get("REPRO_ENGINE_BACKEND", "frozen") != "dict"
+_OPTIONS = (
+    QueryOptions(execution_mode=os.environ["REPRO_EXECUTION_MODE"])
+    if os.environ.get("REPRO_EXECUTION_MODE")
+    else None
+)
 
 
 def _fixture_responses() -> List[Any]:
@@ -76,10 +91,19 @@ def _trees() -> List[Any]:
     ] + [_random_tree(rng) for _ in range(100)]
 
 
+def _children(node: Any) -> List[Any]:
+    return list(node.values()) if isinstance(node, dict) else list(node)
+
+
+def _is_container(node: Any) -> bool:
+    """A ``dict`` / ``list``, or one of the snapshot's tags."""
+    return isinstance(node, (dict, list)) or type(node) is _Rows
+
+
 def _containers(node: Any) -> Iterator[Any]:
-    if type(node) in (dict, list):
+    if _is_container(node):
         yield node
-        for child in (node.values() if type(node) is dict else node):
+        for child in _children(node):
             yield from _containers(child)
 
 
@@ -101,6 +125,35 @@ def _assert_private_containers_shared_atoms(original: Any, copied: Any) -> None:
         assert copied is original
 
 
+def _assert_snapshot_mirrors(original: Any, snap: Any) -> None:
+    """Same tree in new containers of the same kind, each keeping the
+    promise its type makes; every atom the very object the original holds."""
+    if type(original) is dict:
+        assert snap is not original
+        assert type(snap) in (dict, _Table, _Nested)
+        assert list(snap) == list(original)
+        assert all(k1 is k2 for k1, k2 in zip(original, snap))
+    elif type(original) is list:
+        assert snap is not original
+        assert type(snap) in (list, _Rows)
+        assert len(snap) == len(original)
+    else:
+        assert snap is original
+        return
+    children = _children(snap)
+    if type(snap) is dict:  # atoms only
+        assert not any(map(_is_container, children))
+    if type(snap) in (_Rows, _Table):  # dicts of atoms only
+        assert all(type(c) is dict for c in children)
+    for v1, v2 in zip(_children(original), children):
+        _assert_snapshot_mirrors(v1, v2)
+
+
+def _kinds(snap: Any) -> List[str]:
+    """The container types of a snapshot, depth first."""
+    return [type(c).__name__ for c in _containers(snap)]
+
+
 def _scribble(tree: Any) -> None:
     """Overwrite every container of ``tree`` in place."""
     for container in list(_containers(tree)):
@@ -111,15 +164,80 @@ def _scribble(tree: Any) -> None:
             container[:] = ["scribbled"]
 
 
+#: name -> (stored value, the snapshot's container types depth first)
+SHAPES = {
+    "empty_list": ([], ["_Rows"]),
+    "empty_dict": ({}, ["dict"]),
+    "rows": ([{"v": 1, "d": 2.0}, {"v": "x", "d": None}], ["_Rows", "dict", "dict"]),
+    "rows_with_one_nested_member": (
+        [{"v": 1}, {"v": {"w": 2}}, {"v": 3}],
+        ["list", "dict", "_Table", "dict", "dict"],
+    ),
+    "rows_with_one_list_member": (
+        [{"v": 1}, {"v": [2]}], ["list", "dict", "_Nested", "list"],
+    ),
+    "rows_and_an_atom": ([{"v": 1}, 2], ["list", "dict"]),
+    "table": ({"a": {"v": 1}, "b": {}}, ["_Table", "dict", "dict"]),
+    "table_plus_one_atom": ({"a": {"v": 1}, "n": 3}, ["_Nested", "dict"]),
+    "table_plus_one_row_list": (
+        {"a": {"v": 1}, "b": [{"v": 2}]}, ["_Nested", "dict", "_Rows", "dict"],
+    ),
+    "tagged_under_untagged": (
+        {
+            "status": "ok",
+            "answer": {"keyword": "t", "matches": [{"vertex": "a", "distance": 1.0}]},
+            "answers": [{"root": "r", "matches": {"q": {"vertex": "b"}}}],
+        },
+        ["_Nested", "_Nested", "_Rows", "dict", "list", "_Nested", "_Table", "dict"],
+    ),
+    "tuples_of_atoms": (
+        {"e": [("a", 1), ("b", (2.5, None))], "t": ()}, ["_Nested", "list"],
+    ),
+    "tuple_top_level": (("a", 1, (None,)), []),
+    "atom_top_level": ("atom", []),
+    "none_top_level": (None, []),
+}
+
+
 class TestCopiersEqualDeepcopy:
-    @pytest.mark.parametrize("copier", [_wire_snapshot, _wire_clone])
-    def test_equal_trees_private_containers_shared_atoms(self, copier):
+    def test_snapshot_mirrors_the_tree_with_tags_only_where_the_shape_holds(
+        self,
+    ):
         for tree in _trees():
             reference = copy.deepcopy(tree)
-            copied = copier(tree)
-            assert copied == reference
-            _assert_private_containers_shared_atoms(tree, copied)
+            snap = _wire_snapshot(tree)
+            _assert_snapshot_mirrors(tree, snap)
+            # the size guard: a tag replaces a container, it adds none
+            assert sum(1 for _ in _containers(snap)) == sum(
+                1 for _ in _containers(tree)
+            )
             assert tree == reference  # the source is left untouched
+
+    def test_equal_trees_private_containers_shared_atoms(self):
+        """The clone half; the snapshot half is the test above."""
+        for tree in _trees():
+            reference = copy.deepcopy(tree)
+            snap = _wire_snapshot(tree)
+            for _ in range(2):
+                copied = _wire_clone(snap)
+                assert copied == reference
+                _assert_private_containers_shared_atoms(tree, copied)
+                assert not set(map(id, _containers(copied))) & set(
+                    map(id, _containers(snap))
+                )
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_shape(self, name):
+        tree, kinds = SHAPES[name]
+        reference = copy.deepcopy(tree)
+        snap = _wire_snapshot(tree)
+        assert _kinds(snap) == kinds
+        _assert_snapshot_mirrors(tree, snap)
+        hit = _wire_clone(snap)
+        assert hit == reference
+        _assert_private_containers_shared_atoms(tree, hit)
+        _scribble(hit)
+        assert _wire_clone(snap) == reference
 
     def test_scribbling_on_a_hit_or_on_the_stored_value_never_reaches_the_entry(
         self,
@@ -185,8 +303,10 @@ class TestRefusal:
 @pytest.fixture
 def service(small_public_private) -> PPKWSService:
     pub, priv = small_public_private
-    svc = PPKWSService(sketch_k=2)
-    svc.create_network("net", pub)
+    svc = PPKWSService(sketch_k=2, options=_OPTIONS)
+    svc.adopt_network(
+        "net", PPKWS(pub, sketch_k=2, options=_OPTIONS, freeze=_FREEZE)
+    )
     svc.attach_user("net", "bob", priv)
     return svc
 
@@ -247,7 +367,17 @@ class TestBuiltinPayloadsAreCacheable:
         assert "warnings" not in cold
         cache = AnswerCache(max_entries=2, ttl_s=None)
         cache.store("k", 0, cold)  # raises TypeError if not wire-shaped
-        assert cache.lookup("k", 0) == cold
+        hit = cache.lookup("k", 0)
+        assert hit == cold
+        _assert_private_containers_shared_atoms(cold, hit)
+        snap = _wire_snapshot(cold)
+        _assert_snapshot_mirrors(cold, snap)
+        # the two uniform shapes every k-nk / rooted payload carries
+        if op in ("knk", "knk_multi"):
+            assert type(snap["answer"]["matches"]) is _Rows
+        elif op != "truss":
+            assert cold["answers"]
+            assert all(type(a["matches"]) is _Table for a in snap["answers"])
         # and through the service: the repeat is a hit
         service.execute(req)
         assert service.execute(req)["cached"] is True

@@ -30,16 +30,10 @@ import random
 
 import pytest
 
-import repro.core.engine as engine_mod
 from repro import obs
 from repro.core.batch import BatchSession
 from repro.core.budget import QueryBudget
-from repro.core.engine import (
-    SemanticsSpec,
-    StepSpec,
-    register_semantics,
-    registered_semantics,
-)
+from repro.core.engine import SemanticsSpec, StepSpec, register_semantics
 from repro.core.framework import (
     PPKWS,
     QueryOptions,
@@ -67,6 +61,7 @@ from tests.engine_equivalence_data import (
     canon_rooted_result,
     seeded_network,
 )
+from tests.test_engine_registry import scratch_registry  # noqa: F401
 
 # Same contract as test_engine_equivalence: CI exports
 # REPRO_ENGINE_BACKEND to split the matrix; locally both backends run.
@@ -388,14 +383,6 @@ class TestModeSelection:
 # satellite 3: query models route through the registry
 # ----------------------------------------------------------------------
 class TestQueryModelDispatch:
-    @pytest.fixture
-    def scratch_registry(self):
-        before = set(registered_semantics())
-        yield
-        with engine_mod._REGISTRY_LOCK:
-            for name in set(engine_mod._REGISTRY) - before:
-                del engine_mod._REGISTRY[name]
-
     def _toy_spec(self):
         def _step(ctx):
             ctx.answers = []
