@@ -1,32 +1,29 @@
 """``repro.analysis`` — AST-based invariant linter for the PPKWS tree.
 
-The serving stack accumulated cross-cutting contracts that ordinary
-linters cannot see: registry maps may only be written under their locks,
-errors must come from the :class:`~repro.exceptions.ReproError` taxonomy,
-metric names must be drawn from the generated catalogue
-(:mod:`repro.obs.catalogue`), expansion loops must honour query budgets,
-algorithm layers must stay behind the :class:`~repro.graph.protocol.GraphLike`
-protocol, and durations must never be measured with the wall clock.
-Each contract is a :class:`~repro.analysis.engine.Rule` with a stable
-``RAxxx`` id; the engine parses every file once and dispatches the
-selected rules over the tree.
+The serving stack has cross-cutting contracts that ordinary linters
+cannot see.  Four of them are checked here, each a
+:class:`~repro.analysis.engine.Rule` with a stable ``RAxxx`` id:
 
-On top of the per-file rules sits an interprocedural layer
-(:mod:`repro.analysis.summaries` + :mod:`repro.analysis.flow`): cheap
-per-function summaries feed a call-graph fixpoint powering lock-order
-cycle detection (RA009), blocking-under-lock (RA010), budget-taint
-(RA011) and vectorized-kernel purity (RA012).
+* RA001 — registry maps may only be written under their locks;
+* RA002 — errors come from the :class:`~repro.exceptions.ReproError`
+  taxonomy, and blind excepts re-raise or say why they do not;
+* RA003 — metric names are drawn from the catalogue
+  (:mod:`repro.obs.catalogue`);
+* RA010 — nothing blocks while an exclusive lock is held, directly or
+  through a call chain.
+
+RA010 rests on an interprocedural layer (:mod:`repro.analysis.summaries`
++ :mod:`repro.analysis.flow`): per-function summaries of held locks,
+blocking operations and call sites feed a call-graph fixpoint.
 
 Run it as a module::
 
-    python -m repro.analysis [--format json|sarif] [--select RA001,RA005] \
-        [--baseline analysis_baseline.json] paths...
+    python -m repro.analysis paths...
+    python -m repro.analysis --check-catalogue
 
-Findings can be suppressed per line with ``# ra: ignore[RA001]`` (or
-``# ra: ignore`` for every rule) and per file with a
-``# ra: ignore-file[RA003]`` comment; suppressions should carry a
-justification in the surrounding comment.  See the README's
-"Static analysis & typing" section for the rule table.
+There is no suppression comment.  RA002 accepts a justification comment
+on the ``except`` line and RA010 reads its ``BLOCKING_ALLOWLIST``; see
+the README's "Static analysis & typing" section for the rule table.
 """
 
 from repro.analysis.engine import (
@@ -40,7 +37,7 @@ from repro.analysis.engine import (
     iter_python_files,
 )
 from repro.analysis.flow import ProjectFlow, build_flow
-from repro.analysis.reporters import render_json, render_text
+from repro.analysis.reporters import render_text
 from repro.analysis.rules import ALL_RULES, rules_by_id
 from repro.analysis.summaries import FunctionSummary, summarize_module
 
@@ -57,7 +54,6 @@ __all__ = [
     "analyze_source",
     "build_flow",
     "iter_python_files",
-    "render_json",
     "render_text",
     "rules_by_id",
     "summarize_module",

@@ -2,14 +2,8 @@
 
 Usage::
 
-    python -m repro.analysis [--format text|json|sarif]
-                             [--select RA001,RA004]
-                             [--baseline analysis_baseline.json]
-                             [--list-rules] [--check-catalogue] paths...
-
-``--baseline`` tolerates the findings recorded in the given baseline
-file (keyed rule/path/message) and fails only on new ones; the summary
-reports how many were baselined.
+    python -m repro.analysis paths...
+    python -m repro.analysis --check-catalogue [src_root]
 
 Exit status: 0 clean, 1 findings (or catalogue drift), 2 usage/IO error.
 """
@@ -22,20 +16,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import BaselineError, load_baseline, new_findings
 from repro.analysis.engine import analyze_paths, iter_python_files
-from repro.analysis.reporters import render_json, render_sarif, render_text
-from repro.analysis.rules import ALL_RULES, rules_by_id
+from repro.analysis.reporters import render_text
 
 _METRIC_LITERAL = re.compile(r'"(ppkws_[a-z0-9_]+)"')
-
-
-def _list_rules() -> str:
-    lines = ["available rules:"]
-    for rule in ALL_RULES:
-        lines.append(f"  {rule.id}  {rule.title}")
-        lines.append(f"         {rule.rationale}")
-    return "\n".join(lines)
 
 
 def check_catalogue(
@@ -83,41 +67,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("paths", nargs="*", help="files or directories to analyze")
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="tolerate findings recorded in this baseline file; fail only "
-        "on new ones",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule table and exit"
-    )
-    parser.add_argument(
         "--check-catalogue",
         action="store_true",
         help="verify src metrics, repro/obs/catalogue.py and the README "
         "metric table agree",
     )
-    parser.add_argument(
-        "--readme", default="README.md", help="README path for --check-catalogue"
-    )
     args = parser.parse_args(argv)
-
-    if args.list_rules:
-        print(_list_rules())
-        return 0
 
     if args.check_catalogue:
         src_root = args.paths[0] if args.paths else "src/repro"
-        problems = check_catalogue(src_root=src_root, readme_path=args.readme)
+        problems = check_catalogue(src_root=src_root)
         for problem in problems:
             print(problem)
         if not problems:
@@ -129,48 +88,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: no paths given", file=sys.stderr)
         return 2
 
-    select = None
-    if args.select is not None:
-        select = [part.strip() for part in args.select.split(",") if part.strip()]
-        if not select:
-            # `--select ""` / `--select ,` used to silently run nothing
-            # and exit 0 — a typo that green-lights every violation.
-            print(
-                "error: --select given but no rule ids parsed "
-                "(expected e.g. --select RA001,RA004)",
-                file=sys.stderr,
-            )
-            return 2
-        unknown = set(s.upper() for s in select) - set(rules_by_id())
-        if unknown:
-            print(
-                f"error: unknown rule id(s): {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    result = analyze_paths(args.paths, select=select)
-    baselined = 0
-    if baseline is not None:
-        result.findings, baselined = new_findings(result, baseline)
-
-    if args.fmt == "json":
-        output = render_json(result)
-    elif args.fmt == "sarif":
-        output = render_sarif(result)
-    else:
-        output = render_text(result)
-        if baseline is not None:
-            output += f"\n{baselined} baselined finding(s) tolerated"
-    print(output)
+    result = analyze_paths(args.paths)
+    print(render_text(result))
     if result.errors:
         return 2
     return 1 if result.findings else 0

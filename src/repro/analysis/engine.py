@@ -1,4 +1,4 @@
-"""The rule engine: file contexts, suppressions and rule dispatch.
+"""The rule engine: file contexts and rule dispatch.
 
 Design
 ------
@@ -6,15 +6,15 @@ A :class:`Rule` declares a stable id (``RA001`` ...), a one-line
 invariant, and two methods:
 
 * :meth:`Rule.applies_to` — a cheap path/module predicate so rules
-  scoped to (say) ``repro.semantics.*`` never walk unrelated trees;
+  scoped to (say) ``repro.*`` never walk unrelated trees;
 * :meth:`Rule.check` — yields :class:`Finding` objects for one parsed
-  file (:class:`FileContext` carries the source, the ``ast`` tree, the
-  dotted module guess and the raw lines).
+  file (:class:`FileContext` carries the ``ast`` tree, the dotted
+  module guess and the raw lines).
 
-The engine parses each file exactly once, runs every selected rule whose
-scope matches, then drops findings suppressed by ``# ra: ignore[...]``
-comments (collected with :mod:`tokenize`, so strings that merely contain
-the marker text do not suppress anything).
+The engine parses each file exactly once and runs every rule whose
+scope matches.  There is no suppression comment: a rule's exemptions
+live in the rule itself (RA002's justification comment on the
+``except`` line, RA010's ``BLOCKING_ALLOWLIST``).
 
 Fixture testing uses ``force=True``: scope predicates are bypassed so a
 rule can be exercised against ``tests/analysis_fixtures/*`` files that
@@ -25,40 +25,26 @@ Flow rules
 A rule may set ``needs_flow = True`` to request the interprocedural
 context (:class:`repro.analysis.flow.ProjectFlow`).  ``analyze_paths``
 then runs in two phases — parse every file first, build one shared flow
-over all of them, then dispatch rules per file with ``ctx.flow`` set —
-so cross-file findings (lock-order cycles, transitive blocking) see the
-whole project while per-file suppression machinery keeps working.  In
+over the files a flow rule covers, then dispatch rules per file with
+``ctx.flow`` set — so cross-file findings (transitive blocking) see the
+whole project, and out-of-scope files never join call resolution.  In
 single-source mode (fixtures, ``analyze_source``) a one-file flow is
 built on demand.
-
-Suppression anchoring
----------------------
-Directives and findings are both normalised through *line anchors*
-before matching: decorator lines map to their ``def`` line, and the
-continuation lines of a multi-line statement map to its first line.  A
-``# ra: ignore[...]`` above a decorated function therefore reaches the
-``def``-anchored finding, and an inline directive on the closing line of
-a multi-line call suppresses the finding anchored at its first line.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
-    Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
@@ -69,12 +55,10 @@ __all__ = [
     "FileContext",
     "Finding",
     "Rule",
-    "Suppressions",
     "analyze_file",
     "analyze_paths",
     "analyze_source",
     "iter_python_files",
-    "line_anchors",
     "module_name_for",
     "parse_context",
 ]
@@ -97,94 +81,8 @@ class Finding:
     rule: str
     message: str
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-
-#: ``# ra: ignore``, ``# ra: ignore[RA001, RA002]``,
-#: ``# ra: ignore-file[RA003]`` — an empty bracket list means "all rules".
-_SUPPRESS_RE = re.compile(
-    r"ra:\s*(?P<kind>ignore-file|ignore)\s*"
-    r"(?:\[(?P<rules>[A-Za-z0-9_,\s]*)\])?"
-)
-
-#: Sentinel rule set meaning "every rule".
-_ALL = frozenset({"*"})
-
-
-def _parse_rule_list(raw: Optional[str]) -> FrozenSet[str]:
-    if raw is None:
-        return _ALL
-    names = frozenset(part.strip().upper() for part in raw.split(",") if part.strip())
-    return names or _ALL
-
-
-@dataclass
-class Suppressions:
-    """Per-file and per-line ``ra: ignore`` directives."""
-
-    file_rules: FrozenSet[str] = frozenset()
-    line_rules: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        if "*" in self.file_rules or rule in self.file_rules:
-            return True
-        at_line = self.line_rules.get(line, frozenset())
-        return "*" in at_line or rule in at_line
-
-
-def parse_suppressions(source: str) -> Suppressions:
-    """Collect ``ra: ignore`` directives from real comment tokens.
-
-    An inline directive suppresses its own line; a directive on a
-    standalone comment line suppresses the next *code* line (so a
-    justification block above the flagged statement works).
-    """
-    out = Suppressions()
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        comments = [
-            (tok.start[0], tok.string)
-            for tok in tokens
-            if tok.type == tokenize.COMMENT
-        ]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return out
-    lines = source.splitlines()
-
-    def is_blank_or_comment(lineno: int) -> bool:
-        if not (1 <= lineno <= len(lines)):
-            return False
-        stripped = lines[lineno - 1].strip()
-        return not stripped or stripped.startswith("#")
-
-    file_rules: FrozenSet[str] = out.file_rules
-    for line, text in comments:
-        match = _SUPPRESS_RE.search(text)
-        if match is None:
-            continue
-        rules = _parse_rule_list(match.group("rules"))
-        if match.group("kind") == "ignore-file":
-            file_rules = file_rules | rules
-            continue
-        target = line
-        if lines[line - 1].strip().startswith("#"):
-            # Standalone comment: walk down to the statement it documents.
-            target = line + 1
-            while target <= len(lines) and is_blank_or_comment(target):
-                target += 1
-        out.line_rules[target] = out.line_rules.get(target, frozenset()) | rules
-    out.file_rules = file_rules
-    return out
 
 
 def module_name_for(path: str) -> str:
@@ -213,7 +111,6 @@ class FileContext:
     """Everything a rule may inspect about one parsed file."""
 
     path: str
-    source: str
     tree: ast.Module
     module: str
     lines: List[str]
@@ -264,7 +161,6 @@ class AnalysisResult:
     """Findings plus bookkeeping from one ``analyze_paths`` run."""
 
     findings: List[Finding] = field(default_factory=list)
-    suppressed: int = 0
     files_checked: int = 0
     errors: List[str] = field(default_factory=list)
 
@@ -275,63 +171,6 @@ class AnalysisResult:
         return out
 
 
-#: simple statements whose continuation lines anchor to their first line
-_SIMPLE_STMTS = (
-    ast.Assign,
-    ast.AnnAssign,
-    ast.AugAssign,
-    ast.Expr,
-    ast.Return,
-    ast.Raise,
-    ast.Assert,
-    ast.Delete,
-    ast.Import,
-    ast.ImportFrom,
-    ast.Global,
-    ast.Nonlocal,
-)
-
-
-def line_anchors(tree: ast.Module) -> Dict[int, int]:
-    """Physical line -> the line findings and directives anchor to.
-
-    Three normalisations: continuation lines of a multi-line simple
-    statement map to its first line; decorator lines map to the ``def``
-    / ``class`` line they decorate; the (possibly multi-line) header of
-    a ``with`` statement maps to its first line.
-    """
-    anchors: Dict[int, int] = {}
-
-    def span(first: int, last: Optional[int], target: int) -> None:
-        if last is None or last < first:
-            last = first
-        for line in range(first, last + 1):
-            # First mapping wins: inner nodes are visited after their
-            # enclosing statement and must not re-anchor its lines.
-            anchors.setdefault(line, target)
-
-    for node in ast.walk(tree):
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            for deco in node.decorator_list:
-                span(
-                    deco.lineno - 1,  # the ``@`` sits on the deco's line
-                    getattr(deco, "end_lineno", deco.lineno),
-                    node.lineno,
-                )
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            last = node.lineno
-            for item in node.items:
-                end = getattr(item.context_expr, "end_lineno", None)
-                if end is not None:
-                    last = max(last, end)
-            span(node.lineno, last, node.lineno)
-        elif isinstance(node, _SIMPLE_STMTS):
-            span(node.lineno, getattr(node, "end_lineno", None), node.lineno)
-    return anchors
-
-
 def _needs_flow(rules: Sequence[Rule], ctx: FileContext) -> bool:
     return any(
         rule.needs_flow and (ctx.force or rule.applies_to(ctx))
@@ -339,37 +178,19 @@ def _needs_flow(rules: Sequence[Rule], ctx: FileContext) -> bool:
     )
 
 
-def _check_context(
-    ctx: FileContext, rules: Sequence[Rule]
-) -> Tuple[List[Finding], int]:
-    """Dispatch rules over one parsed file and apply suppressions."""
-    raw: List[Finding] = []
+def _check_context(ctx: FileContext, rules: Sequence[Rule]) -> List[Finding]:
+    """Dispatch rules over one parsed file."""
+    findings: List[Finding] = []
     for rule in rules:
         if ctx.force or rule.applies_to(ctx):
-            raw.extend(rule.check(ctx))
-    if not raw:
-        return [], 0
-    suppressions = parse_suppressions(ctx.source)
-    anchors = line_anchors(ctx.tree)
-    if suppressions.line_rules:
-        merged: Dict[int, FrozenSet[str]] = {}
-        for target, rule_ids in suppressions.line_rules.items():
-            key = anchors.get(target, target)
-            merged[key] = merged.get(key, frozenset()) | rule_ids
-        suppressions.line_rules = merged
-    kept = [
-        f
-        for f in raw
-        if not suppressions.is_suppressed(f.rule, anchors.get(f.line, f.line))
-    ]
-    return sorted(kept), len(raw) - len(kept)
+            findings.extend(rule.check(ctx))
+    return sorted(findings)
 
 
 def parse_context(source: str, path: str, force: bool = False) -> FileContext:
     """Parse one source blob into a rule-ready :class:`FileContext`."""
     return FileContext(
         path=path,
-        source=source,
         tree=ast.parse(source, filename=path),
         module=module_name_for(path),
         lines=source.splitlines(),
@@ -382,8 +203,8 @@ def analyze_source(
     path: str,
     rules: Sequence[Rule],
     force: bool = False,
-) -> Tuple[List[Finding], int]:
-    """Run ``rules`` over one source blob; returns (findings, suppressed)."""
+) -> List[Finding]:
+    """Run ``rules`` over one source blob."""
     ctx = parse_context(source, path, force=force)
     if _needs_flow(rules, ctx):
         from repro.analysis.flow import build_flow
@@ -394,7 +215,7 @@ def analyze_source(
 
 def analyze_file(
     path: str, rules: Sequence[Rule], force: bool = False
-) -> Tuple[List[Finding], int]:
+) -> List[Finding]:
     """Parse and analyze one file (see :func:`analyze_source`)."""
     source = Path(path).read_text(encoding="utf-8")
     return analyze_source(source, path, rules, force=force)
@@ -428,24 +249,12 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
 def analyze_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-    select: Optional[Sequence[str]] = None,
     force: bool = False,
 ) -> AnalysisResult:
-    """Analyze every Python file reachable from ``paths``.
-
-    ``select`` filters rules by id (case-insensitive); unknown ids raise
-    ``ValueError`` so typos fail loudly instead of silently passing.
-    """
+    """Analyze every Python file reachable from ``paths``."""
     from repro.analysis.rules import ALL_RULES
 
     active: List[Rule] = list(ALL_RULES if rules is None else rules)
-    if select is not None:
-        wanted = {s.upper() for s in select}
-        known = {r.id for r in active}
-        unknown = wanted - known
-        if unknown:
-            raise ValueError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-        active = [r for r in active if r.id in wanted]
 
     # Phase 1: parse everything.  Flow rules need the whole project in
     # hand before the first per-file check runs.
@@ -458,18 +267,18 @@ def analyze_paths(
         except (SyntaxError, UnicodeDecodeError, OSError) as exc:
             result.errors.append(f"{file_path}: {exc}")
 
-    # Phase 2: one shared interprocedural context, if any rule wants it.
-    if any(_needs_flow(active, ctx) for ctx in contexts):
+    # Phase 2: one shared interprocedural context over the files a flow
+    # rule covers, so out-of-scope methods never join call resolution.
+    in_scope = [ctx for ctx in contexts if _needs_flow(active, ctx)]
+    if in_scope:
         from repro.analysis.flow import build_flow
 
-        flow = build_flow(contexts)
-        for ctx in contexts:
+        flow = build_flow(in_scope)
+        for ctx in in_scope:
             ctx.flow = flow
 
     for ctx in contexts:
-        findings, suppressed = _check_context(ctx, active)
         result.files_checked += 1
-        result.findings.extend(findings)
-        result.suppressed += suppressed
+        result.findings.extend(_check_context(ctx, active))
     result.findings.sort()
     return result

@@ -1,21 +1,11 @@
-"""The interprocedural fixpoint: call graph + whole-project analyses.
+"""The interprocedural fixpoint: call graph + blocking reachability.
 
 This is the ARefine half of the analysis pass (see
 :mod:`repro.analysis.summaries` for the PEval half): per-function
-summaries are stitched into a project call graph and a small family of
-demand-driven fixpoints answers the questions the RA009–RA012 rules ask:
-
-* :meth:`ProjectFlow.acquired_tokens` — every lock token a function may
-  take, transitively through its callees (feeds the lock-order graph);
-* :meth:`ProjectFlow.lock_order_edges` / :meth:`ProjectFlow.lock_cycles`
-  — the "token A held while token B is taken" graph and its strongly
-  connected components (a multi-token SCC is a potential deadlock);
-* :meth:`ProjectFlow.block_reason` — may this function block, and
-  through which call chain (feeds blocking-under-lock);
-* :meth:`ProjectFlow.expands` — does this function (transitively) run a
-  vertex-expanding traversal (feeds budget-taint);
-* :meth:`ProjectFlow.impure_witness` — can this function reach RNG /
-  clock / shared-engine mutation (feeds the vectorized purity rule).
+summaries are stitched into a project call graph, and one demand-driven
+fixpoint answers the question RA010 asks —
+:meth:`ProjectFlow.block_reason`: may this function block, and through
+which call chain?
 
 Call resolution is deliberately *may*-analysis: ``self.method()``
 resolves within the defining class, bare names through module functions
@@ -25,25 +15,15 @@ candidate cap.  Over-linking can only add edges, so the analyses stay
 conservative; generic builtin-shaped names are skipped so the graph is
 not wired to ``dict.get`` noise.
 
-All fixpoints are memoised depth-first traversals with an on-stack guard:
-a cycle member contributes nothing on re-entry (its direct facts were
-already collected on first entry), which is the standard least-fixpoint
-shortcut for purely-additive (union) transfer functions.
+The fixpoint is a memoised depth-first traversal with an on-stack
+guard: a cycle member contributes nothing on re-entry (its direct facts
+were already collected on first entry), which is the standard
+least-fixpoint shortcut for purely-additive transfer functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.engine import FileContext, Finding
 from repro.analysis.summaries import (
@@ -51,28 +31,16 @@ from repro.analysis.summaries import (
     FunctionSummary,
     GENERIC_METHOD_NAMES,
     ModuleSummary,
-    Site,
-    base_token,
     summarize_module,
 )
 
-__all__ = ["LockEdge", "ProjectFlow", "build_flow", "is_exclusive_token"]
+__all__ = ["ProjectFlow", "build_flow", "is_exclusive_token"]
 
 FnKey = Tuple[str, str]
 
 #: more same-named methods than this and an attr call resolves to nothing
 #: (linking a popular name everywhere would flood the graph with noise).
 _ATTR_CANDIDATE_CAP = 3
-
-
-@dataclass(frozen=True)
-class LockEdge:
-    """``held`` was held while ``taken`` was acquired at ``site``."""
-
-    held: str
-    taken: str
-    site: Site
-    via: str  #: human description: who acquired, through which call
 
 
 def is_exclusive_token(token: str) -> bool:
@@ -100,13 +68,8 @@ class ProjectFlow:
                         self._class_init[fn.cls] = fn
                 elif fn.cls is None and fn.qualname == fn.name:
                     self._module_funcs[(fn.module, fn.name)] = fn
-        # memo tables for the demand-driven fixpoints
-        self._acquired: Dict[FnKey, Dict[str, Site]] = {}
+        # memo table for the demand-driven fixpoint
         self._block: Dict[FnKey, Optional[Tuple[str, ...]]] = {}
-        self._expands: Dict[FnKey, bool] = {}
-        self._impure: Dict[FnKey, Optional[Tuple[Site, str]]] = {}
-        self._edges: Optional[List[LockEdge]] = None
-        self._cycles: Optional[List[Tuple[FrozenSet[str], List[LockEdge]]]] = None
         #: per-rule finding cache filled by the flow rules (keyed rule id)
         self.rule_cache: Dict[str, List[Finding]] = {}
 
@@ -163,33 +126,6 @@ class ProjectFlow:
             return candidates
         return []
 
-    # -- fixpoint: transitively acquired lock tokens --------------------
-    def acquired_tokens(
-        self, key: FnKey, _stack: Optional[Set[FnKey]] = None
-    ) -> Dict[str, Site]:
-        """Every lock token ``key`` may take, with one witness site each."""
-        if key in self._acquired:
-            return self._acquired[key]
-        stack = _stack if _stack is not None else set()
-        if key in stack:
-            return {}
-        fn = self.functions.get(key)
-        if fn is None:
-            return {}
-        stack.add(key)
-        out: Dict[str, Site] = {}
-        for lu in fn.locks:
-            out.setdefault(lu.token, lu.site)
-        for call in fn.calls:
-            for callee in self.resolve(fn, call):
-                for token, site in self.acquired_tokens(
-                    callee.key, stack
-                ).items():
-                    out.setdefault(token, site)
-        stack.discard(key)
-        self._acquired[key] = out
-        return out
-
     # -- fixpoint: may this function block? -----------------------------
     def block_reason(
         self, key: FnKey, _stack: Optional[Set[FnKey]] = None
@@ -224,204 +160,6 @@ class ProjectFlow:
         stack.discard(key)
         self._block[key] = witness
         return witness
-
-    # -- fixpoint: transitively expanding traversal ---------------------
-    def expands(self, key: FnKey, _stack: Optional[Set[FnKey]] = None) -> bool:
-        if key in self._expands:
-            return self._expands[key]
-        stack = _stack if _stack is not None else set()
-        if key in stack:
-            return False
-        fn = self.functions.get(key)
-        if fn is None:
-            return False
-        stack.add(key)
-        result = fn.expands or any(
-            self.expands(callee.key, stack)
-            for call in fn.calls
-            for callee in self.resolve(fn, call)
-        )
-        stack.discard(key)
-        self._expands[key] = result
-        return result
-
-    # -- fixpoint: reachable impurity (RA012 raw material) --------------
-    def impure_witness(
-        self, key: FnKey, _stack: Optional[Set[FnKey]] = None
-    ) -> Optional[Tuple[Site, str]]:
-        """First reachable RNG/clock/mutation, anchored in ``key``'s file."""
-        if key in self._impure:
-            return self._impure[key]
-        stack = _stack if _stack is not None else set()
-        if key in stack:
-            return None
-        fn = self.functions.get(key)
-        if fn is None:
-            return None
-        stack.add(key)
-        witness: Optional[Tuple[Site, str]] = None
-        if fn.impure:
-            op = fn.impure[0]
-            witness = (op.site, f"{op.kind}: {op.detail}")
-        else:
-            for call in fn.calls:
-                for callee in self.resolve(fn, call):
-                    inner = self.impure_witness(callee.key, stack)
-                    if inner is not None:
-                        witness = (
-                            call.site,
-                            f"reaches {callee.qualname} -> {inner[1]}",
-                        )
-                        break
-                if witness is not None:
-                    break
-        stack.discard(key)
-        self._impure[key] = witness
-        return witness
-
-    # -- the lock-order graph -------------------------------------------
-    def lock_order_edges(self) -> List[LockEdge]:
-        """All "A held while B taken" edges, lexical and interprocedural.
-
-        Edges between the *same* base token are dropped: token identity
-        cannot distinguish two instances of a per-object lock family, so
-        a same-token edge would flag every re-entrant family as a
-        deadlock with itself.
-        """
-        if self._edges is not None:
-            return self._edges
-        edges: List[LockEdge] = []
-        seen: Set[Tuple[str, str, str, int]] = set()
-
-        def add(held: str, taken: str, site: Site, via: str) -> None:
-            hb, tb = base_token(held), base_token(taken)
-            if hb == tb:
-                return
-            dedup = (hb, tb, site.path, site.line)
-            if dedup in seen:
-                return
-            seen.add(dedup)
-            edges.append(LockEdge(held=hb, taken=tb, site=site, via=via))
-
-        for key in sorted(self.functions):
-            fn = self.functions[key]
-            for lu in fn.locks:
-                for held in sorted(lu.held):
-                    add(
-                        held,
-                        lu.token,
-                        lu.site,
-                        f"{fn.qualname} takes {base_token(lu.token)}"
-                        f" while holding {base_token(held)}",
-                    )
-            for call in fn.calls:
-                if not call.held:
-                    continue
-                for callee in self.resolve(fn, call):
-                    for token, _ in sorted(
-                        self.acquired_tokens(callee.key).items()
-                    ):
-                        for held in sorted(call.held):
-                            add(
-                                held,
-                                token,
-                                call.site,
-                                f"{fn.qualname} calls {callee.qualname}"
-                                f" (which may take {base_token(token)})"
-                                f" while holding {base_token(held)}",
-                            )
-        self._edges = edges
-        return edges
-
-    def lock_cycles(self) -> List[Tuple[FrozenSet[str], List[LockEdge]]]:
-        """Multi-token SCCs of the lock-order graph, with witness edges.
-
-        Each SCC is a set of lock tokens that can be acquired in
-        conflicting orders — the classic deadlock precondition.  The
-        witness list holds one edge per (src, dst) pair inside the SCC,
-        sorted by site, so the report can show both directions.
-        """
-        if self._cycles is not None:
-            return self._cycles
-        edges = self.lock_order_edges()
-        graph: Dict[str, Set[str]] = {}
-        for e in edges:
-            graph.setdefault(e.held, set()).add(e.taken)
-            graph.setdefault(e.taken, set())
-
-        # Tarjan's SCC, iterative (analysis trees can be deep).
-        index: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        sccs: List[List[str]] = []
-        counter = [0]
-
-        def strongconnect(root: str) -> None:
-            work: List[Tuple[str, Iterable[str]]] = [
-                (root, iter(sorted(graph[root])))
-            ]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for succ in it:
-                    if succ not in index:
-                        index[succ] = low[succ] = counter[0]
-                        counter[0] += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(sorted(graph[succ]))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        low[node] = min(low[node], index[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component: List[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    sccs.append(component)
-
-        for node in sorted(graph):
-            if node not in index:
-                strongconnect(node)
-
-        out: List[Tuple[FrozenSet[str], List[LockEdge]]] = []
-        for component in sccs:
-            if len(component) < 2:
-                continue
-            members = frozenset(component)
-            witness_by_pair: Dict[Tuple[str, str], LockEdge] = {}
-            for e in edges:
-                if e.held in members and e.taken in members:
-                    pair = (e.held, e.taken)
-                    best = witness_by_pair.get(pair)
-                    if best is None or (
-                        (e.site.path, e.site.line)
-                        < (best.site.path, best.site.line)
-                    ):
-                        witness_by_pair[pair] = e
-            witnesses = sorted(
-                witness_by_pair.values(),
-                key=lambda e: (e.site.path, e.site.line, e.held, e.taken),
-            )
-            out.append((members, witnesses))
-        out.sort(key=lambda item: sorted(item[0]))
-        self._cycles = out
-        return out
 
 
 def build_flow(contexts: Sequence[FileContext]) -> ProjectFlow:

@@ -1,13 +1,10 @@
-"""Finding reporters: human text, machine JSON, and SARIF 2.1.0."""
+"""The finding reporter: ``path:line:col: RAxxx message`` text."""
 
 from __future__ import annotations
 
-import json
-from typing import Optional, Sequence
+from repro.analysis.engine import AnalysisResult
 
-from repro.analysis.engine import AnalysisResult, Rule
-
-__all__ = ["render_json", "render_sarif", "render_text"]
+__all__ = ["render_text"]
 
 
 def render_text(result: AnalysisResult) -> str:
@@ -18,87 +15,9 @@ def render_text(result: AnalysisResult) -> str:
     summary = (
         f"{len(result.findings)} finding(s)"
         + (f" [{by_rule}]" if by_rule else "")
-        + f", {result.suppressed} suppressed, "
-        f"{result.files_checked} file(s) checked"
+        + f", {result.files_checked} file(s) checked"
     )
     for error in result.errors:
         lines.append(f"error: {error}")
     lines.append(summary)
     return "\n".join(lines)
-
-
-def render_json(result: AnalysisResult) -> str:
-    """A stable JSON document (consumed by ``scripts/analysis_report.py``)."""
-    doc = {
-        "version": 1,
-        "findings": [finding.to_dict() for finding in result.findings],
-        "suppressed": result.suppressed,
-        "files_checked": result.files_checked,
-        "errors": list(result.errors),
-        "counts_by_rule": result.counts_by_rule(),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def render_sarif(
-    result: AnalysisResult, rules: Optional[Sequence[Rule]] = None
-) -> str:
-    """A minimal SARIF 2.1.0 log (one run, one result per finding).
-
-    Enough of the standard for code-scanning UIs and the CI artifact:
-    the driver carries the rule metadata, each result carries a
-    physical location with line/column.
-    """
-    if rules is None:
-        from repro.analysis.rules import ALL_RULES
-
-        rules = ALL_RULES
-    driver_rules = [
-        {
-            "id": rule.id,
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.rationale},
-        }
-        for rule in rules
-    ]
-    results = [
-        {
-            "ruleId": f.rule,
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": f.path},
-                        "region": {"startLine": f.line, "startColumn": f.col},
-                    }
-                }
-            ],
-        }
-        for f in result.findings
-    ]
-    doc = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.analysis",
-                        "informationUri": (
-                            "README.md#static-analysis--typing"
-                        ),
-                        "rules": driver_rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -11,17 +11,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.analysis.engine import Rule
-from repro.analysis.rules.backend import BackendPurityRule
-from repro.analysis.rules.budget import BudgetDisciplineRule
-from repro.analysis.rules.clock import MonotonicClockRule
-from repro.analysis.rules.engine_steps import EngineStepDisciplineRule
-from repro.analysis.rules.faults import FaultPointLiteralRule
-from repro.analysis.rules.flow_budget import BudgetTaintRule
-from repro.analysis.rules.flow_locks import (
-    BlockingUnderLockRule,
-    LockOrderCycleRule,
-)
-from repro.analysis.rules.flow_purity import VectorizedPurityRule
+from repro.analysis.rules.flow_locks import BlockingUnderLockRule
 from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.metrics import MetricCatalogueRule
 from repro.analysis.rules.taxonomy import ExceptionTaxonomyRule
@@ -32,18 +22,10 @@ ALL_RULES: Tuple[Rule, ...] = (
     LockDisciplineRule(),
     ExceptionTaxonomyRule(),
     MetricCatalogueRule(),
-    BudgetDisciplineRule(),
-    BackendPurityRule(),
-    MonotonicClockRule(),
-    FaultPointLiteralRule(),
-    EngineStepDisciplineRule(),
-    LockOrderCycleRule(),
     BlockingUnderLockRule(),
-    BudgetTaintRule(),
-    VectorizedPurityRule(),
 )
 
 
 def rules_by_id() -> Dict[str, Rule]:
-    """Stable-id -> rule instance map (for ``--select`` and docs)."""
+    """Stable-id -> rule instance map."""
     return {rule.id: rule for rule in ALL_RULES}

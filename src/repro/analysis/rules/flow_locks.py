@@ -1,43 +1,29 @@
-"""RA009 / RA010: interprocedural lock-order and blocking-under-lock.
+"""RA010: blocking while holding an exclusive lock.
 
-Both rules consume the shared :class:`repro.analysis.flow.ProjectFlow`
+The rule consumes the shared :class:`repro.analysis.flow.ProjectFlow`
 (``needs_flow = True``): findings are computed once per project and
-cached on the flow object, then filtered per file so the ordinary
-``# ra: ignore[...]`` machinery applies.
+cached on the flow object, then filtered per file.
 
-RA009 — lock-order cycles.  Every "token A held while token B is taken"
-pair (lexical *and* through calls made under a lock) becomes an edge;
-a strongly connected component with two or more tokens means two code
-paths can acquire the same locks in conflicting orders — the classic
-deadlock precondition.  Same-token edges are excluded by construction
-(token identity cannot tell two instances of a per-object lock family
-apart), so re-entrant per-network locks do not self-report.
-
-RA010 — blocking while holding an *exclusive* lock.  Catalogued
-potentially-blocking operations (file IO, pickle, ``copy.deepcopy``,
-``time.sleep``, pipe/queue ops, future waits, executor submits) may not
-run while a mutex / rwlock write side is held, directly or through any
-resolvable call chain.  The rwlock *read* side is deliberately exempt:
-queries run under per-network read locks by design and readers do not
-serialize each other.  Deliberate hold-while-blocking patterns are
-catalogued in :data:`BLOCKING_ALLOWLIST` with their justification —
-additions belong there, not in inline suppressions, so the inventory of
-"locks that own a slow resource" stays reviewable in one place.
+Catalogued potentially-blocking operations (file IO, pickle,
+``copy.deepcopy``, ``time.sleep``, pipe/queue ops, future waits,
+executor submits) may not run while a mutex / rwlock write side is
+held, directly or through any resolvable call chain.  The rwlock *read*
+side is deliberately exempt: queries run under per-network read locks
+by design and readers do not serialize each other.  Deliberate
+hold-while-blocking patterns are catalogued in
+:data:`BLOCKING_ALLOWLIST` with their justification, so the inventory
+of "locks that own a slow resource" stays reviewable in one place.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.analysis.engine import FileContext, Finding, Rule
 from repro.analysis.flow import ProjectFlow, is_exclusive_token
 from repro.analysis.summaries import Site, base_token
 
-__all__ = [
-    "BLOCKING_ALLOWLIST",
-    "BlockingUnderLockRule",
-    "LockOrderCycleRule",
-]
+__all__ = ["BLOCKING_ALLOWLIST", "BlockingUnderLockRule"]
 
 #: base lock token -> justification for blocking while it is held.
 #: Every entry documents a lock whose *purpose* is to own a slow
@@ -64,62 +50,6 @@ BLOCKING_ALLOWLIST: Dict[str, str] = {
 }
 
 
-def _cached(
-    rule: Rule,
-    ctx: FileContext,
-    compute: Callable[[ProjectFlow], List[Finding]],
-) -> List[Finding]:
-    flow = ctx.flow
-    if flow is None:
-        return []
-    findings = flow.rule_cache.get(rule.id)
-    if findings is None:
-        findings = compute(flow)
-        flow.rule_cache[rule.id] = findings
-    return [f for f in findings if f.path == ctx.path]
-
-
-class LockOrderCycleRule(Rule):
-    id = "RA009"
-    title = "lock-order graph must be acyclic (potential deadlock)"
-    rationale = (
-        "Two paths acquiring the same locks in opposite orders deadlock "
-        "under contention; the serving stack holds too many locks for "
-        "ordering to be checked by eye."
-    )
-    needs_flow = True
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.module.startswith("repro.")
-
-    def check(self, ctx: FileContext) -> List[Finding]:
-        return _cached(self, ctx, self._compute)
-
-    def _compute(self, flow: ProjectFlow) -> List[Finding]:
-        findings: List[Finding] = []
-        for members, witnesses in flow.lock_cycles():
-            if not witnesses:
-                continue
-            anchor = witnesses[0]
-            shown = "; ".join(
-                f"{e.via} at {e.site.path}:{e.site.line}"
-                for e in witnesses[:4]
-            )
-            findings.append(
-                Finding(
-                    path=anchor.site.path,
-                    line=anchor.site.line,
-                    col=anchor.site.col,
-                    rule=self.id,
-                    message=(
-                        "lock-order cycle between "
-                        f"{{{', '.join(sorted(members))}}}: {shown}"
-                    ),
-                )
-            )
-        return findings
-
-
 class BlockingUnderLockRule(Rule):
     id = "RA010"
     title = "no blocking operation while holding an exclusive lock"
@@ -134,7 +64,13 @@ class BlockingUnderLockRule(Rule):
         return ctx.module.startswith("repro.")
 
     def check(self, ctx: FileContext) -> List[Finding]:
-        return _cached(self, ctx, self._compute)
+        flow = ctx.flow
+        if flow is None:
+            return []
+        findings = flow.rule_cache.get(self.id)
+        if findings is None:
+            findings = flow.rule_cache[self.id] = self._compute(flow)
+        return [f for f in findings if f.path == ctx.path]
 
     @staticmethod
     def _flagged_tokens(held: FrozenSet[str]) -> List[str]:

@@ -17,9 +17,11 @@ attribute              guarded by               owner
 The rule flags any *write* (rebind, item assignment, ``del``, augmented
 assignment, or a mutating method call such as ``.pop()``) to one of
 these attributes that is not lexically inside a ``with <...>_lock:``
-block naming the matching lock.  Reads stay unrestricted — single-key
-dict reads are atomic under the GIL and the code comments document where
-that is relied upon.  Constructor initialisation (``self._engines = {}``
+block naming the matching lock.  A nested ``def`` or ``lambda`` does
+not inherit the enclosing block's lock: its body runs when it is
+called, after the lock may have been released.  Reads stay
+unrestricted — single-key dict reads are atomic under the GIL and the
+code comments document where that is relied upon.  Constructor initialisation (``self._engines = {}``
 inside ``__init__``) is exempt: no other thread can hold the object yet.
 """
 
@@ -80,11 +82,20 @@ class _LockVisitor(ast.NodeVisitor):
     visit_AsyncWith = visit_With
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        # A nested def runs later, after the enclosing `with` has released
+        # its lock: it starts with nothing held.
+        saved, self.held = self.held, []
         self.function_stack.append(node.name)
         self.generic_visit(node)
         self.function_stack.pop()
+        self.held = saved
 
     visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        saved, self.held = self.held, []
+        self.generic_visit(node)
+        self.held = saved
 
     # -- mutation sites -------------------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:

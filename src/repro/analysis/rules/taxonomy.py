@@ -16,8 +16,7 @@ rule flags:
 Names the rule cannot resolve (``raise exc`` of a caught variable,
 ``raise cls(...)``) are skipped rather than guessed at.  Classes defined
 in the analysed file whose bases chain to an allowed name are allowed
-too, so local ``class FooError(ReproError)`` definitions need no
-suppression.
+too, so local ``class FooError(ReproError)`` definitions pass as-is.
 """
 
 from __future__ import annotations
@@ -26,11 +25,6 @@ import ast
 from typing import FrozenSet, Iterable, List, Optional, Set
 
 from repro.analysis.engine import FileContext, Finding, Rule
-from repro.analysis.rules.common import (
-    call_name,
-    exception_names,
-    handler_type_names,
-)
 
 __all__ = ["ExceptionTaxonomyRule", "ALLOWED_BUILTIN_RAISES"]
 
@@ -48,6 +42,41 @@ ALLOWED_BUILTIN_RAISES = frozenset(
 )
 
 _BLIND = frozenset({"Exception", "BaseException"})
+
+
+def call_name(func: ast.expr) -> Optional[str]:
+    """The terminal name of a call target (``a.b.C(...)`` -> ``C``)."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def handler_type_names(handler: ast.ExceptHandler) -> FrozenSet[str]:
+    """The class names an ``except`` clause catches (empty for bare)."""
+    node = handler.type
+    if node is None:
+        return frozenset()
+    names = []
+    elements = node.elts if isinstance(node, ast.Tuple) else [node]
+    for element in elements:
+        name = call_name(element)
+        if name is not None:
+            names.append(name)
+    return frozenset(names)
+
+
+def exception_names() -> FrozenSet[str]:
+    """Every builtin exception class name (``ValueError``, ...)."""
+    import builtins
+
+    return frozenset(
+        name
+        for name in dir(builtins)
+        if isinstance(getattr(builtins, name), type)
+        and issubclass(getattr(builtins, name), BaseException)
+    )
 
 
 def _repro_error_names() -> FrozenSet[str]:

@@ -20,9 +20,11 @@ registry, and :func:`run_pipeline` is the **only** code that
 The five original pipelines (``blinks``, ``rclique``, ``knk`` and
 ``knk_multi`` — one module, ``pp_knk`` — and ``banks``) are specs now;
 ``pp_truss`` — the public-private k-truss port — is the sixth, and the
-proof that adding a semantics is a one-module job.  Analysis rule RA008
-keeps it that way: ``repro/core/pp_*.py`` modules may not hand-roll step
-loops.
+proof that adding a semantics is a one-module job.  The engine
+equivalence suite (``tests/test_engine_equivalence.py``) keeps it that
+way: its golden fixtures pin every semantics' payloads and degradation
+fields, so a ``pp_*`` module that hand-rolls its own step loop shows up
+as a diff.
 
 Degradation contract (kept bit-identical to the pre-engine pipelines):
 

@@ -19,7 +19,8 @@
   they are built: the walk builds only the prefix it reads.
 
 Budget checkpoints, step timing, degradation bookkeeping and obs hooks
-all live in :mod:`repro.core.engine` (rule RA008); this module only
+all live in :mod:`repro.core.engine` (the engine equivalence suite
+pins them); this module only
 declares the steps and registers the :data:`BLINKS` spec.
 """
 

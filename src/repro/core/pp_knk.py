@@ -33,7 +33,8 @@ disjunctive match predicate; AComplete's public side differs per mode:
   is approximate on the public side — private-side answers remain exact.
 
 Budget checkpoints, step timing, degradation bookkeeping and obs hooks
-all live in :mod:`repro.core.engine` (rule RA008); this module only
+all live in :mod:`repro.core.engine` (the engine equivalence suite
+pins them); this module only
 declares the steps and registers the :data:`KNK` and :data:`KNK_MULTI`
 specs.
 """

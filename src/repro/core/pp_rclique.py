@@ -14,7 +14,8 @@
   public-private qualification (Def. II.2), and ranks by star weight.
 
 Budget checkpoints, step timing, degradation bookkeeping and obs hooks
-all live in :mod:`repro.core.engine` (rule RA008); this module only
+all live in :mod:`repro.core.engine` (the engine equivalence suite
+pins them); this module only
 declares the steps and registers the :data:`RCLIQUE` spec.
 """
 

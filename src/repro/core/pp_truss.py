@@ -32,7 +32,8 @@ triangles); the Def.-II.2 qualification is skipped since completion
 never ran.
 
 Budget checkpoints, step timing, degradation bookkeeping and obs hooks
-all live in :mod:`repro.core.engine` (rule RA008); this module only
+all live in :mod:`repro.core.engine` (the engine equivalence suite
+pins them); this module only
 declares the steps and registers the :data:`TRUSS` spec.
 """
 

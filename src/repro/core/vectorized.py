@@ -124,7 +124,7 @@ class VectorizedRuntime:
             raise TypeError("VectorizedRuntime requires a FrozenGraph public side")
         self.engine = engine
         self.public = public
-        indptr, indices, weights = public.csr()  # ra: ignore[RA005]
+        indptr, indices, weights = public.csr()
         # frombuffer is zero-copy and accepts both array('q') buffers and
         # the memoryview casts a shared-memory replica exposes.
         self.indptr: Any = np.frombuffer(indptr, dtype=np.int64)
@@ -880,7 +880,6 @@ def runtime_for(engine: Any) -> Optional[VectorizedRuntime]:
         # Deliberate engine mutation: `_vectorized_runtime` is a
         # write-once memo slot derived purely from the frozen public
         # graph, so caching it on the engine cannot perturb answers.
-        # ra: ignore[RA012]
         engine._vectorized_runtime = _UNSUPPORTED
         return None
     runtime = VectorizedRuntime(engine)
@@ -911,7 +910,7 @@ def plan_for(
     if mode == "pure":
         return None
     # runtime_for's only "impurity" is the write-once memo slot
-    # justified at its definition site.  # ra: ignore[RA012]
+    # justified at its definition site.
     runtime = runtime_for(engine)
     if runtime is None:
         if mode == "vectorized":

@@ -4,8 +4,10 @@ A fault point is a *name* for one place in the production code where the
 fault layer may act — nothing more.  The constants below are the only
 sanctioned way to refer to a point: call sites pass the constant, never
 a string literal, so a renamed point breaks loudly at import time
-instead of silently disarming a chaos schedule (enforced by analysis
-rule **RA007**).
+instead of silently disarming a chaos schedule.  :class:`FaultSpec`
+refuses anything but a :class:`FaultPoint`, and ``fire``'s
+``FaultPoint`` annotation lets mypy flag a literal in the strictly typed
+modules.
 
 The catalogue is mirrored in the README's "Fault tolerance & crash
 safety" section; ``tests/test_faults.py`` asserts the two stay in sync.

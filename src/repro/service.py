@@ -124,6 +124,7 @@ from repro.exceptions import (
     FaultInjectedError,
     IndexCorruptError,
     OwnerNotAttachedError,
+    QueryError,
     ReproError,
     ServiceOverloadedError,
     UnknownNetworkError,
@@ -142,6 +143,7 @@ from repro.obs import (
     observe_batch_request,
     render_prometheus,
 )
+from repro.semantics.wire import check_bound
 from repro.serving import AnswerCache, RWLock
 from repro.serving.shards import ShardServingPool
 
@@ -289,13 +291,9 @@ def _graph_from_request(request: Dict[str, Any], field_name: str) -> LabeledGrap
 
 
 def _budget_args(request: Dict[str, Any]) -> Dict[str, Any]:
-    """Per-request budget keywords for the engine entry points."""
-    out: Dict[str, Any] = {}
-    if request.get("deadline_ms") is not None:
-        out["deadline_ms"] = float(request["deadline_ms"])
-    if request.get("max_expansions") is not None:
-        out["max_expansions"] = int(request["max_expansions"])
-    return out
+    """Per-request budget keywords for the engine entry points (their
+    values were validated by :meth:`PPKWSService._check_fields`)."""
+    return {f: request[f] for f in _BUDGET_FIELDS if request.get(f) is not None}
 
 
 def _degradation_fields(result: Any) -> Dict[str, Any]:
@@ -915,7 +913,8 @@ class PPKWSService:
     def _check_fields(
         self, spec: "OpSpec", request: Dict[str, Any], prefix: str = ""
     ) -> None:
-        """Warn about unknown fields, then reject a missing field or bad flag.
+        """Warn about unknown fields, then reject a missing field, a bad
+        flag or a malformed budget field.
 
         In that order, so the warnings survive onto the error response.
         ``prefix`` names the batch item the request came from.
@@ -931,6 +930,19 @@ class PPKWSService:
         for f in _FLAG_FIELDS:
             if f in request and type(request[f]) is not bool:
                 raise ReproError(f"{prefix}field {f!r} must be true or false")
+        if "max_expansions" in known:  # the query ops and batch
+            deadline = request.get("deadline_ms")
+            if deadline is not None:
+                try:
+                    check_bound("deadline_ms", deadline)
+                except QueryError as exc:
+                    raise QueryError(f"{prefix}{exc}") from None
+            cap = request.get("max_expansions")
+            if cap is not None and (type(cap) is not int or cap < 0):
+                raise QueryError(
+                    f"{prefix}field 'max_expansions' must be an integer "
+                    f">= 0, got {cap!r}"
+                )
 
     def _execute_locked(
         self, spec: "OpSpec", request: Dict[str, Any]

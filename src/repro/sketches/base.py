@@ -265,7 +265,7 @@ def _build_sketch_frozen(
     traversals of the build; plain-list indexing is markedly faster than
     ``array`` element access in the inner relaxation loop.
     """
-    # ra: ignore[RA005] — sanctioned int-specialized fast path: the CSR
+    # Sanctioned int-specialized fast path: the CSR
     # arrays power Algo 6 here, with _build_sketch as the GraphLike
     # fallback producing bit-identical output (tests/test_backend_equivalence).
     indptr_a, indices_a, weights_a = graph.csr()

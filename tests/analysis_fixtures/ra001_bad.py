@@ -26,3 +26,16 @@ class Service:
         self._attachments[owner] = attachment  # unlocked item write
         # unlocked epoch bump
         self._owner_epochs[owner] = self._owner_epochs.get(owner, 0) + 1
+
+    def deferred_register(self, name, engine):
+        with self._engines_lock:
+            # defined under the lock, but runs after it is released
+            def later():
+                self._engines[name] = engine
+
+            return later
+
+    def deferred_forget(self, name):
+        with self._engines_lock:
+            # same for a lambda: the pop runs when the caller invokes it
+            return lambda: self._epochs.pop(name, None)

@@ -101,7 +101,7 @@ class TestPointCatalogue:
 class TestFaultSpec:
     def test_rejects_string_point(self):
         with pytest.raises(ValueError, match="FaultPoint"):
-            FaultSpec("service.execute", "raise")  # ra: ignore[RA007]
+            FaultSpec("service.execute", "raise")
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

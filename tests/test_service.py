@@ -248,6 +248,51 @@ class TestDeadlinesAndDegradation:
         })
         assert resp["status"] == "degraded"
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_expansions", float("inf")),
+        ("max_expansions", float("nan")),
+        ("max_expansions", "5"),
+        ("max_expansions", True),
+        ("max_expansions", 2.7),
+        ("max_expansions", -1),
+        ("deadline_ms", float("nan")),
+        ("deadline_ms", "x"),
+        ("deadline_ms", "10"),
+        ("deadline_ms", True),
+        ("deadline_ms", -1),
+    ])
+    @pytest.mark.parametrize("where", ["request", "batch", "batch_item"])
+    @pytest.mark.parametrize("no_cache", [False, True])
+    def test_malformed_budget_field_is_bad_request(
+        self, service, field, value, where, no_cache
+    ):
+        knk = {"op": "knk", "source": "x1", "keyword": "cv"}
+        if no_cache:
+            knk["no_cache"] = True
+        # An ok answer for the same key is already cached: budget fields
+        # are not part of the key, so only validation can refuse it.
+        warm = service.execute({"network": "net", "owner": "bob", "op": "knk",
+                                "source": "x1", "keyword": "cv"})
+        assert warm["status"] == "ok"
+        before = service.answer_cache.stats()
+        bad = {field: value}
+        if where == "request":
+            resp = service.execute(dict(knk, network="net", owner="bob", **bad))
+        else:
+            item = dict(knk, **bad) if where == "batch_item" else knk
+            batch = {"op": "batch", "network": "net", "owner": "bob",
+                     "queries": [item]}
+            if where == "batch":
+                batch.update(bad)
+            resp = service.execute(batch)
+            if where == "batch_item":
+                assert resp["status"] == "ok"
+                (resp,) = resp["results"]
+        assert resp["status"] == "error"
+        assert resp["code"] == "bad_request"
+        assert repr(field) in resp["error"]
+        assert service.answer_cache.stats() == before
+
 
 class TestObservability:
     def test_degraded_request_is_fully_observable(self, service):
