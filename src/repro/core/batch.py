@@ -9,9 +9,9 @@ extends the idea across a whole batch: one
 of a :class:`BatchSession`.
 
 A session holds facts of two lifetimes.  *Public-side* facts — the PKA
-rows and the sweep memo — depend only on the portal or seed identity and
-the (immutable) public index, so no attach or detach, of this owner or
-any other, makes them stale: they live as long as the session
+rows — depend only on the portal identity and the (immutable) public
+index, so no attach or detach, of this owner or any other, makes them
+stale: they live as long as the session
 (:meth:`BatchSession.invalidate` drops them on request).  Answers are
 bit-identical to individually evaluated queries — the cache memoizes
 pure lookups — which the test suite asserts.
@@ -31,11 +31,6 @@ remaining allowance is divided evenly across the remaining queries
 before each query starts, so an early query that overruns shrinks the
 slices of later ones, and a batch whose budget is already spent degrades
 every remaining query immediately instead of running unbounded.
-
-Sessions also carry the vectorized execution machinery: an
-``execution_mode`` default and a :class:`~repro.core.vectorized.SweepMemo`
-shared by every vectorized query of the session, so queries whose
-keywords seed the same offset sweeps run them once (batch-level PKA).
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.budget import QueryBudget
 from repro.core.framework import KnkQueryResult, PPKWS, QueryResult
 from repro.core.pp_rclique import CompletionCache
-from repro.core.vectorized import SweepMemo
 from repro.datasets.queries import KnkQuery
 from repro.graph.labeled_graph import Label, Vertex
 from repro.obs import observe_batch_cache
@@ -117,24 +111,11 @@ class BatchSession:
     True
     """
 
-    def __init__(
-        self,
-        engine: PPKWS,
-        owner: str,
-        execution_mode: Optional[str] = None,
-    ) -> None:
+    def __init__(self, engine: PPKWS, owner: str) -> None:
         self.engine = engine
         self.owner = owner
         self.attachment = engine.attachment(owner)
         self.cache = CompletionCache(enabled=engine.options.dp_completion)
-        #: session default for the step bodies ("pure" / "vectorized" /
-        #: "auto"); None defers to the engine's QueryOptions.  Per-call
-        #: arguments override both.
-        self.execution_mode = execution_mode
-        #: batch-level PKA: offset sweeps memoized across the session's
-        #: queries — queries sharing keywords (hence sweep seeds) reuse
-        #: each other's vectorized expansions.
-        self.sweep_memo = SweepMemo()
         self._owner_epoch = engine.owner_epoch(owner)
 
     # ------------------------------------------------------------------
@@ -142,9 +123,9 @@ class BatchSession:
         """Re-read the attachment if this session's owner's epoch moved.
 
         Another owner's attach/detach changes nothing here, and the PKA
-        and sweep memo hold public-side facts, so they are kept either
-        way.  Raises :class:`~repro.exceptions.OwnerNotAttachedError`
-        for as long as this session's owner is detached.
+        holds public-side facts, so it is kept either way.  Raises
+        :class:`~repro.exceptions.OwnerNotAttachedError` for as long as
+        this session's owner is detached.
         """
         current = self.engine.owner_epoch(self.owner)
         if current != self._owner_epoch:
@@ -164,12 +145,11 @@ class BatchSession:
         self, keywords: Sequence[Label], tau: float, k: int = 10,
         require_public_private: bool = True,
         budget: Optional[QueryBudget] = None,
-        execution_mode: Optional[str] = None,
     ) -> QueryResult:
         """One Blinks query through the shared cache (sugar over
         :meth:`query`)."""
         result: QueryResult = self.query(
-            "blinks", budget=budget, execution_mode=execution_mode,
+            "blinks", budget=budget,
             keywords=list(keywords), tau=tau, k=k,
             require_public_private=require_public_private,
         )
@@ -179,12 +159,11 @@ class BatchSession:
         self, keywords: Sequence[Label], tau: float, k: int = 10,
         require_public_private: bool = True,
         budget: Optional[QueryBudget] = None,
-        execution_mode: Optional[str] = None,
     ) -> QueryResult:
         """One r-clique query through the shared cache (sugar over
         :meth:`query`)."""
         result: QueryResult = self.query(
-            "rclique", budget=budget, execution_mode=execution_mode,
+            "rclique", budget=budget,
             keywords=list(keywords), tau=tau, k=k,
             require_public_private=require_public_private,
         )
@@ -193,13 +172,11 @@ class BatchSession:
     def knk(
         self, source: Vertex, keyword: Label, k: int,
         budget: Optional[QueryBudget] = None,
-        execution_mode: Optional[str] = None,
     ) -> KnkQueryResult:
         """One k-nk query through the shared cache (sugar over
         :meth:`query`)."""
         result: KnkQueryResult = self.query(
-            "knk", budget=budget, execution_mode=execution_mode,
-            source=source, keyword=keyword, k=k,
+            "knk", budget=budget, source=source, keyword=keyword, k=k,
         )
         return result
 
@@ -207,7 +184,6 @@ class BatchSession:
         self,
         semantics: str,
         budget: Optional[QueryBudget] = None,
-        execution_mode: Optional[str] = None,
         **params: object,
     ):
         """One query of any registered semantics through the shared cache.
@@ -218,27 +194,16 @@ class BatchSession:
         semantics is batchable without this class growing a method.  The
         session's persistent cache is passed through; specs that do not
         use a completion cache simply ignore it.
-
-        ``execution_mode`` overrides the session default (which itself
-        defaults to the engine's
-        :attr:`~repro.core.framework.QueryOptions.execution_mode`); the
-        vectorized plan carries the session's :class:`SweepMemo`, so
-        vectorized queries sharing sweep seeds reuse expansions across
-        the batch.
         """
         from repro.core.engine import semantics_spec
-        from repro.core.vectorized import plan_for
 
         spec = semantics_spec(semantics)
         self._refresh_if_stale()
-        if execution_mode is None:
-            execution_mode = self.execution_mode
-        plan = plan_for(self.engine, execution_mode, memo=self.sweep_memo)
         marks = self._cache_marks()
         try:
             return spec.run(
                 self.engine, self.attachment, dict(params),
-                budget=budget, cache=self.cache, vectorized=plan,
+                budget=budget, cache=self.cache,
             )
         finally:
             self._observe_cache(marks)
@@ -250,7 +215,6 @@ class BatchSession:
         queries: Sequence[Dict[str, Any]],
         deadline_ms: Optional[float] = None,
         max_expansions: Optional[int] = None,
-        execution_mode: Optional[str] = None,
     ) -> List[Any]:
         """Run a workload of parameter dicts through :meth:`query`.
 
@@ -268,10 +232,7 @@ class BatchSession:
         results: List[Any] = []
         for i, params in enumerate(queries):
             slice_budget = batch.slice_for(len(queries) - i)
-            results.append(self.query(
-                semantics, budget=slice_budget,
-                execution_mode=execution_mode, **params,
-            ))
+            results.append(self.query(semantics, budget=slice_budget, **params))
             batch.charge(slice_budget)
         return results
 
@@ -280,7 +241,6 @@ class BatchSession:
         queries: Sequence[KnkQuery],
         deadline_ms: Optional[float] = None,
         max_expansions: Optional[int] = None,
-        execution_mode: Optional[str] = None,
     ) -> List[KnkQueryResult]:
         """Run a workload of k-nk queries, optionally batch-budgeted."""
         return self.run_queries(
@@ -288,7 +248,6 @@ class BatchSession:
             [{"source": q.source, "keyword": q.keyword, "k": q.k} for q in queries],
             deadline_ms=deadline_ms,
             max_expansions=max_expansions,
-            execution_mode=execution_mode,
         )
 
     # ------------------------------------------------------------------
@@ -311,4 +270,3 @@ class BatchSession:
     def invalidate(self) -> None:
         """Drop cached lookups (call after mutating the private graph)."""
         self.cache.invalidate()
-        self.sweep_memo.invalidate()

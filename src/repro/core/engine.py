@@ -108,26 +108,14 @@ class PipelineContext:
     state: Any = None
     answers: Any = None
     scratch: Dict[str, Any] = field(default_factory=dict)
-    #: a repro.core.vectorized.VectorizedPlan when this run should use
-    #: the numpy kernels for steps that offer them; None = pure bodies.
-    vectorized: Optional[Any] = None
 
 
 @dataclass(frozen=True)
 class StepSpec:
-    """One named pipeline step: a side-effecting callable on the context.
-
-    ``vectorized_run``, when present, is a drop-in alternative body used
-    *only* when the context carries a
-    :class:`~repro.core.vectorized.VectorizedPlan` (``ctx.vectorized``):
-    it must leave the context in a bit-identical state to ``run`` — the
-    equivalence suite holds it to that — while routing the heavy array
-    work through the numpy kernels.
-    """
+    """One named pipeline step: a side-effecting callable on the context."""
 
     name: str
     run: Callable[[PipelineContext], None]
-    vectorized_run: Optional[Callable[[PipelineContext], None]] = None
 
 
 @dataclass(frozen=True)
@@ -171,12 +159,9 @@ class SemanticsSpec:
         params: Dict[str, Any],
         budget: Optional[QueryBudget] = None,
         cache: Optional[Any] = None,
-        vectorized: Optional[Any] = None,
     ) -> AnyResult:
         """Run this semantics through the engine (see :func:`run_pipeline`)."""
-        return run_pipeline(
-            self, engine, attachment, params, budget, cache, vectorized
-        )
+        return run_pipeline(self, engine, attachment, params, budget, cache)
 
 
 def run_pipeline(
@@ -186,7 +171,6 @@ def run_pipeline(
     params: Dict[str, Any],
     budget: Optional[QueryBudget] = None,
     cache: Optional[Any] = None,
-    vectorized: Optional[Any] = None,
 ) -> AnyResult:
     """The one PEval → ARefine → AComplete loop all semantics share.
 
@@ -206,7 +190,6 @@ def run_pipeline(
         breakdown=breakdown,
         budget=budget,
         cache=cache,
-        vectorized=vectorized,
     )
     spec.validate(ctx)
     spec.init(ctx)
@@ -224,11 +207,8 @@ def run_pipeline(
             if i and ctx.budget is not None:
                 ctx.budget.recheck()
             faults.fire(ENGINE_STEP)
-            body = s.run
-            if ctx.vectorized is not None and s.vectorized_run is not None:
-                body = s.vectorized_run
             with _Timer() as t:
-                body(ctx)
+                s.run(ctx)
             breakdown.record(step, t.elapsed)
             completed.append(step)
     except BudgetError:

@@ -255,16 +255,6 @@ class QueryOptions:
     budget object is created and the hot paths skip all budget checks,
     keeping results bit-identical to the unbudgeted code.  Per-call
     arguments on the :class:`PPKWS` entry points override these.
-
-    ``execution_mode`` selects the step bodies for :meth:`PPKWS.query`
-    and everything built on it (the named methods,
-    :class:`~repro.core.batch.BatchSession`, the wire protocol):
-    ``"pure"`` runs the reference dict/heap code, ``"vectorized"`` the
-    numpy kernels of :mod:`repro.core.vectorized` (bit-identical
-    answers, enforced by the equivalence suite), ``"auto"`` picks
-    vectorized when the engine supports it (frozen public graph, numpy
-    importable, strictly positive weights) and silently falls back to
-    pure otherwise.  Per-call arguments override this default.
     """
 
     reduced_refinement: bool = True
@@ -272,7 +262,6 @@ class QueryOptions:
     peval_answers: int = 32
     deadline_ms: Optional[float] = None
     max_expansions: Optional[int] = None
-    execution_mode: str = "pure"
 
 
 class _Timer:
@@ -603,7 +592,6 @@ class PPKWS:
         max_expansions: Optional[int] = None,
         budget: Optional[QueryBudget] = None,
         cache: Optional[object] = None,
-        execution_mode: Optional[str] = None,
         **params: object,
     ) -> object:
         """Run any registered semantics by name through the engine.
@@ -613,21 +601,14 @@ class PPKWS:
         :func:`repro.core.engine.register_semantics` are reachable only
         here (and on the wire).  Unknown names raise
         :class:`~repro.exceptions.QueryError`.
-
-        ``execution_mode`` (``"pure"`` / ``"vectorized"`` / ``"auto"``)
-        overrides :attr:`QueryOptions.execution_mode` for this call;
-        answers are bit-identical across modes (see
-        :mod:`repro.core.vectorized`).
         """
         from repro.core.engine import semantics_spec
-        from repro.core.vectorized import plan_for
 
         spec = semantics_spec(semantics)
         return spec.run(
             self, self.attachment(owner), dict(params),
             budget=self.make_budget(deadline_ms, max_expansions, budget),
             cache=cache,
-            vectorized=plan_for(self, execution_mode),
         )
 
 

@@ -26,7 +26,6 @@ declares the steps and registers the :data:`BLINKS` spec.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import itemgetter
 from typing import (
     Callable,
@@ -55,7 +54,6 @@ from repro.core.framework import (
 from repro.core.partial import KeywordIndicator, PartialAnswer, salvage_rooted_answers
 from repro.core.pp_rclique import CompletionCache
 from repro.core.repair import try_requalify
-from repro.core.vectorized import merge_rank
 from repro.exceptions import QueryError
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.traversal import INF
@@ -212,7 +210,7 @@ def _merge_swept_root(
                 matches[q] = Match(None, INF)
                 existing.missing.add(q)
         elif dst is None or hit.distance < dst.distance:
-            # a fresh Match: covers may be shared through the sweep memo
+            # a fresh Match: the answer owns it, the cover stays read-only
             matches[q] = Match(hit.vertex, hit.distance)
             existing.missing.discard(q)
     return existing
@@ -323,13 +321,7 @@ def _merge_ranked(
             fi += 1
 
 
-def _acomplete(
-    ctx: PipelineContext,
-    swept: Optional[Dict[Label, Dict[Vertex, Match]]] = None,
-    public_probe: Optional[
-        Callable[[Vertex, Label], Tuple[float, Optional[Vertex]]]
-    ] = None,
-) -> None:
+def _acomplete(ctx: PipelineContext) -> None:
     """Step 3: Algo 5 — expand, retrieve missing keywords, qualify.
 
     Ranked before built: most swept vertices are *fresh* roots, neither
@@ -337,18 +329,10 @@ def _acomplete(
     salvage.  Their matches stay flat per-keyword columns, ranked by
     ``(weight, repr)``; the qualification walk builds only the prefix it
     reads, in exactly the stable ``sort_key()`` order of building all.
-
-    ``swept`` lets a caller inject the part-(a) public sweeps computed
-    elsewhere (the vectorized kernel); the merge below is insensitive to
-    who ran them, so the answers stay bit-identical.  ``public_probe``
-    likewise replaces the per-root part-(b) KPADS lookup with
-    precomputed (batched) results — it must return exactly what
-    ``keyword_distance_with_witness`` would.
     """
     public, partials = ctx.engine.public, ctx.state
     keywords, tau = ctx.params["keywords"], ctx.params["tau"]
-    if public_probe is None:
-        public_probe = ctx.engine.index.provider().keyword_distance_with_witness
+    public_probe = ctx.engine.index.provider().keyword_distance_with_witness
 
     # (a) Backward expansion from portal-rooted partial answers (lines 2-8).
     #
@@ -359,12 +343,11 @@ def _acomplete(
     # which one *offset* multi-source Dijkstra per keyword computes in a
     # single sweep — same final matches, |Q| sweeps instead of |P|.
     answers: Dict[Vertex, PartialAnswer] = dict(partials)
-    if swept is None:
-        seeds_by_kw = _portal_sweep_seeds(public, ctx.attachment, partials, keywords)
-        swept = {
-            q: offset_expansion(public, seeds, tau, ctx.budget) if seeds else {}
-            for q, seeds in seeds_by_kw.items()
-        }
+    seeds_by_kw = _portal_sweep_seeds(public, ctx.attachment, partials, keywords)
+    swept = {
+        q: offset_expansion(public, seeds, tau, ctx.budget) if seeds else {}
+        for q, seeds in seeds_by_kw.items()
+    }
     touched: Set[Vertex] = set().union(*swept.values())
     fresh: List[Vertex] = []  # repr order: the stable rank keeps it on ties
     for u in sorted(touched, key=repr):
@@ -442,102 +425,7 @@ def step_arefine(ctx: PipelineContext) -> None:
 
 
 def step_acomplete(ctx: PipelineContext) -> None:
-    _acomplete(ctx)  # by module name: the vectorized step and tests share it
-
-
-# ----------------------------------------------------------------------
-# the vectorized AComplete (repro.core.vectorized numpy kernels)
-# ----------------------------------------------------------------------
-def _acomplete_fast(
-    ctx: PipelineContext,
-    swept: Dict[Label, Dict[Vertex, Match]],
-) -> bool:
-    """The pure step's fresh-root ranking as arrays; False means fall back.
-
-    :func:`repro.core.vectorized.merge_rank` computes the fresh roots'
-    matches, weights and ``(weight, repr)`` rank as arrays; the slow
-    roots and the lazy merge are the pure step's.  Answers are
-    bit-identical to it; only budget checkpoint placement and
-    mid-AComplete counter timing differ (fresh roots are charged in bulk).
-    """
-    runtime = ctx.vectorized.runtime
-    public, private = ctx.engine.public, ctx.attachment.private
-    keywords = ctx.params["keywords"]
-    partials: Dict[Vertex, PartialAnswer] = ctx.state
-
-    intern = runtime.public.intern
-    slow_ids = {intern(u) for u in chain(partials, private.vertices()) if u in public}
-    ranked = merge_rank(runtime, keywords, swept, slow_ids)
-    if ranked is None:
-        return False
-    if ctx.budget is not None:
-        # The pure step charges one checkpoint per touched root in part
-        # (a) and one per answer in part (b); charge the fast-path roots
-        # in bulk so expansion caps bind at an equivalent magnitude.
-        ctx.budget.checkpoint(cost=2 * len(ranked))
-
-    # Slow side — existing partials plus private-side swept roots — runs
-    # the exact per-root bodies of the pure step.
-    answers: Dict[Vertex, PartialAnswer] = dict(partials)
-    vertex_of = runtime.vertex_of
-    slow_touched = [vertex_of[int(i)] for i in ranked.slow_touched_ids]
-    for u in sorted(slow_touched, key=repr):
-        if ctx.budget is not None:
-            ctx.budget.checkpoint()
-        _merge_swept_root(answers, u, swept, keywords)
-    pub_slow = [r for r in answers if r in public]
-    probed = {q: runtime.probe_many(pub_slow, q) for q in keywords}
-
-    def probe(root: Vertex, q: Label) -> Tuple[float, Optional[Vertex]]:
-        return probed[q][root]
-
-    _complete_roots(ctx, answers, probe)
-
-    _qualify(ctx, _merge_ranked(
-        answers.values(), len(ranked), ranked.key,
-        lambda pos: ranked.materialize(pos, swept),
-    ))
-    return True
-
-
-def step_acomplete_vectorized(ctx: PipelineContext) -> None:
-    """AComplete routed through the numpy kernels.
-
-    Part (a)'s per-keyword offset sweeps run as columns of one shared
-    kernel invocation (consulting the batch sweep memo first — the
-    paper's PKA lifted to the batch level); parts (a)-(c) then merge and
-    rank through the array fast path (:func:`_acomplete_fast`).  When
-    it cannot run (repr collision, foreign covers) the pure body takes
-    over with batched part-(b) probes injected; both build only the
-    candidate prefix the qualification walk reads.  All kernels reproduce the pure tie-breaking exactly (see
-    :mod:`repro.core.vectorized`), so answers are bit-identical either
-    way.
-    """
-    plan = ctx.vectorized
-    keywords, tau = ctx.params["keywords"], ctx.params["tau"]
-    seeds_by_kw = _portal_sweep_seeds(
-        ctx.engine.public, ctx.attachment, ctx.state, keywords
-    )
-    seeded = [q for q in keywords if seeds_by_kw[q]]
-    covers = plan.sweeps([(seeds_by_kw[q], tau) for q in seeded], ctx.budget)
-    swept: Dict[Label, Dict[Vertex, Match]] = {q: {} for q in keywords}
-    for q, cover in zip(seeded, covers):
-        swept[q] = cover
-    if not _acomplete_fast(ctx, swept):
-        # Part (b)'s answer roots are known up front (partials + every
-        # swept vertex), so the public-side probes still batch into one
-        # kernel call per keyword instead of one scan per (root, keyword).
-        roots: Set[Vertex] = set(ctx.state)
-        for cover in swept.values():
-            roots.update(cover)
-        public = ctx.engine.public
-        pub_roots = [r for r in roots if r in public]
-        probed = {q: plan.runtime.probe_many(pub_roots, q) for q in keywords}
-
-        def probe(root: Vertex, q: Label) -> Tuple[float, Optional[Vertex]]:
-            return probed[q][root]
-
-        _acomplete(ctx, swept, probe)
+    _acomplete(ctx)  # by module name, so tests can patch it
 
 
 def salvage_blinks(ctx: PipelineContext, step: str) -> List[RootedAnswer]:
@@ -554,7 +442,7 @@ BLINKS = register_semantics(SemanticsSpec(
     steps=(
         StepSpec("peval", step_peval),
         StepSpec("arefine", step_arefine),
-        StepSpec("acomplete", step_acomplete, step_acomplete_vectorized),
+        StepSpec("acomplete", step_acomplete),
     ),
     validate=validate_blinks_params,
     init=init_blinks_state,

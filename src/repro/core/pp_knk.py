@@ -199,14 +199,10 @@ def _step_arefine(ctx: PipelineContext) -> None:
     partial.portal_entries = refined_portals
 
 
-def _step_acomplete(
-    ctx: PipelineContext,
-    batched: Optional[Dict[Vertex, List[Tuple[Vertex, float]]]] = None,
-) -> None:
+def _step_acomplete(ctx: PipelineContext) -> None:
     """Step 3: merge public candidates reached through portals (Appx. A).
 
-    ``batched`` holds the vectorized step's per-portal candidate lists;
-    without it each portal is probed after its budget checkpoint.
+    Each portal is probed after its budget checkpoint.
     """
     p, partial, budget = ctx.params, ctx.state, ctx.budget
     engine, cache = ctx.engine, ctx.cache
@@ -226,12 +222,8 @@ def _step_acomplete(
     for portal, d in partial.portal_entries:
         if budget is not None:
             budget.checkpoint()
-        if batched is not None:
-            lists = [batched[portal]]
-        else:
-            lists = [cache.lookup_candidates(engine, portal, q, k) for q in probe]
-        for candidates in lists:
-            for witness, pub_d in candidates:
+        for q in probe:
+            for witness, pub_d in cache.lookup_candidates(engine, portal, q, k):
                 if required is not None and not required <= public.labels(witness):
                     continue
                 total = d + pub_d
@@ -244,24 +236,6 @@ def _step_acomplete(
     )
     ctx.counters.completion_lookups = cache.misses + cache.hits
     ctx.counters.completion_cache_hits = cache.hits
-
-
-def _step_acomplete_vectorized(ctx: PipelineContext) -> None:
-    """AComplete with the portal probes batched through the numpy kernel.
-
-    One :meth:`CompletionCache.lookup_candidates_many` resolves every
-    portal's public top-k in a single kernel invocation with the serial
-    hit/miss accounting replicated, then the serial merge runs over the
-    precomputed lists — ranking and counters are bit-identical.  The
-    kernel declines graphs whose vertex reprs collide or whose candidate
-    lists include private vertices; the step then probes serially.
-    """
-    portals = [portal for portal, _ in ctx.state.portal_entries]
-    lists = ctx.cache.lookup_candidates_many(
-        ctx.engine, portals, ctx.params["keyword"], ctx.params["k"],
-        ctx.vectorized.runtime,
-    )
-    _step_acomplete(ctx, None if lists is None else dict(zip(portals, lists)))
 
 
 def _salvage(ctx: PipelineContext, step: str) -> KnkAnswer:
@@ -285,7 +259,7 @@ KNK = register_semantics(SemanticsSpec(
     steps=(
         StepSpec("peval", _step_peval),
         StepSpec("arefine", _step_arefine),
-        StepSpec("acomplete", _step_acomplete, _step_acomplete_vectorized),
+        StepSpec("acomplete", _step_acomplete),
     ),
     validate=_validate,
     init=_init,
@@ -299,13 +273,11 @@ KNK = register_semantics(SemanticsSpec(
     wire_cache_params=knk_cache_params,
 ))
 
-# The same pipeline under its multi-keyword wire spelling; the batched
-# candidate kernel takes one keyword, so AComplete stays serial here.
+# The same pipeline under its multi-keyword wire spelling.
 KNK_MULTI = register_semantics(replace(
     KNK,
     name="knk_multi",
     summary="Multi-keyword k-nk, conjunctive or disjunctive (Sec. II ext.).",
-    steps=KNK.steps[:2] + (StepSpec("acomplete", _step_acomplete),),
     wire_required=("network", "owner", "source", "keywords"),
     wire_optional=("k", "mode"),
     wire_params=knk_multi_wire_params,

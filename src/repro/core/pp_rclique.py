@@ -142,59 +142,6 @@ class CompletionCache:
             self._list_table[key] = result
         return result
 
-    def lookup_candidates_many(
-        self,
-        engine: PPKWS,
-        portals: Sequence[Vertex],
-        keyword: Label,
-        k: int,
-        runtime: object,
-    ) -> Optional[List[List[Tuple[Vertex, float]]]]:
-        """Batched :meth:`lookup_candidates` over ``portals``.
-
-        Replicates the per-portal hit/miss accounting exactly — a portal
-        repeated in the batch counts one miss then hits, just as the
-        serial loop's immediate compute-and-store would — and resolves
-        the whole miss set through one vectorized kernel call.  Returns
-        None when the kernel declines (repr collision, private
-        candidates); the caller then falls back to the serial path with
-        the counters untouched.
-        """
-        plan_hits = 0
-        plan_misses = 0
-        results: List[Optional[List[Tuple[Vertex, float]]]] = []
-        pending: Dict[Vertex, List[int]] = {}
-        for i, portal in enumerate(portals):
-            key = (portal, keyword, k)
-            if self.enabled and key in self._list_table:
-                plan_hits += 1
-                results.append(self._list_table[key])
-            elif self.enabled and portal in pending:
-                # The serial loop would have computed and stored it at
-                # the first occurrence, so the repeat is a hit.
-                plan_hits += 1
-                results.append(None)
-                pending[portal].append(i)
-            else:
-                plan_misses += 1
-                results.append(None)
-                pending.setdefault(portal, []).append(i)
-        if pending:
-            batch = list(pending)
-            computed = runtime.top_candidates_many(  # type: ignore[attr-defined]
-                batch, keyword, k
-            )
-            if computed is None:
-                return None
-            for portal, found in zip(batch, computed):
-                for i in pending[portal]:
-                    results[i] = found
-                if self.enabled:
-                    self._list_table[(portal, keyword, k)] = found
-        self.hits += plan_hits
-        self.misses += plan_misses
-        return [r if r is not None else [] for r in results]
-
 
 def peval_rclique(
     attachment: Attachment,

@@ -1,15 +1,17 @@
-"""Vectorized (numpy) execution kernels over the frozen CSR arrays.
+"""Numpy kernels over the frozen CSR arrays, kept for the benchmark only.
 
-ROADMAP item 4: the hot public-side loops — the offset multi-source
-Dijkstra of AComplete part (a) and the Algo-6 sketch probes — are
-per-vertex Python.  This module runs them array-at-a-time over the
-:class:`~repro.graph.frozen.FrozenGraph` CSR buffers, and batches the
-expansions of *several* queries through one kernel invocation with
-per-query bound columns (the paper's PKA memoization lifted to the
-batch level, the DKWS direction).
+No production module imports this file.  The query pipelines run one
+body per step (the pure dict/heap code), and the execution mode that
+used to route AComplete through these kernels is gone.  What remains is
+exactly what ``bench/layers.py`` imports or wraps by name:
+:func:`runtime_for`, :meth:`VectorizedRuntime.probe_many`,
+:meth:`VectorizedRuntime.top_candidates_many`, :func:`offset_sweep_batch`
+and :func:`merge_rank`, plus the helpers they call.  The module goes
+when the benchmark releases those names (ROADMAP item 1).
 
-The pure pipelines remain the bit-identical reference.  Bit-identity of
-the sweep kernel rests on one observation: with strictly positive edge
+Each kernel is bit-identical to its pure counterpart, which
+``tests/test_vectorized_equivalence.py`` holds.  Bit-identity of the
+sweep kernel rests on one observation: with strictly positive edge
 weights, Dijkstra settles vertices in *distance layers* and entries of
 equal distance cannot relax each other, so the heap's pop order within a
 layer is fully determined by the tie-break counter of
@@ -21,11 +23,6 @@ one layer at a time, picks each node's winning entry by that exact key,
 orders winners by it to assign pop ranks, and rebuilds the result dicts
 in rank order — same distances (identical float additions), same
 witnesses, same dict insertion order as the heap loop.
-
-Unsupported configurations (dict backend, numpy missing, non-positive
-edge weights) transparently fall back to the pure step bodies; an
-explicit ``execution_mode="vectorized"`` request that falls back is
-counted in ``ppkws_vectorized_fallbacks_total``.
 """
 
 from __future__ import annotations
@@ -34,15 +31,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.budget import QueryBudget
 from repro.core.partial import PartialAnswer
-from repro.exceptions import QueryError
 from repro.graph.frozen import FrozenGraph
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.traversal import INF
-from repro.obs.hooks import (
-    observe_sweep_reuse,
-    observe_vectorized_fallback,
-    observe_vectorized_kernel,
-)
 from repro.semantics.answers import Match, RootedAnswer
 
 try:  # pragma: no cover - exercised implicitly by every import
@@ -54,22 +45,14 @@ except Exception:  # pragma: no cover - containers without numpy
     _NUMPY = False
 
 __all__ = [
-    "EXECUTION_MODES",
     "RankedMerge",
     "SweepCover",
-    "SweepMemo",
-    "VectorizedPlan",
     "VectorizedRuntime",
     "merge_rank",
     "numpy_available",
     "offset_sweep_batch",
-    "plan_for",
-    "validate_execution_mode",
+    "runtime_for",
 ]
-
-#: The closed set of execution modes accepted on the wire and in
-#: :class:`~repro.core.framework.QueryOptions`.
-EXECUTION_MODES: Tuple[str, ...] = ("pure", "vectorized", "auto")
 
 #: Per-sweep seed triples, exactly as `_portal_sweep_seeds` builds them.
 Seeds = List[Tuple[float, Vertex, Vertex]]
@@ -100,22 +83,11 @@ def numpy_available() -> bool:
     return _NUMPY
 
 
-def validate_execution_mode(mode: str) -> str:
-    """Validate a wire/user-supplied execution mode (closed set)."""
-    if mode not in EXECUTION_MODES:
-        raise QueryError(
-            f"unknown execution_mode {mode!r} "
-            f"(expected one of {', '.join(EXECUTION_MODES)})"
-        )
-    return mode
-
-
 class VectorizedRuntime:
     """Per-engine numpy views of the CSR buffers plus derived tables.
 
-    Built once per engine (cached on the :class:`PPKWS` instance) and
-    shared by every vectorized query against it; the probe tables are
-    built lazily because many workloads never touch them.
+    Built once per engine (cached on the :class:`PPKWS` instance); the
+    probe tables are built lazily because many callers never touch them.
     """
 
     def __init__(self, engine: Any) -> None:
@@ -293,7 +265,6 @@ class VectorizedRuntime:
         center = np.full(m, -1, dtype=np.int64)
         if m == 0:
             return best, center
-        observe_vectorized_kernel("keyword_probe", m)
         kpads = self.engine.index.kpads
         if not kpads.entries.get(keyword):
             return best, center
@@ -335,7 +306,6 @@ class VectorizedRuntime:
         out: Dict[Vertex, Tuple[float, Optional[Vertex]]] = {}
         if not vertices:
             return out
-        observe_vectorized_kernel("keyword_probe", len(vertices))
         kpads = self.engine.index.kpads
         if not kpads.entries.get(keyword):
             for v in vertices:
@@ -390,7 +360,6 @@ class VectorizedRuntime:
         out: List[List[Tuple[Vertex, float]]] = [[] for _ in vertices]
         if not vertices:
             return out
-        observe_vectorized_kernel("top_candidates", len(vertices))
         kpads = self.engine.index.kpads
         if not kpads.candidates.get(keyword):
             return out
@@ -483,8 +452,7 @@ def offset_sweep_batch(
     Budget accounting is per settled layer (``cost=len(winners)``) —
     equivalent in magnitude to the pure per-pop checkpoints minus stale
     pops, so expansion caps bind at nearly the same point but not
-    guaranteed mid-step parity (the equivalence suite pins degradation
-    parity for budgets expiring in the shared pure steps).
+    guaranteed mid-step parity.
     """
     n = runtime.n
     ncols = len(columns)
@@ -774,94 +742,6 @@ def merge_rank(
     )
 
 
-class SweepMemo:
-    """Batch-level PKA: memoized public sweeps shared across queries.
-
-    Keyed by ``(tau, seed tuple)`` — the sweep output is a pure function
-    of those plus the (immutable) public CSR, so a hit is sound across
-    queries, keywords and semantics within a batch.  Results are handed
-    out as-is; the merge in `_acomplete` only reads them.
-    """
-
-    __slots__ = ("_table", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._table: Dict[Tuple[Any, ...], Dict[Vertex, Match]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(
-        self, tau: float, seeds: Seeds
-    ) -> Optional[Dict[Vertex, Match]]:
-        try:
-            key = (tau, tuple(seeds))
-        except TypeError:  # pragma: no cover - unhashable vertex type
-            return None
-        found = self._table.get(key)
-        if found is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            observe_sweep_reuse(1)
-        return found
-
-    def put(
-        self, tau: float, seeds: Seeds, result: Dict[Vertex, Match]
-    ) -> None:
-        try:
-            key = (tau, tuple(seeds))
-        except TypeError:  # pragma: no cover - unhashable vertex type
-            return
-        self._table[key] = result
-
-    def invalidate(self) -> None:
-        """Drop every memoized sweep (never needed for correctness)."""
-        self._table.clear()
-
-
-class VectorizedPlan:
-    """What the engine step loop threads to ``vectorized_run`` bodies."""
-
-    __slots__ = ("runtime", "memo")
-
-    def __init__(
-        self, runtime: VectorizedRuntime, memo: Optional[SweepMemo] = None
-    ) -> None:
-        self.runtime = runtime
-        self.memo = memo
-
-    def sweeps(
-        self,
-        columns: Sequence[SweepColumn],
-        budget: Optional[QueryBudget] = None,
-    ) -> List[Dict[Vertex, Match]]:
-        """Run sweep columns through one kernel call, via the memo.
-
-        Memo hits skip both the kernel work and its budget charges —
-        the same accounting the completion cache already uses for its
-        hits.
-        """
-        out: List[Optional[Dict[Vertex, Match]]] = [None] * len(columns)
-        missing: List[int] = []
-        for i, (seeds, tau) in enumerate(columns):
-            cached = self.memo.get(tau, seeds) if self.memo is not None else None
-            if cached is not None:
-                out[i] = cached
-            else:
-                missing.append(i)
-        if missing:
-            observe_vectorized_kernel("offset_sweep", len(missing))
-            fresh = offset_sweep_batch(
-                self.runtime, [columns[i] for i in missing], budget
-            )
-            for i, result in zip(missing, fresh):
-                out[i] = result
-                if self.memo is not None:
-                    seeds, tau = columns[i]
-                    self.memo.put(tau, seeds, result)
-        return [r if r is not None else {} for r in out]
-
-
 _UNSUPPORTED = object()
 
 
@@ -871,49 +751,20 @@ def runtime_for(engine: Any) -> Optional[VectorizedRuntime]:
     None means this engine cannot run vectorized kernels at all: numpy
     missing, a dict-backend public graph, or non-positive edge weights.
     """
-    cached = getattr(engine, "_vectorized_runtime", None)
+    cached = getattr(engine, "_csr_runtime", None)
     if cached is _UNSUPPORTED:
         return None
     if isinstance(cached, VectorizedRuntime):
         return cached
     if not _NUMPY or not isinstance(engine.public, FrozenGraph):
-        # Deliberate engine mutation: `_vectorized_runtime` is a
+        # Deliberate engine mutation: `_csr_runtime` is a
         # write-once memo slot derived purely from the frozen public
         # graph, so caching it on the engine cannot perturb answers.
-        engine._vectorized_runtime = _UNSUPPORTED
+        engine._csr_runtime = _UNSUPPORTED
         return None
     runtime = VectorizedRuntime(engine)
     if not runtime.supported:
-        engine._vectorized_runtime = _UNSUPPORTED
+        engine._csr_runtime = _UNSUPPORTED
         return None
-    engine._vectorized_runtime = runtime
+    engine._csr_runtime = runtime
     return runtime
-
-
-def plan_for(
-    engine: Any,
-    execution_mode: Optional[str] = None,
-    memo: Optional[SweepMemo] = None,
-) -> Optional[VectorizedPlan]:
-    """Resolve an execution mode into a plan (or None for the pure path).
-
-    ``None`` defers to ``engine.options.execution_mode``.  ``"auto"``
-    selects vectorized exactly when the engine supports it; an explicit
-    ``"vectorized"`` that cannot be honoured falls back to pure and
-    bumps ``ppkws_vectorized_fallbacks_total`` (answers are identical
-    either way, so a silent fallback is safe).
-    """
-    mode = execution_mode
-    if mode is None:
-        mode = getattr(engine.options, "execution_mode", "pure")
-    validate_execution_mode(mode)
-    if mode == "pure":
-        return None
-    # runtime_for's only "impurity" is the write-once memo slot
-    # justified at its definition site.
-    runtime = runtime_for(engine)
-    if runtime is None:
-        if mode == "vectorized":
-            observe_vectorized_fallback()
-        return None
-    return VectorizedPlan(runtime, memo)

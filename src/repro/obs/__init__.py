@@ -34,9 +34,6 @@ from repro.obs.hooks import (
     observe_executor_queue,
     observe_executor_request,
     observe_pipeline,
-    observe_sweep_reuse,
-    observe_vectorized_fallback,
-    observe_vectorized_kernel,
 )
 from repro.obs.prometheus import render_prometheus
 from repro.obs.registry import (
@@ -63,9 +60,6 @@ __all__ = [
     "observe_executor_queue",
     "observe_executor_request",
     "observe_pipeline",
-    "observe_sweep_reuse",
-    "observe_vectorized_fallback",
-    "observe_vectorized_kernel",
     "render_prometheus",
     "uninstall",
 ]

@@ -80,12 +80,6 @@ METRICS: Dict[str, Metric] = {
             "{'op': 'batch'} wire requests admitted by the service.",
         ),
         _m(
-            "ppkws_batch_sweep_reuse_total",
-            "counter",
-            (),
-            "Cross-query sweep-memo hits (batch-level PKA reuse).",
-        ),
-        _m(
             "ppkws_executor_completed_total",
             "counter",
             ("worker",),
@@ -188,27 +182,6 @@ METRICS: Dict[str, Metric] = {
             "histogram",
             ("pipeline", "step"),
             "Per-step wall time (PEval / ARefine / AComplete).",
-        ),
-        _m(
-            "ppkws_vectorized_columns_total",
-            "counter",
-            (),
-            "Per-query bound columns executed through shared vectorized "
-            "kernel invocations.",
-        ),
-        _m(
-            "ppkws_vectorized_fallbacks_total",
-            "counter",
-            (),
-            "Explicit execution_mode='vectorized' requests that fell "
-            "back to the pure path (unsupported backend or weights).",
-        ),
-        _m(
-            "ppkws_vectorized_kernel_total",
-            "counter",
-            ("kernel",),
-            "Vectorized kernel invocations "
-            "(offset_sweep / keyword_probe / top_candidates).",
         ),
         _m(
             "ppkws_worker_request_seconds",

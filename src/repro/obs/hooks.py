@@ -47,9 +47,6 @@ __all__ = [
     "observe_answer_cache",
     "observe_executor_queue",
     "observe_executor_request",
-    "observe_sweep_reuse",
-    "observe_vectorized_fallback",
-    "observe_vectorized_kernel",
 ]
 
 _STEPS = ("peval", "arefine", "acomplete")
@@ -117,32 +114,6 @@ def observe_batch_request(items_by_status: "dict[str, int]") -> None:
                 amount=count,
                 labels={"status": status},
             )
-
-
-def observe_vectorized_kernel(kernel: str, columns: int) -> None:
-    """Record one vectorized kernel invocation and its column count."""
-    registry = installed()
-    if registry is None:
-        return
-    registry.inc("ppkws_vectorized_kernel_total", labels={"kernel": kernel})
-    if columns:
-        registry.inc("ppkws_vectorized_columns_total", amount=columns)
-
-
-def observe_vectorized_fallback() -> None:
-    """Record an explicit vectorized request that fell back to pure."""
-    registry = installed()
-    if registry is None:
-        return
-    registry.inc("ppkws_vectorized_fallbacks_total")
-
-
-def observe_sweep_reuse(hits: int) -> None:
-    """Record cross-query sweep-memo hits (batch-level PKA reuse)."""
-    registry = installed()
-    if registry is None:
-        return
-    registry.inc("ppkws_batch_sweep_reuse_total", amount=hits)
 
 
 def observe_answer_cache(registry: Optional[MetricsRegistry], hit: bool) -> None:

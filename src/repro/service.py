@@ -133,7 +133,6 @@ from repro.faults.points import SERVICE_EXECUTE
 from repro.graph.frozen import freeze
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.traversal import INF
-from repro.core.vectorized import plan_for
 from repro.obs import (
     MetricsRegistry,
     QueryTrace,
@@ -236,7 +235,9 @@ def _graph_from_request(request: Dict[str, Any], field_name: str) -> LabeledGrap
     edges_field, labels_field = f"{field_name}_edges", f"{field_name}_labels"
     _require(request, edges_field)
     edges = request[edges_field]
-    labels = request.get(labels_field) or {}
+    labels = request.get(labels_field)
+    if labels is None:  # absent or null: no labels; false, "" or [] are errors
+        labels = {}
     if not isinstance(edges, (list, tuple)):
         raise ReproError(
             f"field {edges_field!r} must be a list of [u, v] or [u, v, weight]"
@@ -355,11 +356,8 @@ class OpSpec:
 #: budget knobs shared by every query op
 _BUDGET_FIELDS: Tuple[str, ...] = ("deadline_ms", "max_expansions")
 
-#: the step-body selector shared by every query op ("pure" /
-#: "vectorized" / "auto"); deliberately *not* part of the answer-cache
-#: key — answers are bit-identical across modes, so a cached entry is
-#: valid for any of them.
-_EXECUTION_FIELDS: Tuple[str, ...] = ("execution_mode",)
+#: fields that name a registry entry: strings or nothing
+_NAME_FIELDS: Tuple[str, ...] = ("network", "owner")
 
 
 def _query_op(spec: SemanticsSpec) -> OpSpec:
@@ -378,7 +376,7 @@ def _query_op(spec: SemanticsSpec) -> OpSpec:
     return OpSpec(
         spec.name, handler,
         required=spec.wire_required,
-        optional=tuple(spec.wire_optional) + _BUDGET_FIELDS + _EXECUTION_FIELDS,
+        optional=tuple(spec.wire_optional) + _BUDGET_FIELDS,
         cacheable=True,
         cache_params=spec.wire_cache_params,
         summary=spec.summary,
@@ -878,7 +876,10 @@ class PPKWSService:
             # request class whose latency the overload hint models.
             query_class = spec.cacheable
             version = request.get("v")
-            if version is not None and version != PROTOCOL_VERSION:
+            # exact int: True == 1 must not pin v1
+            if version is not None and (
+                type(version) is not int or version != PROTOCOL_VERSION
+            ):
                 raise ReproError(
                     f"unsupported protocol version {version!r} "
                     f"(this service speaks v{PROTOCOL_VERSION})"
@@ -914,9 +915,10 @@ class PPKWSService:
         self, spec: "OpSpec", request: Dict[str, Any], prefix: str = ""
     ) -> None:
         """Warn about unknown fields, then reject a missing field, a bad
-        flag or a malformed budget field.
+        flag, a non-string network or owner, or a malformed budget field.
 
         In that order, so the warnings survive onto the error response.
+        Everything here runs before any lock, registry or cache access.
         ``prefix`` names the batch item the request came from.
         """
         known = spec.known_fields
@@ -930,6 +932,9 @@ class PPKWSService:
         for f in _FLAG_FIELDS:
             if f in request and type(request[f]) is not bool:
                 raise ReproError(f"{prefix}field {f!r} must be true or false")
+        for f in _NAME_FIELDS:  # an absent field reads as "" and passes
+            if type(request.get(f, "")) is not str and f in known:
+                raise ReproError(f"{prefix}field {f!r} must be a string")
         if "max_expansions" in known:  # the query ops and batch
             deadline = request.get("deadline_ms")
             if deadline is not None:
@@ -952,10 +957,7 @@ class PPKWSService:
             # The service methods themselves take the write lock, so the
             # exclusion also covers direct Python-API calls.
             return spec.handler(self, request)
-        network = request["network"]
-        if not isinstance(network, str):
-            raise ReproError("field 'network' must be a string")
-        with self._network_lock(network).read_locked():
+        with self._network_lock(request["network"]).read_locked():
             return self._execute_cached(spec, request)
 
     def _execute_cached(
@@ -1192,7 +1194,6 @@ class PPKWSService:
             engine.attachment(request["owner"]),
             spec.wire_params(request),
             budget=budget,
-            vectorized=plan_for(engine, request.get("execution_mode")),
         )
         self._stash(result, budget)
         out = _degradation_fields(result)
@@ -1216,22 +1217,15 @@ class PPKWSService:
         ``{"status": "error", ...}`` entry and the rest of the batch
         still runs.  All items execute through one
         :class:`~repro.core.batch.BatchSession`, so they share a
-        completion cache and (vectorized) sweep memo.
+        completion cache.
         """
         from repro.core.batch import BatchBudget, BatchSession
-        from repro.core.vectorized import validate_execution_mode
 
         network = request["network"]
         queries = request["queries"]
         if not isinstance(queries, list):
             raise ReproError("field 'queries' must be a list of query dicts")
-        execution_mode = request.get("execution_mode")
-        if execution_mode is not None:
-            validate_execution_mode(execution_mode)
-        engine = self._engine(network)
-        session = BatchSession(
-            engine, request["owner"], execution_mode=execution_mode
-        )
+        session = BatchSession(self._engine(network), request["owner"])
         budget_args = _budget_args(request)
         batch = BatchBudget(
             budget_args.get("deadline_ms"), budget_args.get("max_expansions")
@@ -1294,7 +1288,6 @@ class PPKWSService:
                 result = session.query(
                     item_op,
                     budget=slice_budget,
-                    execution_mode=item_request.get("execution_mode"),
                     **sem_spec.wire_params(item_request),
                 )
                 batch.charge(slice_budget)
@@ -1431,7 +1424,7 @@ class PPKWSService:
             OpSpec(
                 "batch", _op_batch,
                 required=("network", "owner", "queries"),
-                optional=("deadline_ms", "max_expansions", "execution_mode"),
+                optional=_BUDGET_FIELDS,
                 summary=(
                     "Run many query items under one admission slot, with "
                     "a whole-batch budget and per-item caching."

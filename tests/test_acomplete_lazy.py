@@ -10,9 +10,7 @@ reference in and holds the two equal on seeded networks:
 * unit, float and mixed weights (unit weights tie nearly every
   distance), with ``int`` vertices or :class:`Twin` vertices whose
   distinct instances share one ``repr``;
-* both graph backends (``REPRO_ENGINE_BACKEND`` picks one) and both
-  execution modes (``REPRO_EXECUTION_MODE`` picks one) — the vectorized
-  step falls back to the same body on a ``repr`` collision;
+* both graph backends (``REPRO_ENGINE_BACKEND`` picks one);
 * ``require_public_private`` and ``dp_completion`` on and off, and
   k = 1, 5 and every root;
 * ``max_expansions`` caps spread over AComplete, where the degraded
@@ -40,11 +38,6 @@ from tests.reference_acomplete import reference_acomplete
 
 _BACKENDS = {"dict": (False,), "frozen": (True,)}.get(
     os.environ.get("REPRO_ENGINE_BACKEND", ""), (False, True)
-)
-_MODES = (
-    (os.environ["REPRO_EXECUTION_MODE"],)
-    if os.environ.get("REPRO_EXECUTION_MODE")
-    else ("pure", "vectorized")
 )
 
 SEEDS = range(12)
@@ -118,11 +111,9 @@ def _engines(seed: int, freeze: bool):
     return engines, queries
 
 
-def _outcome(engine, semantics, params, mode, cap=None):
+def _outcome(engine, semantics, params, cap=None):
     budget = None if cap is None else QueryBudget(max_expansions=cap)
-    result = engine.query(
-        semantics, "owner", budget=budget, execution_mode=mode, **params
-    )
+    result = engine.query(semantics, "owner", budget=budget, **params)
     return {
         "answers": rooted_payload(result)["answers"],
         "counters": asdict(result.counters),
@@ -132,11 +123,11 @@ def _outcome(engine, semantics, params, mode, cap=None):
     }
 
 
-def _both(monkeypatch, engine, semantics, params, mode, cap=None):
-    got = _outcome(engine, semantics, params, mode, cap)
+def _both(monkeypatch, engine, semantics, params, cap=None):
+    got = _outcome(engine, semantics, params, cap)
     with monkeypatch.context() as m:
         m.setattr(pp_blinks, "_acomplete", reference_acomplete)
-        want = _outcome(engine, semantics, params, mode, cap)
+        want = _outcome(engine, semantics, params, cap)
     return got, want
 
 
@@ -157,35 +148,28 @@ def test_equals_eager_reference(seed, freeze, monkeypatch):
     engines, queries = _engines(seed, freeze)
     answered = 0
     for dp, engine in engines.items():
-        for mode in _MODES:
-            for semantics, params in _configs(queries, (1, 5, EVERY_ROOT)):
-                got, want = _both(monkeypatch, engine, semantics, params, mode)
-                assert got == want, (semantics, params, mode, dp)
-                answered += len(got["answers"])
+        for semantics, params in _configs(queries, (1, 5, EVERY_ROOT)):
+            got, want = _both(monkeypatch, engine, semantics, params)
+            assert got == want, (semantics, params, dp)
+            answered += len(got["answers"])
     assert answered  # the seeds are not vacuous
 
 
-def _acomplete_window(monkeypatch, engine, semantics, params, mode):
-    """Budget expansions charged on entry to and exit from ``_acomplete``.
-
-    The whole query's span when the step never calls it (the vectorized
-    fast path).
-    """
+def _acomplete_window(monkeypatch, engine, semantics, params):
+    """Budget expansions charged on entry to and exit from ``_acomplete``."""
     budget = QueryBudget(max_expansions=10**9)
     seen = []
     real = pp_blinks._acomplete
 
-    def recording(ctx, *args):
+    def recording(ctx):
         start = ctx.budget.expansions
-        real(ctx, *args)
+        real(ctx)
         seen.append((start, ctx.budget.expansions))
 
     with monkeypatch.context() as m:
         m.setattr(pp_blinks, "_acomplete", recording)
-        engine.query(
-            semantics, "owner", budget=budget, execution_mode=mode, **params
-        )
-    return seen[0] if seen else (0, budget.expansions)
+        engine.query(semantics, "owner", budget=budget, **params)
+    return seen[0]
 
 
 @pytest.mark.parametrize("freeze", _BACKENDS)
@@ -194,28 +178,23 @@ def test_capped_runs_degrade_identically(seed, freeze, monkeypatch):
     engines, queries = _engines(seed, freeze)
     interrupted = set()
     for dp, engine in engines.items():
-        for mode in _MODES:
-            for semantics, params in _configs(queries, (5,)):
-                lo, hi = _acomplete_window(
-                    monkeypatch, engine, semantics, params, mode
-                )
-                caps = {lo + (hi - lo) * i // 8 for i in range(8)} | {hi - 1, hi}
-                for cap in sorted(c for c in caps if c >= 0):
-                    got, want = _both(
-                        monkeypatch, engine, semantics, params, mode, cap
-                    )
-                    assert got == want, (semantics, params, mode, dp, cap)
-                    interrupted.add(got["interrupted_step"])
+        for semantics, params in _configs(queries, (5,)):
+            lo, hi = _acomplete_window(monkeypatch, engine, semantics, params)
+            caps = {lo + (hi - lo) * i // 8 for i in range(8)} | {hi - 1, hi}
+            for cap in sorted(c for c in caps if c >= 0):
+                got, want = _both(monkeypatch, engine, semantics, params, cap)
+                assert got == want, (semantics, params, dp, cap)
+                interrupted.add(got["interrupted_step"])
     assert "acomplete" in interrupted  # the caps do land inside AComplete
 
 
 @pytest.mark.parametrize("freeze", _BACKENDS)
-@pytest.mark.parametrize("seed,mode", [(2, "pure"), (3, "vectorized")])
-def test_fresh_roots_past_the_walk_are_never_built(seed, mode, freeze, monkeypatch):
+@pytest.mark.parametrize("seed", [2, 3])
+def test_fresh_roots_past_the_walk_are_never_built(seed, freeze, monkeypatch):
     """Only the walked prefix of the fresh roots becomes a PartialAnswer.
 
-    Seed 3 has :class:`Twin` vertices, so the vectorized step falls back
-    to the pure body, which must be just as lazy.
+    Seed 2 has ``int`` vertices, seed 3 :class:`Twin` vertices whose
+    distinct instances share one ``repr``.
     """
     public, private, _ = _network(seed, n=160)
     engine = PPKWS(public, sketch_k=2, freeze=freeze)
@@ -235,9 +214,7 @@ def test_fresh_roots_past_the_walk_are_never_built(seed, mode, freeze, monkeypat
         with monkeypatch.context() as m:
             m.setattr(pp_blinks, "PartialAnswer", Counting)
             m.setattr(pp_blinks, "_acomplete", acomplete)
-            result = engine.query(
-                "blinks", "owner", execution_mode=mode, **params
-            )
+            result = engine.query("blinks", "owner", **params)
         return len(built) - result.counters.partial_answers, result
 
     lazy, result = fresh_built(pp_blinks._acomplete)

@@ -1,8 +1,8 @@
 """Tests for batch sessions with persistent completion caches.
 
-CI's ``batch-matrix`` job re-runs this whole file across graph backends
-(``REPRO_ENGINE_BACKEND``) and execution modes (``REPRO_EXECUTION_MODE``)
-— the answers-identical assertions below double as cross-mode gates.
+CI's ``semantics-matrix`` job re-runs this whole file across graph
+backends (``REPRO_ENGINE_BACKEND``) — the answers-identical assertions
+below double as cross-backend gates.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.datasets.queries import KeywordQuery, KnkQuery
 from repro.exceptions import QueryError
 
 _FREEZE = os.environ.get("REPRO_ENGINE_BACKEND", "frozen") != "dict"
-_MODE = os.environ.get("REPRO_EXECUTION_MODE")
 
 
 def _params(queries, k=10):
@@ -35,7 +34,7 @@ def session(small_public_private):
     pub, priv = small_public_private
     engine = PPKWS(pub, sketch_k=4, freeze=_FREEZE)
     engine.attach("bob", priv)
-    return BatchSession(engine, "bob", execution_mode=_MODE), engine
+    return BatchSession(engine, "bob"), engine
 
 
 class TestBatchSession:
@@ -156,8 +155,8 @@ class TestBatchSession:
 
 class TestEpochInvalidation:
     """Sessions hold facts of two lifetimes (see the module docstring):
-    the PKA and sweep memo are public-side and survive every attach and
-    detach; the ``Attachment`` follows its own owner's epoch only."""
+    the PKA is public-side and survives every attach and detach; the
+    ``Attachment`` follows its own owner's epoch only."""
 
     def test_other_owners_attach_keeps_completion_cache_warm(
         self, session, small_public_private
@@ -167,22 +166,17 @@ class TestEpochInvalidation:
         batch.blinks(["db", "ai"], tau=4.0)
         misses_before, hits_before = batch.cache_misses, batch.cache_hits
         attachment = batch.attachment
-        sweeps_before = dict(batch.sweep_memo._table)
 
         engine.attach("carol", priv.copy())
         batch.blinks(["db", "ai"], tau=4.0)
         engine.detach("carol")
         batch.blinks(["db", "ai"], tau=4.0)
 
-        # the repeats are pure hits: no PKA refill, no sweep re-run, and
-        # bob's attachment was never re-read
+        # the repeats are pure hits: no PKA refill, and bob's attachment
+        # was never re-read
         assert batch.cache_misses == misses_before
         assert batch.cache_hits > hits_before
         assert batch.attachment is attachment
-        assert batch.sweep_memo._table == sweeps_before
-        assert batch.sweep_memo.misses == len(sweeps_before)
-        if batch.execution_mode == "vectorized" and _FREEZE:
-            assert sweeps_before and batch.sweep_memo.hits > 0
 
     def test_own_reattach_swaps_the_attachment_and_keeps_public_facts(
         self, session, small_public_private

@@ -18,7 +18,7 @@ from repro.core.engine import (
     semantics_spec,
     unregister_semantics,
 )
-from repro.core.framework import QueryResult
+from repro.core.framework import QueryResult, query_model_m1, query_model_m2
 from repro.exceptions import QueryError
 from repro.service import PPKWSService
 
@@ -171,3 +171,65 @@ class TestPluginOnTheWire:
         assert resp["status"] == "error"
         assert resp["code"] == "internal"
         assert "collides with a built-in op" in resp["error"]
+
+
+class TestQueryModelDispatch:
+    def _toy_spec(self):
+        def _step(ctx):
+            ctx.answers = []
+
+        return SemanticsSpec(
+            name="toy_baseline",
+            summary="test semantics with single-graph baselines",
+            steps=(StepSpec("peval", _step),),
+            validate=lambda ctx: None,
+            init=lambda ctx: None,
+            salvage=lambda ctx, step: [],
+            count_answers=len,
+            result_type=QueryResult,
+            wire_required=("network", "owner"),
+            wire_optional=(),
+            wire_params=lambda req: {},
+            wire_payload=lambda res: {},
+            wire_cache_params=lambda req: (),
+            baseline_m1=lambda g, keywords, tau, k: [
+                ("m1", g.name, tuple(keywords), tau, k)
+            ],
+            baseline_m2=lambda g, keywords, tau, k: [],
+        )
+
+    def test_builtin_m1_m2_still_work(self, small_public_private):
+        pub, priv = small_public_private
+        pub_answers, priv_answers = query_model_m1(
+            pub, priv, "blinks", ["db"], 5.0, k=3
+        )
+        assert isinstance(pub_answers, list)
+        assert isinstance(priv_answers, list)
+        answers = query_model_m2(pub, priv, "rclique", ["db"], 5.0, k=3)
+        assert isinstance(answers, list)
+
+    def test_plugin_baselines_are_dispatched(
+        self, scratch_registry, small_public_private
+    ):
+        register_semantics(self._toy_spec())
+        pub, priv = small_public_private
+        pub_answers, priv_answers = query_model_m1(
+            pub, priv, "toy_baseline", ["db", "x"], 3.0, k=7
+        )
+        assert pub_answers == [("m1", pub.name, ("db", "x"), 3.0, 7)]
+        assert priv_answers == [("m1", priv.name, ("db", "x"), 3.0, 7)]
+        assert query_model_m2(
+            pub, priv, "toy_baseline", ["db"], 3.0, k=7
+        ) == []
+
+    def test_semantics_without_baseline_raise(self, small_public_private):
+        pub, priv = small_public_private
+        with pytest.raises(QueryError, match="does not support query model"):
+            query_model_m1(pub, priv, "knk", ["a"], 4.0)
+        with pytest.raises(QueryError, match="does not support query model"):
+            query_model_m2(pub, priv, "knk", ["a"], 4.0)
+
+    def test_unknown_semantics_raise(self, small_public_private):
+        pub, priv = small_public_private
+        with pytest.raises(QueryError, match="unknown semantics"):
+            query_model_m1(pub, priv, "nope", ["a"], 4.0)

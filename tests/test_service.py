@@ -165,6 +165,15 @@ class TestExecuteAdminOps:
          "private_labels"),
         ({"private_edges": [["a", "z"]], "private_labels": {"z": [7]}},
          "private_labels"),
+        # falsy is not absent: only a missing field or null means no labels
+        ({"private_edges": [["a", "z"]], "private_labels": False},
+         "private_labels"),
+        ({"private_edges": [["a", "z"]], "private_labels": ""},
+         "private_labels"),
+        ({"private_edges": [["a", "z"]], "private_labels": 0},
+         "private_labels"),
+        ({"private_edges": [["a", "z"]], "private_labels": []},
+         "private_labels"),
     ])
     def test_wire_graphs_are_validated_not_trusted(self, payload, names):
         """A malformed wire graph is the caller's error, named by field,

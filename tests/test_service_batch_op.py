@@ -2,18 +2,17 @@
 
 One request, many query items: per-item status / ``cached`` flags,
 answer-cache sharing with the individual query ops (both directions),
-per-item error isolation, whole-batch budget splitting, execution-mode
-plumbing (batch-level and per-item), and the batch metrics.
+per-item error isolation, whole-batch budget splitting, the retired
+``execution_mode`` field, and the batch metrics.
 """
 
 from __future__ import annotations
 
-import os
+import copy
 
 import pytest
 
 from repro import obs
-from repro.core.framework import QueryOptions
 from repro.service import PPKWSService
 
 
@@ -21,22 +20,17 @@ BLINKS_ITEM = {"op": "blinks", "keywords": ["db"], "tau": 5.0, "k": 3}
 KNK_ITEM = {"op": "knk", "source": "x1", "keyword": "ai", "k": 2}
 RCLIQUE_ITEM = {"op": "rclique", "keywords": ["db", "ml"], "tau": 6.0, "k": 2}
 
-# CI's batch-matrix job re-runs this file with a different *default*
-# execution mode; explicit per-request modes below still override it.
-_OPTIONS = (
-    QueryOptions(execution_mode=os.environ["REPRO_EXECUTION_MODE"])
-    if os.environ.get("REPRO_EXECUTION_MODE")
-    else None
-)
+def _service(small_public_private):
+    pub, priv = small_public_private
+    svc = PPKWSService(sketch_k=2)
+    svc.create_network("net", pub)
+    svc.attach_user("net", "bob", priv)
+    return svc
 
 
 @pytest.fixture
 def service(small_public_private):
-    pub, priv = small_public_private
-    svc = PPKWSService(sketch_k=2, options=_OPTIONS)
-    svc.create_network("net", pub)
-    svc.attach_user("net", "bob", priv)
-    return svc
+    return _service(small_public_private)
 
 
 def _batch(service, queries, **extra):
@@ -44,11 +38,6 @@ def _batch(service, queries, **extra):
                "queries": queries}
     request.update(extra)
     return service.execute(request)
-
-
-def _sans_timings(entry):
-    out = {k: v for k, v in entry.items() if k not in ("breakdown", "cached")}
-    return out
 
 
 class TestHappyPath:
@@ -179,17 +168,6 @@ class TestItemErrors:
             for w in resp.get("warnings", ())
         )
 
-    def test_bad_item_execution_mode_fails_that_item_only(self, service):
-        resp = _batch(service, [
-            dict(BLINKS_ITEM, execution_mode="turbo"),
-            dict(KNK_ITEM),
-        ])
-        first, second = resp["results"]
-        assert first["status"] == "error"
-        assert first["code"] == "bad_request"
-        assert "execution_mode" in first["error"]
-        assert second["status"] == "ok"
-
 
 class TestWholeBatchErrors:
     def test_unknown_network(self, service):
@@ -214,11 +192,6 @@ class TestWholeBatchErrors:
         assert resp["code"] == "bad_request"
         assert "must be a list" in resp["error"]
 
-    def test_bad_batch_execution_mode(self, service):
-        resp = _batch(service, [dict(BLINKS_ITEM)], execution_mode="turbo")
-        assert resp["status"] == "error"
-        assert resp["code"] == "bad_request"
-
 
 class TestBatchBudget:
     def test_zero_deadline_degrades_every_item(self, service):
@@ -241,31 +214,6 @@ class TestBatchBudget:
         entry = resp["results"][0]
         assert entry["status"] == "ok"
         assert entry["cached"] is True
-
-
-class TestExecutionModes:
-    def test_batch_modes_agree_on_answers(self, service):
-        items = [
-            dict(BLINKS_ITEM, no_cache=True),
-            dict(KNK_ITEM, no_cache=True),
-            dict(RCLIQUE_ITEM, no_cache=True),
-        ]
-        pure = _batch(service, list(items), execution_mode="pure")
-        vec = _batch(service, list(items), execution_mode="vectorized")
-        auto = _batch(service, list(items), execution_mode="auto")
-        for p, v, a in zip(pure["results"], vec["results"], auto["results"]):
-            assert _sans_timings(p) == _sans_timings(v) == _sans_timings(a)
-
-    def test_item_mode_overrides_batch_mode(self, service):
-        resp = _batch(
-            service,
-            [dict(BLINKS_ITEM, no_cache=True, execution_mode="pure")],
-            execution_mode="vectorized",
-        )
-        want = service.execute(
-            dict(BLINKS_ITEM, network="net", owner="bob", no_cache=True)
-        )
-        assert resp["results"][0]["answers"] == want["answers"]
 
 
 class TestMetrics:
@@ -292,5 +240,41 @@ class TestMetrics:
         helped = service.execute({"op": "help"})
         batch = helped["ops"]["batch"]
         assert batch["required"] == ["network", "owner", "queries"]
-        assert "deadline_ms" in batch["optional"]
-        assert "execution_mode" in batch["optional"]
+        assert batch["optional"] == ["deadline_ms", "max_expansions"]
+
+
+def _payload(resp):
+    """A response minus its timings and warnings, batch items included."""
+    out = {k: v for k, v in resp.items() if k not in ("breakdown", "warnings")}
+    if "results" in out:
+        out["results"] = [_payload(entry) for entry in out["results"]]
+    return out
+
+
+@pytest.mark.parametrize(
+    "mode", ["vectorized", "bogus", ["x"]], ids=["vectorized", "bogus", "list"]
+)
+def test_execution_mode_is_only_an_unknown_field(small_public_private, mode):
+    """The retired ``execution_mode`` selects nothing: a query carrying it
+    gets the payload of the same query without it, plus an unknown-field
+    warning, on a cold key and a warm one — as a request, on a batch and
+    on a batch item."""
+    single = dict(KNK_ITEM, network="net", owner="bob")
+    batch = {"op": "batch", "network": "net", "owner": "bob",
+             "queries": [dict(BLINKS_ITEM), dict(KNK_ITEM)]}
+    item = copy.deepcopy(batch)
+    item["queries"][0]["execution_mode"] = mode
+    cases = [
+        (single, dict(single, execution_mode=mode), "unknown field"),
+        (batch, dict(batch, execution_mode=mode), "unknown field"),
+        (batch, item, "queries[0]: unknown field"),
+    ]
+    for plain, carrying, warning in cases:
+        without = _service(small_public_private)
+        with_mode = _service(small_public_private)
+        for key in ("cold", "warm"):
+            want = without.execute(copy.deepcopy(plain))
+            got = with_mode.execute(copy.deepcopy(carrying))
+            assert got["status"] == "ok", (key, got)
+            assert got["warnings"] == [f"{warning} 'execution_mode'"], key
+            assert _payload(got) == _payload(want), key

@@ -29,6 +29,7 @@ from repro.exceptions import (
     ServiceOverloadedError,
     UnknownNetworkError,
 )
+from repro.obs import MetricsRegistry
 from repro.service import PPKWSService, _error_code
 from repro.serving import ServiceExecutor
 
@@ -58,6 +59,21 @@ def knk_req(**extra):
     }
     req.update(extra)
     return req
+
+
+#: one valid request per op that names a network or an owner
+NAMED_REQUESTS = {
+    "blinks": blinks_req(),
+    "knk": knk_req(),
+    "stats": {"op": "stats", "network": "net", "owner": "bob"},
+    "batch": {"op": "batch", "network": "net", "owner": "bob", "queries": []},
+    "create_network": {"op": "create_network", "network": "net2",
+                       "public_edges": [["a", "b"]]},
+    "attach": {"op": "attach", "network": "net", "owner": "carol",
+               "private_edges": [["x1", "z"]]},
+    "detach": {"op": "detach", "network": "net", "owner": "bob"},
+    "drop": {"op": "drop", "network": "net"},
+}
 
 
 def strip_meta(resp):
@@ -422,10 +438,35 @@ class TestErrorCodeMap:
         resp = service.execute(blinks_req(owner="nobody"))
         assert resp["code"] == "unknown_owner"
 
-    def test_non_string_network_is_bad_request(self, service):
-        resp = service.execute(blinks_req(network=7))
+    @pytest.mark.parametrize("value", [["bob"], {"a": 1}, 7, True],
+                             ids=["list", "dict", "int", "bool"])
+    @pytest.mark.parametrize("op, field", [
+        pytest.param(op, field, id=f"{op}-{field}")
+        for op in NAMED_REQUESTS for field in ("network", "owner")
+        if field in NAMED_REQUESTS[op]
+    ])
+    def test_non_string_network_is_bad_request(
+        self, small_public_private, op, field, value
+    ):
+        """A network or owner is a name: anything but a string is the
+        caller's error, named by field, found before any lock, registry
+        or cache sees it (lists and dicts used to be ``internal``, and
+        ``create_network`` registered ``7`` under a name no read op
+        could ask for)."""
+        pub, priv = small_public_private
+        registry = MetricsRegistry()
+        service = PPKWSService(sketch_k=2, registry=registry)
+        service.create_network("net", pub)
+        service.attach_user("net", "bob", priv)
+        before = service.answer_cache.stats()
+        resp = service.execute(dict(NAMED_REQUESTS[op], **{field: value}))
+        assert resp["status"] == "error"
         assert resp["code"] == "bad_request"
-        assert "string" in resp["error"]
+        assert f"field {field!r} must be a string" in resp["error"]
+        assert not registry.value("ppkws_internal_errors_total")
+        assert service.answer_cache.stats() == before
+        assert service.networks() == ["net"]
+        assert service.execute(knk_req())["status"] == "ok"  # bob attached
 
     @pytest.mark.parametrize("request_", [
         # a bare string must not be list()-split into ['a', 'i']

@@ -292,7 +292,7 @@ class TestHelpOpShape:
             assert entry["required"] == list(spec.wire_required)
             assert entry["optional"] == (
                 list(spec.wire_optional)
-                + ["deadline_ms", "max_expansions", "execution_mode"]
+                + ["deadline_ms", "max_expansions"]
             )
             assert entry["mode"] == "read"
             assert entry["cacheable"] is True
@@ -315,10 +315,12 @@ class TestUnknownAndOverloadShapes:
         assert 1.0 <= resp["retry_after_ms"] <= 5000.0
 
     def test_bad_protocol_version(self, service):
-        resp = service.execute({"op": "stats", "network": "net", "v": 2})
-        assert set(resp) == ERROR_KEYS
-        assert resp["code"] == "bad_request"
-        assert "protocol version" in resp["error"]
+        # True == 1 and 1.0 == 1, but only the int 1 pins v1
+        for version in (2, True, 1.0, "1"):
+            resp = service.execute({"op": "stats", "network": "net", "v": version})
+            assert set(resp) == ERROR_KEYS, version
+            assert resp["code"] == "bad_request", version
+            assert "protocol version" in resp["error"], version
 
     def test_pinned_protocol_version_accepted(self, service):
         resp = service.execute({"op": "stats", "network": "net", "v": 1})

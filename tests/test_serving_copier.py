@@ -28,7 +28,7 @@ from typing import Any, Iterator, List
 import pytest
 
 from repro.core.engine import register_semantics
-from repro.core.framework import PPKWS, QueryOptions
+from repro.core.framework import PPKWS
 from repro.serving import AnswerCache
 from repro.serving.cache import _Nested, _Rows, _Table, _wire_clone, _wire_snapshot
 from repro.service import PPKWSService
@@ -37,14 +37,9 @@ from tests.test_service_shapes import QUERY_OPS, _query
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "engine_equivalence.json"
 
-# CI's batch-matrix job re-runs this file per graph backend and default
-# execution mode, so each cell's built-in payloads go through the cache.
+# CI's semantics-matrix job re-runs this file per graph backend, so each
+# cell's built-in payloads go through the cache.
 _FREEZE = os.environ.get("REPRO_ENGINE_BACKEND", "frozen") != "dict"
-_OPTIONS = (
-    QueryOptions(execution_mode=os.environ["REPRO_EXECUTION_MODE"])
-    if os.environ.get("REPRO_EXECUTION_MODE")
-    else None
-)
 
 
 def _fixture_responses() -> List[Any]:
@@ -303,10 +298,8 @@ class TestRefusal:
 @pytest.fixture
 def service(small_public_private) -> PPKWSService:
     pub, priv = small_public_private
-    svc = PPKWSService(sketch_k=2, options=_OPTIONS)
-    svc.adopt_network(
-        "net", PPKWS(pub, sketch_k=2, options=_OPTIONS, freeze=_FREEZE)
-    )
+    svc = PPKWSService(sketch_k=2)
+    svc.adopt_network("net", PPKWS(pub, sketch_k=2, freeze=_FREEZE))
     svc.attach_user("net", "bob", priv)
     return svc
 
