@@ -168,6 +168,20 @@ class TestItemErrors:
             for w in resp.get("warnings", ())
         )
 
+    def test_bad_item_execution_mode_fails_that_item_only(self, service):
+        # execution_mode is retired: even a bad value fails nothing now,
+        # it only warns as an unknown field of that item.
+        resp = _batch(service, [
+            dict(BLINKS_ITEM, execution_mode="turbo"),
+            dict(KNK_ITEM),
+        ])
+        first, second = resp["results"]
+        assert first["status"] == "ok"
+        assert second["status"] == "ok"
+        assert resp["warnings"] == [
+            "queries[0]: unknown field 'execution_mode'"
+        ]
+
 
 class TestWholeBatchErrors:
     def test_unknown_network(self, service):
@@ -192,6 +206,13 @@ class TestWholeBatchErrors:
         assert resp["code"] == "bad_request"
         assert "must be a list" in resp["error"]
 
+    def test_bad_batch_execution_mode(self, service):
+        # A retired field is no bad_request: the batch runs and warns.
+        resp = _batch(service, [dict(BLINKS_ITEM)], execution_mode="turbo")
+        assert resp["status"] == "ok"
+        assert resp["results"][0]["status"] == "ok"
+        assert resp["warnings"] == ["unknown field 'execution_mode'"]
+
 
 class TestBatchBudget:
     def test_zero_deadline_degrades_every_item(self, service):
@@ -214,6 +235,38 @@ class TestBatchBudget:
         entry = resp["results"][0]
         assert entry["status"] == "ok"
         assert entry["cached"] is True
+
+
+class TestExecutionModes:
+    """The retired ``execution_mode`` field selects nothing any more."""
+
+    def test_batch_modes_agree_on_answers(self, service):
+        items = [
+            dict(BLINKS_ITEM, no_cache=True),
+            dict(KNK_ITEM, no_cache=True),
+            dict(RCLIQUE_ITEM, no_cache=True),
+        ]
+        want = _payload(_batch(service, copy.deepcopy(items)))
+        for mode in ("pure", "vectorized", "auto"):
+            got = _batch(service, copy.deepcopy(items), execution_mode=mode)
+            assert got["warnings"] == ["unknown field 'execution_mode'"]
+            assert _payload(got) == want, mode
+
+    def test_item_mode_overrides_batch_mode(self, service):
+        # Neither level overrides the other: both are unknown fields.
+        resp = _batch(
+            service,
+            [dict(BLINKS_ITEM, no_cache=True, execution_mode="pure")],
+            execution_mode="vectorized",
+        )
+        want = service.execute(
+            dict(BLINKS_ITEM, network="net", owner="bob", no_cache=True)
+        )
+        assert resp["results"][0]["answers"] == want["answers"]
+        assert sorted(resp["warnings"]) == [
+            "queries[0]: unknown field 'execution_mode'",
+            "unknown field 'execution_mode'",
+        ]
 
 
 class TestMetrics:
