@@ -132,9 +132,6 @@ class BatchSession:
             self.attachment = self.engine.attachment(self.owner)
             self._owner_epoch = current
 
-    def _cache_marks(self) -> tuple:
-        return (self.cache.hits, self.cache.misses)
-
     def _observe_cache(self, marks: tuple) -> None:
         """Report this query's cache traffic to an installed registry."""
         observe_batch_cache(
@@ -199,7 +196,7 @@ class BatchSession:
 
         spec = semantics_spec(semantics)
         self._refresh_if_stale()
-        marks = self._cache_marks()
+        marks = self.cache.marks()
         try:
             return spec.run(
                 self.engine, self.attachment, dict(params),

@@ -22,8 +22,8 @@ type and a distance is the same ``float`` bit for bit.  ``pads.indptr``
 slices centers/dists per owner, ``kpads.indptr`` per keyword,
 ``cand.indptr`` per (keyword, center) candidate list.
 
-**Entry order is data.**  ``estimate_with_witness``, ``top_candidates``
-and ``build_kpads`` break distance ties by first-seen, so every map is
+**Entry order is data.**  ``estimate_with_witness``, ``reach`` and
+``build_kpads`` break distance ties by first-seen, so every map is
 written in iteration order and rebuilt in it: a loaded index answers
 exactly as the built one.
 

@@ -226,10 +226,11 @@ def _complete_roots(
     A public root probes KPADS directly; a private root exits through its
     portals and finishes with ``d_hat(portal, q)`` read from the keyword's
     PKA row (Sec. VI-B) — filled once per query through ``ctx.cache``,
-    its reads accounted in bulk.
+    its reads accounted in bulk.  Marks the cache for part (c)'s report.
     """
     if ctx.cache is None:
         ctx.cache = CompletionCache(ctx.options.dp_completion)
+    ctx.scratch["cache_marks"] = ctx.cache.marks()
     engine, cache, keywords = ctx.engine, ctx.cache, ctx.params["keywords"]
     public = engine.public
     vpm = ctx.attachment.oracle.vertex_portal
@@ -293,8 +294,7 @@ def _qualify(ctx: PipelineContext, candidates: Iterable[PartialAnswer]) -> None:
             counters.answers_pruned += 1
             continue
         final.append(partial.answer)
-    counters.completion_lookups = ctx.cache.misses + ctx.cache.hits
-    counters.completion_cache_hits = ctx.cache.hits
+    ctx.cache.report(counters, ctx.scratch["cache_marks"])
     ctx.answers = final
 
 

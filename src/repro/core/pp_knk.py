@@ -10,7 +10,9 @@
   query.
 * **AComplete** extends each recorded portal with the public-side
   keyword distance ``d_hat(p, q)`` from PADS/KPADS (with witness), merges
-  public candidates into the private ranking and keeps the top k.
+  public candidates into the private ranking and keeps the top k,
+  ranking once per query (why no per-portal cut is needed: see
+  ``_step_acomplete``).
 
 Lemma A.1/A.4 guarantee: every private vertex belonging to the true
 combined-graph top-k is returned, because private match distances are
@@ -31,6 +33,7 @@ disjunctive match predicate; AComplete's public side differs per mode:
   classic rarest-first strategy for conjunctive retrieval; candidates
   the sketch does not surface may be missed, so the conjunctive variant
   is approximate on the public side — private-side answers remain exact.
+  Each portal's list is cut to its top k *before* the label filter.
 
 Budget checkpoints, step timing, degradation bookkeeping and obs hooks
 all live in :mod:`repro.core.engine` (the engine equivalence suite
@@ -42,7 +45,7 @@ specs.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.budget import QueryBudget
 from repro.core.engine import (
@@ -66,6 +69,7 @@ from repro.semantics.wire import (
     knk_payload,
     knk_wire_params,
 )
+from repro.sketches.kpads import ranked
 
 __all__ = ["peval_knk"]
 
@@ -202,12 +206,22 @@ def _step_arefine(ctx: PipelineContext) -> None:
 def _step_acomplete(ctx: PipelineContext) -> None:
     """Step 3: merge public candidates reached through portals (Appx. A).
 
-    Each portal is probed after its budget checkpoint.
+    Each portal is probed after its budget checkpoint.  With no label
+    filter, a portal's unranked public reach folds straight into ``best``
+    and ``best`` is ranked once.  Cutting a portal's list to its top k
+    first would drop nothing: if ``u`` is outside portal ``p``'s top k,
+    k vertices precede it under ``p``, and each one's global distance is
+    at most its distance through ``p``, so all k precede ``u`` globally.
+    Rounding is monotone, so ``d + min_w x_w`` is ``min_w (d + x_w)`` to
+    the bit.  Conjunction still ranks, cuts to k and then filters each
+    portal's list: there a filtered-out vertex frees a slot, so the cut
+    changes which candidates survive.
     """
     p, partial, budget = ctx.params, ctx.state, ctx.budget
     engine, cache = ctx.engine, ctx.cache
     public = engine.public
     k, probe = p["k"], p["keywords"]
+    marks = cache.marks()
     required = None
     if p["mode"] == "and" and len(probe) > 1:
         # Rarest-first, keeping candidates that carry every keyword.  One
@@ -219,23 +233,26 @@ def _step_acomplete(ctx: PipelineContext) -> None:
     for m in partial.answer.matches:
         if m.vertex is not None and m.distance < best.get(m.vertex, INF):
             best[m.vertex] = m.distance
+    get = best.get
     for portal, d in partial.portal_entries:
         if budget is not None:
             budget.checkpoint()
         for q in probe:
-            for witness, pub_d in cache.lookup_candidates(engine, portal, q, k):
-                if required is not None and not required <= public.labels(witness):
-                    continue
+            reach: Iterable[Tuple[Vertex, float]]
+            if required is None:
+                reach = cache.lookup_reach(engine, portal, q).items()
+            else:  # cut to k first, then filter
+                reach = cache.lookup_candidates(engine, portal, q, k)
+                reach = [c for c in reach if required <= public.labels(c[0])]
+            for witness, pub_d in reach:
                 total = d + pub_d
-                if total < best.get(witness, INF):
+                if total < get(witness, INF):
                     best[witness] = total
-    ranked = sorted(best.items(), key=lambda item: (item[1], repr(item[0])))
     ctx.answers = KnkAnswer(
         partial.answer.source, partial.answer.keyword,
-        [Match(v, d) for v, d in ranked[:k]],
+        [Match(v, d) for v, d in ranked(best, k)],
     )
-    ctx.counters.completion_lookups = cache.misses + cache.hits
-    ctx.counters.completion_cache_hits = cache.hits
+    cache.report(ctx.counters, marks)
 
 
 def _salvage(ctx: PipelineContext, step: str) -> KnkAnswer:

@@ -49,6 +49,7 @@ from repro.semantics.wire import (
     rooted_payload,
     rooted_wire_params,
 )
+from repro.sketches.kpads import ranked
 
 __all__ = ["peval_rclique", "arefine_pairs", "CompletionCache"]
 
@@ -73,9 +74,7 @@ class CompletionCache:
     def __init__(self, enabled: bool) -> None:
         self.enabled = enabled
         self._table: Dict[Tuple[Vertex, Label], Tuple[float, Optional[Vertex]]] = {}
-        self._list_table: Dict[
-            Tuple[Vertex, Label, int], List[Tuple[Vertex, float]]
-        ] = {}
+        self._list_table: Dict[Tuple[Vertex, Label], Dict[Vertex, float]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -122,25 +121,37 @@ class CompletionCache:
             return None
         return {p: self.lookup(engine, p, keyword) for p in portals}
 
-    def lookup_candidates(
-        self,
-        engine: PPKWS,
-        portal: Vertex,
-        keyword: Label,
-        k: int,
-    ) -> List[Tuple[Vertex, float]]:
-        """Top-``k`` public keyword candidates near ``portal`` (PP-knk)."""
-        key = (portal, keyword, k)
+    def lookup_reach(
+        self, engine: PPKWS, portal: Vertex, keyword: Label
+    ) -> Dict[Vertex, float]:
+        """Unranked public keyword candidates near ``portal`` (PP-knk):
+        its ``KeywordSketch.reach``, for any ``k``.  Read-only."""
+        key = (portal, keyword)
         if self.enabled and key in self._list_table:
             self.hits += 1
             return self._list_table[key]
         self.misses += 1
-        result = engine.index.kpads.top_candidates(
-            engine.index.pads, portal, keyword, k
-        )
+        result = engine.index.kpads.reach(engine.index.pads, portal, keyword)
         if self.enabled:
             self._list_table[key] = result
         return result
+
+    def lookup_candidates(
+        self, engine: PPKWS, portal: Vertex, keyword: Label, k: int
+    ) -> List[Tuple[Vertex, float]]:
+        """Top-``k`` public keyword candidates near ``portal``."""
+        return ranked(self.lookup_reach(engine, portal, keyword), k)
+
+    def marks(self) -> Tuple[int, int]:
+        """``(hits, misses)`` so far, for :meth:`report`."""
+        return self.hits, self.misses
+
+    def report(self, counters: QueryCounters, marks: Tuple[int, int]) -> None:
+        """Write the lookups and hits since ``marks``: a session's cache
+        outlives its queries, and each query reports its own reads."""
+        hits = self.hits - marks[0]
+        counters.completion_cache_hits = hits
+        counters.completion_lookups = hits + self.misses - marks[1]
 
 
 def peval_rclique(
@@ -292,12 +303,12 @@ def _step_acomplete(ctx: PipelineContext) -> None:
     p = ctx.params
     if ctx.cache is None:
         ctx.cache = CompletionCache(ctx.options.dp_completion)
+    marks = ctx.cache.marks()
     final = _acomplete(
         ctx.engine, ctx.attachment, ctx.state, p["keywords"], p["tau"],
         ctx.counters, ctx.cache, p["require_public_private"], ctx.budget,
     )
-    ctx.counters.completion_lookups = ctx.cache.misses + ctx.cache.hits
-    ctx.counters.completion_cache_hits = ctx.cache.hits
+    ctx.cache.report(ctx.counters, marks)
     final.sort(key=RootedAnswer.sort_key)
     ctx.answers = final[: p["k"]]
 

@@ -15,6 +15,7 @@ index in Appx. A).
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.graph.labeled_graph import Label, Vertex
@@ -22,7 +23,17 @@ from repro.graph.protocol import GraphLike
 from repro.graph.traversal import INF
 from repro.sketches.base import DistanceSketch, RowSource
 
-__all__ = ["KeywordSketch", "build_kpads"]
+__all__ = ["KeywordSketch", "build_kpads", "ranked"]
+
+
+def ranked(dists: Mapping[Vertex, float], k: int) -> List[Tuple[Vertex, float]]:
+    """The ``k`` least items of ``dists`` by ``(distance, repr)``.
+
+    A decorated C-level sort: the position breaks ``repr`` ties in
+    insertion order, as a stable sort would, and no vertex is compared.
+    """
+    order = sorted(zip(dists.values(), map(repr, dists), count(), dists))
+    return [(v, d) for d, _, _, v in order[:k]]
 
 
 class KeywordSketch:
@@ -146,27 +157,29 @@ class KeywordSketch:
         witness = self.witness_rows.get(keyword, {}).get(best_center)
         return best, witness
 
+    def reach(
+        self, pads: DistanceSketch, v: Vertex, keyword: Label
+    ) -> Dict[Vertex, float]:
+        """``{u: min over centers w of PADS(v)[w] + d2}`` over the per-center
+        candidate lists, unranked, in first-seen order; each distance is
+        the length of a real path ``v -> center -> candidate``."""
+        kw_lists = self.candidate_rows.get(keyword) or self.fetch(keyword)[2]
+        sv = pads.rows.get(v) or pads.fetch(v)
+        best: Dict[Vertex, float] = {}
+        if kw_lists and sv:
+            for w, d1 in sv.items():
+                for d2, u in kw_lists.get(w, ()):
+                    total = d1 + d2
+                    if total < best.get(u, INF):
+                        best[u] = total
+        return best
+
     def top_candidates(
         self, pads: DistanceSketch, v: Vertex, keyword: Label, k: int
     ) -> List[Tuple[Vertex, float]]:
-        """Up to ``k`` distinct keyword vertices nearest to ``v``.
-
-        Merges the per-center candidate lists reachable from ``v``'s
-        PADS; distances are sketch estimates (upper bounds), each the
-        length of a real path ``v -> center -> candidate``.
-        """
-        kw_lists = self.candidate_rows.get(keyword) or self.fetch(keyword)[2]
-        sv = pads.rows.get(v) or pads.fetch(v)
-        if not kw_lists or not sv:
-            return []
-        best: Dict[Vertex, float] = {}
-        for w, d1 in sv.items():
-            for d2, u in kw_lists.get(w, ()):
-                total = d1 + d2
-                if total < best.get(u, INF):
-                    best[u] = total
-        ranked = sorted(best.items(), key=lambda item: (item[1], repr(item[0])))
-        return ranked[:k]
+        """Up to ``k`` distinct keyword vertices nearest to ``v``: the
+        :meth:`reach` ranked by ``(distance, repr)`` and cut to ``k``."""
+        return ranked(self.reach(pads, v, keyword), k)
 
     @property
     def num_keywords(self) -> int:

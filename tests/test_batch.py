@@ -69,10 +69,39 @@ class TestBatchSession:
         params = {"source": "x1", "keywords": ["cv", "db"], "k": 3, "mode": "or"}
         first, again = batch.run_queries("knk_multi", [params, params])
         assert batch.cache_misses > 0
-        # the repeat re-hits the same (portal, keyword, k) lists
+        # the repeat re-hits the same (portal, keyword) reach
         assert batch.cache_hits == batch.cache_misses
         direct = engine.knk_multi("bob", "x1", ["cv", "db"], 3, mode="or")
         assert first.answer == again.answer == direct.answer
+        # the reach is memoized for any k
+        wider = batch.knk("x1", "db", 5).counters
+        assert wider.completion_cache_hits == wider.completion_lookups > 0
+
+    @pytest.mark.parametrize("semantics,params", [
+        ("knk", {"source": "x1", "keyword": "cv", "k": 3}),
+        ("knk_multi", {"source": "x1", "keywords": ["cv", "db"], "k": 3,
+                       "mode": "or"}),
+        ("blinks", {"keywords": ["db", "ai"], "tau": 4.0, "k": 10,
+                    "require_public_private": True}),
+        ("rclique", {"keywords": ["db", "ml"], "tau": 5.0, "k": 10,
+                     "require_public_private": True}),
+    ])
+    def test_repeated_query_reports_its_own_lookups(
+        self, session, semantics, params
+    ):
+        """A query's completion counters are its own reads, not the
+        session's running totals."""
+        batch, engine = session
+        alone = engine.query(semantics, "bob", **params).counters
+        assert alone.completion_lookups > 0
+        runs = [batch.query(semantics, **params).counters for _ in range(3)]
+        assert [c.completion_lookups for c in runs] == [
+            alone.completion_lookups
+        ] * 3
+        assert runs[0].completion_cache_hits == alone.completion_cache_hits
+        for warm in runs[1:]:  # every read of a repeat hits the table
+            assert warm.completion_cache_hits == warm.completion_lookups
+        assert batch.cache_hits + batch.cache_misses == 3 * alone.completion_lookups
 
     def test_keyword_workload(self, session):
         batch, _ = session
