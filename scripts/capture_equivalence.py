@@ -30,7 +30,7 @@ OUT = os.path.join(
 
 
 def main() -> None:
-    payload = capture_all(freeze=True)
+    payload = capture_all()
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)

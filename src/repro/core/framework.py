@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tup
 from repro.core.budget import QueryBudget
 from repro.core.qualify import is_public_private_answer as _is_public_private_answer
 from repro.exceptions import GraphError, OwnerNotAttachedError, QueryError
-from repro.graph.frozen import freeze as _freeze
+from repro.graph.frozen import FrozenGraph, freeze as _freeze
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,12 +72,20 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass
 class PublicIndex:
-    """The user-independent indexes over the public graph (Sec. V-A/B)."""
+    """The user-independent indexes over the public graph (Sec. V-A/B).
 
-    graph: "GraphLike"
+    :attr:`graph` is always a :class:`~repro.graph.frozen.FrozenGraph`:
+    any other graph handed in is interned first, a frozen one is kept
+    as it is.
+    """
+
+    graph: FrozenGraph
     pads: DistanceSketch
     kpads: KeywordSketch
     pagerank_scores: Dict[Vertex, float]
+
+    def __post_init__(self) -> None:
+        self.graph = _freeze(self.graph)
 
     @classmethod
     def build(
@@ -86,22 +94,13 @@ class PublicIndex:
         k: int = 2,
         alpha: float = 0.85,
         kpads_per_center: int = 4,
-        freeze: bool = True,
     ) -> "PublicIndex":
-        """PageRank, then PADS with bottom-``k`` parameter, then KPADS.
+        """Freeze, then PageRank, PADS with bottom-``k`` parameter, KPADS.
 
         ``kpads_per_center`` controls the depth of KPADS candidate lists
         (used by PP-knk completion; 1 = the paper's minimal merge).
-
-        With ``freeze=True`` (the default) the public graph is first
-        interned into a :class:`~repro.graph.frozen.FrozenGraph`; index
-        construction then runs over flat CSR arrays and the returned
-        index carries the frozen graph as :attr:`graph`.  Pass
-        ``freeze=False`` to index the mutable graph as-is (the dynamic
-        public-update workflows do this).
         """
-        if freeze:
-            graph = _freeze(graph)
+        graph = _freeze(graph)
         scores = pagerank(graph, alpha=alpha)
         pads = build_pads(graph, k=k, ranks=scores)
         kpads = build_kpads(graph, pads, per_center=kpads_per_center)
@@ -306,11 +305,10 @@ class PPKWS:
         alpha: float = 0.85,
         options: Optional[QueryOptions] = None,
         index: Optional[PublicIndex] = None,
-        freeze: bool = True,
     ) -> None:
         self.options = options or QueryOptions()
         self.index = index if index is not None else PublicIndex.build(
-            public, k=sketch_k, alpha=alpha, freeze=freeze
+            public, k=sketch_k, alpha=alpha
         )
         if (
             self.index.graph is not public
@@ -320,9 +318,8 @@ class PPKWS:
             )
         ):
             raise GraphError("provided index was built over a different graph")
-        # The index's graph is authoritative: PublicIndex.build freezes
-        # the public graph by default, so queries run over the same
-        # (possibly frozen) backend the sketches were built from.
+        # The index's graph is authoritative and always frozen, so
+        # queries run over the graph the sketches were built from.
         self.public = self.index.graph
         self._provider = self.index.provider()
         self._attachments: Dict[str, Attachment] = {}

@@ -141,7 +141,7 @@ def _sections(index: PublicIndex) -> List[bytes]:
         "k": index.pads.k,
         "kpads_per_center": kpads.per_center,
         "num_vertices": len(vertex_ids),
-        "graph_sha256": freeze(index.graph).digest(),
+        "graph_sha256": index.graph.digest(),
         "vertices": list(vertex_ids),
         "labels": list(kpads.entries),
     }).encode("utf-8")]
@@ -262,9 +262,11 @@ class _KpadsRows:
 def load_index(graph: "GraphLike", path: PathLike) -> PublicIndex:
     """Read a :class:`PublicIndex` previously written by :func:`save_index`.
 
-    ``graph`` must be the public graph the index was built over, in
-    either backend.  Raises :class:`~repro.exceptions.IndexCorruptError`
-    when the file fails an integrity check and plain
+    ``graph`` must be the public graph the index was built over; it is
+    frozen first, as :meth:`PublicIndex.build` does, and the returned
+    index serves that :class:`~repro.graph.frozen.FrozenGraph`.  Raises
+    :class:`~repro.exceptions.IndexCorruptError` when the file fails an
+    integrity check and plain
     :class:`~repro.exceptions.IndexBuildError` when it is merely stale
     for ``graph``.  Every check runs here; the sketches then decode each
     row from the verified sections on its first lookup.
@@ -293,9 +295,10 @@ def load_index(graph: "GraphLike", path: PathLike) -> PublicIndex:
 def _decode(graph: "GraphLike", sections: List[memoryview]) -> PublicIndex:
     meta, views = json.loads(bytes(sections[0])), dict(zip(_SECTIONS, sections[1:]))
     vertices, labels, k = meta["vertices"], meta["labels"], meta["k"]
+    graph = freeze(graph)
     if (
         meta["num_vertices"] != graph.num_vertices
-        or meta["graph_sha256"] != freeze(graph).digest()
+        or meta["graph_sha256"] != graph.digest()
     ):  # stale, not corrupt: callers rebuild silently
         raise IndexBuildError(
             f"index is for another graph (of {meta['num_vertices']} vertices)"

@@ -16,7 +16,7 @@ from repro.graph.generators import (
 from repro.graph.frozen import FrozenGraph, freeze
 from repro.graph.io import load_graph, save_graph
 from repro.graph.labeled_graph import Edge, Label, LabeledGraph, Vertex, path_weight
-from repro.graph.pagerank import pagerank, pagerank_csr, pagerank_numpy, pagerank_pure
+from repro.graph.pagerank import pagerank, pagerank_csr, pagerank_pure
 from repro.graph.protocol import GraphLike
 from repro.graph.public_private import PublicPrivateNetwork, combine, portal_nodes
 from repro.graph.metrics import (
@@ -79,7 +79,6 @@ __all__ = [
     "nearest_vertices_with_label",
     "pagerank",
     "pagerank_csr",
-    "pagerank_numpy",
     "pagerank_pure",
     "path_weight",
     "portal_nodes",

@@ -536,10 +536,10 @@ class FrozenGraph:
 def freeze(graph, name: Optional[str] = None) -> FrozenGraph:
     """Intern ``graph`` into a :class:`FrozenGraph` (no-op when frozen).
 
-    This is the single entry point the framework uses at the two places
-    a public graph becomes immutable: :meth:`PublicIndex.build
-    <repro.core.framework.PublicIndex.build>` and
-    :meth:`PPKWSService.create_network <repro.service.PPKWSService.create_network>`.
+    Every route to an engine's public graph passes through here
+    (:class:`~repro.core.framework.PublicIndex`, its ``build`` and
+    :func:`~repro.core.persist.load_index`), so the engine always serves
+    a frozen graph.
     """
     if isinstance(graph, FrozenGraph):
         return graph

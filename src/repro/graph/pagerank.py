@@ -1,38 +1,39 @@
-"""PageRank over any graph backend.
+"""PageRank over the interned public graph.
 
 PADS (paper Sec. V-A) ranks vertices by PageRank rather than by random
 values: high-PageRank vertices lie on many shortest paths and make good
 sketch centers.  The paper says "we employ any efficient algorithms to
-obtain the PageRank" — we provide three interchangeable backends:
+obtain the PageRank" — both bodies here run over a
+:class:`~repro.graph.frozen.FrozenGraph` (any other graph is frozen
+first), and :func:`pagerank` picks one by size:
 
-* a pure-dict power iteration (no dependencies, good for small graphs and
-  easy to verify),
-* a numpy backend (vectorized; flattens adjacency through the generic
-  read API), and
-* a CSR backend for :class:`~repro.graph.frozen.FrozenGraph` (array
-  sweep straight over the interned ``indptr``/``indices`` buffers — no
-  per-edge Python loop at all).
+* below ``_NUMPY_THRESHOLD`` vertices, a plain-list power iteration over
+  the interned ids (:func:`pagerank_pure`: no numpy set-up cost, and its
+  float operations follow the source graph's iteration order), and
+* from there on, an array sweep straight over the ``indptr``/``indices``
+  buffers (:func:`pagerank_csr`, no per-edge Python loop at all).
 
-All treat the undirected graph as a random walk with uniform transition
+Both treat the undirected graph as a random walk with uniform transition
 probability over neighbors, damping ``alpha`` and uniform teleport, and
 visit edges in the same order, so their results agree to within float
-rounding (bit-identical between the numpy and CSR backends).
+rounding.  The threshold stays where it is: moving it could change
+PageRank ties, and with them PADS centers and answers.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
 from repro.exceptions import GraphError
-from repro.graph.frozen import FrozenGraph
+from repro.graph.frozen import freeze
 from repro.graph.labeled_graph import Vertex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.protocol import GraphLike
 
-__all__ = ["pagerank", "pagerank_pure", "pagerank_numpy", "pagerank_csr"]
+__all__ = ["pagerank", "pagerank_pure", "pagerank_csr"]
 
 _NUMPY_THRESHOLD = 2000
 
@@ -42,37 +43,20 @@ def pagerank(
     alpha: float = 0.85,
     max_iter: int = 100,
     tol: float = 1e-8,
-    backend: Optional[str] = None,
 ) -> Dict[Vertex, float]:
     """PageRank scores ``pr: V -> [0, 1]``, summing to 1.
 
-    Parameters
-    ----------
-    alpha:
-        Damping factor in (0, 1).
-    backend:
-        ``"pure"``, ``"numpy"``, ``"csr"`` or ``None`` (auto-select by
-        graph size and backend; frozen graphs above the size threshold
-        use the CSR sweep).
+    ``alpha`` is the damping factor in (0, 1).  Graphs below
+    ``_NUMPY_THRESHOLD`` vertices run :func:`pagerank_pure`, larger ones
+    :func:`pagerank_csr`.
     """
     if not 0.0 < alpha < 1.0:
         raise GraphError(f"alpha must be in (0, 1), got {alpha}")
     if graph.num_vertices == 0:
         return {}
-    if backend is None:
-        if graph.num_vertices < _NUMPY_THRESHOLD:
-            backend = "pure"
-        elif isinstance(graph, FrozenGraph):
-            backend = "csr"
-        else:
-            backend = "numpy"
-    if backend == "pure":
+    if graph.num_vertices < _NUMPY_THRESHOLD:
         return pagerank_pure(graph, alpha, max_iter, tol)
-    if backend == "numpy":
-        return pagerank_numpy(graph, alpha, max_iter, tol)
-    if backend == "csr":
-        return pagerank_csr(graph, alpha, max_iter, tol)
-    raise GraphError(f"unknown pagerank backend {backend!r}")
+    return pagerank_csr(graph, alpha, max_iter, tol)
 
 
 def pagerank_pure(
@@ -81,53 +65,12 @@ def pagerank_pure(
     max_iter: int = 100,
     tol: float = 1e-8,
 ) -> Dict[Vertex, float]:
-    """Dictionary-based power iteration (reference implementation).
+    """Power iteration over interned ids and flat adjacency lists.
 
-    On a :class:`FrozenGraph` the same iteration runs over interned id
-    lists (:func:`_pagerank_pure_frozen`); every float operation happens
-    in the same order, so the scores are bit-identical across backends.
-    """
-    if isinstance(graph, FrozenGraph):
-        return _pagerank_pure_frozen(graph, alpha, max_iter, tol)
-    n = graph.num_vertices
-    rank = {v: 1.0 / n for v in graph.vertices()}
-    base = (1.0 - alpha) / n
-    for _ in range(max_iter):
-        nxt = {v: 0.0 for v in rank}
-        dangling_mass = 0.0
-        for v, r in rank.items():
-            deg = graph.degree(v)
-            if deg == 0:
-                dangling_mass += r
-                continue
-            share = alpha * r / deg
-            for u in graph.neighbors(v):
-                nxt[u] += share
-        spread = base + alpha * dangling_mass / n
-        delta = 0.0
-        for v in nxt:
-            nxt[v] += spread
-            delta += abs(nxt[v] - rank[v])
-        rank = nxt
-        if delta < tol:
-            break
-    return rank
-
-
-def _pagerank_pure_frozen(
-    graph: FrozenGraph,
-    alpha: float,
-    max_iter: int,
-    tol: float,
-) -> Dict[Vertex, float]:
-    """:func:`pagerank_pure` over interned ids and flat adjacency lists.
-
-    Mirrors the dict implementation operation-for-operation (interning
-    order equals the source dict's iteration order, and neighbor order is
-    preserved by construction), so the returned floats are identical.
     The transient ``tolist`` copies exist only for the duration of the
     call — plain-list indexing is markedly faster than ``array`` access.
     """
+    graph = freeze(graph)
     n = graph.num_vertices
     indptr_a, indices_a, _ = graph.csr()
     indptr = indptr_a.tolist()
@@ -158,19 +101,31 @@ def _pagerank_pure_frozen(
     return {vx[i]: rank[i] for i in range(n)}
 
 
-def _power_iterate(
-    src: np.ndarray,
-    dst: np.ndarray,
-    deg: np.ndarray,
-    n: int,
-    alpha: float,
-    max_iter: int,
-    tol: float,
-) -> np.ndarray:
-    """Shared edge-array power iteration for the vectorized backends."""
+def pagerank_csr(
+    graph: "GraphLike",
+    alpha: float = 0.85,
+    max_iter: int = 100,
+    tol: float = 1e-8,
+) -> Dict[Vertex, float]:
+    """Array sweep straight over the frozen CSR buffers.
+
+    ``indices`` *is* the destination array, and the source array is one
+    ``np.repeat`` over the ``indptr`` gaps.
+    """
+    graph = freeze(graph)
+    n = graph.num_vertices
+    indptr_a, indices_a, _ = graph.csr()
+    indptr = np.frombuffer(indptr_a, dtype=np.int64)
+    if len(indices_a):
+        dst = np.frombuffer(indices_a, dtype=np.int64)
+    else:
+        dst = np.zeros(0, dtype=np.int64)
+    gaps = np.diff(indptr)
+    src = np.repeat(np.arange(n, dtype=np.int64), gaps)
+    dangling = gaps == 0
+    safe_deg = np.where(dangling, 1.0, gaps.astype(np.float64))
+
     rank = np.full(n, 1.0 / n)
-    dangling = deg == 0
-    safe_deg = np.where(dangling, 1.0, deg)
     for _ in range(max_iter):
         contrib = alpha * rank / safe_deg
         nxt = np.zeros(n)
@@ -181,64 +136,5 @@ def _power_iterate(
             rank = nxt
             break
         rank = nxt
-    return rank
-
-
-def pagerank_numpy(
-    graph: "GraphLike",
-    alpha: float = 0.85,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> Dict[Vertex, float]:
-    """Vectorized power iteration over flattened adjacency arrays."""
-    verts = list(graph.vertices())
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-
-    # Flatten adjacency into (src, dst) arrays; undirected edges appear
-    # twice, once per direction, which is exactly the random-walk matrix.
-    srcs = []
-    dsts = []
-    for v in verts:
-        vi = index[v]
-        for u in graph.neighbors(v):
-            srcs.append(vi)
-            dsts.append(index[u])
-    src = np.asarray(srcs, dtype=np.int64)
-    dst = np.asarray(dsts, dtype=np.int64)
-    deg = np.zeros(n, dtype=np.float64)
-    np.add.at(deg, src, 1.0)
-
-    rank = _power_iterate(src, dst, deg, n, alpha, max_iter, tol)
-    return {v: float(rank[index[v]]) for v in verts}
-
-
-def pagerank_csr(
-    graph: FrozenGraph,
-    alpha: float = 0.85,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> Dict[Vertex, float]:
-    """Array sweep straight over the frozen CSR buffers.
-
-    Equivalent to :func:`pagerank_numpy` (same edge order, so identical
-    rounding) but skips the per-edge Python flattening loop: ``indices``
-    *is* the destination array, and the source array is one
-    ``np.repeat`` over the ``indptr`` gaps.
-    """
-    if not isinstance(graph, FrozenGraph):
-        raise GraphError("the 'csr' pagerank backend requires a FrozenGraph")
-    n = graph.num_vertices
-    indptr_a, indices_a, _ = graph.csr()
-    indptr = np.frombuffer(indptr_a, dtype=np.int64)
-    if len(indices_a):
-        dst = np.frombuffer(indices_a, dtype=np.int64)
-    else:
-        dst = np.zeros(0, dtype=np.int64)
-    gaps = np.diff(indptr)
-    src = np.repeat(np.arange(n, dtype=np.int64), gaps)
-    deg = gaps.astype(np.float64)
-
-    rank = _power_iterate(src, dst, deg, n, alpha, max_iter, tol)
     vx = graph.vertex_table
     return {vx[i]: float(rank[i]) for i in range(n)}

@@ -19,6 +19,10 @@ are translated back to vertex keys at the boundary, so callers cannot
 tell the backends apart (distances are bit-identical; only tie order
 among equidistant vertices may differ).
 
+The two bodies are not two public backends: the engine's public graph is
+always frozen, and the dict bodies serve private graphs and the combined
+views that span both sides.
+
 The sweeps accept an optional ``budget`` (any object with a
 ``checkpoint()`` method, canonically
 :class:`repro.core.budget.QueryBudget`) charged one expansion per heap

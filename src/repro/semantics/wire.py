@@ -60,8 +60,8 @@ def serialize_rooted(answer: Any) -> Dict[str, Any]:
     edges = getattr(answer, "edges", None)
     if edges:
         # Canonical order: the in-memory edge list follows traversal
-        # order, which differs between the dict and CSR backends (and
-        # thus between a parent and its shard-worker replica).
+        # order, which depends on the graph representation, not on the
+        # answer.
         out["tree_edges"] = sorted(
             (sorted(e, key=repr) for e in edges), key=repr
         )

@@ -532,11 +532,19 @@ class PPKWSService:
     # ------------------------------------------------------------------
     # per-network locks and epochs
     # ------------------------------------------------------------------
-    def _network_lock(self, network: Any) -> RWLock:
-        """The (lazily created) reader-writer lock for ``network``."""
+    def _network_lock(self, network: Any, create: bool = False) -> RWLock:
+        """The reader-writer lock for ``network``.
+
+        Only ``create_network`` and ``adopt_network`` pass ``create``:
+        every other op on a name that was never created raises
+        :class:`UnknownNetworkError` here, so request-supplied names
+        cannot grow the map.  A dropped name keeps its lock.
+        """
         with self._network_locks_lock:
             lock = self._network_locks.get(network)
             if lock is None:
+                if not create:
+                    raise UnknownNetworkError(network)
                 lock = self._network_locks[network] = RWLock()
             return lock
 
@@ -592,7 +600,7 @@ class PPKWSService:
         epoch so answers from a previous same-named network can never be
         served against the new one.
         """
-        with self._network_lock(name).write_locked():
+        with self._network_lock(name, create=True).write_locked():
             self._create_network_exclusive(name, public, index_path)
             pool = self._shard_pool
             if pool is not None:
@@ -610,7 +618,7 @@ class PPKWSService:
         ``create_network`` would re-freeze and re-index from scratch.
         Same exclusion and epoch discipline as a regular create.
         """
-        with self._network_lock(name).write_locked():
+        with self._network_lock(name, create=True).write_locked():
             with self._engines_lock:
                 if name in self._engines:
                     raise ReproError(f"network {name!r} already exists")

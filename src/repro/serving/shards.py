@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import FaultInjectedError, ReproError, WorkerKilledError
 from repro.faults.points import SHARD_WORKER
-from repro.graph.frozen import FrozenGraph, freeze
+from repro.graph.frozen import FrozenGraph
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["ShardServingPool"]
@@ -95,10 +95,9 @@ def _apply_admin(svc: Any, pending: Dict[str, list], rec: tuple) -> None:
         if name in svc.networks():
             graph = svc._engine(name).public
             svc.drop_network(name)
-            if isinstance(graph, FrozenGraph):
-                # Unpin the shared pages now — a GC'd memoryview export
-                # would otherwise make SharedMemory.__del__ noisy.
-                graph.release_shared()
+            # Unpin the shared pages now — a GC'd memoryview export
+            # would otherwise make SharedMemory.__del__ noisy.
+            graph.release_shared()
     else:  # pragma: no cover - protocol drift guard
         raise ReproError(f"unknown admin record {op!r}")
 
@@ -121,9 +120,8 @@ def _shard_worker_main(shard_id: int, conn: Any) -> None:
         op = msg[0]
         if op == "stop":
             for name in svc.networks():
-                graph = svc._engine(name).public
-                if isinstance(graph, FrozenGraph):
-                    graph.release_shared()  # unpin before interpreter exit
+                # unpin before interpreter exit
+                svc._engine(name).public.release_shared()
             conn.send(("ok", None))
             return
         if op == "ping":
@@ -339,9 +337,7 @@ class ShardServingPool:
 
     def admin_create(self, name: str, engine: Any) -> None:
         """Replicate ``name``: export the graph, ship handle + index."""
-        graph = engine.public
-        frozen = graph if isinstance(graph, FrozenGraph) else freeze(graph)
-        handle, segments = frozen.export_shared()
+        handle, segments = engine.public.export_shared()
         self._segments[name] = segments
         index = engine.index
         self._broadcast((

@@ -12,29 +12,26 @@ center into the sketch of every visited vertex ``u`` unless ``u`` already
 holds ``k`` centers at distance ``<= d`` (in which case the traversal does
 not expand through ``u``).  The expected sketch size is ``O(k ln |V|)``.
 
-The builder accepts any :class:`~repro.graph.protocol.GraphLike` backend.
-On a :class:`~repro.graph.frozen.FrozenGraph` (the production public
-graph) the whole of Algo 6 runs over interned integer ids with flat CSR
-neighbor scans and bare ``(distance, id)`` heap entries; the resulting
-sketches are translated back to vertex keys, so
-:class:`DistanceSketch` and the persistence layer are backend-agnostic.
-The pruned traversal's output is independent of heap tie order (each
-vertex's coverage test only depends on previously processed centers), so
-both paths produce identical sketches.
+The builder accepts any :class:`~repro.graph.protocol.GraphLike`, freezes
+it (a no-op on the production public graph, which is already a
+:class:`~repro.graph.frozen.FrozenGraph`) and runs the whole of Algo 6
+over interned integer ids with flat CSR neighbor scans and bare
+``(distance, id)`` heap entries; the resulting sketches are translated
+back to vertex keys, so :class:`DistanceSketch` and the persistence
+layer never see the ids.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 from typing import (
     TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Mapping, Optional,
     Protocol, Tuple,
 )
 
 from repro.exceptions import IndexBuildError
-from repro.graph.frozen import FrozenGraph
+from repro.graph.frozen import FrozenGraph, freeze
 from repro.graph.labeled_graph import Vertex
 from repro.graph.traversal import INF
 
@@ -202,9 +199,8 @@ def build_sketch_from_ranks(
         within distance ``d`` of ``u``.
     tie_break:
         Optional deterministic total order used when priorities tie.
-        Defaults to vertex iteration order on both backends (interning
-        order on a frozen graph), so the two backends pick centers in
-        the same sequence.
+        Defaults to vertex iteration order (which freezing keeps as the
+        interning order).
     """
     if k < 1:
         raise IndexBuildError(f"sketch parameter k must be >= 1, got {k}")
@@ -214,42 +210,7 @@ def build_sketch_from_ranks(
             f"ranks missing for {len(missing)} vertices (e.g. {missing[0]!r})"
         )
 
-    if isinstance(graph, FrozenGraph):
-        return _build_sketch_frozen(graph, ranks, k, kind, tie_break)
-
-    entries: Dict[Vertex, Dict[Vertex, float]] = {v: {} for v in graph.vertices()}
-    # Per-vertex sorted list of distances already in the sketch; used for
-    # the "< k entries with distance <= d" test via binary search.
-    loaded: Dict[Vertex, List[float]] = {v: [] for v in graph.vertices()}
-
-    if tie_break is None:
-        tie_break = {v: i for i, v in enumerate(graph.vertices())}
-    order = sorted(
-        graph.vertices(), key=lambda v: (-ranks[v], tie_break.get(v, 0))
-    )
-
-    for center in order:
-        # Pruned Dijkstra from the candidate center.
-        settled: Dict[Vertex, float] = {}
-        counter = itertools.count()  # tie-break: vertices may be incomparable
-        heap: List[Tuple[float, int, Vertex]] = [(0.0, next(counter), center)]
-        while heap:
-            d, _, u = heapq.heappop(heap)
-            if u in settled:
-                continue
-            settled[u] = d
-            bucket = loaded[u]
-            covered = bisect.bisect_right(bucket, d)
-            if covered >= k:
-                # u already sees k higher-priority centers within d:
-                # the center is useless for u and everything behind it.
-                continue
-            entries[u][center] = d
-            bisect.insort(bucket, d)
-            for nbr, w in graph.neighbor_items(u):
-                if nbr not in settled:
-                    heapq.heappush(heap, (d + w, next(counter), nbr))
-    return DistanceSketch(entries, k, kind)
+    return _build_sketch_frozen(freeze(graph), ranks, k, kind, tie_break)
 
 
 def _build_sketch_frozen(
@@ -259,15 +220,12 @@ def _build_sketch_frozen(
     kind: str,
     tie_break: Optional[Mapping[Vertex, int]],
 ) -> DistanceSketch:
-    """Algo 6 over interned ids and flat CSR arrays (same output).
+    """Algo 6 over interned ids and flat CSR arrays.
 
     The transient ``tolist`` copies are amortized over the ``n`` pruned
     traversals of the build; plain-list indexing is markedly faster than
     ``array`` element access in the inner relaxation loop.
     """
-    # Sanctioned int-specialized fast path: the CSR
-    # arrays power Algo 6 here, with _build_sketch as the GraphLike
-    # fallback producing bit-identical output (tests/test_backend_equivalence).
     indptr_a, indices_a, weights_a = graph.csr()
     indptr = indptr_a.tolist()
     indices = indices_a.tolist()

@@ -8,7 +8,7 @@ import struct
 
 import pytest
 
-from repro.graph import LabeledGraph, combine
+from repro.graph import LabeledGraph, combine, freeze
 
 
 @pytest.fixture
@@ -103,6 +103,17 @@ def small_public_private():
     priv.add_edge("x4", 5)
     priv.add_edge("x3", 5)
     return pub, priv
+
+
+#: The two ways a test hands its public graph to the engine: ``False``
+#: passes the :class:`LabeledGraph` (the engine freezes it), ``True``
+#: passes ``freeze(graph)``.  Both must serve the same answers.
+PREFROZEN = (False, True)
+
+
+def handed(graph, prefrozen: bool):
+    """``graph`` as the ``prefrozen`` route hands it to the engine."""
+    return freeze(graph) if prefrozen else graph
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from repro.core.framework import (
 )
 from repro.graph.labeled_graph import LabeledGraph
 
-from tests.conftest import random_connected_graph
+from tests.conftest import handed, random_connected_graph
 
 #: The seeded networks the golden file covers.
 SEEDS: Tuple[int, ...] = (11, 23, 37)
@@ -92,9 +92,12 @@ def seeded_network(seed: int) -> Tuple[LabeledGraph, LabeledGraph]:
 
 
 def build_engine(
-    seed: int, freeze: bool = True, ablate: bool = False
+    seed: int, prefrozen: bool = True, ablate: bool = False
 ) -> PPKWS:
     """A PPKWS engine over the seeded pair with ``"owner"`` attached.
+
+    ``prefrozen`` picks how the public graph is handed over: frozen, or
+    as the ``LabeledGraph`` the engine then freezes (same engine).
 
     ``ablate=True`` turns both Sec.-VI optimizations off (full ARefine
     double loop, no completion cache) so the workload also pins the
@@ -106,7 +109,7 @@ def build_engine(
         if ablate
         else None
     )
-    engine = PPKWS(public, sketch_k=2, freeze=freeze, options=options)
+    engine = PPKWS(handed(public, prefrozen), sketch_k=2, options=options)
     engine.attach("owner", private)
     return engine
 
@@ -259,7 +262,7 @@ def run_workload(engine: PPKWS) -> Dict[str, List[Dict[str, Any]]]:
     return out
 
 
-def capture_all(freeze: bool = True) -> Dict[str, Any]:
+def capture_all() -> Dict[str, Any]:
     """The full golden payload: one workload run per seed.
 
     Each seed runs the default-options workload plus the ablated-options
@@ -267,9 +270,9 @@ def capture_all(freeze: bool = True) -> Dict[str, Any]:
     """
     seeds: Dict[str, Any] = {}
     for seed in SEEDS:
-        per_seed: Dict[str, Any] = run_workload(build_engine(seed, freeze))
+        per_seed: Dict[str, Any] = run_workload(build_engine(seed))
         per_seed["ablation"] = run_ablation_workload(
-            build_engine(seed, freeze, ablate=True)
+            build_engine(seed, ablate=True)
         )
         seeds[str(seed)] = per_seed
     return {"format": 1, "seeds": seeds}

@@ -10,7 +10,8 @@ reference in and holds the two equal on seeded networks:
 * unit, float and mixed weights (unit weights tie nearly every
   distance), with ``int`` vertices or :class:`Twin` vertices whose
   distinct instances share one ``repr``;
-* both graph backends (``REPRO_ENGINE_BACKEND`` picks one);
+* both routes a public graph reaches the engine by (as a
+  ``LabeledGraph`` or already frozen; ``tests.conftest.PREFROZEN``);
 * ``require_public_private`` and ``dp_completion`` on and off, and
   k = 1, 5 and every root;
 * ``max_expansions`` caps spread over AComplete, where the degraded
@@ -21,7 +22,6 @@ Payloads, degradation bookkeeping and every counter must match.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import asdict
 
@@ -33,12 +33,8 @@ from repro.core.framework import PPKWS, QueryOptions
 from repro.graph.labeled_graph import LabeledGraph
 from repro.semantics.wire import rooted_payload
 
-from tests.conftest import Twin
+from tests.conftest import PREFROZEN, Twin, handed
 from tests.reference_acomplete import reference_acomplete
-
-_BACKENDS = {"dict": (False,), "frozen": (True,)}.get(
-    os.environ.get("REPRO_ENGINE_BACKEND", ""), (False, True)
-)
 
 SEEDS = range(12)
 WEIGHTS = ("unit", "float", "mixed")
@@ -95,14 +91,15 @@ def _network(seed: int, n: int = 0):
     return public, private, queries
 
 
-def _engines(seed: int, freeze: bool):
+def _engines(seed: int, prefrozen: bool):
     """``{dp_completion: engine}`` over one shared public index."""
     public, private, queries = _network(seed)
+    public = handed(public, prefrozen)
     engines = {}
     index = None
     for dp in (True, False):
         engine = PPKWS(
-            public, sketch_k=2, freeze=freeze, index=index,
+            public, sketch_k=2, index=index,
             options=QueryOptions(dp_completion=dp),
         )
         index = engine.index
@@ -142,10 +139,10 @@ def _configs(queries, ks):
                     )
 
 
-@pytest.mark.parametrize("freeze", _BACKENDS)
+@pytest.mark.parametrize("prefrozen", PREFROZEN)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_equals_eager_reference(seed, freeze, monkeypatch):
-    engines, queries = _engines(seed, freeze)
+def test_equals_eager_reference(seed, prefrozen, monkeypatch):
+    engines, queries = _engines(seed, prefrozen)
     answered = 0
     for dp, engine in engines.items():
         for semantics, params in _configs(queries, (1, 5, EVERY_ROOT)):
@@ -172,10 +169,10 @@ def _acomplete_window(monkeypatch, engine, semantics, params):
     return seen[0]
 
 
-@pytest.mark.parametrize("freeze", _BACKENDS)
+@pytest.mark.parametrize("prefrozen", PREFROZEN)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_capped_runs_degrade_identically(seed, freeze, monkeypatch):
-    engines, queries = _engines(seed, freeze)
+def test_capped_runs_degrade_identically(seed, prefrozen, monkeypatch):
+    engines, queries = _engines(seed, prefrozen)
     interrupted = set()
     for dp, engine in engines.items():
         for semantics, params in _configs(queries, (5,)):
@@ -188,16 +185,16 @@ def test_capped_runs_degrade_identically(seed, freeze, monkeypatch):
     assert "acomplete" in interrupted  # the caps do land inside AComplete
 
 
-@pytest.mark.parametrize("freeze", _BACKENDS)
+@pytest.mark.parametrize("prefrozen", PREFROZEN)
 @pytest.mark.parametrize("seed", [2, 3])
-def test_fresh_roots_past_the_walk_are_never_built(seed, freeze, monkeypatch):
+def test_fresh_roots_past_the_walk_are_never_built(seed, prefrozen, monkeypatch):
     """Only the walked prefix of the fresh roots becomes a PartialAnswer.
 
     Seed 2 has ``int`` vertices, seed 3 :class:`Twin` vertices whose
     distinct instances share one ``repr``.
     """
     public, private, _ = _network(seed, n=160)
-    engine = PPKWS(public, sketch_k=2, freeze=freeze)
+    engine = PPKWS(handed(public, prefrozen), sketch_k=2)
     engine.attach("owner", private)
     params = dict(
         keywords=["a", "b"], tau=8.0, k=1, require_public_private=False

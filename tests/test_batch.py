@@ -1,21 +1,13 @@
-"""Tests for batch sessions with persistent completion caches.
-
-CI's ``semantics-matrix`` job re-runs this whole file across graph
-backends (``REPRO_ENGINE_BACKEND``) — the answers-identical assertions
-below double as cross-backend gates.
-"""
+"""Tests for batch sessions with persistent completion caches."""
 
 from __future__ import annotations
 
-import os
 
 import pytest
 
 from repro.core import BatchSession, PPKWS
 from repro.datasets.queries import KeywordQuery, KnkQuery
 from repro.exceptions import QueryError
-
-_FREEZE = os.environ.get("REPRO_ENGINE_BACKEND", "frozen") != "dict"
 
 
 def _params(queries, k=10):
@@ -32,7 +24,7 @@ def _params(queries, k=10):
 @pytest.fixture
 def session(small_public_private):
     pub, priv = small_public_private
-    engine = PPKWS(pub, sketch_k=4, freeze=_FREEZE)
+    engine = PPKWS(pub, sketch_k=4)
     engine.attach("bob", priv)
     return BatchSession(engine, "bob"), engine
 

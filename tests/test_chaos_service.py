@@ -15,7 +15,7 @@ invariants must hold:
 * a post-recovery index save is byte-identical to a fault-free build's
   (the on-disk artifact carries no scar tissue).
 
-The CI ``chaos`` job replays extra seeds via ``PPKWS_CHAOS_SEED``.
+The CI ``stress`` job replays extra seeds via ``PPKWS_CHAOS_SEED``.
 """
 
 from __future__ import annotations

@@ -8,11 +8,30 @@ from repro.core import (
     PPKWS,
     PublicIndex,
     QueryOptions,
+    load_index,
     query_model_m1,
     query_model_m2,
+    save_index,
 )
 from repro.exceptions import GraphError, QueryError
-from repro.graph import LabeledGraph, combine
+from repro.graph import FrozenGraph, LabeledGraph, combine, freeze
+from repro.semantics.wire import knk_payload, rooted_payload
+
+
+def _route_answers(engine):
+    """Wire payloads of every built-in semantics for owner ``bob``."""
+    out = [
+        rooted_payload(getattr(engine, semantics)("bob", kws, tau=4.0, k=5))[
+            "answers"
+        ]
+        for semantics in ("blinks", "rclique", "banks")
+        for kws in (["db", "ai"], ["cv", "ml", "db"])
+    ]
+    out.append(knk_payload(engine.knk("bob", "x1", "cv", k=3))["answer"])
+    out.append(
+        knk_payload(engine.knk_multi("bob", "x2", ["db", "ml"], k=3))["answer"]
+    )
+    return out
 
 
 class TestEngineLifecycle:
@@ -78,6 +97,49 @@ class TestPublicIndex:
         assert index.pads.num_vertices == pub.num_vertices
         assert index.kpads.num_keywords == len(pub.label_universe())
         assert sum(index.pagerank_scores.values()) == pytest.approx(1.0, abs=1e-6)
+
+    def test_every_construction_route_serves_a_frozen_graph(
+        self, small_public_private, tmp_path
+    ):
+        """``PPKWS(g)``, ``PPKWS(freeze(g))``, ``index=build(g)`` and
+        ``index=load_index(g, path)``: one backend, the same answers."""
+        pub, priv = small_public_private
+        save_index(PublicIndex.build(pub, k=2), tmp_path / "idx")
+        routes = {
+            "PPKWS(g)": lambda: PPKWS(pub, sketch_k=2),
+            "PPKWS(freeze(g))": lambda: PPKWS(freeze(pub), sketch_k=2),
+            "index=build(g)": lambda: PPKWS(
+                pub, sketch_k=2, index=PublicIndex.build(pub, k=2)
+            ),
+            "index=load_index(g)": lambda: PPKWS(
+                pub, sketch_k=2, index=load_index(pub, tmp_path / "idx")
+            ),
+        }
+        want = None
+        for route, build in routes.items():
+            engine = build()
+            assert isinstance(engine.public, FrozenGraph), route
+            assert engine.public is engine.index.graph, route
+            engine.attach("bob", priv)
+            got = _route_answers(engine)
+            assert all(got), route  # no payload is vacuous
+            want = got if want is None else want
+            assert got == want, route
+
+    def test_shared_frozen_index_reuse(self, small_public_private):
+        """One frozen index can back many engines (the deployment story)."""
+        pub, priv = small_public_private
+        index = PublicIndex.build(pub, k=2)
+        assert isinstance(index.graph, FrozenGraph)
+        e1 = PPKWS(pub, index=index)
+        e2 = PPKWS(pub, index=index)
+        assert e1.index is e2.index
+        assert e1.public is index.graph
+        e1.attach("bob", priv)
+        e2.attach("bob", priv)
+        a = e1.blinks("bob", ["db", "ai"], tau=4.0, k=5)
+        b = e2.blinks("bob", ["db", "ai"], tau=4.0, k=5)
+        assert rooted_payload(a)["answers"] == rooted_payload(b)["answers"]
 
     def test_provider_roundtrip(self, small_public_private):
         pub, _ = small_public_private

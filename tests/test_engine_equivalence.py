@@ -7,12 +7,10 @@ workload against the current code and asserts exact equality — answers,
 counters, ``completed_steps``/``interrupted_step`` bookkeeping and the
 degraded salvage paths all included.
 
-The backend dimension is driven by ``REPRO_ENGINE_BACKEND`` so CI's
-``semantics-matrix`` job can pin one backend per matrix leg:
-
-* ``dict``   — mutable adjacency-dict backend only
-* ``frozen`` — frozen CSR-style backend only
-* unset      — both
+The two workload tests run once per route a public graph reaches the
+engine by: handed over as the mutable ``LabeledGraph`` (``dict``, the
+engine freezes it) or already frozen (``frozen``).  Both must replay the
+golden file.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ import pytest
 from repro.core.budget import QueryBudget
 from repro.graph import combine
 from repro.validation import validate_rooted_answer
+from tests.conftest import PREFROZEN
 from tests.engine_equivalence_data import (
     ABLATION_BUDGETS,
     KEYWORD_QUERIES,
@@ -46,10 +45,6 @@ from tests.engine_equivalence_data import (
 DATA = os.path.join(os.path.dirname(__file__), "data",
                     "engine_equivalence.json")
 
-_BACKENDS = {"dict": (False,), "frozen": (True,)}.get(
-    os.environ.get("REPRO_ENGINE_BACKEND", ""), (False, True)
-)
-
 
 @pytest.fixture(scope="module")
 def golden() -> Dict[str, Any]:
@@ -69,24 +64,24 @@ def _diff_runs(expected: List[Dict[str, Any]],
         )
 
 
-@pytest.mark.parametrize("freeze", _BACKENDS, ids=lambda f: "frozen" if f else "dict")
+@pytest.mark.parametrize("prefrozen", PREFROZEN, ids=lambda f: "frozen" if f else "dict")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_workload_bit_identical(golden: Dict[str, Any], seed: int,
-                                freeze: bool) -> None:
+                                prefrozen: bool) -> None:
     expected = golden["seeds"][str(seed)]
-    actual = run_workload(build_engine(seed, freeze=freeze))
+    actual = run_workload(build_engine(seed, prefrozen=prefrozen))
     for semantics in ("blinks", "rclique", "banks", "knk", "knk_multi"):
         _diff_runs(expected[semantics], actual[semantics],
                    f"seed {seed} {semantics}")
 
 
-@pytest.mark.parametrize("freeze", _BACKENDS, ids=lambda f: "frozen" if f else "dict")
+@pytest.mark.parametrize("prefrozen", PREFROZEN, ids=lambda f: "frozen" if f else "dict")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_ablated_workload_bit_identical(golden: Dict[str, Any], seed: int,
-                                        freeze: bool) -> None:
+                                        prefrozen: bool) -> None:
     expected = golden["seeds"][str(seed)]["ablation"]
     actual = run_ablation_workload(
-        build_engine(seed, freeze=freeze, ablate=True)
+        build_engine(seed, prefrozen=prefrozen, ablate=True)
     )
     for semantics in ("blinks", "rclique", "knk"):
         _diff_runs(expected[semantics], actual[semantics],

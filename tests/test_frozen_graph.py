@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import EdgeNotFoundError, VertexNotFoundError
 from repro.graph import FrozenGraph, LabeledGraph, freeze
-from repro.graph.pagerank import pagerank, pagerank_csr, pagerank_numpy, pagerank_pure
+from repro.graph.pagerank import pagerank, pagerank_csr, pagerank_pure
 from repro.graph.traversal import (
     INF,
     bfs_hops,
@@ -20,6 +20,11 @@ from repro.graph.traversal import (
 )
 from repro.sketches.pads import build_pads
 from tests.conftest import random_connected_graph
+from tests.reference_dict_backend import (
+    reference_build_sketch,
+    reference_pagerank_numpy,
+    reference_pagerank_pure,
+)
 
 
 # ----------------------------------------------------------------------
@@ -250,13 +255,14 @@ def test_label_api_equivalence_random(seed):
 def test_pagerank_backends_agree(seed):
     g = random_connected_graph(70, 30, seed)
     fg = freeze(g)
-    pure = pagerank_pure(g)
-    vect = pagerank_numpy(g)
-    csr = pagerank_csr(fg)
+    # The interned bodies against the dict-graph bodies they replaced:
+    # the same float operations in the same order, so the same bits.
+    assert pagerank_pure(fg) == reference_pagerank_pure(g)
+    assert pagerank_csr(fg) == reference_pagerank_numpy(g)
+    pure, csr = pagerank_pure(fg), pagerank_csr(fg)
     for v in g.vertices():
         assert csr[v] == pytest.approx(pure[v], abs=1e-9)
-        assert csr[v] == pytest.approx(vect[v], abs=1e-12)
-    # Auto-selection returns the same scores on either backend.
+    # A LabeledGraph argument is frozen first: the same scores.
     assert pagerank(fg) == pagerank(g)
 
 
@@ -265,7 +271,9 @@ def test_pads_identical_across_backends(seed):
     g = random_connected_graph(45, 18, seed)
     fg = freeze(g)
     ranks = pagerank_pure(g)
-    pads_d = build_pads(g, k=2, ranks=ranks)
+    pads_d = reference_build_sketch(g, ranks, 2, kind="PADS")
     pads_f = build_pads(fg, k=2, ranks=ranks)
     assert pads_f.entries == pads_d.entries
     assert pads_f.total_entries == pads_d.total_entries
+    # A LabeledGraph argument is frozen first: the same sketch.
+    assert build_pads(g, k=2, ranks=ranks).entries == pads_f.entries

@@ -8,13 +8,12 @@ portal entry AComplete extends must equal the combined-graph distance
 from the query vertex.  Weights are small integers, so the sums are
 exact and the comparison is ``==``.
 
-The backend dimension is driven by ``REPRO_ENGINE_BACKEND`` as in
-``test_engine_equivalence.py``: ``dict``, ``frozen``, or unset for both.
+Each case runs on both routes a public graph reaches the engine by:
+handed over as a ``LabeledGraph`` (``dict``) or already frozen.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 
 import pytest
@@ -24,11 +23,8 @@ from repro.core.engine import StepSpec, run_pipeline
 from repro.core.framework import QueryOptions
 from repro.core.pp_knk import KNK
 from repro.graph import INF, combine, dijkstra
+from tests.conftest import PREFROZEN, handed
 from tests.test_core_correctness import LABELS, _instance
-
-_BACKENDS = {"dict": (False,), "frozen": (True,)}.get(
-    os.environ.get("REPRO_ENGINE_BACKEND", ""), (False, True)
-)
 
 
 def _recording_knk(entries):
@@ -44,13 +40,13 @@ def _recording_knk(entries):
     )
 
 
-@pytest.mark.parametrize("freeze", _BACKENDS, ids=lambda f: "frozen" if f else "dict")
+@pytest.mark.parametrize("prefrozen", PREFROZEN, ids=lambda f: "frozen" if f else "dict")
 @pytest.mark.parametrize("reduced", (True, False), ids=("reduced", "full"))
 @pytest.mark.parametrize("seed", range(24))
-def test_refined_distances_are_union_graph_distances(seed, reduced, freeze):
+def test_refined_distances_are_union_graph_distances(seed, reduced, prefrozen):
     pub, priv = _instance(seed)
     engine = PPKWS(
-        pub, sketch_k=128, freeze=freeze,
+        handed(pub, prefrozen), sketch_k=128,
         options=QueryOptions(reduced_refinement=reduced),
     )
     attachment = engine.attach("u", priv)

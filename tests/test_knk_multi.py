@@ -1,12 +1,7 @@
-"""Tests for multi-keyword k-nk (conjunction / disjunction).
-
-CI's ``semantics-matrix`` job re-runs this file across graph backends
-(``REPRO_ENGINE_BACKEND``).
-"""
+"""Tests for multi-keyword k-nk (conjunction / disjunction)."""
 
 from __future__ import annotations
 
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +12,6 @@ from repro.exceptions import QueryError
 from repro.graph import LabeledGraph, combine, dijkstra
 from repro.semantics import knk_multi_search
 from tests.conftest import random_connected_graph
-
-_FREEZE = os.environ.get("REPRO_ENGINE_BACKEND", "frozen") != "dict"
 
 
 @pytest.fixture
@@ -83,7 +76,7 @@ class TestPPKnkMulti:
         # add overlapping labels so conjunctions are satisfiable
         pub.add_labels(3, {"db"})     # 3 carries ai + db
         priv.add_labels("x2", {"db"})  # x2 carries ai + db
-        engine = PPKWS(pub, sketch_k=8, freeze=_FREEZE)
+        engine = PPKWS(pub, sketch_k=8)
         engine.attach("bob", priv)
         return engine, pub, priv
 

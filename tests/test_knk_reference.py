@@ -9,7 +9,8 @@ them equal:
 * unit, dyadic, decimal and mixed weights (decimal weights round, so a
   sum taken in another order shows), with ``int`` vertices or
   :class:`Twin` vertices whose distinct instances share one ``repr``;
-* both graph backends (``REPRO_ENGINE_BACKEND`` picks one);
+* both routes a public graph reaches the engine by (as a
+  ``LabeledGraph`` or already frozen; ``tests.conftest.PREFROZEN``);
 * ``knk``, disjunctive and conjunctive ``knk_multi``, ``dp_completion``
   on and off, and k = 1, 2 and 3 — below the length of a portal's reach
   over 4-entry center lists, so the old per-portal cut bites;
@@ -21,7 +22,6 @@ Answers, degradation bookkeeping and every counter must match; with
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
 from dataclasses import asdict, replace
@@ -34,12 +34,8 @@ from repro.core.framework import PPKWS, QueryOptions
 from repro.graph.labeled_graph import LabeledGraph
 from repro.sketches.kpads import KeywordSketch
 
-from tests.conftest import Twin
+from tests.conftest import PREFROZEN, Twin, handed
 from tests.reference_knk_acomplete import REFERENCE_STEP, ReferenceCache
-
-_BACKENDS = {"dict": (False,), "frozen": (True,)}.get(
-    os.environ.get("REPRO_ENGINE_BACKEND", ""), (False, True)
-)
 
 SEEDS = range(16)
 WEIGHTS = {
@@ -80,13 +76,14 @@ def _network(seed: int):
     return public, private
 
 
-def _engines(seed: int, freeze: bool):
+def _engines(seed: int, prefrozen: bool):
     """``{dp_completion: engine}`` over one shared public index."""
     public, private = _network(seed)
+    public = handed(public, prefrozen)
     engines, index = {}, None
     for dp in (True, False):
         engine = PPKWS(
-            public, sketch_k=2, freeze=freeze, index=index,
+            public, sketch_k=2, index=index,
             options=QueryOptions(dp_completion=dp),
         )
         index = engine.index
@@ -136,10 +133,10 @@ def _both(engine, semantics, params, twins, cap=None):
     return outcomes
 
 
-@pytest.mark.parametrize("freeze", _BACKENDS)
+@pytest.mark.parametrize("prefrozen", PREFROZEN)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_equals_per_portal_reference(seed, freeze):
-    engines = _engines(seed, freeze)
+def test_equals_per_portal_reference(seed, prefrozen):
+    engines = _engines(seed, prefrozen)
     answered = 0
     for dp, engine in engines.items():
         for semantics, params in _configs():
@@ -163,10 +160,10 @@ def test_the_per_portal_cut_bites():
     assert longest > 2 * max(KS)
 
 
-@pytest.mark.parametrize("freeze", _BACKENDS)
+@pytest.mark.parametrize("prefrozen", PREFROZEN)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_capped_runs_degrade_identically(seed, freeze):
-    engine = _engines(seed, freeze)[True]
+def test_capped_runs_degrade_identically(seed, prefrozen):
+    engine = _engines(seed, prefrozen)[True]
     interrupted = set()
     for semantics, params in _configs():
         if params["k"] != 2:

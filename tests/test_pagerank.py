@@ -1,14 +1,19 @@
-"""Tests for PageRank (both backends)."""
+"""Tests for PageRank (both bodies, either side of the size threshold)."""
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.graph import LabeledGraph, pagerank, pagerank_numpy, pagerank_pure
+from repro.graph import LabeledGraph, pagerank, pagerank_csr, pagerank_pure
 from tests.conftest import random_connected_graph
+
+# the package re-exports the function under the submodule's name
+PAGERANK_MODULE = sys.modules["repro.graph.pagerank"]
 
 
 class TestPagerankBasics:
@@ -44,14 +49,15 @@ class TestPagerankBasics:
             pagerank(triangle_graph, alpha=1.0)
 
     def test_unknown_backend(self, triangle_graph):
-        with pytest.raises(GraphError):
+        # There is no backend to choose: size alone picks the body.
+        with pytest.raises(TypeError):
             pagerank(triangle_graph, backend="magic")
 
     def test_dangling_vertices_handled(self):
         g = LabeledGraph.from_edges([(0, 1)])
         g.add_vertex(2)  # isolated: dangling mass redistributes
-        for backend in ("pure", "numpy"):
-            scores = pagerank(g, backend=backend)
+        for body in (pagerank_pure, pagerank_csr):
+            scores = body(g)
             assert sum(scores.values()) == pytest.approx(1.0, abs=1e-6)
             assert scores[2] > 0
 
@@ -62,11 +68,13 @@ class TestBackendAgreement:
     def test_pure_and_numpy_agree(self, seed):
         g = random_connected_graph(30, 12, seed)
         pure = pagerank_pure(g, max_iter=200, tol=1e-12)
-        vec = pagerank_numpy(g, max_iter=200, tol=1e-12)
+        vec = pagerank_csr(g, max_iter=200, tol=1e-12)
         for v in g.vertices():
             assert pure[v] == pytest.approx(vec[v], abs=1e-6)
 
-    def test_auto_backend_selects(self, triangle_graph):
-        # Small graph goes pure; both produce a full score map.
-        scores = pagerank(triangle_graph)
-        assert set(scores) == {"a", "b", "c"}
+    def test_auto_backend_selects(self, triangle_graph, monkeypatch):
+        # Below the threshold the plain-list body runs, from it the CSR one.
+        assert pagerank(triangle_graph) == pagerank_pure(triangle_graph)
+        monkeypatch.setattr(PAGERANK_MODULE, "_NUMPY_THRESHOLD", 3)
+        assert pagerank(triangle_graph) == pagerank_csr(triangle_graph)
+        assert set(pagerank(triangle_graph)) == {"a", "b", "c"}

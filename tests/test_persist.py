@@ -14,10 +14,12 @@ import pytest
 
 from repro.core import PPKWS, PublicIndex, load_index, save_index
 from repro.exceptions import IndexBuildError, IndexCorruptError
-from repro.graph import LabeledGraph
+from repro.graph import FrozenGraph, LabeledGraph, freeze
 from repro.sketches.base import DistanceSketch
 from repro.sketches.kpads import KeywordSketch
 from tests.conftest import (
+    PREFROZEN,
+    handed,
     join_index_file,
     random_connected_graph,
     split_index_file,
@@ -200,16 +202,21 @@ def _assert_same_index(loaded: PublicIndex, built: PublicIndex) -> None:
 class TestRoundTripProperty:
     @pytest.mark.parametrize("weights", ["unit", "float", "mixed"])
     @pytest.mark.parametrize("vertices", ["int", "str", "mixed"])
-    @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "dict"])
-    def test_loaded_index_is_the_built_one(self, tmp_path, vertices, weights, freeze):
+    @pytest.mark.parametrize("prefrozen", PREFROZEN, ids=["dict", "frozen"])
+    def test_loaded_index_is_the_built_one(self, tmp_path, vertices, weights, prefrozen):
         for seed in (1, 2, 3):
             g = _property_graph(seed, vertices, weights)
-            built = PublicIndex.build(g, k=2, freeze=freeze)
+            built = PublicIndex.build(handed(g, prefrozen), k=2)
+            assert isinstance(built.graph, FrozenGraph)
             path = tmp_path / f"{seed}.idx"
             save_index(built, path)
             _assert_same_index(load_index(built.graph, path), built)
-            # the other backend's view of the same graph loads it too
-            _assert_same_index(load_index(g, path), built)
+            # the LabeledGraph and a fresh freeze of it load it too, and
+            # every route serves a frozen graph
+            for graph in (g, freeze(g)):
+                loaded = load_index(graph, path)
+                assert isinstance(loaded.graph, FrozenGraph)
+                _assert_same_index(loaded, built)
 
     def test_equal_indexes_give_identical_bytes(self, tmp_path):
         g = _property_graph(5, "mixed", "mixed")
@@ -250,22 +257,27 @@ class TestRoundTripProperty:
             save_index(bad, tmp_path / "idx")
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "dict"])
+    @pytest.mark.parametrize("prefrozen", PREFROZEN, ids=["dict", "frozen"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_engine_over_loaded_index_replays_the_golden_workload(
-        self, tmp_path, seed, freeze
+        self, tmp_path, seed, prefrozen
     ):
-        """The strongest order check: every golden row, byte for byte."""
+        """The strongest order check: every golden row, byte for byte.
+
+        ``dict`` builds, loads and constructs from the ``LabeledGraph``
+        (the ``repro query --index`` route), ``frozen`` from its freeze.
+        """
         data = os.path.join(
             os.path.dirname(__file__), "data", "engine_equivalence.json"
         )
         with open(data, encoding="utf-8") as fh:
             expected = json.load(fh)["seeds"][str(seed)]
         public, private = seeded_network(seed)
-        built = PublicIndex.build(public, k=2, freeze=freeze)
-        save_index(built, tmp_path / "idx")
-        loaded = load_index(built.graph, tmp_path / "idx")
-        engine = PPKWS(built.graph, sketch_k=2, index=loaded, freeze=freeze)
+        public = handed(public, prefrozen)
+        save_index(PublicIndex.build(public, k=2), tmp_path / "idx")
+        loaded = load_index(public, tmp_path / "idx")
+        engine = PPKWS(public, sketch_k=2, index=loaded)
+        assert isinstance(engine.public, FrozenGraph)
         engine.attach("owner", private)
         actual = run_workload(engine)
         for semantics in ("blinks", "rclique", "banks", "knk", "knk_multi"):

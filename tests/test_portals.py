@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.graph import (
     INF,
+    FrozenGraph,
     LabeledGraph,
     combine,
     dijkstra,
@@ -34,7 +35,7 @@ from repro.portals import (
 )
 from repro.sketches import build_kpads, build_pads
 from repro.portals.oracle import SketchPublicDistance
-from tests.conftest import random_connected_graph
+from tests.conftest import handed, random_connected_graph
 
 
 def _random_public_private(seed: int, n_pub: int = 30, n_priv: int = 12):
@@ -662,42 +663,68 @@ class TestAttachMaps:
         """
         from repro.core.framework import PPKWS
 
-        class Recording(LabeledGraph):
-            __slots__ = ("expanded",)
+        class ReadLog:
+            """``indptr`` that logs every index the kernel reads."""
 
-            def neighbor_items(self, v):
-                self.expanded.append(v)
-                return super().neighbor_items(v)
+            def __init__(self, indptr, reads):
+                self.indptr, self.reads = indptr, reads
 
-        pub = Recording("path")
-        pub.expanded = []
+            def __getitem__(self, i):
+                self.reads.append(i)
+                return self.indptr[i]
+
+        class Recording(FrozenGraph):
+            """Logs the vertices whose adjacency a CSR kernel scans.
+
+            A kernel expands vertex ``i`` by reading ``indptr[i]`` and
+            then ``indptr[i + 1]``, so every other read is an expanded
+            vertex.  Off until :attr:`reads` is a list (the index build
+            wants the plain arrays).
+            """
+
+            reads = None
+
+            def csr(self):
+                indptr, indices, weights = super().csr()
+                if Recording.reads is None:
+                    return indptr, indices, weights
+                return ReadLog(indptr, Recording.reads), indices, weights
+
+            @property
+            def expanded(self):
+                return [self.vertex_table[i] for i in Recording.reads[::2]]
+
+        path = LabeledGraph("path")
         names = [f"v{i:03d}" for i in range(401)]
         for u, v in zip(names, names[1:]):
-            pub.add_edge(u, v)
+            path.add_edge(u, v)
+        pub = Recording(path)
         priv = LabeledGraph("shortcut")
         priv.add_edge("v100", "x", 1.5)
         priv.add_edge("x", "v300", 1.5)
 
-        engine = PPKWS(pub, sketch_k=2, freeze=False)
-        del pub.expanded[:]  # the index build walked everything
+        engine = PPKWS(pub, sketch_k=2)
+        assert engine.public is pub
+        Recording.reads = []
         attachment = engine.attach("owner", priv)
         assert attachment.private_portal_map.get("v100", "v300") == 3.0
         assert attachment.portal_map.get("v100", "v300") == 3.0
         assert not attachment.has_refined_portals
         # strictly inside d' = 3 of the sweep's source, and nothing else
-        exact = dijkstra(pub, "v100")
-        del pub.expanded[:]
+        exact = dijkstra(path, "v100")
         engine.detach("owner")
+        Recording.reads = []
         engine.attach("owner", priv)
         assert pub.expanded, "the public sweep never ran"
         assert all(exact[v] < 3.0 for v in pub.expanded)
         assert len(set(pub.expanded)) <= 5  # v098..v102
 
         # the same kernel, asked without a bound, walks to the target
-        del pub.expanded[:]
+        Recording.reads = []
         full = all_pairs_portal_distances(pub, attachment.portals)
+        Recording.reads, expanded = None, pub.expanded
         assert full.get("v100", "v300") == 200.0
-        assert len(set(pub.expanded)) >= 200
+        assert len(set(expanded)) >= 200
 
 
 # ----------------------------------------------------------------------
@@ -759,7 +786,7 @@ class TestVertexDetours:
             for g in (pub, priv):
                 for u, v, w in list(g.edges()):
                     g.add_edge(u, v, w * rng.uniform(0.9, 1.1))
-        engine = PPKWS(pub, sketch_k=2, freeze=backend == "csr")
+        engine = PPKWS(handed(pub, backend == "csr"), sketch_k=2)
         attachment = engine.attach("owner", priv)
         oracle = attachment.oracle
         vertices = sorted(priv.vertices(), key=repr)

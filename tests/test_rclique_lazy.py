@@ -12,7 +12,7 @@ list first.  This suite holds the two equal on seeded graphs:
 * list sizes ``m`` that bind and that are slack, with extra "portal"
   candidates on every keyword;
 * tau from 1 to 50, k = 1, 5 and 32, and the bound enforced or not;
-* both graph backends (``REPRO_ENGINE_BACKEND`` picks one).
+* both graph types (the mutable ``LabeledGraph`` and a ``FrozenGraph``).
 
 Answers must match in order, vertices and weights, and every list the
 paused index holds when the search returns must be a prefix of the
@@ -23,7 +23,6 @@ index is.
 from __future__ import annotations
 
 import math
-import os
 import random
 
 import pytest
@@ -40,9 +39,7 @@ from tests.conftest import Twin
 from tests.reference_neighbor_lists import reference_neighbor_lists
 from tests.reference_rclique import reference_rclique_search
 
-_BACKENDS = {"dict": (False,), "frozen": (True,)}.get(
-    os.environ.get("REPRO_ENGINE_BACKEND", ""), (False, True)
-)
+_BACKENDS = (False, True)
 SEEDS = range(36)
 WEIGHTS = ("unit", "float", "mixed")
 QUERIES = (["a", "b"], ["a", "b", "c"], ["c", "a", "c"], ["b"])

@@ -632,6 +632,30 @@ class TestErrorHandling:
         })
         assert resp["status"] == "error"
 
+    def test_unknown_networks_create_no_locks(self, service):
+        """A name that was never created answers ``unknown_network`` on
+        every op and leaves the per-network lock map as it was."""
+        query = {"keywords": ["db"], "tau": 1.0}
+        shapes = {
+            "knk": {"owner": "bob", "source": "x1", "keyword": "db"},
+            "blinks": dict(query, owner="bob"),
+            "stats": {},
+            "batch": {
+                "owner": "bob", "queries": [dict(query, op="blinks")],
+            },
+            "attach": {"owner": "eve", "private_edges": [[2, "e1"]]},
+            "detach": {"owner": "bob"},
+            "drop": {},
+        }
+        service.drop_network("net")  # a dropped name keeps its lock
+        before = len(service._network_locks)
+        for i in range(50):
+            for op, fields in shapes.items():
+                for network in (f"ghost-{op}-{i}", "net"):
+                    resp = service.execute(dict(fields, op=op, network=network))
+                    assert resp["code"] == "unknown_network", (op, resp)
+        assert len(service._network_locks) == before
+
     def test_unknown_owner(self, service):
         resp = service.execute({
             "op": "knk", "network": "net", "owner": "nobody",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 import random
 from collections import OrderedDict
 from dataclasses import replace
@@ -36,10 +35,6 @@ from tests.test_engine_registry import make_spec, scratch_registry  # noqa: F401
 from tests.test_service_shapes import QUERY_OPS, _query
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "engine_equivalence.json"
-
-# CI's semantics-matrix job re-runs this file per graph backend, so each
-# cell's built-in payloads go through the cache.
-_FREEZE = os.environ.get("REPRO_ENGINE_BACKEND", "frozen") != "dict"
 
 
 def _fixture_responses() -> List[Any]:
@@ -299,7 +294,7 @@ class TestRefusal:
 def service(small_public_private) -> PPKWSService:
     pub, priv = small_public_private
     svc = PPKWSService(sketch_k=2)
-    svc.adopt_network("net", PPKWS(pub, sketch_k=2, freeze=_FREEZE))
+    svc.adopt_network("net", PPKWS(pub, sketch_k=2))
     svc.attach_user("net", "bob", priv)
     return svc
 

@@ -45,14 +45,14 @@ def _tie_engine():
             g.add_edge(u, v, 1.0)
     for v in range(n):
         g.add_labels(v, {"a"} if v % 3 == 0 else {"b"})
-    return PPKWS(g, sketch_k=2, freeze=True)
+    return PPKWS(g, sketch_k=2)
 
 
 @needs_numpy
 class TestSweepKernel:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_columns_match_pure(self, seed):
-        engine = build_engine(seed, freeze=True)
+        engine = build_engine(seed)
         runtime = runtime_for(engine)
         assert runtime is not None
         rng = random.Random(seed * 31 + 7)
@@ -97,7 +97,7 @@ class TestSweepKernel:
 class TestSketchKernels:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_probe_many_matches_pure(self, seed):
-        engine = build_engine(seed, freeze=True)
+        engine = build_engine(seed)
         runtime = runtime_for(engine)
         assert runtime is not None
         kpads, pads = engine.index.kpads, engine.index.pads
@@ -111,7 +111,7 @@ class TestSketchKernels:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_top_candidates_many_matches_pure(self, seed):
-        engine = build_engine(seed, freeze=True)
+        engine = build_engine(seed)
         runtime = runtime_for(engine)
         assert runtime is not None
         kpads, pads = engine.index.kpads, engine.index.pads
