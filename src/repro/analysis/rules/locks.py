@@ -6,10 +6,7 @@ maps only ever being written while their guarding lock is held:
 ====================== ======================== =========================
 attribute              guarded by               owner
 ====================== ======================== =========================
-``_engines``           ``_engines_lock``        ``PPKWSService``
-``_epochs``            ``_engines_lock``        ``PPKWSService``
-``_lifecycles``        ``_engines_lock``        ``PPKWSService``
-``_network_locks``     ``_network_locks_lock``  ``PPKWSService``
+``_networks``          ``_networks_lock``       ``PPKWSService``
 ``_attachments``       ``_attachments_lock``    ``PPKWS``
 ``_owner_epochs``      ``_attachments_lock``    ``PPKWS``
 ====================== ======================== =========================
@@ -21,8 +18,9 @@ block naming the matching lock.  A nested ``def`` or ``lambda`` does
 not inherit the enclosing block's lock: its body runs when it is
 called, after the lock may have been released.  Reads stay
 unrestricted — single-key dict reads are atomic under the GIL and the
-code comments document where that is relied upon.  Constructor initialisation (``self._engines = {}``
-inside ``__init__``) is exempt: no other thread can hold the object yet.
+code comments document where that is relied upon.  Constructor
+initialisation (``self._networks = {}`` inside ``__init__``) is exempt:
+no other thread can hold the object yet.
 """
 
 from __future__ import annotations
@@ -36,10 +34,7 @@ __all__ = ["LockDisciplineRule", "GUARDED_ATTRIBUTES"]
 
 #: guarded attribute -> the lock attribute that must be held for writes.
 GUARDED_ATTRIBUTES: Dict[str, str] = {
-    "_engines": "_engines_lock",
-    "_epochs": "_engines_lock",
-    "_lifecycles": "_engines_lock",
-    "_network_locks": "_network_locks_lock",
+    "_networks": "_networks_lock",
     "_attachments": "_attachments_lock",
     "_owner_epochs": "_attachments_lock",
 }
@@ -173,7 +168,7 @@ class LockDisciplineRule(Rule):
     id = "RA001"
     title = "registry writes must hold the matching lock"
     rationale = (
-        "PPKWSService._engines/_epochs/_lifecycles/_network_locks and "
+        "PPKWSService._networks and "
         "PPKWS._attachments/_owner_epochs are read by concurrent "
         "requests; unlocked writes race with check-then-act sequences."
     )

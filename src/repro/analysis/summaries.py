@@ -18,8 +18,8 @@ cross-function reasoning lives in :class:`repro.analysis.flow.ProjectFlow`.
 
 Lock tokens
 -----------
-A token names a lock *family*, not an instance: ``self._engines_lock``
-inside ``PPKWSService`` becomes ``PPKWSService._engines_lock``; a
+A token names a lock *family*, not an instance: ``self._networks_lock``
+inside ``PPKWSService`` becomes ``PPKWSService._networks_lock``; a
 non-``self`` receiver keeps the bare attribute name (``w.lock`` ->
 ``lock``).  RWLock sides get a ``:read`` / ``:write`` suffix (only the
 write side is exclusive) and :func:`base_token` strips it.

@@ -11,14 +11,20 @@ Quick tour::
     from repro import obs
 
     registry = obs.MetricsRegistry()
-    obs.install(registry)                 # process-wide, or pass
-                                          # PPKWSService(registry=...)
+    obs.install(registry)                 # process-wide: every layer
+                                          # records into this one
 
     service.execute({"op": "blinks", ...})
 
     registry.value("ppkws_requests_total",
                    labels={"op": "blinks", "status": "ok"})
     print(obs.render_prometheus(registry))   # scrape-ready text
+
+There is one registry per process: the service, its answer cache, the
+executor and shard pools, the engine's pipeline steps and the batch op
+all record into :func:`installed`, and no constructor takes a registry
+of its own, so no metric family can land somewhere the ``metrics`` op
+does not look.
 
 Per-request traces ride in responses behind a request flag
 (``"trace": true``) and the service keeps the most recent slow / degraded

@@ -16,12 +16,10 @@ metric names stay in one catalogue:
 ``ppkws_query_work_total{pipeline,counter}``
     The :class:`~repro.core.framework.QueryCounters` fields, summed.
 ``ppkws_batch_cache_hits_total`` / ``ppkws_batch_cache_misses_total``
-    :class:`~repro.core.batch.BatchSession` completion-cache traffic.
+    Completion-cache traffic of a :class:`~repro.core.batch.BatchSession`
+    or a service ``batch`` request.
 
-The serving-layer hooks differ in one way: the service and executor
-resolve their *own* effective registry (constructor-injected, else the
-installed one), so these take the registry explicitly instead of
-reading the global:
+The serving-layer hooks record into the same installed registry:
 
 ``ppkws_answer_cache_hits_total`` / ``ppkws_answer_cache_misses_total``
     Cross-request :class:`~repro.serving.cache.AnswerCache` traffic.
@@ -36,9 +34,9 @@ reading the global:
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Any, Optional
+from typing import Any
 
-from repro.obs.registry import MetricsRegistry, installed
+from repro.obs.registry import installed
 
 __all__ = [
     "observe_pipeline",
@@ -116,8 +114,9 @@ def observe_batch_request(items_by_status: "dict[str, int]") -> None:
             )
 
 
-def observe_answer_cache(registry: Optional[MetricsRegistry], hit: bool) -> None:
+def observe_answer_cache(hit: bool) -> None:
     """Record one cross-request answer-cache lookup outcome."""
+    registry = installed()
     if registry is None:
         return
     if hit:
@@ -126,22 +125,17 @@ def observe_answer_cache(registry: Optional[MetricsRegistry], hit: bool) -> None
         registry.inc("ppkws_answer_cache_misses_total")
 
 
-def observe_executor_queue(
-    registry: Optional[MetricsRegistry], depth: int
-) -> None:
+def observe_executor_queue(depth: int) -> None:
     """Update the executor's queue-depth gauge."""
+    registry = installed()
     if registry is None:
         return
     registry.set_gauge("ppkws_executor_queue_depth", depth)
 
 
-def observe_executor_request(
-    registry: Optional[MetricsRegistry],
-    worker: str,
-    wait_s: float,
-    run_s: float,
-) -> None:
+def observe_executor_request(worker: str, wait_s: float, run_s: float) -> None:
     """Record one completed executor request: wait + per-worker latency."""
+    registry = installed()
     if registry is None:
         return
     registry.observe("ppkws_executor_wait_seconds", wait_s)

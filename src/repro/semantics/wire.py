@@ -44,6 +44,8 @@ __all__ = [
     "truss_cache_params",
     "check_count",
     "check_bound",
+    "check_vertex",
+    "VERTEX_TYPES",
 ]
 
 
@@ -177,15 +179,29 @@ def check_bound(field: str, value: Any) -> float:
     return float(value)
 
 
-def _source(request: Dict[str, Any]) -> Any:
-    """The request's ``source`` vertex: a string or a number."""
-    source = request["source"]
-    if isinstance(source, bool) or not isinstance(source, (str, int, float)):
+#: the types of a wire vertex id, matched exactly: ``True`` is an
+#: ``int`` only by accident (and equals vertex ``1``)
+VERTEX_TYPES = frozenset({str, int})
+
+
+def check_vertex(field: str, value: Any) -> Any:
+    """``value`` if it is a wire vertex id — a ``str`` or an ``int`` —
+    else :class:`QueryError` naming ``field``.
+
+    ``null``, booleans, floats and ``NaN`` are refused rather than built
+    into a graph that an index file could not even persist.
+    """
+    if type(value) not in VERTEX_TYPES:
         raise QueryError(
-            f"field 'source' must be a vertex (a string or a number), "
-            f"got {source!r}"
+            f"field {field!r}: a vertex must be a string or an integer, "
+            f"got {value!r}"
         )
-    return source
+    return value
+
+
+def _source(request: Dict[str, Any]) -> Any:
+    """The request's ``source`` vertex (see :func:`check_vertex`)."""
+    return check_vertex("source", request["source"])
 
 
 def _mode(request: Dict[str, Any]) -> str:

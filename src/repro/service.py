@@ -31,6 +31,15 @@ request may pin ``"v": 1``; any other version is rejected as
 (required/optional fields, read-vs-admin mode, cacheability) straight
 from the declarative op registry this module dispatches on.
 
+One request path
+----------------
+
+A query runs through fixed stages: field check → admission slot →
+read lock → answer cache → :meth:`PPKWSService._semantics_query` →
+trace.  A ``batch`` item is a request that takes its network, owner,
+admission slot and read lock from the batch and runs the same stages,
+so an item field means what it means on a single request.
+
 Concurrency contract
 --------------------
 
@@ -47,10 +56,11 @@ The service is built to be driven concurrently (see
 * The service admits at most ``max_in_flight`` concurrent requests
   (default: unlimited).  Requests beyond the cap fail fast with
   ``code: "overloaded"`` and ``retryable: true``.
-* The registry and per-engine attachment maps are additionally guarded
-  by plain locks, so concurrent creates/attaches of one name resolve to
-  exactly one winner and queries never observe a half-registered
-  network.
+* The registry is one map of immutable per-network records (lock,
+  engine, epoch, lifecycle).  Every change replaces a whole record under
+  one plain lock while holding the network's write lock, so concurrent
+  creates of one name resolve to exactly one winner and a reader sees a
+  whole record or none.
 
 Answer cache
 ------------
@@ -83,7 +93,8 @@ Robustness contract
   ``"ExceptionClass: message"`` and counted under the
   ``ppkws_internal_errors_total`` metric.
 
-Observability (see :mod:`repro.obs` and the README's catalogue):
+Observability (see :mod:`repro.obs` and the README's catalogue): every
+metric lands in the process-wide registry (:func:`repro.obs.install`).
 
 * Every request increments ``ppkws_requests_total{op,status}`` and
   records a ``ppkws_request_seconds{op}`` latency histogram sample;
@@ -95,9 +106,9 @@ Observability (see :mod:`repro.obs` and the README's catalogue):
   traces, answer-cache stats and a Prometheus text rendering; like
   ``help`` it bypasses admission control so operators keep their eyes
   during overload.
-* Any query request may set ``"trace": true`` to receive its own
-  ``counters`` and ``trace`` (per-step timings, budget expansions,
-  degradation fields) in the response.
+* Any query request (or batch item) may set ``"trace": true`` to receive
+  its own ``counters`` and ``trace`` (per-step timings, budget
+  expansions, degradation fields) in the response.
 """
 
 from __future__ import annotations
@@ -106,11 +117,15 @@ import os
 import threading
 import time
 import weakref
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property, partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import faults
+from repro.core.batch import BatchBudget
+from repro.core.budget import QueryBudget
 from repro.core.engine import (
     SemanticsSpec,
     registered_semantics,
@@ -119,6 +134,7 @@ from repro.core.engine import (
 )
 from repro.core.framework import PIPELINE_STEPS, PPKWS, QueryOptions
 from repro.core.persist import load_index, save_index
+from repro.core.pp_rclique import CompletionCache
 from repro.exceptions import (
     BudgetError,
     FaultInjectedError,
@@ -134,15 +150,15 @@ from repro.graph.frozen import freeze
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.traversal import INF
 from repro.obs import (
-    MetricsRegistry,
     QueryTrace,
     TraceRing,
     installed,
     observe_answer_cache,
+    observe_batch_cache,
     observe_batch_request,
     render_prometheus,
 )
-from repro.semantics.wire import check_bound
+from repro.semantics.wire import VERTEX_TYPES, check_bound, check_vertex
 from repro.serving import AnswerCache, RWLock
 from repro.serving.shards import ShardServingPool
 
@@ -164,6 +180,9 @@ ERROR_CODES: Tuple[str, ...] = (
 #: Request fields accepted on every op, next to the per-op spec fields.
 GLOBAL_REQUEST_FIELDS = frozenset({"op", "v", "trace", "no_cache"})
 _FLAG_FIELDS = ("no_cache", "trace")  # exact bools, else bad_request
+
+#: What a handler may raise and the facade maps to an error response.
+_HANDLED = (ReproError, KeyError, TypeError, ValueError, AttributeError)
 
 #: The one central exception -> wire-code map (first match wins; order
 #: matters because the later entries are superclasses of earlier ones).
@@ -205,13 +224,6 @@ def _error_response(exc: BaseException) -> Dict[str, Any]:
     }
 
 
-def _require(request: Dict[str, Any], *fields: str) -> None:
-    """Raise a clear error for the first missing request field."""
-    for f in fields:
-        if f not in request:
-            raise ReproError(f"missing field {f!r}")
-
-
 def _graph_from_request(request: Dict[str, Any], field_name: str) -> LabeledGraph:
     """Build a graph from a request payload.
 
@@ -219,23 +231,25 @@ def _graph_from_request(request: Dict[str, Any], field_name: str) -> LabeledGrap
     the wire-friendly pair ``<field>_edges`` (list of ``[u, v]`` or
     ``[u, v, weight]``) and optional ``<field>_labels``
     (vertex -> label list).  The wire form is validated, not trusted:
-    a weight that is not a positive finite number (``NaN`` would poison
-    every distance through its edge), labels that are not a list of
-    strings, or an unhashable vertex raise a :class:`ReproError` naming
-    the field — ``bad_request`` on the wire, before anything is built.
+    a vertex that is not a string or an integer
+    (:func:`~repro.semantics.wire.check_vertex`), a weight that is not a
+    positive finite number (``NaN`` would poison every distance through
+    its edge) or labels that are not a list of strings raise a
+    :class:`ReproError` naming the field — ``bad_request`` on the wire,
+    before anything is built.
     """
     graph = request.get(field_name)
     if isinstance(graph, LabeledGraph):
         return graph
+    edges_field, labels_field = f"{field_name}_edges", f"{field_name}_labels"
     if graph is not None:
         raise ReproError(
             f"field {field_name!r} must be a LabeledGraph "
-            f"(or send {field_name + '_edges'!r} instead)"
+            f"(or send {edges_field!r} instead)"
         )
-    edges_field, labels_field = f"{field_name}_edges", f"{field_name}_labels"
-    _require(request, edges_field)
-    edges = request[edges_field]
-    labels = request.get(labels_field)
+    if edges_field not in request:
+        raise ReproError(f"missing field {edges_field!r}")
+    edges, labels = request[edges_field], request.get(labels_field)
     if labels is None:  # absent or null: no labels; false, "" or [] are errors
         labels = {}
     if not isinstance(edges, (list, tuple)):
@@ -247,41 +261,38 @@ def _graph_from_request(request: Dict[str, Any], field_name: str) -> LabeledGrap
             f"field {labels_field!r} must map each vertex to a list of labels"
         )
     out = LabeledGraph()
-    where = edges_field
-    try:
-        for edge in edges:
-            if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+    for edge in edges:
+        if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+            raise ReproError(
+                f"field {edges_field!r} entries must be [u, v] or [u, v, weight]"
+            )
+        # the exact-type test keeps the common case call-free (a public
+        # graph is ~10^5 endpoints); check_vertex decides everything else
+        if type(edge[0]) not in VERTEX_TYPES or type(edge[1]) not in VERTEX_TYPES:
+            check_vertex(edges_field, edge[0])
+            check_vertex(edges_field, edge[1])
+        if len(edge) == 3:
+            w = edge[2]
+            # exact types: bool is an int only by accident; NaN fails both
+            # comparisons
+            if type(w) not in (int, float) or not 0 < w < INF:
                 raise ReproError(
-                    f"field {edges_field!r} entries must be [u, v] or [u, v, weight]"
+                    f"field {edges_field!r}: weight of edge {list(edge[:2])!r} "
+                    f"must be a positive finite number, got {w!r}"
                 )
-            if len(edge) == 3:
-                w = edge[2]
-                # NaN fails both comparisons; bool is an int only by accident
-                if (
-                    not isinstance(w, (int, float))
-                    or isinstance(w, bool)
-                    or not 0 < w < INF
-                ):
-                    raise ReproError(
-                        f"field {edges_field!r}: weight of edge "
-                        f"{list(edge[:2])!r} must be a positive finite "
-                        f"number, got {w!r}"
-                    )
-            out.add_edge(*edge)
-        where = labels_field
+        out.add_edge(*edge)
+    try:
         for v, ls in labels.items():
+            if type(v) not in VERTEX_TYPES:
+                check_vertex(labels_field, v)
             if not isinstance(ls, (list, tuple, set, frozenset)):
                 raise ReproError(
                     f"field {labels_field!r}: labels of {v!r} must be a list "
                     f"of strings, got {ls!r}"
                 )
             out.add_vertex(v, ls)
-    except TypeError:
-        # what a JSON array or object does as a dict key or set member
-        raise ReproError(
-            f"field {where!r}: vertices and labels must be hashable "
-            f"(strings or numbers)"
-        ) from None
+    except TypeError:  # what a JSON array or object does as a set member
+        raise ReproError(f"field {labels_field!r}: labels must be strings") from None
     # one look at each *distinct* label, not at every vertex's list
     for label in out.label_universe():
         if not isinstance(label, str):
@@ -297,15 +308,46 @@ def _budget_args(request: Dict[str, Any]) -> Dict[str, Any]:
     return {f: request[f] for f in _BUDGET_FIELDS if request.get(f) is not None}
 
 
-def _degradation_fields(result: Any) -> Dict[str, Any]:
-    """Status plus pipeline-progress fields for a query result."""
-    if not result.degraded:
-        return {"status": "ok"}
-    return {
-        "status": "degraded",
-        "completed_steps": list(result.completed_steps),
-        "interrupted_step": result.interrupted_step,
-    }
+def _trace(
+    request: Any,
+    op: Any,
+    response: Dict[str, Any],
+    duration_ms: float,
+    error: Optional[str],
+    ctx: Dict[str, Any],
+) -> QueryTrace:
+    """The :class:`QueryTrace` of one finished request or batch item.
+
+    ``ctx`` holds what the query stage stashed (``result``, ``budget``).
+    A request that asked for it (``"trace": true``) also gets the trace
+    in its ``response``, plus the engine's ``counters`` when a query ran.
+    """
+    fields = request if isinstance(request, dict) else {}
+    network, owner = fields.get("network"), fields.get("owner")
+    result, budget = ctx.get("result"), ctx.get("budget")
+    trace = QueryTrace(
+        op=op if isinstance(op, str) else repr(op),
+        status=response.get("status", "error"),
+        duration_ms=duration_ms,
+        network=network if isinstance(network, str) else None,
+        owner=owner if isinstance(owner, str) else None,
+        expansions=None if budget is None else budget.expansions,
+        error=error,
+    )
+    if result is not None:
+        trace.step_ms = {
+            step: getattr(result.breakdown, step) * 1000.0
+            for step in PIPELINE_STEPS
+        }
+        trace.counters = asdict(result.counters)
+        trace.degraded = result.degraded
+        trace.completed_steps = tuple(result.completed_steps)
+        trace.interrupted_step = result.interrupted_step
+    if fields.get("trace") is True:
+        if result is not None:
+            response["counters"] = dict(trace.counters)
+        response["trace"] = trace.to_dict()
+    return trace
 
 
 # ----------------------------------------------------------------------
@@ -341,16 +383,15 @@ class OpSpec:
     cacheable: bool = False
     cache_params: Optional[Callable[[Dict[str, Any]], Tuple[Any, ...]]] = None
     summary: str = ""
-    #: every accepted field: computed once, read on every request
-    known_fields: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("read", "admin", "control"):
             raise ValueError(f"bad op mode {self.mode!r}")
-        object.__setattr__(
-            self, "known_fields",
-            GLOBAL_REQUEST_FIELDS.union(self.required, self.optional),
-        )
+
+    @cached_property
+    def known_fields(self) -> frozenset:
+        """Every accepted field: computed once, read on every request."""
+        return GLOBAL_REQUEST_FIELDS.union(self.required, self.optional)
 
 
 #: budget knobs shared by every query op
@@ -368,13 +409,9 @@ def _query_op(spec: SemanticsSpec) -> OpSpec:
     registering a semantics (see ``README.md`` "Semantics plugins") is
     all it takes to put it on the wire.
     """
-    def handler(
-        service: "PPKWSService", request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        return service._semantics_query(request, spec)
-
     return OpSpec(
-        spec.name, handler,
+        spec.name,
+        lambda service, request: service._semantics_query(request, spec),
         required=spec.wire_required,
         optional=tuple(spec.wire_optional) + _BUDGET_FIELDS,
         cacheable=True,
@@ -419,6 +456,26 @@ def _current_ops() -> Dict[str, "OpSpec"]:
         return ops
 
 
+@dataclass(frozen=True)
+class _Network:
+    """One name's registry record; every change replaces it whole.
+
+    ``engine`` is ``None`` while the first build runs (``building``) and
+    after a drop; the record, and so ``lock``, outlives the drop, so
+    late requests against a dropped name still lock consistently.
+    ``epoch`` counts every admin op of the name and is never reset (a
+    re-created network must not revive old answers); ``lifecycle`` is
+    the epoch of its last create / adopt / drop: which life of the name
+    an answer-cache entry belongs to.
+    """
+
+    lock: RWLock
+    engine: Optional[PPKWS] = None
+    epoch: int = 0
+    lifecycle: int = 0
+    building: bool = False
+
+
 class PPKWSService:
     """Named-network registry plus a uniform request executor.
 
@@ -431,10 +488,9 @@ class PPKWSService:
     of ``None`` keeps entries until evicted or their owner's attachment
     (or their network's life) changes.
 
-    ``registry`` receives this service's request metrics; when ``None``
-    the process-wide registry (:func:`repro.obs.install`) is used, and
-    when none is installed either, instrumentation reduces to a ``None``
-    check per request.  ``slow_query_ms`` is the latency above which an
+    Metrics go to the process-wide registry (:func:`repro.obs.install`);
+    when none is installed, instrumentation reduces to a ``None`` check
+    per request.  ``slow_query_ms`` is the latency above which an
     otherwise-healthy request is recorded in the trace ring of size
     ``trace_ring_size``.
     """
@@ -444,7 +500,6 @@ class PPKWSService:
         sketch_k: int = 2,
         options: Optional[QueryOptions] = None,
         max_in_flight: Optional[int] = None,
-        registry: Optional[MetricsRegistry] = None,
         slow_query_ms: float = 1000.0,
         trace_ring_size: int = 128,
         answer_cache_size: int = 1024,
@@ -452,20 +507,9 @@ class PPKWSService:
     ):
         self._sketch_k = sketch_k
         self._options = options
-        #: name -> engine; ``None`` marks a reservation (build in flight)
-        self._engines: Dict[str, Optional[PPKWS]] = {}
-        #: guards every check-then-act on :attr:`_engines` and the epochs
-        self._engines_lock = threading.Lock()
-        #: name -> monotonic epoch; bumped by every admin op, *never*
-        #: deleted (a re-created network must not revive old answers)
-        self._epochs: Dict[str, int] = {}
-        #: name -> the epoch of its last create / adopt / drop: which
-        #: life of the name an answer-cache entry belongs to
-        self._lifecycles: Dict[str, int] = {}
-        #: name -> the network's reader-writer lock (kept across drop so
-        #: late requests against a dropped name still lock consistently)
-        self._network_locks: Dict[Any, RWLock] = {}
-        self._network_locks_lock = threading.Lock()
+        #: name -> its record; a name gets one on its first create
+        self._networks: Dict[Any, _Network] = {}
+        self._networks_lock = threading.Lock()
         self._answer_cache: Optional[AnswerCache] = (
             AnswerCache(answer_cache_size, answer_cache_ttl_s)
             if answer_cache_size
@@ -474,11 +518,10 @@ class PPKWSService:
         self._max_in_flight = max_in_flight
         self._in_flight = 0
         self._admission_lock = threading.Lock()
-        self._registry = registry
         self._slow_query_ms = slow_query_ms
         self._traces = TraceRing(trace_ring_size)
-        #: per-thread scratch where query handlers deposit the result /
-        #: budget objects so ``execute`` can assemble the QueryTrace
+        #: per-thread scratch where the query stage deposits the result /
+        #: budget objects and handlers their warnings
         self._tls = threading.local()
         #: executors serving this service (weak: an executor keeps the
         #: service alive, never the reverse); feeds the ``health`` op
@@ -498,10 +541,6 @@ class PPKWSService:
         #: outside the lock — the reservation that keeps a concurrent
         #: enable exact without holding _shard_lock across process spawn
         self._shard_reserved = False
-
-    def _metrics_registry(self) -> Optional[MetricsRegistry]:
-        """The effective registry: constructor-injected, else installed."""
-        return self._registry if self._registry is not None else installed()
 
     @property
     def answer_cache(self) -> Optional[AnswerCache]:
@@ -530,41 +569,79 @@ class PPKWSService:
             ctx.setdefault("warnings", []).append(message)
 
     # ------------------------------------------------------------------
-    # per-network locks and epochs
+    # the network registry
     # ------------------------------------------------------------------
     def _network_lock(self, network: Any, create: bool = False) -> RWLock:
         """The reader-writer lock for ``network``.
 
-        Only ``create_network`` and ``adopt_network`` pass ``create``:
-        every other op on a name that was never created raises
+        Only a create (:meth:`_install`) passes ``create``: every other
+        op on a name that was never created raises
         :class:`UnknownNetworkError` here, so request-supplied names
-        cannot grow the map.  A dropped name keeps its lock.
+        cannot grow the map.  A dropped name keeps its lock.  The read is
+        lock-free: records are immutable and a name's lock never changes.
         """
-        with self._network_locks_lock:
-            lock = self._network_locks.get(network)
-            if lock is None:
-                if not create:
-                    raise UnknownNetworkError(network)
-                lock = self._network_locks[network] = RWLock()
-            return lock
+        record = self._networks.get(network)
+        if record is None:
+            if not create:
+                raise UnknownNetworkError(network)
+            with self._networks_lock:
+                record = self._networks.get(network)
+                if record is None:
+                    record = self._networks[network] = _Network(RWLock())
+        return record.lock
+
+    def _update(self, name: str, **changes: Any) -> None:
+        """Replace ``name``'s record by a copy with ``changes``.
+
+        The caller holds the network's write lock, so no other admin op
+        of the name races the read-modify-write.
+        """
+        with self._networks_lock:
+            self._networks[name] = replace(self._networks[name], **changes)
+
+    def _new_life(self, name: str, engine: Optional[PPKWS]) -> None:
+        """Start a new life of ``name`` around ``engine`` (``None``: the
+        drop).  Its epoch moves, so no cached answer crosses over, and
+        the ``ppkws_networks`` gauge follows."""
+        epoch = self._networks[name].epoch + 1
+        self._update(
+            name, engine=engine, epoch=epoch, lifecycle=epoch, building=False
+        )
+        registry = installed()
+        if registry is not None:
+            registry.set_gauge("ppkws_networks", len(self.networks()))
 
     def network_epoch(self, network: str) -> int:
         """The network's current cache epoch (0 before any admin op)."""
-        with self._engines_lock:
-            return self._epochs.get(network, 0)
-
-    def _bump_epoch(self, network: str) -> None:
-        with self._engines_lock:
-            self._epochs[network] = self._epochs.get(network, 0) + 1
+        record = self._networks.get(network)
+        return 0 if record is None else record.epoch
 
     def _answer_token(self, network: str, owner: Any) -> Tuple[int, Any]:
         """What a cached answer of ``owner`` must match to be served:
-        (the network's life, that owner's engine epoch).  One registry-lock
-        round trip; the engine's per-owner read is a lock-free dict get."""
-        with self._engines_lock:
-            engine = self._engines.get(network)
-            lifecycle = self._lifecycles.get(network, 0)
-        return lifecycle, None if engine is None else engine.owner_epoch(owner)
+        (the network's life, that owner's engine epoch).  The caller
+        holds the network's read lock, so the record cannot move; both
+        reads are lock-free dict gets."""
+        record = self._networks[network]
+        engine = record.engine
+        epoch = None if engine is None else engine.owner_epoch(owner)
+        return record.lifecycle, epoch
+
+    def _records(self) -> List[Tuple[Any, _Network]]:
+        with self._networks_lock:
+            return list(self._networks.items())
+
+    def networks(self) -> List[str]:
+        """Registered network names (builds in flight excluded)."""
+        return sorted(n for n, r in self._records() if r.engine is not None)
+
+    def _engine(self, network: str) -> PPKWS:
+        # A build in flight holds the write lock, so every locked caller
+        # sees the finished engine (or no record); only lock-free callers
+        # can find a record still building, and it reads as unknown.
+        record = self._networks.get(network)
+        if record is None or record.engine is None:
+            raise UnknownNetworkError(network)
+        return record.engine
 
     # ------------------------------------------------------------------
     # administration
@@ -592,22 +669,14 @@ class PPKWSService:
         *unwritable* ``index_path`` is a configuration error and raises
         :class:`ReproError` (the network is not registered).
 
-        Thread-safe: the name is reserved under the registry lock before
-        the (expensive) index build starts, so concurrent creates of the
-        same name resolve to exactly one winner — the others fail with
-        ``"already exists"`` — without serializing builds of *different*
-        networks.  Takes the network's write lock, and bumps its cache
-        epoch so answers from a previous same-named network can never be
-        served against the new one.
+        Thread-safe: the build runs under the network's write lock, so
+        concurrent creates of the same name resolve to exactly one
+        winner — the others fail with ``"already exists"`` — without
+        serializing builds of *different* networks.  The new life bumps
+        the name's cache epoch so answers from a previous same-named
+        network can never be served against the new one.
         """
-        with self._network_lock(name, create=True).write_locked():
-            self._create_network_exclusive(name, public, index_path)
-            pool = self._shard_pool
-            if pool is not None:
-                pool.admin_create(name, self._engine(name))
-        registry = self._metrics_registry()
-        if registry is not None:
-            registry.set_gauge("ppkws_networks", len(self.networks()))
+        self._install(name, partial(self._build_engine, public, index_path))
 
     def adopt_network(self, name: str, engine: PPKWS) -> None:
         """Register an already-built engine under ``name``.
@@ -616,71 +685,56 @@ class PPKWSService:
         shared-memory graph and rebuilds the engine around the shipped
         index (:mod:`repro.serving.shards`), then adopts it here —
         ``create_network`` would re-freeze and re-index from scratch.
-        Same exclusion and epoch discipline as a regular create.
         """
-        with self._network_lock(name, create=True).write_locked():
-            with self._engines_lock:
-                if name in self._engines:
-                    raise ReproError(f"network {name!r} already exists")
-                self._engines[name] = engine
-                self._epochs[name] = self._lifecycles[name] = (
-                    self._epochs.get(name, 0) + 1
-                )
+        self._install(name, lambda: engine)
 
-    def _create_network_exclusive(
-        self,
-        name: str,
-        public: LabeledGraph,
-        index_path: Optional[str],
-    ) -> None:
-        with self._engines_lock:
-            if name in self._engines:
+    def _install(self, name: str, build: Callable[[], PPKWS]) -> None:
+        """Give ``name`` a new life around ``build()``'s engine: the one
+        exclusion and epoch discipline of every create."""
+        with self._network_lock(name, create=True).write_locked():
+            if self._networks[name].engine is not None:
                 raise ReproError(f"network {name!r} already exists")
-            self._engines[name] = None  # reserve while we build
-        try:
-            index = None
-            frozen_public = freeze(public)
-            if index_path is not None:
-                try:
-                    index = load_index(frozen_public, index_path)
-                    if index.pads.k != self._sketch_k:
-                        index = None  # stale: written under another sketch_k
-                except FileNotFoundError:
-                    index = None
-                except IndexCorruptError as exc:
-                    # Damaged file: quarantine the evidence, warn, rebuild.
-                    index = None
-                    self._quarantine_index(index_path, exc)
-                except (ReproError, OSError, ValueError, KeyError, TypeError):
-                    # Stale (or otherwise unusable) index file: rebuild
-                    # and replace it.
-                    index = None
-            engine = PPKWS(
-                frozen_public,
-                sketch_k=self._sketch_k,
-                options=self._options,
-                index=index,
-            )
-            if index_path is not None and index is None:
-                try:
-                    save_index(engine.index, index_path)
-                except OSError as exc:
-                    # An unwritable/invalid path is a caller error, not a
-                    # cache miss: surface it as a library error so the
-                    # facade's "no library exception escapes" contract
-                    # holds (OSError used to propagate out of execute).
-                    raise ReproError(
-                        f"cannot save index to {index_path!r}: {exc}"
-                    ) from exc
-        except BaseException:
-            with self._engines_lock:
-                self._engines.pop(name, None)  # release the reservation
-            raise
-        with self._engines_lock:
-            self._engines[name] = engine
-            self._epochs[name] = self._lifecycles[name] = (
-                self._epochs.get(name, 0) + 1
-            )
+            self._update(name, building=True)
+            try:
+                engine = build()
+            except BaseException:
+                self._update(name, building=False)
+                raise
+            self._new_life(name, engine)
+            self._replicate(lambda pool: pool.admin_create(name, engine))
+
+    def _build_engine(
+        self, public: LabeledGraph, index_path: Optional[str]
+    ) -> PPKWS:
+        index = None
+        frozen_public = freeze(public)
+        if index_path is not None:
+            try:
+                index = load_index(frozen_public, index_path)
+            except IndexCorruptError as exc:
+                # Damaged file: quarantine the evidence, warn, rebuild.
+                self._quarantine_index(index_path, exc)
+            except (ReproError, OSError, ValueError, KeyError, TypeError):
+                pass  # missing, stale or otherwise unusable: rebuild it
+            if index is not None and index.pads.k != self._sketch_k:
+                index = None  # stale: written under another sketch_k
+        engine = PPKWS(
+            frozen_public,
+            sketch_k=self._sketch_k,
+            options=self._options,
+            index=index,
+        )
+        if index_path is not None and index is None:
+            try:
+                save_index(engine.index, index_path)
+            except OSError as exc:
+                # An unwritable/invalid path is a caller error, not a
+                # cache miss: surface it as a library error so the
+                # facade's "no library exception escapes" contract holds.
+                raise ReproError(
+                    f"cannot save index to {index_path!r}: {exc}"
+                ) from exc
+        return engine
 
     def _quarantine_index(self, index_path: str, exc: IndexCorruptError) -> None:
         """Move a corrupt index file aside and report the event.
@@ -693,18 +747,14 @@ class PPKWSService:
         quarantine_path = f"{index_path}.corrupt"
         try:
             os.replace(index_path, quarantine_path)
+            where = f"quarantined to {quarantine_path!r}"
         except OSError:
             # The file vanished or the directory is read-only; the
             # rebuild path below will surface any real config error.
-            quarantine_path = None  # type: ignore[assignment]
-        registry = self._metrics_registry()
+            where = "quarantine failed; rebuilding over it"
+        registry = installed()
         if registry is not None:
             registry.inc("ppkws_index_corrupt_total")
-        where = (
-            f"quarantined to {quarantine_path!r}"
-            if quarantine_path is not None
-            else "quarantine failed; rebuilding over it"
-        )
         self._warn(
             f"corrupt index file {index_path!r} ({exc.reason}); "
             f"{where}; rebuilding index"
@@ -717,21 +767,9 @@ class PPKWSService:
         and bumps its epoch so cached answers die with it.
         """
         with self._network_lock(name).write_locked():
-            with self._engines_lock:
-                if self._engines.get(name) is None:
-                    # Absent, or reserved by an in-flight create (not ours
-                    # to drop until the create finishes).
-                    raise UnknownNetworkError(name)
-                del self._engines[name]
-                self._epochs[name] = self._lifecycles[name] = (
-                    self._epochs.get(name, 0) + 1
-                )
-            pool = self._shard_pool
-            if pool is not None:
-                pool.admin_drop(name)
-        registry = self._metrics_registry()
-        if registry is not None:
-            registry.set_gauge("ppkws_networks", len(self.networks()))
+            self._engine(name)  # an absent name is unknown_network
+            self._new_life(name, None)
+            self._replicate(lambda pool: pool.admin_drop(name))
 
     def attach_user(self, network: str, owner: str, private: LabeledGraph) -> int:
         """Attach a user's private graph; returns the portal count.
@@ -741,12 +779,11 @@ class PPKWSService:
         survives it; other owners' cached answers stay valid.
         """
         with self._network_lock(network).write_locked():
-            engine = self._engine(network)
-            attachment = engine.attach(owner, private)
-            self._bump_epoch(network)
-            pool = self._shard_pool
-            if pool is not None:
-                pool.admin_attach(network, owner, private)
+            attachment = self._engine(network).attach(owner, private)
+            self._update(network, epoch=self._networks[network].epoch + 1)
+            self._replicate(
+                lambda pool: pool.admin_attach(network, owner, private)
+            )
         return len(attachment.portals)
 
     def detach_user(self, network: str, owner: str) -> None:
@@ -754,29 +791,19 @@ class PPKWSService:
         answers die with the attachment, nobody else's)."""
         with self._network_lock(network).write_locked():
             self._engine(network).detach(owner)
-            self._bump_epoch(network)
-            pool = self._shard_pool
-            if pool is not None:
-                pool.admin_detach(network, owner)
-
-    def networks(self) -> List[str]:
-        """Registered network names (reservations excluded)."""
-        with self._engines_lock:
-            return sorted(n for n, e in self._engines.items() if e is not None)
-
-    def _engine(self, network: str) -> PPKWS:
-        with self._engines_lock:
-            try:
-                engine = self._engines[network]
-            except KeyError:
-                raise UnknownNetworkError(network) from None
-        if engine is None:
-            raise UnknownNetworkError(network, "is still being created")
-        return engine
+            self._update(network, epoch=self._networks[network].epoch + 1)
+            self._replicate(lambda pool: pool.admin_detach(network, owner))
 
     # ------------------------------------------------------------------
     # process-based sharding
     # ------------------------------------------------------------------
+    def _replicate(self, admin: Callable[[ShardServingPool], Any]) -> None:
+        """Replay one admin op into the shard pool, when sharding is on
+        (the caller holds the network's write lock)."""
+        pool = self._shard_pool
+        if pool is not None:
+            admin(pool)
+
     @property
     def shard_pool(self) -> Optional[ShardServingPool]:
         """The active shard pool (``None`` unless sharding is enabled)."""
@@ -801,9 +828,7 @@ class PPKWSService:
                 raise ReproError("sharding is already enabled")
             self._shard_reserved = True
         try:
-            pool = ShardServingPool(
-                shards, registry=self._metrics_registry()
-            )
+            pool = ShardServingPool(shards)
         except BaseException:
             with self._shard_lock:
                 self._shard_reserved = False
@@ -818,12 +843,9 @@ class PPKWSService:
         # shipped (worker-side attach replay is idempotent).
         for name in self.networks():
             with self._network_lock(name).write_locked():
-                try:
-                    engine = self._engine(name)
-                except UnknownNetworkError:
-                    continue  # dropped while we were replicating
-                if name in pool.networks():
-                    continue
+                engine = self._networks[name].engine
+                if engine is None or name in pool.networks():
+                    continue  # dropped meanwhile, or already shipped
                 pool.admin_create(name, engine)
                 for owner in engine.owners():
                     pool.admin_attach(
@@ -866,8 +888,7 @@ class PPKWSService:
         started = time.perf_counter()
         self._tls.ctx = ctx = {}
         error_class: Optional[str] = None
-        internal_error = False
-        query_class = False
+        spec: Optional[OpSpec] = None
         op = request.get("op") if isinstance(request, dict) else None
         try:
             faults.fire(SERVICE_EXECUTE)
@@ -880,18 +901,6 @@ class PPKWSService:
                     f"unknown op {op!r}; valid ops: {sorted(ops)} "
                     "(send {'op': 'help'} for the catalogue)"
                 )
-            # Cacheable == the generated per-semantics query ops: the
-            # request class whose latency the overload hint models.
-            query_class = spec.cacheable
-            version = request.get("v")
-            # exact int: True == 1 must not pin v1
-            if version is not None and (
-                type(version) is not int or version != PROTOCOL_VERSION
-            ):
-                raise ReproError(
-                    f"unsupported protocol version {version!r} "
-                    f"(this service speaks v{PROTOCOL_VERSION})"
-                )
             self._check_fields(spec, request)
             if spec.mode == "control":
                 # Introspection must survive overload: no admission slot.
@@ -901,11 +910,9 @@ class PPKWSService:
             else:
                 with self._admit():
                     response = self._execute_locked(spec, request)
-        except (ReproError, KeyError, TypeError, ValueError, OSError,
-                AttributeError) as exc:
+        except _HANDLED + (OSError,) as exc:
             error_class = type(exc).__name__
             response = _error_response(exc)
-            internal_error = response["code"] == "internal"
             if response["code"] == "overloaded":
                 # How long the caller should back off before resubmitting:
                 # roughly one average request draining from the pool.
@@ -915,20 +922,32 @@ class PPKWSService:
         if "warnings" in ctx:
             response["warnings"] = ctx["warnings"]
         response["v"] = PROTOCOL_VERSION
-        self._observe_request(request, op, response, ctx, started,
-                              error_class, internal_error, query_class)
+        # Cacheable == the generated per-semantics query ops: the
+        # request class whose latency the overload hint models.
+        query_class = spec is not None and spec.cacheable
+        self._observe_request(request, op, query_class, response, ctx,
+                              started, error_class)
         return response
 
     def _check_fields(
         self, spec: "OpSpec", request: Dict[str, Any], prefix: str = ""
     ) -> None:
-        """Warn about unknown fields, then reject a missing field, a bad
-        flag, a non-string network or owner, or a malformed budget field.
+        """The field check of a request or batch item.
 
-        In that order, so the warnings survive onto the error response.
-        Everything here runs before any lock, registry or cache access.
-        ``prefix`` names the batch item the request came from.
+        Rejects another protocol version, then warns about unknown
+        fields, then rejects a missing field, a bad flag, a non-string
+        network or owner, or a malformed budget field — in that order,
+        so the warnings survive onto the error response.  Everything
+        here runs before any lock, registry or cache access.  ``prefix``
+        names the batch item the request came from.
         """
+        version = request.get("v")
+        # exact int: True == 1 must not pin v1
+        if version is not None and (type(version), version) != (int, PROTOCOL_VERSION):
+            raise ReproError(
+                f"{prefix}unsupported protocol version {version!r} "
+                f"(this service speaks v{PROTOCOL_VERSION})"
+            )
         known = spec.known_fields
         if not request.keys() <= known:
             for f in sorted((str(f) for f in request), key=str):
@@ -945,93 +964,86 @@ class PPKWSService:
                 raise ReproError(f"{prefix}field {f!r} must be a string")
         if "max_expansions" in known:  # the query ops and batch
             deadline = request.get("deadline_ms")
-            if deadline is not None:
-                try:
-                    check_bound("deadline_ms", deadline)
-                except QueryError as exc:
-                    raise QueryError(f"{prefix}{exc}") from None
             cap = request.get("max_expansions")
-            if cap is not None and (type(cap) is not int or cap < 0):
-                raise QueryError(
-                    f"{prefix}field 'max_expansions' must be an integer "
-                    f">= 0, got {cap!r}"
-                )
+            try:
+                if deadline is not None:
+                    check_bound("deadline_ms", deadline)
+                if cap is not None and (type(cap) is not int or cap < 0):
+                    raise QueryError(
+                        f"field 'max_expansions' must be an integer >= 0, "
+                        f"got {cap!r}"
+                    )
+            except QueryError as exc:
+                raise QueryError(f"{prefix}{exc}") from None
 
     def _execute_locked(
         self, spec: "OpSpec", request: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """Run an admitted request under the derived rwlock side."""
+        """Run an admitted request under the derived rwlock side.
+
+        With sharding enabled, the cache-miss path of a query op runs in
+        a shard worker *process* (``pool.route``); the read lock is still
+        held here, so replicas cannot drift mid-request.
+        """
         if spec.mode == "admin":
             # The service methods themselves take the write lock, so the
             # exclusion also covers direct Python-API calls.
             return spec.handler(self, request)
         with self._network_lock(request["network"]).read_locked():
-            return self._execute_cached(spec, request)
-
-    def _execute_cached(
-        self, spec: "OpSpec", request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Serve a read op, via the answer cache when eligible.
-
-        Runs under the network's read lock, so the token observed here
-        (:meth:`_answer_token`) cannot move before the store: admin ops
-        need the write side.  A stored entry is only ever reused while
-        its network's life and its owner's epoch are both current.
-
-        With sharding enabled, the miss path of a query op executes in
-        a shard worker *process* (``pool.route``) instead of here — the
-        read lock is still held in this process, so replicas cannot
-        drift mid-request.
-        """
-        cache = self._answer_cache
-        key = None
-        if (
-            cache is not None
-            and spec.cacheable
-            and not request.get("no_cache")
-            and not request.get("trace")  # a trace describes a real run
-        ):
-            key = self._cache_key(spec, request)
-        pool = self._shard_pool if spec.cacheable else None
-
-        def run() -> Dict[str, Any]:
+            if not spec.cacheable:
+                return spec.handler(self, request)
+            pool = self._shard_pool
             if pool is not None:
-                return pool.route(request)
-            return spec.handler(self, request)
-        if key is None:
-            return run()  # skips the token read (a registry-lock round trip)
-        return self._through_cache(
-            key, self._answer_token(request["network"], request["owner"]), run
-        )
+                return self._cached(spec, request, partial(pool.route, request))
+            return self._cached(spec, request, partial(spec.handler, self, request))
 
-    def _through_cache(
+    def _cached(
         self,
-        key: Optional[Tuple[Any, ...]],
-        epoch: Tuple[int, Any],
+        spec: "OpSpec",
+        request: Dict[str, Any],
         run: Callable[[], Dict[str, Any]],
         prefix: str = "",
     ) -> Dict[str, Any]:
-        """Answer-cache lookup -> ``run`` -> store; ``key=None`` just runs.
+        """The answer-cache stage of a query op: a hit, else ``run()``
+        with an ``ok`` response stored.
 
-        Only ``status: "ok"`` responses are stored.  ``prefix`` names
-        the batch item in the store-failure warning.
+        Runs under the network's read lock, so the token read here
+        (:meth:`_answer_token`) cannot move before the store: admin ops
+        need the write side.  An entry is only reused while its network's
+        life and its owner's epoch are both current.  ``run`` alone
+        answers when the cache is off, for ``no_cache`` and ``trace``
+        requests (a trace describes a real run), and for parameters that
+        resist canonicalization (``run`` then produces the real error).
+        ``prefix`` names the batch item in the store-failure warning.
         """
         cache = self._answer_cache
-        if cache is None or key is None:
+        if (
+            cache is None
+            or spec.cache_params is None
+            or request.get("no_cache")
+            or request.get("trace")
+        ):
             return run()
+        network, owner = request["network"], request["owner"]
         try:
-            hit = cache.lookup(key, epoch)
+            key = (spec.name, network, owner) + spec.cache_params(request)
+            hash(key)
+        except (TypeError, ValueError, KeyError):
+            return run()
+        token = self._answer_token(network, owner)
+        try:
+            hit = cache.lookup(key, token)
         except FaultInjectedError:
             # A broken cache degrades to a miss, never a failed request.
             hit = None
-        observe_answer_cache(self._metrics_registry(), hit is not None)
+        observe_answer_cache(hit is not None)
         if hit is not None:
             hit["cached"] = True
             return hit
         response = run()
         if response.get("status") == "ok":
             try:
-                cache.store(key, epoch, response)
+                cache.store(key, token, response)
             except (FaultInjectedError, TypeError):
                 # The answer is sound; only its memoization was lost (a
                 # fault, or a payload that is not wire-shaped).
@@ -1039,24 +1051,6 @@ class PPKWSService:
                     f"{prefix}answer cache store failed; response not cached"
                 )
         return response
-
-    def _cache_key(
-        self, spec: "OpSpec", request: Dict[str, Any]
-    ) -> Optional[Tuple[Any, ...]]:
-        """The answer-cache key, or ``None`` when the request resists
-        canonicalization (the handler then produces the real error)."""
-        if spec.cache_params is None:
-            return None
-        try:
-            key = (
-                spec.name,
-                request["network"],
-                request["owner"],
-            ) + spec.cache_params(request)
-            hash(key)
-        except (TypeError, ValueError, KeyError):
-            return None
-        return key
 
     def _retry_after_hint_ms(self) -> float:
         """Suggested back-off before resubmitting an overloaded request."""
@@ -1069,19 +1063,19 @@ class PPKWSService:
         self,
         request: Any,
         op: Any,
+        query_class: bool,
         response: Dict[str, Any],
         ctx: Dict[str, Any],
         started: float,
         error_class: Optional[str],
-        internal_error: bool,
-        query_class: bool = False,
     ) -> None:
         """Record one finished request: metrics, trace ring, trace field.
 
         Defensive by design: observability must never break the facade's
-        "no exception escapes" contract, so any failure here is swallowed
-        after marking the response.
+        "no exception escapes" contract, so a failure here is counted,
+        not raised.
         """
+        registry = installed()
         try:
             duration_ms = (time.perf_counter() - started) * 1000.0
             status = response.get("status", "error")
@@ -1101,68 +1095,35 @@ class PPKWSService:
                     self._avg_request_ms += 0.2 * (
                         duration_ms - self._avg_request_ms
                     )
-            op_label = op if isinstance(op, str) else repr(op)
-            # The QueryTrace (plus the counters asdict) is only built
-            # when someone will actually see it — the per-request cost
-            # of assembling one unconditionally showed up as a
-            # measurable slice of serving throughput.
-            want_trace = isinstance(request, dict) and request.get("trace") is True
+            # The QueryTrace is only built when someone will actually
+            # see it — the per-request cost of assembling one
+            # unconditionally showed up as a measurable slice of serving
+            # throughput.
             record = status != "ok" or duration_ms >= self._slow_query_ms
-            if want_trace or record:
-                trace = QueryTrace(
-                    op=op_label,
-                    status=status,
-                    duration_ms=duration_ms,
-                    error=error_class,
-                )
-                if isinstance(request, dict):
-                    network = request.get("network")
-                    owner = request.get("owner")
-                    trace.network = network if isinstance(network, str) else None
-                    trace.owner = owner if isinstance(owner, str) else None
-                result = ctx.get("result")
-                if result is not None:
-                    trace.step_ms = {
-                        step: getattr(result.breakdown, step) * 1000.0
-                        for step in PIPELINE_STEPS
-                    }
-                    trace.counters = asdict(result.counters)
-                    trace.degraded = result.degraded
-                    trace.completed_steps = tuple(result.completed_steps)
-                    trace.interrupted_step = result.interrupted_step
-                budget = ctx.get("budget")
-                if budget is not None:
-                    trace.expansions = budget.expansions
-
-                if want_trace:
-                    if result is not None:
-                        response["counters"] = dict(trace.counters)
-                    response["trace"] = trace.to_dict()
-
+            if record or (
+                isinstance(request, dict) and request.get("trace") is True
+            ):
+                trace = _trace(request, op, response, duration_ms,
+                               error_class, ctx)
                 if record:
                     self._traces.record(trace)
-
-            registry = self._metrics_registry()
-            if registry is not None:
+            if registry is None:
+                return
+            labels = {"op": op if isinstance(op, str) else repr(op)}
+            registry.inc(
+                "ppkws_requests_total", labels=dict(labels, status=status)
+            )
+            registry.observe(
+                "ppkws_request_seconds", duration_ms / 1000.0, labels=labels
+            )
+            if error_class is not None and response["code"] == "internal":
                 registry.inc(
-                    "ppkws_requests_total",
-                    labels={"op": op_label, "status": status},
+                    "ppkws_internal_errors_total", labels={"error": error_class}
                 )
-                registry.observe(
-                    "ppkws_request_seconds",
-                    duration_ms / 1000.0,
-                    labels={"op": op_label},
-                )
-                if internal_error:
-                    registry.inc(
-                        "ppkws_internal_errors_total",
-                        labels={"error": error_class or "unknown"},
-                    )
-                if error_class == "ServiceOverloadedError":
-                    registry.inc("ppkws_rejected_total")
-                if "retry_after_ms" in response:
-                    registry.inc("ppkws_retry_after_hint_total")
-                registry.set_gauge("ppkws_in_flight_requests", self._in_flight)
+            if "retry_after_ms" in response:  # an overload rejection
+                registry.inc("ppkws_rejected_total")
+                registry.inc("ppkws_retry_after_hint_total")
+            registry.set_gauge("ppkws_in_flight_requests", self._in_flight)
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             # Observability must never break a request, but a broken
             # observer must not be silent either: these are the concrete
@@ -1170,7 +1131,6 @@ class PPKWSService:
             # plumbing produces, and each firing is counted so a
             # dashboard shows the telemetry gap instead of nothing.
             try:
-                registry = self._metrics_registry()
                 if registry is not None:
                     registry.inc(
                         "ppkws_internal_errors_total",
@@ -1179,32 +1139,46 @@ class PPKWSService:
             except Exception:  # pragma: no cover - the metrics sink itself broke
                 pass
 
-    def _stash(self, result: Any, budget: Any) -> None:
-        """Deposit query internals for :meth:`_observe_request`."""
-        ctx = getattr(self._tls, "ctx", None)
-        if ctx is not None:
-            ctx["result"] = result
-            ctx["budget"] = budget
-
     def recent_traces(self) -> List[Dict[str, Any]]:
         """The slow/degraded/errored query traces currently in the ring."""
         return self._traces.snapshot()
 
     # -- handlers -------------------------------------------------------
     def _semantics_query(
-        self, request: Dict[str, Any], spec: SemanticsSpec
+        self,
+        request: Dict[str, Any],
+        spec: SemanticsSpec,
+        cache: Optional[CompletionCache] = None,
+        cap: Optional[QueryBudget] = None,
     ) -> Dict[str, Any]:
-        """The one wire handler every registered semantics runs through."""
+        """The query stage every registered semantics runs through.
+
+        A batch item passes its batch's shared completion ``cache`` and
+        its budget slice ``cap``; the tighter of ``cap`` and the
+        request's own budget fields applies.
+        """
         engine = self._engine(request["network"])
-        budget = engine.make_budget(**_budget_args(request))
+        limits = _budget_args(request)
+        if cap is not None:
+            for f in _BUDGET_FIELDS:
+                bound = getattr(cap, f)
+                if bound is not None:
+                    limits[f] = min(limits.get(f, bound), bound)
+        budget = engine.make_budget(**limits)
         result = spec.run(
             engine,
             engine.attachment(request["owner"]),
             spec.wire_params(request),
             budget=budget,
+            cache=cache,
         )
-        self._stash(result, budget)
-        out = _degradation_fields(result)
+        ctx = getattr(self._tls, "ctx", None)
+        if ctx is not None:  # for the trace builder (:func:`_trace`)
+            ctx.update(result=result, budget=budget)
+        out: Dict[str, Any] = {"status": "degraded" if result.degraded else "ok"}
+        if result.degraded:
+            out["completed_steps"] = list(result.completed_steps)
+            out["interrupted_step"] = result.interrupted_step
         out.update(spec.wire_payload(result))
         return out
 
@@ -1214,101 +1188,66 @@ class PPKWSService:
         ``queries`` is a list of per-item dicts shaped like the
         individual query requests minus ``network`` / ``owner`` (the
         batch supplies both; item-level values are overridden).  The
-        whole batch occupies one admission slot and runs under one
-        read lock; ``deadline_ms`` / ``max_expansions`` bound the *whole
-        batch* via :class:`~repro.core.batch.BatchBudget` even splitting.
-
-        Every item participates in the answer cache individually — a hit
-        skips execution (and does not consume batch budget) and carries
-        ``"cached": true``; stored entries are shared with the individual
-        query ops.  Items fail individually: a bad item yields an
-        ``{"status": "error", ...}`` entry and the rest of the batch
-        still runs.  All items execute through one
-        :class:`~repro.core.batch.BatchSession`, so they share a
-        completion cache.
+        whole batch holds one admission slot and one read lock; each
+        item then runs the single-request stages — field check, answer
+        cache, :meth:`_semantics_query`, trace — so ``v``, ``trace``,
+        ``no_cache`` and the budget fields mean what they mean on a
+        single request.  ``deadline_ms`` / ``max_expansions`` bound the
+        *whole batch* via :class:`~repro.core.batch.BatchBudget` even
+        splitting, and an item's own budget fields can only tighten its
+        slice.  A cache hit skips execution, consumes no batch budget and
+        carries ``"cached": true``.  Items fail individually, and all of
+        them share one completion cache.
         """
-        from repro.core.batch import BatchBudget, BatchSession
-
-        network = request["network"]
+        network, owner = request["network"], request["owner"]
         queries = request["queries"]
         if not isinstance(queries, list):
             raise ReproError("field 'queries' must be a list of query dicts")
-        session = BatchSession(self._engine(network), request["owner"])
-        budget_args = _budget_args(request)
-        batch = BatchBudget(
-            budget_args.get("deadline_ms"), budget_args.get("max_expansions")
-        )
+        engine = self._engine(network)
+        engine.attachment(owner)  # an unknown owner fails the whole batch
+        cache = CompletionCache(enabled=engine.options.dp_completion)
+        batch = BatchBudget(**_budget_args(request))
         ops = _current_ops()
-        epoch = self._answer_token(network, request["owner"])
+        ctx = self._tls.ctx
         results: List[Dict[str, Any]] = []
-        counts: Dict[str, int] = {}
         for i, item in enumerate(queries):
-            entry = self._batch_item(
-                session, ops, i, item, batch, len(queries) - i, epoch,
-                request,
-            )
+            started = time.perf_counter()
+            prefix = f"queries[{i}]: "
+            error_class: Optional[str] = None
+            try:
+                if not isinstance(item, dict):
+                    raise ReproError(
+                        f"queries[{i}] must be a dict with an 'op' field"
+                    )
+                item = dict(item, network=network, owner=owner)
+                spec = ops.get(item.get("op"))
+                if spec is None or not spec.cacheable:
+                    # Only the generated query ops are batchable — admin /
+                    # control ops inside a batch would dodge their locking.
+                    valid = sorted(n for n, s in ops.items() if s.cacheable)
+                    raise ReproError(
+                        f"{prefix}op {item.get('op')!r} is not a query op; "
+                        f"valid ops: {valid}"
+                    )
+                self._check_fields(spec, item, prefix)
+                run = partial(
+                    self._semantics_query, item, semantics_spec(spec.name),
+                    cache, batch.slice_for(len(queries) - i),
+                )
+                entry = self._cached(spec, item, run, prefix)
+                entry.setdefault("cached", False)
+            except _HANDLED as exc:
+                error_class = type(exc).__name__
+                entry = _error_response(exc)
+            stashed = {k: ctx.pop(k) for k in ("result", "budget") if k in ctx}
+            batch.charge(stashed.get("budget"))
+            if isinstance(item, dict) and item.get("trace") is True:
+                ms = (time.perf_counter() - started) * 1000.0
+                _trace(item, item.get("op"), entry, ms, error_class, stashed)
             results.append(entry)
-            status = str(entry.get("status", "error"))
-            counts[status] = counts.get(status, 0) + 1
-        observe_batch_request(counts)
+        observe_batch_cache(cache.hits, cache.misses)
+        observe_batch_request(Counter(str(e["status"]) for e in results))
         return {"status": "ok", "results": results}
-
-    def _batch_item(
-        self,
-        session: Any,
-        ops: Dict[str, "OpSpec"],
-        index: int,
-        item: Any,
-        batch: Any,
-        items_left: int,
-        epoch: Tuple[int, Any],
-        request: Dict[str, Any],
-    ) -> Dict[str, Any]:
-        """One batch item: cache lookup, execution, error isolation."""
-        try:
-            if not isinstance(item, dict):
-                raise ReproError(
-                    f"queries[{index}] must be a dict with an 'op' field"
-                )
-            item_op = item.get("op")
-            op_spec = ops.get(item_op)
-            if op_spec is None or not op_spec.cacheable:
-                # Only the generated query ops are batchable — admin /
-                # control ops inside a batch would dodge their locking.
-                valid = sorted(n for n, s in ops.items() if s.cacheable)
-                raise ReproError(
-                    f"queries[{index}]: op {item_op!r} is not a query op; "
-                    f"valid ops: {valid}"
-                )
-            item_request = dict(item)
-            item_request["network"] = request["network"]
-            item_request["owner"] = request["owner"]
-            prefix = f"queries[{index}]: "
-            self._check_fields(op_spec, item_request, prefix)
-            key = (
-                None if item_request.get("no_cache")
-                else self._cache_key(op_spec, item_request)
-            )
-
-            def run() -> Dict[str, Any]:
-                sem_spec = semantics_spec(item_op)
-                slice_budget = batch.slice_for(items_left)
-                result = session.query(
-                    item_op,
-                    budget=slice_budget,
-                    **sem_spec.wire_params(item_request),
-                )
-                batch.charge(slice_budget)
-                entry: Dict[str, Any] = _degradation_fields(result)
-                entry.update(sem_spec.wire_payload(result))
-                return entry
-
-            entry = self._through_cache(key, epoch, run, prefix)
-            entry.setdefault("cached", False)
-            return entry
-        except (ReproError, KeyError, TypeError, ValueError,
-                AttributeError) as exc:
-            return _error_response(exc)
 
     def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
         engine = self._engine(request["network"])
@@ -1332,7 +1271,7 @@ class PPKWSService:
 
     def _op_metrics(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """The observability op: snapshot + traces + cache + Prometheus."""
-        registry = self._metrics_registry()
+        registry = installed()
         return {
             "status": "ok",
             "metrics": registry.snapshot() if registry is not None else {},
@@ -1351,16 +1290,14 @@ class PPKWSService:
         A control op — no admission slot, no network lock — so operators
         can still see the service while it is overloaded or mid-admin.
         """
-        with self._engines_lock:
-            networks: Dict[str, Dict[str, Any]] = {}
-            for name, engine in self._engines.items():
-                info: Dict[str, Any] = {
-                    "ready": engine is not None,
-                    "epoch": self._epochs.get(name, 0),
-                }
-                if engine is not None:
-                    info["owners"] = len(engine.owners())
-                networks[name] = info
+        networks: Dict[str, Dict[str, Any]] = {}
+        for name, record in self._records():
+            engine = record.engine
+            if engine is None and not record.building:
+                continue  # dropped
+            networks[name] = {"ready": engine is not None, "epoch": record.epoch}
+            if engine is not None:
+                networks[name]["owners"] = len(engine.owners())
         with self._admission_lock:
             in_flight = self._in_flight
         with self._executors_lock:

@@ -30,8 +30,8 @@ with :class:`~repro.exceptions.ExecutorShutdownError`.  Either way the
 drain guarantee stands: every future returned by :meth:`submit`
 resolves.
 
-Observability (recorded into the service's effective metrics registry,
-see :func:`repro.obs.hooks.observe_executor_request`):
+Observability (recorded into the installed metrics registry, see
+:func:`repro.obs.hooks.observe_executor_request`):
 
 ``ppkws_executor_queue_depth``
     Gauge: requests submitted but not yet finished.
@@ -51,13 +51,13 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro import faults
 from repro.exceptions import ExecutorShutdownError
 from repro.faults.points import EXECUTOR_WORKER
 from repro.obs.hooks import observe_executor_queue, observe_executor_request
-from repro.obs.registry import MetricsRegistry, installed
+from repro.obs.registry import installed
 
 __all__ = ["ServiceExecutor"]
 
@@ -97,10 +97,6 @@ class ServiceExecutor:
     outrun the pool; the service's own ``max_in_flight`` admission
     control still applies per request).
 
-    ``registry`` overrides where executor metrics go; by default the
-    service's effective registry (constructor-injected or process-wide
-    installed) is used.
-
     ``mode`` selects the execution tier.  ``"thread"`` (default) is the
     classic pool: CPU-bound queries share one GIL, so it only overlaps
     I/O and lock waits.  ``"process"`` additionally calls
@@ -119,7 +115,6 @@ class ServiceExecutor:
         service: Any,
         workers: int = 4,
         queue_size: int = 0,
-        registry: Optional[MetricsRegistry] = None,
         mode: str = "thread",
     ) -> None:
         if workers <= 0:
@@ -127,7 +122,6 @@ class ServiceExecutor:
         if mode not in ("thread", "process"):
             raise ValueError(f"bad executor mode {mode!r}")
         self._service = service
-        self._registry = registry
         self.mode = mode
         self._owns_shard_pool = False
         if mode == "process":
@@ -170,19 +164,11 @@ class ServiceExecutor:
         return len(self._workers)
 
     # ------------------------------------------------------------------
-    def _registry_for(self) -> Optional[MetricsRegistry]:
-        if self._registry is not None:
-            return self._registry
-        getter = getattr(self._service, "_metrics_registry", None)
-        if getter is not None:
-            return getter()
-        return installed()
-
     def _adjust_pending(self, delta: int) -> None:
         with self._pending_lock:
             self._pending += delta
             depth = self._pending
-        observe_executor_queue(self._registry_for(), depth)
+        observe_executor_queue(depth)
 
     # ------------------------------------------------------------------
     def submit(self, request: Dict[str, Any]) -> "Future[Dict[str, Any]]":
@@ -254,7 +240,6 @@ class ServiceExecutor:
                 self._adjust_pending(-1)
                 item.accounted = True
                 observe_executor_request(
-                    self._registry_for(),
                     worker=label,
                     wait_s=started - item.submitted,
                     run_s=done - started,
@@ -295,7 +280,7 @@ class ServiceExecutor:
                         "code": "internal",
                         "retryable": False,
                     })
-        registry = self._registry_for()
+        registry = installed()
         if registry is not None:
             registry.inc("ppkws_worker_respawns_total")
 

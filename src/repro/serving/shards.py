@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.exceptions import FaultInjectedError, ReproError, WorkerKilledError
 from repro.faults.points import SHARD_WORKER
 from repro.graph.frozen import FrozenGraph
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import installed
 
 __all__ = ["ShardServingPool"]
 
@@ -177,15 +177,14 @@ class ShardServingPool:
 
     Construct via :meth:`repro.service.PPKWSService.enable_sharding`,
     which also replays existing networks into the pool and broadcasts
-    subsequent admin ops.  ``registry`` (usually the service's) receives
-    the shard metrics.  The pool owns the shared-memory segments it
-    exports and unlinks them in :meth:`shutdown`.
+    subsequent admin ops.  Shard metrics go to the installed registry.
+    The pool owns the shared-memory segments it exports and unlinks them
+    in :meth:`shutdown`.
     """
 
     def __init__(
         self,
         shards: int = 2,
-        registry: Optional[MetricsRegistry] = None,
         spawn_timeout_s: float = 60.0,
     ) -> None:
         if shards < 1:
@@ -193,7 +192,6 @@ class ShardServingPool:
         import multiprocessing
 
         self._ctx = multiprocessing.get_context("spawn")
-        self._registry = registry
         self._spawn_timeout_s = spawn_timeout_s
         #: the replayable admin history (records as shipped to workers)
         self._log: List[tuple] = []
@@ -253,8 +251,9 @@ class ShardServingPool:
         if w.conn is not None:
             w.conn.close()
         self._respawns += 1
-        if self._registry is not None:
-            self._registry.inc("ppkws_shard_respawns_total")
+        registry = installed()
+        if registry is not None:
+            registry.inc("ppkws_shard_respawns_total")
         self._start_worker(w)
 
     def _call(self, w: _Worker, msg: tuple) -> tuple:
@@ -395,8 +394,9 @@ class ShardServingPool:
         with self._rr_lock:
             w = self._workers[self._rr % len(self._workers)]
             self._rr += 1
-        if self._registry is not None:
-            self._registry.inc(
+        registry = installed()
+        if registry is not None:
+            registry.inc(
                 "ppkws_shard_requests_total", labels={"kind": "execute"}
             )
         try:

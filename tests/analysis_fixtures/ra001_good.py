@@ -5,25 +5,23 @@ import threading
 
 class Service:
     def __init__(self):
-        self._engines = {}
-        self._engines_lock = threading.Lock()
-        self._lifecycles = {}
+        self._networks = {}
+        self._networks_lock = threading.Lock()
         self._attachments = {}
         self._attachments_lock = threading.Lock()
         self._owner_epochs = {}
 
-    def register(self, name, engine):
-        with self._engines_lock:
-            self._engines[name] = engine
+    def register(self, name, record):
+        with self._networks_lock:
+            self._networks[name] = record
 
     def forget(self, name):
-        with self._engines_lock:
-            del self._engines[name]
+        with self._networks_lock:
+            del self._networks[name]
 
     def evict(self, name):
-        with self._engines_lock:
-            self._engines.pop(name, None)
-            self._lifecycles[name] = self._lifecycles.get(name, 0) + 1
+        with self._networks_lock:
+            self._networks.pop(name, None)
 
     def swap(self, owner, attachment):
         with self._attachments_lock:
@@ -32,4 +30,4 @@ class Service:
 
     def lookup(self, name):
         # Reads stay lock-free: single-key dict reads are atomic.
-        return self._engines.get(name), self._lifecycles.get(name, 0)
+        return self._networks.get(name)

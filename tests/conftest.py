@@ -8,7 +8,26 @@ import struct
 
 import pytest
 
+from repro import obs
 from repro.graph import LabeledGraph, combine, freeze
+
+
+@pytest.fixture
+def installed_registry():
+    """A fresh metrics registry installed process-wide for one test.
+
+    Every layer records into :func:`repro.obs.installed`, so this is how
+    a test reads the metrics of the code it drives.
+    """
+    registry = obs.MetricsRegistry()
+    previous = obs.install(registry)
+    try:
+        yield registry
+    finally:
+        if previous is None:
+            obs.uninstall()
+        else:
+            obs.install(previous)
 
 
 @pytest.fixture

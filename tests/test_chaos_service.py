@@ -132,7 +132,8 @@ def test_chaos_replay(seed, tmp_path):
 
         # 2. no rwlock leaked: injected raises/delays at the acquire
         #    points must never leave a network lock half-held
-        for network, lock in svc._network_locks.items():
+        for network, record in svc._networks.items():
+            lock = record.lock
             assert lock.readers == 0, f"leaked reader on {network!r}"
             assert not lock.write_active, f"leaked writer on {network!r}"
 

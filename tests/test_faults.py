@@ -695,15 +695,17 @@ class TestServiceQuarantine:
     def _make_graph(self):
         return random_connected_graph(10, 3, seed=11)
 
-    def test_corrupt_index_is_quarantined_with_warning(self, tmp_path):
+    def test_corrupt_index_is_quarantined_with_warning(
+        self, tmp_path, installed_registry
+    ):
         g = self._make_graph()
         index_path = str(tmp_path / "net.idx")
         save_index(PublicIndex.build(g, k=2), index_path)
         with open(index_path, "a", encoding="utf-8") as fh:
             fh.write("garbage that breaks the trailer\n")
         corrupt_bytes = open(index_path, "rb").read()
-        reg = MetricsRegistry()
-        svc = PPKWSService(sketch_k=2, registry=reg)
+        reg = installed_registry
+        svc = PPKWSService(sketch_k=2)
         resp = svc.execute({
             "op": "create_network", "network": "net",
             "public": g, "index_path": index_path,
@@ -780,14 +782,16 @@ class TestServiceQuarantine:
         assert open(index_path, "rb").read() != k2_bytes
         assert load_index(svc._engine("net").public, index_path).pads.k == 3
 
-    def test_text_v2_index_is_quarantined_once_and_rebuilt(self, tmp_path):
+    def test_text_v2_index_is_quarantined_once_and_rebuilt(
+        self, tmp_path, installed_registry
+    ):
         """A previous release's file: one quarantine, one warning, one rebuild."""
         g = self._make_graph()
         index_path = str(tmp_path / "net.idx")
         with open(index_path, "w", encoding="utf-8") as fh:
             fh.write(_TEXT_V2)
-        reg = MetricsRegistry()
-        svc = PPKWSService(sketch_k=2, registry=reg)
+        reg = installed_registry
+        svc = PPKWSService(sketch_k=2)
         resp = svc.execute({
             "op": "create_network", "network": "net",
             "public": g, "index_path": index_path,

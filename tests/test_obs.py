@@ -272,3 +272,48 @@ class TestBatchCacheObservation:
         assert misses == session.cache_misses
         assert hits > 0
         assert 0.0 < session.cache_hit_rate <= 1.0
+
+
+class TestOneRegistry:
+    """Every layer records into the one installed registry: requests,
+    the answer cache, the engine steps and the batch op.  The service
+    has no registry of its own to split them across — an injected
+    ``PPKWSService(registry=...)`` used to receive only the request,
+    answer-cache and gauge families while the engine and batch hooks
+    wrote to the installed one."""
+
+    FAMILIES = (
+        "ppkws_requests_total",
+        "ppkws_request_seconds",
+        "ppkws_answer_cache_misses_total",
+        "ppkws_step_seconds",
+        "ppkws_query_work_total",
+        "ppkws_batch_requests_total",
+        "ppkws_batch_items_total",
+        "ppkws_batch_cache_hits_total",
+        "ppkws_batch_cache_misses_total",
+    )
+
+    def test_blinks_and_batch_land_every_family(
+        self, small_public_private, installed_registry
+    ):
+        from repro.service import PPKWSService
+
+        with pytest.raises(TypeError):
+            PPKWSService(registry=MetricsRegistry())
+        pub, priv = small_public_private
+        svc = PPKWSService(sketch_k=2)
+        svc.create_network("net", pub)
+        svc.attach_user("net", "bob", priv)
+        item = {"op": "blinks", "keywords": ["db", "ai"], "tau": 4.0}
+        assert svc.execute(
+            dict(item, network="net", owner="bob")
+        )["status"] == "ok"
+        resp = svc.execute({
+            "op": "batch", "network": "net", "owner": "bob",
+            "queries": [dict(item, no_cache=True), dict(item, no_cache=True)],
+        })
+        assert [e["status"] for e in resp["results"]] == ["ok", "ok"]
+        metrics = svc.execute({"op": "metrics"})["metrics"]
+        reported = set().union(*metrics.values())
+        assert [f for f in self.FAMILIES if f not in reported] == []

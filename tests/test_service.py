@@ -304,14 +304,13 @@ class TestDeadlinesAndDegradation:
 
 
 class TestObservability:
-    def test_degraded_request_is_fully_observable(self, service):
+    def test_degraded_request_is_fully_observable(
+        self, service, installed_registry
+    ):
         """Acceptance: a degraded blinks request increments
         ``ppkws_requests_total{op="blinks",status="degraded"}``, records a
         latency histogram sample, and lands in the trace ring."""
-        from repro.obs import MetricsRegistry
-
-        reg = MetricsRegistry()
-        service._registry = reg
+        reg = installed_registry
         resp = service.execute({
             "op": "blinks", "network": "net", "owner": "bob",
             "keywords": ["db", "ai"], "tau": 4.0, "deadline_ms": 0,
@@ -331,14 +330,13 @@ class TestObservability:
         assert trace["interrupted_step"] == "peval"
         assert trace["network"] == "net" and trace["owner"] == "bob"
 
-    def test_broken_observer_is_counted_not_silent(self, service, monkeypatch):
+    def test_broken_observer_is_counted_not_silent(
+        self, service, monkeypatch, installed_registry
+    ):
         """Regression: observer failures were swallowed blind.  A request
         must still succeed, but the telemetry gap has to show up in
         ``ppkws_internal_errors_total{error="observer:..."}``."""
-        from repro.obs import MetricsRegistry
-
-        reg = MetricsRegistry()
-        service._registry = reg
+        reg = installed_registry
 
         def broken_record(trace):
             raise ValueError("trace ring corrupted")
@@ -354,11 +352,10 @@ class TestObservability:
             labels={"error": "observer:ValueError"},
         ) == 1.0
 
-    def test_ok_requests_counted_but_not_ringed(self, service):
-        from repro.obs import MetricsRegistry
-
-        reg = MetricsRegistry()
-        service._registry = reg
+    def test_ok_requests_counted_but_not_ringed(
+        self, service, installed_registry
+    ):
+        reg = installed_registry
         resp = service.execute({
             "op": "blinks", "network": "net", "owner": "bob",
             "keywords": ["db", "ai"], "tau": 4.0,
@@ -378,11 +375,10 @@ class TestObservability:
         assert resp["status"] == "ok"
         assert any(t["op"] == "stats" for t in svc.recent_traces())
 
-    def test_error_requests_are_counted_and_ringed(self, service):
-        from repro.obs import MetricsRegistry
-
-        reg = MetricsRegistry()
-        service._registry = reg
+    def test_error_requests_are_counted_and_ringed(
+        self, service, installed_registry
+    ):
+        reg = installed_registry
         service.execute({"op": "blinks", "network": "net", "owner": "bob"})
         assert reg.value(
             "ppkws_requests_total", labels={"op": "blinks", "status": "error"}
@@ -416,11 +412,10 @@ class TestObservability:
         })
         assert "trace" not in resp and "counters" not in resp
 
-    def test_metrics_op(self, service):
-        from repro.obs import MetricsRegistry
-
-        reg = MetricsRegistry()
-        service._registry = reg
+    def test_metrics_op(
+        self, service, installed_registry
+    ):
+        reg = installed_registry
         service.execute({
             "op": "blinks", "network": "net", "owner": "bob",
             "keywords": ["db", "ai"], "tau": 4.0,
@@ -585,11 +580,10 @@ class TestInternalErrorFormatting:
         assert resp["error"] == "ValueError: bad things"
         assert resp["retryable"] is False
 
-    def test_internal_errors_counted(self, service, monkeypatch):
-        from repro.obs import MetricsRegistry
-
-        reg = MetricsRegistry()
-        service._registry = reg
+    def test_internal_errors_counted(
+        self, service, monkeypatch, installed_registry
+    ):
+        reg = installed_registry
         engine = service._engine("net")
         def boom(*args, **kwargs):
             raise KeyError("collab")
@@ -648,13 +642,13 @@ class TestErrorHandling:
             "drop": {},
         }
         service.drop_network("net")  # a dropped name keeps its lock
-        before = len(service._network_locks)
+        before = len(service._networks)
         for i in range(50):
             for op, fields in shapes.items():
                 for network in (f"ghost-{op}-{i}", "net"):
                     resp = service.execute(dict(fields, op=op, network=network))
                     assert resp["code"] == "unknown_network", (op, resp)
-        assert len(service._network_locks) == before
+        assert len(service._networks) == before
 
     def test_unknown_owner(self, service):
         resp = service.execute({

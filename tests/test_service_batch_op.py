@@ -2,8 +2,9 @@
 
 One request, many query items: per-item status / ``cached`` flags,
 answer-cache sharing with the individual query ops (both directions),
-per-item error isolation, whole-batch budget splitting, the retired
-``execution_mode`` field, and the batch metrics.
+per-item error isolation, whole-batch budget splitting, item parity with
+single requests, the retired ``execution_mode`` field, and the batch
+metrics.
 """
 
 from __future__ import annotations
@@ -236,6 +237,26 @@ class TestBatchBudget:
         assert entry["status"] == "ok"
         assert entry["cached"] is True
 
+    @pytest.mark.parametrize("batch_cap, item_cap", [
+        (10**6, 0),    # the item's own cap is the tighter one
+        (0, 10**6),    # the batch slice is: an item cannot loosen it
+    ], ids=["item_tighter", "slice_tighter"])
+    def test_tighter_of_item_and_slice_applies(
+        self, service, batch_cap, item_cap
+    ):
+        resp = _batch(
+            service,
+            [dict(BLINKS_ITEM, max_expansions=item_cap, no_cache=True)],
+            max_expansions=batch_cap,
+        )
+        assert resp["results"][0]["status"] == "degraded"
+        roomy = _batch(
+            service,
+            [dict(BLINKS_ITEM, max_expansions=10**6, no_cache=True)],
+            max_expansions=10**6,
+        )
+        assert roomy["results"][0]["status"] == "ok"
+
 
 class TestExecutionModes:
     """The retired ``execution_mode`` field selects nothing any more."""
@@ -331,3 +352,73 @@ def test_execution_mode_is_only_an_unknown_field(small_public_private, mode):
             assert got["status"] == "ok", (key, got)
             assert got["warnings"] == [f"{warning} 'execution_mode'"], key
             assert _payload(got) == _payload(want), key
+
+
+# ----------------------------------------------------------------------
+# one request path: an item means what the same request means alone
+# ----------------------------------------------------------------------
+PARITY_ITEMS = {
+    "blinks": dict(BLINKS_ITEM),
+    "banks": dict(BLINKS_ITEM, op="banks"),
+    "rclique": dict(RCLIQUE_ITEM),
+    "knk": dict(KNK_ITEM),
+    "knk_multi": {"op": "knk_multi", "source": "x1",
+                  "keywords": ["ai", "db"], "k": 2},
+    "truss": {"op": "truss", "k": 2, "keywords": ["db", "ai"]},
+}
+
+PARITY_FIELDS = {
+    "plain": {},
+    "trace": {"trace": True},
+    "no_expansions": {"max_expansions": 0},
+    "zero_deadline": {"deadline_ms": 0},
+    "bad_version": {"v": 99},
+    "pinned_version": {"v": 1},
+    "no_cache": {"no_cache": True},
+    "unknown_field": {"frobnicate": 1},
+    "bad_k": {"k": 0},
+}
+
+
+def _parity_view(resp, prefix=""):
+    """What must agree between a single request and a batch item: status,
+    payload (minus timings), warnings (minus the item prefix), the
+    ``cached`` flag, and whether ``trace`` / ``counters`` came back."""
+    def strip(text):
+        return text[len(prefix):] if prefix and text.startswith(prefix) else text
+
+    view = {k: v for k, v in resp.items()
+            if k not in ("breakdown", "trace", "counters", "v", "cached",
+                         "warnings", "error")}
+    view["error"] = strip(resp["error"]) if "error" in resp else None
+    view["cached"] = resp.get("cached", False)
+    view["traced"] = ("trace" in resp, "counters" in resp)
+    view["warnings"] = [strip(w) for w in resp.get("warnings", ())]
+    return view
+
+
+class TestItemParity:
+    """A batch item runs the single-request stages: field check, answer
+    cache, query, trace.  So every item field — ``v``, ``trace``,
+    ``no_cache``, the budget fields, unknown fields — means what it means
+    on a single request, on the first run and on the repeat."""
+
+    @pytest.mark.parametrize("fields", list(PARITY_FIELDS))
+    @pytest.mark.parametrize("op", list(PARITY_ITEMS))
+    def test_item_answers_like_a_single_request(
+        self, small_public_private, op, fields
+    ):
+        item = dict(PARITY_ITEMS[op], **PARITY_FIELDS[fields])
+        alone = _service(small_public_private)
+        batched = _service(small_public_private)
+        for run in ("first", "repeat"):
+            single = alone.execute(dict(item, network="net", owner="bob"))
+            outer = _batch(batched, [item])
+            assert outer["status"] == "ok"
+            (entry,) = outer["results"]
+            entry = dict(entry)
+            if "warnings" in outer:
+                entry["warnings"] = outer["warnings"]
+            assert _parity_view(entry, "queries[0]: ") == _parity_view(
+                single
+            ), run

@@ -29,7 +29,6 @@ from repro.exceptions import (
     ServiceOverloadedError,
     UnknownNetworkError,
 )
-from repro.obs import MetricsRegistry
 from repro.service import PPKWSService, _error_code
 from repro.serving import ServiceExecutor
 
@@ -175,12 +174,12 @@ class TestAnswerCacheSemantics:
         svc.execute(blinks_req())
         assert "cached" not in svc.execute(blinks_req())
 
-    def test_cache_traffic_is_observable(self, small_public_private):
-        from repro.obs import MetricsRegistry
-
+    def test_cache_traffic_is_observable(
+        self, small_public_private, installed_registry
+    ):
         pub, priv = small_public_private
-        reg = MetricsRegistry()
-        svc = PPKWSService(sketch_k=2, registry=reg)
+        reg = installed_registry
+        svc = PPKWSService(sketch_k=2)
         svc.create_network("net", pub)
         svc.attach_user("net", "bob", priv)
         svc.execute(blinks_req())
@@ -446,7 +445,7 @@ class TestErrorCodeMap:
         if field in NAMED_REQUESTS[op]
     ])
     def test_non_string_network_is_bad_request(
-        self, small_public_private, op, field, value
+        self, small_public_private, installed_registry, op, field, value
     ):
         """A network or owner is a name: anything but a string is the
         caller's error, named by field, found before any lock, registry
@@ -454,8 +453,8 @@ class TestErrorCodeMap:
         ``create_network`` registered ``7`` under a name no read op
         could ask for)."""
         pub, priv = small_public_private
-        registry = MetricsRegistry()
-        service = PPKWSService(sketch_k=2, registry=registry)
+        registry = installed_registry
+        service = PPKWSService(sketch_k=2)
         service.create_network("net", pub)
         service.attach_user("net", "bob", priv)
         before = service.answer_cache.stats()
@@ -565,6 +564,71 @@ class TestErrorCodeMap:
         assert resp["code"] == "bad_request"
         assert "mode must be one of" in resp["error"]
         assert schedule.hits(ENGINE_STEP) == 0
+
+
+class TestWireVertexIds:
+    """A wire vertex is a string or an integer, checked once
+    (``semantics.wire.check_vertex``) for graph payloads and ``source``
+    alike: anything else is a ``bad_request`` naming the field, before
+    anything is built.  ``true`` used to attach as public vertex ``1``
+    (``True == 1``), and ``null`` / floats built a graph that only an
+    ``index_path`` create refused."""
+
+    BAD = [True, None, 1.5, float("nan"), ["u"]]
+    IDS = ["true", "null", "float", "nan", "list"]
+
+    @pytest.mark.parametrize("vertex", BAD, ids=IDS)
+    def test_private_edge_vertex(self, service, vertex):
+        before = service.execute({"op": "stats", "network": "net"})
+        resp = service.execute({
+            "op": "attach", "network": "net", "owner": "eve",
+            "private_edges": [[vertex, "x"]],
+        })
+        assert resp["code"] == "bad_request"
+        assert "'private_edges'" in resp["error"]
+        after = service.execute({"op": "stats", "network": "net"})
+        assert after["owners"] == before["owners"] == ["bob"]
+        assert after["epoch"] == before["epoch"]
+
+    @pytest.mark.parametrize("persisted", [False, True],
+                             ids=["in_memory", "index_path"])
+    @pytest.mark.parametrize("vertex", BAD, ids=IDS)
+    def test_public_edge_vertex(self, tmp_path, vertex, persisted):
+        svc = PPKWSService(sketch_k=2)
+        request = {"op": "create_network", "network": "n",
+                   "public_edges": [[0, 1], [1, vertex]]}
+        if persisted:
+            request["index_path"] = str(tmp_path / "n.idx")
+        resp = svc.execute(request)
+        assert resp["code"] == "bad_request"
+        assert "'public_edges'" in resp["error"]
+        assert svc.networks() == []
+
+    def test_label_map_vertex(self, service):
+        resp = service.execute({
+            "op": "attach", "network": "net", "owner": "eve",
+            "private_edges": [[2, "x"]],
+            "private_labels": {1.5: ["db"]},
+        })
+        assert resp["code"] == "bad_request"
+        assert "'private_labels'" in resp["error"]
+
+    @pytest.mark.parametrize("vertex", BAD, ids=IDS)
+    def test_source_vertex(self, service, vertex):
+        resp = service.execute(knk_req(source=vertex))
+        assert resp["code"] == "bad_request"
+        assert "'source'" in resp["error"]
+
+    @pytest.mark.parametrize("vertex", [9, "e9"], ids=["int", "str"])
+    def test_int_and_str_vertices_pass(self, service, vertex):
+        resp = service.execute({
+            "op": "attach", "network": "net", "owner": "eve",
+            "private_edges": [[2, vertex]],
+            "private_labels": {vertex: ["db"]},
+        })
+        assert resp["status"] == "ok" and resp["portals"] == 1
+        resp = service.execute(knk_req(owner="eve", source=vertex))
+        assert resp["status"] == "ok"
 
 
 class TestWarnings:

@@ -245,11 +245,11 @@ class TestMetricsOpShape:
         assert resp["prometheus"] == ""
         assert set(resp["answer_cache"]) >= {"entries", "hits", "misses"}
 
-    def test_metrics_with_registry(self, small_public_private):
-        from repro.obs import MetricsRegistry
-
+    def test_metrics_with_registry(
+        self, small_public_private, installed_registry
+    ):
         pub, priv = small_public_private
-        svc = PPKWSService(sketch_k=2, registry=MetricsRegistry())
+        svc = PPKWSService(sketch_k=2)
         svc.create_network("net", pub)
         svc.attach_user("net", "bob", priv)
         svc.execute(_query("blinks"))

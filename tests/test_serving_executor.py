@@ -11,9 +11,8 @@ from repro import faults
 from repro.exceptions import ExecutorShutdownError, ReproError
 from repro.faults import FaultSchedule, FaultSpec
 from repro.faults.points import EXECUTOR_WORKER
-from repro.obs import MetricsRegistry
 from repro.serving import ServiceExecutor
-from repro.service import PROTOCOL_VERSION
+from repro.service import PPKWSService, PROTOCOL_VERSION
 
 
 class EchoService:
@@ -165,9 +164,11 @@ class TestSelfHealing:
         yield
         faults.deactivate()
 
-    def test_worker_death_quarantines_request_and_respawns(self):
-        reg = MetricsRegistry()
-        with ServiceExecutor(EchoService(), workers=2, registry=reg) as pool:
+    def test_worker_death_quarantines_request_and_respawns(
+        self, installed_registry
+    ):
+        reg = installed_registry
+        with ServiceExecutor(EchoService(), workers=2) as pool:
             sched = FaultSchedule([FaultSpec(EXECUTOR_WORKER, "kill", at_hit=1)])
             with faults.injected(sched):
                 resp = pool.submit({"n": 1}).result(timeout=10)
@@ -240,9 +241,9 @@ class TestSelfHealing:
 
 
 class TestMetrics:
-    def test_executor_metrics_recorded(self):
-        reg = MetricsRegistry()
-        with ServiceExecutor(EchoService(), workers=2, registry=reg) as pool:
+    def test_executor_metrics_recorded(self, installed_registry):
+        reg = installed_registry
+        with ServiceExecutor(EchoService(), workers=2) as pool:
             pool.execute_many([{"n": i} for i in range(10)])
             # wait until the last completion was observed
             deadline = time.monotonic() + 5
@@ -273,16 +274,16 @@ class TestMetrics:
         with ServiceExecutor(EchoService(), workers=1) as pool:
             assert pool.submit({}).result(timeout=10)["status"] == "ok"
 
-    def test_falls_back_to_service_registry(self):
-        reg = MetricsRegistry()
-
-        class RegistryService(EchoService):
-            def _metrics_registry(self):
-                return reg
-
-        with ServiceExecutor(RegistryService(), workers=1) as pool:
-            pool.submit({}).result(timeout=10)
+    def test_falls_back_to_service_registry(self, installed_registry):
+        """The service's registry is the installed one, so the executor
+        and the service it drives record into the same place."""
+        reg = installed_registry
+        with ServiceExecutor(PPKWSService(), workers=1) as pool:
+            pool.submit({"op": "help"}).result(timeout=10)
             pool.shutdown()
         assert reg.value(
             "ppkws_executor_completed_total", labels={"worker": "0"}
+        ) == 1.0
+        assert reg.value(
+            "ppkws_requests_total", labels={"op": "help", "status": "ok"}
         ) == 1.0

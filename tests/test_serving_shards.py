@@ -19,7 +19,6 @@ from repro.faults import FaultSchedule, FaultSpec
 from repro.faults.points import SHARD_WORKER
 from repro.graph.frozen import FrozenGraph, freeze
 from repro.graph.labeled_graph import LabeledGraph
-from repro.obs.registry import MetricsRegistry
 from repro.service import PPKWSService
 
 
@@ -141,21 +140,20 @@ class TestRetiredFanoutField:
 @pytest.fixture(scope="module")
 def pooled():
     """One shared pooled service (spawning workers is expensive)."""
-    registry = MetricsRegistry()
-    svc = make_service(registry=registry)
+    svc = make_service()
     svc.enable_sharding(2)
-    yield svc, registry
+    yield svc
     svc.disable_sharding()
 
 
 class TestShardServingPool:
     def test_enable_twice_rejected(self, pooled):
-        svc, _ = pooled
+        svc = pooled
         with pytest.raises(ReproError):
             svc.enable_sharding(2)
 
     def test_routed_request_matches_serial(self, pooled):
-        svc, _ = pooled
+        svc = pooled
         baseline = make_service()
         builtin = {
             name for name in registered_semantics()
@@ -170,12 +168,12 @@ class TestShardServingPool:
             assert routed == serial
 
     def test_fanout_is_ignored_with_a_pool(self, pooled):
-        svc, _ = pooled
+        svc = pooled
         for base in (KNK, BLINKS, BANKS):
             assert_fanout_is_ignored(svc, base)
 
-    def test_shard_metrics_recorded(self, pooled):
-        svc, registry = pooled
+    def test_shard_metrics_recorded(self, pooled, installed_registry):
+        svc, registry = pooled, installed_registry
         svc.execute(dict(KNK))  # routed
         assert registry.value(
             "ppkws_shard_requests_total", labels={"kind": "execute"}
@@ -184,7 +182,7 @@ class TestShardServingPool:
         assert list(series) == ["kind=execute"]
 
     def test_health_reports_pool(self, pooled):
-        svc, _ = pooled
+        svc = pooled
         resp = svc.execute({"op": "health"})
         shards = resp["shards"]
         assert shards["mode"] == "process"
@@ -194,7 +192,7 @@ class TestShardServingPool:
         assert shards["networks"] == ["net"]
 
     def test_admin_churn_replicates(self, pooled):
-        svc, _ = pooled
+        svc = pooled
         _, priv = build_graphs()
         svc.attach_user("net", "eve", priv)
         try:
@@ -206,7 +204,7 @@ class TestShardServingPool:
         assert resp["code"] == "unknown_owner"
 
     def test_create_and_drop_replicate(self, pooled):
-        svc, _ = pooled
+        svc = pooled
         pub2, priv2 = build_graphs(seed=11, n=20, edges=40)
         svc.create_network("net2", pub2)
         svc.attach_user("net2", "bob", priv2)
@@ -224,7 +222,7 @@ class TestShardServingPool:
         )
 
     def test_no_cache_requests_still_route(self, pooled):
-        svc, _ = pooled
+        svc = pooled
         resp = svc.execute(dict(KNK, no_cache=True))
         assert resp["status"] == "ok"
 
@@ -333,7 +331,7 @@ class _RecordingPool:
     calls: list = []
     service = None
 
-    def __init__(self, shards, registry=None):
+    def __init__(self, shards):
         svc = type(self).service
         acquired = svc._shard_lock.acquire(blocking=False)
         if acquired:
@@ -383,7 +381,7 @@ class TestEnableShardingLockDiscipline:
         release = threading.Event()
 
         class SlowPool(_RecordingPool):
-            def __init__(self, shards, registry=None):
+            def __init__(self, shards):
                 started.set()
                 assert release.wait(5)
 
@@ -406,7 +404,7 @@ class TestEnableShardingLockDiscipline:
         svc = PPKWSService(answer_cache_size=0)
 
         class BoomPool(_RecordingPool):
-            def __init__(self, shards, registry=None):
+            def __init__(self, shards):
                 raise RuntimeError("spawn failed")
 
         monkeypatch.setattr("repro.service.ShardServingPool", BoomPool)
