@@ -1,6 +1,6 @@
 """The PPKWS framework: PEval / ARefine / AComplete (paper Sec. III-IV)."""
 
-from repro.core.budget import DEFAULT_CHECK_INTERVAL, QueryBudget
+from repro.core.budget import DEFAULT_CHECK_INTERVAL, BatchBudget, QueryBudget
 from repro.core.framework import (
     Attachment,
     KnkQueryResult,
@@ -21,7 +21,6 @@ from repro.core.partial import (
     PartialKnkAnswer,
     salvage_rooted_answers,
 )
-from repro.core.batch import BatchBudget, BatchSession
 from repro.core.dynamic import DynamicPrivateGraph
 from repro.core.engine import (
     PipelineContext,
@@ -39,7 +38,6 @@ from repro.core.qualify import answer_sides, is_public_private_answer
 __all__ = [
     "Attachment",
     "BatchBudget",
-    "BatchSession",
     "DEFAULT_CHECK_INTERVAL",
     "CompletionCache",
     "DynamicPrivateGraph",

@@ -42,7 +42,9 @@ from repro.exceptions import (
     QueryCancelledError,
 )
 
-__all__ = ["QueryBudget", "DEFAULT_CHECK_INTERVAL", "TARGET_CLOCK_GAP_S"]
+__all__ = [
+    "BatchBudget", "QueryBudget", "DEFAULT_CHECK_INTERVAL", "TARGET_CLOCK_GAP_S",
+]
 
 #: How many expansions pass between wall-clock reads.  At ~1 µs per heap
 #: pop this bounds deadline overshoot to well under a millisecond.
@@ -226,3 +228,49 @@ exhausted (3 expansions performed)
             f"max_expansions={self.max_expansions!r} "
             f"expansions={self.expansions} cancelled={self._cancelled}>"
         )
+
+
+class BatchBudget:
+    """Divides a whole-batch allowance across the batch's queries.
+
+    ``slice_for(queries_left)`` returns a per-query
+    :class:`QueryBudget` covering an even share of whatever time and
+    expansions remain, or ``None`` when the batch is unbudgeted.
+    The wall-clock share is never negative: once the batch deadline has
+    passed, later queries get a zero-time budget and degrade at their
+    first checkpoint.
+    """
+
+    def __init__(
+        self,
+        deadline_ms: Optional[float] = None,
+        max_expansions: Optional[int] = None,
+    ) -> None:
+        self.deadline_ms = deadline_ms
+        self.max_expansions = max_expansions
+        self._started = time.monotonic()
+        self._expansions_used = 0
+
+    @property
+    def unbudgeted(self) -> bool:
+        """Whether no limit at all was configured."""
+        return self.deadline_ms is None and self.max_expansions is None
+
+    def charge(self, budget: Optional[QueryBudget]) -> None:
+        """Record a finished query's expansion usage."""
+        if budget is not None:
+            self._expansions_used += budget.expansions
+
+    def slice_for(self, queries_left: int) -> Optional[QueryBudget]:
+        """A per-query budget for the next of ``queries_left`` queries."""
+        if self.unbudgeted:
+            return None
+        share_ms: Optional[float] = None
+        if self.deadline_ms is not None:
+            elapsed_ms = (time.monotonic() - self._started) * 1000.0
+            share_ms = max(self.deadline_ms - elapsed_ms, 0.0) / max(queries_left, 1)
+        share_exp: Optional[int] = None
+        if self.max_expansions is not None:
+            left = max(self.max_expansions - self._expansions_used, 0)
+            share_exp = left // max(queries_left, 1)
+        return QueryBudget(deadline_ms=share_ms, max_expansions=share_exp)

@@ -329,9 +329,9 @@ class PPKWS:
         # queries hold the Attachment object itself, which is immutable.
         self._attachments_lock = threading.Lock()
         # owner -> how often that owner's attachment changed; never
-        # shrinks (a re-attach must not repeat an old value).  Owner-side
-        # caches (BatchSession's Attachment, the service's answer cache)
-        # compare it instead of enumerating the entries a change affected.
+        # shrinks (a re-attach must not repeat an old value).  The
+        # service's answer cache, an owner-side cache, compares it instead
+        # of enumerating the entries a change affected.
         self._owner_epochs: Counter[str] = Counter()
 
     # ------------------------------------------------------------------

@@ -56,7 +56,6 @@ from repro.core.engine import (
 )
 from repro.core.framework import Attachment, KnkQueryResult
 from repro.core.partial import PairIndicator, PartialKnkAnswer
-from repro.core.pp_rclique import CompletionCache
 from repro.exceptions import QueryError
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.traversal import INF, dijkstra_ordered
@@ -144,8 +143,6 @@ def _init(ctx: PipelineContext) -> None:
     p = ctx.params
     keywords, p["mode"] = _query_of(p)
     p["keywords"] = list(dict.fromkeys(keywords))
-    if ctx.cache is None:  # no session PKA to share: this query's own
-        ctx.cache = CompletionCache(ctx.options.dp_completion)
     ctx.state = PartialKnkAnswer(answer=KnkAnswer(
         p["source"], display_keyword(p["keywords"], p["mode"]), []
     ))
@@ -218,10 +215,10 @@ def _step_acomplete(ctx: PipelineContext) -> None:
     changes which candidates survive.
     """
     p, partial, budget = ctx.params, ctx.state, ctx.budget
-    engine, cache = ctx.engine, ctx.cache
+    engine = ctx.engine
     public = engine.public
+    kpads, pads = engine.index.kpads, engine.index.pads
     k, probe = p["k"], p["keywords"]
-    marks = cache.marks()
     required = None
     if p["mode"] == "and" and len(probe) > 1:
         # Rarest-first, keeping candidates that carry every keyword.  One
@@ -240,9 +237,9 @@ def _step_acomplete(ctx: PipelineContext) -> None:
         for q in probe:
             reach: Iterable[Tuple[Vertex, float]]
             if required is None:
-                reach = cache.lookup_reach(engine, portal, q).items()
+                reach = kpads.reach(pads, portal, q).items()
             else:  # cut to k first, then filter
-                reach = cache.lookup_candidates(engine, portal, q, k)
+                reach = ranked(kpads.reach(pads, portal, q), k)
                 reach = [c for c in reach if required <= public.labels(c[0])]
             for witness, pub_d in reach:
                 total = d + pub_d
@@ -252,7 +249,10 @@ def _step_acomplete(ctx: PipelineContext) -> None:
         partial.answer.source, partial.answer.keyword,
         [Match(v, d) for v, d in ranked(best, k)],
     )
-    cache.report(ctx.counters, marks)
+    # One sketch read per (portal, keyword): no query re-reads a pair,
+    # so k-nk keeps no PKA and reports no hits.
+    ctx.counters.completion_lookups = len(partial.portal_entries) * len(probe)
+    ctx.counters.completion_cache_hits = 0
 
 
 def _salvage(ctx: PipelineContext, step: str) -> KnkAnswer:

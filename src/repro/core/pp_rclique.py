@@ -49,7 +49,6 @@ from repro.semantics.wire import (
     rooted_payload,
     rooted_wire_params,
 )
-from repro.sketches.kpads import ranked
 
 __all__ = ["peval_rclique", "arefine_pairs", "CompletionCache"]
 
@@ -64,29 +63,18 @@ class CompletionCache:
     difference).
 
     Entries depend only on the portal, the keyword and the (immutable)
-    public index, so one cache may outlive a query — and any attach or
-    detach: a :class:`~repro.core.batch.BatchSession` shares one across
-    its queries for as long as the session lives.
+    public index, so one cache may outlive a query: the service's
+    ``batch`` op shares one across its items for as long as the batch
+    holds its network's read lock.
     """
 
-    __slots__ = ("enabled", "_table", "_list_table", "hits", "misses")
+    __slots__ = ("enabled", "_table", "hits", "misses")
 
     def __init__(self, enabled: bool) -> None:
         self.enabled = enabled
         self._table: Dict[Tuple[Vertex, Label], Tuple[float, Optional[Vertex]]] = {}
-        self._list_table: Dict[Tuple[Vertex, Label], Dict[Vertex, float]] = {}
         self.hits = 0
         self.misses = 0
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters (tables are kept)."""
-        self.hits = 0
-        self.misses = 0
-
-    def invalidate(self) -> None:
-        """Drop all cached entries (never needed for correctness)."""
-        self._table.clear()
-        self._list_table.clear()
 
     def lookup(
         self,
@@ -121,34 +109,13 @@ class CompletionCache:
             return None
         return {p: self.lookup(engine, p, keyword) for p in portals}
 
-    def lookup_reach(
-        self, engine: PPKWS, portal: Vertex, keyword: Label
-    ) -> Dict[Vertex, float]:
-        """Unranked public keyword candidates near ``portal`` (PP-knk):
-        its ``KeywordSketch.reach``, for any ``k``.  Read-only."""
-        key = (portal, keyword)
-        if self.enabled and key in self._list_table:
-            self.hits += 1
-            return self._list_table[key]
-        self.misses += 1
-        result = engine.index.kpads.reach(engine.index.pads, portal, keyword)
-        if self.enabled:
-            self._list_table[key] = result
-        return result
-
-    def lookup_candidates(
-        self, engine: PPKWS, portal: Vertex, keyword: Label, k: int
-    ) -> List[Tuple[Vertex, float]]:
-        """Top-``k`` public keyword candidates near ``portal``."""
-        return ranked(self.lookup_reach(engine, portal, keyword), k)
-
     def marks(self) -> Tuple[int, int]:
         """``(hits, misses)`` so far, for :meth:`report`."""
         return self.hits, self.misses
 
     def report(self, counters: QueryCounters, marks: Tuple[int, int]) -> None:
-        """Write the lookups and hits since ``marks``: a session's cache
-        outlives its queries, and each query reports its own reads."""
+        """Write the lookups and hits since ``marks``: a batch's cache
+        outlives its items, and each item reports its own reads."""
         hits = self.hits - marks[0]
         counters.completion_cache_hits = hits
         counters.completion_lookups = hits + self.misses - marks[1]

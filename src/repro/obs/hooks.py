@@ -16,8 +16,8 @@ metric names stay in one catalogue:
 ``ppkws_query_work_total{pipeline,counter}``
     The :class:`~repro.core.framework.QueryCounters` fields, summed.
 ``ppkws_batch_cache_hits_total`` / ``ppkws_batch_cache_misses_total``
-    Completion-cache traffic of a :class:`~repro.core.batch.BatchSession`
-    or a service ``batch`` request.
+    Completion-cache (PKA) traffic of the rooted items of a service
+    ``batch`` request.
 
 The serving-layer hooks record into the same installed registry:
 

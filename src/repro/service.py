@@ -124,8 +124,7 @@ from functools import cached_property, partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import faults
-from repro.core.batch import BatchBudget
-from repro.core.budget import QueryBudget
+from repro.core.budget import BatchBudget, QueryBudget
 from repro.core.engine import (
     SemanticsSpec,
     registered_semantics,
@@ -1193,11 +1192,30 @@ class PPKWSService:
         cache, :meth:`_semantics_query`, trace — so ``v``, ``trace``,
         ``no_cache`` and the budget fields mean what they mean on a
         single request.  ``deadline_ms`` / ``max_expansions`` bound the
-        *whole batch* via :class:`~repro.core.batch.BatchBudget` even
-        splitting, and an item's own budget fields can only tighten its
-        slice.  A cache hit skips execution, consumes no batch budget and
-        carries ``"cached": true``.  Items fail individually, and all of
-        them share one completion cache.
+        *whole batch*: before its answer-cache lookup, item ``i`` is
+        sliced an even :class:`~repro.core.budget.BatchBudget` share of
+        what is left over all ``len(queries) - i`` remaining items, and an
+        item's own budget fields can only tighten its slice.  A cache hit
+        skips execution, spends none of its slice (the share flows to
+        later items) and carries ``"cached": true``.  Items fail
+        individually.  The rooted items (blinks, banks, rclique) share
+        one completion cache, the Sec.-VI-B PKA, for the batch's length:
+
+        >>> from repro.graph import LabeledGraph
+        >>> service = PPKWSService(sketch_k=2)
+        >>> service.create_network(
+        ...     "n", LabeledGraph.from_edges([(0, 1)], {1: {"t"}}))
+        >>> service.attach_user(
+        ...     "n", "bob", LabeledGraph.from_edges([(0, "x")], {"x": {"s"}}))
+        1
+        >>> item = {"op": "blinks", "keywords": ["t", "s"], "tau": 3.0,
+        ...         "no_cache": True, "trace": True}
+        >>> response = service.execute({"op": "batch", "network": "n",
+        ...                             "owner": "bob", "queries": [item, item]})
+        >>> [(e["counters"]["completion_lookups"],
+        ...   e["counters"]["completion_cache_hits"])
+        ...  for e in response["results"]]  # the repeat only hits
+        [(4, 2), (4, 4)]
         """
         network, owner = request["network"], request["owner"]
         queries = request["queries"]

@@ -1,8 +1,8 @@
 """Cross-request answer cache: LRU + TTL + epoch-based invalidation.
 
 The paper amortizes work *within* a query (PKA memoization) and the
-batch layer amortizes portal lookups *within* one owner's session
-(:class:`~repro.core.batch.BatchSession`'s completion cache).  This
+service's ``batch`` op shares one PKA across the rooted items of one
+batch.  This
 module generalizes the idea one level up: completed ``status: "ok"`` responses
 are cached at the serving layer keyed on
 ``(network, owner, op, canonicalized params)``, so a repeated query is

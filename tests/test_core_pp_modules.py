@@ -101,15 +101,6 @@ class TestCompletionCache:
         assert cache.hits == 0
         assert cache.misses == 2
 
-    def test_candidate_lookup_cached(self, engine_pair):
-        engine, att = engine_pair
-        cache = CompletionCache(enabled=True)
-        portal = next(iter(att.portals))
-        c1 = cache.lookup_candidates(engine, portal, "db", 5)
-        c2 = cache.lookup_candidates(engine, portal, "db", 5)
-        assert c1 == c2
-        assert cache.hits == 1
-
     @pytest.mark.parametrize("seed", (11, 23, 37))
     def test_pka_row_equals_per_portal_lookups(self, seed):
         """AComplete's per-keyword PKA row vs. one ``lookup`` per read."""

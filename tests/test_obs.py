@@ -252,26 +252,34 @@ class TestPipelineObservation:
 
 class TestBatchCacheObservation:
     def test_cache_hits_and_misses_recorded(self, small_public_private):
-        from repro import PPKWS
-        from repro.core.batch import BatchSession
+        from repro import PPKWSService
 
         pub, priv = small_public_private
-        engine = PPKWS(pub, sketch_k=2)
-        engine.attach("bob", priv)
-        session = BatchSession(engine, "bob")
+        service = PPKWSService(sketch_k=2)
+        service.create_network("net", pub)
+        service.attach_user("net", "bob", priv)
+        item = {"op": "blinks", "keywords": ["db", "ai"], "tau": 4.0,
+                "no_cache": True, "trace": True}
         reg = MetricsRegistry()
         obs.install(reg)
         try:
-            session.blinks(["db", "ai"], tau=4.0)
-            session.blinks(["db", "ai"], tau=4.0)  # warm re-run
+            resp = service.execute({  # the second item is a warm re-run
+                "op": "batch", "network": "net", "owner": "bob",
+                "queries": [item, item],
+            })
         finally:
             obs.uninstall()
+        first, again = (e["counters"] for e in resp["results"])
         hits = reg.value("ppkws_batch_cache_hits_total")
         misses = reg.value("ppkws_batch_cache_misses_total")
-        assert hits == session.cache_hits
-        assert misses == session.cache_misses
-        assert hits > 0
-        assert 0.0 < session.cache_hit_rate <= 1.0
+        assert hits == (
+            first["completion_cache_hits"] + again["completion_cache_hits"]
+        )
+        assert hits + misses == (
+            first["completion_lookups"] + again["completion_lookups"]
+        )
+        assert again["completion_cache_hits"] == again["completion_lookups"]
+        assert 0 < misses < hits
 
 
 class TestOneRegistry:

@@ -9,8 +9,8 @@ Three layers:
   *materialized* combined graph, across several seeded random
   public-private graphs and several ``k``;
 * the surrounding machinery: Def.-II.2 qualification, degradation under
-  an expansion budget, the generic ``PPKWS.query``/``BatchSession.query``
-  entry points and the ``truss`` wire op.
+  an expansion budget, the generic ``PPKWS.query`` entry point, the
+  ``truss`` wire op and ``truss`` items of a wire ``batch``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import random
 
 import pytest
 
-from repro.core.batch import BatchSession
 from repro.core.engine import semantics_spec
 from repro.core.framework import PPKWS
 from repro.exceptions import QueryError
@@ -234,9 +233,19 @@ class TestEntryPoints:
     def test_batch_session_generic_query(self):
         pub, priv = seeded_pp_graph(3)
         engine = engine_for(pub, priv)
-        direct = engine.query("truss", "alice", k=3)
-        session = BatchSession(engine, "alice")
-        assert session.query("truss", k=3).answers == direct.answers
+        svc = PPKWSService(sketch_k=2)
+        svc.adopt_network("net", engine)
+        single = svc.execute({
+            "op": "truss", "network": "net", "owner": "alice", "k": 3,
+        })
+        resp = svc.execute({
+            "op": "batch", "network": "net", "owner": "alice",
+            "queries": [{"op": "truss", "k": 3, "no_cache": True}],
+        })
+        (item,) = resp["results"]
+        assert item["status"] == "ok"
+        assert item["answers"] == single["answers"]
+        assert item["answers"]
 
     def test_wire_op_round_trip(self):
         pub, priv = seeded_pp_graph(3)

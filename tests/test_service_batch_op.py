@@ -14,6 +14,7 @@ import copy
 import pytest
 
 from repro import obs
+from repro.datasets import yago_like
 from repro.service import PPKWSService
 
 
@@ -256,6 +257,36 @@ class TestBatchBudget:
             max_expansions=10**6,
         )
         assert roomy["results"][0]["status"] == "ok"
+
+
+    def test_every_remaining_item_counts_in_the_split(self):
+        """Before item ``i``'s answer-cache lookup, the batch budget is
+        split evenly over all ``len(queries) - i`` remaining items, hits
+        included; a hit spends none of its share, so the share flows to
+        the items after it.  Nine hits behind a cold item shrink its
+        slice to a tenth; nine hits ahead of it leave it the whole
+        allowance."""
+        ds = yago_like(num_vertices=300, num_labels=20, seed=3)
+        svc = PPKWSService(sketch_k=2)
+        svc.create_network("net", ds.public)
+        svc.attach_user("net", "bob", ds.private_graphs["user0"])
+        cold = {"op": "blinks", "keywords": ["t5"], "tau": 1.0, "k": 1,
+                "no_cache": True, "trace": True}
+        hits = [{"op": "blinks", "keywords": [f"t{j}"], "tau": 1.0, "k": 1}
+                for j in range(10, 19)]
+        (probe,) = _batch(svc, [cold], max_expansions=10**6)["results"]
+        need = probe["trace"]["expansions"]
+        assert need >= 10
+        assert [e["cached"] for e in _batch(svc, hits)["results"]] == [False] * 9
+        (alone,) = _batch(svc, [cold], max_expansions=need)["results"]
+        assert alone["status"] == "ok"
+
+        first = _batch(svc, [cold] + hits, max_expansions=need)["results"]
+        assert [e["cached"] for e in first[1:]] == [True] * 9
+        assert first[0]["status"] == "degraded"
+        last = _batch(svc, hits + [cold], max_expansions=need)["results"]
+        assert [e["cached"] for e in last[:-1]] == [True] * 9
+        assert last[-1]["status"] == "ok"
 
 
 class TestExecutionModes:
