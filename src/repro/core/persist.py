@@ -30,10 +30,12 @@ exactly as the built one.
 **``load_index`` verifies and wraps; it decodes no sketch row.**  The
 loaded :class:`~repro.sketches.base.DistanceSketch` and
 :class:`~repro.sketches.kpads.KeywordSketch` start with no rows and a
-*row source* over the verified sections.  A probe's miss decodes one PADS
-row (a vertex) or one KPADS ``(entries, witnesses, candidates)`` triple
-(a keyword) with the same ``dict(zip(...))`` over its slice, in the saved
-order; a hit is the plain ``dict.get`` of a built sketch.  Row sources
+*row source* over the verified sections, which are also their flat
+``arrays`` (batched probes read those, undecoded).  A probe's miss
+decodes one PADS row (a vertex) or one KPADS ``(entries, witnesses,
+candidates)`` triple (a keyword) with the same ``dict(zip(...))`` over
+its slice, in the saved order; a hit is the plain ``dict.get`` of a
+built sketch.  Row sources
 pickle as their sections, so a loaded index replicates to shard workers
 undecoded.  Reading ``entries`` (whole-index views, ``save_index``)
 decodes every remaining row, in file order: a loaded index saves back to
@@ -81,8 +83,8 @@ from repro.exceptions import IndexBuildError, IndexCorruptError
 from repro.faults import points
 from repro.graph.frozen import freeze
 from repro.ioutil import atomic_write
-from repro.sketches.base import DistanceSketch
-from repro.sketches.kpads import KeywordSketch
+from repro.sketches.base import DistanceSketch, PadsArrays
+from repro.sketches.kpads import KeywordArrays, KeywordSketch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.protocol import GraphLike
@@ -196,44 +198,16 @@ def _verified_sections(path: PathLike, raw: bytes) -> List[memoryview]:
     return [view[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-class _PadsRows:
-    """PADS rows straight from the ``pads.*`` sections (a sketch's source)."""
-
-    __slots__ = ("vertices", "row_of", "indptr", "centers", "dists")
-
-    def __init__(
-        self, vertices: List[Any], owners: Any, indptr: Any, centers: Any, dists: Any
-    ) -> None:
-        self.vertices = vertices
-        self.row_of = {vertices[i]: row for row, i in enumerate(owners.tolist())}
-        self.indptr, self.centers, self.dists = indptr, centers, dists
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.row_of)
-
-    def __call__(self, v: Any) -> Optional[Dict[Any, float]]:
-        row = self.row_of.get(v)
-        if row is None:
-            return None
-        a, b = self.indptr[row : row + 2].tolist()
-        centers = map(self.vertices.__getitem__, self.centers[a:b].tolist())
-        return dict(zip(centers, self.dists[a:b].tolist()))
-
-
-class _KpadsRows:
+class _KpadsRows(KeywordArrays):
     """KPADS ``(entries, witnesses, candidates)`` rows per keyword, straight
     from the ``kpads.*`` and ``cand.*`` sections (a sketch's source)."""
 
-    __slots__ = (
-        "vertices", "row_of", "indptr", "centers", "dists", "witnesses",
-        "cand_indptr", "cand_dists", "cand_vertices",
-    )
+    __slots__ = ("cand_indptr", "cand_dists", "cand_vertices")
 
     def __init__(self, vertices: List[Any], labels: List[Any], *columns: Any) -> None:
-        self.vertices = vertices
-        self.row_of = {t: row for row, t in enumerate(labels)}
-        (self.indptr, self.centers, self.dists, self.witnesses,
-         self.cand_indptr, self.cand_dists, self.cand_vertices) = columns
+        super().__init__(
+            vertices, {t: row for row, t in enumerate(labels)}, *columns[:4])
+        self.cand_indptr, self.cand_dists, self.cand_vertices = columns[4:]
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.row_of)
@@ -330,9 +304,9 @@ def _decode(graph: "GraphLike", sections: List[memoryview]) -> PublicIndex:
         raise ValueError("pagerank: ids and scores differ in length")
     owners = vertex_column("pads.owners")
     centers, dists = vertex_column("pads.centers"), column("pads.dists")
-    pads = _PadsRows(
-        vertices, owners, indptr("pads.indptr", len(owners), centers, dists),
-        centers, dists,
+    pads = PadsArrays(
+        vertices, {vertices[i]: row for row, i in enumerate(owners.tolist())},
+        indptr("pads.indptr", len(owners), centers, dists), centers, dists,
     )
     centers, dists = vertex_column("kpads.centers"), column("kpads.dists")
     witnesses = vertex_column("kpads.witnesses")
@@ -346,7 +320,7 @@ def _decode(graph: "GraphLike", sections: List[memoryview]) -> PublicIndex:
     per_center = meta["kpads_per_center"]
     return PublicIndex(
         graph,
-        DistanceSketch({}, k, kind="PADS", source=pads),
-        KeywordSketch({}, {}, k, {}, per_center, source=kpads),
+        DistanceSketch({}, k, kind="PADS", source=pads, arrays=pads),
+        KeywordSketch({}, {}, k, {}, per_center, source=kpads, arrays=kpads),
         dict(zip(map(vertices.__getitem__, ids.tolist()), scores.tolist())),
     )

@@ -326,9 +326,11 @@ def _acomplete(ctx: PipelineContext) -> None:
 
     Ranked before built: most swept vertices are *fresh* roots, neither
     a PEval partial nor private, so with no portal exits and unread by
-    salvage.  Their matches stay flat per-keyword columns, ranked by
-    ``(weight, repr)``; the qualification walk builds only the prefix it
-    reads, in exactly the stable ``sort_key()`` order of building all.
+    salvage.  Their matches stay flat per-keyword columns, each probed in
+    one batch (:meth:`~repro.sketches.kpads.KeywordSketch.estimate_with_witness_many`)
+    and ranked by ``(weight, repr)``; the qualification walk builds only
+    the prefix it reads, in exactly the stable ``sort_key()`` order of
+    building all.
     """
     public, partials = ctx.engine.public, ctx.state
     keywords, tau = ctx.params["keywords"], ctx.params["tau"]
@@ -366,12 +368,13 @@ def _acomplete(ctx: PipelineContext) -> None:
         ctx.budget.checkpoint(cost=len(fresh))
     wins: List[List[Optional[Tuple[Vertex, float]]]] = [[] for _ in keywords]
     dists: List[List[float]] = [[] for _ in keywords]
+    index = ctx.engine.index
     for q, win_col, dist_col in zip(keywords, wins, dists):
         cover = swept[q]
-        for u in fresh:
+        probes = index.kpads.estimate_with_witness_many(index.pads, fresh, q)
+        for u, (best, witness) in zip(fresh, probes):
             hit = cover.get(u)
             d = INF if hit is None else hit.distance
-            best, witness = public_probe(u, q)
             won = witness is not None and best < d
             win_col.append((witness, best) if won else None)
             dist_col.append(best if won else d)

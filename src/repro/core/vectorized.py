@@ -110,13 +110,7 @@ class VectorizedRuntime:
         self.supported = bool(
             self.weights.size == 0 or float(self.weights.min()) > 0.0
         )
-        # Lazy sketch-probe tables.
-        self._pads_built = False
-        self.pads_ptr: Any = None
-        self.pads_centers: Any = None
-        self.pads_d1: Any = None
-        self._keyword_cols: Dict[Label, Tuple[Any, List[Optional[Vertex]]]] = {}
-        self._wit_ok: Dict[Label, Any] = {}
+        # Lazy candidate-list tables.
         self._cand_cols: Dict[
             Tuple[Label, int], Tuple[Any, Any, Any, Any]
         ] = {}
@@ -124,65 +118,6 @@ class VectorizedRuntime:
         self._repr_ok: Optional[bool] = None
 
     # -- sketch-probe tables ------------------------------------------
-
-    def _ensure_pads(self) -> None:
-        """Flatten ``pads.entries`` into a CSR of (center, d1) rows.
-
-        Row ``i`` holds vertex ``vertex_of[i]``'s sketch entries in the
-        dict's iteration order — the order `estimate_with_witness`
-        scans, which its first-wins tie-break depends on.
-        """
-        if self._pads_built:
-            return
-        pads = self.engine.index.pads
-        intern = self.public.intern
-        row_ptr: List[int] = [0]
-        centers: List[int] = []
-        d1: List[float] = []
-        for i in range(self.n):
-            sv = pads.entries.get(self.vertex_of[i])
-            if sv:
-                for w, d in sv.items():
-                    centers.append(intern(w))
-                    d1.append(d)
-            row_ptr.append(len(centers))
-        self.pads_ptr = np.asarray(row_ptr, dtype=np.int64)
-        self.pads_centers = np.asarray(centers, dtype=np.int64)
-        self.pads_d1 = np.asarray(d1, dtype=np.float64)
-        self._pads_built = True
-
-    def _keyword_column(self, keyword: Label) -> Tuple[Any, List[Optional[Vertex]]]:
-        """Dense center-id -> (KPADS distance, witness) for ``keyword``."""
-        col = self._keyword_cols.get(keyword)
-        if col is None:
-            kpads = self.engine.index.kpads
-            sketch = kpads.entries.get(keyword) or {}
-            wits = kpads.witnesses.get(keyword, {})
-            dist = np.full(self.n, np.inf, dtype=np.float64)
-            wit_of: List[Optional[Vertex]] = [None] * self.n
-            intern = self.public.intern
-            for center, d2 in sketch.items():
-                cid = intern(center)
-                dist[cid] = d2
-                wit_of[cid] = wits.get(center)
-            col = (dist, wit_of)
-            self._keyword_cols[keyword] = col
-        return col
-
-    def witness_ok(self, keyword: Label) -> Any:
-        """Per-center bool column: does the keyword sketch hold a witness?
-
-        The pure probe only improves a match when its witness is not
-        None; the array merge needs the same guard as a mask.
-        """
-        ok = self._wit_ok.get(keyword)
-        if ok is None:
-            _, wit_of = self._keyword_column(keyword)
-            ok = np.fromiter(
-                (w is not None for w in wit_of), dtype=bool, count=self.n
-            )
-            self._wit_ok[keyword] = ok
-        return ok
 
     def repr_rank(self) -> Any:
         """Per-vertex rank under ``repr`` ordering, or None on collision.
@@ -251,99 +186,14 @@ class VectorizedRuntime:
 
     # -- kernels -------------------------------------------------------
 
-    def probe_ids(self, ids: Any, keyword: Label) -> Tuple[Any, Any]:
-        """Array core of :meth:`probe_many` over interned vertex ids.
-
-        Returns ``(best, center)`` arrays aligned with ``ids``: the
-        minimal sketch total (``inf`` when no common finite center) and
-        the winning center id (``-1`` for none), with equal-total ties
-        resolved to the first sketch entry in row order — exactly the
-        pure strict-``<`` scan of `estimate_with_witness`.
-        """
-        m = int(ids.size)
-        best = np.full(m, np.inf, dtype=np.float64)
-        center = np.full(m, -1, dtype=np.int64)
-        if m == 0:
-            return best, center
-        kpads = self.engine.index.kpads
-        if not kpads.entries.get(keyword):
-            return best, center
-        self._ensure_pads()
-        kw_dist, _ = self._keyword_column(keyword)
-        starts = self.pads_ptr[ids]
-        counts = self.pads_ptr[ids + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return best, center
-        cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        pos = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(cum, counts)
-            + np.repeat(starts, counts)
-        )
-        rows = np.repeat(np.arange(m, dtype=np.int64), counts)
-        totals = self.pads_d1[pos] + kw_dist[self.pads_centers[pos]]
-        order = np.lexsort((pos, totals, rows))
-        first = np.ones(order.size, dtype=bool)
-        rows_sorted = rows[order]
-        first[1:] = rows_sorted[1:] != rows_sorted[:-1]
-        win = order[first]
-        finite = totals[win] < np.inf
-        win = win[finite]
-        best[rows[win]] = totals[win]
-        center[rows[win]] = self.pads_centers[pos[win]]
-        return best, center
-
     def probe_many(
         self, vertices: Sequence[Vertex], keyword: Label
     ) -> Dict[Vertex, Tuple[float, Optional[Vertex]]]:
-        """Batched, bit-identical `KeywordSketch.estimate_with_witness`.
-
-        One gather + argmin over all ``vertices`` at once; equal-total
-        ties resolve to the first sketch entry in row order, exactly as
-        the pure strict-``<`` scan does.
-        """
-        out: Dict[Vertex, Tuple[float, Optional[Vertex]]] = {}
-        if not vertices:
-            return out
-        kpads = self.engine.index.kpads
-        if not kpads.entries.get(keyword):
-            for v in vertices:
-                out[v] = (INF, None)
-            return out
-        self._ensure_pads()
-        kw_dist, kw_wit = self._keyword_column(keyword)
-        intern = self.public.intern
-        ids = np.asarray([intern(v) for v in vertices], dtype=np.int64)
-        starts = self.pads_ptr[ids]
-        counts = self.pads_ptr[ids + 1] - starts
-        total = int(counts.sum())
-        for v in vertices:
-            out[v] = (INF, None)
-        if total == 0:
-            return out
-        cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        pos = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(cum, counts)
-            + np.repeat(starts, counts)
-        )
-        rows = np.repeat(np.arange(ids.size, dtype=np.int64), counts)
-        totals = self.pads_d1[pos] + kw_dist[self.pads_centers[pos]]
-        # First-wins min per row: sort by (row, total, row position).
-        order = np.lexsort((pos, totals, rows))
-        first = np.ones(order.size, dtype=bool)
-        rows_sorted = rows[order]
-        first[1:] = rows_sorted[1:] != rows_sorted[:-1]
-        win = order[first]
-        for j in range(win.size):
-            e = int(win[j])
-            best = float(totals[e])
-            if best == INF:
-                continue  # no common finite center: stays (INF, None)
-            center = int(self.pads_centers[pos[e]])
-            out[vertices[int(rows[e])]] = (best, kw_wit[center])
-        return out
+        """`KeywordSketch.estimate_with_witness_many` on the engine's
+        index, keyed by vertex."""
+        index = self.engine.index
+        return dict(zip(vertices, index.kpads.estimate_with_witness_many(
+            index.pads, vertices, keyword)))
 
     def top_candidates_many(
         self, vertices: Sequence[Vertex], keyword: Label, k: int
@@ -360,30 +210,19 @@ class VectorizedRuntime:
         out: List[List[Tuple[Vertex, float]]] = [[] for _ in vertices]
         if not vertices:
             return out
-        kpads = self.engine.index.kpads
+        kpads, pads = self.engine.index.kpads, self.engine.index.pads.arrays
         if not kpads.candidates.get(keyword):
             return out
-        self._ensure_pads()
         cand_ptr, cand_d2, cand_ids, cand_vertices = self._candidate_column(
             keyword
         )
         intern = self.public.intern
-        ids = np.asarray([intern(v) for v in vertices], dtype=np.int64)
         # Expand each vertex's PADS row into its centers...
-        starts = self.pads_ptr[ids]
-        counts = self.pads_ptr[ids + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
+        counts, centers, d1 = pads.gather(vertices)
+        if not centers.size:
             return out
-        cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        ppos = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(cum, counts)
-            + np.repeat(starts, counts)
-        )
-        rows1 = np.repeat(np.arange(ids.size, dtype=np.int64), counts)
-        centers = self.pads_centers[ppos]
-        d1 = self.pads_d1[ppos]
+        rows1 = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        centers = centers.astype(np.int64)
         # ...then each center into its candidate list entries.
         cstarts = cand_ptr[centers]
         ccounts = cand_ptr[centers + 1] - cstarts
@@ -596,7 +435,7 @@ class RankedMerge:
 
     __slots__ = (
         "runtime", "keywords", "ids", "slow_touched_ids", "order",
-        "weight", "_win", "_best", "_center", "_wit",
+        "weight", "_win", "_best", "_wit",
     )
 
     def __init__(
@@ -609,7 +448,6 @@ class RankedMerge:
         weight: Any,
         win: List[Any],
         best: List[Any],
-        center: List[Any],
         wit: List[List[Optional[Vertex]]],
     ) -> None:
         self.runtime = runtime
@@ -620,7 +458,6 @@ class RankedMerge:
         self.weight = weight
         self._win = win
         self._best = best
-        self._center = center
         self._wit = wit
 
     def __len__(self) -> int:
@@ -648,10 +485,7 @@ class RankedMerge:
         partial = PartialAnswer(answer=RootedAnswer(u, {}))
         for qi, q in enumerate(self.keywords):
             if bool(self._win[qi][j]):
-                center = int(self._center[qi][j])
-                partial.set_match(
-                    q, self._wit[qi][center], float(self._best[qi][j])
-                )
+                partial.set_match(q, self._wit[qi][j], float(self._best[qi][j]))
                 partial.public_matched.add(q)
             else:
                 hit = swept[q].get(u)
@@ -707,9 +541,8 @@ def merge_rank(
     weight = np.zeros(m, dtype=np.float64)
     win_l: List[Any] = []
     best_l: List[Any] = []
-    center_l: List[Any] = []
     wit_l: List[List[Optional[Vertex]]] = []
-    n = runtime.n
+    n, index, vertex_of = runtime.n, runtime.engine.index, runtime.vertex_of
     for qi, q in enumerate(keywords):
         cover = cols[qi]
         sweep_d = np.full(m, np.inf, dtype=np.float64)
@@ -717,20 +550,17 @@ def merge_rank(
             dcol = np.full(n, np.inf, dtype=np.float64)
             dcol[cover.ids] = cover.dists
             sweep_d = dcol[ids]
-        best, center = runtime.probe_ids(ids, q)
-        kw_wit = runtime._keyword_column(q)[1]
-        win = np.zeros(m, dtype=bool)
-        if m:
-            has = center >= 0
-            win[has] = runtime.witness_ok(q)[center[has]] & (
-                best[has] < sweep_d[has]
-            )
+        probes = index.kpads.estimate_with_witness_many(
+            index.pads, [vertex_of[i] for i in ids.tolist()], q)
+        best = np.fromiter((d for d, _ in probes), np.float64, count=m)
+        wit = [w for _, w in probes]
+        has = np.fromiter((w is not None for w in wit), bool, count=m)
+        win = has & (best < sweep_d)
         final = np.where(win, best, sweep_d)
         weight = weight + final
         win_l.append(win)
         best_l.append(best)
-        center_l.append(center)
-        wit_l.append(kw_wit)
+        wit_l.append(wit)
     order = (
         np.lexsort((rrank[ids], weight))
         if m
@@ -738,7 +568,7 @@ def merge_rank(
     )
     return RankedMerge(
         runtime, list(keywords), ids, slow_touched, order, weight,
-        win_l, best_l, center_l, wit_l,
+        win_l, best_l, wit_l,
     )
 
 

@@ -173,6 +173,11 @@ class FrozenGraph:
         return self._vertex_of
 
     @property
+    def id_table(self) -> Mapping[Vertex, int]:
+        """The vertex -> id table (do not mutate)."""
+        return self._id_of
+
+    @property
     def label_table(self) -> Tuple[FrozenSet[Label], ...]:
         """The id -> label-set table."""
         return self._labels_by_id

@@ -168,72 +168,127 @@ def build_neighbor_lists(
 
 #: per keyword ``i`` and, within it, in ``repr`` order of the root:
 #: ``(i, root, [(j, keyword j's search) for every other keyword j])``
-_Stars = List[Tuple[int, Vertex, List[Tuple[int, _Search]]]]
+_Star = Tuple[int, Vertex, List[Tuple[int, _Search]]]
+_Stars = List[_Star]
+
+
+def _cut_bound(search: _Search, root: Vertex, weight: float) -> float:
+    """A lower bound, in every subspace excluding at least as much, on a
+    star cut short at ``search`` with no candidate it could use: ``INF``
+    (never an answer) when the root's list is full or the search is
+    spent, else ``weight`` plus the least distance a later entry has."""
+    if len(search.lists.get(root, ())) >= search.m or not search.frontier:
+        return INF
+    return weight + search.frontier[0]
+
+
+#: a star's picks: ``(keyword j, its match, distance)`` per other keyword
+_Picks = List[Tuple[int, Vertex, float]]
+
+
+def _score(
+    star: _Star,
+    exclusions: Tuple[FrozenSet[Vertex], ...],
+    bound: float,
+    resume: bool,
+) -> Optional[Tuple[float, Optional[_Picks]]]:
+    """``star``'s weight and picks under ``exclusions`` when the weight is
+    under ``bound``; else ``(lower bound for every child subspace, None)``.
+
+    A list that runs out of usable origins resumes its search, while its
+    next distance could still make the weight beat ``bound``, only if
+    ``resume``; otherwise the star is deferred and the result is None.
+    """
+    i, root, others = star
+    if root in exclusions[i]:
+        return INF, None
+    weight = 0.0
+    picks: _Picks = []
+    for j, search in others:
+        excluded = exclusions[j]
+        for d, u in search.lists.get(root, ()):
+            if u not in excluded:
+                break
+        else:
+            if not resume:
+                return None
+            found = search.nearest(root, excluded, weight, bound)
+            if found is None:  # keyword j has no candidate that could win
+                return _cut_bound(search, root, weight), None
+            d, u = found
+        weight += d
+        if weight >= bound:
+            return weight, None
+        picks.append((j, u, d))
+    return weight, picks
 
 
 def _find_top_answer(
     keywords: Sequence[Label],
     stars: _Stars,
     exclusions: Tuple[FrozenSet[Vertex], ...],
+    bounds: List[float],
     budget: Optional["QueryBudget"] = None,
-) -> Optional[RootedAnswer]:
-    """Algo 2's ``FindTopAnswer``: the star of least ``(weight, position)``.
+) -> Tuple[Optional[RootedAnswer], List[float]]:
+    """Algo 2's ``FindTopAnswer``: the star of least ``(weight, position)``,
+    and the per-star lower bounds this scan leaves for the subspace's
+    children.
+
+    ``bounds[p]`` bounds star ``p``'s weight from below.  A child only
+    adds exclusions, so a parent's exact score, the partial sum at which
+    it cut a star short, or ``INF`` for a star it found unanswerable
+    bounds every child (Kargar-An's branch and bound).  Stars are visited
+    in ``(bound, position)`` order, and the scan stops at the first that
+    cannot beat the best ``(weight, position)`` so far.
 
     A list that runs out resumes only while its next distance could still
-    beat the best weight.  Before any star is scored nothing bounds that,
-    so such a root is deferred: scored after the pass, in reverse, it
-    precedes all roots scored before it and wins ties (the next float up).
+    beat the best.  Before any star is scored nothing bounds that, so such
+    a root is deferred and scored after the pass.  Each call charges
+    ``budget`` one expansion per star, visited or not.
     """
-    best: Optional[Tuple[int, Vertex, List[Tuple[int, Vertex, float]]]] = None
-    best_weight = INF
-    deferred: _Stars = []
-    for i, root, others in stars:
+    learned = list(bounds)
+    best: Optional[Tuple[int, _Picks]] = None
+    best_weight, best_pos = INF, len(stars)
+
+    def beats(lower: float, p: int) -> bool:
+        return lower < best_weight or (lower == best_weight and p < best_pos)
+
+    def bound(p: int) -> float:
+        # a star before the best in position wins a tie
+        return best_weight if p > best_pos else math.nextafter(best_weight, INF)
+
+    deferred: List[int] = []
+    visited = 0
+    for lower, p in sorted(zip(bounds, range(len(stars)))):
+        if lower == INF or not beats(lower, p):
+            break
+        visited += 1
         if budget is not None:
             budget.checkpoint()
-        if root in exclusions[i]:
+        scored = _score(stars[p], exclusions, bound(p), best is not None)
+        if scored is None:
+            deferred.append(p)
             continue
-        weight = 0.0
-        picks: List[Tuple[int, Vertex, float]] = []
-        for j, search in others:
-            excluded = exclusions[j]
-            for d, u in search.lists.get(root, ()):
-                if u not in excluded:
-                    break
-            else:
-                if best is None:
-                    deferred.append((i, root, others))
-                    break
-                frontier = search.frontier
-                found = frontier and weight + frontier[0] < best_weight and (
-                    search.nearest(root, excluded, weight, best_weight))
-                if not found:
-                    break  # keyword j has no candidate that could win
-                d, u = found
-            weight += d
-            if weight >= best_weight:
-                break
-            picks.append((j, u, d))
-        else:
-            if weight < best_weight:
-                best, best_weight = (i, root, picks), weight
-    for i, root, others in reversed(deferred):
-        bound = math.nextafter(best_weight, INF)
-        weight, picks = 0.0, []
-        for j, search in others:
-            found = search.nearest(root, exclusions[j], weight, bound)
-            if found is None or weight + found[0] >= bound:
-                break
-            weight += found[0]
-            picks.append((j, found[1], found[0]))
-        else:
-            best, best_weight = (i, root, picks), weight
+        learned[p], picks = scored
+        if picks is not None:
+            best, best_weight, best_pos = (p, picks), learned[p], p
+    if budget is not None and visited < len(stars):
+        budget.checkpoint(cost=len(stars) - visited)
+    for p in deferred:
+        if beats(bounds[p], p):
+            scored = _score(stars[p], exclusions, bound(p), True)
+            assert scored is not None  # a resumed scan never defers
+            learned[p], picks = scored
+            if picks is not None:
+                best, best_weight, best_pos = (p, picks), learned[p], p
     if best is None:
-        return None
-    i, root, picks = best
+        return None, learned
+    p, picks = best
+    i, root, _ = stars[p]
     matches: Dict[Label, Match] = {keywords[i]: Match(root, 0.0)}
     for j, u, d in picks:
         matches[keywords[j]] = Match(u, d)
-    return RootedAnswer(root, matches)
+    return RootedAnswer(root, matches), learned
 
 
 def rclique_search(
@@ -308,16 +363,19 @@ def rclique_search(
     ]
 
     empty = tuple(frozenset() for _ in unique_keywords)
-    first = _find_top_answer(unique_keywords, stars, empty, budget)
+    first, bounds = _find_top_answer(
+        unique_keywords, stars, empty, [0.0] * len(stars), budget)
     if first is None:
         return []
 
     results: List[RootedAnswer] = []
     seen_answers: Set[Tuple[Tuple[Label, Vertex], ...]] = set()
     seen_spaces: Set[Tuple[FrozenSet[Vertex], ...]] = {empty}
-    heap: List[Tuple[float, int, Tuple[FrozenSet[Vertex], ...], RootedAnswer]] = []
+    # each space with its top answer and the star bounds its scan left
+    heap: List[Tuple[float, int, Tuple[FrozenSet[Vertex], ...], RootedAnswer,
+                     List[float]]] = []
     tiebreak = itertools.count()
-    heapq.heappush(heap, (first.weight(), next(tiebreak), empty, first))
+    heapq.heappush(heap, (first.weight(), next(tiebreak), empty, first, bounds))
 
     # Pop budget: with remove-only decomposition the space lattice is
     # exponential, and when fewer than k distinct answers exist an
@@ -327,7 +385,7 @@ def rclique_search(
     pops_remaining = max(64, 16 * k)
     while heap and len(results) < k and pops_remaining > 0:
         pops_remaining -= 1
-        _, _, space, answer = heapq.heappop(heap)
+        _, _, space, answer, bounds = heapq.heappop(heap)
         signature = tuple(
             sorted(((q, m.vertex) for q, m in answer.matches.items()), key=repr)
         )
@@ -349,9 +407,11 @@ def rclique_search(
             if new_space in seen_spaces:
                 continue
             seen_spaces.add(new_space)
-            nxt = _find_top_answer(unique_keywords, stars, new_space, budget)
+            nxt, learned = _find_top_answer(
+                unique_keywords, stars, new_space, bounds, budget)
             if nxt is not None:
-                heapq.heappush(heap, (nxt.weight(), next(tiebreak), new_space, nxt))
+                heapq.heappush(
+                    heap, (nxt.weight(), next(tiebreak), new_space, nxt, learned))
 
     results.sort(key=RootedAnswer.sort_key)
     return results

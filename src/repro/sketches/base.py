@@ -16,19 +16,22 @@ The builder accepts any :class:`~repro.graph.protocol.GraphLike`, freezes
 it (a no-op on the production public graph, which is already a
 :class:`~repro.graph.frozen.FrozenGraph`) and runs the whole of Algo 6
 over interned integer ids with flat CSR neighbor scans and bare
-``(distance, id)`` heap entries; the resulting sketches are translated
-back to vertex keys, so :class:`DistanceSketch` and the persistence
-layer never see the ids.
+``(distance, id)`` heap entries.  The resulting sketches are translated
+back to vertex keys for the per-vertex probes, and kept as well in the
+index file's flat form (:class:`PadsArrays`), which batched probes read.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
+from itertools import chain, repeat
 from typing import (
     TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Mapping, Optional,
-    Protocol, Tuple,
+    Protocol, Sequence, Tuple,
 )
+
+import numpy as np
 
 from repro.exceptions import IndexBuildError
 from repro.graph.frozen import FrozenGraph, freeze
@@ -38,7 +41,7 @@ from repro.graph.traversal import INF
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.protocol import GraphLike
 
-__all__ = ["DistanceSketch", "RowSource", "build_sketch_from_ranks"]
+__all__ = ["DistanceSketch", "PadsArrays", "RowSource", "build_sketch_from_ranks"]
 
 
 class RowSource(Protocol):
@@ -49,6 +52,51 @@ class RowSource(Protocol):
 
     def __iter__(self) -> Iterator[Any]:
         """The row keys, in file order."""
+
+
+class PadsArrays:
+    """Sketch rows in the index file's flat form (the ``pads.*`` sections).
+
+    Row ``r`` is ``centers[indptr[r]:indptr[r + 1]]`` (ids into
+    ``vertices``) with ``dists`` alongside, in the row's iteration order;
+    ``row_of`` maps a vertex to its row.  A loaded sketch reads the
+    verified sections as they lie in the file and decodes a row through
+    :meth:`__call__` (it is the sketch's :class:`RowSource`); a built one
+    gets the same arrays from Algo 6, rows in id order.
+    """
+
+    __slots__ = ("vertices", "row_of", "indptr", "centers", "dists")
+
+    def __init__(
+        self, vertices: List[Any], row_of: Mapping[Any, int], indptr: Any,
+        centers: Any, dists: Any,
+    ) -> None:
+        self.vertices, self.row_of = vertices, row_of
+        self.indptr, self.centers, self.dists = indptr, centers, dists
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.row_of)
+
+    def __call__(self, v: Any) -> Optional[Dict[Any, float]]:
+        row = self.row_of.get(v)
+        if row is None:
+            return None
+        a, b = self.indptr[row : row + 2].tolist()
+        centers = map(self.vertices.__getitem__, self.centers[a:b].tolist())
+        return dict(zip(centers, self.dists[a:b].tolist()))
+
+    def gather(self, vertices: Sequence[Any]) -> Tuple[Any, Any, Any]:
+        """The rows of ``vertices`` laid end to end: each vertex's entry
+        count (0 without a row), then every entry's center id and
+        distance, row after row, each row in its own order."""
+        rows = np.fromiter(
+            map(self.row_of.get, vertices, repeat(-1)), np.int64, count=len(vertices))
+        # a missing row (-1) reads indptr[-1] and indptr[0]: in bounds, count 0
+        starts = self.indptr[rows].astype(np.int64)
+        counts = np.where(rows >= 0, self.indptr[rows + 1] - starts, 0)
+        offsets = np.cumsum(counts) - counts
+        pos = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
+        return counts, self.centers[pos], self.dists[pos]
 
 
 class DistanceSketch:
@@ -71,9 +119,11 @@ class DistanceSketch:
     file order.  Only a miss consults it, and the first decoded row wins
     (``setdefault``), so racing readers all see one row object.
     ``entries`` is the whole table: reading it decodes every missing row.
+    ``arrays`` holds the rows in flat form when the build or the file
+    gave them (``None`` otherwise); batched probes read only those.
     """
 
-    __slots__ = ("rows", "source", "k", "kind")
+    __slots__ = ("rows", "source", "k", "kind", "arrays")
 
     def __init__(
         self,
@@ -81,11 +131,13 @@ class DistanceSketch:
         k: int,
         kind: str = "sketch",
         source: Optional[RowSource] = None,
+        arrays: Optional[PadsArrays] = None,
     ) -> None:
         self.rows = entries
         self.source = source
         self.k = k
         self.kind = kind
+        self.arrays = arrays
 
     @property
     def entries(self) -> Dict[Vertex, Dict[Vertex, float]]:
@@ -271,4 +323,14 @@ def _build_sketch_frozen(
         vx[i]: {vx[c]: d for c, d in sketch.items()}
         for i, sketch in enumerate(entries_ids)
     }
-    return DistanceSketch(entries, k, kind)
+    sizes = np.fromiter(map(len, entries_ids), np.int32, count=n)
+    indptr_out = np.zeros(n + 1, np.int32)
+    np.cumsum(sizes, out=indptr_out[1:])
+    total = int(indptr_out[-1])
+    arrays = PadsArrays(
+        vx, graph.id_table, indptr_out,
+        np.fromiter(chain.from_iterable(entries_ids), np.int32, count=total),
+        np.fromiter(chain.from_iterable(s.values() for s in entries_ids),
+                    np.float64, count=total),
+    )
+    return DistanceSketch(entries, k, kind, arrays=arrays)
