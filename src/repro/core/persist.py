@@ -22,24 +22,28 @@ type and a distance is the same ``float`` bit for bit.  ``pads.indptr``
 slices centers/dists per owner, ``kpads.indptr`` per keyword,
 ``cand.indptr`` per (keyword, center) candidate list.
 
+**The sections are the sketches.**  A sketch's one form is these
+arrays (:class:`~repro.sketches.base.PadsArrays`,
+:class:`~repro.sketches.kpads.KeywordArrays`): Algo 6 and the KPADS
+merge build them, ``save_index`` writes them as they are (a sketch whose
+ids index another vertex table, one flattened from hand-made dict rows,
+is mapped onto the graph's) and decodes no row, and ``load_index`` wraps
+the verified sections in them.  Layout and decoding live in
+:mod:`repro.sketches`; this module only reads and writes sections.
+
 **Entry order is data.**  ``estimate_with_witness``, ``reach`` and
 ``build_kpads`` break distance ties by first-seen, so every map is
-written in iteration order and rebuilt in it: a loaded index answers
+written in iteration order and decoded in it: a loaded index answers
 exactly as the built one.
 
-**``load_index`` verifies and wraps; it decodes no sketch row.**  The
-loaded :class:`~repro.sketches.base.DistanceSketch` and
-:class:`~repro.sketches.kpads.KeywordSketch` start with no rows and a
-*row source* over the verified sections, which are also their flat
-``arrays`` (batched probes read those, undecoded).  A probe's miss
-decodes one PADS row (a vertex) or one KPADS ``(entries, witnesses,
-candidates)`` triple (a keyword) with the same ``dict(zip(...))`` over
-its slice, in the saved order; a hit is the plain ``dict.get`` of a
-built sketch.  Row sources
-pickle as their sections, so a loaded index replicates to shard workers
-undecoded.  Reading ``entries`` (whole-index views, ``save_index``)
-decodes every remaining row, in file order: a loaded index saves back to
-the bytes it was loaded from, touched or not.
+**``load_index`` verifies and wraps; it decodes no sketch row.**  A
+loaded sketch starts with no decoded rows, exactly like a built one, and
+a probe decodes the part of a row it reads on first touch: a PADS row
+(a vertex), a keyword's entries and witnesses (the estimators) or its
+candidate lists (``reach``).  Batched probes and the size figures read
+the arrays undecoded.  The arrays pickle as their sections, so an index
+replicates to shard workers undecoded.  Reading ``entries`` decodes
+every remaining row, in file order.
 
 ``save_index`` is a pure function of the index (equal indexes,
 byte-identical files) and writes through
@@ -67,13 +71,8 @@ import hashlib
 import json
 import os
 import struct
-import sys
-from array import array
-from itertools import accumulate, chain, repeat
-from operator import itemgetter
-from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
-)
+from itertools import accumulate, chain
+from typing import TYPE_CHECKING, Any, Callable, List, Union
 
 import numpy as np
 
@@ -81,7 +80,7 @@ from repro import faults
 from repro.core.framework import PublicIndex
 from repro.exceptions import IndexBuildError, IndexCorruptError
 from repro.faults import points
-from repro.graph.frozen import freeze
+from repro.graph.frozen import FrozenGraph, freeze
 from repro.ioutil import atomic_write
 from repro.sketches.base import DistanceSketch, PadsArrays
 from repro.sketches.kpads import KeywordArrays, KeywordSketch
@@ -111,51 +110,53 @@ _HEADER = struct.Struct(f"<8sII{len(_SECTIONS) + 1}Q")
 
 
 def _sections(index: PublicIndex) -> List[bytes]:
-    """The file's sections (meta first), every map in iteration order."""
-    pads, kpads, scores = index.pads.entries, index.kpads, index.pagerank_scores
-    vertex_ids = {v: i for i, v in enumerate(index.graph.vertices())}
-    for v in chain(vertex_ids, kpads.entries):
+    """The file's sections (meta first): the sketches' arrays as they are.
+
+    Sketch ids index the sketch's own vertex table; one that is not the
+    graph's (a sketch flattened from hand-made rows) is mapped onto it.
+    """
+    graph, pads, kpads = index.graph, index.pads.arrays, index.kpads.arrays
+    vertices, id_of = graph.vertex_table, graph.id_table
+    for v in chain(vertices, kpads.row_of):
         if isinstance(v, bool) or not isinstance(v, (int, str)):
             raise IndexBuildError(
                 f"only int and str vertices can be persisted, got {type(v).__name__}"
             )
-    vid = vertex_ids.__getitem__
-    merged = list(kpads.entries.values())
-    witnesses: List[Iterable[Any]] = []
-    lists: List[Any] = []
-    for t, centers in kpads.entries.items():
-        witnesses.append(map(kpads.witnesses[t].__getitem__, centers))
-        lists.extend(map(kpads.candidates.get(t, {}).get, centers, repeat(())))
-    pairs = list(chain.from_iterable(lists))
-    columns: List[Iterable[Any]] = [
-        map(vid, scores), scores.values(),
-        map(vid, pads), accumulate(map(len, pads.values()), initial=0),
-        map(vid, chain.from_iterable(pads.values())),
-        chain.from_iterable(s.values() for s in pads.values()),
-        accumulate(map(len, merged), initial=0),
-        map(vid, chain.from_iterable(merged)),
-        chain.from_iterable(m.values() for m in merged),
-        map(vid, chain.from_iterable(witnesses)),
-        accumulate(map(len, lists), initial=0),
-        map(itemgetter(0), pairs), map(vid, map(itemgetter(1), pairs)),
-    ]
+    try:
+        to_pads = _graph_ids(pads.vertices, graph)
+        to_kpads = _graph_ids(kpads.vertices, graph)
+        scores = index.pagerank_scores
+        columns = [
+            np.fromiter(map(id_of.__getitem__, scores), np.int64, count=len(scores)),
+            np.fromiter(scores.values(), np.float64, count=len(scores)),
+            np.fromiter(map(id_of.__getitem__, pads.row_of), np.int64,
+                        count=len(pads.row_of)),
+            pads.indptr, to_pads(pads.centers), pads.dists,
+            kpads.indptr, to_kpads(kpads.centers), kpads.dists,
+            to_kpads(kpads.witnesses),
+            kpads.cand_indptr, kpads.cand_dists, to_kpads(kpads.cand_vertices),
+        ]
+    except KeyError as exc:
+        raise IndexBuildError(f"index cannot be flattened: {exc!r}") from exc
     out = [json.dumps({
         "k": index.pads.k,
-        "kpads_per_center": kpads.per_center,
-        "num_vertices": len(vertex_ids),
-        "graph_sha256": index.graph.digest(),
-        "vertices": list(vertex_ids),
-        "labels": list(kpads.entries),
+        "kpads_per_center": index.kpads.per_center,
+        "num_vertices": len(vertices),
+        "graph_sha256": graph.digest(),
+        "vertices": vertices,
+        "labels": list(kpads.row_of),
     }).encode("utf-8")]
-    try:
-        for code, column in zip(_SECTIONS.values(), columns):
-            section = array(code, column)
-            if sys.byteorder == "big":  # pragma: no cover - platform
-                section.byteswap()
-            out.append(section.tobytes())
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise IndexBuildError(f"index cannot be flattened: {exc!r}") from exc
+    for code, column in zip(_SECTIONS.values(), columns):
+        out.append(np.asarray(column).astype(_DTYPES[code], copy=False).tobytes())
     return out
+
+
+def _graph_ids(table: List[Any], graph: FrozenGraph) -> Callable[[Any], Any]:
+    """Ids into ``table`` -> ids into ``graph``'s vertex table."""
+    if table is graph.vertex_table or table == graph.vertex_table:
+        return lambda ids: ids
+    lut = np.fromiter(map(graph.id_table.__getitem__, table), np.int64, count=len(table))
+    return lut.__getitem__
 
 
 def save_index(index: PublicIndex, path: PathLike) -> None:
@@ -196,41 +197,6 @@ def _verified_sections(path: PathLike, raw: bytes) -> List[memoryview]:
         reason = f"section table: {count} sections end at byte {bounds[-1]} of {body}"
         raise IndexCorruptError(path, reason)
     return [view[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-class _KpadsRows(KeywordArrays):
-    """KPADS ``(entries, witnesses, candidates)`` rows per keyword, straight
-    from the ``kpads.*`` and ``cand.*`` sections (a sketch's source)."""
-
-    __slots__ = ("cand_indptr", "cand_dists", "cand_vertices")
-
-    def __init__(self, vertices: List[Any], labels: List[Any], *columns: Any) -> None:
-        super().__init__(
-            vertices, {t: row for row, t in enumerate(labels)}, *columns[:4])
-        self.cand_indptr, self.cand_dists, self.cand_vertices = columns[4:]
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.row_of)
-
-    def __call__(self, keyword: Any) -> Optional[Tuple[Dict[Any, Any], ...]]:
-        row = self.row_of.get(keyword)
-        if row is None:
-            return None
-        vertex = self.vertices.__getitem__
-        a, b = self.indptr[row : row + 2].tolist()
-        centers = list(map(vertex, self.centers[a:b].tolist()))
-        ptr = self.cand_indptr[a : b + 1].tolist()
-        lo, hi = ptr[0], ptr[-1]
-        pairs = list(zip(
-            self.cand_dists[lo:hi].tolist(),
-            map(vertex, self.cand_vertices[lo:hi].tolist()),
-        ))
-        lists = [pairs[i - lo : j - lo] for i, j in zip(ptr, ptr[1:])]
-        return (
-            dict(zip(centers, self.dists[a:b].tolist())),
-            dict(zip(centers, map(vertex, self.witnesses[a:b].tolist()))),
-            dict(zip(centers, lists)),
-        )
 
 
 def load_index(graph: "GraphLike", path: PathLike) -> PublicIndex:
@@ -312,7 +278,7 @@ def _decode(graph: "GraphLike", sections: List[memoryview]) -> PublicIndex:
     witnesses = vertex_column("kpads.witnesses")
     cand_dists, cand_vertices = column("cand.dists"), vertex_column("cand.vertices")
     cand_ptr = indptr("cand.indptr", len(centers), cand_dists, cand_vertices)
-    kpads = _KpadsRows(
+    kpads = KeywordArrays(
         vertices, labels,
         indptr("kpads.indptr", len(labels), centers, dists, witnesses),
         centers, dists, witnesses, cand_ptr, cand_dists, cand_vertices,
@@ -320,7 +286,7 @@ def _decode(graph: "GraphLike", sections: List[memoryview]) -> PublicIndex:
     per_center = meta["kpads_per_center"]
     return PublicIndex(
         graph,
-        DistanceSketch({}, k, kind="PADS", source=pads, arrays=pads),
-        KeywordSketch({}, {}, k, {}, per_center, source=kpads, arrays=kpads),
+        DistanceSketch({}, k, kind="PADS", arrays=pads),
+        KeywordSketch({}, {}, k, per_center=per_center, arrays=kpads),
         dict(zip(map(vertices.__getitem__, ids.tolist()), scores.tolist())),
     )

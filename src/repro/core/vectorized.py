@@ -148,31 +148,32 @@ class VectorizedRuntime:
 
         Row ``cid`` holds KPADS ``candidates[keyword][center]`` in list
         order (sorted by distance, insertion-stable) — the order the
-        pure merge scans.
+        pure merge scans.  Reads only the keyword's candidates
+        (:meth:`KeywordSketch.reach_row`).
         """
         key = (keyword, 0)
         cached = self._cand_cols.get(key)
         if cached is not None:
             return cached  # type: ignore[return-value]
-        kpads = self.engine.index.kpads
-        lists = kpads.candidates.get(keyword) or {}
+        slots, dists, vertices = self.engine.index.kpads.reach_row(keyword)
         intern = self.public.intern
         ptr: List[int] = [0]
         d2: List[float] = []
         cand_ids: List[int] = []
         cand_of: Dict[Vertex, int] = {}
         cand_vertices: List[Vertex] = []
-        by_cid: Dict[int, List[Tuple[float, Vertex]]] = {
-            intern(center): lst for center, lst in lists.items()
+        by_cid: Dict[int, range] = {
+            intern(center): slot for center, slot in slots.items()
         }
         for cid in range(self.n):
-            for dd, u in by_cid.get(cid, ()):  # candidates can be private
+            for i in by_cid.get(cid, ()):
+                u = vertices[i]  # candidates can be private
                 idx = cand_of.get(u)
                 if idx is None:
                     idx = len(cand_vertices)
                     cand_of[u] = idx
                     cand_vertices.append(u)
-                d2.append(dd)
+                d2.append(dists[i])
                 cand_ids.append(idx)
             ptr.append(len(d2))
         out = (
@@ -211,7 +212,7 @@ class VectorizedRuntime:
         if not vertices:
             return out
         kpads, pads = self.engine.index.kpads, self.engine.index.pads.arrays
-        if not kpads.candidates.get(keyword):
+        if not kpads.reach_row(keyword)[0]:
             return out
         cand_ptr, cand_d2, cand_ids, cand_vertices = self._candidate_column(
             keyword

@@ -16,9 +16,10 @@ The builder accepts any :class:`~repro.graph.protocol.GraphLike`, freezes
 it (a no-op on the production public graph, which is already a
 :class:`~repro.graph.frozen.FrozenGraph`) and runs the whole of Algo 6
 over interned integer ids with flat CSR neighbor scans and bare
-``(distance, id)`` heap entries.  The resulting sketches are translated
-back to vertex keys for the per-vertex probes, and kept as well in the
-index file's flat form (:class:`PadsArrays`), which batched probes read.
+``(distance, id)`` heap entries.  The sketches come out in the index
+file's flat form (:class:`PadsArrays`), the one form a sketch has: the
+per-vertex probes decode a row on its first touch, batched probes read
+the arrays as they are.
 """
 
 from __future__ import annotations
@@ -41,7 +42,17 @@ from repro.graph.traversal import INF
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.protocol import GraphLike
 
-__all__ = ["DistanceSketch", "PadsArrays", "RowSource", "build_sketch_from_ranks"]
+__all__ = [
+    "DistanceSketch", "PadsArrays", "RowSource", "build_sketch_from_ranks", "row_pointers",
+]
+
+
+def row_pointers(sizes: Sequence[int]) -> Any:
+    """Row pointers (int32) over rows of ``sizes`` entries: 0, then the
+    running sum."""
+    out = np.zeros(len(sizes) + 1, np.int32)
+    np.cumsum(sizes, out=out[1:])
+    return out
 
 
 class RowSource(Protocol):
@@ -55,14 +66,16 @@ class RowSource(Protocol):
 
 
 class PadsArrays:
-    """Sketch rows in the index file's flat form (the ``pads.*`` sections).
+    """Sketch rows in the index file's flat form (the ``pads.*`` sections),
+    the one form of every :class:`DistanceSketch`.
 
     Row ``r`` is ``centers[indptr[r]:indptr[r + 1]]`` (ids into
     ``vertices``) with ``dists`` alongside, in the row's iteration order;
-    ``row_of`` maps a vertex to its row.  A loaded sketch reads the
-    verified sections as they lie in the file and decodes a row through
-    :meth:`__call__` (it is the sketch's :class:`RowSource`); a built one
-    gets the same arrays from Algo 6, rows in id order.
+    ``row_of`` maps a vertex to its row and iterates the vertices in row
+    order.  Algo 6 writes the arrays (rows in id order), a loaded index
+    reads the verified sections as they lie in the file, and
+    :meth:`from_rows` flattens hand-made dict rows.  :meth:`__call__`
+    decodes one row (the arrays are the sketch's :class:`RowSource`).
     """
 
     __slots__ = ("vertices", "row_of", "indptr", "centers", "dists")
@@ -73,6 +86,23 @@ class PadsArrays:
     ) -> None:
         self.vertices, self.row_of = vertices, row_of
         self.indptr, self.centers, self.dists = indptr, centers, dists
+
+    @classmethod
+    def from_rows(cls, rows: Mapping[Vertex, Mapping[Vertex, float]]) -> "PadsArrays":
+        """``rows`` flattened, every map in iteration order.  The vertex
+        table lists the owners in row order, then every other center in
+        first-seen order."""
+        row_of = dict(zip(rows, range(len(rows))))
+        id_of = dict(row_of)
+        for w in chain.from_iterable(rows.values()):
+            id_of.setdefault(w, len(id_of))
+        return cls(
+            list(id_of), row_of, row_pointers(list(map(len, rows.values()))),
+            np.fromiter(map(id_of.__getitem__, chain.from_iterable(rows.values())),
+                        np.int32),
+            np.fromiter(chain.from_iterable(r.values() for r in rows.values()),
+                        np.float64),
+        )
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.row_of)
@@ -111,30 +141,30 @@ class DistanceSketch:
     bound of the true distance, and exact when ``u`` (or ``v``) is itself a
     center of the other's sketch.
 
-    The rows present so far are the plain dict ``rows``; every probe reads
-    it with ``dict.get``.  A built sketch holds all its rows.  A loaded one
-    (:func:`repro.core.persist.load_index`) starts empty and has a
-    ``source``: a callable that decodes one vertex's row from the index
-    file (``None`` for a vertex without one) and iterates the vertices in
-    file order.  Only a miss consults it, and the first decoded row wins
-    (``setdefault``), so racing readers all see one row object.
-    ``entries`` is the whole table: reading it decodes every missing row.
-    ``arrays`` holds the rows in flat form when the build or the file
-    gave them (``None`` otherwise); batched probes read only those.
+    The sketch *is* its flat ``arrays`` (:class:`PadsArrays`), built by
+    Algo 6, read from the index file or flattened from the dict rows
+    ``entries`` when no ``arrays`` are given.  The rows decoded so far are
+    the plain dict ``rows``; every probe reads it with ``dict.get``, and
+    a miss decodes the vertex's row from ``source`` (the arrays): the
+    first decoded row wins (``setdefault``), so racing readers all see one
+    row object.  ``entries`` is the whole table: reading it decodes every
+    missing row and drops ``source``.  Batched probes and the size
+    figures read only the arrays.
     """
 
     __slots__ = ("rows", "source", "k", "kind", "arrays")
 
     def __init__(
         self,
-        entries: Dict[Vertex, Dict[Vertex, float]],
+        entries: Mapping[Vertex, Mapping[Vertex, float]],
         k: int,
         kind: str = "sketch",
-        source: Optional[RowSource] = None,
         arrays: Optional[PadsArrays] = None,
     ) -> None:
-        self.rows = entries
-        self.source = source
+        if arrays is None:
+            arrays = PadsArrays.from_rows(entries)
+        self.rows: Dict[Vertex, Dict[Vertex, float]] = {}
+        self.source: Optional[RowSource] = arrays
         self.k = k
         self.kind = kind
         self.arrays = arrays
@@ -201,28 +231,26 @@ class DistanceSketch:
         return best
 
     # ------------------------------------------------------------------
+    # size figures, read off the arrays: they decode no row
     @property
     def num_vertices(self) -> int:
         """Number of vertices carrying a sketch."""
-        return len(self.entries)
+        return len(self.arrays.row_of)
 
     @property
     def total_entries(self) -> int:
         """Total number of ``(center, distance)`` entries (the index size)."""
-        return sum(len(s) for s in self.entries.values())
+        return int(self.arrays.indptr[-1])
 
     def average_size(self) -> float:
         """Mean sketch size — theory says ``O(k ln |V|)``."""
-        if not self.entries:
-            return 0.0
-        return self.total_entries / len(self.entries)
+        n = self.num_vertices
+        return self.total_entries / n if n else 0.0
 
     def centers(self) -> Iterable[Vertex]:
         """All distinct centers used anywhere in the index."""
-        seen = set()
-        for s in self.entries.values():
-            seen.update(s)
-        return seen
+        ids = np.unique(self.arrays.centers).tolist()
+        return set(map(self.arrays.vertices.__getitem__, ids))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -319,18 +347,12 @@ def _build_sketch_frozen(
                 if stamp[nbr] != step:
                     heappush(heap, (d + weights[pos], nbr))
 
-    entries: Dict[Vertex, Dict[Vertex, float]] = {
-        vx[i]: {vx[c]: d for c, d in sketch.items()}
-        for i, sketch in enumerate(entries_ids)
-    }
-    sizes = np.fromiter(map(len, entries_ids), np.int32, count=n)
-    indptr_out = np.zeros(n + 1, np.int32)
-    np.cumsum(sizes, out=indptr_out[1:])
-    total = int(indptr_out[-1])
+    row_ptr = row_pointers(np.fromiter(map(len, entries_ids), np.int32, count=n))
+    total = int(row_ptr[-1])
     arrays = PadsArrays(
-        vx, graph.id_table, indptr_out,
+        vx, graph.id_table, row_ptr,
         np.fromiter(chain.from_iterable(entries_ids), np.int32, count=total),
         np.fromiter(chain.from_iterable(s.values() for s in entries_ids),
                     np.float64, count=total),
     )
-    return DistanceSketch(entries, k, kind, arrays=arrays)
+    return DistanceSketch({}, k, kind, arrays=arrays)

@@ -12,26 +12,30 @@ realized the minimal distance, so answer completion can report the actual
 matched vertex, not just its distance (the paper mentions this inverted
 index in Appx. A).
 
-Entries and witnesses are also read in the index file's flat form
-(:class:`KeywordArrays`; a built sketch flattens a keyword on its first
-batched probe), beside the PADS rows' (:class:`PadsArrays`):
+A KPADS is built, saved and loaded in the index file's flat form
+(:class:`KeywordArrays`), beside the PADS rows'
+(:class:`~repro.sketches.base.PadsArrays`): :func:`build_kpads` merges
+the PADS arrays with a sort per keyword, the scalar probes decode the
+part of a keyword they read on its first touch, and
 :meth:`KeywordSketch.estimate_with_witness_many` probes many vertices
-for one keyword in one pass over those arrays.
+for one keyword in one pass over the arrays, decoding nothing.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import count
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import chain, count
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.frozen import FrozenGraph
+from repro.exceptions import IndexBuildError
+from repro.graph.frozen import freeze
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.protocol import GraphLike
 from repro.graph.traversal import INF
-from repro.sketches.base import DistanceSketch, PadsArrays, RowSource
+from repro.sketches.base import DistanceSketch, PadsArrays, RowSource, row_pointers
 
 __all__ = ["KeywordArrays", "KeywordSketch", "build_kpads", "ranked"]
 
@@ -45,9 +49,20 @@ __all__ = ["KeywordArrays", "KeywordSketch", "build_kpads", "ranked"]
 #: ~350 fresh roots a Blinks or BANKS query probes.
 ARRAY_PROBE_MIN = 48
 
-#: an unknown keyword's columns, shared and never cached
-_NO_COLUMNS: Tuple[Any, Any, Any] = (
-    np.empty(0, np.int32), np.empty(0, np.float64), np.empty(0, np.int32))
+#: a keyword's candidates in lean form: center -> its slot (a ``range``
+#: of positions), then each candidate's distance and vertex
+#: (:meth:`KeywordArrays.reach_row`)
+ReachRow = Tuple[Dict[Vertex, range], List[float], List[Vertex]]
+
+#: an unknown keyword's lean candidates, shared and never cached
+_NO_REACH: ReachRow = ({}, [], [])
+
+#: the merge's columns for a keyword without PADS entries: centers, dists,
+#: witnesses, candidate list lengths, candidate dists and vertices
+_NO_MERGE: Tuple[Any, ...] = (
+    np.empty(0, np.int32), np.empty(0, np.float64), np.empty(0, np.int32),
+    np.empty(0, np.int64), np.empty(0, np.float64), np.empty(0, np.int32),
+)
 
 #: per thread and left clear between calls; kept here, not on a sketch,
 #: because sketches pickle to shard workers and a thread-local cannot
@@ -76,67 +91,124 @@ def ranked(dists: Mapping[Vertex, float], k: int) -> List[Tuple[Vertex, float]]:
 
 
 class KeywordArrays:
-    """KPADS entries and witnesses in the index file's flat form (the
-    ``kpads.*`` sections).
+    """KPADS in the index file's flat form (the ``kpads.*`` and ``cand.*``
+    sections), the one form of every :class:`KeywordSketch`.
 
     Keyword row ``r`` is ``centers[indptr[r]:indptr[r + 1]]`` with
     ``dists`` and ``witnesses`` alongside; ``row_of`` maps a keyword to
-    its row.  Centers and witnesses are ids into ``vertices``, the table
-    the PADS rows' :class:`~repro.sketches.base.PadsArrays` index.
+    its row and iterates the keywords in row order.  The entry at
+    position ``i`` of ``centers`` owns the candidate list
+    ``cand_dists[cand_indptr[i]:cand_indptr[i + 1]]`` with
+    ``cand_vertices`` alongside.  Centers, witnesses and candidates are
+    ids into ``vertices``, the table the PADS rows'
+    :class:`~repro.sketches.base.PadsArrays` index.  Every decode keeps the
+    stored order: ties are broken by first-seen, so it is data.
     """
 
-    __slots__ = ("vertices", "row_of", "indptr", "centers", "dists", "witnesses")
+    __slots__ = (
+        "vertices", "row_of", "indptr", "centers", "dists", "witnesses",
+        "cand_indptr", "cand_dists", "cand_vertices",
+    )
 
     def __init__(
-        self, vertices: List[Any], row_of: Mapping[Any, int], indptr: Any,
-        centers: Any, dists: Any, witnesses: Any,
+        self, vertices: List[Any], labels: Iterable[Label], indptr: Any,
+        centers: Any, dists: Any, witnesses: Any, cand_indptr: Any,
+        cand_dists: Any, cand_vertices: Any,
     ) -> None:
-        self.vertices, self.row_of, self.indptr = vertices, row_of, indptr
+        self.vertices, self.indptr = vertices, indptr
+        self.row_of = {t: row for row, t in enumerate(labels)}
         self.centers, self.dists, self.witnesses = centers, dists, witnesses
+        self.cand_indptr, self.cand_dists = cand_indptr, cand_dists
+        self.cand_vertices = cand_vertices
+
+    @classmethod
+    def from_rows(
+        cls,
+        entries: Mapping[Label, Mapping[Vertex, float]],
+        witnesses: Mapping[Label, Mapping[Vertex, Vertex]],
+        candidates: Mapping[Label, Mapping[Vertex, Sequence[Tuple[float, Vertex]]]],
+    ) -> "KeywordArrays":
+        """Dict rows flattened, every map in iteration order.  A center
+        without a candidate list gets an empty one; the vertex table lists
+        the vertices in first-seen order."""
+        merged = list(entries.values())
+        wit_vertices = [witnesses[t][c] for t, m in entries.items() for c in m]
+        lists = [
+            candidates.get(t, {}).get(c, ()) for t, m in entries.items() for c in m
+        ]
+        pairs = list(chain.from_iterable(lists))
+        id_of: Dict[Vertex, int] = {}
+        for v in chain(chain.from_iterable(merged), wit_vertices, map(itemgetter(1), pairs)):
+            id_of.setdefault(v, len(id_of))
+        vid = id_of.__getitem__
+        return cls(
+            list(id_of), entries, row_pointers(list(map(len, merged))),
+            np.fromiter(map(vid, chain.from_iterable(merged)), np.int32),
+            np.fromiter(chain.from_iterable(m.values() for m in merged), np.float64),
+            np.fromiter(map(vid, wit_vertices), np.int32),
+            row_pointers(list(map(len, lists))),
+            np.fromiter(map(itemgetter(0), pairs), np.float64),
+            np.fromiter(map(vid, map(itemgetter(1), pairs)), np.int32),
+        )
+
+    def __iter__(self) -> Iterator[Label]:
+        return iter(self.row_of)
+
+    def _span(self, keyword: Label) -> Optional[Tuple[int, int]]:
+        row = self.row_of.get(keyword)
+        return None if row is None else tuple(self.indptr[row : row + 2].tolist())
 
     def columns(self, keyword: Label) -> Tuple[Any, Any, Any]:
         """``keyword``'s ``(centers, dists, witnesses)``, empty if unknown."""
-        row = self.row_of.get(keyword)
-        a, b = (0, 0) if row is None else self.indptr[row : row + 2].tolist()
+        a, b = self._span(keyword) or (0, 0)
         return self.centers[a:b], self.dists[a:b], self.witnesses[a:b]
 
+    def pairs(
+        self, keyword: Label
+    ) -> Optional[Tuple[Dict[Vertex, float], Dict[Vertex, Vertex]]]:
+        """``keyword``'s decoded ``(entries, witnesses)``; ``None`` if unknown."""
+        span = self._span(keyword)
+        if span is None:
+            return None
+        a, b = span
+        vertex = self.vertices.__getitem__
+        centers = list(map(vertex, self.centers[a:b].tolist()))
+        return (
+            dict(zip(centers, self.dists[a:b].tolist())),
+            dict(zip(centers, map(vertex, self.witnesses[a:b].tolist()))),
+        )
 
-class _LazyColumns:
-    """A built sketch's keyword columns, as :meth:`KeywordArrays.columns`
-    gives them, each flattened from the entry and witness dicts on the
-    keyword's first batched probe.
+    def reach_row(self, keyword: Label) -> Optional[ReachRow]:
+        """``keyword``'s decoded candidates in lean form: center -> slot
+        (the ``range`` of its list's positions), then every candidate's
+        distance and vertex, slot after slot, each list in its stored
+        order; ``None`` if unknown.  One ``range`` per center, not a
+        list and its ``(dist, vertex)`` tuples: fewer objects to keep,
+        for a loop that reads two list items per candidate."""
+        span = self._span(keyword)
+        if span is None:
+            return None
+        a, b = span
+        ptr = self.cand_indptr[a : b + 1]
+        lo, hi = int(ptr[0]), int(ptr[-1])
+        ptr = (ptr - lo).tolist()
+        vertex = self.vertices.__getitem__
+        return (
+            dict(zip(map(vertex, self.centers[a:b].tolist()), map(range, ptr, ptr[1:]))),
+            self.cand_dists[lo:hi].tolist(),
+            list(map(vertex, self.cand_vertices[lo:hi].tolist())),
+        )
 
-    A flattened keyword is published with ``setdefault``, as a loaded
-    row is: readers racing on one keyword all read the first one.
-    """
-
-    __slots__ = ("vertices", "id_of", "entries", "witnesses", "flat")
-
-    def __init__(
-        self, vertices: List[Vertex], id_of: Mapping[Vertex, int],
-        entries: Dict[Label, Dict[Vertex, float]],
-        witnesses: Dict[Label, Dict[Vertex, Vertex]],
-    ) -> None:
-        self.vertices, self.id_of = vertices, id_of
-        self.entries, self.witnesses = entries, witnesses
-        self.flat: Dict[Label, Tuple[Any, Any, Any]] = {}
-
-    def columns(self, keyword: Label) -> Tuple[Any, Any, Any]:
-        """``keyword``'s ``(centers, dists, witnesses)``, empty if unknown
-        (and then not kept: ``flat`` holds at most the vocabulary)."""
-        flat = self.flat.get(keyword)
-        if flat is None:
-            merged = self.entries.get(keyword)
-            if not merged:
-                return _NO_COLUMNS
-            witness = self.witnesses[keyword].__getitem__
-            vid, size = self.id_of.__getitem__, len(merged)
-            flat = self.flat.setdefault(keyword, (
-                np.fromiter(map(vid, merged), np.int32, count=size),
-                np.fromiter(merged.values(), np.float64, count=size),
-                np.fromiter(map(vid, map(witness, merged)), np.int32, count=size),
-            ))
-        return flat
+    def __call__(self, keyword: Label) -> Optional[Tuple[Dict[Vertex, Any], ...]]:
+        """``keyword``'s whole decoded ``(entries, witnesses, candidates)``,
+        candidates as center -> ``[(dist, vertex), ...]``; ``None`` if unknown."""
+        pairs, reach = self.pairs(keyword), self.reach_row(keyword)
+        if pairs is None or reach is None:
+            return None
+        entries, witnesses = pairs
+        slots, dists, vertices = reach
+        lists = [[(dists[i], vertices[i]) for i in slot] for slot in slots.values()]
+        return entries, witnesses, dict(zip(entries, lists))
 
 
 def _first_minima(
@@ -185,35 +257,41 @@ class KeywordSketch:
     lists power top-k retrieval for PP-knk's answer completion, where a
     single nearest match per portal would under-fill the top-k.
 
-    Rows are held as in :class:`~repro.sketches.base.DistanceSketch`: the
-    plain dicts ``rows`` / ``witness_rows`` / ``candidate_rows`` hold the
-    keywords present so far, and a loaded sketch's ``source`` decodes a
-    keyword's ``(entries, witnesses, candidates)`` triple on a miss.  The
-    triple is published witnesses and candidates first, so a reader that
-    finds a keyword in ``rows`` finds its witnesses too.  ``arrays`` holds
-    entries and witnesses in flat form when the build or the file gave
-    them (``None`` otherwise).
+    As a :class:`~repro.sketches.base.DistanceSketch`, the sketch *is* its
+    flat ``arrays`` (:class:`KeywordArrays`, flattened from the dict rows
+    when none are given), and a probe decodes only the part of a keyword
+    it reads, on first touch, published with ``setdefault``: the
+    estimators the entries and witnesses (``rows``, ``witness_rows``;
+    witnesses first, so a keyword in ``rows`` has its witnesses),
+    :meth:`reach` the candidates in lean form (``reach_rows``).
+    :meth:`fetch` decodes the whole triple into ``rows``,
+    ``witness_rows`` and ``candidate_rows``; the ``entries``,
+    ``witnesses`` and ``candidates`` tables decode every keyword.
     """
 
     __slots__ = (
-        "rows", "witness_rows", "candidate_rows", "source", "k", "per_center",
-        "arrays",
+        "rows", "witness_rows", "candidate_rows", "reach_rows", "source", "k",
+        "per_center", "arrays",
     )
 
     def __init__(
         self,
-        entries: Dict[Label, Dict[Vertex, float]],
-        witnesses: Dict[Label, Dict[Vertex, Vertex]],
+        entries: Mapping[Label, Mapping[Vertex, float]],
+        witnesses: Mapping[Label, Mapping[Vertex, Vertex]],
         k: int,
-        candidates: Optional[Dict[Label, Dict[Vertex, List[Tuple[float, Vertex]]]]] = None,
+        candidates: Optional[
+            Mapping[Label, Mapping[Vertex, Sequence[Tuple[float, Vertex]]]]
+        ] = None,
         per_center: int = 1,
-        source: Optional[RowSource] = None,
-        arrays: Optional[Union[KeywordArrays, _LazyColumns]] = None,
+        arrays: Optional[KeywordArrays] = None,
     ) -> None:
-        self.rows = entries
-        self.witness_rows = witnesses
-        self.candidate_rows = candidates if candidates is not None else {}
-        self.source = source
+        if arrays is None:
+            arrays = KeywordArrays.from_rows(entries, witnesses, candidates or {})
+        self.rows: Dict[Label, Dict[Vertex, float]] = {}
+        self.witness_rows: Dict[Label, Dict[Vertex, Vertex]] = {}
+        self.candidate_rows: Dict[Label, Dict[Vertex, List[Tuple[float, Vertex]]]] = {}
+        self.reach_rows: Dict[Label, ReachRow] = {}
+        self.source: Optional[RowSource] = arrays
         self.k = k
         self.per_center = per_center
         self.arrays = arrays
@@ -247,11 +325,12 @@ class KeywordSketch:
         return self.candidate_rows
 
     def fetch(self, keyword: Label) -> Tuple[Dict[Vertex, Any], ...]:
-        """``keyword``'s ``(entries, witnesses, candidates)``, decoded on
-        first touch (empty ones for an unknown keyword); every probe's miss
-        path."""
+        """``keyword``'s whole ``(entries, witnesses, candidates)``, decoded
+        on first touch (empty ones for an unknown keyword)."""
         source, row = self.source, None
-        if source is not None and keyword not in self.rows:
+        if source is not None and (
+            keyword not in self.rows or keyword not in self.candidate_rows
+        ):
             row = source(keyword)
         if row is None:
             return (
@@ -264,16 +343,37 @@ class KeywordSketch:
         candidates = self.candidate_rows.setdefault(keyword, candidates)
         return self.rows.setdefault(keyword, entries), witnesses, candidates
 
+    def _entries(self, keyword: Label) -> Dict[Vertex, float]:
+        """The miss path of the estimators: ``keyword``'s entries, decoded
+        with its witnesses on first touch (empty for an unknown keyword)."""
+        pairs = None if self.source is None else self.arrays.pairs(keyword)
+        if pairs is None:
+            return self.rows.get(keyword) or {}
+        self.witness_rows.setdefault(keyword, pairs[1])
+        return self.rows.setdefault(keyword, pairs[0])
+
+    def reach_row(self, keyword: Label) -> ReachRow:
+        """``keyword``'s candidates in lean form
+        (:meth:`KeywordArrays.reach_row`), decoded on first touch; an
+        unknown keyword's is empty and not kept."""
+        row = self.reach_rows.get(keyword)
+        if row is None:
+            row = self.arrays.reach_row(keyword)
+            if row is None:
+                return _NO_REACH
+            row = self.reach_rows.setdefault(keyword, row)
+        return row
+
     def sketch(self, keyword: Label) -> Mapping[Vertex, float]:
         """``KPADS(t)``: center -> min distance (empty if keyword unknown)."""
-        return self.rows.get(keyword) or self.fetch(keyword)[0]
+        return self.rows.get(keyword) or self._entries(keyword)
 
     def estimate(
         self, pads: DistanceSketch, v: Vertex, keyword: Label
     ) -> float:
         """Estimated ``d_hat(v, t)`` per Eq. 3; ``inf`` when not estimable."""
         return pads.estimate_to_sketch(
-            v, self.rows.get(keyword) or self.fetch(keyword)[0]
+            v, self.rows.get(keyword) or self._entries(keyword)
         )
 
     def estimate_with_witness(
@@ -285,7 +385,7 @@ class KeywordSketch:
         the winning center, i.e. the vertex AComplete should report as the
         match for ``keyword``.
         """
-        kw_sketch = self.rows.get(keyword) or self.fetch(keyword)[0]
+        kw_sketch = self.rows.get(keyword) or self._entries(keyword)
         sv = pads.rows.get(v) or pads.fetch(v)
         if not kw_sketch or not sv:
             return INF, None
@@ -308,14 +408,11 @@ class KeywordSketch:
         element for element (ties included: the first center in a PADS
         row's order wins), from one pass over both sketches' flat arrays.
 
-        Fewer than :data:`ARRAY_PROBE_MIN` vertices, or a sketch without
-        arrays, take the scalar loop.
+        Fewer than :data:`ARRAY_PROBE_MIN` vertices, or sketches whose
+        arrays index different vertex tables, take the scalar loop.
         """
         kw_arrays, pads_arrays = self.arrays, pads.arrays
-        if (
-            len(vertices) < ARRAY_PROBE_MIN or kw_arrays is None
-            or pads_arrays is None or kw_arrays.vertices is not pads_arrays.vertices
-        ):
+        if len(vertices) < ARRAY_PROBE_MIN or kw_arrays.vertices is not pads_arrays.vertices:
             return [self.estimate_with_witness(pads, v, keyword) for v in vertices]
         best, witness = _first_minima(
             pads_arrays, vertices, *kw_arrays.columns(keyword))
@@ -331,15 +428,19 @@ class KeywordSketch:
         """``{u: min over centers w of PADS(v)[w] + d2}`` over the per-center
         candidate lists, unranked, in first-seen order; each distance is
         the length of a real path ``v -> center -> candidate``."""
-        kw_lists = self.candidate_rows.get(keyword) or self.fetch(keyword)[2]
+        slots, dists, vertices = self.reach_rows.get(keyword) or self.reach_row(keyword)
         sv = pads.rows.get(v) or pads.fetch(v)
         best: Dict[Vertex, float] = {}
-        if kw_lists and sv:
+        if slots and sv:
+            get = best.get
             for w, d1 in sv.items():
-                for d2, u in kw_lists.get(w, ()):
-                    total = d1 + d2
-                    if total < best.get(u, INF):
-                        best[u] = total
+                slot = slots.get(w)
+                if slot is not None:
+                    for i in slot:
+                        total = d1 + dists[i]
+                        u = vertices[i]
+                        if total < get(u, INF):
+                            best[u] = total
         return best
 
     def top_candidates(
@@ -349,16 +450,17 @@ class KeywordSketch:
         :meth:`reach` ranked by ``(distance, repr)`` and cut to ``k``."""
         return ranked(self.reach(pads, v, keyword), k)
 
+    # size figures, read off the arrays: they decode no keyword
     @property
     def num_keywords(self) -> int:
         """Number of keywords indexed."""
-        return len(self.entries)
+        return len(self.arrays.row_of)
 
     @property
     def total_entries(self) -> int:
         """Total (keyword, center) entries — bounded by sum over vertices
         of ``|L(v)| * |PADS(v)|`` (paper Sec. V-B)."""
-        return sum(len(s) for s in self.entries.values())
+        return int(self.arrays.indptr[-1])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -383,41 +485,49 @@ def build_kpads(
     per_center:
         Length of the per-center candidate list kept for top-k retrieval
         (1 reproduces the paper's minimal merge exactly).
-    """
-    import bisect
 
-    vocab = list(keywords) if keywords is not None else list(graph.label_universe())
-    entries: Dict[Label, Dict[Vertex, float]] = {}
-    witnesses: Dict[Label, Dict[Vertex, Vertex]] = {}
-    candidates: Dict[Label, Dict[Vertex, List[Tuple[float, Vertex]]]] = {}
+    The merge runs on the PADS arrays, one keyword at a time.  The
+    carriers' rows are gathered end to end, carriers in ``repr`` order
+    (then in id order: equal-distance ties then resolve the same way
+    whatever the set iteration order, PYTHONHASHSEED included), and
+    sorted by ``(center, distance, arrival)``.  Each center's head is its
+    minimum and witness (the first arrival wins a tie), its first
+    ``per_center`` entries its candidate list, and the centers are laid
+    out in order of first arrival.  ``pads`` must index ``graph``'s
+    vertex table.
+    """
+    g, arrays = freeze(graph), pads.arrays
+    vx = g.vertex_table
+    if arrays.vertices is not vx and arrays.vertices != vx:
+        raise IndexBuildError("the PADS rows do not index this graph's vertices")
+    vocab = list(dict.fromkeys(g.label_universe() if keywords is None else keywords))
+    reprs = list(map(repr, vx))
+    rows: List[Tuple[Any, ...]] = []
     for t in vocab:
-        merged: Dict[Vertex, float] = {}
-        wit: Dict[Vertex, Vertex] = {}
-        lists: Dict[Vertex, List[Tuple[float, Vertex]]] = {}
-        # repr order: equal-distance witness ties resolve the same way
-        # regardless of set iteration order (PYTHONHASHSEED).
-        for v in sorted(graph.vertices_with_label(t), key=repr):
-            for center, d in pads.sketch(v).items():
-                if d < merged.get(center, INF):
-                    merged[center] = d
-                    wit[center] = v
-                lst = lists.setdefault(center, [])
-                if len(lst) < per_center or d < lst[-1][0]:
-                    # Insert keeping the (tiny) list sorted by distance;
-                    # vertices may be incomparable, so don't tuple-sort.
-                    pos = bisect.bisect_right([e[0] for e in lst], d)
-                    lst.insert(pos, (d, v))
-                    if len(lst) > per_center:
-                        lst.pop()
-        entries[t] = merged
-        witnesses[t] = wit
-        candidates[t] = lists
-    # flat columns when the PADS arrays are in this graph's ids
-    arrays = None
-    if (
-        isinstance(graph, FrozenGraph) and pads.arrays is not None
-        and pads.arrays.vertices is graph.vertex_table
-    ):
-        arrays = _LazyColumns(graph.vertex_table, graph.id_table, entries, witnesses)
-    return KeywordSketch(entries, witnesses, pads.k, candidates, per_center,
-                         arrays=arrays)
+        carriers = sorted(g.label_ids(t), key=reprs.__getitem__)
+        counts, centers, dists = arrays.gather(list(map(vx.__getitem__, carriers)))
+        if not centers.size:
+            rows.append(_NO_MERGE)
+            continue
+        owners = np.repeat(np.asarray(carriers, np.int32), counts)
+        order = np.lexsort((dists, centers))  # stable: arrival breaks ties
+        centers, dists, owners = centers[order], dists[order], owners[order]
+        heads = np.flatnonzero(np.r_[True, centers[1:] != centers[:-1]])
+        # the centers' groups in order of first arrival
+        groups = np.argsort(np.minimum.reduceat(order, heads), kind="stable")
+        starts = heads[groups]
+        kept = np.minimum(np.diff(np.r_[heads, centers.size]), per_center)[groups]
+        pos = np.arange(int(kept.sum())) + np.repeat(starts - (np.cumsum(kept) - kept), kept)
+        rows.append((
+            centers[starts], dists[starts], owners[starts],
+            kept, dists[pos], owners[pos],
+        ))
+    columns = [np.concatenate(parts) for parts in zip(_NO_MERGE, *rows)]
+    sizes = [len(row[0]) for row in rows]
+    return KeywordSketch(
+        {}, {}, pads.k, per_center=per_center,
+        arrays=KeywordArrays(
+            arrays.vertices, vocab, row_pointers(sizes), columns[0], columns[1],
+            columns[2], row_pointers(columns[3]), columns[4], columns[5],
+        ),
+    )

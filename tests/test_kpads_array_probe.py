@@ -9,9 +9,10 @@ the PADS row's order wins).  Held here on seeded graphs with unit
 weights (ties everywhere) and float weights, ``int`` and :class:`Twin`
 vertices, on built indexes and on the same indexes saved and loaded;
 plus an unknown keyword, a vertex with no PADS row, an empty PADS row,
-empty input and the short-input scalar path.  An unknown keyword is not
-cached, and each thread's lookup columns are left clear, so concurrent
-readers do not see each other's keywords.
+empty input and the short-input scalar path.  The batched probe decodes
+no row and an unknown keyword is not cached, and each thread's lookup
+columns are left clear, so concurrent readers do not see each other's
+keywords.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.core.framework import PublicIndex
 from repro.core.persist import load_index, save_index
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.traversal import INF
+from repro.sketches.base import DistanceSketch
 from repro.sketches.kpads import ARRAY_PROBE_MIN
 
 from tests.conftest import Twin
@@ -116,7 +118,9 @@ def test_empty_pads_row_in_a_loaded_index(tmp_path):
     graph = _graph(3)
     built = PublicIndex.build(graph)
     hollow = next(iter(graph.vertices()))
-    built.pads.rows[hollow] = {}  # saved as a row of no entries
+    rows = {v: {} if v == hollow else row for v, row in built.pads.entries.items()}
+    pads = DistanceSketch(rows, built.pads.k, kind="PADS")  # a row of no entries
+    built = PublicIndex(built.graph, pads, built.kpads, built.pagerank_scores)
     save_index(built, tmp_path / "hollow.idx")
     loaded = load_index(graph, tmp_path / "hollow.idx")
     vertices = _probe_set(loaded, 3, 10**6)
@@ -154,9 +158,13 @@ def test_an_unknown_keyword_is_not_cached():
     assert len(vertices) >= ARRAY_PROBE_MIN
     got = kpads.estimate_with_witness_many(pads, vertices, "missing")
     assert got == [(INF, None)] * len(vertices)
-    assert kpads.arrays.flat == {}
     kpads.estimate_with_witness_many(pads, vertices, "a")
-    assert list(kpads.arrays.flat) == ["a"]
+    decoded = (kpads.rows, kpads.witness_rows, kpads.candidate_rows, kpads.reach_rows)
+    assert not pads.rows and not any(decoded)
+    # and a scalar probe of an unknown keyword keeps nothing
+    assert kpads.estimate_with_witness(pads, vertices[0], "missing") == (INF, None)
+    assert kpads.reach(pads, vertices[0], "missing") == {}
+    assert not any(decoded)
 
 
 def test_the_thread_keyword_columns_are_left_clear():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -311,22 +312,61 @@ class TestLayout:
         ) == index.pads.entries[first_owner]
 
 
+def _pinned_str_graph() -> LabeledGraph:
+    rng = random.Random(23)
+    g = LabeledGraph("pinned-str")
+    names = [f"v{i}" for i in range(50)]
+    g.add_vertex(names[0])
+    for i in range(1, 50):
+        g.add_edge(names[i], names[rng.randrange(i)], rng.choice([0.5, 1 / 3, 1.0, 0.1 + 0.2]))
+    for _ in range(25):
+        u, v = rng.sample(names, 2)
+        if not g.has_edge(u, v):
+            g.add_edge(u, v, rng.choice([1.0, 2.5]))
+    for v in names:
+        g.add_labels(v, rng.sample([7, 8, 9, 10], rng.randint(0, 2)))
+    return g
+
+
+class TestPinnedBytes:
+    """The file of a fresh build, byte for byte, as recorded before the
+    sketches were built straight into their arrays.  Labels are ints, so
+    the keyword order does not depend on PYTHONHASHSEED."""
+
+    @pytest.mark.parametrize("graph, k, sha256", [
+        (lambda: random_connected_graph(60, 30, seed=11, labels=(1, 2, 3)), 2,
+         "a2867e61233197680320158bf42c8b2641a98dba1a44dc10482d2ed841bb5eaa"),
+        (_pinned_str_graph, 3,
+         "14d10296734d797cd55f0ea04eae87eea8eed89f2d153506961aa7894ad044e0"),
+    ], ids=["int", "str"])
+    def test_a_fresh_build_saves_the_pinned_bytes(self, tmp_path, graph, k, sha256):
+        save_index(PublicIndex.build(graph(), k=k), tmp_path / "idx")
+        assert hashlib.sha256((tmp_path / "idx").read_bytes()).hexdigest() == sha256
+
+
 # ----------------------------------------------------------------------
 # rows decoded on first touch
 # ----------------------------------------------------------------------
 class TestRowsOnFirstTouch:
     def test_one_estimate_decodes_two_pads_rows(self, tmp_path, index_and_graph):
-        """Guards against a load that decodes every row up front."""
+        """Guards against a load that decodes every row up front, and a
+        probe that decodes more of a keyword than it reads."""
         index, g = index_and_graph
         save_index(index, tmp_path / "idx")
+        assert (len(index.pads.rows), len(index.kpads.rows)) == (0, 0)  # saved undecoded
         loaded = load_index(g, tmp_path / "idx")
         assert (len(loaded.pads.rows), len(loaded.kpads.rows)) == (0, 0)
         u, v = list(g.vertices())[:2]
         assert loaded.pads.estimate(u, v) == index.pads.estimate(u, v)
         assert sorted(loaded.pads.rows) == sorted([u, v])
         assert len(loaded.kpads.rows) == 0
-        loaded.kpads.top_candidates(loaded.pads, u, "a", 3)
-        assert list(loaded.kpads.rows) == list(loaded.kpads.candidate_rows) == ["a"]
+        kpads = loaded.kpads
+        kpads.top_candidates(loaded.pads, u, "a", 3)
+        assert list(kpads.reach_rows) == ["a"]  # the candidates only
+        assert not kpads.rows and not kpads.witness_rows and not kpads.candidate_rows
+        kpads.estimate_with_witness(loaded.pads, u, "b")
+        assert list(kpads.rows) == list(kpads.witness_rows) == ["b"]
+        assert list(kpads.reach_rows) == ["a"] and not kpads.candidate_rows
 
     def test_untouched_and_touched_loads_save_the_same_bytes(
         self, tmp_path, index_and_graph
@@ -343,12 +383,18 @@ class TestRowsOnFirstTouch:
         save_index(touched, tmp_path / "c.idx")  # file order, not touch order
         assert (tmp_path / "c.idx").read_bytes() == first
 
-    def test_concurrent_first_touch(self, tmp_path):
-        """Threads racing to decode the same rows answer as the built index."""
+    @pytest.mark.parametrize("route", ["built", "loaded"])
+    def test_concurrent_first_touch(self, tmp_path, route):
+        """Threads racing to decode the same rows answer as a reference
+        index decoded by one thread; built and loaded indexes both decode
+        on first touch."""
         g = random_connected_graph(80, 40, seed=5)
         built = PublicIndex.build(g, k=2)
         save_index(built, tmp_path / "idx")
-        loaded = load_index(g, tmp_path / "idx")
+        fresh = (
+            PublicIndex.build(g, k=2) if route == "built"
+            else load_index(g, tmp_path / "idx")
+        )
         vertices = list(g.vertices())
 
         def answers(index):
@@ -365,7 +411,7 @@ class TestRowsOnFirstTouch:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = _in_threads(8, lambda: answers(loaded))
+            results = _in_threads(8, lambda: answers(fresh))
         finally:
             sys.setswitchinterval(interval)
         assert results == [expected] * 8

@@ -551,6 +551,28 @@ class TestIndexPersistenceErrors:
         assert svc.networks() == []
 
 
+class TestStatsDecodeNothing:
+    def test_stats_on_a_warm_restart_decodes_no_sketch_row(
+        self, small_public_private, tmp_path
+    ):
+        """``stats`` reads the index size off the sketch arrays."""
+        pub, _ = small_public_private
+        path = str(tmp_path / "net.idx")
+        cold = PPKWSService(sketch_k=2)
+        cold.create_network("net", pub, index_path=path)  # builds and saves
+        warm = PPKWSService(sketch_k=2)
+        warm.create_network("net", pub, index_path=path)  # loads
+        for svc in (cold, warm):
+            resp = svc.execute({"op": "stats", "network": "net"})
+            assert resp["status"] == "ok"
+            index = svc._engine("net").index
+            assert resp["index_entries"] == index.pads.total_entries > 0
+            assert not index.pads.rows and not index.kpads.rows
+            assert not index.kpads.reach_rows
+        assert warm.execute({"op": "stats", "network": "net"}) == cold.execute(
+            {"op": "stats", "network": "net"})
+
+
 class TestInternalErrorFormatting:
     def test_bare_keyerror_is_not_serialized_as_quoted_key(
         self, service, monkeypatch

@@ -98,12 +98,21 @@ class TestEstimation:
 
     def test_stats_helpers(self, paper_public_graph):
         pads = build_pads(paper_public_graph, k=2)
+        figures = (pads.num_vertices, pads.total_entries, pads.average_size(),
+                   set(pads.centers()))
+        assert not pads.rows  # read off the arrays, no row decoded
         assert pads.num_vertices == paper_public_graph.num_vertices
         assert pads.total_entries == sum(
             len(pads.sketch(v)) for v in paper_public_graph.vertices()
         )
         assert pads.average_size() > 0
         assert set(pads.centers()) <= set(paper_public_graph.vertices())
+        rows = pads.entries
+        assert figures == (
+            len(rows), sum(map(len, rows.values())),
+            sum(map(len, rows.values())) / len(rows),
+            set().union(*rows.values()),
+        )
 
 
 class TestApproximationGuarantee:
@@ -219,8 +228,11 @@ class TestKpads:
     def test_total_entries_counts(self, paper_public_graph):
         pads = build_pads(paper_public_graph, k=2)
         kpads = build_kpads(paper_public_graph, pads)
-        assert kpads.total_entries == sum(
-            len(kpads.sketch(t)) for t in paper_public_graph.label_universe()
+        figures = (kpads.num_keywords, kpads.total_entries)
+        assert not kpads.rows and not kpads.reach_rows  # no keyword decoded
+        assert figures == (
+            len(paper_public_graph.label_universe()),
+            sum(len(kpads.sketch(t)) for t in paper_public_graph.label_universe()),
         )
 
 
