@@ -95,7 +95,7 @@ def module_name_for(path: str) -> str:
     parts = list(Path(path).parts)
     if parts and parts[-1].endswith(".py"):
         parts[-1] = parts[-1][: -len(".py")]
-    for anchor in ("repro", "tests", "benchmarks", "scripts", "examples"):
+    for anchor in ("repro", "tests", "scripts", "examples"):
         if anchor in parts:
             parts = parts[parts.index(anchor):]
             break

@@ -5,7 +5,6 @@ Commands
 ``generate``  write a synthetic dataset (public + private graphs) to disk
 ``index``     build and persist the public index (PageRank/PADS/KPADS)
 ``query``     run a Blinks / r-clique / k-nk query over a stored dataset
-``bench``     run one paper experiment and print its table
 
 The CLI works entirely over the text graph format of
 :mod:`repro.graph.io` and the flat binary index format of
@@ -23,7 +22,6 @@ from typing import Callable, List, Optional
 
 from repro.core.framework import PPKWS, PublicIndex
 from repro.core.persist import load_index, save_index
-from repro.datasets.queries import generate_keyword_queries, generate_knk_queries
 from repro.datasets.synthetic import DATASET_BUILDERS, dataset_by_name
 from repro.graph.io import load_graph, mixed_vertex, save_graph
 
@@ -118,41 +116,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Imported lazily: bench pulls in the harness machinery.
-    from repro.bench.experiments import build_setup
-    from repro.bench.harness import (
-        run_keyword_experiment,
-        run_knk_experiment,
-        select_representative,
-    )
-    from repro.bench.reporting import render_breakdown, render_query_comparison
-
-    setup = build_setup(args.dataset, scale=args.scale)
-    if args.semantic == "knk":
-        queries = generate_knk_queries(
-            setup.dataset.public, setup.private, num_queries=args.queries,
-            seed=args.seed,
-        )
-        timings = run_knk_experiment(
-            setup.engine, setup.owner, queries, setup.combined
-        )
-    else:
-        kw_queries = generate_keyword_queries(
-            setup.dataset.public, setup.private, num_queries=args.queries,
-            tau=args.tau, seed=args.seed,
-        )
-        timings = run_keyword_experiment(
-            setup.engine, setup.owner, args.semantic, kw_queries,
-            setup.combined, k=args.top,
-        )
-    chosen = select_representative(timings, min(10, len(timings)))
-    title = f"{args.semantic} on {args.dataset} ({args.scale} scale)"
-    print(render_query_comparison(title, chosen), end="")
-    print(render_breakdown(title + " breakdown", chosen), end="")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -190,18 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--k", type=int, default=2, help="sketch parameter")
     p_q.add_argument("--vertex-type", choices=["int", "str", "mixed"], default="mixed")
     p_q.set_defaults(func=_cmd_query)
-
-    p_b = sub.add_parser("bench", help="run one paper experiment")
-    p_b.add_argument("--dataset", choices=["yago", "dbpedia", "ppdblp"],
-                     required=True)
-    p_b.add_argument("--semantic", choices=["blinks", "rclique", "knk"],
-                     required=True)
-    p_b.add_argument("--scale", choices=["small", "bench"], default="small")
-    p_b.add_argument("--queries", type=int, default=5)
-    p_b.add_argument("--tau", type=float, default=5.0)
-    p_b.add_argument("--top", type=int, default=10)
-    p_b.add_argument("--seed", type=int, default=101)
-    p_b.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import os
 import random
 import struct
+import sys
 
 import pytest
 
@@ -28,6 +31,19 @@ def installed_registry():
             obs.uninstall()
         else:
             obs.install(previous)
+
+
+@pytest.fixture(scope="session")
+def paper_views():
+    """``scripts/paper_views.py``, imported once per test session."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "paper_views.py")
+    spec = importlib.util.spec_from_file_location("paper_views", script)
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses resolve their string annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
 
 
 @pytest.fixture

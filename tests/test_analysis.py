@@ -322,7 +322,7 @@ class TestEngine:
 # ----------------------------------------------------------------------
 class TestTreeIsClean:
     def test_src_has_zero_findings(self):
-        # Every rule is scoped to `repro.*`: tests/ and benchmarks/ would
+        # Every rule is scoped to `repro.*`: tests/ and scripts/ would
         # only be parsed, so the meta-test covers src/repro alone.
         result = analyze_paths([str(REPO_ROOT / "src" / "repro")])
         assert result.errors == []

@@ -1,206 +1,123 @@
-"""Tests for the benchmark harness itself (timings, selection, rendering)."""
+"""The measurement pieces of ``scripts/paper_views.py``.
+
+Timings and speedups, the dataset set-ups, the one timing loop and the
+markdown renderer.  The runner and its EXPERIMENTS.md blocks are in
+``tests/test_paper_views.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import (
-    DATASET_SCALES,
-    QueryTiming,
-    build_setup,
-    dataset_names,
-    render_breakdown,
-    render_query_comparison,
-    render_series,
-    render_table,
-    run_keyword_experiment,
-    run_knk_experiment,
-    select_representative,
-    speedups,
-    timings_payload,
-    write_json_report,
-    write_report,
-)
 from repro.core import StepBreakdown
 from repro.datasets import generate_keyword_queries, generate_knk_queries
 
 
-def _timing(label: str, pp: float, base: float) -> QueryTiming:
-    return QueryTiming(label, pp, base, StepBreakdown(pp / 2, pp / 4, pp / 4), 3, 2)
+@pytest.fixture(scope="module")
+def small(paper_views):
+    """One small-scale set-up cache shared by the module's tests."""
+    return paper_views.Setups("small")
+
+
+def _timing(paper_views, pp: float, base: float):
+    return paper_views.QueryTiming(pp, base, StepBreakdown(pp / 2, pp / 4, pp / 4), 3, 2)
 
 
 class TestQueryTiming:
-    def test_speedup(self):
-        assert _timing("Q1", 0.5, 1.0).speedup == 2.0
-        assert _timing("Q1", 0.0, 1.0).speedup == float("inf")
+    def test_speedup(self, paper_views):
+        assert _timing(paper_views, 0.5, 1.0).speedup == 2.0
+        assert _timing(paper_views, 0.0, 1.0).speedup == float("inf")
 
-    def test_speedups_aggregate(self):
-        stats = speedups([_timing("Q1", 1.0, 2.0), _timing("Q2", 1.0, 4.0)])
-        assert stats["mean"] == pytest.approx(3.0)
-        assert stats["min"] == 2.0
-        assert stats["max"] == 4.0
-        assert stats["total"] == pytest.approx(3.0)
-
-    def test_speedups_empty(self):
-        assert speedups([])["mean"] == 0.0
-
-
-class TestSelectRepresentative:
-    def test_small_sets_pass_through(self):
-        ts = [_timing(f"Q{i}", 1.0, float(i)) for i in range(5)]
-        assert select_representative(ts, 10) == ts
-
-    def test_good_medium_bad_selection(self):
-        ts = [_timing(f"orig{i}", 1.0, float(i + 1)) for i in range(20)]
-        chosen = select_representative(ts, 10)
-        assert len(chosen) == 10
-        speed = [t.speedup for t in chosen]
-        # first three are the best, last three the worst
-        assert speed[0] >= speed[1] >= speed[2]
-        assert speed[-1] <= speed[-2] <= speed[-3]
-        assert max(speed[:3]) == 20.0
-        assert min(speed[-3:]) == 1.0
-        # relabelled Q1..Q10
-        assert [t.label for t in chosen] == [f"Q{i}" for i in range(1, 11)]
+    def test_speedups_aggregate(self, paper_views):
+        stats = paper_views.speedups([_timing(paper_views, 1.0, 2.0),
+                                      _timing(paper_views, 1.0, 4.0)])
+        assert stats == {"mean": pytest.approx(3.0), "min": 2.0, "max": 4.0,
+                         "total": pytest.approx(3.0)}
+        assert paper_views.speedups([_timing(paper_views, 0.0, 1.0)])["total"] == float("inf")
 
 
 class TestRendering:
-    def test_render_table_alignment(self):
-        out = render_table("T", ["col", "x"], [["a", 1.5], ["bbbb", 100.0]])
-        lines = out.splitlines()
-        assert lines[0] == "T"
-        assert "col" in lines[2]
-        assert any("bbbb" in ln for ln in lines)
+    def test_render_table_alignment(self, paper_views):
+        out = paper_views.render({"rows": [{"col": "a", "x": 1.5}, {"col": "bbbb", "x": 100.0}]})
+        assert out.splitlines() == ["| col | x |", "|---|---|", "| a | 1.5 |", "| bbbb | 100 |"]
 
-    def test_render_query_comparison_contains_stats(self):
-        out = render_query_comparison("cmp", [_timing("Q1", 0.5, 1.0)])
-        assert "Q1" in out
-        assert "2.0x" in out
-        assert "mean" in out
+    def test_render_query_comparison_contains_stats(self, paper_views):
+        row = paper_views.comparison_row("yago", [_timing(paper_views, 0.004, 0.008),
+                                                  _timing(paper_views, 0.002, 0.010)])
+        assert row["PPKWS ms"] == pytest.approx(6.0)
+        assert row["baseline ms"] == pytest.approx(18.0)
+        assert row["total ratio ×"] == pytest.approx(3.0)
+        assert row["mean ×"] == pytest.approx(3.5)
+        assert row["min ×"] == pytest.approx(2.0) and row["max ×"] == pytest.approx(5.0)
+        assert (row["answers PP"], row["answers baseline"]) == (6, 4)
+        out = paper_views.render({"rows": [row]})
+        assert "| total ratio × | mean × | min × | max × |" in out
+        assert "| 3 | 3.5 | 2 | 5 |" in out
 
-    def test_render_query_comparison_m1(self):
-        t = _timing("Q1", 0.5, 1.0)
-        t.m1_seconds = 0.7
-        out = render_query_comparison("cmp", [t], include_m1=True)
-        assert "M1(ms)" in out
+    def test_render_query_comparison_m1(self, paper_views, small):
+        stats = paper_views.VIEWS["fig7_query_models"].step(small)
+        for row in stats["rows"]:
+            assert row["M1 ms"] > 0
+            assert row["M1/M2 ×"] == pytest.approx(row["M1 ms"] / row["M2 ms"])
+        assert "| M1 ms |" in paper_views.render(stats)
 
-    def test_render_breakdown_shares(self):
-        out = render_breakdown("b", [_timing("Q1", 1.0, 2.0)])
-        assert "PEval" in out
-        assert "overall shares" in out
+    def test_render_breakdown_shares(self, paper_views):
+        row = paper_views.comparison_row("yago", [_timing(paper_views, 0.004, 0.008),
+                                                  _timing(paper_views, 0.002, 0.010)])
+        assert row["PEval median ms"] == pytest.approx(1.5)
+        assert (row["PEval %"], row["ARefine %"], row["AComplete %"]) == (
+            pytest.approx(50.0), pytest.approx(25.0), pytest.approx(25.0))
+        zero = paper_views.comparison_row("yago", [_timing(paper_views, 0.0, 0.001)])
+        assert zero["PEval %"] == 0.0 and zero["total ratio ×"] == float("inf")
+        assert "inf" in paper_views.render({"rows": [zero]})
 
-    def test_render_series(self):
-        out = render_series("s", "k", [1, 2], [[1.0, 2.0], [3.0, 4.0]], ["A", "B"])
-        assert "A" in out and "B" in out
-
-    def test_write_report(self, tmp_path):
-        path = write_report("unit", "hello\n", directory=str(tmp_path))
-        assert open(path).read() == "hello\n"
-
-
-class TestJsonReports:
-    def test_timings_payload_shape(self):
-        t = _timing("Q1", 0.5, 1.0)
-        payload = timings_payload([t])
-        [entry] = payload["queries"]
-        assert entry["query"] == "Q1"
-        assert entry["pp_ms"] == pytest.approx(500.0)
-        assert entry["baseline_ms"] == pytest.approx(1000.0)
-        assert entry["speedup"] == pytest.approx(2.0)
-        assert entry["pp_answers"] == 3 and entry["baseline_answers"] == 2
-        assert entry["breakdown_ms"] == {
-            "peval": pytest.approx(250.0),
-            "arefine": pytest.approx(125.0),
-            "acomplete": pytest.approx(125.0),
-        }
-        assert "m1_ms" not in entry
-        assert payload["speedups"]["mean"] == pytest.approx(2.0)
-
-    def test_timings_payload_includes_m1_when_measured(self):
-        t = _timing("Q1", 0.5, 1.0)
-        t.m1_seconds = 0.7
-        [entry] = timings_payload([t])["queries"]
-        assert entry["m1_ms"] == pytest.approx(700.0)
-
-    def test_write_json_report_round_trips(self, tmp_path):
-        import json
-
-        payload = timings_payload([_timing("Q1", 0.5, 1.0)])
-        path = write_json_report("fig6_unit", payload, directory=str(tmp_path))
-        assert path.endswith("fig6_unit.json")
-        loaded = json.load(open(path))
-        assert loaded["queries"][0]["query"] == "Q1"
-
-    def test_write_json_report_nulls_infinite_speedups(self, tmp_path):
-        import json
-
-        payload = timings_payload([_timing("Q1", 0.0, 1.0)])
-        path = write_json_report("fig6_inf", payload, directory=str(tmp_path))
-        text = open(path).read()
-        assert "Infinity" not in text
-        loaded = json.loads(text)
-        assert loaded["queries"][0]["speedup"] is None
-        assert loaded["speedups"]["total"] is None
+    def test_render_series(self, paper_views):
+        stats = {"rows": [{"k": 1, "A": 1.0, "B": 3.0}, {"k": 2, "A": 2.0, "B": 4.0}],
+                 "cores": 2, "note": "a|b"}
+        out = paper_views.render(stats)
+        assert "| k | A | B |" in out and "| 2 | 2 | 4 |" in out
+        assert out.endswith("\ncores 2 · note a\\|b\n")
 
 
 class TestExperimentRegistry:
-    def test_dataset_names(self):
-        assert dataset_names() == ["yago", "dbpedia", "ppdblp"]
-        for scale in DATASET_SCALES:
-            assert set(DATASET_SCALES[scale]) == set(dataset_names())
+    def test_dataset_names(self, paper_views):
+        assert paper_views.DATASETS == ("yago", "dbpedia", "ppdblp")
+        for scale in paper_views.DATASET_SCALES:
+            assert set(paper_views.DATASET_SCALES[scale]) == set(paper_views.DATASETS)
 
-    def test_build_setup_small(self):
-        setup = build_setup("yago", scale="small")
-        assert setup.name == "yago"
+    def test_build_setup_small(self, small):
+        setup = small("yago")
+        assert small("yago") is setup  # built once per run
         assert setup.engine.owners() == [setup.owner]
-        assert setup.combined.num_vertices >= setup.dataset.public.num_vertices
-        assert setup.private.num_vertices < setup.dataset.public.num_vertices
+        assert setup.combined.num_vertices >= setup.public.num_vertices
+        assert setup.private.num_vertices < setup.public.num_vertices
 
 
 class TestHarnessLoops:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        return build_setup("ppdblp", scale="small")
-
-    def test_run_keyword_experiment(self, setup):
-        queries = generate_keyword_queries(
-            setup.dataset.public, setup.private, num_queries=2, tau=4.0, seed=9
-        )
-        timings = run_keyword_experiment(
-            setup.engine, setup.owner, "blinks", queries, setup.combined, k=5
-        )
+    def test_run_keyword_experiment(self, paper_views, small):
+        setup = small("ppdblp")
+        queries = generate_keyword_queries(setup.public, setup.private,
+                                           num_queries=2, tau=4.0, seed=9)
+        timings = paper_views.time_queries(setup, "blinks", queries)
         assert len(timings) == 2
         for t in timings:
-            assert t.pp_seconds > 0
-            assert t.baseline_seconds > 0
-            assert t.m1_seconds is None
+            assert t.pp_seconds > 0 and t.baseline_seconds > 0
+            assert t.breakdown.total > 0
+            assert t.m1_seconds == 0.0
 
-    def test_run_keyword_experiment_with_m1(self, setup):
-        queries = generate_keyword_queries(
-            setup.dataset.public, setup.private, num_queries=1, tau=4.0, seed=10
-        )
-        timings = run_keyword_experiment(
-            setup.engine, setup.owner, "rclique", queries, setup.combined,
-            k=5, include_m1=True,
-        )
-        assert timings[0].m1_seconds is not None
+    def test_run_keyword_experiment_with_m1(self, paper_views, small):
+        setup = small("ppdblp")
+        queries = generate_keyword_queries(setup.public, setup.private,
+                                           num_queries=1, tau=4.0, seed=10)
+        [timing] = paper_views.time_queries(setup, "rclique", queries, include_m1=True)
+        assert timing.pp_seconds > 0 and timing.baseline_seconds > 0
+        assert timing.m1_seconds > 0
 
-    def test_run_keyword_experiment_bad_semantic(self, setup):
-        queries = generate_keyword_queries(
-            setup.dataset.public, setup.private, num_queries=1, seed=11
-        )
-        with pytest.raises(ValueError):
-            run_keyword_experiment(
-                setup.engine, setup.owner, "nope", queries, setup.combined
-            )
-
-    def test_run_knk_experiment(self, setup):
-        queries = generate_knk_queries(
-            setup.dataset.public, setup.private, num_queries=2, k=8, seed=12
-        )
-        timings = run_knk_experiment(
-            setup.engine, setup.owner, queries, setup.combined
-        )
+    def test_run_knk_experiment(self, paper_views, small):
+        setup = small("ppdblp")
+        queries = generate_knk_queries(setup.public, setup.private,
+                                       num_queries=2, k=8, seed=12)
+        timings = paper_views.time_queries(setup, "knk", queries)
         assert len(timings) == 2
         for t in timings:
             assert t.pp_answers <= 8

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -96,15 +100,18 @@ class TestQuery:
 
 
 class TestBench:
-    def test_bench_small(self, capsys):
-        code = main([
-            "bench", "--dataset", "ppdblp", "--semantic", "blinks",
-            "--scale", "small", "--queries", "2",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "PPKWS(ms)" in out
-        assert "PEval(ms)" in out
+    def test_bench_small(self):
+        """A small run of one paper view from its command line."""
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", "paper_views.py"),
+             "fig6_blinks", "--scale", "small"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "PPKWS ms" in done.stdout
+        assert "PEval median ms" in done.stdout
 
 
 class TestParser:
