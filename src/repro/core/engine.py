@@ -3,7 +3,7 @@
 The paper's central claim is that PEval/ARefine/AComplete is a *general
 frame* over keyword-search semantics.  This module makes the claim
 structural: every semantics is a declarative :class:`SemanticsSpec` — a
-validator, a state initializer, an ordered tuple of :class:`StepSpec`
+field table, a state initializer, an ordered tuple of :class:`StepSpec`
 callables and a salvage function — registered with a process-wide
 registry, and :func:`run_pipeline` is the **only** code that
 
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Any,
     Callable,
@@ -66,6 +67,7 @@ from repro.core.framework import (
 from repro.exceptions import BudgetError, QueryError
 from repro.faults.points import ENGINE_STEP
 from repro.obs import observe_pipeline
+from repro.semantics.wire import Field, FieldTable
 
 __all__ = [
     "PipelineContext",
@@ -118,32 +120,36 @@ class StepSpec:
     run: Callable[[PipelineContext], None]
 
 
+def _no_attachment_checks(ctx: PipelineContext) -> None:
+    """The default ``validate``: the ``fields`` rows are all the checks."""
+
+
 @dataclass(frozen=True)
 class SemanticsSpec:
     """A keyword-search semantics, declaratively.
 
-    The pipeline fields drive :func:`run_pipeline`; the ``wire_*``
-    fields let :mod:`repro.service` generate the query op (request
-    schema, cache key, response payload) straight from the registry, so
-    a newly registered semantics shows up in ``help`` and on the wire
-    without touching the service.
+    The pipeline fields drive :func:`run_pipeline`; ``fields`` (the
+    request schema, one :class:`~repro.semantics.wire.Field` row per
+    parameter) and ``wire_payload`` let :mod:`repro.service` generate the
+    query op (request checks, cache key, response payload) straight from
+    the registry, so a newly registered semantics shows up in ``help``
+    and on the wire without touching the service.
     """
 
     # -- pipeline ------------------------------------------------------
     name: str
     summary: str
     steps: Tuple[StepSpec, ...]
-    validate: Callable[[PipelineContext], None]
     init: Callable[[PipelineContext], None]
     salvage: Callable[[PipelineContext, str], Any]
     count_answers: Callable[[Any], int]
     result_type: Callable[..., AnyResult]
-    # -- wire protocol -------------------------------------------------
-    wire_required: Tuple[str, ...]
-    wire_optional: Tuple[str, ...]
-    wire_params: Callable[[Dict[str, Any]], Dict[str, Any]]
+    # -- request schema and wire payload -------------------------------
+    fields: Tuple[Field, ...]
     wire_payload: Callable[[AnyResult], Dict[str, Any]]
-    wire_cache_params: Optional[Callable[[Dict[str, Any]], Tuple[Any, ...]]]
+    #: the checks that need the attachment; the ``fields`` rows have
+    #: already run when it is called
+    validate: Callable[[PipelineContext], None] = _no_attachment_checks
     # -- baselines (Appx. D query models) ------------------------------
     #: run this semantics directly on one plain graph — M1 evaluates it
     #: on G and G' separately, M2 on the combined graph.  Signature:
@@ -151,6 +157,11 @@ class SemanticsSpec:
     #: has no single-graph baseline (query_model_m1/m2 raise QueryError).
     baseline_m1: Optional[Callable[..., Any]] = None
     baseline_m2: Optional[Callable[..., Any]] = None
+
+    @cached_property
+    def table(self) -> FieldTable:
+        """``fields`` compiled once for :func:`run_pipeline`."""
+        return FieldTable(self.fields)
 
     def run(
         self,
@@ -174,7 +185,9 @@ def run_pipeline(
 ) -> AnyResult:
     """The one PEval → ARefine → AComplete loop all semantics share.
 
-    Validation errors (:class:`~repro.exceptions.QueryError`) propagate;
+    ``params`` are read through the spec's ``fields`` rows (extra names
+    are ignored, absent ones take their defaults).  Validation errors
+    (:class:`~repro.exceptions.QueryError`) propagate;
     :class:`~repro.exceptions.BudgetError` degrades the query to
     whatever the spec can salvage (see the module docstring for the
     exact bookkeeping contract).
@@ -184,7 +197,7 @@ def run_pipeline(
     ctx = PipelineContext(
         engine=engine,
         attachment=attachment,
-        params=params,
+        params=spec.table.apply(params),
         options=engine.options,
         counters=counters,
         breakdown=breakdown,

@@ -39,17 +39,12 @@ from repro.core.pp_blinks import (
     step_acomplete,
     step_arefine,
     step_peval,
-    validate_blinks_params,
 )
 from repro.graph.traversal import shortest_path
 from repro.graph.views import combine_lazy
 from repro.semantics.answers import RootedAnswer
 from repro.semantics.banks import TreeAnswer
-from repro.semantics.wire import (
-    rooted_cache_params,
-    rooted_payload,
-    rooted_wire_params,
-)
+from repro.semantics.wire import ROOTED_FIELDS, rooted_payload
 
 __all__ = ["BANKS"]
 
@@ -103,15 +98,11 @@ BANKS = register_semantics(SemanticsSpec(
         StepSpec("acomplete", step_acomplete),
         StepSpec("materialize", _step_materialize),
     ),
-    validate=validate_blinks_params,
     init=init_blinks_state,
     salvage=_salvage,
     count_answers=len,
     result_type=QueryResult,
-    wire_required=("network", "owner", "keywords"),
-    wire_optional=("tau", "k"),
-    wire_params=rooted_wire_params,
+    fields=ROOTED_FIELDS,
     wire_payload=rooted_payload,
-    wire_cache_params=rooted_cache_params,
 ))
 

@@ -54,7 +54,6 @@ from repro.core.framework import (
 from repro.core.partial import KeywordIndicator, PartialAnswer, salvage_rooted_answers
 from repro.core.pp_rclique import CompletionCache
 from repro.core.repair import try_requalify
-from repro.exceptions import QueryError
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.traversal import INF
 from repro.semantics.answers import Match, RootedAnswer
@@ -63,13 +62,7 @@ from repro.semantics.blinks import (
     keyword_expansion,
     offset_expansion,
 )
-from repro.semantics.wire import (
-    check_bound,
-    check_count,
-    rooted_cache_params,
-    rooted_payload,
-    rooted_wire_params,
-)
+from repro.semantics.wire import ROOTED_FIELDS, rooted_payload
 
 __all__ = ["peval_blinks", "arefine_keywords"]
 
@@ -402,13 +395,6 @@ def _acomplete(ctx: PipelineContext) -> None:
 # ----------------------------------------------------------------------
 # the spec (its steps are shared by PP-BANKS, see repro.core.pp_banks)
 # ----------------------------------------------------------------------
-def validate_blinks_params(ctx: PipelineContext) -> None:
-    if not ctx.params["keywords"]:
-        raise QueryError("Blinks query needs at least one keyword")
-    check_bound("tau", ctx.params["tau"])
-    check_count("k", ctx.params["k"])
-
-
 def init_blinks_state(ctx: PipelineContext) -> None:
     ctx.params["keywords"] = list(dict.fromkeys(ctx.params["keywords"]))
     ctx.state = {}
@@ -447,16 +433,12 @@ BLINKS = register_semantics(SemanticsSpec(
         StepSpec("arefine", step_arefine),
         StepSpec("acomplete", step_acomplete),
     ),
-    validate=validate_blinks_params,
     init=init_blinks_state,
     salvage=salvage_blinks,
     count_answers=len,
     result_type=QueryResult,
-    wire_required=("network", "owner", "keywords"),
-    wire_optional=("tau", "k"),
-    wire_params=rooted_wire_params,
+    fields=ROOTED_FIELDS,
     wire_payload=rooted_payload,
-    wire_cache_params=rooted_cache_params,
     baseline_m1=lambda g, keywords, tau, k: blinks_search(g, keywords, tau, k),
     # M2 historically asks Blinks for every root and lets the caller
     # truncate after the public-private filter (pinned by the M2 tests).

@@ -60,13 +60,14 @@ from repro.exceptions import QueryError
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.traversal import INF, dijkstra_ordered
 from repro.semantics.answers import KnkAnswer, Match
-from repro.semantics.knk import check_knk_query, display_keyword, match_predicate
+from repro.semantics.knk import check_mode, display_keyword, match_predicate
 from repro.semantics.wire import (
-    knk_cache_params,
-    knk_multi_cache_params,
-    knk_multi_wire_params,
+    Field,
+    check_count,
+    check_keyword,
+    check_keywords,
+    check_vertex,
     knk_payload,
-    knk_wire_params,
 )
 from repro.sketches.kpads import ranked
 
@@ -124,16 +125,10 @@ def _query_of(params: Dict[str, Any]) -> Tuple[Sequence[Label], str]:
 
 
 def _validate(ctx: PipelineContext) -> None:
-    p = ctx.params
-    keywords, mode = _query_of(p)
-    check_knk_query(keywords, p["k"], mode)
-    try:
-        known = p["source"] in ctx.attachment.private
-    except TypeError:  # unhashable: no graph holds it
-        known = False
-    if not known:
+    source = ctx.params["source"]
+    if source not in ctx.attachment.private:
         raise QueryError(
-            f"k-nk query vertex {p['source']!r} must belong to the private graph"
+            f"k-nk query vertex {source!r} must belong to the private graph"
         )
 
 
@@ -278,16 +273,17 @@ KNK = register_semantics(SemanticsSpec(
         StepSpec("arefine", _step_arefine),
         StepSpec("acomplete", _step_acomplete),
     ),
-    validate=_validate,
     init=_init,
     salvage=_salvage,
     count_answers=lambda a: len(a.matches),
     result_type=KnkQueryResult,
-    wire_required=("network", "owner", "source", "keyword"),
-    wire_optional=("k",),
-    wire_params=knk_wire_params,
+    fields=(
+        Field("source", check_vertex, key=True),
+        Field("keyword", check_keyword, key=True),
+        Field("k", check_count, 10, key=True),
+    ),
     wire_payload=knk_payload,
-    wire_cache_params=knk_cache_params,
+    validate=_validate,
 ))
 
 # The same pipeline under its multi-keyword wire spelling.
@@ -295,8 +291,10 @@ KNK_MULTI = register_semantics(replace(
     KNK,
     name="knk_multi",
     summary="Multi-keyword k-nk, conjunctive or disjunctive (Sec. II ext.).",
-    wire_required=("network", "owner", "source", "keywords"),
-    wire_optional=("k", "mode"),
-    wire_params=knk_multi_wire_params,
-    wire_cache_params=knk_multi_cache_params,
+    fields=(
+        Field("source", check_vertex, key=True),
+        Field("keywords", check_keywords, key=True),
+        Field("k", check_count, 10, key=True),
+        Field("mode", check_mode, "and", key=True),
+    ),
 ))

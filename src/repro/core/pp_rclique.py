@@ -38,17 +38,10 @@ from repro.core.framework import (
 )
 from repro.core.partial import PairIndicator, PartialAnswer, salvage_rooted_answers
 from repro.core.repair import try_requalify
-from repro.exceptions import QueryError
 from repro.graph.labeled_graph import Label, Vertex
 from repro.semantics.answers import RootedAnswer
 from repro.semantics.rclique import rclique_search
-from repro.semantics.wire import (
-    check_bound,
-    check_count,
-    rooted_cache_params,
-    rooted_payload,
-    rooted_wire_params,
-)
+from repro.semantics.wire import ROOTED_FIELDS, rooted_payload
 
 __all__ = ["peval_rclique", "arefine_pairs", "CompletionCache"]
 
@@ -238,13 +231,6 @@ def _acomplete(
 # ----------------------------------------------------------------------
 # the spec
 # ----------------------------------------------------------------------
-def _validate(ctx: PipelineContext) -> None:
-    if not ctx.params["keywords"]:
-        raise QueryError("r-clique query needs at least one keyword")
-    check_bound("tau", ctx.params["tau"])
-    check_count("k", ctx.params["k"])
-
-
 def _init(ctx: PipelineContext) -> None:
     ctx.params["keywords"] = list(dict.fromkeys(ctx.params["keywords"]))
     ctx.state = []
@@ -292,16 +278,12 @@ RCLIQUE = register_semantics(SemanticsSpec(
         StepSpec("arefine", _step_arefine),
         StepSpec("acomplete", _step_acomplete),
     ),
-    validate=_validate,
     init=_init,
     salvage=_salvage,
     count_answers=len,
     result_type=QueryResult,
-    wire_required=("network", "owner", "keywords"),
-    wire_optional=("tau", "k"),
-    wire_params=rooted_wire_params,
+    fields=ROOTED_FIELDS,
     wire_payload=rooted_payload,
-    wire_cache_params=rooted_cache_params,
     baseline_m1=lambda g, keywords, tau, k: rclique_search(g, keywords, tau, k),
     # M2 historically over-generates (k * 8 stars, k + 1 neighbor lists)
     # so the public-private filter still leaves k answers (pinned by the

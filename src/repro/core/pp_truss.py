@@ -39,7 +39,8 @@ declares the steps and registers the :data:`TRUSS` spec.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from functools import partial
+from typing import Any, Dict, List, Sequence, Set
 
 from repro.core.engine import (
     PipelineContext,
@@ -59,10 +60,11 @@ from repro.semantics.truss import (
     truss_components,
 )
 from repro.semantics.wire import (
+    Field,
     check_count,
-    truss_cache_params,
+    check_flag,
+    check_keywords,
     truss_payload,
-    truss_wire_params,
 )
 
 __all__ = ["TRUSS"]
@@ -180,15 +182,14 @@ def _step_acomplete(ctx: PipelineContext) -> None:
 # ----------------------------------------------------------------------
 # the spec
 # ----------------------------------------------------------------------
-def _validate(ctx: PipelineContext) -> None:
-    if check_count("k", ctx.params["k"]) < 2:
-        raise QueryError(f"k-truss requires k >= 2, got {ctx.params['k']}")
+def _check_k(field: str, value: Any) -> int:
+    if check_count(field, value) < 2:
+        raise QueryError(f"field {field!r}: k-truss requires k >= 2, got {value}")
+    return value
 
 
 def _init(ctx: PipelineContext) -> None:
     p = ctx.params
-    p.setdefault("keywords", [])
-    p.setdefault("require_public_private", True)
     p["keywords"] = list(dict.fromkeys(p["keywords"]))
     ctx.state = {}
 
@@ -222,15 +223,15 @@ TRUSS = register_semantics(SemanticsSpec(
         StepSpec("arefine", _step_arefine),
         StepSpec("acomplete", _step_acomplete),
     ),
-    validate=_validate,
     init=_init,
     salvage=_salvage,
     count_answers=len,
     result_type=QueryResult,
-    wire_required=("network", "owner", "k"),
-    wire_optional=("keywords",),
-    wire_params=truss_wire_params,
+    fields=(
+        Field("k", _check_k, key=True),
+        Field("keywords", partial(check_keywords, least=0), (), key=True),
+        Field("require_public_private", check_flag, True, wire=False),
+    ),
     wire_payload=truss_payload,
-    wire_cache_params=truss_cache_params,
 ))
 

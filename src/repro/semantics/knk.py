@@ -22,7 +22,7 @@ keyword — under either mode.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Set
+from typing import Any, Callable, Iterable, Optional, Sequence, Set
 
 from repro.exceptions import QueryError
 from repro.graph.labeled_graph import Label, Vertex
@@ -35,6 +35,7 @@ __all__ = [
     "knk_search",
     "knk_multi_search",
     "check_knk_query",
+    "check_mode",
     "display_keyword",
     "match_predicate",
 ]
@@ -47,8 +48,16 @@ def check_knk_query(keywords: Sequence[Label], k: int, mode: str) -> None:
     check_count("k", k)
     if not keywords:
         raise QueryError("multi-keyword k-nk needs at least one keyword")
+    check_mode("mode", mode)
+
+
+def check_mode(field: str, mode: Any) -> str:
+    """``mode`` if it is ``"and"`` or ``"or"``, else :class:`QueryError`."""
     if mode not in _MODES:
-        raise QueryError(f"mode must be one of {_MODES}, got {mode!r}")
+        raise QueryError(
+            f"field {field!r}: mode must be one of {_MODES}, got {mode!r}"
+        )
+    return mode
 
 
 def display_keyword(keywords: Sequence[Label], mode: str) -> str:

@@ -1,52 +1,121 @@
-"""Wire-protocol adapters shared by the semantics specs and the service.
+"""The wire protocol's field tables, and the payloads of its answers.
 
-Each :class:`~repro.core.engine.SemanticsSpec` carries three wire
-callables — request → params, result → payload, request → cache key —
-and :mod:`repro.service` generates its query ops straight from them.
-This module holds the two families those callables come in:
+An op's request schema is one tuple of :class:`Field` rows: a name, a
+check (the canonical value, or a :class:`~repro.exceptions.QueryError`
+naming the field: wire code ``bad_request``), a default or
+:data:`REQUIRED`, and whether the value enters the answer-cache key.
+:meth:`FieldTable.apply` is the one reader of a request.
+:mod:`repro.service` applies each op's table before any lock, registry
+or cache and gets the engine params and cache key back;
+:func:`~repro.core.engine.run_pipeline` applies a semantics' own rows to
+what a Python-API caller passed.  Defaults are canonical (``{"k": 10}``
+and an omitted ``k`` share a cache line) and nothing is coerced.
+``help``, the README op table and ``tests/test_wire_fields.py`` read
+the same rows.
 
-* **rooted** (Blinks / r-clique / BANKS / truss): ``answers`` list plus
-  the per-step ``breakdown``;
-* **k-nk** (single- and multi-keyword): a single ``answer``, no
-  breakdown (the k-nk wire format predates the breakdown field and is
-  pinned by the protocol tests);
-* **truss**: community ``answers`` (vertex/edge lists) plus the
-  breakdown.
-
-Defaults applied here (``tau`` 5.0, ``k`` 10, ``mode`` ``"and"``) are
-part of the wire contract: the cache-key functions apply the same
-defaults so ``{"k": 10}`` and an omitted ``k`` hit the same cache line.
-Fields are validated, never coerced: a value of the wrong type or range
-is a :class:`~repro.exceptions.QueryError` naming the field (wire code
-``bad_request``), raised by the params and the cache-key function alike.
+Payloads: **rooted** (Blinks / r-clique / BANKS) ``answers`` plus the
+per-step ``breakdown``; **k-nk** one ``answer`` and no breakdown (that
+format predates the field and is pinned by the protocol tests);
+**truss** community ``answers`` (vertex/edge lists) plus the breakdown.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, ReproError
 
 __all__ = [
+    "Field",
+    "FieldTable",
+    "REQUIRED",
+    "ROOTED_FIELDS",
     "serialize_rooted",
     "serialize_knk",
     "serialize_truss",
     "rooted_payload",
     "knk_payload",
     "truss_payload",
-    "rooted_wire_params",
-    "knk_wire_params",
-    "knk_multi_wire_params",
-    "truss_wire_params",
-    "rooted_cache_params",
-    "knk_cache_params",
-    "knk_multi_cache_params",
-    "truss_cache_params",
     "check_count",
     "check_bound",
     "check_vertex",
+    "check_flag",
+    "check_name",
+    "check_keywords",
+    "check_keyword",
+    "nullable",
     "VERTEX_TYPES",
 ]
+
+#: the default of a field the request must carry
+REQUIRED: Any = object()
+
+
+class Field(NamedTuple):
+    """One row of a field table: ``check(name, value)`` returns the
+    canonical value (hashable on a ``key`` row) or raises
+    :class:`QueryError` naming the field.  A ``wire=False`` row is for
+    Python-API callers only: the wire warns on it as an unknown field."""
+
+    name: str
+    check: Callable[[str, Any], Any]
+    default: Any = REQUIRED
+    key: bool = False
+    wire: bool = True
+
+
+class FieldTable:
+    """A tuple of :class:`Field` rows, compiled for :meth:`apply`."""
+
+    def __init__(self, rows: Tuple[Field, ...]) -> None:
+        self.checks = {row.name: row.check for row in rows}
+        self.defaults = {
+            row.name: row.default for row in rows if row.default is not REQUIRED
+        }
+        self.required = [row.name for row in rows if row.default is REQUIRED]
+        keys = [row.name for row in rows if row.key]
+        #: params -> the key rows' values, in row order
+        self.key = itemgetter(*keys) if keys else None
+
+    def apply(
+        self,
+        request: Dict[str, Any],
+        prefix: str = "",
+        warn: Optional[Callable[[str], None]] = None,
+    ) -> Dict[str, Any]:
+        """Every row's value: checked when ``request`` has the field, its
+        default when not.  A field with no row goes to ``warn`` first (so
+        the warning survives onto an error response); a missing required
+        field raises :class:`ReproError`, else the first malformed one
+        :class:`QueryError`.  ``prefix`` names the batch item."""
+        params = self.defaults.copy()
+        checks = self.checks
+        stray = False
+        try:
+            for name, value in request.items():
+                try:
+                    check = checks[name]
+                except KeyError:
+                    stray = True
+                    continue
+                params[name] = check(name, value)
+        except QueryError as exc:
+            self._report(request, prefix, warn)
+            raise QueryError(f"{prefix}{exc}") from None
+        if stray or len(params) < len(checks):
+            self._report(request, prefix, warn)
+        return params
+
+    def _report(self, request: Dict[str, Any], prefix: str, warn: Any) -> None:
+        """Warn about the unknown fields, then raise on a missing one."""
+        if warn is not None:
+            for f in sorted((str(f) for f in request), key=str):
+                if f not in self.checks:
+                    warn(f"{prefix}unknown field {f!r}")
+        for f in self.required:
+            if f not in request:
+                raise ReproError(f"{prefix}missing field {f!r}")
 
 
 def serialize_rooted(answer: Any) -> Dict[str, Any]:
@@ -82,16 +151,22 @@ def serialize_knk(answer: Any) -> Dict[str, Any]:
     }
 
 
-def rooted_payload(result: Any) -> Dict[str, Any]:
-    """Response payload for a rooted-semantics :class:`QueryResult`."""
+def _answers_payload(serialize: Callable[[Any], Any], result: Any) -> Dict[str, Any]:
+    """``answers`` plus the per-step ``breakdown`` of a :class:`QueryResult`."""
+    steps = result.breakdown
     return {
-        "answers": [serialize_rooted(a) for a in result.answers],
+        "answers": [serialize(a) for a in result.answers],
         "breakdown": {
-            "peval": result.breakdown.peval,
-            "arefine": result.breakdown.arefine,
-            "acomplete": result.breakdown.acomplete,
+            "peval": steps.peval,
+            "arefine": steps.arefine,
+            "acomplete": steps.acomplete,
         },
     }
+
+
+def rooted_payload(result: Any) -> Dict[str, Any]:
+    """Response payload for a rooted-semantics :class:`QueryResult`."""
+    return _answers_payload(serialize_rooted, result)
 
 
 def knk_payload(result: Any) -> Dict[str, Any]:
@@ -109,58 +184,19 @@ def serialize_truss(answer: Any) -> Dict[str, Any]:
 
 def truss_payload(result: Any) -> Dict[str, Any]:
     """Response payload for a truss :class:`QueryResult`."""
-    return {
-        "answers": [serialize_truss(a) for a in result.answers],
-        "breakdown": {
-            "peval": result.breakdown.peval,
-            "arefine": result.breakdown.arefine,
-            "acomplete": result.breakdown.acomplete,
-        },
-    }
+    return _answers_payload(serialize_truss, result)
 
 
-def _keywords(request: Dict[str, Any]) -> Tuple[str, ...]:
-    """The request's ``keywords``: a list of non-empty strings, or
-    :class:`QueryError` (wire code ``bad_request``).
-
-    Params and cache keys both read the field here: a bare string would
-    otherwise be ``list()``-split into characters and answered (and
-    cached) as a query nobody sent.
-    """
-    keywords = request.get("keywords", ())
-    if isinstance(keywords, (list, tuple)):
-        for q in keywords:
-            if not isinstance(q, str) or not q:
-                break
-        else:
-            return tuple(keywords)
-    raise QueryError(
-        f"field 'keywords' must be a list of non-empty strings, "
-        f"got {keywords!r}"
-    )
-
-
-def _keyword(request: Dict[str, Any]) -> str:
-    """The request's ``keyword``: one non-empty string, or
-    :class:`QueryError`."""
-    keyword = request["keyword"]
-    if not isinstance(keyword, str) or not keyword:
-        raise QueryError(
-            f"field 'keyword' must be a non-empty string, got {keyword!r}"
-        )
-    return keyword
-
-
-def check_count(field: str, value: Any) -> int:
-    """``value`` if it is an integer ``>= 1``, else :class:`QueryError`.
+def check_count(field: str, value: Any, least: int = 1) -> int:
+    """``value`` if it is an integer ``>= least``, else :class:`QueryError`.
 
     Nothing is coerced: ``2.5`` is not truncated, ``"2"`` is not parsed
     (it would share ``2``'s cache line) and ``True`` is an ``int`` only
     by accident.
     """
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if type(value) is not int or value < least:
         raise QueryError(
-            f"field {field!r} must be an integer >= 1, got {value!r}"
+            f"field {field!r} must be an integer >= {least}, got {value!r}"
         )
     return value
 
@@ -199,80 +235,58 @@ def check_vertex(field: str, value: Any) -> Any:
     return value
 
 
-def _source(request: Dict[str, Any]) -> Any:
-    """The request's ``source`` vertex (see :func:`check_vertex`)."""
-    return check_vertex("source", request["source"])
+def check_flag(field: str, value: Any) -> bool:
+    """``value`` if it is exactly ``true`` or ``false``, else :class:`QueryError`."""
+    if type(value) is not bool:
+        raise QueryError(f"field {field!r} must be true or false")
+    return value
 
 
-def _mode(request: Dict[str, Any]) -> str:
-    """The request's ``mode``: a string (its value is the engine's to
-    judge), defaulting to ``"and"``."""
-    mode = request.get("mode", "and")
-    if not isinstance(mode, str):
-        raise QueryError(f"field 'mode' must be a string, got {mode!r}")
-    return mode
+def check_name(field: str, value: Any) -> str:
+    """``value`` if it is a string (a name, a path), else :class:`QueryError`."""
+    if type(value) is not str:
+        raise QueryError(f"field {field!r} must be a string")
+    return value
 
 
-# Params and cache keys read every field through the same validators
-# above, so a value the engine would refuse can never reach — or be
-# served from — the answer cache.
-def rooted_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        "keywords": list(_keywords(request)),
-        "tau": check_bound("tau", request.get("tau", 5.0)),
-        "k": check_count("k", request.get("k", 10)),
-        "require_public_private": True,
-    }
-
-
-def knk_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        "source": _source(request),
-        "keyword": _keyword(request),
-        "k": check_count("k", request.get("k", 10)),
-    }
-
-
-def knk_multi_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        "source": _source(request),
-        "keywords": list(_keywords(request)),
-        "k": check_count("k", request.get("k", 10)),
-        "mode": _mode(request),
-    }
-
-
-def truss_wire_params(request: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        "k": check_count("k", request["k"]),
-        "keywords": list(_keywords(request)),
-        "require_public_private": True,
-    }
-
-
-def rooted_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
-    return (
-        _keywords(request),
-        check_bound("tau", request.get("tau", 5.0)),
-        check_count("k", request.get("k", 10)),
+def check_keywords(field: str, value: Any, least: int = 1) -> Tuple[str, ...]:
+    """``value`` as a tuple if it is a list (not a bare string) of
+    non-empty strings, at least one unless ``least`` is 0, else
+    :class:`QueryError`."""
+    if isinstance(value, (list, tuple)):
+        for q in value:
+            if not isinstance(q, str) or not q:
+                break
+        else:
+            if len(value) >= least:
+                return tuple(value)
+            raise QueryError(f"field {field!r} needs at least one keyword")
+    raise QueryError(
+        f"field {field!r} must be a list of non-empty strings, got {value!r}"
     )
 
 
-def knk_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
-    return (
-        _source(request), _keyword(request),
-        check_count("k", request.get("k", 10)),
-    )
+def check_keyword(field: str, value: Any) -> str:
+    """``value`` if it is one non-empty string, else :class:`QueryError`."""
+    if not isinstance(value, str) or not value:
+        raise QueryError(
+            f"field {field!r} must be a non-empty string, got {value!r}"
+        )
+    return value
 
 
-def knk_multi_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
-    return (
-        _source(request),
-        _keywords(request),
-        check_count("k", request.get("k", 10)),
-        _mode(request),
-    )
+def nullable(check: Callable[[str, Any], Any]) -> Callable[[str, Any], Any]:
+    """``check``, plus ``null`` accepted as itself."""
+
+    def checked(field: str, value: Any) -> Any:
+        return None if value is None else check(field, value)
+    return checked
 
 
-def truss_cache_params(request: Dict[str, Any]) -> Tuple[Any, ...]:
-    return (check_count("k", request["k"]), _keywords(request))
+#: the request schema of the rooted semantics (Blinks, r-clique, BANKS)
+ROOTED_FIELDS: Tuple[Field, ...] = (
+    Field("keywords", check_keywords, key=True),
+    Field("tau", check_bound, 5.0, key=True),
+    Field("k", check_count, 10, key=True),
+    Field("require_public_private", check_flag, True, wire=False),
+)

@@ -24,10 +24,7 @@ carry a stable machine-readable ``code`` next to the human ``error``
 message — one of ``bad_request`` / ``unknown_network`` /
 ``unknown_owner`` / ``overloaded`` / ``budget_exhausted`` /
 ``internal`` — mapped centrally from the exception type, never by
-string matching.  Unknown top-level request fields are *not* silently
-ignored: the response carries a ``warnings`` list naming them.  A
-request may pin ``"v": 1``; any other version is rejected as
-``bad_request``.  ``{"op": "help"}`` returns the full op catalogue
+string matching.  ``{"op": "help"}`` returns the full op catalogue
 (required/optional fields, read-vs-admin mode, cacheability) straight
 from the declarative op registry this module dispatches on.
 
@@ -36,9 +33,16 @@ One request path
 
 A query runs through fixed stages: field check → admission slot →
 read lock → answer cache → :meth:`PPKWSService._semantics_query` →
-trace.  A ``batch`` item is a request that takes its network, owner,
-admission slot and read lock from the batch and runs the same stages,
-so an item field means what it means on a single request.
+trace.  The field check is the op's one table of
+:class:`~repro.semantics.wire.Field` rows — the global ``op`` / ``v`` /
+``trace`` / ``no_cache`` rows plus the op's own, a query op's taken
+from its semantics' ``fields``.  Before any lock, registry or cache it
+refuses a missing or malformed field as ``bad_request`` naming it,
+warns about fields no row names, and yields the params the handler
+reads, whose key rows are the answer-cache key.  A ``batch`` item is a
+request that takes its network, owner, admission slot and read lock
+from the batch and runs the same stages, so an item field means what
+it means on a single request.
 
 Concurrency contract
 --------------------
@@ -66,10 +70,10 @@ Answer cache
 ------------
 
 Completed ``status: "ok"`` responses of the query ops are cached in a
-cross-request LRU+TTL :class:`repro.serving.AnswerCache` keyed on
-``(network, owner, op, canonicalized params)`` (defaults applied, so
-``{"tau": 5.0}`` and an omitted ``tau`` share an entry).  Staleness is
-epoch-based and per *owner*: a private graph is visible to its owner
+cross-request LRU+TTL :class:`repro.serving.AnswerCache` keyed on the
+op's key rows: op, network, owner and the query fields, defaults
+applied (``{"tau": 5.0}`` and an omitted ``tau`` share an entry).
+Staleness is epoch-based and per *owner*: a private graph is visible to its owner
 only, so an entry lives until that owner's attachment changes
 (``attach`` / ``detach`` / a dynamic repair) or its network is created
 or dropped, and an entry from before such a change is never served
@@ -88,8 +92,7 @@ Robustness contract
   query whose budget expires returns ``status: "degraded"`` with the
   answers completed so far plus ``completed_steps`` /
   ``interrupted_step`` describing how far the pipeline got.
-* Malformed requests get explicit ``"missing field 'keywords'"``-style
-  messages; unexpected internal failures are reported as
+* Unexpected internal failures are reported as
   ``"ExceptionClass: message"`` and counted under the
   ``ppkws_internal_errors_total`` metric.
 
@@ -157,7 +160,18 @@ from repro.obs import (
     observe_batch_request,
     render_prometheus,
 )
-from repro.semantics.wire import VERTEX_TYPES, check_bound, check_vertex
+from repro.semantics.wire import (
+    REQUIRED,
+    VERTEX_TYPES,
+    Field,
+    FieldTable,
+    check_bound,
+    check_count,
+    check_flag,
+    check_name,
+    check_vertex,
+    nullable,
+)
 from repro.serving import AnswerCache, RWLock
 from repro.serving.shards import ShardServingPool
 
@@ -176,9 +190,6 @@ ERROR_CODES: Tuple[str, ...] = (
     "internal",
 )
 
-#: Request fields accepted on every op, next to the per-op spec fields.
-GLOBAL_REQUEST_FIELDS = frozenset({"op", "v", "trace", "no_cache"})
-_FLAG_FIELDS = ("no_cache", "trace")  # exact bools, else bad_request
 
 #: What a handler may raise and the facade maps to an error response.
 _HANDLED = (ReproError, KeyError, TypeError, ValueError, AttributeError)
@@ -223,7 +234,15 @@ def _error_response(exc: BaseException) -> Dict[str, Any]:
     }
 
 
-def _graph_from_request(request: Dict[str, Any], field_name: str) -> LabeledGraph:
+def _graph_fields(field: str) -> Tuple[Field, ...]:
+    """A graph payload's rows, as sent: :func:`_graph_from_request` checks them."""
+    return tuple(
+        Field(name, lambda field, value: value, None)
+        for name in (field, f"{field}_edges", f"{field}_labels")
+    )
+
+
+def _graph_from_request(params: Dict[str, Any], field_name: str) -> LabeledGraph:
     """Build a graph from a request payload.
 
     Accepts either a ready :class:`LabeledGraph` under ``field_name`` or
@@ -237,7 +256,7 @@ def _graph_from_request(request: Dict[str, Any], field_name: str) -> LabeledGrap
     :class:`ReproError` naming the field — ``bad_request`` on the wire,
     before anything is built.
     """
-    graph = request.get(field_name)
+    graph = params[field_name]
     if isinstance(graph, LabeledGraph):
         return graph
     edges_field, labels_field = f"{field_name}_edges", f"{field_name}_labels"
@@ -246,9 +265,9 @@ def _graph_from_request(request: Dict[str, Any], field_name: str) -> LabeledGrap
             f"field {field_name!r} must be a LabeledGraph "
             f"(or send {edges_field!r} instead)"
         )
-    if edges_field not in request:
+    edges, labels = params[edges_field], params[labels_field]
+    if edges is None:
         raise ReproError(f"missing field {edges_field!r}")
-    edges, labels = request[edges_field], request.get(labels_field)
     if labels is None:  # absent or null: no labels; false, "" or [] are errors
         labels = {}
     if not isinstance(edges, (list, tuple)):
@@ -301,10 +320,9 @@ def _graph_from_request(request: Dict[str, Any], field_name: str) -> LabeledGrap
     return out
 
 
-def _budget_args(request: Dict[str, Any]) -> Dict[str, Any]:
-    """Per-request budget keywords for the engine entry points (their
-    values were validated by :meth:`PPKWSService._check_fields`)."""
-    return {f: request[f] for f in _BUDGET_FIELDS if request.get(f) is not None}
+def _tighter(limit: Any, bound: Any) -> Any:
+    """The smaller of two optional budget limits (``None``: no limit)."""
+    return bound if limit is None else limit if bound is None else min(limit, bound)
 
 
 def _trace(
@@ -352,6 +370,38 @@ def _trace(
 # ----------------------------------------------------------------------
 # the declarative op registry
 # ----------------------------------------------------------------------
+def _check_version(field: str, value: Any) -> Any:
+    # exact int: True == 1 must not pin v1
+    if value is not None and (type(value), value) != (int, PROTOCOL_VERSION):
+        raise QueryError(
+            f"field {field!r}: unsupported protocol version {value!r} "
+            f"(this service speaks v{PROTOCOL_VERSION})"
+        )
+    return value
+
+
+def _check_queries(field: str, value: Any) -> List[Any]:
+    if not isinstance(value, list):
+        raise QueryError(f"field {field!r} must be a list of query dicts")
+    return value
+
+
+#: the rows every op reads (``help``'s ``global_fields``)
+_GLOBAL_FIELDS: Tuple[Field, ...] = (
+    Field("op", check_name, key=True),
+    Field("v", _check_version, None),
+    Field("trace", check_flag, False),
+    Field("no_cache", check_flag, False),
+)
+_NETWORK = Field("network", check_name, key=True)
+_OWNER = Field("owner", check_name, key=True)
+#: budget knobs shared by every query op and batch
+_BUDGET_FIELDS: Tuple[Field, ...] = (
+    Field("deadline_ms", nullable(check_bound), None),
+    Field("max_expansions", nullable(partial(check_count, least=0)), None),
+)
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """One wire op: handler plus everything dispatch needs to know.
@@ -367,20 +417,16 @@ class OpSpec:
     * ``"control"`` — introspection (``metrics`` / ``help``): no
       admission slot, no lock — must survive overload.
 
-    ``required`` / ``optional`` are the op's accepted fields (on top of
-    the :data:`GLOBAL_REQUEST_FIELDS`); missing required fields become
-    ``bad_request`` errors and unrecognized fields become ``warnings``.
-    ``cache_params`` canonicalizes the op's query parameters (defaults
-    applied) into the hashable tail of the answer-cache key.
+    ``fields`` are the op's own rows (``help`` lists them as
+    ``required`` / ``optional``); :attr:`table` adds the global rows,
+    and its params are what the handler gets.
     """
 
     name: str
     handler: Callable[["PPKWSService", Dict[str, Any]], Dict[str, Any]]
-    required: Tuple[str, ...] = ()
-    optional: Tuple[str, ...] = ()
+    fields: Tuple[Field, ...] = ()
     mode: str = "read"
     cacheable: bool = False
-    cache_params: Optional[Callable[[Dict[str, Any]], Tuple[Any, ...]]] = None
     summary: str = ""
 
     def __post_init__(self) -> None:
@@ -388,33 +434,26 @@ class OpSpec:
             raise ValueError(f"bad op mode {self.mode!r}")
 
     @cached_property
-    def known_fields(self) -> frozenset:
-        """Every accepted field: computed once, read on every request."""
-        return GLOBAL_REQUEST_FIELDS.union(self.required, self.optional)
-
-
-#: budget knobs shared by every query op
-_BUDGET_FIELDS: Tuple[str, ...] = ("deadline_ms", "max_expansions")
-
-#: fields that name a registry entry: strings or nothing
-_NAME_FIELDS: Tuple[str, ...] = ("network", "owner")
+    def table(self) -> FieldTable:
+        """Every row the op reads: compiled once, applied per request."""
+        return FieldTable(_GLOBAL_FIELDS + self.fields)
 
 
 def _query_op(spec: SemanticsSpec) -> OpSpec:
     """Build the wire op for one registered semantics.
 
-    Everything — request schema, cache key, response payload, the
-    ``help`` entry — comes from the spec's ``wire_*`` fields, so
-    registering a semantics (see ``README.md`` "Semantics plugins") is
-    all it takes to put it on the wire.
+    Everything — request checks, cache key, response payload, the
+    ``help`` entry — comes from the spec's ``fields`` rows and
+    ``wire_payload``, so registering a semantics (see ``README.md``
+    "Semantics plugins") is all it takes to put it on the wire.
     """
     return OpSpec(
         spec.name,
-        lambda service, request: service._semantics_query(request, spec),
-        required=spec.wire_required,
-        optional=tuple(spec.wire_optional) + _BUDGET_FIELDS,
+        lambda service, params: service._semantics_query(params, spec),
+        fields=(_NETWORK, _OWNER)
+        + tuple(f for f in spec.fields if f.wire)
+        + _BUDGET_FIELDS,
         cacheable=True,
-        cache_params=spec.wire_cache_params,
         summary=spec.summary,
     )
 
@@ -900,15 +939,16 @@ class PPKWSService:
                     f"unknown op {op!r}; valid ops: {sorted(ops)} "
                     "(send {'op': 'help'} for the catalogue)"
                 )
-            self._check_fields(spec, request)
+            # the field check, before any lock, registry or cache
+            params = spec.table.apply(request, "", self._warn)
             if spec.mode == "control":
                 # Introspection must survive overload: no admission slot.
-                response = spec.handler(self, request)
+                response = spec.handler(self, params)
             elif self._max_in_flight is None:  # nothing to admit against
-                response = self._execute_locked(spec, request)
+                response = self._execute_locked(spec, request, params)
             else:
                 with self._admit():
-                    response = self._execute_locked(spec, request)
+                    response = self._execute_locked(spec, request, params)
         except _HANDLED + (OSError,) as exc:
             error_class = type(exc).__name__
             response = _error_response(exc)
@@ -928,55 +968,8 @@ class PPKWSService:
                               started, error_class)
         return response
 
-    def _check_fields(
-        self, spec: "OpSpec", request: Dict[str, Any], prefix: str = ""
-    ) -> None:
-        """The field check of a request or batch item.
-
-        Rejects another protocol version, then warns about unknown
-        fields, then rejects a missing field, a bad flag, a non-string
-        network or owner, or a malformed budget field — in that order,
-        so the warnings survive onto the error response.  Everything
-        here runs before any lock, registry or cache access.  ``prefix``
-        names the batch item the request came from.
-        """
-        version = request.get("v")
-        # exact int: True == 1 must not pin v1
-        if version is not None and (type(version), version) != (int, PROTOCOL_VERSION):
-            raise ReproError(
-                f"{prefix}unsupported protocol version {version!r} "
-                f"(this service speaks v{PROTOCOL_VERSION})"
-            )
-        known = spec.known_fields
-        if not request.keys() <= known:
-            for f in sorted((str(f) for f in request), key=str):
-                if f not in known:
-                    self._warn(f"{prefix}unknown field {f!r}")
-        for f in spec.required:
-            if f not in request:
-                raise ReproError(f"{prefix}missing field {f!r}")
-        for f in _FLAG_FIELDS:
-            if f in request and type(request[f]) is not bool:
-                raise ReproError(f"{prefix}field {f!r} must be true or false")
-        for f in _NAME_FIELDS:  # an absent field reads as "" and passes
-            if type(request.get(f, "")) is not str and f in known:
-                raise ReproError(f"{prefix}field {f!r} must be a string")
-        if "max_expansions" in known:  # the query ops and batch
-            deadline = request.get("deadline_ms")
-            cap = request.get("max_expansions")
-            try:
-                if deadline is not None:
-                    check_bound("deadline_ms", deadline)
-                if cap is not None and (type(cap) is not int or cap < 0):
-                    raise QueryError(
-                        f"field 'max_expansions' must be an integer >= 0, "
-                        f"got {cap!r}"
-                    )
-            except QueryError as exc:
-                raise QueryError(f"{prefix}{exc}") from None
-
     def _execute_locked(
-        self, spec: "OpSpec", request: Dict[str, Any]
+        self, spec: "OpSpec", request: Dict[str, Any], params: Dict[str, Any]
     ) -> Dict[str, Any]:
         """Run an admitted request under the derived rwlock side.
 
@@ -987,19 +980,19 @@ class PPKWSService:
         if spec.mode == "admin":
             # The service methods themselves take the write lock, so the
             # exclusion also covers direct Python-API calls.
-            return spec.handler(self, request)
-        with self._network_lock(request["network"]).read_locked():
+            return spec.handler(self, params)
+        with self._network_lock(params["network"]).read_locked():
             if not spec.cacheable:
-                return spec.handler(self, request)
+                return spec.handler(self, params)
             pool = self._shard_pool
             if pool is not None:
-                return self._cached(spec, request, partial(pool.route, request))
-            return self._cached(spec, request, partial(spec.handler, self, request))
+                return self._cached(spec, params, partial(pool.route, request))
+            return self._cached(spec, params, partial(spec.handler, self, params))
 
     def _cached(
         self,
         spec: "OpSpec",
-        request: Dict[str, Any],
+        params: Dict[str, Any],
         run: Callable[[], Dict[str, Any]],
         prefix: str = "",
     ) -> Dict[str, Any]:
@@ -1010,26 +1003,15 @@ class PPKWSService:
         (:meth:`_answer_token`) cannot move before the store: admin ops
         need the write side.  An entry is only reused while its network's
         life and its owner's epoch are both current.  ``run`` alone
-        answers when the cache is off, for ``no_cache`` and ``trace``
-        requests (a trace describes a real run), and for parameters that
-        resist canonicalization (``run`` then produces the real error).
-        ``prefix`` names the batch item in the store-failure warning.
+        answers when the cache is off, and for ``no_cache`` and ``trace``
+        requests (a trace describes a real run).  ``prefix`` names the
+        batch item in the store-failure warning.
         """
         cache = self._answer_cache
-        if (
-            cache is None
-            or spec.cache_params is None
-            or request.get("no_cache")
-            or request.get("trace")
-        ):
+        if cache is None or params["no_cache"] or params["trace"]:
             return run()
-        network, owner = request["network"], request["owner"]
-        try:
-            key = (spec.name, network, owner) + spec.cache_params(request)
-            hash(key)
-        except (TypeError, ValueError, KeyError):
-            return run()
-        token = self._answer_token(network, owner)
+        key = spec.table.key(params)
+        token = self._answer_token(params["network"], params["owner"])
         try:
             hit = cache.lookup(key, token)
         except FaultInjectedError:
@@ -1145,7 +1127,7 @@ class PPKWSService:
     # -- handlers -------------------------------------------------------
     def _semantics_query(
         self,
-        request: Dict[str, Any],
+        params: Dict[str, Any],
         spec: SemanticsSpec,
         cache: Optional[CompletionCache] = None,
         cap: Optional[QueryBudget] = None,
@@ -1156,18 +1138,16 @@ class PPKWSService:
         its budget slice ``cap``; the tighter of ``cap`` and the
         request's own budget fields applies.
         """
-        engine = self._engine(request["network"])
-        limits = _budget_args(request)
+        engine = self._engine(params["network"])
+        deadline_ms, max_expansions = params["deadline_ms"], params["max_expansions"]
         if cap is not None:
-            for f in _BUDGET_FIELDS:
-                bound = getattr(cap, f)
-                if bound is not None:
-                    limits[f] = min(limits.get(f, bound), bound)
-        budget = engine.make_budget(**limits)
+            deadline_ms = _tighter(deadline_ms, cap.deadline_ms)
+            max_expansions = _tighter(max_expansions, cap.max_expansions)
+        budget = engine.make_budget(deadline_ms, max_expansions)
         result = spec.run(
             engine,
-            engine.attachment(request["owner"]),
-            spec.wire_params(request),
+            engine.attachment(params["owner"]),
+            params,
             budget=budget,
             cache=cache,
         )
@@ -1181,7 +1161,7 @@ class PPKWSService:
         out.update(spec.wire_payload(result))
         return out
 
-    def _op_batch(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_batch(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """``{"op": "batch"}``: many query items, one admission slot.
 
         ``queries`` is a list of per-item dicts shaped like the
@@ -1217,14 +1197,12 @@ class PPKWSService:
         ...  for e in response["results"]]  # the repeat only hits
         [(4, 2), (4, 4)]
         """
-        network, owner = request["network"], request["owner"]
-        queries = request["queries"]
-        if not isinstance(queries, list):
-            raise ReproError("field 'queries' must be a list of query dicts")
+        network, owner = params["network"], params["owner"]
+        queries = params["queries"]
         engine = self._engine(network)
         engine.attachment(owner)  # an unknown owner fails the whole batch
         cache = CompletionCache(enabled=engine.options.dp_completion)
-        batch = BatchBudget(**_budget_args(request))
+        batch = BatchBudget(params["deadline_ms"], params["max_expansions"])
         ops = _current_ops()
         ctx = self._tls.ctx
         results: List[Dict[str, Any]] = []
@@ -1247,12 +1225,13 @@ class PPKWSService:
                         f"{prefix}op {item.get('op')!r} is not a query op; "
                         f"valid ops: {valid}"
                     )
-                self._check_fields(spec, item, prefix)
+                item_params = spec.table.apply(item, prefix, self._warn)
                 run = partial(
-                    self._semantics_query, item, semantics_spec(spec.name),
-                    cache, batch.slice_for(len(queries) - i),
+                    self._semantics_query, item_params,
+                    semantics_spec(spec.name), cache,
+                    batch.slice_for(len(queries) - i),
                 )
-                entry = self._cached(spec, item, run, prefix)
+                entry = self._cached(spec, item_params, run, prefix)
                 entry.setdefault("cached", False)
             except _HANDLED as exc:
                 error_class = type(exc).__name__
@@ -1267,16 +1246,16 @@ class PPKWSService:
         observe_batch_request(Counter(str(e["status"]) for e in results))
         return {"status": "ok", "results": results}
 
-    def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        engine = self._engine(request["network"])
+    def _op_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        engine = self._engine(params["network"])
         out: Dict[str, Any] = {
             "status": "ok",
             "public": dict(engine.public.stats()),
             "owners": engine.owners(),
             "index_entries": engine.index.pads.total_entries,
-            "epoch": self.network_epoch(request["network"]),
+            "epoch": self.network_epoch(params["network"]),
         }
-        owner = request.get("owner")
+        owner = params["owner"]
         if owner is not None:
             attachment = engine.attachment(owner)
             out["attachment"] = {
@@ -1287,7 +1266,7 @@ class PPKWSService:
             }
         return out
 
-    def _op_metrics(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_metrics(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """The observability op: snapshot + traces + cache + Prometheus."""
         registry = installed()
         return {
@@ -1302,7 +1281,7 @@ class PPKWSService:
             "prometheus": render_prometheus(registry),
         }
 
-    def _op_health(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_health(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Liveness/readiness: per-network state plus worker health.
 
         A control op — no admission slot, no network lock — so operators
@@ -1331,13 +1310,13 @@ class PPKWSService:
             "faults_active": faults.is_active(),
         }
 
-    def _op_help(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """The op catalogue, straight from the registry."""
+    def _op_help(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        """The op catalogue, straight from the ops' field rows."""
         ops = {
             name: {
                 "summary": spec.summary,
-                "required": list(spec.required),
-                "optional": list(spec.optional),
+                "required": [f.name for f in spec.fields if f.default is REQUIRED],
+                "optional": [f.name for f in spec.fields if f.default is not REQUIRED],
                 "mode": spec.mode,
                 "cacheable": spec.cacheable,
             }
@@ -1347,47 +1326,47 @@ class PPKWSService:
             "status": "ok",
             "protocol": PROTOCOL_VERSION,
             "ops": ops,
-            "global_fields": sorted(GLOBAL_REQUEST_FIELDS),
+            "global_fields": sorted(f.name for f in _GLOBAL_FIELDS),
             "error_codes": list(ERROR_CODES),
         }
 
     # -- admin handlers -------------------------------------------------
-    def _op_create_network(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        public = _graph_from_request(request, "public")
+    def _op_create_network(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        public = _graph_from_request(params, "public")
         self.create_network(
-            request["network"], public, index_path=request.get("index_path")
+            params["network"], public, index_path=params["index_path"]
         )
-        return {"status": "ok", "network": request["network"]}
+        return {"status": "ok", "network": params["network"]}
 
-    def _op_attach(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        private = _graph_from_request(request, "private")
-        portals = self.attach_user(request["network"], request["owner"], private)
-        return {"status": "ok", "owner": request["owner"], "portals": portals}
+    def _op_attach(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        private = _graph_from_request(params, "private")
+        portals = self.attach_user(params["network"], params["owner"], private)
+        return {"status": "ok", "owner": params["owner"], "portals": portals}
 
-    def _op_detach(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self.detach_user(request["network"], request["owner"])
-        return {"status": "ok", "owner": request["owner"]}
+    def _op_detach(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        self.detach_user(params["network"], params["owner"])
+        return {"status": "ok", "owner": params["owner"]}
 
-    def _op_drop(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self.drop_network(request["network"])
-        return {"status": "ok", "network": request["network"]}
+    def _op_drop(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        self.drop_network(params["network"])
+        return {"status": "ok", "network": params["network"]}
 
     #: The static (non-query) op registry.  Query ops are *generated* —
-    #: one per registered semantics, straight from its ``wire_*`` spec
-    #: fields — and merged with these by :func:`_current_ops`, which
-    #: dispatch and ``help`` consult.
+    #: one per registered semantics, straight from its ``fields`` rows —
+    #: and merged with these by :func:`_current_ops`, which dispatch and
+    #: ``help`` consult.
     _STATIC_OPS: Dict[str, OpSpec] = {
         spec.name: spec
         for spec in (
             OpSpec(
                 "stats", _op_stats,
-                required=("network",), optional=("owner",),
+                fields=(_NETWORK, Field("owner", check_name, None)),
                 summary="Network statistics, owners and cache epoch.",
             ),
             OpSpec(
                 "batch", _op_batch,
-                required=("network", "owner", "queries"),
-                optional=_BUDGET_FIELDS,
+                fields=(_NETWORK, _OWNER, Field("queries", _check_queries))
+                + _BUDGET_FIELDS,
                 summary=(
                     "Run many query items under one admission slot, with "
                     "a whole-batch budget and per-item caching."
@@ -1407,25 +1386,23 @@ class PPKWSService:
             ),
             OpSpec(
                 "create_network", _op_create_network, mode="admin",
-                required=("network",),
-                optional=("public", "public_edges", "public_labels",
-                          "index_path"),
+                fields=(_NETWORK,) + _graph_fields("public")
+                + (Field("index_path", nullable(check_name), None),),
                 summary="Register a public graph and build its index.",
             ),
             OpSpec(
                 "attach", _op_attach, mode="admin",
-                required=("network", "owner"),
-                optional=("private", "private_edges", "private_labels"),
+                fields=(_NETWORK, _OWNER) + _graph_fields("private"),
                 summary="Attach an owner's private graph (portal discovery).",
             ),
             OpSpec(
                 "detach", _op_detach, mode="admin",
-                required=("network", "owner"),
+                fields=(_NETWORK, _OWNER),
                 summary="Detach an owner's private graph.",
             ),
             OpSpec(
                 "drop", _op_drop, mode="admin",
-                required=("network",),
+                fields=(_NETWORK,),
                 summary="Forget a network and all its attachments.",
             ),
         )

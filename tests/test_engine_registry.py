@@ -20,6 +20,7 @@ from repro.core.engine import (
 )
 from repro.core.framework import QueryResult, query_model_m1, query_model_m2
 from repro.exceptions import QueryError
+from repro.semantics.wire import Field, check_keyword
 from repro.service import PPKWSService
 
 BUILTINS = ("banks", "blinks", "knk", "knk_multi", "rclique", "truss")
@@ -40,11 +41,8 @@ def make_spec(name, steps=None):
         salvage=lambda ctx, step: [],
         count_answers=len,
         result_type=QueryResult,
-        wire_required=("network", "owner", "echo"),
-        wire_optional=(),
-        wire_params=lambda req: {"echo": req["echo"]},
+        fields=(Field("echo", check_keyword, key=True),),
         wire_payload=lambda res: {"answers": list(res.answers)},
-        wire_cache_params=lambda req: (req["echo"],),
     )
 
 
@@ -187,11 +185,8 @@ class TestQueryModelDispatch:
             salvage=lambda ctx, step: [],
             count_answers=len,
             result_type=QueryResult,
-            wire_required=("network", "owner"),
-            wire_optional=(),
-            wire_params=lambda req: {},
+            fields=(),
             wire_payload=lambda res: {},
-            wire_cache_params=lambda req: (),
             baseline_m1=lambda g, keywords, tau, k: [
                 ("m1", g.name, tuple(keywords), tau, k)
             ],

@@ -672,6 +672,22 @@ class TestErrorHandling:
                     assert resp["code"] == "unknown_network", (op, resp)
         assert len(service._networks) == before
 
+    def test_field_errors_come_before_registry_errors(self, service):
+        """A malformed field is ``bad_request`` on a name that was never
+        created too: the fields are checked before the registry is, so
+        no lock is made for the name."""
+        before = dict(service._networks)
+        for request in (
+            {"op": "blinks", "owner": "bob", "keywords": "db"},
+            {"op": "blinks", "owner": "bob", "keywords": ["db"], "k": 0},
+            {"op": "knk", "owner": "bob", "source": "x1", "keyword": "db",
+             "k": 2.5},
+            {"op": "batch", "owner": "bob", "queries": {"op": "blinks"}},
+        ):
+            resp = service.execute(dict(request, network="ghost"))
+            assert resp["code"] == "bad_request", request
+        assert service._networks == before
+
     def test_unknown_owner(self, service):
         resp = service.execute({
             "op": "knk", "network": "net", "owner": "nobody",

@@ -18,6 +18,8 @@ the *behavioral* wire contract of the v1 protocol:
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.exceptions import (
@@ -480,6 +482,11 @@ class TestErrorCodeMap:
          "source": "x1", "keywords": "ai"},
         knk_req(keyword=["cv"]),
         knk_req(keyword=""),
+        # an empty query is refused by the field row, not by the engine
+        # after a cache miss
+        blinks_req(keywords=[]),
+        blinks_req(op="banks", keywords=[]),
+        blinks_req(op="rclique", keywords=[]),
     ], ids=lambda r: f"{r['op']}-{r.get('keywords', r.get('keyword'))!r}")
     def test_malformed_keyword_fields_are_bad_requests(self, service, request_):
         before = service.answer_cache.stats()
@@ -508,6 +515,13 @@ class TestErrorCodeMap:
                     "source": {"x": 1}, "keywords": ["db"]}),
         ("mode", {"op": "knk_multi", "network": "net", "owner": "bob",
                   "source": "x1", "keywords": ["db"], "mode": 1}),
+        # refused by the field rows, not by the engine after a cache miss
+        pytest.param("mode", {"op": "knk_multi", "network": "net",
+                              "owner": "bob", "source": "x1",
+                              "keywords": ["db"], "mode": "nand"},
+                     id="mode-knk_multi-nand"),
+        pytest.param("k", {"op": "truss", "network": "net", "owner": "bob",
+                           "k": 1}, id="k-truss-below-2"),
         ("tau", blinks_req(tau=float("nan"))),
         ("tau", blinks_req(tau="5")),
         ("tau", blinks_req(tau=True)),
@@ -603,6 +617,24 @@ class TestWireVertexIds:
         assert resp["code"] == "bad_request"
         assert "'public_edges'" in resp["error"]
         assert svc.networks() == []
+
+    def test_index_path_is_a_string_not_a_descriptor(self, tmp_path):
+        """An integer ``index_path`` used to be opened as a descriptor of
+        the server process, which the failed load then closed."""
+        fd = os.open(tmp_path / "held", os.O_RDWR | os.O_CREAT)
+        try:
+            svc = PPKWSService(sketch_k=2)
+            resp = svc.execute({"op": "create_network", "network": "n",
+                                "public_edges": [[0, 1]], "index_path": fd})
+            assert resp["code"] == "bad_request"
+            assert "'index_path'" in resp["error"]
+            assert svc.networks() == []
+            os.fstat(fd)  # still open
+        finally:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
 
     def test_label_map_vertex(self, service):
         resp = service.execute({

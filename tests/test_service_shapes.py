@@ -13,7 +13,9 @@ that only the ``"trace": true`` request flag may add, and the
 
 from __future__ import annotations
 
-from typing import Any, Dict
+import re
+from pathlib import Path
+from typing import Any, Dict, List, Tuple
 
 import pytest
 
@@ -28,6 +30,24 @@ V_KEYS = {"v"}
 ERROR_KEYS = {"status", "error", "retryable", "code", "v"}
 DEGRADATION_KEYS = {"completed_steps", "interrupted_step"}
 TRACE_KEYS = {"counters", "trace"}
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_OP_HEADER = "| op | mode | required | optional | ok-response keys |"
+
+
+def readme_op_table() -> Dict[str, Tuple[str, List[str], List[str]]]:
+    """``{op: (mode, required, optional)}`` from README's op table."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(README_OP_HEADER) + 2  # past the --- row
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        op, mode, required, optional, _ = line.strip("|").split(" | ")
+        names = [re.findall(r"`([^`]+)`", cell)
+                 for cell in (op, required, optional)]
+        table[names[0][0]] = (mode.strip(), names[1], names[2])
+    return table
 
 #: the exact QueryCounters field set every ``counters`` payload carries
 COUNTER_FIELDS = {
@@ -260,6 +280,13 @@ class TestMetricsOpShape:
 
 
 class TestHelpOpShape:
+    def test_readme_op_table_matches_help(self, service):
+        ops = service.execute({"op": "help"})["ops"]
+        assert readme_op_table() == {
+            name: (entry["mode"], entry["required"], entry["optional"])
+            for name, entry in ops.items()
+        }
+
     def test_help_catalogue(self, service):
         resp = service.execute({"op": "help"})
         assert set(resp) == (
@@ -284,14 +311,18 @@ class TestHelpOpShape:
         # Query ops are generated from the semantics registry: every
         # registered semantics appears, with its wire schema.
         from repro.core.engine import registered_semantics, semantics_spec
+        from repro.semantics.wire import REQUIRED
 
         for name in registered_semantics():
             entry = resp["ops"][name]
             spec = semantics_spec(name)
             assert entry["summary"] == spec.summary
-            assert entry["required"] == list(spec.wire_required)
+            wire = [f for f in spec.fields if f.wire]
+            assert entry["required"] == ["network", "owner"] + [
+                f.name for f in wire if f.default is REQUIRED
+            ]
             assert entry["optional"] == (
-                list(spec.wire_optional)
+                [f.name for f in wire if f.default is not REQUIRED]
                 + ["deadline_ms", "max_expansions"]
             )
             assert entry["mode"] == "read"
