@@ -9,8 +9,8 @@ boxed floats, per-vertex hash tables, and incomparable vertices that
 force an ``itertools.count`` tie-breaker into every heap entry.
 
 :class:`FrozenGraph` is the public-side counterpart: vertices are
-*interned* to dense ``int`` ids (in source iteration order, so traversal
-tie-breaking stays aligned with the dict backend) and adjacency lives in
+*interned* to dense ``int`` ids (in source iteration order, each
+vertex's neighbors kept in the source's order) and adjacency lives in
 three flat ``array`` buffers in CSR layout:
 
 * ``indptr``  — ``array('q')`` of length ``n + 1``; vertex ``i``'s
@@ -24,11 +24,14 @@ inverted label index stores interned-id arrays.  An id↔vertex table
 translates at the API boundary, so the *public interface is still
 vertex-keyed* — a ``FrozenGraph`` satisfies the read-only
 :class:`~repro.graph.protocol.GraphLike` protocol and drops into the
-traversal, sketch, portal and semantics layers unchanged.  The int-
-specialized fast paths in :mod:`repro.graph.traversal`,
-:mod:`repro.graph.pagerank` and :mod:`repro.sketches.base` additionally
-consume the raw arrays via :meth:`FrozenGraph.csr` / :meth:`intern` /
-:attr:`vertex_table`.
+traversal, sketch, portal and semantics layers unchanged.  The
+traversal heap sweeps read it through :meth:`neighbor_items`, whose
+source-order neighbors make ``freeze(g)`` settle ties exactly as ``g``
+does.  The raw arrays (:meth:`FrozenGraph.csr` / :meth:`intern` /
+:attr:`vertex_table` / :meth:`label_ids`) are read by the public-index
+builds (:mod:`repro.graph.pagerank`, :mod:`repro.sketches.base`,
+:mod:`repro.sketches.kpads`) and by the attach-time portal sweep,
+:func:`~repro.graph.traversal.bounded_target_distances`.
 
 Mutating methods are deliberately absent: accidental writes fail loudly
 with ``AttributeError``.  To edit, :meth:`thaw` back to a
@@ -176,11 +179,6 @@ class FrozenGraph:
     def id_table(self) -> Mapping[Vertex, int]:
         """The vertex -> id table (do not mutate)."""
         return self._id_of
-
-    @property
-    def label_table(self) -> Tuple[FrozenSet[Label], ...]:
-        """The id -> label-set table."""
-        return self._labels_by_id
 
     def label_ids(self, label: Label) -> array:
         """Interned ids carrying ``label`` (empty array when unused)."""

@@ -7,21 +7,22 @@ algorithms and the framework itself.  They are implemented with plain
 binary heaps (``heapq``) and lazy deletion, which in CPython outperforms
 fancier decrease-key structures for the graph sizes we target.
 
-Every routine accepts any :class:`~repro.graph.protocol.GraphLike`
-backend.  For the dict backend (and the lazy combined views) vertices may
-be arbitrary incomparable hashables, so heap entries carry an
-``itertools.count`` tie-breaker.  When the graph is a
-:class:`~repro.graph.frozen.FrozenGraph` each routine dispatches to an
-int-specialized fast path instead: vertices are dense comparable ids, so
-heap entries are bare ``(distance, id)`` pairs, and neighbor expansion is
-a flat scan of the CSR ``indptr``/``indices``/``weights`` arrays.  Results
-are translated back to vertex keys at the boundary, so callers cannot
-tell the backends apart (distances are bit-identical; only tie order
-among equidistant vertices may differ).
+Every routine has one body.  The heap sweeps accept any
+:class:`~repro.graph.protocol.GraphLike` backend and read it through
+``__contains__`` and ``neighbor_items``; vertices may be arbitrary
+incomparable hashables, so heap entries carry an ``itertools.count``
+tie-breaker and equidistant vertices settle in push order.  A
+:class:`~repro.graph.frozen.FrozenGraph` yields its neighbors in its
+source's order, so ``freeze(g)`` and ``g`` settle ties identically.
+These bodies serve what queries and attaches search: the private graphs
+and the combined views that span both sides.
 
-The two bodies are not two public backends: the engine's public graph is
-always frozen, and the dict bodies serve private graphs and the combined
-views that span both sides.
+The public graph ``G`` is never searched on its own at query time
+(AComplete reads it through the sketches); an attach traverses it alone
+to bound its portal pairs (Sec. V-C), by
+:func:`bounded_target_distances`.  That routine alone scans the CSR
+``indptr``/``indices``/``weights`` arrays over dense int ids, and
+freezes any other graph it is given first.
 
 The sweeps accept an optional ``budget`` (any object with a
 ``checkpoint()`` method, canonically
@@ -51,7 +52,7 @@ from typing import (
 )
 
 from repro.exceptions import VertexNotFoundError
-from repro.graph.frozen import FrozenGraph
+from repro.graph.frozen import freeze
 from repro.graph.labeled_graph import Vertex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -81,251 +82,6 @@ def _check_source(graph: "GraphLike", source: Vertex) -> None:
         raise VertexNotFoundError(source)
 
 
-# ----------------------------------------------------------------------
-# int-specialized fast paths (FrozenGraph)
-# ----------------------------------------------------------------------
-#: Sentinel id for a requested target that is absent from the graph; it
-#: can never be settled, which reproduces the generic behavior (the sweep
-#: simply runs to exhaustion instead of stopping early).
-_ABSENT = -1
-
-
-def _frozen_dijkstra(
-    graph: FrozenGraph,
-    source: Vertex,
-    cutoff: Optional[float],
-    targets: Optional[Set[Vertex]],
-    budget: Optional["QueryBudget"],
-) -> Dict[Vertex, float]:
-    src = graph.intern(source)
-    indptr, indices, weights = graph.csr()
-    dist: Dict[int, float] = {}
-    remaining: Optional[Set[int]] = None
-    if targets is not None:
-        remaining = set()
-        for t in targets:
-            remaining.add(graph.intern(t) if t in graph else _ABSENT)
-    heap: List[Tuple[float, int]] = [(0.0, src)]
-    while heap:
-        if budget is not None:
-            budget.checkpoint()
-        d, i = heapq.heappop(heap)
-        if i in dist:
-            continue
-        if cutoff is not None and d > cutoff:
-            break
-        dist[i] = d
-        if remaining is not None:
-            remaining.discard(i)
-            if not remaining:
-                break
-        for pos in range(indptr[i], indptr[i + 1]):
-            j = indices[pos]
-            if j not in dist:
-                nd = d + weights[pos]
-                if cutoff is None or nd <= cutoff:
-                    heapq.heappush(heap, (nd, j))
-    vx = graph.vertex_table
-    return {vx[i]: d for i, d in dist.items()}
-
-
-def _frozen_dijkstra_with_paths(
-    graph: FrozenGraph,
-    source: Vertex,
-    cutoff: Optional[float],
-    budget: Optional["QueryBudget"],
-) -> Tuple[Dict[Vertex, float], Dict[Vertex, Optional[Vertex]]]:
-    src = graph.intern(source)
-    indptr, indices, weights = graph.csr()
-    dist: Dict[int, float] = {}
-    pred: Dict[int, int] = {src: -1}
-    tentative: Dict[int, float] = {src: 0.0}
-    heap: List[Tuple[float, int]] = [(0.0, src)]
-    while heap:
-        if budget is not None:
-            budget.checkpoint()
-        d, i = heapq.heappop(heap)
-        if i in dist:
-            continue
-        if cutoff is not None and d > cutoff:
-            break
-        dist[i] = d
-        for pos in range(indptr[i], indptr[i + 1]):
-            j = indices[pos]
-            if j in dist:
-                continue
-            nd = d + weights[pos]
-            if (cutoff is None or nd <= cutoff) and nd < tentative.get(j, INF):
-                tentative[j] = nd
-                pred[j] = i
-                heapq.heappush(heap, (nd, j))
-    vx = graph.vertex_table
-    return (
-        {vx[i]: d for i, d in dist.items()},
-        {vx[i]: (vx[p] if p >= 0 else None) for i, p in pred.items()},
-    )
-
-
-def _frozen_dijkstra_ordered(
-    graph: FrozenGraph,
-    source: Vertex,
-    cutoff: Optional[float],
-    budget: Optional["QueryBudget"],
-) -> Iterator[Tuple[Vertex, float]]:
-    src = graph.intern(source)
-    indptr, indices, weights = graph.csr()
-    vx = graph.vertex_table
-    settled: Set[int] = set()
-    heap: List[Tuple[float, int]] = [(0.0, src)]
-    while heap:
-        if budget is not None:
-            budget.checkpoint()
-        d, i = heapq.heappop(heap)
-        if i in settled:
-            continue
-        if cutoff is not None and d > cutoff:
-            return
-        settled.add(i)
-        yield vx[i], d
-        for pos in range(indptr[i], indptr[i + 1]):
-            j = indices[pos]
-            if j not in settled:
-                nd = d + weights[pos]
-                if cutoff is None or nd <= cutoff:
-                    heapq.heappush(heap, (nd, j))
-
-
-def _frozen_multi_source(
-    graph: FrozenGraph,
-    sources: Iterable[Vertex],
-    cutoff: Optional[float],
-    budget: Optional["QueryBudget"],
-) -> Dict[Vertex, float]:
-    indptr, indices, weights = graph.csr()
-    heap: List[Tuple[float, int]] = [(0.0, graph.intern(s)) for s in sources]
-    heapq.heapify(heap)
-    dist: Dict[int, float] = {}
-    while heap:
-        if budget is not None:
-            budget.checkpoint()
-        d, i = heapq.heappop(heap)
-        if i in dist:
-            continue
-        if cutoff is not None and d > cutoff:
-            break
-        dist[i] = d
-        for pos in range(indptr[i], indptr[i + 1]):
-            j = indices[pos]
-            if j not in dist:
-                nd = d + weights[pos]
-                if cutoff is None or nd <= cutoff:
-                    heapq.heappush(heap, (nd, j))
-    vx = graph.vertex_table
-    return {vx[i]: d for i, d in dist.items()}
-
-
-def _frozen_bounded_targets(
-    graph: FrozenGraph, source: Vertex, bounds: Mapping[Vertex, float]
-) -> Dict[Vertex, float]:
-    src = graph.intern(source)
-    indptr, indices, weights = graph.csr()
-    pending = {graph.intern(t): b for t, b in bounds.items() if t in graph}
-    found: Dict[int, float] = {}
-    radius = max(pending.values(), default=0.0)
-    tentative: Dict[int, float] = {src: 0.0}
-    heap: List[Tuple[float, int]] = [(0.0, src)]
-    while heap:
-        d, i = heapq.heappop(heap)
-        if d >= radius:
-            break
-        if d > tentative[i]:
-            continue
-        bound = pending.pop(i, None)
-        if bound is not None:
-            if d < bound:
-                found[i] = d
-            if not pending:
-                break
-            if bound >= radius:
-                radius = max(pending.values())
-        for pos in range(indptr[i], indptr[i + 1]):
-            nd = d + weights[pos]
-            if nd < radius:
-                j = indices[pos]
-                if nd < tentative.get(j, INF):
-                    tentative[j] = nd
-                    heapq.heappush(heap, (nd, j))
-    vx = graph.vertex_table
-    return {vx[i]: d for i, d in found.items()}
-
-
-def _frozen_shortest_path(
-    graph: FrozenGraph,
-    source: Vertex,
-    target: Vertex,
-    budget: Optional["QueryBudget"],
-) -> Optional[List[Vertex]]:
-    src = graph.intern(source)
-    dst = graph.intern(target)
-    indptr, indices, weights = graph.csr()
-    dist: Dict[int, float] = {}
-    pred: Dict[int, int] = {}
-    tentative: Dict[int, float] = {src: 0.0}
-    heap: List[Tuple[float, int]] = [(0.0, src)]
-    found = False
-    while heap:
-        if budget is not None:
-            budget.checkpoint()
-        d, i = heapq.heappop(heap)
-        if i in dist:
-            continue
-        dist[i] = d
-        if i == dst:
-            found = True
-            break
-        for pos in range(indptr[i], indptr[i + 1]):
-            j = indices[pos]
-            if j in dist:
-                continue
-            nd = d + weights[pos]
-            if nd < tentative.get(j, INF):
-                tentative[j] = nd
-                pred[j] = i
-                heapq.heappush(heap, (nd, j))
-    if not found:
-        return None
-    ids = [dst]
-    while ids[-1] != src:
-        ids.append(pred[ids[-1]])
-    vx = graph.vertex_table
-    return [vx[i] for i in reversed(ids)]
-
-
-def _frozen_bfs_hops(
-    graph: FrozenGraph, source: Vertex, max_hops: Optional[int]
-) -> Dict[Vertex, int]:
-    src = graph.intern(source)
-    indptr, indices, _ = graph.csr()
-    hops: Dict[int, int] = {src: 0}
-    frontier = [src]
-    level = 0
-    while frontier and (max_hops is None or level < max_hops):
-        level += 1
-        nxt: List[int] = []
-        for i in frontier:
-            for pos in range(indptr[i], indptr[i + 1]):
-                j = indices[pos]
-                if j not in hops:
-                    hops[j] = level
-                    nxt.append(j)
-        frontier = nxt
-    vx = graph.vertex_table
-    return {vx[i]: h for i, h in hops.items()}
-
-
-# ----------------------------------------------------------------------
-# public API (backend-dispatching)
-# ----------------------------------------------------------------------
 def dijkstra(
     graph: "GraphLike",
     source: Vertex,
@@ -351,8 +107,6 @@ def dijkstra(
         Optional query budget charged one expansion per heap pop; raises
         a :class:`~repro.exceptions.BudgetError` on expiry.
     """
-    if isinstance(graph, FrozenGraph):
-        return _frozen_dijkstra(graph, source, cutoff, targets, budget)
     _check_source(graph, source)
     dist: Dict[Vertex, float] = {}
     remaining = set(targets) if targets is not None else None
@@ -389,8 +143,6 @@ def dijkstra_with_paths(
 
     ``budget`` (if given) is charged one expansion per heap pop.
     """
-    if isinstance(graph, FrozenGraph):
-        return _frozen_dijkstra_with_paths(graph, source, cutoff, budget)
     _check_source(graph, source)
     dist: Dict[Vertex, float] = {}
     pred: Dict[Vertex, Optional[Vertex]] = {source: None}
@@ -430,17 +182,6 @@ def dijkstra_ordered(
     k-nk semantic, which consumes vertices lazily until k matches appear.
     ``budget`` (if given) is charged one expansion per heap pop.
     """
-    if isinstance(graph, FrozenGraph):
-        return _frozen_dijkstra_ordered(graph, source, cutoff, budget)
-    return _dict_dijkstra_ordered(graph, source, cutoff, budget)
-
-
-def _dict_dijkstra_ordered(
-    graph: "GraphLike",
-    source: Vertex,
-    cutoff: Optional[float],
-    budget: Optional["QueryBudget"],
-) -> Iterator[Tuple[Vertex, float]]:
     _check_source(graph, source)
     settled: Set[Vertex] = set()
     counter = itertools.count()
@@ -475,8 +216,6 @@ def multi_source_dijkstra(
     keyword's inverted-index bucket.  ``budget`` (if given) is charged
     one expansion per heap pop.
     """
-    if isinstance(graph, FrozenGraph):
-        return _frozen_multi_source(graph, sources, cutoff, budget)
     dist: Dict[Vertex, float] = {}
     counter = itertools.count()
     heap: List[Tuple[float, int, Vertex]] = []
@@ -519,35 +258,39 @@ def bounded_target_distances(
     therefore settles only vertices *strictly inside* that radius, and
     hands back the targets alone, not a map of everything it touched.
     """
-    if isinstance(graph, FrozenGraph):
-        return _frozen_bounded_targets(graph, source, bounds)
-    _check_source(graph, source)
-    pending = {t: b for t, b in bounds.items() if t in graph}
-    found: Dict[Vertex, float] = {}
+    graph = freeze(graph)
+    src = graph.intern(source)
+    indptr, indices, weights = graph.csr()
+    pending = {graph.intern(t): b for t, b in bounds.items() if t in graph}
+    found: Dict[int, float] = {}
     radius = max(pending.values(), default=0.0)
-    tentative: Dict[Vertex, float] = {source: 0.0}
-    counter = itertools.count()
-    heap: List[Tuple[float, int, Vertex]] = [(0.0, next(counter), source)]
+    tentative: Dict[int, float] = {src: 0.0}
+    heap: List[Tuple[float, int]] = [(0.0, src)]
     while heap:
-        d, _, v = heapq.heappop(heap)
+        d, i = heapq.heappop(heap)
         if d >= radius:
             break
-        if d > tentative[v]:
-            continue  # stale: v was queued again at a smaller distance
-        bound = pending.pop(v, None)
+        if d > tentative[i]:
+            continue
+        bound = pending.pop(i, None)
         if bound is not None:
             if d < bound:
-                found[v] = d
+                found[i] = d
             if not pending:
                 break
             if bound >= radius:
                 radius = max(pending.values())
-        for u, w in graph.neighbor_items(v):
-            nd = d + w
-            if nd < radius and nd < tentative.get(u, INF):
-                tentative[u] = nd
-                heapq.heappush(heap, (nd, next(counter), u))
-    return found
+        for pos in range(indptr[i], indptr[i + 1]):
+            nd = d + weights[pos]
+            if nd < radius:
+                j = indices[pos]
+                if nd < tentative.get(j, INF):
+                    tentative[j] = nd
+                    heapq.heappush(heap, (nd, j))
+    vx = graph.vertex_table
+    return {vx[i]: d for i, d in found.items()}
+
+
 
 
 def shortest_distance(
@@ -574,8 +317,6 @@ def shortest_path(
     """
     if target not in graph:
         raise VertexNotFoundError(target)
-    if isinstance(graph, FrozenGraph):
-        return _frozen_shortest_path(graph, source, target, budget)
     _check_source(graph, source)
     dist: Dict[Vertex, float] = {}
     pred: Dict[Vertex, Vertex] = {}
@@ -618,8 +359,6 @@ def bfs_hops(
     AComplete for Blinks expands portals "up to x hops" on the public
     graph (paper Algo 5) — this is that traversal.
     """
-    if isinstance(graph, FrozenGraph):
-        return _frozen_bfs_hops(graph, source, max_hops)
     _check_source(graph, source)
     hops = {source: 0}
     frontier = [source]

@@ -386,9 +386,10 @@ def _check_queries(field: str, value: Any) -> List[Any]:
     return value
 
 
+_OP = Field("op", check_name, key=True)
 #: the rows every op reads (``help``'s ``global_fields``)
 _GLOBAL_FIELDS: Tuple[Field, ...] = (
-    Field("op", check_name, key=True),
+    _OP,
     Field("v", _check_version, None),
     Field("trace", check_flag, False),
     Field("no_cache", check_flag, False),
@@ -460,6 +461,20 @@ def _query_op(spec: SemanticsSpec) -> OpSpec:
 
 _OPS_LOCK = threading.Lock()
 _OPS_CACHE: Tuple[int, Dict[str, "OpSpec"]] = (-1, {})
+
+
+def _op_spec(
+    ops: Dict[str, "OpSpec"], op: Any, prefix: str = ""
+) -> Optional["OpSpec"]:
+    """The op named ``op``, or ``None`` (``op`` absent or unknown).  A
+    present ``op`` passes its row first: a list or dict must be the
+    caller's error, not a ``TypeError`` from the registry lookup."""
+    if op is not None:
+        try:
+            _OP.check(_OP.name, op)
+        except QueryError as exc:
+            raise QueryError(f"{prefix}{exc}") from None
+    return ops.get(op)
 
 
 def _current_ops() -> Dict[str, "OpSpec"]:
@@ -933,7 +948,7 @@ class PPKWSService:
             if not isinstance(request, dict):
                 raise ReproError("request must be a dict with an 'op' field")
             ops = _current_ops()
-            spec = ops.get(op)
+            spec = _op_spec(ops, op)
             if spec is None:
                 raise ReproError(
                     f"unknown op {op!r}; valid ops: {sorted(ops)} "
@@ -1216,7 +1231,7 @@ class PPKWSService:
                         f"queries[{i}] must be a dict with an 'op' field"
                     )
                 item = dict(item, network=network, owner=owner)
-                spec = ops.get(item.get("op"))
+                spec = _op_spec(ops, item.get("op"), prefix)
                 if spec is None or not spec.cacheable:
                     # Only the generated query ops are batchable — admin /
                     # control ops inside a batch would dodge their locking.

@@ -184,23 +184,27 @@ def test_dijkstra_equivalence_random(seed):
     g = random_connected_graph(60, 25, seed)
     fg = freeze(g)
     for source in (0, 7, 31):
-        assert dijkstra(fg, source) == dijkstra(g, source)
-        assert dijkstra(fg, source, cutoff=4.0) == dijkstra(g, source, cutoff=4.0)
+        # settle order included: the backends break ties alike
+        assert list(dijkstra(fg, source).items()) == list(
+            dijkstra(g, source).items()
+        )
+        assert list(dijkstra(fg, source, cutoff=4.0).items()) == list(
+            dijkstra(g, source, cutoff=4.0).items()
+        )
+        assert list(dijkstra_ordered(fg, source)) == list(
+            dijkstra_ordered(g, source)
+        )
         dist_f, pred_f = dijkstra_with_paths(fg, source)
         dist_d, pred_d = dijkstra_with_paths(g, source)
         assert dist_f == dist_d
-        # Predecessors reconstruct equally-long paths (ties may differ).
-        for v, p in pred_f.items():
-            if p is not None:
-                assert dist_f[v] == pytest.approx(dist_f[p] + fg.weight(p, v))
-        assert pred_f.keys() == pred_d.keys()
+        assert pred_f == pred_d
 
 
 @pytest.mark.parametrize("seed", [5, 23])
 def test_traversal_variants_equivalence_random(seed):
     g = random_connected_graph(50, 20, seed)
     fg = freeze(g)
-    assert dict(dijkstra_ordered(fg, 0)) == dict(dijkstra_ordered(g, 0))
+    assert list(dijkstra_ordered(fg, 0)) == list(dijkstra_ordered(g, 0))
     assert multi_source_dijkstra(fg, [0, 9, 17]) == multi_source_dijkstra(
         g, [0, 9, 17]
     )
@@ -210,19 +214,11 @@ def test_traversal_variants_equivalence_random(seed):
         assert shortest_distance(fg, 0, target) == pytest.approx(
             shortest_distance(g, 0, target)
         )
-        path_f = shortest_path(fg, 0, target)
-        path_d = shortest_path(g, 0, target)
-        if path_d is None:
-            assert path_f is None
-        else:
-            from repro.graph.labeled_graph import path_weight
-
-            assert path_weight(g, path_f) == pytest.approx(
-                path_weight(g, path_d)
-            )
-    assert nearest_vertices_with_label(fg, 0, "a", 3) == (
-        nearest_vertices_with_label(g, 0, "a", 3)
-    )
+        assert shortest_path(fg, 0, target) == shortest_path(g, 0, target)
+    for k in (1, 3, 10):
+        assert nearest_vertices_with_label(fg, 0, "a", k) == (
+            nearest_vertices_with_label(g, 0, "a", k)
+        )
 
 
 def test_unreachable_target_is_inf_on_both_backends():

@@ -443,13 +443,13 @@ class TestErrorCodeMap:
                              ids=["list", "dict", "int", "bool"])
     @pytest.mark.parametrize("op, field", [
         pytest.param(op, field, id=f"{op}-{field}")
-        for op in NAMED_REQUESTS for field in ("network", "owner")
+        for op in NAMED_REQUESTS for field in ("network", "owner", "op")
         if field in NAMED_REQUESTS[op]
     ])
     def test_non_string_network_is_bad_request(
         self, small_public_private, installed_registry, op, field, value
     ):
-        """A network or owner is a name: anything but a string is the
+        """A network, owner or op is a name: anything but a string is the
         caller's error, named by field, found before any lock, registry
         or cache sees it (lists and dicts used to be ``internal``, and
         ``create_network`` registered ``7`` under a name no read op
@@ -468,6 +468,31 @@ class TestErrorCodeMap:
         assert service.answer_cache.stats() == before
         assert service.networks() == ["net"]
         assert service.execute(knk_req())["status"] == "ok"  # bob attached
+
+    @pytest.mark.parametrize("value", [["knk"], {"a": 1}, 7, True],
+                             ids=["list", "dict", "int", "bool"])
+    def test_non_string_batch_item_op_is_bad_request(
+        self, small_public_private, installed_registry, value
+    ):
+        """A batch item's ``op`` passes the same row before the op
+        registry sees it."""
+        pub, priv = small_public_private
+        registry = installed_registry
+        service = PPKWSService(sketch_k=2)
+        service.create_network("net", pub)
+        service.attach_user("net", "bob", priv)
+        before = service.answer_cache.stats()
+        resp = service.execute(
+            dict(NAMED_REQUESTS["batch"], queries=[{"op": value}])
+        )
+        assert resp["status"] == "ok"
+        [item] = resp["results"]
+        assert item["code"] == "bad_request"
+        assert item["error"] == "queries[0]: field 'op' must be a string"
+        assert not registry.value("ppkws_internal_errors_total")
+        assert service.answer_cache.stats() == before
+        assert service.networks() == ["net"]
+        assert service.execute(knk_req())["status"] == "ok"
 
     @pytest.mark.parametrize("request_", [
         # a bare string must not be list()-split into ['a', 'i']
