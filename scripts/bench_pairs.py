@@ -3,7 +3,8 @@
 Usage::
 
     python scripts/bench_pairs.py --workload cold_keyword --pr LABEL \\
-        [--seeds 1-10] [--parent HEAD] [--reason TEXT] [--tier1-wall-s S]
+        [--seeds 1-10] [--parent HEAD] [--reason TEXT] [--note TEXT] \
+        [--tier1-wall-s S]
 
 The *change* is this checkout's working tree; the *parent* is the commit
 ``--parent`` names (``HEAD`` by default, i.e. the tree against its last
@@ -175,6 +176,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="label of the change (a PR or release name)")
     parser.add_argument("--reason", default=None,
                         help="why an answers_sha256 changed, if one did")
+    parser.add_argument("--note", default=None,
+                        help="what the rows' numbers do not show, e.g. a "
+                             "tracer blind spot the change opened")
     parser.add_argument("--tier1-wall-s", type=float, default=None,
                         help="wall time of the tier-1 suite, if measured")
     args = parser.parse_args(argv)
@@ -192,6 +196,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "cores": os.cpu_count(),
         "python": platform.python_version(),
         "digest_change_reason": args.reason,
+        "note": args.note,
         "tier1_wall_s": args.tier1_wall_s,
     }
     rows = []

@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.budget import QueryBudget
@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.graph.pagerank import pagerank
 from repro.graph.public_private import combine, portal_nodes
 from repro.portals.distance_map import PortalDistanceMap, combined_portal_maps
-from repro.portals.keyword_map import build_private_maps
+from repro.portals.keyword_map import PrivateSweeps, build_private_maps
 from repro.portals.oracle import CombinedDistanceOracle, SketchPublicDistance
 from repro.semantics.answers import KnkAnswer, RootedAnswer
 from repro.semantics.wire import check_count
@@ -125,6 +125,11 @@ class Attachment:
     #: portal pairs (both orientations) that got strictly shorter in Gc
     refined_portal_pairs: FrozenSet[Tuple[Vertex, Vertex]]
     oracle: CombinedDistanceOracle
+    #: per-source sweeps of ``private`` that k-nk replays, filled on
+    #: first read; they live and die with this attachment
+    sweeps: PrivateSweeps = field(
+        default_factory=PrivateSweeps, repr=False, compare=False
+    )
 
     @property
     def has_refined_portals(self) -> bool:

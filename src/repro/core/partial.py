@@ -14,10 +14,13 @@ and emits :class:`PartialAnswer` objects: an ordinary rooted answer plus
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.labeled_graph import Label, Vertex
 from repro.semantics.answers import KnkAnswer, Match, RootedAnswer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.portals.keyword_map import SourceRow
 
 __all__ = [
     "PairIndicator",
@@ -140,9 +143,15 @@ class PartialKnkAnswer:
 
     ``portal_entries`` lists ``(portal, d'(source, portal))`` pairs —
     completion extends each with the portal's public-side distance to the
-    query keyword (Appx. A).
+    query keyword (Appx. A).  ``row`` is the source row PEval replayed;
+    ``match_positions`` and ``portal_positions`` give the row entry of
+    each match and each portal entry, where ARefine reads their refined
+    distances.
     """
 
     answer: KnkAnswer
     pair_indicators: List[PairIndicator] = field(default_factory=list)
     portal_entries: List[Tuple[Vertex, float]] = field(default_factory=list)
+    row: Optional["SourceRow"] = None
+    match_positions: List[int] = field(default_factory=list)
+    portal_positions: List[int] = field(default_factory=list)

@@ -1,13 +1,16 @@
 """PP-knk: top-k nearest keyword search on top of PPKWS (Sec. IV-C, Appx. A).
 
-* **PEval** is the unmodified k-nk algorithm on the private graph: a
+* **PEval** is the k-nk algorithm on the private graph: a
   distance-ordered Dijkstra sweep from the query vertex collecting
-  keyword matches.  The sweep additionally records every portal it
-  passes — each is a gateway to public-side matches.
+  keyword matches, which also records every portal it passes — each is
+  a gateway to public-side matches.  The sweep runs once per
+  ``(attachment, source)`` and is kept as that source's row
+  (:class:`~repro.portals.keyword_map.PrivateSweeps`, Sec. V-C's
+  per-user state); a query replays it, with the labels read live.
 * **ARefine** tightens both the match distances and the portal distances
   with two-portal detours (Eq. 4), as PP-r-clique does — but every pair
-  starts at the query vertex, so Eq. 4's ``|P|^2`` half is one table per
-  query.
+  starts at the query vertex, at a distance the row fixes, so each
+  refined distance is computed once and kept in the row too.
 * **AComplete** extends each recorded portal with the public-side
   keyword distance ``d_hat(p, q)`` from PADS/KPADS (with witness), merges
   public candidates into the private ranking and keeps the top k,
@@ -58,9 +61,9 @@ from repro.core.framework import Attachment, KnkQueryResult
 from repro.core.partial import PairIndicator, PartialKnkAnswer
 from repro.exceptions import QueryError
 from repro.graph.labeled_graph import Label, Vertex
-from repro.graph.traversal import INF, dijkstra_ordered
+from repro.graph.traversal import INF
 from repro.semantics.answers import KnkAnswer, Match
-from repro.semantics.knk import check_mode, display_keyword, match_predicate
+from repro.semantics.knk import check_mode, display_keyword, matching_vertices
 from repro.semantics.wire import (
     Field,
     check_count,
@@ -85,28 +88,50 @@ def peval_knk(
 ) -> PartialKnkAnswer:
     """Step 1: exact k-nk sweep on the private graph, recording portals.
 
+    The sweep is ``source``'s row on the attachment, replayed.  A budget
+    is charged one checkpoint per heap pop the sweep recorded before each
+    vertex, and the pops after the last one when the row runs out, so a
+    capped query stops exactly where a live sweep would.  The first query
+    from a source fills its row with one unbudgeted sweep of ``G'``: a
+    deadline can overshoot by that one sweep, the cost of one of
+    attach's ``|P|`` portal sweeps.
+
     Pass a pre-built ``partial`` to accumulate matches in place — the
     pipeline does this so that a budget expiring mid-sweep still leaves
     the matches found so far available for the degraded result.
     """
     private = attachment.private
     portals = attachment.portals
-    matches = match_predicate(private, keywords, mode)
+    matched = matching_vertices(private, keywords, mode)
     if partial is None:
         partial = PartialKnkAnswer(
             answer=KnkAnswer(source, display_keyword(keywords, mode), [])
         )
     answer = partial.answer
-    for v, d in dijkstra_ordered(private, source, budget=budget):
+    sweeps = attachment.sweeps
+    row = partial.row = sweeps.row(private, source)
+    entries = zip(
+        map(sweeps.vertices.__getitem__, row.ids), row.distances, row.pops
+    )
+    for i, (v, d, pops) in enumerate(entries):
+        if budget is not None:
+            for _ in range(pops):
+                budget.checkpoint()
         if v in portals:
             partial.portal_entries.append((v, d))
-        if matches(v):
+            partial.portal_positions.append(i)
+        if v in matched:
             answer.matches.append(Match(v, d))
+            partial.match_positions.append(i)
             partial.pair_indicators.append(
                 PairIndicator(source, v, answer.keyword)
             )
             if len(answer.matches) >= k:
                 break
+    else:
+        if budget is not None:
+            for _ in range(row.tail):
+                budget.checkpoint()
     return partial
 
 
@@ -155,9 +180,11 @@ def _step_peval(ctx: PipelineContext) -> None:
 def _step_arefine(ctx: PipelineContext) -> None:
     """Step 2: refine match and portal distances with portal detours.
 
-    One :meth:`~repro.portals.oracle.CombinedDistanceOracle.vertex_detours`
-    table rooted at the query vertex serves every refinement, so each
-    match or portal costs an ``O(|P|)`` scan.
+    Every refinement starts at the query vertex, from the distance its
+    row fixes, so each is one entry of the row's refined column: an entry
+    an earlier query refined is read back, and a new one is computed
+    against one :meth:`~repro.portals.oracle.CombinedDistanceOracle.vertex_detours`
+    table, built on this query's first new entry, and stored.
     """
     attachment, partial, counters = ctx.attachment, ctx.state, ctx.counters
     budget, reduced = ctx.budget, ctx.options.reduced_refinement
@@ -168,27 +195,34 @@ def _step_arefine(ctx: PipelineContext) -> None:
         return
     oracle = attachment.oracle
     source = partial.answer.source
-    via = oracle.vertex_detours(
-        source, attachment.refined_by_source if reduced else None
-    )
-    for match in partial.answer.matches:
+    column = partial.row.refined(reduced)
+    via: Optional[Dict[Vertex, float]] = None
+
+    def refined(i: int, v: Vertex, d: float) -> float:
+        nonlocal via
+        r = column[i]
+        if r != r:  # NaN: no query refined this entry yet
+            if via is None:
+                via = oracle.vertex_detours(
+                    source, attachment.refined_by_source if reduced else None
+                )
+            r = column[i] = oracle.refine_pair(source, v, d, via=via)
+        return r
+
+    for match, i in zip(partial.answer.matches, partial.match_positions):
         if budget is not None:
             budget.checkpoint()
         counters.refinement_checks += 1
-        if match.vertex is None:
-            continue
-        refined = oracle.refine_pair(
-            source, match.vertex, match.distance, via=via
-        )
-        if refined < match.distance:
-            match.distance = refined
+        r = refined(i, match.vertex, match.distance)
+        if r < match.distance:
+            match.distance = r
             counters.refinements_applied += 1
     refined_portals: List[Tuple[Vertex, float]] = []
-    for portal, d in partial.portal_entries:
+    for (portal, d), i in zip(partial.portal_entries, partial.portal_positions):
         if budget is not None:
             budget.checkpoint()
         counters.refinement_checks += 1
-        nd = oracle.refine_pair(source, portal, d, via=via)
+        nd = refined(i, portal, d)
         if nd < d:
             counters.refinements_applied += 1
         refined_portals.append((portal, nd))

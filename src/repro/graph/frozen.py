@@ -222,19 +222,18 @@ class FrozenGraph:
     def neighbors(self, v: Vertex) -> Iterator[Vertex]:
         """Iterate over the neighbors of ``v``."""
         i = self.intern(v)
-        indices, vx = self._indices, self._vertex_of
-        return (
-            vx[indices[pos]]
-            for pos in range(self._indptr[i], self._indptr[i + 1])
+        indptr = self._indptr
+        return map(
+            self._vertex_of.__getitem__, self._indices[indptr[i]:indptr[i + 1]]
         )
 
     def neighbor_items(self, v: Vertex) -> Iterable[Tuple[Vertex, float]]:
         """Iterate ``(neighbor, weight)`` pairs of ``v``."""
         i = self.intern(v)
-        indices, weights, vx = self._indices, self._weights, self._vertex_of
-        return (
-            (vx[indices[pos]], weights[pos])
-            for pos in range(self._indptr[i], self._indptr[i + 1])
+        lo, hi = self._indptr[i], self._indptr[i + 1]
+        return zip(
+            map(self._vertex_of.__getitem__, self._indices[lo:hi]),
+            self._weights[lo:hi],
         )
 
     def degree(self, v: Vertex) -> int:

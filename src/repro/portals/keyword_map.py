@@ -16,21 +16,30 @@ portal distances ``d'(p_i, p_j)``
 (:func:`repro.portals.distance_map.combined_portal_maps` reads them
 there), so these ``|P|`` sweeps are the only private traversals an
 attach runs.
+
+* **Source rows** (:class:`PrivateSweeps`): what a k-nk PEval from one
+  private source sweeps, stored on the attachment the first time a query
+  reads it, so that later queries from that source replay it instead of
+  sweeping ``G'`` again.
 """
 
 from __future__ import annotations
 
+import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
-from repro.graph.traversal import INF, dijkstra
+from repro.graph.traversal import INF, dijkstra, dijkstra_ordered
 
 __all__ = [
     "PortalKeywordEntry",
     "PortalKeywordDistanceMap",
     "VertexPortalDistanceMap",
     "build_private_maps",
+    "SourceRow",
+    "PrivateSweeps",
 ]
 
 
@@ -125,3 +134,105 @@ def build_private_maps(
                         seen.add(t)
                         entries[(p, t)] = PortalKeywordEntry(v, d)
     return pkd, vpm
+
+
+class _PopCount:
+    """A budget that never expires: it counts the heap pops it is charged."""
+
+    __slots__ = ("pops",)
+
+    def __init__(self) -> None:
+        self.pops = 0
+
+    def checkpoint(self, cost: int = 1) -> None:
+        self.pops += cost
+
+
+class SourceRow:
+    """What ``dijkstra_ordered(private, source)`` yields, as flat columns.
+
+    ``ids`` are the settled vertices in settle order, as ids of the
+    owning :class:`PrivateSweeps`' vertex table, and ``distances`` their
+    distances from the source.  ``pops[i]`` is how many heap pops the
+    sweep was charged before it yielded entry ``i``, and ``tail`` how many
+    after the last entry, until its heap ran dry: replaying them as
+    budget checkpoints charges a query exactly what the sweep would have.
+    """
+
+    __slots__ = ("ids", "distances", "pops", "tail", "_refined")
+
+    def __init__(
+        self, ids: array, distances: array, pops: array, tail: int
+    ) -> None:
+        self.ids = ids
+        self.distances = distances
+        self.pops = pops
+        self.tail = tail
+        self._refined: Dict[bool, array] = {}
+
+    def refined(self, reduced: bool) -> array:
+        """The column of Eq.-4-refined distances under one
+        ``reduced_refinement`` setting; NaN marks an entry nobody has
+        refined yet.  Racing first reads publish one column
+        (``setdefault``) and fill its entries with equal values."""
+        column = self._refined.get(reduced)
+        if column is None:
+            column = self._refined.setdefault(
+                reduced, array("d", [float("nan")]) * len(self.distances)
+            )
+        return column
+
+
+class PrivateSweeps:
+    """Per-source rows over one attachment's private graph (Sec. V-C).
+
+    A row is filled on its first read by one unbudgeted
+    :func:`~repro.graph.traversal.dijkstra_ordered` sweep, and published
+    with ``setdefault``: racing first reads compute equal rows and one of
+    them is kept.  Rows never change afterwards.  An edge change or
+    removal replaces the attachment, rows included; a label change or a
+    new isolated vertex changes no existing row's settle order (labels
+    are read live when a row is replayed).  At most ``|V'|`` rows of at
+    most ``|V'|`` entries each.
+    """
+
+    __slots__ = ("vertices", "_ids", "_rows", "_tickets")
+
+    def __init__(self) -> None:
+        #: the vertex table: row id -> private vertex
+        self.vertices: Dict[int, Vertex] = {}
+        self._ids: Dict[Vertex, int] = {}
+        self._rows: Dict[Vertex, SourceRow] = {}
+        self._tickets = itertools.count()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def row(self, private: LabeledGraph, source: Vertex) -> SourceRow:
+        """``source``'s row, swept on the first read."""
+        row = self._rows.get(source)
+        if row is None:
+            row = self._rows.setdefault(source, self._sweep(private, source))
+        return row
+
+    def _id(self, v: Vertex) -> int:
+        # Lock-free interning: the table entry is written before its id
+        # is published, and the ``setdefault`` winner's ticket is the id
+        # (a losing ticket's entry is never read).
+        i = self._ids.get(v)
+        if i is None:
+            ticket = next(self._tickets)
+            self.vertices[ticket] = v
+            i = self._ids.setdefault(v, ticket)
+        return i
+
+    def _sweep(self, private: LabeledGraph, source: Vertex) -> SourceRow:
+        count = _PopCount()
+        ids, distances, pops = array("i"), array("d"), array("I")
+        charged = 0
+        for v, d in dijkstra_ordered(private, source, budget=count):
+            ids.append(self._id(v))
+            distances.append(d)
+            pops.append(count.pops - charged)
+            charged = count.pops
+        return SourceRow(ids, distances, pops, count.pops - charged)

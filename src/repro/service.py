@@ -464,16 +464,20 @@ _OPS_CACHE: Tuple[int, Dict[str, "OpSpec"]] = (-1, {})
 
 
 def _op_spec(
-    ops: Dict[str, "OpSpec"], op: Any, prefix: str = ""
+    ops: Dict[str, "OpSpec"], request: Dict[str, Any], prefix: str = ""
 ) -> Optional["OpSpec"]:
-    """The op named ``op``, or ``None`` (``op`` absent or unknown).  A
+    """The op ``request`` names, or ``None`` when no op has that name.
+
+    An absent ``op`` is a missing field, like any other required one.  A
     present ``op`` passes its row first: a list or dict must be the
     caller's error, not a ``TypeError`` from the registry lookup."""
-    if op is not None:
-        try:
-            _OP.check(_OP.name, op)
-        except QueryError as exc:
-            raise QueryError(f"{prefix}{exc}") from None
+    if "op" not in request:
+        raise ReproError(f"{prefix}missing field 'op'")
+    op = request["op"]
+    try:
+        _OP.check(_OP.name, op)
+    except QueryError as exc:
+        raise QueryError(f"{prefix}{exc}") from None
     return ops.get(op)
 
 
@@ -948,7 +952,7 @@ class PPKWSService:
             if not isinstance(request, dict):
                 raise ReproError("request must be a dict with an 'op' field")
             ops = _current_ops()
-            spec = _op_spec(ops, op)
+            spec = _op_spec(ops, request)
             if spec is None:
                 raise ReproError(
                     f"unknown op {op!r}; valid ops: {sorted(ops)} "
@@ -1231,7 +1235,7 @@ class PPKWSService:
                         f"queries[{i}] must be a dict with an 'op' field"
                     )
                 item = dict(item, network=network, owner=owner)
-                spec = _op_spec(ops, item.get("op"), prefix)
+                spec = _op_spec(ops, item, prefix)
                 if spec is None or not spec.cacheable:
                     # Only the generated query ops are batchable — admin /
                     # control ops inside a batch would dodge their locking.

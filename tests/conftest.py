@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from repro import obs
-from repro.graph import LabeledGraph, combine, freeze
+from repro.graph import LabeledGraph, freeze
 
 
 @pytest.fixture
@@ -149,12 +149,6 @@ PREFROZEN = (False, True)
 def handed(graph, prefrozen: bool):
     """``graph`` as the ``prefrozen`` route hands it to the engine."""
     return freeze(graph) if prefrozen else graph
-
-
-@pytest.fixture
-def small_combined(small_public_private) -> LabeledGraph:
-    pub, priv = small_public_private
-    return combine(pub, priv)
 
 
 def random_connected_graph(

@@ -76,9 +76,7 @@ def seeded_network(seed: int) -> Tuple[LabeledGraph, LabeledGraph]:
     private = LabeledGraph(f"priv{seed}")
     private.add_vertex(nodes[0])
     for i in range(1, len(nodes)):
-        private.add_edge(
-            nodes[i], nodes[rng.randrange(i)], rng.choice([1.0, 1.0, 2.0])
-        )
+        private.add_edge(nodes[i], nodes[rng.randrange(i)], rng.choice([1.0, 1.0, 2.0]))
     for _ in range(4):
         u, v = rng.sample(nodes, 2)
         if not private.has_edge(u, v):
@@ -173,21 +171,15 @@ def _budget(max_expansions: Optional[int]) -> Optional[QueryBudget]:
 def run_ablation_workload(engine: PPKWS) -> Dict[str, List[Dict[str, Any]]]:
     """The rooted + k-nk workload on an ablated-options engine."""
     private = engine.attachment("owner").private
-    members = sorted(
-        (v for v in private.vertices() if isinstance(v, str)), key=repr
-    )
-    out: Dict[str, List[Dict[str, Any]]] = {
-        "blinks": [], "rclique": [], "knk": [],
-    }
+    members = sorted((v for v in private.vertices() if isinstance(v, str)), key=repr)
+    out: Dict[str, List[Dict[str, Any]]] = {"blinks": [], "rclique": [], "knk": []}
     for keywords, tau, k in KEYWORD_QUERIES:
         for cap in ABLATION_BUDGETS:
             query = {"keywords": list(keywords), "tau": tau, "k": k,
                      "max_expansions": cap}
             for semantics in ("blinks", "rclique"):
                 method = getattr(engine, semantics)
-                result = method(
-                    "owner", list(keywords), tau, k=k, budget=_budget(cap)
-                )
+                result = method("owner", list(keywords), tau, k=k, budget=_budget(cap))
                 out[semantics].append(
                     {"query": dict(query), "result": canon_rooted_result(result)}
                 )
@@ -226,18 +218,14 @@ def run_workload(engine: PPKWS) -> Dict[str, List[Dict[str, Any]]]:
                      "max_expansions": cap}
             for semantics in ("blinks", "rclique", "banks"):
                 method = getattr(engine, semantics)
-                result = method(
-                    "owner", list(keywords), tau, k=k, budget=_budget(cap)
-                )
+                result = method("owner", list(keywords), tau, k=k, budget=_budget(cap))
                 out[semantics].append(
                     {"query": dict(query), "result": canon_rooted_result(result)}
                 )
     for source in sources:
         for keyword in KNK_KEYWORDS:
             for cap in KNK_BUDGETS:
-                result = engine.knk(
-                    "owner", source, keyword, k=4, budget=_budget(cap)
-                )
+                result = engine.knk("owner", source, keyword, k=4, budget=_budget(cap))
                 out["knk"].append(
                     {
                         "query": {"source": repr(source), "keyword": keyword,
@@ -271,8 +259,6 @@ def capture_all() -> Dict[str, Any]:
     seeds: Dict[str, Any] = {}
     for seed in SEEDS:
         per_seed: Dict[str, Any] = run_workload(build_engine(seed))
-        per_seed["ablation"] = run_ablation_workload(
-            build_engine(seed, ablate=True)
-        )
+        per_seed["ablation"] = run_ablation_workload(build_engine(seed, ablate=True))
         seeds[str(seed)] = per_seed
     return {"format": 1, "seeds": seeds}

@@ -8,7 +8,9 @@ cut to k (:func:`reference_top_candidates`, the old
 merged set is ranked again.  Pass a :class:`ReferenceCache` as the
 pipeline's ``cache`` and :data:`REFERENCE_STEP` in place of the
 production AComplete step.  The old bodies statement for statement;
-do not optimise.
+do not optimise.  :data:`REFERENCE_PEVAL` is PEval as it was before
+source rows: a live sweep that the budget charges itself (it also takes
+the row, whose positions ARefine reads).
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.core.engine import PipelineContext, StepSpec
+from repro.core.partial import PairIndicator
 from repro.graph.labeled_graph import Label, Vertex
-from repro.graph.traversal import INF
+from repro.graph.traversal import INF, dijkstra_ordered
 from repro.semantics.answers import KnkAnswer, Match
+from repro.semantics.knk import match_predicate
 
 
 def reference_top_candidates(
@@ -96,3 +100,25 @@ def reference_step_acomplete(ctx: PipelineContext) -> None:
 
 
 REFERENCE_STEP = StepSpec("acomplete", reference_step_acomplete)
+
+
+def reference_step_peval(ctx: PipelineContext) -> None:
+    p, partial, att = ctx.params, ctx.state, ctx.attachment
+    source, answer = p["source"], partial.answer
+    partial.row = att.sweeps.row(att.private, source)
+    matches = match_predicate(att.private, p["keywords"], p["mode"])
+    sweep = dijkstra_ordered(att.private, source, budget=ctx.budget)
+    for i, (v, d) in enumerate(sweep):
+        if v in att.portals:
+            partial.portal_entries.append((v, d))
+            partial.portal_positions.append(i)
+        if matches(v):
+            answer.matches.append(Match(v, d))
+            partial.match_positions.append(i)
+            partial.pair_indicators.append(PairIndicator(source, v, answer.keyword))
+            if len(answer.matches) >= p["k"]:
+                break
+    ctx.counters.partial_answers = len(answer.matches)
+
+
+REFERENCE_PEVAL = StepSpec("peval", reference_step_peval)

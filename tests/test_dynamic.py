@@ -20,11 +20,21 @@ from repro.graph import INF, LabeledGraph, dijkstra
 from tests.conftest import random_connected_graph
 
 
+def _knk_answers(engine: PPKWS, owner: str) -> list:
+    """k-nk from every private vertex (filling its row) to every label."""
+    private = engine.attachment(owner).private
+    return [(r.answer.vertices(), r.answer.distances()) for r in (
+        engine.knk(owner, s, t, k=4) for s in private
+        for t in sorted(private.label_universe()))]
+
+
 def _state_equal(engine: PPKWS, owner: str) -> None:
-    """Assert the live attachment matches a from-scratch rebuild."""
+    """Assert the live attachment matches a from-scratch rebuild, k-nk
+    answers from rows filled before the mutations included."""
     att = engine.attachment(owner)
     fresh_engine = PPKWS(engine.public, index=engine.index)
     fresh = fresh_engine.attach(owner, att.private.copy())
+    assert _knk_answers(engine, owner) == _knk_answers(fresh_engine, owner)
 
     private = att.private
     for p in att.portals:
@@ -48,6 +58,7 @@ def dynamic_setup(small_public_private):
     pub, priv = small_public_private
     engine = PPKWS(pub, sketch_k=4)
     engine.attach("bob", priv)
+    _knk_answers(engine, "bob")
     return engine, DynamicPrivateGraph(engine, "bob")
 
 
@@ -167,6 +178,7 @@ def test_random_mutation_sequence_stays_consistent(seed):
     dyn = DynamicPrivateGraph(engine, "u")
     names = ["a0", "a1", "a2", "a3", "a4"]
     for step in range(6):
+        _knk_answers(engine, "u")
         op = rng.random()
         u = rng.choice(names)
         v = rng.choice(names)

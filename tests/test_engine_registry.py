@@ -78,10 +78,7 @@ class TestRegistration:
             register_semantics(make_spec("no-run", steps=bad))
 
     def test_duplicate_step_names_rejected(self):
-        bad = (
-            StepSpec("peval", lambda ctx: None),
-            StepSpec("peval", lambda ctx: None),
-        )
+        bad = (StepSpec("peval", lambda ctx: None), StepSpec("peval", lambda ctx: None))
         with pytest.raises(ValueError, match="declares step 'peval' twice"):
             register_semantics(make_spec("twice", steps=bad))
 
@@ -123,9 +120,7 @@ class TestPluginOnTheWire:
 
         helped = svc.execute({"op": "help"})
         assert "echo_test" in helped["ops"]
-        assert helped["ops"]["echo_test"]["required"] == [
-            "network", "owner", "echo",
-        ]
+        assert helped["ops"]["echo_test"]["required"] == ["network", "owner", "echo"]
 
         resp = svc.execute({
             "op": "echo_test", "network": "net", "owner": "bob",
@@ -213,9 +208,7 @@ class TestQueryModelDispatch:
         )
         assert pub_answers == [("m1", pub.name, ("db", "x"), 3.0, 7)]
         assert priv_answers == [("m1", priv.name, ("db", "x"), 3.0, 7)]
-        assert query_model_m2(
-            pub, priv, "toy_baseline", ["db"], 3.0, k=7
-        ) == []
+        assert query_model_m2(pub, priv, "toy_baseline", ["db"], 3.0, k=7) == []
 
     def test_semantics_without_baseline_raise(self, small_public_private):
         pub, priv = small_public_private

@@ -52,9 +52,7 @@ class TestFrozenGraphBasics:
             assert sorted(fg.neighbors(v), key=repr) == sorted(
                 triangle_graph.neighbors(v), key=repr
             )
-            assert dict(fg.neighbor_items(v)) == dict(
-                triangle_graph.neighbor_items(v)
-            )
+            assert dict(fg.neighbor_items(v)) == dict(triangle_graph.neighbor_items(v))
             assert fg.degree(v) == triangle_graph.degree(v)
         assert fg.weight("b", "c") == 2.0
         assert fg.has_edge("a", "c") and fg.has_edge("c", "a")
@@ -183,17 +181,15 @@ class TestStats:
 def test_dijkstra_equivalence_random(seed):
     g = random_connected_graph(60, 25, seed)
     fg = freeze(g)
+    for v in g:  # the adjacency of both backends, in order
+        assert list(fg.neighbor_items(v)) == list(g.neighbor_items(v))
     for source in (0, 7, 31):
         # settle order included: the backends break ties alike
-        assert list(dijkstra(fg, source).items()) == list(
-            dijkstra(g, source).items()
-        )
+        assert list(dijkstra(fg, source).items()) == list(dijkstra(g, source).items())
         assert list(dijkstra(fg, source, cutoff=4.0).items()) == list(
             dijkstra(g, source, cutoff=4.0).items()
         )
-        assert list(dijkstra_ordered(fg, source)) == list(
-            dijkstra_ordered(g, source)
-        )
+        assert list(dijkstra_ordered(fg, source)) == list(dijkstra_ordered(g, source))
         dist_f, pred_f = dijkstra_with_paths(fg, source)
         dist_d, pred_d = dijkstra_with_paths(g, source)
         assert dist_f == dist_d
@@ -205,9 +201,7 @@ def test_traversal_variants_equivalence_random(seed):
     g = random_connected_graph(50, 20, seed)
     fg = freeze(g)
     assert list(dijkstra_ordered(fg, 0)) == list(dijkstra_ordered(g, 0))
-    assert multi_source_dijkstra(fg, [0, 9, 17]) == multi_source_dijkstra(
-        g, [0, 9, 17]
-    )
+    assert multi_source_dijkstra(fg, [0, 9, 17]) == multi_source_dijkstra(g, [0, 9, 17])
     assert bfs_hops(fg, 0) == bfs_hops(g, 0)
     assert bfs_hops(fg, 0, max_hops=3) == bfs_hops(g, 0, max_hops=3)
     for target in (1, 29, 44):

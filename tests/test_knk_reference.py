@@ -18,6 +18,8 @@ them equal:
 
 Answers, degradation bookkeeping and every counter must match; with
 :class:`Twin` vertices the answers compare as ``(distance, repr)``.
+The reference also sweeps live in PEval, and production runs twice: the
+first run reads a row some query filled, the second replays it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.sketches.kpads import KeywordSketch
 
 from tests.conftest import PREFROZEN, Twin, handed
-from tests.reference_knk_acomplete import REFERENCE_STEP, ReferenceCache
+from tests.reference_knk_acomplete import (
+    REFERENCE_PEVAL, REFERENCE_STEP, ReferenceCache,
+)
 
 SEEDS = range(16)
 WEIGHTS = {
@@ -73,6 +77,8 @@ def _network(seed: int):
         private.add_edge(nodes[i], nodes[rng.randrange(i)], rng.choice(weights))
     for m in nodes[4:]:
         private.add_labels(m, rng.sample(("a", "b", "z"), rng.randint(0, 1)))
+    for _ in range(3):  # chords: a sweep then pops stale heap entries
+        private.add_edge(*rng.sample(nodes, 2), rng.choice(weights))
     return public, private
 
 
@@ -118,14 +124,16 @@ def _outcome(result, twins: bool):
     }
 
 
-def _both(engine, semantics, params, twins, cap=None):
-    """``(production, reference)`` outcomes of one query."""
+def _runs(engine, semantics, params, twins, cap=None):
+    """``(production, production again, reference)`` outcomes of one query."""
     spec = semantics_spec(semantics)
-    reference = replace(spec, steps=spec.steps[:-1] + (REFERENCE_STEP,))
+    steps = (REFERENCE_PEVAL, spec.steps[1], REFERENCE_STEP)
+    reference = replace(spec, steps=steps)
     attachment = engine.attachment("owner")
     outcomes = []
     for run, cache in (
-        (spec, None), (reference, ReferenceCache(engine.options.dp_completion)),
+        (spec, None), (spec, None),
+        (reference, ReferenceCache(engine.options.dp_completion)),
     ):
         budget = None if cap is None else QueryBudget(max_expansions=cap)
         result = run.run(engine, attachment, dict(params), budget, cache)
@@ -140,8 +148,8 @@ def test_equals_per_portal_reference(seed, prefrozen):
     answered = 0
     for dp, engine in engines.items():
         for semantics, params in _configs():
-            got, want = _both(engine, semantics, params, seed % 2)
-            assert got == want, (semantics, params, dp)
+            got, again, want = _runs(engine, semantics, params, seed % 2)
+            assert got == again == want, (semantics, params, dp)
             answered += len(got["answers"])
     assert answered  # the seeds are not vacuous
 
@@ -173,8 +181,8 @@ def test_capped_runs_degrade_identically(seed, prefrozen):
             engine, engine.attachment("owner"), dict(params), full
         )
         for cap in range(full.expansions + 1):
-            got, want = _both(engine, semantics, params, seed % 2, cap)
-            assert got == want, (semantics, params, cap)
+            got, again, want = _runs(engine, semantics, params, seed % 2, cap)
+            assert got == again == want, (semantics, params, cap)
             interrupted.add(got["interrupted_step"])
     assert "acomplete" in interrupted  # the caps do land inside AComplete
 

@@ -579,9 +579,7 @@ class TestAttachMaps:
             for u, v, w in list(g.edges()):
                 g.add_edge(u, v, w * rng.uniform(0.9, 1.1))
         public = freeze(pub) if backend == "csr" else pub
-        private_pm, combined_pm, refined, _, _ = _attach_maps(
-            public, priv, portals
-        )
+        private_pm, combined_pm, refined, _, _ = _attach_maps(public, priv, portals)
         ref_private, ref_combined, _, _, _ = _reference_attach_maps(
             public, priv, portals
         )
@@ -613,9 +611,7 @@ class TestAttachMaps:
             assert combined_pm.get("a", "c") == 1.25
             assert refined == set()
         priv.add_edge("a", "c", 1.5)  # now G is strictly shorter
-        _, combined_pm, refined, _, _ = _attach_maps(
-            pub, priv, portal_nodes(pub, priv)
-        )
+        _, combined_pm, refined, _, _ = _attach_maps(pub, priv, portal_nodes(pub, priv))
         assert combined_pm.get("a", "c") == 1.25
         assert refined == {("a", "c"), ("c", "a")}
 
@@ -641,9 +637,7 @@ class TestAttachMaps:
             return bounded(graph, source, bounds)
 
         monkeypatch.setattr(keyword_map, "dijkstra", counted)
-        monkeypatch.setattr(
-            distance_map, "bounded_target_distances", counted_bounded
-        )
+        monkeypatch.setattr(distance_map, "bounded_target_distances", counted_bounded)
         # any other traversal of either graph would have to come from here
         assert not hasattr(distance_map, "dijkstra")
         attachment = engine.attach("owner", priv)

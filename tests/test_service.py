@@ -166,14 +166,10 @@ class TestExecuteAdminOps:
         ({"private_edges": [["a", "z"]], "private_labels": {"z": [7]}},
          "private_labels"),
         # falsy is not absent: only a missing field or null means no labels
-        ({"private_edges": [["a", "z"]], "private_labels": False},
-         "private_labels"),
-        ({"private_edges": [["a", "z"]], "private_labels": ""},
-         "private_labels"),
-        ({"private_edges": [["a", "z"]], "private_labels": 0},
-         "private_labels"),
-        ({"private_edges": [["a", "z"]], "private_labels": []},
-         "private_labels"),
+        ({"private_edges": [["a", "z"]], "private_labels": False}, "private_labels"),
+        ({"private_edges": [["a", "z"]], "private_labels": ""}, "private_labels"),
+        ({"private_edges": [["a", "z"]], "private_labels": 0}, "private_labels"),
+        ({"private_edges": [["a", "z"]], "private_labels": []}, "private_labels"),
     ])
     def test_wire_graphs_are_validated_not_trusted(self, payload, names):
         """A malformed wire graph is the caller's error, named by field,
@@ -193,9 +189,7 @@ class TestExecuteAdminOps:
         first = svc.execute(query)
         before = svc.execute({"op": "stats", "network": "n"})
 
-        resp = svc.execute(
-            {"op": "attach", "network": "n", "owner": "u", **payload}
-        )
+        resp = svc.execute({"op": "attach", "network": "n", "owner": "u", **payload})
         assert resp["status"] == "error" and resp["code"] == "bad_request"
         assert names in resp["error"]
         assert svc.execute({"op": "stats", "network": "n"}) == before
@@ -289,8 +283,7 @@ class TestDeadlinesAndDegradation:
             resp = service.execute(dict(knk, network="net", owner="bob", **bad))
         else:
             item = dict(knk, **bad) if where == "batch_item" else knk
-            batch = {"op": "batch", "network": "net", "owner": "bob",
-                     "queries": [item]}
+            batch = {"op": "batch", "network": "net", "owner": "bob", "queries": [item]}
             if where == "batch":
                 batch.update(bad)
             resp = service.execute(batch)
@@ -640,6 +633,10 @@ class TestErrorHandling:
         assert resp["error"] == "missing field 'network'"
         resp = service.execute({"op": "attach", "network": "net"})
         assert resp["error"] == "missing field 'owner'"
+        assert service.execute({})["error"] == "missing field 'op'"
+        resp = service.execute({"op": "batch", "network": "net",
+                                "owner": "bob", "queries": [{}]})
+        assert resp["results"][0]["error"] == "queries[0]: missing field 'op'"
 
     def test_unknown_network(self, service):
         resp = service.execute({
@@ -656,9 +653,7 @@ class TestErrorHandling:
             "knk": {"owner": "bob", "source": "x1", "keyword": "db"},
             "blinks": dict(query, owner="bob"),
             "stats": {},
-            "batch": {
-                "owner": "bob", "queries": [dict(query, op="blinks")],
-            },
+            "batch": {"owner": "bob", "queries": [dict(query, op="blinks")]},
             "attach": {"owner": "eve", "private_edges": [[2, "e1"]]},
             "detach": {"owner": "bob"},
             "drop": {},
@@ -680,8 +675,7 @@ class TestErrorHandling:
         for request in (
             {"op": "blinks", "owner": "bob", "keywords": "db"},
             {"op": "blinks", "owner": "bob", "keywords": ["db"], "k": 0},
-            {"op": "knk", "owner": "bob", "source": "x1", "keyword": "db",
-             "k": 2.5},
+            {"op": "knk", "owner": "bob", "source": "x1", "keyword": "db", "k": 2.5},
             {"op": "batch", "owner": "bob", "queries": {"op": "blinks"}},
         ):
             resp = service.execute(dict(request, network="ghost"))

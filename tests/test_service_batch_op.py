@@ -36,17 +36,14 @@ def service(small_public_private):
 
 
 def _batch(service, queries, **extra):
-    request = {"op": "batch", "network": "net", "owner": "bob",
-               "queries": queries}
+    request = {"op": "batch", "network": "net", "owner": "bob", "queries": queries}
     request.update(extra)
     return service.execute(request)
 
 
 class TestHappyPath:
     def test_mixed_semantics_batch(self, service):
-        resp = _batch(
-            service, [dict(BLINKS_ITEM), dict(KNK_ITEM), dict(RCLIQUE_ITEM)]
-        )
+        resp = _batch(service, [dict(BLINKS_ITEM), dict(KNK_ITEM), dict(RCLIQUE_ITEM)])
         assert resp["status"] == "ok"
         assert len(resp["results"]) == 3
         blinks, knk, rclique = resp["results"]
@@ -78,9 +75,7 @@ class TestHappyPath:
         svc = PPKWSService(sketch_k=2, max_in_flight=1)
         svc.create_network("net", pub)
         svc.attach_user("net", "bob", priv)
-        resp = _batch(
-            svc, [dict(BLINKS_ITEM), dict(KNK_ITEM), dict(RCLIQUE_ITEM)]
-        )
+        resp = _batch(svc, [dict(BLINKS_ITEM), dict(KNK_ITEM), dict(RCLIQUE_ITEM)])
         assert resp["status"] == "ok"
         assert [e["status"] for e in resp["results"]] == ["ok"] * 3
 
@@ -97,9 +92,7 @@ class TestAnswerCache:
         )
 
     def test_individual_op_seeds_batch_items(self, service):
-        single = service.execute(
-            dict(BLINKS_ITEM, network="net", owner="bob")
-        )
+        single = service.execute(dict(BLINKS_ITEM, network="net", owner="bob"))
         assert single["status"] == "ok"
         resp = _batch(service, [dict(BLINKS_ITEM)])
         assert resp["results"][0]["cached"] is True
@@ -157,9 +150,7 @@ class TestItemErrors:
 
     def test_item_network_and_owner_are_overridden(self, service):
         # Item-level network/owner must not escape the batch's.
-        resp = _batch(service, [
-            dict(BLINKS_ITEM, network="other", owner="mallory"),
-        ])
+        resp = _batch(service, [dict(BLINKS_ITEM, network="other", owner="mallory")])
         assert resp["results"][0]["status"] == "ok"
 
     def test_unknown_item_field_warns(self, service):
@@ -180,9 +171,7 @@ class TestItemErrors:
         first, second = resp["results"]
         assert first["status"] == "ok"
         assert second["status"] == "ok"
-        assert resp["warnings"] == [
-            "queries[0]: unknown field 'execution_mode'"
-        ]
+        assert resp["warnings"] == ["queries[0]: unknown field 'execution_mode'"]
 
 
 class TestWholeBatchErrors:
@@ -218,9 +207,7 @@ class TestWholeBatchErrors:
 
 class TestBatchBudget:
     def test_zero_deadline_degrades_every_item(self, service):
-        resp = _batch(
-            service, [dict(BLINKS_ITEM), dict(RCLIQUE_ITEM)], deadline_ms=0
-        )
+        resp = _batch(service, [dict(BLINKS_ITEM), dict(RCLIQUE_ITEM)], deadline_ms=0)
         assert resp["status"] == "ok"
         for entry in resp["results"]:
             assert entry["status"] == "degraded"
@@ -334,9 +321,7 @@ class TestMetrics:
         finally:
             obs.uninstall()
         assert registry.value("ppkws_batch_requests_total") == 1
-        assert registry.value(
-            "ppkws_batch_items_total", labels={"status": "ok"}
-        ) == 2
+        assert registry.value("ppkws_batch_items_total", labels={"status": "ok"}) == 2
         assert registry.value(
             "ppkws_batch_items_total", labels={"status": "error"}
         ) == 1
@@ -393,8 +378,7 @@ PARITY_ITEMS = {
     "banks": dict(BLINKS_ITEM, op="banks"),
     "rclique": dict(RCLIQUE_ITEM),
     "knk": dict(KNK_ITEM),
-    "knk_multi": {"op": "knk_multi", "source": "x1",
-                  "keywords": ["ai", "db"], "k": 2},
+    "knk_multi": {"op": "knk_multi", "source": "x1", "keywords": ["ai", "db"], "k": 2},
     "truss": {"op": "truss", "k": 2, "keywords": ["db", "ai"]},
 }
 
@@ -450,6 +434,4 @@ class TestItemParity:
             entry = dict(entry)
             if "warnings" in outer:
                 entry["warnings"] = outer["warnings"]
-            assert _parity_view(entry, "queries[0]: ") == _parity_view(
-                single
-            ), run
+            assert _parity_view(entry, "queries[0]: ") == _parity_view(single), run

@@ -27,6 +27,7 @@ from typing import Any, Dict, List
 import pytest
 
 import repro.core.framework as framework_mod
+import repro.portals.keyword_map as keyword_map
 import repro.service as service_mod
 from repro.service import PPKWSService
 
@@ -143,6 +144,27 @@ class TestRegistryRaces:
         stats = svc.execute({"op": "stats", "network": "n"})
         assert stats["owners"] == ["bob"]
 
+    def test_first_touch_knk_row_kept_once(self, monkeypatch, small_public_private):
+        """Eight first reads of one never-queried source race to sweep its
+        row (each sweep sleeps first): all answer as a serial run does."""
+        real = keyword_map.dijkstra_ordered
+        monkeypatch.setattr(keyword_map, "dijkstra_ordered", lambda *a, **kw: (
+            time.sleep(0.05), real(*a, **kw))[1])
+        services = [PPKWSService(sketch_k=2) for _ in range(2)]
+        for svc in services:
+            svc.create_network("n", small_public_private[0])
+            svc.attach_user("n", "bob", small_public_private[1])
+        keywords = ["db", "ai", "cv", "ml", "x1", "x", "y", "z"]
+
+        def knk(svc: PPKWSService, i: int) -> Dict[str, Any]:
+            return svc.execute({"op": "knk", "network": "n", "owner": "bob",
+                                "source": "x2", "keyword": keywords[i]})
+
+        raced = _run_threads(8, lambda i: knk(services[0], i))
+        assert raced == [knk(services[1], i) for i in range(8)]
+        assert sum(bool(r["answer"]["matches"]) for r in raced) >= 4
+        assert len(services[0]._networks["n"].engine.attachment("bob").sweeps) == 1
+
 
 @pytest.mark.timeout(120)
 class TestAdminChurnUnderQueries:
@@ -232,8 +254,7 @@ class TestAdminChurnUnderQueries:
                 return [svc.execute(knk) for _ in range(4 * rounds)]
             for _ in range(rounds):
                 svc.execute(dict(attach, owner=f"churn{i}"))
-                svc.execute({"op": "detach", "network": "n",
-                             "owner": f"churn{i}"})
+                svc.execute({"op": "detach", "network": "n", "owner": f"churn{i}"})
             return []
 
         interval = sys.getswitchinterval()

@@ -482,9 +482,7 @@ class TestErrorCodeMap:
         service.create_network("net", pub)
         service.attach_user("net", "bob", priv)
         before = service.answer_cache.stats()
-        resp = service.execute(
-            dict(NAMED_REQUESTS["batch"], queries=[{"op": value}])
-        )
+        resp = service.execute(dict(NAMED_REQUESTS["batch"], queries=[{"op": value}]))
         assert resp["status"] == "ok"
         [item] = resp["results"]
         assert item["code"] == "bad_request"
@@ -501,8 +499,7 @@ class TestErrorCodeMap:
         blinks_req(op="rclique", keywords="ai"),
         blinks_req(keywords=["db", ""]),
         blinks_req(keywords=["db", 7]),
-        {"op": "truss", "network": "net", "owner": "bob", "k": 3,
-         "keywords": "ai"},
+        {"op": "truss", "network": "net", "owner": "bob", "k": 3, "keywords": "ai"},
         {"op": "knk_multi", "network": "net", "owner": "bob",
          "source": "x1", "keywords": "ai"},
         knk_req(keyword=["cv"]),
@@ -691,18 +688,14 @@ class TestWireVertexIds:
 class TestWarnings:
     def test_multiple_unknown_fields_sorted(self, service):
         resp = service.execute(blinks_req(zeta=1, alpha=2))
-        assert resp["warnings"] == [
-            "unknown field 'alpha'", "unknown field 'zeta'"
-        ]
+        assert resp["warnings"] == ["unknown field 'alpha'", "unknown field 'zeta'"]
 
     def test_non_string_unknown_key_warns_in_sorted_position(self, service):
         req = blinks_req(zeta=1)
         req[7] = "seven"
         resp = service.execute(req)
         assert resp["status"] == "ok"
-        assert resp["warnings"] == [
-            "unknown field '7'", "unknown field 'zeta'"
-        ]
+        assert resp["warnings"] == ["unknown field '7'", "unknown field 'zeta'"]
 
     def test_global_fields_never_warn(self, service):
         resp = service.execute(blinks_req(v=1, trace=False, no_cache=False))
@@ -770,9 +763,7 @@ class TestExecutorServiceIntegration:
                     "private": tiny,
                 })
             elif i % 10 == 7:
-                reqs.append({
-                    "op": "detach", "network": "net", "owner": "carol",
-                })
+                reqs.append({"op": "detach", "network": "net", "owner": "carol"})
             else:
                 reqs.append(blinks_req())
         with ServiceExecutor(svc, workers=4) as pool:
