@@ -48,7 +48,7 @@ specs.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.budget import QueryBudget
 from repro.core.engine import (
@@ -232,55 +232,63 @@ def _step_arefine(ctx: PipelineContext) -> None:
 def _step_acomplete(ctx: PipelineContext) -> None:
     """Step 3: merge public candidates reached through portals (Appx. A).
 
-    Each portal is probed after its budget checkpoint.  With no label
-    filter, a portal's unranked public reach folds straight into ``best``
-    and ``best`` is ranked once.  Cutting a portal's list to its top k
-    first would drop nothing: if ``u`` is outside portal ``p``'s top k,
-    k vertices precede it under ``p``, and each one's global distance is
-    at most its distance through ``p``, so all k precede ``u`` globally.
-    Rounding is monotone, so ``d + min_w x_w`` is ``min_w (d + x_w)`` to
-    the bit.  Conjunction still ranks, cuts to k and then filters each
-    portal's list: there a filtered-out vertex frees a slot, so the cut
-    changes which candidates survive.
+    With no label filter (``knk``, disjunction, one-keyword conjunction)
+    every portal's budget checkpoint is charged first, then one
+    :meth:`~repro.sketches.kpads.KeywordSketch.fold` per probe keyword
+    reads every portal's candidates, ``d + (d1 + x)``, into ``best``, and
+    ``best`` is ranked once.  Rounding is monotone, so ``d + min_w (d1 +
+    x)`` is ``min_w (d + (d1 + x))`` to the bit, the strict ``<`` keeps
+    that least total whatever order the fold visits, and a pair it skips
+    is dominated by an earlier one of no larger offset and center
+    distance.  Ranking each portal's reach and cutting it to k first
+    would drop nothing but a rounding tie: if ``u`` is outside ``p``'s
+    top k, k vertices precede it under ``p``, each at most as far
+    globally, unless adding ``d`` rounds a smaller distance up to ``u``'s
+    total and ``repr`` decides.  Conjunction ranks (past k), cuts and then
+    filters each portal's list, because a filtered-out vertex frees a
+    slot; it tests a vertex's labels once per query.
     """
     p, partial, budget = ctx.params, ctx.state, ctx.budget
     engine = ctx.engine
     public = engine.public
     kpads, pads = engine.index.kpads, engine.index.pads
-    k, probe = p["k"], p["keywords"]
-    required = None
+    k, probe, entries = p["k"], p["keywords"], partial.portal_entries
+    best: Dict[Vertex, float] = {}
+    for m in partial.answer.matches:
+        if m.vertex is not None and m.distance < best.get(m.vertex, INF):
+            best[m.vertex] = m.distance
     if p["mode"] == "and" and len(probe) > 1:
         # Rarest-first, keeping candidates that carry every keyword.  One
         # keyword needs no filter: a KPADS list for ``q`` holds only
         # vertices that carry ``q``.
         required = frozenset(probe)
         probe = [min(probe, key=lambda t: (public.label_frequency(t), t))]
-    best: Dict[Vertex, float] = {}
-    for m in partial.answer.matches:
-        if m.vertex is not None and m.distance < best.get(m.vertex, INF):
-            best[m.vertex] = m.distance
-    get = best.get
-    for portal, d in partial.portal_entries:
-        if budget is not None:
-            budget.checkpoint()
-        for q in probe:
-            reach: Iterable[Tuple[Vertex, float]]
-            if required is None:
-                reach = kpads.reach(pads, portal, q).items()
-            else:  # cut to k first, then filter
-                reach = ranked(kpads.reach(pads, portal, q), k)
-                reach = [c for c in reach if required <= public.labels(c[0])]
-            for witness, pub_d in reach:
+        carries: Dict[Vertex, bool] = {}
+        get = best.get
+        for portal, d in entries:
+            if budget is not None:
+                budget.checkpoint()
+            reach = kpads.reach(pads, portal, probe[0])
+            for u, pub_d in ranked(reach, k) if len(reach) > k else reach.items():
+                ok = carries.get(u)
+                if ok is None:
+                    ok = carries[u] = required <= public.labels(u)
                 total = d + pub_d
-                if total < get(witness, INF):
-                    best[witness] = total
+                if ok and total < get(u, INF):
+                    best[u] = total
+    else:
+        if budget is not None:
+            for _ in entries:
+                budget.checkpoint()
+        for q in probe:
+            kpads.fold(pads, entries, q, best)
     ctx.answers = KnkAnswer(
         partial.answer.source, partial.answer.keyword,
         [Match(v, d) for v, d in ranked(best, k)],
     )
     # One sketch read per (portal, keyword): no query re-reads a pair,
     # so k-nk keeps no PKA and reports no hits.
-    ctx.counters.completion_lookups = len(partial.portal_entries) * len(probe)
+    ctx.counters.completion_lookups = len(entries) * len(probe)
     ctx.counters.completion_cache_hits = 0
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from itertools import chain
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro import faults
@@ -70,9 +71,14 @@ def _is_atom(value: Any) -> bool:
 
 def _wire_snapshot(value: Any) -> Any:
     """A private, shape-tagged copy of wire-shaped ``value`` (``TypeError``
-    otherwise); a container reads its children's shapes off their types."""
+    otherwise); a container reads its children's shapes off their types,
+    and a list of exact ``dict`` rows of atoms is checked and copied in C."""
     kind = type(value)
     if kind is list:
+        if _FLAT.issuperset(map(type, value)) and _ATOMS.issuperset(
+            map(type, chain(*value, *map(dict.values, value)))  # keys, values
+        ):
+            return _Rows(map(dict.copy, value))
         out = [v if type(v) in _ATOMS else _wire_snapshot(v) for v in value]
         return _Rows(out) if _FLAT.issuperset(map(type, out)) else out
     if kind is dict and _ATOMS.issuperset(map(type, value)):  # the keys

@@ -422,26 +422,49 @@ class KeywordSketch:
             for d, w in zip(best.tolist(), witness.tolist())
         ]
 
-    def reach(
-        self, pads: DistanceSketch, v: Vertex, keyword: Label
+    def fold(
+        self, pads: DistanceSketch, entries: Iterable[Tuple[Vertex, float]],
+        keyword: Label, best: Dict[Vertex, float],
     ) -> Dict[Vertex, float]:
-        """``{u: min over centers w of PADS(v)[w] + d2}`` over the per-center
-        candidate lists, unranked, in first-seen order; each distance is
-        the length of a real path ``v -> center -> candidate``."""
+        """Fold every ``(v, offset)`` entry's candidates into ``best`` and
+        return it: ``offset + (PADS(v)[w] + d2)`` over the per-center
+        candidate lists, kept where strictly less than ``best``'s (new
+        vertices in first-seen order).  Each sum is the length of a real
+        path ``offset -> v -> center -> candidate``; the strict ``<``
+        keeps the least, so the result is the minimum over every
+        ``(entry, center, candidate)`` whatever the visiting order.
+
+        The entries are visited in offset order (a stable sort), and a
+        pair ``(v, w)`` is skipped when an earlier entry reached center
+        ``w`` at a distance ``<= PADS(v)[w]``: that entry's offset is
+        ``<=`` too, the same center lists the same candidates, and
+        rounded addition is monotone in each operand, so every candidate
+        already holds a total ``<=`` the one this pair would offer.
+        """
         slots, dists, vertices = self.reach_rows.get(keyword) or self.reach_row(keyword)
-        sv = pads.rows.get(v) or pads.fetch(v)
-        best: Dict[Vertex, float] = {}
-        if slots and sv:
-            get = best.get
-            for w, d1 in sv.items():
-                slot = slots.get(w)
-                if slot is not None:
+        if slots:
+            get, rows = best.get, pads.rows
+            reached: Dict[Vertex, float] = {}  # center -> least distance folded
+            for v, offset in sorted(entries, key=itemgetter(1)):
+                for w, d1 in (rows.get(v) or pads.fetch(v)).items():
+                    slot = slots.get(w)
+                    if slot is None or reached.get(w, INF) <= d1:
+                        continue
+                    reached[w] = d1
                     for i in slot:
-                        total = d1 + dists[i]
+                        total = offset + (d1 + dists[i])
                         u = vertices[i]
                         if total < get(u, INF):
                             best[u] = total
         return best
+
+    def reach(
+        self, pads: DistanceSketch, v: Vertex, keyword: Label
+    ) -> Dict[Vertex, float]:
+        """``{u: min over centers w of PADS(v)[w] + d2}`` over the per-center
+        candidate lists, unranked, in first-seen order: the :meth:`fold`
+        of the one entry ``(v, 0.0)`` (``0.0 + s`` is ``s`` to the bit)."""
+        return self.fold(pads, ((v, 0.0),), keyword, {})
 
     def top_candidates(
         self, pads: DistanceSketch, v: Vertex, keyword: Label, k: int

@@ -25,7 +25,6 @@ first run reads a row some query filled, the second replays it.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import asdict, replace
 
 import pytest
@@ -33,6 +32,7 @@ import pytest
 from repro.core.budget import QueryBudget
 from repro.core.engine import semantics_spec
 from repro.core.framework import PPKWS, QueryOptions
+from repro.core.pp_knk import peval_knk
 from repro.graph.labeled_graph import LabeledGraph
 from repro.sketches.kpads import KeywordSketch
 
@@ -41,7 +41,7 @@ from tests.reference_knk_acomplete import (
     REFERENCE_PEVAL, REFERENCE_STEP, ReferenceCache,
 )
 
-SEEDS = range(16)
+SEEDS = (*range(16), 390)  # 390: a fold that skips without its offset sort fails
 WEIGHTS = {
     "unit": (1.0,),
     "dyadic": (0.5, 0.75, 1.25, 2.0),
@@ -192,25 +192,27 @@ def test_capped_runs_degrade_identically(seed, prefrozen):
     ("knk_multi", dict(source="m3", keywords=["a", "b", "c"], mode="or", k=8)),
 ])
 def test_one_keyword_and_disjunction_rank_no_portal(semantics, params, monkeypatch):
-    """No ``top_candidates`` call, and exactly one ``reach`` per
-    ``(portal, keyword)``: the only ranking is the final one."""
+    """One ``fold`` per probe keyword over every swept portal, and no
+    per-portal ``reach`` or ``top_candidates``: the only ranking is the
+    final one, and one lookup is counted per ``(portal, keyword)``."""
     engine = _engines(4, False)[True]
-    calls = Counter()
-    real = KeywordSketch.reach
+    folds = []
+    real = KeywordSketch.fold
 
-    def counting(self, pads, v, keyword):
-        calls[v, keyword] += 1
-        return real(self, pads, v, keyword)
+    def counting(self, pads, entries, keyword, best):
+        folds.append((keyword, [v for v, _ in entries]))
+        return real(self, pads, entries, keyword, best)
 
-    def ranking(*args, **kwargs):
-        raise AssertionError("a portal's candidates were ranked")
+    def per_portal(*args, **kwargs):
+        raise AssertionError("a portal's candidates were read on their own")
 
-    monkeypatch.setattr(KeywordSketch, "reach", counting)
-    monkeypatch.setattr(KeywordSketch, "top_candidates", ranking)
+    monkeypatch.setattr(KeywordSketch, "fold", counting)
+    monkeypatch.setattr(KeywordSketch, "reach", per_portal)
+    monkeypatch.setattr(KeywordSketch, "top_candidates", per_portal)
     result = engine.query(semantics, "owner", **params)
     keywords = params.get("keywords", [params.get("keyword")])
-    portals = {v for v, _ in calls}
-    assert portals and portals <= engine.attachment("owner").portals
-    assert set(calls) == {(p, q) for p in portals for q in keywords}
-    assert set(calls.values()) == {1}
-    assert result.counters.completion_lookups == len(calls)
+    attachment = engine.attachment("owner")
+    swept = peval_knk(attachment, params["source"], keywords, params["k"], "or")
+    portals = [v for v, _ in swept.portal_entries]
+    assert portals and folds == [(q, portals) for q in keywords]
+    assert result.counters.completion_lookups == len(portals) * len(keywords)
