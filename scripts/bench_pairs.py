@@ -4,7 +4,7 @@ Usage::
 
     python scripts/bench_pairs.py --workload cold_keyword --pr LABEL \\
         [--seeds 1-10] [--parent HEAD] [--reason TEXT] [--note TEXT] \
-        [--tier1-wall-s S]
+        [--tier1]
 
 The *change* is this checkout's working tree; the *parent* is the commit
 ``--parent`` names (``HEAD`` by default, i.e. the tree against its last
@@ -24,8 +24,11 @@ the parent's medians over the seeds,
 the parent's inter-quartile range, ``ratio = change / parent``, the
 number of pairs the change won in the metric's better direction, and
 whether its median gain exceeds the parent's IQR; plus whether every
-pair's ``answers_sha256`` agreed.  Nothing here imports ``repro``: the
-program under test is only ever a child process.
+pair's ``answers_sha256`` agreed.  With ``--tier1`` the rows also hold
+the wall time and exit code of the change's tier-1 suite
+(``python -m pytest -x -q``), run once as a child before the pairs.
+Nothing here imports ``repro``: the program under test is only ever a
+child process.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -146,6 +150,19 @@ def unpack_parent(rev: str, into: str) -> str:
     return tree
 
 
+def run_tier1(tree: str, command: Sequence[str] = (
+        sys.executable, "-m", "pytest", "-x", "-q")) -> Dict[str, Any]:
+    """Run the tier-1 suite as a child in ``tree``, with ``tree/src`` on
+    the path: its wall time and exit code.  Its output goes to stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(tree, "src"), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    code = subprocess.run(
+        list(command), cwd=tree, env=env, stdout=sys.stderr).returncode
+    return {"tier1_wall_s": round(time.perf_counter() - start, 1), "tier1_exit": code}
+
+
 def bench_run(tree: str, workload: str, seed: int) -> Run:
     """One ``bench/run.py`` child in ``tree``: its metrics and digest."""
     done = subprocess.run(
@@ -179,8 +196,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--note", default=None,
                         help="what the rows' numbers do not show, e.g. a "
                              "tracer blind spot the change opened")
-    parser.add_argument("--tier1-wall-s", type=float, default=None,
-                        help="wall time of the tier-1 suite, if measured")
+    parser.add_argument("--tier1", action="store_true",
+                        help="time the change's tier-1 suite (pytest -x -q) "
+                             "first and record its wall time and exit code")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
@@ -197,8 +215,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "python": platform.python_version(),
         "digest_change_reason": args.reason,
         "note": args.note,
-        "tier1_wall_s": args.tier1_wall_s,
     }
+    if args.tier1:
+        common.update(run_tier1(ROOT))
     rows = []
     try:
         for workload in args.workload:

@@ -12,7 +12,11 @@ the per-user PPKWS state consistent under mutation:
 * **edge/vertex insertion** is handled *incrementally*: adding an edge
   ``(u, v, w)`` can only shorten distances, so the vertex-portal map, the
   portal-keyword map and the private portal map are repaired by bounded
-  relaxations seeded at the two endpoints — no full rebuild.
+  relaxations seeded at the two endpoints — no full rebuild.  Before its
+  first in-place repair, the portal-keyword map reads every column off
+  the attach-time portal rows and drops them
+  (:meth:`~repro.portals.keyword_map.PortalKeywordDistanceMap.materialize`):
+  from then on it keeps what its compare-and-replace ``record`` keeps.
 * **edge/vertex deletion** can lengthen distances, which monotone
   relaxation cannot repair; deletions therefore trigger a rebuild of the
   per-user maps (still cheap: ``O(|P| (|G'| log |G'| + |P|^2))``).
@@ -32,6 +36,7 @@ from repro.exceptions import GraphError
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import INF
 from repro.portals.distance_map import combined_portal_maps
+from repro.portals.keyword_map import PrivateSweeps
 from repro.portals.oracle import CombinedDistanceOracle
 
 __all__ = ["DynamicPrivateGraph"]
@@ -90,6 +95,9 @@ class DynamicPrivateGraph:
         if new_portal:
             self._rebuild()
             return
+        # The rows are a snapshot of G' before the edge, and no label
+        # changed: materializing now still reads the attach-time PKD.
+        att.oracle.pkd.materialize()
         self._relax_from(u)
         self._relax_from(v)
         self._refresh_portal_map()
@@ -116,6 +124,7 @@ class DynamicPrivateGraph:
     def add_labels(self, v: Vertex, labels: set) -> None:
         """Attach labels to a private vertex and extend the PKD map."""
         att = self.attachment
+        att.oracle.pkd.materialize()
         att.private.add_labels(v, labels)
         # The new labels make v a witness for each portal at the already
         # known vertex-portal distances.
@@ -211,6 +220,7 @@ class DynamicPrivateGraph:
             portal_map=combined_pm,
             private_portal_map=private_pm,
             refined_portal_pairs=frozenset(refined),
+            sweeps=PrivateSweeps(att.private),
             oracle=CombinedDistanceOracle(
                 att.private,
                 combined_pm,

@@ -9,11 +9,12 @@ Usage mirrors the paper's deployment story:
    small per-user maps (portal distances on both sides, the Algo-7
    combined refinement, PKD, vertex-portal distances) are built here in
    ``O(|P| * (|G'| + |P|^2))`` — cheap because ``|G'| << |G|``.  The
-   sweeps behind that bound: one full Dijkstra over ``G'`` per portal
-   (it fills the vertex-portal map, PKD and ``d'(p_i, p_j)`` at once),
-   and one sweep over ``G`` per portal that looks for the later portals
-   only and stops at the radius where ``G'`` is already as short — the
-   public graph's size never enters.
+   sweeps behind that bound: one full Dijkstra over ``G'`` per portal,
+   kept as the attachment's portal rows (the vertex-portal map and
+   ``d'(p_i, p_j)`` are read off them at once, PKD column by column on
+   a keyword's first lookup), and one sweep over ``G`` per portal that
+   looks for the later portals only and stops at the radius where
+   ``G'`` is already as short — the public graph's size never enters.
 3. Query via :meth:`PPKWS.rclique`, :meth:`PPKWS.blinks` or
    :meth:`PPKWS.knk`; each runs PEval / ARefine / AComplete and returns
    the answers plus a per-step timing breakdown (the quantity plotted in
@@ -125,11 +126,10 @@ class Attachment:
     #: portal pairs (both orientations) that got strictly shorter in Gc
     refined_portal_pairs: FrozenSet[Tuple[Vertex, Vertex]]
     oracle: CombinedDistanceOracle
-    #: per-source sweeps of ``private`` that k-nk replays, filled on
-    #: first read; they live and die with this attachment
-    sweeps: PrivateSweeps = field(
-        default_factory=PrivateSweeps, repr=False, compare=False
-    )
+    #: per-source sweeps of ``private``: the portal rows attach read its
+    #: maps off, and the rows k-nk replays, filled on first read; they
+    #: live and die with this attachment
+    sweeps: PrivateSweeps = field(repr=False, compare=False)
 
     @property
     def has_refined_portals(self) -> bool:
@@ -356,7 +356,8 @@ class PPKWS:
                 f"private graph of {owner!r} has no portal nodes; "
                 "public-private answers cannot exist"
             )
-        pkd, vpm = build_private_maps(private, portals)
+        sweeps = PrivateSweeps(private)
+        pkd, vpm = build_private_maps(private, portals, sweeps)
         combined_pm, private_pm, refined = combined_portal_maps(
             self.public, portals, vpm
         )
@@ -371,6 +372,7 @@ class PPKWS:
             private_portal_map=private_pm,
             refined_portal_pairs=frozenset(refined),
             oracle=oracle,
+            sweeps=sweeps,
         )
         with self._attachments_lock:
             if owner in self._attachments:

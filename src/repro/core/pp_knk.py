@@ -91,10 +91,10 @@ def peval_knk(
     The sweep is ``source``'s row on the attachment, replayed.  A budget
     is charged one checkpoint per heap pop the sweep recorded before each
     vertex, and the pops after the last one when the row runs out, so a
-    capped query stops exactly where a live sweep would.  The first query
-    from a source fills its row with one unbudgeted sweep of ``G'``: a
-    deadline can overshoot by that one sweep, the cost of one of
-    attach's ``|P|`` portal sweeps.
+    capped query stops exactly where a live sweep would.  A portal's row
+    is swept at attach; the first query from any other source fills its
+    row with one unbudgeted sweep of ``G'``: a deadline can overshoot by
+    that one sweep, the cost of one of attach's ``|P|`` portal sweeps.
 
     Pass a pre-built ``partial`` to accumulate matches in place — the
     pipeline does this so that a budget expiring mid-sweep still leaves

@@ -9,29 +9,38 @@ Two small private-graph-side indexes complete the picture:
   portal ``p`` — the entry/exit costs of paths that detour through the
   public graph (Eq. 4/5).
 
-Both are filled by the same full Dijkstra per portal over the (small)
-private graph, so construction is ``O(|P| * |G'| log |G'|)`` — and the
+Both read the same full Dijkstra per portal over the (small) private
+graph: an attach sweeps the ``|P|`` portal rows of its
+:class:`PrivateSweeps`, fills the vertex-portal map from them and leaves
+PKD a view over them, whose columns are read off the rows on a keyword's
+first lookup.  Construction is ``O(|P| * |G'| log |G'|)`` — and the
 portal rows of the vertex-portal map double as the private all-pairs
 portal distances ``d'(p_i, p_j)``
 (:func:`repro.portals.distance_map.combined_portal_maps` reads them
 there), so these ``|P|`` sweeps are the only private traversals an
 attach runs.
 
-* **Source rows** (:class:`PrivateSweeps`): what a k-nk PEval from one
-  private source sweeps, stored on the attachment the first time a query
-  reads it, so that later queries from that source replay it instead of
-  sweeping ``G'`` again.
+* **Source rows** (:class:`PrivateSweeps`): what a Dijkstra from one
+  private source settles, stored on the attachment: the portal rows at
+  attach, any other source's the first time a k-nk query reads it, so
+  that later queries from that source replay it instead of sweeping
+  ``G'`` again.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import threading
 from array import array
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
+from repro.exceptions import VertexNotFoundError
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
-from repro.graph.traversal import INF, dijkstra, dijkstra_ordered
+from repro.graph.traversal import INF
 
 __all__ = [
     "PortalKeywordEntry",
@@ -52,12 +61,31 @@ class PortalKeywordEntry:
 
 
 class PortalKeywordDistanceMap:
-    """``(portal, keyword) -> PortalKeywordEntry`` over the private graph."""
+    """``(portal, keyword) -> PortalKeywordEntry`` over the private graph.
 
-    __slots__ = ("_entries",)
+    Built over an attachment's portal rows, the map is a view: a
+    keyword's column is read off the rows on its first lookup.
+    ``PKD(p, t)`` is the carrier of ``t`` with the least position in
+    ``p``'s row, i.e. the first one ``p``'s sweep settles, and each entry
+    is published with ``setdefault`` (racing first lookups compute equal
+    entries).  :meth:`materialize` reads every column and drops the rows;
+    from then on, as in a map filled through :meth:`record`, lookups read
+    the entries alone.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("_entries", "_columns", "_rows", "_portals")
+
+    def __init__(
+        self,
+        rows: Optional[Tuple[LabeledGraph, "PrivateSweeps"]] = None,
+        portals: Sequence[Vertex] = (),
+    ) -> None:
         self._entries: Dict[Tuple[Vertex, Label], PortalKeywordEntry] = {}
+        #: keywords whose column has been read off the rows
+        self._columns: Set[Label] = set()
+        #: the private graph and its sweeps, until materialized
+        self._rows = rows
+        self._portals = tuple(portals)
 
     def record(self, portal: Vertex, keyword: Label, vertex: Vertex, d: float) -> None:
         """Keep the closest witness for ``(portal, keyword)``."""
@@ -68,14 +96,66 @@ class PortalKeywordDistanceMap:
 
     def get(self, portal: Vertex, keyword: Label) -> Optional[PortalKeywordEntry]:
         """Lookup ``PKD(p, t)``; ``None`` when the keyword is unreachable."""
-        return self._entries.get((portal, keyword))
+        entry = self._entries.get((portal, keyword))
+        if entry is None:
+            rows = self._rows
+            if rows is not None and keyword not in self._columns:
+                self._column(*rows, keyword)
+                entry = self._entries.get((portal, keyword))
+        return entry
 
     def distance(self, portal: Vertex, keyword: Label) -> float:
         """Distance-only lookup (``inf`` when absent)."""
-        entry = self._entries.get((portal, keyword))
+        entry = self.get(portal, keyword)
         return entry.distance if entry is not None else INF
 
+    def _column(
+        self, private: LabeledGraph, sweeps: "PrivateSweeps", keyword: Label
+    ) -> None:
+        ids, vertices, entries = sweeps._ids, sweeps.vertices, self._entries
+        carriers = [ids[v] for v in private.vertices_with_label(keyword) if v in ids]
+        if carriers:
+            for p in self._portals:
+                row = sweeps.row(private, p)
+                at = row.positions()
+                n, end = len(at), len(row.ids)
+                first = min([at[c] for c in carriers if c < n], default=end)
+                if first < end:
+                    entries.setdefault((p, keyword), PortalKeywordEntry(
+                        vertices[row.ids[first]], row.distances[first]))
+        self._columns.add(keyword)
+
+    def materialize(self) -> None:
+        """Read every column off the rows, then drop them.
+
+        The entries land in the order a fill in settle order records
+        them — portal by portal (``repr`` order), each at its first
+        carrier — so a later :meth:`record` keeps exactly what it would
+        have kept over such a fill: a new label or edge cannot re-rank a
+        tie the rows broke.  A no-op once materialized.
+        """
+        if self._rows is None:
+            return
+        private, sweeps = self._rows
+        labels_of, vertices = private.labels, sweeps.vertices
+        entries: Dict[Tuple[Vertex, Label], PortalKeywordEntry] = {}
+        for p in self._portals:
+            row = sweeps.row(private, p)
+            for i, d in zip(row.ids, row.distances):
+                v = vertices[i]
+                for t in labels_of(v):
+                    if (p, t) not in entries:
+                        entries[(p, t)] = PortalKeywordEntry(v, d)
+        self._entries = entries
+        self._rows = None
+
+    def items(self) -> List[Tuple[Tuple[Vertex, Label], PortalKeywordEntry]]:
+        """Every ``((portal, keyword), entry)``, materialized, in order."""
+        self.materialize()
+        return list(self._entries.items())
+
     def __len__(self) -> int:
+        self.materialize()
         return len(self._entries)
 
 
@@ -108,58 +188,46 @@ class VertexPortalDistanceMap:
 def build_private_maps(
     private: LabeledGraph,
     portals: Iterable[Vertex],
+    sweeps: Optional["PrivateSweeps"] = None,
 ) -> Tuple[PortalKeywordDistanceMap, VertexPortalDistanceMap]:
-    """Build PKD and the vertex-portal map with one Dijkstra per portal."""
+    """PKD and the vertex-portal map off one row per portal.
+
+    Sweeps each portal's row of ``sweeps`` (a fresh :class:`PrivateSweeps`
+    of ``private`` when none is given), fills the vertex-portal map from
+    the rows and returns PKD as a view over them.
+    """
     # repr order: per-vertex portal-distance dicts keep a deterministic
     # iteration order, so downstream min()-style tie-breaks are stable.
     portal_list = sorted((p for p in portals if p in private), key=repr)
-    pkd = PortalKeywordDistanceMap()
+    if sweeps is None:
+        sweeps = PrivateSweeps(private)
     vpm = VertexPortalDistanceMap(portal_list)
-    entries, by_vertex = pkd._entries, vpm._by_vertex
-    labels_of = private.labels
+    by_vertex, vertices = vpm._by_vertex, sweeps.vertices
     for p in portal_list:
-        # The sweep settles by non-decreasing distance, so the first
-        # vertex seen with a label is PKD(p, t): insert-if-absent.
-        seen: Set[Label] = set()
-        for v, d in dijkstra(private, p).items():
-            row = by_vertex.get(v)
-            if row is None:
+        row = sweeps.row(private, p)
+        for i, d in zip(row.ids, row.distances):
+            v = vertices[i]
+            distances = by_vertex.get(v)
+            if distances is None:
                 by_vertex[v] = {p: d}
             else:
-                row[p] = d
-            labels = labels_of(v)
-            if not labels <= seen:
-                for t in labels:
-                    if t not in seen:
-                        seen.add(t)
-                        entries[(p, t)] = PortalKeywordEntry(v, d)
-    return pkd, vpm
-
-
-class _PopCount:
-    """A budget that never expires: it counts the heap pops it is charged."""
-
-    __slots__ = ("pops",)
-
-    def __init__(self) -> None:
-        self.pops = 0
-
-    def checkpoint(self, cost: int = 1) -> None:
-        self.pops += cost
+                distances[p] = d
+    return PortalKeywordDistanceMap((private, sweeps), portal_list), vpm
 
 
 class SourceRow:
-    """What ``dijkstra_ordered(private, source)`` yields, as flat columns.
+    """What a Dijkstra from one source settles, as flat columns.
 
     ``ids`` are the settled vertices in settle order, as ids of the
     owning :class:`PrivateSweeps`' vertex table, and ``distances`` their
     distances from the source.  ``pops[i]`` is how many heap pops the
-    sweep was charged before it yielded entry ``i``, and ``tail`` how many
-    after the last entry, until its heap ran dry: replaying them as
-    budget checkpoints charges a query exactly what the sweep would have.
+    sweep made before it settled entry ``i`` (that one included), and
+    ``tail`` how many after the last entry, until its heap ran dry:
+    replaying them as budget checkpoints charges a query exactly what a
+    budgeted :func:`~repro.graph.traversal.dijkstra_ordered` would.
     """
 
-    __slots__ = ("ids", "distances", "pops", "tail", "_refined")
+    __slots__ = ("ids", "distances", "pops", "tail", "_refined", "_positions")
 
     def __init__(
         self, ids: array, distances: array, pops: array, tail: int
@@ -169,6 +237,7 @@ class SourceRow:
         self.pops = pops
         self.tail = tail
         self._refined: Dict[bool, array] = {}
+        self._positions: Optional[array] = None
 
     def refined(self, reduced: bool) -> array:
         """The column of Eq.-4-refined distances under one
@@ -182,28 +251,49 @@ class SourceRow:
             )
         return column
 
+    def positions(self) -> array:
+        """``positions()[i]``: where vertex id ``i`` stands in ``ids``,
+        or ``len(ids)`` if the row never settles it.  Ids past the end
+        are not settled either.  Built on the first call; racing first
+        calls build equal arrays."""
+        at = self._positions
+        if at is None:
+            at = array("i", [len(self.ids)]) * (max(self.ids) + 1)
+            for position, i in enumerate(self.ids):
+                at[i] = position
+            self._positions = at
+        return at
+
 
 class PrivateSweeps:
     """Per-source rows over one attachment's private graph (Sec. V-C).
 
-    A row is filled on its first read by one unbudgeted
-    :func:`~repro.graph.traversal.dijkstra_ordered` sweep, and published
+    The constructor interns ``G'``: dense ids in vertex order, and each
+    vertex's adjacency as ``(id, weight)`` pairs in ``neighbor_items``
+    order.  A row is swept on its first read by one int-indexed Dijkstra
+    with :func:`~repro.graph.traversal.dijkstra_ordered`'s discipline — a
+    ``(distance, push counter)`` heap onto which every unsettled
+    neighbour is pushed — so it settles the same vertices in the same
+    order at the same distances after the same pops.  Rows are published
     with ``setdefault``: racing first reads compute equal rows and one of
     them is kept.  Rows never change afterwards.  An edge change or
-    removal replaces the attachment, rows included; a label change or a
-    new isolated vertex changes no existing row's settle order (labels
-    are read live when a row is replayed).  At most ``|V'|`` rows of at
-    most ``|V'|`` entries each.
+    removal replaces the attachment, rows included; a label change
+    changes no row (labels are read live), and a vertex ``G'`` gained
+    after interning (an isolated one, through
+    :class:`~repro.core.dynamic.DynamicPrivateGraph`) is interned on its
+    first read.  At most ``|V'|`` rows of at most ``|V'|`` entries each.
     """
 
-    __slots__ = ("vertices", "_ids", "_rows", "_tickets")
+    __slots__ = ("vertices", "_ids", "_adjacency", "_rows", "_lock")
 
-    def __init__(self) -> None:
+    def __init__(self, private: LabeledGraph) -> None:
         #: the vertex table: row id -> private vertex
-        self.vertices: Dict[int, Vertex] = {}
+        self.vertices: List[Vertex] = []
         self._ids: Dict[Vertex, int] = {}
+        self._adjacency: List[List[Tuple[int, float]]] = []
         self._rows: Dict[Vertex, SourceRow] = {}
-        self._tickets = itertools.count()
+        self._lock = threading.Lock()
+        self._intern(private)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -212,27 +302,55 @@ class PrivateSweeps:
         """``source``'s row, swept on the first read."""
         row = self._rows.get(source)
         if row is None:
-            row = self._rows.setdefault(source, self._sweep(private, source))
+            row = self._rows.setdefault(
+                source, self._sweep(self._id(private, source))
+            )
         return row
 
-    def _id(self, v: Vertex) -> int:
-        # Lock-free interning: the table entry is written before its id
-        # is published, and the ``setdefault`` winner's ticket is the id
-        # (a losing ticket's entry is never read).
+    def _id(self, private: LabeledGraph, v: Vertex) -> int:
         i = self._ids.get(v)
         if i is None:
-            ticket = next(self._tickets)
-            self.vertices[ticket] = v
-            i = self._ids.setdefault(v, ticket)
+            with self._lock:
+                self._intern(private)
+            i = self._ids.get(v)
+            if i is None:
+                raise VertexNotFoundError(v)
         return i
 
-    def _sweep(self, private: LabeledGraph, source: Vertex) -> SourceRow:
-        count = _PopCount()
+    def _intern(self, private: LabeledGraph) -> None:
+        # The vertices without an id yet, with their adjacency as it is
+        # now.  Ids are published last, so a reader that finds one finds
+        # its table entry and adjacency too.
+        ids, vertices = self._ids, self.vertices
+        fresh = {
+            v: len(vertices) + i
+            for i, v in enumerate(v for v in private.vertices() if v not in ids)
+        }
+        id_of = {**ids, **fresh}.__getitem__
+        self._adjacency.extend(
+            [(id_of(u), w) for u, w in private.neighbor_items(v)] for v in fresh
+        )
+        vertices.extend(fresh)
+        ids.update(fresh)
+
+    def _sweep(self, source: int) -> SourceRow:
+        adjacency = self._adjacency
+        settled = bytearray(len(adjacency))
         ids, distances, pops = array("i"), array("d"), array("I")
-        charged = 0
-        for v, d in dijkstra_ordered(private, source, budget=count):
-            ids.append(self._id(v))
+        push, pop, tick = heapq.heappush, heapq.heappop, itertools.count()
+        heap: List[Tuple[float, int, int]] = [(0.0, next(tick), source)]
+        popped = 0
+        while heap:
+            d, _, v = pop(heap)
+            popped += 1
+            if settled[v]:
+                continue
+            settled[v] = 1
+            ids.append(v)
             distances.append(d)
-            pops.append(count.pops - charged)
-            charged = count.pops
-        return SourceRow(ids, distances, pops, count.pops - charged)
+            pops.append(popped)
+            popped = 0
+            for u, w in adjacency[v]:
+                if not settled[u]:
+                    push(heap, (d + w, next(tick), u))
+        return SourceRow(ids, distances, pops, popped)

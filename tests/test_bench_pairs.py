@@ -9,6 +9,7 @@ import ast
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -86,6 +87,12 @@ def test_a_digest_that_differs_in_one_pair_is_flagged(pairs_script):
     assert row["answers_sha256"] == ["a", "c"]
     assert row["metrics"]["throughput_rps"]["pairs_won"] == 0
     assert not row["metrics"]["throughput_rps"]["gain_exceeds_parent_iqr"]
+
+
+def test_tier1_runs_as_a_timed_child(pairs_script, tmp_path):
+    code = "import os, sys; sys.exit(3 if os.environ['PYTHONPATH'] else 0)"
+    out = pairs_script.run_tier1(str(tmp_path), [sys.executable, "-c", code])
+    assert out["tier1_exit"] == 3 and out["tier1_wall_s"] >= 0
 
 
 def test_rows_append_to_the_trajectory(pairs_script, tmp_path):

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import PPKWS, CompletionCache
+from repro.core import PPKWS, CompletionCache, answer_sides
 from repro.core.pp_blinks import peval_blinks
 from repro.core.pp_rclique import peval_rclique
 from repro.core.pp_knk import peval_knk
 from repro.graph import INF, LabeledGraph
+from tests.engine_equivalence_data import build_engine
 
 
 @pytest.fixture
@@ -104,8 +105,6 @@ class TestCompletionCache:
     @pytest.mark.parametrize("seed", (11, 23, 37))
     def test_pka_row_equals_per_portal_lookups(self, seed):
         """AComplete's per-keyword PKA row vs. one ``lookup`` per read."""
-        from tests.engine_equivalence_data import build_engine
-
         engine = build_engine(seed)
         portals = engine.attachment("owner").oracle.vertex_portal.portals
         cache = CompletionCache(enabled=True)
@@ -207,8 +206,6 @@ class TestMultipleOwners:
 
 class TestQualifyModule:
     def test_answer_sides_short_circuits(self, small_public_private):
-        from repro.core import answer_sides
-
         pub, priv = small_public_private
         sides = answer_sides(["x1", 0, None], pub, priv)
         assert sides == (True, True)
@@ -216,7 +213,5 @@ class TestQualifyModule:
         assert answer_sides([None], pub, priv) == (False, False)
 
     def test_portal_satisfies_both_sides(self, small_public_private):
-        from repro.core import answer_sides
-
         pub, priv = small_public_private
         assert answer_sides([2], pub, priv) == (True, True)

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro import obs
+from repro import PPKWS, PPKWSService, obs
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
@@ -177,8 +177,6 @@ class TestTraceRing:
 
 class TestPipelineObservation:
     def test_engine_queries_record_step_metrics(self, small_public_private):
-        from repro import PPKWS
-
         pub, priv = small_public_private
         engine = PPKWS(pub, sketch_k=2)
         engine.attach("bob", priv)
@@ -203,8 +201,6 @@ class TestPipelineObservation:
         ) > 0
 
     def test_banks_not_double_counted_as_blinks(self, small_public_private):
-        from repro import PPKWS
-
         pub, priv = small_public_private
         engine = PPKWS(pub, sketch_k=2)
         engine.attach("bob", priv)
@@ -223,8 +219,6 @@ class TestPipelineObservation:
         ) is None
 
     def test_degraded_pipeline_counted(self, small_public_private):
-        from repro import PPKWS
-
         pub, priv = small_public_private
         engine = PPKWS(pub, sketch_k=2)
         engine.attach("bob", priv)
@@ -241,8 +235,6 @@ class TestPipelineObservation:
         ) == 1.0
 
     def test_no_registry_records_nothing(self, small_public_private):
-        from repro import PPKWS
-
         pub, priv = small_public_private
         engine = PPKWS(pub, sketch_k=2)
         engine.attach("bob", priv)
@@ -252,8 +244,6 @@ class TestPipelineObservation:
 
 class TestBatchCacheObservation:
     def test_cache_hits_and_misses_recorded(self, small_public_private):
-        from repro import PPKWSService
-
         pub, priv = small_public_private
         service = PPKWSService(sketch_k=2)
         service.create_network("net", pub)
@@ -305,8 +295,6 @@ class TestOneRegistry:
     def test_blinks_and_batch_land_every_family(
         self, small_public_private, installed_registry
     ):
-        from repro.service import PPKWSService
-
         with pytest.raises(TypeError):
             PPKWSService(registry=MetricsRegistry())
         pub, priv = small_public_private

@@ -9,40 +9,36 @@ vertex pairs.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.portals.distance_map as distance_map
+import repro.portals.keyword_map as keyword_map
+from repro.core import DynamicPrivateGraph
+from repro.core.framework import PPKWS
 from repro.graph import (
-    INF,
-    FrozenGraph,
-    LabeledGraph,
-    combine,
-    dijkstra,
-    freeze,
-    portal_nodes,
+    INF, FrozenGraph, LabeledGraph, combine, dijkstra, freeze, portal_nodes,
 )
 from repro.portals import (
-    CombinedDistanceOracle,
-    ExactPublicDistance,
-    PortalDistanceMap,
-    PortalKeywordDistanceMap,
-    VertexPortalDistanceMap,
-    all_pairs_portal_distances,
-    build_private_maps,
-    combined_portal_maps,
+    CombinedDistanceOracle, ExactPublicDistance, PortalDistanceMap,
+    PortalKeywordDistanceMap, PortalKeywordEntry, VertexPortalDistanceMap,
+    all_pairs_portal_distances, build_private_maps, combined_portal_maps,
     refine_portal_distances,
 )
 from repro.sketches import build_kpads, build_pads
 from repro.portals.oracle import SketchPublicDistance
 from tests.conftest import handed, random_connected_graph
+from tests.engine_equivalence_data import build_engine
 
 
 def _random_public_private(seed: int, n_pub: int = 30, n_priv: int = 12):
     """Random overlapping pair: private vertices 0..overlap-1 are shared."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     pub = random_connected_graph(n_pub, n_pub // 3, seed)
     priv = LabeledGraph(f"priv{seed}")
     overlap = rng.randint(2, 4)
@@ -148,38 +144,43 @@ class TestRefinePortalDistances:
 
 
 class TestPrivateMaps:
-    def test_vertex_portal_distances_exact(self, small_public_private):
+    @pytest.fixture
+    def maps(self, small_public_private):
         pub, priv = small_public_private
         portals = portal_nodes(pub, priv)
-        _, vpm = build_private_maps(priv, portals)
+        return (priv, portals, *build_private_maps(priv, portals))
+
+    def test_vertex_portal_distances_exact(self, maps):
+        priv, portals, _, vpm = maps
         for p in portals:
             exact = dijkstra(priv, p)
             for v in priv.vertices():
                 assert vpm.get(v, p) == pytest.approx(exact.get(v, INF))
 
-    def test_pkd_nearest_keyword_vertex(self, small_public_private):
-        pub, priv = small_public_private
-        portals = portal_nodes(pub, priv)
-        pkd, _ = build_private_maps(priv, portals)
+    def test_pkd_nearest_keyword_vertex(self, maps):
         # from portal 5, nearest 'cv' vertex is x3 at distance 1
-        entry = pkd.get(5, "cv")
-        assert entry is not None
-        assert entry.vertex == "x3"
-        assert entry.distance == 1.0
+        assert maps[2].get(5, "cv") == PortalKeywordEntry("x3", 1.0)
 
-    def test_pkd_missing_keyword(self, small_public_private):
-        pub, priv = small_public_private
-        portals = portal_nodes(pub, priv)
-        pkd, _ = build_private_maps(priv, portals)
-        assert pkd.get(5, "nothing") is None
-        assert pkd.distance(5, "nothing") == INF
+    def test_pkd_missing_keyword(self, maps):
+        assert maps[2].get(5, "nothing") is None
+        assert maps[2].distance(5, "nothing") == INF
 
-    def test_lengths(self, small_public_private):
-        pub, priv = small_public_private
-        portals = portal_nodes(pub, priv)
-        pkd, vpm = build_private_maps(priv, portals)
+    def test_lengths(self, maps):
+        priv, portals, pkd, vpm = maps
         assert len(vpm) == priv.num_vertices * len(portals)
         assert len(pkd) > 0
+
+    @pytest.mark.parametrize("edges,change", [
+        ([(0, "x"), (0, "y")], lambda dyn: dyn.add_labels("y", {"a"})),
+        ([(0, "x")], lambda dyn: (dyn.add_vertex("y", {"a"}), dyn.add_edge(0, "y"))),
+    ], ids=("label", "edge"))
+    def test_dynamic_repair_keeps_the_rows_tie(self, edges, change):
+        """A tied carrier added in place keeps the row's first, as attach would."""
+        engine = PPKWS(LabeledGraph.from_edges([(0, 1)]), sketch_k=2)
+        engine.attach("u", LabeledGraph.from_edges(edges, {"x": {"a"}}))
+        change(DynamicPrivateGraph(engine, "u"))
+        pkd = engine.attachment("u").oracle.pkd
+        assert pkd.get(0, "a") == PortalKeywordEntry("x", 1.0)
 
 
 class TestExactPublicDistance:
@@ -210,21 +211,7 @@ def _build_oracle(pub, priv, exact=False):
     combined_map, refined = refine_portal_distances(pub_map, priv_map)
     pkd, vpm = build_private_maps(priv, portals)
     if exact:
-
-        class _ExactAsSketch:
-            def __init__(self, graph):
-                self._p = ExactPublicDistance(graph)
-
-            def vertex_distance(self, u, v):
-                return self._p.vertex_distance(u, v)
-
-            def keyword_distance(self, v, t):
-                return self._p.keyword_distance(v, t)
-
-            def keyword_distance_with_witness(self, v, t):
-                return self._p.keyword_distance_with_witness(v, t)
-
-        provider = _ExactAsSketch(pub)
+        provider = ExactPublicDistance(pub)
     else:
         pads = build_pads(pub, k=3)
         provider = SketchPublicDistance(pads, build_kpads(pub, pads))
@@ -293,8 +280,6 @@ class TestCombinedOracle:
         re-walks its ``(p_i, p_j)`` pairs in map order with a strict
         ``<``, so distance *and* witness must agree, ties included.
         """
-        from tests.engine_equivalence_data import build_engine
-
         attachment = build_engine(seed).attachment("owner")
         oracle = attachment.oracle
         pairs = attachment.refined_by_source if reduced else None
@@ -369,9 +354,6 @@ def _reference_all_pairs(graph, portals):
 
 
 def _reference_refine(public_map, private_map):
-    import heapq
-    import itertools
-
     portals = public_map.portals | private_map.portals
     combined = PortalDistanceMap(portals)
     counter = itertools.count()
@@ -442,7 +424,7 @@ def _in_order(private_pm, combined_pm, refined, pkd, vpm):
             (p, list(row.items())) for p, row in combined_pm._adj.items()
         ],
         "refined_portal_pairs": [list(refined), list(frozenset(refined))],
-        "pkd": list(pkd._entries.items()),
+        "pkd": pkd.items(),
         "vertex_portal": [
             (v, list(row.items())) for v, row in vpm._by_vertex.items()
         ],
@@ -470,9 +452,7 @@ def _two_component_pair(seed):
     whose private distance equals its public one to the bit: ``q`` hangs
     off ``p`` by a single private edge weighing ``d(p, q)`` on ``G``.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     n_pub = 36
     pub = LabeledGraph(f"pub{seed}")
     pub.add_vertex(0)
@@ -571,10 +551,8 @@ class TestAttachMaps:
         new one sweeps it once, so here the maps may differ in the last
         bits — and in nothing else.
         """
-        import random as _random
-
         pub, priv, portals, _ = _two_component_pair(seed)
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         for g in (pub, priv):
             for u, v, w in list(g.edges()):
                 g.add_edge(u, v, w * rng.uniform(0.9, 1.1))
@@ -617,35 +595,21 @@ class TestAttachMaps:
 
     def test_attach_runs_one_private_sweep_per_portal(self, monkeypatch):
         """|P| full private Dijkstras and nothing else over ``G'``."""
-        import repro.portals.distance_map as distance_map
-        import repro.portals.keyword_map as keyword_map
-        from repro.core.framework import PPKWS
-
         pub, priv, portals, _ = _two_component_pair(3)
         engine = PPKWS(pub, sketch_k=2)
-        calls = []
-
-        def counted(graph, source, *args, **kwargs):
-            calls.append((graph, source, args, kwargs))
-            return dijkstra(graph, source, *args, **kwargs)
-
-        public_sweeps = []
-        bounded = distance_map.bounded_target_distances
-
-        def counted_bounded(graph, source, bounds):
-            public_sweeps.append((graph, source))
-            return bounded(graph, source, bounds)
-
-        monkeypatch.setattr(keyword_map, "dijkstra", counted)
-        monkeypatch.setattr(distance_map, "bounded_target_distances", counted_bounded)
+        calls, sweep = [], keyword_map.PrivateSweeps._sweep
+        public_sweeps, bounded = [], distance_map.bounded_target_distances
+        monkeypatch.setattr(keyword_map.PrivateSweeps, "_sweep", lambda rows, i: (
+            calls.append((rows, rows.vertices[i])), sweep(rows, i))[1])
+        monkeypatch.setattr(distance_map, "bounded_target_distances", lambda g, s, b: (
+            public_sweeps.append((g, s)), bounded(g, s, b))[1])
         # any other traversal of either graph would have to come from here
         assert not hasattr(distance_map, "dijkstra")
+        assert not hasattr(keyword_map, "dijkstra")
         attachment = engine.attach("owner", priv)
-        assert sorted(source for _, source, _, _ in calls) == sorted(portals)
-        assert all(
-            graph is priv and not args and not kwargs
-            for graph, _, args, kwargs in calls
-        )
+        assert sorted(source for _, source in calls) == sorted(portals)
+        assert all(sweeps is attachment.sweeps for sweeps, _ in calls)
+        assert len(attachment.sweeps) == len(portals)
         # the public half: one bounded sweep per portal but the last
         assert len(public_sweeps) == len(portals) - 1
         assert all(graph is engine.public for graph, _ in public_sweeps)
@@ -655,8 +619,6 @@ class TestAttachMaps:
         """A 401-vertex public path, portals 200 hops apart, and a private
         shortcut of length 3: the public sweep expands 3 vertices, not 201.
         """
-        from repro.core.framework import PPKWS
-
         class ReadLog:
             """``indptr`` that logs every index the kernel reads."""
 
@@ -770,13 +732,9 @@ class TestVertexDetours:
         dc(p_i, p_j)`` just as the loop's left-to-right sum did, and
         takes minima, which rounding preserves.
         """
-        import random as _random
-
-        from repro.core.framework import PPKWS
-
         pub, priv, portals, _ = _two_component_pair(seed)
         if weights == "floats":
-            rng = _random.Random(seed)
+            rng = random.Random(seed)
             for g in (pub, priv):
                 for u, v, w in list(g.edges()):
                     g.add_edge(u, v, w * rng.uniform(0.9, 1.1))

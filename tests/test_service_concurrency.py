@@ -20,6 +20,7 @@ the plugin is absent).
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from typing import Any, Dict, List
@@ -29,6 +30,7 @@ import pytest
 import repro.core.framework as framework_mod
 import repro.portals.keyword_map as keyword_map
 import repro.service as service_mod
+from repro import PPKWS
 from repro.service import PPKWSService
 
 
@@ -146,10 +148,11 @@ class TestRegistryRaces:
 
     def test_first_touch_knk_row_kept_once(self, monkeypatch, small_public_private):
         """Eight first reads of one never-queried source race to sweep its
-        row (each sweep sleeps first): all answer as a serial run does."""
-        real = keyword_map.dijkstra_ordered
-        monkeypatch.setattr(keyword_map, "dijkstra_ordered", lambda *a, **kw: (
-            time.sleep(0.05), real(*a, **kw))[1])
+        row (each sweep sleeps first): all answer as a serial run does, and
+        one row joins the two portals' rows that attach swept."""
+        real = keyword_map.PrivateSweeps._sweep
+        monkeypatch.setattr(keyword_map.PrivateSweeps, "_sweep", lambda *a: (
+            time.sleep(0.05), real(*a))[1])
         services = [PPKWSService(sketch_k=2) for _ in range(2)]
         for svc in services:
             svc.create_network("n", small_public_private[0])
@@ -163,7 +166,30 @@ class TestRegistryRaces:
         raced = _run_threads(8, lambda i: knk(services[0], i))
         assert raced == [knk(services[1], i) for i in range(8)]
         assert sum(bool(r["answer"]["matches"]) for r in raced) >= 4
-        assert len(services[0]._networks["n"].engine.attachment("bob").sweeps) == 1
+        assert len(services[0]._networks["n"].engine.attachment("bob").sweeps) == 3
+
+    def test_first_touch_pkd_column_kept_once(self, monkeypatch, small_public_private):
+        """Eight first reads of one keyword's PKD column race through Blinks
+        and r-clique (each sleeps first): all answer as a serial run does."""
+        pkd, reads = keyword_map.PortalKeywordDistanceMap, []
+        monkeypatch.setattr(pkd, "_column", lambda *a, real=pkd._column: (
+            reads.append(a[3]), time.sleep(0.05), real(*a))[2])
+        services = [PPKWSService(sketch_k=2) for _ in range(2)]
+        for svc in services:
+            svc.create_network("n", small_public_private[0])
+            svc.attach_user("n", "bob", small_public_private[1])
+
+        def query(svc: PPKWSService, i: int) -> Dict[str, Any]:
+            return svc.execute({"op": ("blinks", "rclique")[i % 2], "network": "n",
+                                "owner": "bob", "keywords": ["cv", "db"], "tau": 3 + i})
+
+        raced = _run_threads(8, lambda i: query(services[0], i))
+        assert reads.count("cv") >= 2 and all(r["answers"] for r in raced)
+        assert [r["answers"] for r in raced] == [
+            query(services[1], i)["answers"] for i in range(8)]
+        raced, serial = (s._networks["n"].engine.attachment("bob").oracle.pkd.items()
+                         for s in services)
+        assert raced == serial  # one entry per key, equal to the serial one
 
 
 @pytest.mark.timeout(120)
@@ -232,8 +258,6 @@ class TestAdminChurnUnderQueries:
         on its own owner (a lost ``_owner_epochs`` update would let a
         re-attach repeat an old token), and the stable owner's cached
         answer stays a hit through all of it."""
-        import sys
-
         svc = PPKWSService(sketch_k=2)
         svc.execute({
             "op": "create_network", "network": "n",
@@ -277,8 +301,6 @@ class TestAdminChurnUnderQueries:
 
     def test_engine_owners_iteration_is_safe(self, small_public_private):
         """Direct engine-level churn: owners() during attach/detach."""
-        from repro import PPKWS
-
         pub, priv = small_public_private
         engine = PPKWS(pub, sketch_k=2)
         engine.attach("stable", priv)
