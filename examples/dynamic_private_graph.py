@@ -6,8 +6,9 @@ This example exercises the extension features beyond the paper's core:
    deployment indexes the public graph offline),
 2. reload the index into a fresh engine (no rebuild),
 3. mutate the attached private graph live — new collaborations appear,
-   one is retracted — with incremental maintenance of the per-user
-   state (the paper's stated future work on dynamic graphs),
+   one is retracted — each edit re-attaching an edited copy of the
+   private graph, so queries always see a consistent per-user state
+   (the paper's stated future work on dynamic graphs),
 4. run conjunctive and disjunctive multi-keyword k-nk queries against
    the evolving combined view.
 
@@ -66,8 +67,8 @@ def main() -> None:
     assert after.answer.matches[0].vertex == "lab:new-hire"
     assert after.answer.matches[0].distance == 1.0
 
-    # The collaboration is retracted — deletions trigger a consistent
-    # rebuild of the per-user maps.
+    # The collaboration is retracted: like every edit, the deletion
+    # re-attaches an edited copy of the private graph.
     dyn.remove_edge(source, "lab:new-hire")
     retracted = engine.knk_multi("lab", source, keywords, k=5, mode="and")
     survivors = [m.vertex for m in retracted.answer.matches]

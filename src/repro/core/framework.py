@@ -114,7 +114,12 @@ class PublicIndex:
 
 @dataclass
 class Attachment:
-    """Everything PPKWS keeps per attached private graph (Sec. V-C)."""
+    """Everything PPKWS keeps per attached private graph (Sec. V-C).
+
+    An attachment and its ``private`` graph never change once built: a
+    dynamic edit builds a new attachment over an edited copy of ``G'``
+    (:class:`~repro.core.dynamic.DynamicPrivateGraph`).
+    """
 
     owner: str
     private: LabeledGraph
@@ -350,30 +355,7 @@ class PPKWS:
         """
         if owner in self._attachments:
             raise GraphError(f"owner {owner!r} already attached")
-        portals = portal_nodes(self.public, private)
-        if not portals:
-            raise GraphError(
-                f"private graph of {owner!r} has no portal nodes; "
-                "public-private answers cannot exist"
-            )
-        sweeps = PrivateSweeps(private)
-        pkd, vpm = build_private_maps(private, portals, sweeps)
-        combined_pm, private_pm, refined = combined_portal_maps(
-            self.public, portals, vpm
-        )
-        oracle = CombinedDistanceOracle(
-            private, combined_pm, vpm, pkd, self._provider
-        )
-        attachment = Attachment(
-            owner=owner,
-            private=private,
-            portals=portals,
-            portal_map=combined_pm,
-            private_portal_map=private_pm,
-            refined_portal_pairs=frozenset(refined),
-            oracle=oracle,
-            sweeps=sweeps,
-        )
+        attachment = self._build_attachment(owner, private)
         with self._attachments_lock:
             if owner in self._attachments:
                 raise GraphError(f"owner {owner!r} already attached")
@@ -389,31 +371,49 @@ class PPKWS:
             del self._attachments[owner]
             self._owner_epochs[owner] += 1
 
-    def _replace_attachment(self, owner: str, attachment: Attachment) -> None:
-        """Swap in repaired per-user state (dynamic incremental updates).
+    def _reattach(self, owner: str, private: LabeledGraph) -> None:
+        """Replace ``owner``'s attachment by a fresh one over ``private``.
 
-        Takes the attachment lock like :meth:`attach`/:meth:`detach` and
-        bumps the owner's epoch: the repaired maps can change which of
-        its answers are current, so cached results keyed on the old epoch
-        must die with it.  (An unlocked write here used to race with
-        ``owners()`` and concurrent attach/detach; RA001 pins the
-        discipline.)
+        The copy-on-write step of
+        :class:`~repro.core.dynamic.DynamicPrivateGraph`: the new state is
+        built off to the side, then swapped in with one write that moves
+        the owner's epoch once, so the owner is never unattached and a
+        query holding the old attachment reads it to the end.  A build
+        that fails (no portal left) leaves the old attachment in place.
         """
+        attachment = self._build_attachment(owner, private)
         with self._attachments_lock:
             if owner not in self._attachments:
                 raise OwnerNotAttachedError(owner)
             self._attachments[owner] = attachment
             self._owner_epochs[owner] += 1
 
-    def _bump_owner_epoch(self, owner: str) -> None:
-        """Invalidate ``owner``'s cached answers after an in-place mutation.
-
-        Dynamic label additions repair the portal-keyword map without
-        replacing the :class:`Attachment`; the epoch must still move or
-        the answer cache keeps serving pre-mutation results.
-        """
-        with self._attachments_lock:
-            self._owner_epochs[owner] += 1
+    def _build_attachment(self, owner: str, private: LabeledGraph) -> Attachment:
+        """Portal discovery and the per-user maps over ``private``."""
+        portals = portal_nodes(self.public, private)
+        if not portals:
+            raise GraphError(
+                f"private graph of {owner!r} has no portal nodes; "
+                "public-private answers cannot exist"
+            )
+        sweeps = PrivateSweeps(private)
+        pkd, vpm = build_private_maps(private, portals, sweeps)
+        combined_pm, private_pm, refined = combined_portal_maps(
+            self.public, portals, vpm
+        )
+        oracle = CombinedDistanceOracle(
+            private, combined_pm, vpm, pkd, self._provider
+        )
+        return Attachment(
+            owner=owner,
+            private=private,
+            portals=portals,
+            portal_map=combined_pm,
+            private_portal_map=private_pm,
+            refined_portal_pairs=frozenset(refined),
+            oracle=oracle,
+            sweeps=sweeps,
+        )
 
     def attachment(self, owner: str) -> Attachment:
         """The per-user state for ``owner``."""
@@ -427,7 +427,7 @@ class PPKWS:
 
         The lifetime of every owner-side cached fact: a private graph is
         visible to its owner only (Sec. II), so an attach, detach or
-        dynamic repair can change that owner's answers and nobody
+        dynamic edit can change that owner's answers and nobody
         else's.  Public-side facts (PKA rows, sweep columns) depend on
         the immutable public index and outlive every attachment.
         """

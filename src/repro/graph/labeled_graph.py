@@ -7,8 +7,9 @@ positive weight.
 The repository splits graph storage by mutability.  ``LabeledGraph`` is
 the *mutable* backend — dict-of-dicts adjacency keyed by arbitrary
 hashables, O(1) edits and edge lookups, no third-party dependency — and
-is used for the small per-user private graphs, for graph construction,
-and everywhere updates happen (:mod:`repro.core.dynamic`).  The large
+is used for the small per-user private graphs and for graph
+construction.  An attached private graph is not edited in place:
+:mod:`repro.core.dynamic` edits a copy and re-attaches it.  The large
 public graph, which the framework treats as immutable once indexed, is
 interned into the compact CSR backend
 :class:`~repro.graph.frozen.FrozenGraph` instead; both satisfy the

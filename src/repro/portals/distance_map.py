@@ -238,8 +238,7 @@ def combined_portal_maps(
 ) -> Tuple[PortalDistanceMap, PortalDistanceMap, Set[Tuple[Vertex, Vertex]]]:
     """``(dc, d', refined pairs)`` of one private graph's portals.
 
-    The portal-map half of an attach, and what a monotone repair of a
-    dynamic private graph re-runs.  It traverses ``G'`` not at all: the
+    The portal-map half of an attach.  It traverses ``G'`` not at all: the
     per-portal sweeps that filled ``vertex_portal`` settled every other
     portal, so ``d'(p_i, p_j)`` is read off its portal rows (a pair keeps
     the smaller of its two sweeps' readings — a float sum along a path

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from array import array
 from dataclasses import dataclass
 from typing import (
@@ -63,45 +62,34 @@ class PortalKeywordEntry:
 class PortalKeywordDistanceMap:
     """``(portal, keyword) -> PortalKeywordEntry`` over the private graph.
 
-    Built over an attachment's portal rows, the map is a view: a
-    keyword's column is read off the rows on its first lookup.
-    ``PKD(p, t)`` is the carrier of ``t`` with the least position in
-    ``p``'s row, i.e. the first one ``p``'s sweep settles, and each entry
-    is published with ``setdefault`` (racing first lookups compute equal
-    entries).  :meth:`materialize` reads every column and drops the rows;
-    from then on, as in a map filled through :meth:`record`, lookups read
-    the entries alone.
+    The map is a view over an attachment's portal rows: a keyword's
+    column is read off the rows on its first lookup.  ``PKD(p, t)`` is
+    the carrier of ``t`` with the least position in ``p``'s row, i.e. the
+    first one ``p``'s sweep settles, and each entry is published with
+    ``setdefault`` (racing first lookups compute equal entries).  The
+    rows and ``G'``'s labels never change, so neither does an entry.
     """
 
     __slots__ = ("_entries", "_columns", "_rows", "_portals")
 
     def __init__(
         self,
-        rows: Optional[Tuple[LabeledGraph, "PrivateSweeps"]] = None,
-        portals: Sequence[Vertex] = (),
+        rows: Tuple[LabeledGraph, "PrivateSweeps"],
+        portals: Sequence[Vertex],
     ) -> None:
         self._entries: Dict[Tuple[Vertex, Label], PortalKeywordEntry] = {}
         #: keywords whose column has been read off the rows
         self._columns: Set[Label] = set()
-        #: the private graph and its sweeps, until materialized
+        #: the private graph and its sweeps
         self._rows = rows
         self._portals = tuple(portals)
-
-    def record(self, portal: Vertex, keyword: Label, vertex: Vertex, d: float) -> None:
-        """Keep the closest witness for ``(portal, keyword)``."""
-        key = (portal, keyword)
-        cur = self._entries.get(key)
-        if cur is None or d < cur.distance:
-            self._entries[key] = PortalKeywordEntry(vertex, d)
 
     def get(self, portal: Vertex, keyword: Label) -> Optional[PortalKeywordEntry]:
         """Lookup ``PKD(p, t)``; ``None`` when the keyword is unreachable."""
         entry = self._entries.get((portal, keyword))
-        if entry is None:
-            rows = self._rows
-            if rows is not None and keyword not in self._columns:
-                self._column(*rows, keyword)
-                entry = self._entries.get((portal, keyword))
+        if entry is None and keyword not in self._columns:
+            self._column(*self._rows, keyword)
+            entry = self._entries.get((portal, keyword))
         return entry
 
     def distance(self, portal: Vertex, keyword: Label) -> float:
@@ -113,7 +101,7 @@ class PortalKeywordDistanceMap:
         self, private: LabeledGraph, sweeps: "PrivateSweeps", keyword: Label
     ) -> None:
         ids, vertices, entries = sweeps._ids, sweeps.vertices, self._entries
-        carriers = [ids[v] for v in private.vertices_with_label(keyword) if v in ids]
+        carriers = [ids[v] for v in private.vertices_with_label(keyword)]
         if carriers:
             for p in self._portals:
                 row = sweeps.row(private, p)
@@ -125,17 +113,10 @@ class PortalKeywordDistanceMap:
                         vertices[row.ids[first]], row.distances[first]))
         self._columns.add(keyword)
 
-    def materialize(self) -> None:
-        """Read every column off the rows, then drop them.
-
-        The entries land in the order a fill in settle order records
-        them — portal by portal (``repr`` order), each at its first
-        carrier — so a later :meth:`record` keeps exactly what it would
-        have kept over such a fill: a new label or edge cannot re-rank a
-        tie the rows broke.  A no-op once materialized.
-        """
-        if self._rows is None:
-            return
+    def items(self) -> List[Tuple[Tuple[Vertex, Label], PortalKeywordEntry]]:
+        """Every ``((portal, keyword), entry)``, read off the rows in the
+        order a fill in settle order meets them: portal by portal
+        (``repr`` order), each key at its first carrier."""
         private, sweeps = self._rows
         labels_of, vertices = private.labels, sweeps.vertices
         entries: Dict[Tuple[Vertex, Label], PortalKeywordEntry] = {}
@@ -146,17 +127,10 @@ class PortalKeywordDistanceMap:
                 for t in labels_of(v):
                     if (p, t) not in entries:
                         entries[(p, t)] = PortalKeywordEntry(v, d)
-        self._entries = entries
-        self._rows = None
-
-    def items(self) -> List[Tuple[Tuple[Vertex, Label], PortalKeywordEntry]]:
-        """Every ``((portal, keyword), entry)``, materialized, in order."""
-        self.materialize()
-        return list(self._entries.items())
+        return list(entries.items())
 
     def __len__(self) -> int:
-        self.materialize()
-        return len(self._entries)
+        return len(self.items())
 
 
 class VertexPortalDistanceMap:
@@ -167,10 +141,6 @@ class VertexPortalDistanceMap:
     def __init__(self, portals: Iterable[Vertex]) -> None:
         self.portals: FrozenSet[Vertex] = frozenset(portals)
         self._by_vertex: Dict[Vertex, Dict[Vertex, float]] = {}
-
-    def record(self, v: Vertex, portal: Vertex, d: float) -> None:
-        """Store ``d'(v, portal)``."""
-        self._by_vertex.setdefault(v, {})[portal] = d
 
     def get(self, v: Vertex, portal: Vertex) -> float:
         """``d'(v, portal)`` (``inf`` when unreachable)."""
@@ -276,62 +246,38 @@ class PrivateSweeps:
     neighbour is pushed — so it settles the same vertices in the same
     order at the same distances after the same pops.  Rows are published
     with ``setdefault``: racing first reads compute equal rows and one of
-    them is kept.  Rows never change afterwards.  An edge change or
-    removal replaces the attachment, rows included; a label change
-    changes no row (labels are read live), and a vertex ``G'`` gained
-    after interning (an isolated one, through
-    :class:`~repro.core.dynamic.DynamicPrivateGraph`) is interned on its
-    first read.  At most ``|V'|`` rows of at most ``|V'|`` entries each.
+    them is kept.  Rows never change afterwards, and neither does the
+    ``G'`` they were interned from: a dynamic edit builds a new
+    attachment, sweeps included.  At most ``|V'|`` rows of at most
+    ``|V'|`` entries each.
     """
 
-    __slots__ = ("vertices", "_ids", "_adjacency", "_rows", "_lock")
+    __slots__ = ("vertices", "_ids", "_adjacency", "_rows")
 
     def __init__(self, private: LabeledGraph) -> None:
         #: the vertex table: row id -> private vertex
-        self.vertices: List[Vertex] = []
-        self._ids: Dict[Vertex, int] = {}
-        self._adjacency: List[List[Tuple[int, float]]] = []
+        self.vertices: List[Vertex] = list(private.vertices())
+        self._ids: Dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
+        id_of = self._ids.__getitem__
+        self._adjacency: List[List[Tuple[int, float]]] = [
+            [(id_of(u), w) for u, w in private.neighbor_items(v)]
+            for v in self.vertices
+        ]
         self._rows: Dict[Vertex, SourceRow] = {}
-        self._lock = threading.Lock()
-        self._intern(private)
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def row(self, private: LabeledGraph, source: Vertex) -> SourceRow:
-        """``source``'s row, swept on the first read."""
+        """``source``'s row, swept on the first read; ``private`` is the
+        ``G'`` these sweeps were built over."""
         row = self._rows.get(source)
         if row is None:
-            row = self._rows.setdefault(
-                source, self._sweep(self._id(private, source))
-            )
-        return row
-
-    def _id(self, private: LabeledGraph, v: Vertex) -> int:
-        i = self._ids.get(v)
-        if i is None:
-            with self._lock:
-                self._intern(private)
-            i = self._ids.get(v)
+            i = self._ids.get(source)
             if i is None:
-                raise VertexNotFoundError(v)
-        return i
-
-    def _intern(self, private: LabeledGraph) -> None:
-        # The vertices without an id yet, with their adjacency as it is
-        # now.  Ids are published last, so a reader that finds one finds
-        # its table entry and adjacency too.
-        ids, vertices = self._ids, self.vertices
-        fresh = {
-            v: len(vertices) + i
-            for i, v in enumerate(v for v in private.vertices() if v not in ids)
-        }
-        id_of = {**ids, **fresh}.__getitem__
-        self._adjacency.extend(
-            [(id_of(u), w) for u, w in private.neighbor_items(v)] for v in fresh
-        )
-        vertices.extend(fresh)
-        ids.update(fresh)
+                raise VertexNotFoundError(source)
+            row = self._rows.setdefault(source, self._sweep(i))
+        return row
 
     def _sweep(self, source: int) -> SourceRow:
         adjacency = self._adjacency

@@ -75,7 +75,7 @@ op's key rows: op, network, owner and the query fields, defaults
 applied (``{"tau": 5.0}`` and an omitted ``tau`` share an entry).
 Staleness is epoch-based and per *owner*: a private graph is visible to its owner
 only, so an entry lives until that owner's attachment changes
-(``attach`` / ``detach`` / a dynamic repair) or its network is created
+(``attach`` / ``detach`` / a dynamic edit) or its network is created
 or dropped, and an entry from before such a change is never served
 after it; another owner's ``attach`` leaves it a hit.  (The ``epoch`` of
 ``stats`` / ``health`` still counts every admin op of the network.)

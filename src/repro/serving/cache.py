@@ -15,7 +15,7 @@ entry with a different token is treated as a miss and purged.  The
 service's token is ``(network life, owner epoch)``: an answer is an
 owner-side fact (a private graph is visible to its owner only), so it
 lives until *that owner's* attachment changes (``attach`` / ``detach`` /
-a dynamic repair, counted by the engine) or the network is created or
+a dynamic edit, counted by the engine) or the network is created or
 dropped.  Another owner's ``attach`` leaves it a hit.  Both counters
 never shrink and the life survives ``drop`` (keyed by name), so neither
 a re-attach nor re-creating a network under an old name can revive

@@ -1,4 +1,4 @@
-"""Tests for dynamic private graphs (incremental maintenance).
+"""Tests for dynamic private graphs (copy-on-write re-attaches).
 
 Core invariant: after any sequence of mutations, the per-user state
 equals what a fresh :meth:`PPKWS.attach` would build from the mutated
@@ -135,10 +135,12 @@ class TestDeletions:
         priv = LabeledGraph()
         priv.add_edge(2, "only")  # single portal: 2
         engine = PPKWS(pub, sketch_k=2)
-        engine.attach("bob", priv)
+        att = engine.attach("bob", priv)
         dyn = DynamicPrivateGraph(engine, "bob")
         with pytest.raises(GraphError):
             dyn.remove_vertex(2)
+        assert engine.attachment("bob") is att
+        assert 2 in dyn.graph
 
 
 class TestQueriesAfterMutation:
@@ -200,7 +202,7 @@ def test_random_mutation_sequence_stays_consistent(seed):
 
 
 class TestEpochInvalidation:
-    """Incremental repairs must advance the attachment epoch.
+    """Dynamic edits must advance the attachment epoch.
 
     The serving layer keys its cross-request answer cache on
     ``PPKWS.attachment_epoch``; a repair that swaps or mutates per-user
@@ -226,4 +228,4 @@ class TestEpochInvalidation:
         dyn.add_edge("x1", "x3")
         before = engine.attachment_epoch
         dyn.remove_edge("x2", "x4")
-        assert engine.attachment_epoch > before
+        assert engine.attachment_epoch == before + 1

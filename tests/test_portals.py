@@ -26,9 +26,8 @@ from repro.graph import (
 )
 from repro.portals import (
     CombinedDistanceOracle, ExactPublicDistance, PortalDistanceMap,
-    PortalKeywordDistanceMap, PortalKeywordEntry, VertexPortalDistanceMap,
-    all_pairs_portal_distances, build_private_maps, combined_portal_maps,
-    refine_portal_distances,
+    PortalKeywordEntry, all_pairs_portal_distances, build_private_maps,
+    combined_portal_maps, refine_portal_distances,
 )
 from repro.sketches import build_kpads, build_pads
 from repro.portals.oracle import SketchPublicDistance
@@ -389,13 +388,13 @@ def _reference_refine(public_map, private_map):
 
 def _reference_private_maps(private, portals):
     portal_list = sorted((p for p in portals if p in private), key=repr)
-    pkd = PortalKeywordDistanceMap()
-    vpm = VertexPortalDistanceMap(portal_list)
+    pkd, vpm = {}, {}
     for p in portal_list:
         for v, d in dijkstra(private, p).items():
-            vpm.record(v, p, d)
+            vpm.setdefault(v, {})[p] = d
             for t in private.labels(v):
-                pkd.record(p, t, v, d)  # compare-and-replace
+                if (p, t) not in pkd or d < pkd[(p, t)].distance:
+                    pkd[(p, t)] = PortalKeywordEntry(v, d)  # strictly closer
     return pkd, vpm
 
 
@@ -424,10 +423,9 @@ def _in_order(private_pm, combined_pm, refined, pkd, vpm):
             (p, list(row.items())) for p, row in combined_pm._adj.items()
         ],
         "refined_portal_pairs": [list(refined), list(frozenset(refined))],
-        "pkd": pkd.items(),
-        "vertex_portal": [
-            (v, list(row.items())) for v, row in vpm._by_vertex.items()
-        ],
+        "pkd": list(pkd.items()),
+        "vertex_portal": [(v, list(row.items()))
+                          for v, row in getattr(vpm, "_by_vertex", vpm).items()],
     }
 
 

@@ -385,7 +385,7 @@ class TestOwnerIsolation:
             assert _ask(two_owners, owner, via)["cached"] is False
 
     def test_dynamic_mutation_invalidates_its_owner_only(self, two_owners, via):
-        """``DynamicPrivateGraph`` repairs bump only the engine's epoch
+        """``DynamicPrivateGraph`` edits bump only the engine's epoch
         for that owner; the answer cache must see it (it used to read
         the service's own per-network counter and kept serving the
         pre-mutation answer)."""
@@ -395,17 +395,17 @@ class TestOwnerIsolation:
         old_best = _best(_ask(two_owners, "bob", via))
         dyn = DynamicPrivateGraph(two_owners._engine("net"), "bob")
 
-        dyn.add_labels("x4", {"cv"})  # in-place repair: x1-x2-x4
+        dyn.add_labels("x4", {"cv"})  # re-attach: x1-x2-x4
         relabelled = _ask(two_owners, "bob", via)
         assert relabelled["cached"] is False
         assert _best(relabelled) == 2.0 < old_best
 
-        dyn.add_edge("x1", "x4")  # incremental repair, attachment swapped
+        dyn.add_edge("x1", "x4")  # re-attach: the shortcut
         shortcut = _ask(two_owners, "bob", via)
         assert shortcut["cached"] is False
         assert _best(shortcut) == 1.0
 
-        dyn.remove_edge("x1", "x4")  # rebuild: detach + attach
+        dyn.remove_edge("x1", "x4")  # re-attach: shortcut gone
         rebuilt = _ask(two_owners, "bob", via)
         assert rebuilt["cached"] is False
         assert _best(rebuilt) == 2.0
