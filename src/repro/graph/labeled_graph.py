@@ -241,12 +241,17 @@ class LabeledGraph:
     # derived graphs
     # ------------------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "LabeledGraph":
-        """Deep-copy the graph structure (labels are shared frozensets)."""
+        """Deep-copy the graph structure (labels are shared frozensets).
+
+        Row by row and without re-validation, so every vertex keeps its
+        ``neighbor_items`` order: a sweep of the copy settles
+        equal-distance ties as a sweep of the original does.
+        """
         out = LabeledGraph(name if name is not None else self.name)
-        for v, ls in self._labels.items():
-            out.add_vertex(v, ls)
-        for u, v, w in self.edges():
-            out.add_edge(u, v, w)
+        out._adj = {v: dict(row) for v, row in self._adj.items()}
+        out._labels = dict(self._labels)
+        out._label_index = {t: set(vs) for t, vs in self._label_index.items()}
+        out._num_edges = self._num_edges
         return out
 
     def subgraph(self, keep: Iterable[Vertex], name: str = "") -> "LabeledGraph":

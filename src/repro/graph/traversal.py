@@ -3,9 +3,12 @@
 Everything in PPKWS is distance-driven (Sec. II of the paper: "the answers
 of all the query semantics involve the shortest distance between the nodes
 of the answer"), so these routines are the hot path of both the baseline
-algorithms and the framework itself.  They are implemented with plain
-binary heaps (``heapq``) and lazy deletion, which in CPython outperforms
-fancier decrease-key structures for the graph sizes we target.
+algorithms and the framework itself.  The per-query sweeps run on a
+``heapq`` with lazy deletion (stale entries are skipped when popped).
+:func:`bounded_target_distances`, which an attach runs, instead pops one
+bucket per queued distance under a heap of the distances: on hop-distance
+graphs almost every distance repeats, so most pops cost a list step
+rather than a heap sift (DESIGN.md, "Equal-distance buckets").
 
 Every routine has one body.  The heap sweeps accept any
 :class:`~repro.graph.protocol.GraphLike` backend and read it through
@@ -251,7 +254,7 @@ def bounded_target_distances(
     ``graph``) are left out of the result rather than searched for.  An
     ``inf`` bound asks for the plain distance.
 
-    The sweep keeps a tentative-distance table (one heap entry per strict
+    The sweep keeps a tentative-distance table (one queue entry per strict
     improvement), never queues a vertex at or beyond the largest bound
     still open, and stops once the settled distance reaches it — every
     target still unsettled then lies at or beyond its own bound.  It
@@ -265,32 +268,45 @@ def bounded_target_distances(
     found: Dict[int, float] = {}
     radius = max(pending.values(), default=0.0)
     tentative: Dict[int, float] = {src: 0.0}
-    heap: List[Tuple[float, int]] = [(0.0, src)]
-    while heap:
-        d, i = heapq.heappop(heap)
+    # one heap of ids per queued distance under a heap of the distances:
+    # ``(distance, id)`` order, a ``d + w == d`` relaxation joining the
+    # bucket being popped (DESIGN.md, "Equal-distance buckets")
+    buckets: Dict[float, List[int]] = {0.0: [src]}
+    frontier = [0.0]
+    while frontier and pending:
+        d = heapq.heappop(frontier)
         if d >= radius:
             break
-        if d > tentative[i]:
-            continue
-        bound = pending.pop(i, None)
-        if bound is not None:
-            if d < bound:
-                found[i] = d
-            if not pending:
-                break
-            if bound >= radius:
-                radius = max(pending.values())
-        for pos in range(indptr[i], indptr[i + 1]):
-            nd = d + weights[pos]
-            if nd < radius:
-                j = indices[pos]
-                if nd < tentative.get(j, INF):
-                    tentative[j] = nd
-                    heapq.heappush(heap, (nd, j))
+        bucket = buckets[d]
+        while bucket:
+            i = heapq.heappop(bucket)
+            if d > tentative[i]:
+                continue
+            bound = pending.pop(i, None)
+            if bound is not None:
+                if d < bound:
+                    found[i] = d
+                if not pending:
+                    break
+                if bound >= radius:
+                    radius = max(pending.values())
+                    if d >= radius:
+                        break
+            for pos in range(indptr[i], indptr[i + 1]):
+                nd = d + weights[pos]
+                if nd < radius:
+                    j = indices[pos]
+                    if nd < tentative.get(j, INF):
+                        tentative[j] = nd
+                        queued = buckets.get(nd)
+                        if queued is None:
+                            buckets[nd] = [j]
+                            heapq.heappush(frontier, nd)
+                        else:
+                            heapq.heappush(queued, j)
+        del buckets[d]
     vx = graph.vertex_table
     return {vx[i]: d for i, d in found.items()}
-
-
 
 
 def shortest_distance(

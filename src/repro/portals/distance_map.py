@@ -190,8 +190,20 @@ def refine_portal_distances(
     adj = combined._adj
     public_adj, private_adj = public_map._adj, private_map._adj
     no_row: Dict[Vertex, float] = {}
-    counter = itertools.count()  # tie-break: portals may be incomparable
-    queue: List[Tuple[float, int, Vertex, Vertex]] = []
+    # one FIFO bucket of pairs per queued distance under a heap of the
+    # distances: the ``(distance, push counter)`` order of a heap of
+    # pairs, since a relaxation never queues below the pair it pops
+    # (DESIGN.md, "Equal-distance buckets")
+    buckets: Dict[float, List[Tuple[Vertex, Vertex]]] = {}
+    frontier: List[float] = []
+
+    def queue(d: float, pair: Tuple[Vertex, Vertex]) -> None:
+        bucket = buckets.get(d)
+        if bucket is None:
+            buckets[d] = [pair]
+            heapq.heappush(frontier, d)
+        else:
+            bucket.append(pair)
 
     # Initialization: pointwise minimum of the two maps (Algo 7 lines 2-5).
     for p, q in itertools.combinations(sorted(portals, key=repr), 2):
@@ -202,26 +214,27 @@ def refine_portal_distances(
         if d < INF:
             adj.setdefault(p, {})[q] = d
             adj.setdefault(q, {})[p] = d
-            heapq.heappush(queue, (d, next(counter), p, q))
+            queue(d, (p, q))
 
     # Fixpoint relaxation through intermediate portals (lines 6-14).
     portal_list = [p for p in portals if p in adj]  # the rest reach nothing
-    while queue:
-        dist, _, p1, p2 = heapq.heappop(queue)
-        row1, row2 = adj[p1], adj[p2]
-        if dist > row1[p2]:
-            continue  # stale queue entry
-        for pi in portal_list:
-            if pi == p1 or pi == p2:
-                continue
-            via = row1.get(pi, INF) + dist
-            if via < row2.get(pi, INF):
-                adj[pi][p2] = row2[pi] = via
-                heapq.heappush(queue, (via, next(counter), pi, p2))
-            via = row2.get(pi, INF) + dist
-            if via < row1.get(pi, INF):
-                adj[pi][p1] = row1[pi] = via
-                heapq.heappush(queue, (via, next(counter), pi, p1))
+    while frontier:
+        dist = heapq.heappop(frontier)
+        for p1, p2 in buckets.pop(dist):
+            row1, row2 = adj[p1], adj[p2]
+            if dist > row1[p2]:
+                continue  # stale queue entry
+            for pi in portal_list:
+                if pi == p1 or pi == p2:
+                    continue
+                via = row1.get(pi, INF) + dist
+                if via < row2.get(pi, INF):
+                    adj[pi][p2] = row2[pi] = via
+                    queue(via, (pi, p2))
+                via = row2.get(pi, INF) + dist
+                if via < row1.get(pi, INF):
+                    adj[pi][p1] = row1[pi] = via
+                    queue(via, (pi, p1))
 
     refined: Set[Tuple[Vertex, Vertex]] = set()
     for p, q, d in combined.pairs():

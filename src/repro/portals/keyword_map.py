@@ -30,7 +30,6 @@ attach runs.
 from __future__ import annotations
 
 import heapq
-import itertools
 from array import array
 from dataclasses import dataclass
 from typing import (
@@ -190,9 +189,9 @@ class SourceRow:
 
     ``ids`` are the settled vertices in settle order, as ids of the
     owning :class:`PrivateSweeps`' vertex table, and ``distances`` their
-    distances from the source.  ``pops[i]`` is how many heap pops the
+    distances from the source.  ``pops[i]`` is how many queue pops the
     sweep made before it settled entry ``i`` (that one included), and
-    ``tail`` how many after the last entry, until its heap ran dry:
+    ``tail`` how many after the last entry, until its queue ran dry:
     replaying them as budget checkpoints charges a query exactly what a
     budgeted :func:`~repro.graph.traversal.dijkstra_ordered` would.
     """
@@ -241,15 +240,16 @@ class PrivateSweeps:
     The constructor interns ``G'``: dense ids in vertex order, and each
     vertex's adjacency as ``(id, weight)`` pairs in ``neighbor_items``
     order.  A row is swept on its first read by one int-indexed Dijkstra
-    with :func:`~repro.graph.traversal.dijkstra_ordered`'s discipline — a
-    ``(distance, push counter)`` heap onto which every unsettled
-    neighbour is pushed — so it settles the same vertices in the same
-    order at the same distances after the same pops.  Rows are published
-    with ``setdefault``: racing first reads compute equal rows and one of
-    them is kept.  Rows never change afterwards, and neither does the
-    ``G'`` they were interned from: a dynamic edit builds a new
-    attachment, sweeps included.  At most ``|V'|`` rows of at most
-    ``|V'|`` entries each.
+    with :func:`~repro.graph.traversal.dijkstra_ordered`'s discipline —
+    every unsettled neighbour is queued, in ``(distance, push counter)``
+    order — so it settles the same vertices in the same order at the same
+    distances after the same pops.  Its queue is one FIFO bucket per
+    distance under a heap of the distances (DESIGN.md, "Equal-distance
+    buckets").  Rows are published with ``setdefault``: racing first
+    reads compute equal rows and one of them is kept.  Rows never change
+    afterwards, and neither does the ``G'`` they were interned from: a
+    dynamic edit builds a new attachment, sweeps included.  At most
+    ``|V'|`` rows of at most ``|V'|`` entries each.
     """
 
     __slots__ = ("vertices", "_ids", "_adjacency", "_rows")
@@ -283,20 +283,27 @@ class PrivateSweeps:
         adjacency = self._adjacency
         settled = bytearray(len(adjacency))
         ids, distances, pops = array("i"), array("d"), array("I")
-        push, pop, tick = heapq.heappush, heapq.heappop, itertools.count()
-        heap: List[Tuple[float, int, int]] = [(0.0, next(tick), source)]
+        buckets: Dict[float, List[int]] = {0.0: [source]}
+        frontier = [0.0]
         popped = 0
-        while heap:
-            d, _, v = pop(heap)
-            popped += 1
-            if settled[v]:
-                continue
-            settled[v] = 1
-            ids.append(v)
-            distances.append(d)
-            pops.append(popped)
-            popped = 0
-            for u, w in adjacency[v]:
-                if not settled[u]:
-                    push(heap, (d + w, next(tick), u))
+        while frontier:
+            d = heapq.heappop(frontier)
+            for v in buckets.pop(d):
+                popped += 1
+                if settled[v]:
+                    continue
+                settled[v] = 1
+                ids.append(v)
+                distances.append(d)
+                pops.append(popped)
+                popped = 0
+                for u, w in adjacency[v]:
+                    if not settled[u]:
+                        nd = d + w
+                        bucket = buckets.get(nd)
+                        if bucket is None:
+                            buckets[nd] = [u]
+                            heapq.heappush(frontier, nd)
+                        else:
+                            bucket.append(u)
         return SourceRow(ids, distances, pops, popped)

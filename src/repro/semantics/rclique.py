@@ -52,7 +52,9 @@ class _Search:
     """One keyword's search (:func:`build_neighbor_lists`), paused between
     distance buckets.  Weights are positive, so no later bucket appends
     anything closer than ``frontier[0]``: an entry is final once appended,
-    a list complete once it holds ``m`` entries or the frontier is empty."""
+    a list complete once it holds ``m`` entries or the frontier is empty.
+    The attach and index-build sweeps use the same queue (DESIGN.md,
+    "Equal-distance buckets")."""
 
     __slots__ = ("graph", "tau", "m", "budget", "seeds", "queued", "buckets",
                  "frontier", "lists")

@@ -15,8 +15,8 @@ not expand through ``u``).  The expected sketch size is ``O(k ln |V|)``.
 The builder accepts any :class:`~repro.graph.protocol.GraphLike`, freezes
 it (a no-op on the production public graph, which is already a
 :class:`~repro.graph.frozen.FrozenGraph`) and runs the whole of Algo 6
-over interned integer ids with flat CSR neighbor scans and bare
-``(distance, id)`` heap entries.  The sketches come out in the index
+over interned integer ids, with one FIFO bucket per queued distance
+under a heap of the distances.  The sketches come out in the index
 file's flat form (:class:`PadsArrays`), the one form a sketch has: the
 per-vertex probes decode a row on its first touch, batched probes read
 the arrays as they are.
@@ -300,16 +300,22 @@ def _build_sketch_frozen(
     kind: str,
     tie_break: Optional[Mapping[Vertex, int]],
 ) -> DistanceSketch:
-    """Algo 6 over interned ids and flat CSR arrays.
+    """Algo 6 over interned ids.
 
-    The transient ``tolist`` copies are amortized over the ``n`` pruned
-    traversals of the build; plain-list indexing is markedly faster than
-    ``array`` element access in the inner relaxation loop.
+    The CSR arrays are unpacked once into per-vertex ``(id, weight)``
+    lists, amortized over the ``n`` pruned traversals of the build.  Each
+    traversal queues a vertex only on a strict improvement of its
+    tentative distance ``best`` and pops one FIFO bucket per distance
+    under a heap of the distances.  Within a distance the order is free:
+    whether a vertex takes the center and expands depends only on its
+    distance and on earlier centers (DESIGN.md, "Equal-distance
+    buckets").
     """
-    indptr_a, indices_a, weights_a = graph.csr()
-    indptr = indptr_a.tolist()
-    indices = indices_a.tolist()
-    weights = weights_a.tolist()
+    indptr, indices, weights = (a.tolist() for a in graph.csr())
+    adjacency = [
+        list(zip(indices[lo:hi], weights[lo:hi]))
+        for lo, hi in zip(indptr, indptr[1:])
+    ]
     vx = graph.vertex_table
     n = len(vx)
     rank_of = [ranks[v] for v in vx]
@@ -321,31 +327,45 @@ def _build_sketch_frozen(
         )
 
     entries_ids: List[Dict[int, float]] = [{} for _ in range(n)]
-    loaded: List[List[float]] = [[] for _ in range(n)]
-    # Per-center settled set as a version-stamp array: stamp[u] == step
-    # marks u settled for the current center without any hashing and
-    # without an O(n) reset between centers.
-    stamp = [0] * n
-    heappop, heappush = heapq.heappop, heapq.heappush
-    bisect_right, insort = bisect.bisect_right, bisect.insort
+    # the k smallest center distances each vertex holds, and the k-th of
+    # them: a vertex at ``d >= kth[u]`` already has k centers within d
+    nearest: List[List[float]] = [[] for _ in range(n)]
+    kth = [INF] * n
+    # tentative distances from the current center; the traversal puts
+    # back ``INF`` at every vertex it touched, so no O(n) reset
+    best = [INF] * n
+    heappop, heappush, insort = heapq.heappop, heapq.heappush, bisect.insort
 
-    for step, center in enumerate(order, 1):
-        heap: List[Tuple[float, int]] = [(0.0, center)]
-        while heap:
-            d, u = heappop(heap)
-            if stamp[u] == step:
-                continue
-            stamp[u] = step
-            bucket = loaded[u]
-            covered = bisect_right(bucket, d)
-            if covered >= k:
-                continue
-            entries_ids[u][center] = d
-            insort(bucket, d)
-            for pos in range(indptr[u], indptr[u + 1]):
-                nbr = indices[pos]
-                if stamp[nbr] != step:
-                    heappush(heap, (d + weights[pos], nbr))
+    for center in order:
+        best[center] = 0.0
+        touched = [center]
+        buckets: Dict[float, List[int]] = {0.0: [center]}
+        frontier = [0.0]
+        while frontier:
+            d = heappop(frontier)
+            for u in buckets.pop(d):
+                if d > best[u] or d >= kth[u]:
+                    continue  # queued again closer, or pruned
+                entries_ids[u][center] = d
+                held = nearest[u]
+                insort(held, d)
+                if len(held) >= k:
+                    del held[k:]
+                    kth[u] = held[-1]
+                for v, w in adjacency[u]:
+                    nd = d + w
+                    if nd < best[v]:
+                        if best[v] == INF:
+                            touched.append(v)
+                        best[v] = nd
+                        queued = buckets.get(nd)
+                        if queued is None:
+                            buckets[nd] = [v]
+                            heappush(frontier, nd)
+                        else:
+                            queued.append(v)
+        for v in touched:
+            best[v] = INF
 
     row_ptr = row_pointers(np.fromiter(map(len, entries_ids), np.int32, count=n))
     total = int(row_ptr[-1])

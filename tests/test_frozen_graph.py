@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.exceptions import EdgeNotFoundError, VertexNotFoundError
@@ -267,3 +269,11 @@ def test_pads_identical_across_backends(seed):
     assert pads_f.total_entries == pads_d.total_entries
     # A LabeledGraph argument is frozen first: the same sketch.
     assert build_pads(g, k=2, ranks=ranks).entries == pads_f.entries
+    # Rounding sums, then 1e-300 chords (d + w == d), at k = 1, 2, 3.
+    rng = random.Random(seed)
+    for weights in ((0.1, 0.2, 0.3, 0.7), (1.0,) * 6 + (1e-300,)):
+        for u, v, _ in list(g.edges()):
+            g.add_edge(u, v, rng.choice(weights))
+        for k in (1, 2, 3):  # repr: every row in order, every float to the bit
+            want = repr(reference_build_sketch(g, ranks, k).entries)
+            assert repr(build_pads(g, k=k, ranks=ranks).entries) == want

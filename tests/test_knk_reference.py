@@ -35,6 +35,7 @@ from repro.core.framework import PPKWS, QueryOptions
 from repro.core.pp_knk import peval_knk
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.traversal import dijkstra_ordered
+from repro.portals.keyword_map import PrivateSweeps
 from repro.sketches.kpads import KeywordSketch
 
 from tests.conftest import PREFROZEN, Twin, handed
@@ -155,29 +156,36 @@ def test_equals_per_portal_reference(seed, prefrozen):
     assert answered  # the seeds are not vacuous
 
 
-@pytest.mark.xfail(strict=True, reason="rounding tie: 1.1 + 0.3 == 1.1 + "
-                   "0.30000000000000004; the per-portal cut keeps the nearer 44, "
-                   "the global (distance, repr) rank 0 (ROADMAP item 2)")
-def test_rounding_tie_of_seed_258():
-    got, _, want = _runs(_engines(258, False)[True], "knk",
-                         dict(source="m0", keyword="a", k=2), False)
+@pytest.mark.xfail(strict=True, reason="rounding tie (ROADMAP item 2): the per-portal "
+                   "cut and the (distance, repr) rank keep different vertices")
+@pytest.mark.parametrize("seed, source, keyword, k", [
+    (50, "m3", "a", 1), (146, "m0", "b", 1), (150, "m0", "b", 3), (258, "m0", "a", 2),
+])
+def test_rounding_tie(seed, source, keyword, k):
+    got, _, want = _runs(_engines(seed, False)[True], "knk",
+                         dict(source=source, keyword=keyword, k=k), False)
     assert got == want
 
 
 @pytest.mark.parametrize("seed", range(4))  # unit, dyadic + Twin, decimal, mixed + Twin
 def test_attach_rows_equal_dijkstra_ordered(seed):
     """Attach sweeps one row per portal, each what a budgeted
-    ``dijkstra_ordered`` yields: vertices, distances, pops and tail."""
+    ``dijkstra_ordered`` yields: vertices, distances, pops and tail.  So
+    does each with four ``1e-300`` chords in ``G'`` (``d + w == d``)."""
     att = _engines(seed, False)[True].attachment("owner")
     assert len(att.sweeps) == len(att.portals)  # no query has run
-    for p in att.portals:
-        row, budget, want, spent = att.sweeps.row(att.private, p), QueryBudget(), [], 0
-        for v, d in dijkstra_ordered(att.private, p, budget=budget):
-            want.append((v, d, budget.expansions - spent))
-            spent = budget.expansions
-        got = zip(map(att.sweeps.vertices.__getitem__, row.ids), row.distances,
-                  row.pops)
-        assert (list(got), row.tail) == (want, budget.expansions - spent)
+    rng, tiny = random.Random(seed), att.private.copy()
+    for _ in range(4):
+        tiny.add_edge(*rng.sample(list(tiny.vertices()), 2), 1e-300)
+    for private, sweeps in ((att.private, att.sweeps), (tiny, PrivateSweeps(tiny))):
+        for p in att.portals:
+            row, budget, want, spent = sweeps.row(private, p), QueryBudget(), [], 0
+            for v, d in dijkstra_ordered(private, p, budget=budget):
+                want.append((v, d, budget.expansions - spent))
+                spent = budget.expansions
+            got = zip(map(sweeps.vertices.__getitem__, row.ids), row.distances,
+                      row.pops)
+            assert (list(got), row.tail) == (want, budget.expansions - spent)
 
 
 def test_the_per_portal_cut_bites():

@@ -150,6 +150,13 @@ class TestDerivedGraphs:
         assert triangle_graph.has_edge("a", "b")
         assert not cp.has_edge("a", "b")
         assert cp.labels("c") == triangle_graph.labels("c")
+        cp.add_labels("c", {"new"})
+        assert triangle_graph.vertices_with_label("new") == frozenset()
+
+    def test_copy_keeps_neighbor_order(self):
+        g = LabeledGraph.from_edges([("a", "b"), ("c", "b"), ("c", "a")])
+        assert list(g.copy().neighbors("c")) == list(g.neighbors("c")) == ["b", "a"]
+        assert g.copy().num_edges == 3
 
     def test_subgraph_induced(self, triangle_graph):
         sub = triangle_graph.subgraph(["a", "b"])

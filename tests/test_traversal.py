@@ -217,11 +217,14 @@ class TestBoundedTargetDistances:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 5000))
     def test_equals_dijkstra_below_each_bound(self, backend, seed):
-        """Exactly the targets closer than their bound, at their distance."""
+        """Exactly the targets closer than their bound, at their distance,
+        ``d + w == d`` steps (``1e-300`` chords) included."""
         import random
 
         rng = random.Random(seed)
         g = random_connected_graph(25, 8, seed)
+        for _ in range(3):
+            g.add_edge(*rng.sample(range(25), 2), 1e-300)
         g.add_edge("far", "farther", 1.0)  # a second component
         graph = freeze(g) if backend == "csr" else g
         source = rng.randrange(25)
@@ -234,6 +237,15 @@ class TestBoundedTargetDistances:
         assert bounded_target_distances(graph, source, bounds) == {
             t: exact[t] for t, b in bounds.items() if exact.get(t, INF) < b
         }
+
+    def test_settles_in_distance_then_id_order(self):
+        """``c`` joins distance 1 during it, and pops before ``b`` by id."""
+        g = LabeledGraph()
+        for u, v, w in (("s", "a", 1.0), ("a", "c", 1e-300), ("s", "b", 1.0)):
+            g.add_edge(u, v, w)
+        assert list(freeze(g).vertex_table) == ["s", "a", "c", "b"]
+        got = bounded_target_distances(g, "s", {"b": INF, "c": INF})
+        assert list(got.items()) == [("c", 1.0), ("b", 1.0)]
 
     def test_no_targets_no_sweep(self, triangle_graph):
         assert bounded_target_distances(triangle_graph, "a", {}) == {}
