@@ -1,16 +1,18 @@
 """``repro.analysis`` — AST-based invariant linter for the PPKWS tree.
 
 The serving stack has cross-cutting contracts that ordinary linters
-cannot see.  Four of them are checked here, each a
+cannot see.  Two of them are checked here, each a
 :class:`~repro.analysis.engine.Rule` with a stable ``RAxxx`` id:
 
-* RA001 — registry maps may only be written under their locks;
 * RA002 — errors come from the :class:`~repro.exceptions.ReproError`
   taxonomy, and blind excepts re-raise or say why they do not;
-* RA003 — metric names are drawn from the catalogue
-  (:mod:`repro.obs.catalogue`);
 * RA010 — nothing blocks while an exclusive lock is held, directly or
   through a call chain.
+
+The retired RA001 (registry writes under their locks) is carried by a
+tier-1 test that asserts the lock on every registry write, and the
+retired RA003 (metric names from :mod:`repro.obs.catalogue`) by
+``--check-catalogue``.
 
 RA010 rests on an interprocedural layer (:mod:`repro.analysis.summaries`
 + :mod:`repro.analysis.flow`): per-function summaries of held locks,

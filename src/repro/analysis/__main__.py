@@ -11,53 +11,67 @@ Exit status: 0 clean, 1 findings (or catalogue drift), 2 usage/IO error.
 from __future__ import annotations
 
 import argparse
+import ast
 import re
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from repro.analysis.engine import analyze_paths, iter_python_files
 from repro.analysis.reporters import render_text
 
-_METRIC_LITERAL = re.compile(r'"(ppkws_[a-z0-9_]+)"')
+#: A whole metric name; the pattern's own text does not match it.
+_METRIC_NAME = re.compile(r"ppkws_\w+")
+#: A row of README's metric table: its first cell is the backticked name.
+_README_ROW = re.compile(r"^\| `(ppkws_\w+)` \|", re.MULTILINE)
+
+
+def _metric_constants(src_root: str) -> Set[str]:
+    """Every ``str`` constant under ``src_root`` that is a ``ppkws_*``
+    name, however it is quoted (``catalogue.py`` itself aside)."""
+    used: Set[str] = set()
+    for file_path in iter_python_files([src_root]):
+        if Path(file_path).name == "catalogue.py":
+            continue
+        tree = ast.parse(Path(file_path).read_text(encoding="utf-8"), file_path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if _METRIC_NAME.fullmatch(node.value):
+                    used.add(node.value)
+    return used
 
 
 def check_catalogue(
     src_root: str = "src/repro", readme_path: str = "README.md"
 ) -> List[str]:
-    """Both directions of catalogue sync; returns problem descriptions."""
-    from repro.obs.catalogue import metric_names, missing_from_text
+    """The catalogue against the source and against README's metric
+    table, both directions each; returns problem descriptions."""
+    from repro.obs.catalogue import metric_names
 
-    problems: List[str] = []
     catalogued = metric_names()
-
-    used = set()
-    for file_path in iter_python_files([src_root]):
-        if Path(file_path).name == "catalogue.py":
-            continue
-        text = Path(file_path).read_text(encoding="utf-8")
-        used.update(_METRIC_LITERAL.findall(text))
-    for name in sorted(used - catalogued):
-        problems.append(
-            f"metric `{name}` is recorded in {src_root} but missing from "
-            f"repro/obs/catalogue.py"
-        )
-    for name in sorted(catalogued - used):
-        problems.append(
-            f"catalogue entry `{name}` is no longer used anywhere in "
-            f"{src_root} (stale entry)"
-        )
-
+    used = _metric_constants(src_root)
+    problems = [
+        f"metric `{name}` is recorded in {src_root} but missing from "
+        f"repro/obs/catalogue.py"
+        for name in sorted(used - catalogued)
+    ] + [
+        f"catalogue entry `{name}` is no longer used anywhere in "
+        f"{src_root} (stale entry)"
+        for name in sorted(catalogued - used)
+    ]
     readme = Path(readme_path)
-    if readme.exists():
-        for name in missing_from_text(readme.read_text(encoding="utf-8")):
-            problems.append(
-                f"catalogue entry `{name}` is missing from {readme_path}'s "
-                f"metric table"
-            )
-    else:
-        problems.append(f"README not found at {readme_path}")
-    return problems
+    if not readme.exists():
+        return problems + [f"README not found at {readme_path}"]
+    rows = set(_README_ROW.findall(readme.read_text(encoding="utf-8")))
+    return problems + [
+        f"catalogue entry `{name}` is missing from {readme_path}'s "
+        f"metric table"
+        for name in sorted(catalogued - rows)
+    ] + [
+        f"{readme_path}'s metric table lists `{name}`, which is not in "
+        f"repro/obs/catalogue.py (stale row)"
+        for name in sorted(rows - catalogued)
+    ]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

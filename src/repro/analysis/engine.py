@@ -2,7 +2,7 @@
 
 Design
 ------
-A :class:`Rule` declares a stable id (``RA001`` ...), a one-line
+A :class:`Rule` declares a stable id (``RA002`` ...), a one-line
 invariant, and two methods:
 
 * :meth:`Rule.applies_to` — a cheap path/module predicate so rules

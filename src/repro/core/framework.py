@@ -353,23 +353,14 @@ class PPKWS:
         raise :class:`GraphError` (the early check merely fails fast
         before the expensive map construction).
         """
-        if owner in self._attachments:
-            raise GraphError(f"owner {owner!r} already attached")
+        self._require(owner, attached=False)
         attachment = self._build_attachment(owner, private)
-        with self._attachments_lock:
-            if owner in self._attachments:
-                raise GraphError(f"owner {owner!r} already attached")
-            self._attachments[owner] = attachment
-            self._owner_epochs[owner] += 1
+        self._write(owner, attachment, attached=False)
         return attachment
 
     def detach(self, owner: str) -> None:
         """Drop an attachment (the user logged out).  Thread-safe."""
-        with self._attachments_lock:
-            if owner not in self._attachments:
-                raise OwnerNotAttachedError(owner)
-            del self._attachments[owner]
-            self._owner_epochs[owner] += 1
+        self._write(owner, None, attached=True)
 
     def _reattach(self, owner: str, private: LabeledGraph) -> None:
         """Replace ``owner``'s attachment by a fresh one over ``private``.
@@ -381,11 +372,28 @@ class PPKWS:
         query holding the old attachment reads it to the end.  A build
         that fails (no portal left) leaves the old attachment in place.
         """
-        attachment = self._build_attachment(owner, private)
-        with self._attachments_lock:
-            if owner not in self._attachments:
+        self._write(owner, self._build_attachment(owner, private), attached=True)
+
+    def _require(self, owner: str, attached: bool) -> None:
+        """Raise unless ``owner`` is attached exactly when ``attached``."""
+        if owner not in self._attachments:
+            if attached:
                 raise OwnerNotAttachedError(owner)
-            self._attachments[owner] = attachment
+        elif not attached:
+            raise GraphError(f"owner {owner!r} already attached")
+
+    def _write(
+        self, owner: str, attachment: Optional[Attachment], attached: bool
+    ) -> None:
+        """The one write of the attachment map: under the lock, check
+        ``owner``'s presence (:meth:`_require`), install ``attachment``
+        (``None`` removes it) and move the owner's epoch."""
+        with self._attachments_lock:
+            self._require(owner, attached)
+            if attachment is None:
+                del self._attachments[owner]
+            else:
+                self._attachments[owner] = attachment
             self._owner_epochs[owner] += 1
 
     def _build_attachment(self, owner: str, private: LabeledGraph) -> Attachment:

@@ -1,15 +1,11 @@
 """The generated metric catalogue: every ``ppkws_*`` series, in one place.
 
-This file is the single source of truth for metric names.  It was
-generated by scanning the tree for registry calls and is kept honest in
-both directions:
-
-* **RA003** (:mod:`repro.analysis.rules.metrics`) fails the ``static``
-  CI job when source code records a ``ppkws_*`` name missing from
-  :data:`METRICS`;
-* ``python -m repro.analysis --check-catalogue`` fails when a catalogue
-  entry is missing from the README metric table, or lists a name no
-  longer used anywhere in ``src/repro`` (a stale entry).
+This file is the single source of truth for metric names.
+``python -m repro.analysis --check-catalogue`` (CI ``static`` job and
+tier-1) keeps it honest against the source and the README metric table,
+both directions each: every ``ppkws_*`` string constant in ``src/repro``
+is catalogued and every entry is used, and the table's rows are exactly
+the catalogue.
 
 To add a metric: record it in code, add a :class:`Metric` entry here,
 and add a row to the README's metric table — the CI gate enforces all
@@ -19,9 +15,9 @@ three stay in lockstep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Tuple
 
-__all__ = ["Metric", "METRICS", "metric_names", "missing_from_text"]
+__all__ = ["Metric", "METRICS", "metric_names"]
 
 
 @dataclass(frozen=True)
@@ -202,8 +198,3 @@ METRICS: Dict[str, Metric] = {
 def metric_names() -> FrozenSet[str]:
     """The closed set of catalogued metric names."""
     return frozenset(METRICS)
-
-
-def missing_from_text(text: str) -> List[str]:
-    """Catalogued names absent from ``text`` (README sync check)."""
-    return sorted(name for name in METRICS if name not in text)

@@ -35,7 +35,7 @@ well-formed ``code: "internal"`` response, respawns the worker and
 replays the admin log — chaos tests assert the pool self-heals.
 
 Metrics: ``ppkws_shard_requests_total{kind}``,
-``ppkws_shard_respawns_total`` (see the README catalogue / RA003).
+``ppkws_shard_respawns_total`` (see the README catalogue, ``--check-catalogue``).
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import pytest
 import repro.core.framework as framework_mod
 import repro.portals.keyword_map as keyword_map
 import repro.service as service_mod
-from repro import PPKWS
+from repro.core import PPKWS, DynamicPrivateGraph
 from repro.service import PPKWSService
 
 
@@ -337,3 +337,55 @@ class TestAdminChurnUnderQueries:
         stop.set()
         churn_t.join()
         assert not errors, errors[0]
+
+
+_MUTATORS = ("__setitem__", "__delitem__", "__ior__", "pop", "popitem", "clear",
+             "update", "setdefault")
+
+
+def _guarded(mapping, lock):
+    """A copy of ``mapping`` whose mutators assert that ``lock`` is held."""
+    base = type(mapping)
+
+    def checked(name):
+        def mutator(self, *args, **kwargs):
+            assert lock.locked(), f"registry {name} outside its lock"
+            return getattr(base, name)(self, *args, **kwargs)
+        return mutator
+
+    with lock:  # Counter's constructor writes through update
+        return type("Guarded", (base,), {n: checked(n) for n in _MUTATORS})(mapping)
+
+
+def test_registry_writes_hold_their_locks(small_public_private):
+    """Every writer of ``PPKWSService._networks`` holds ``_networks_lock``
+    and every writer of ``PPKWS._attachments`` / ``_owner_epochs`` holds
+    ``_attachments_lock``, failure branches included.  An unlocked item
+    write, ``del`` or ``pop``, or a closure made under the lock that
+    writes after it, raises ``AssertionError`` in the writer: a Python
+    call surfaces it, a wire request answers ``internal``."""
+    pub, priv = small_public_private
+    svc = PPKWSService(sketch_k=2)
+    svc._networks = _guarded(svc._networks, svc._networks_lock)
+    create = {"op": "create_network", "network": "w", "public_edges": PUBLIC_EDGES,
+              "public_labels": PUBLIC_LABELS}
+    assert svc.execute(create)["status"] == "ok"
+    assert svc.execute(create)["code"] == "bad_request"  # duplicate create
+    svc.create_network("py", pub)
+    svc.adopt_network("adopted", PPKWS(pub, sketch_k=2))
+    for name in ("w", "py", "adopted"):
+        engine = svc._engine(name)
+        engine._attachments = _guarded(engine._attachments, engine._attachments_lock)
+        engine._owner_epochs = _guarded(engine._owner_epochs, engine._attachments_lock)
+        attach = {"op": "attach", "network": name, "owner": "bob",
+                  "private_edges": PRIVATE_EDGES, "private_labels": PRIVATE_LABELS}
+        assert svc.execute(attach)["status"] == "ok"
+        assert svc.execute(attach)["code"] == "bad_request"  # second attach
+        svc.attach_user(name, "carol", priv)
+        DynamicPrivateGraph(engine, "carol").add_edge("x1", "x3")  # _reattach
+        svc.detach_user(name, "carol")
+        detach = {"op": "detach", "network": name, "owner": "bob"}
+        assert svc.execute(detach)["status"] == "ok"
+        assert svc.execute(detach)["code"] == "unknown_owner"
+        assert svc.execute({"op": "drop", "network": name})["status"] == "ok"
+    assert svc.networks() == [] and engine.owner_epoch("carol") == 3
