@@ -24,7 +24,9 @@ the parent's medians over the seeds,
 the parent's inter-quartile range, ``ratio = change / parent``, the
 number of pairs the change won in the metric's better direction, and
 whether its median gain exceeds the parent's IQR; plus whether every
-pair's ``answers_sha256`` agreed.  With ``--tier1`` the rows also hold
+pair's ``answers_sha256`` agreed.  A row whose digests differ needs
+``--reason``: without it the script exits 1 and appends nothing.  With
+``--tier1`` the rows also hold
 the wall time and exit code of the change's tier-1 suite
 (``python -m pytest -x -q``), run once as a child before the pairs.
 Nothing here imports ``repro``: the program under test is only ever a
@@ -132,6 +134,18 @@ def append_rows(path: str, rows: Sequence[Dict[str, Any]]) -> None:
         handle.write("\n")
 
 
+def record(path: str, rows: Sequence[Dict[str, Any]], reason: Optional[str]) -> int:
+    """Append ``rows`` to ``path``, or refuse (exit code 1) when a digest
+    moved and no ``reason`` says why."""
+    moved = [row["workload"] for row in rows if not row["answers_sha256_equal"]]
+    if moved and reason is None:
+        print(f"answers_sha256 differs on {', '.join(moved)}: give --reason; "
+              "nothing appended", file=sys.stderr)
+        return 1
+    append_rows(path, rows)
+    return 0
+
+
 def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True,
@@ -232,10 +246,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rows.append(dict(common, **summarize(workload, pairs, metrics)))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    append_rows(TRAJECTORY, rows)
     for row in rows:
         print(json.dumps(row, indent=1))
-    return 0
+    return record(TRAJECTORY, rows, args.reason)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ and emits :class:`PartialAnswer` objects: an ordinary rooted answer plus
 * the *refinement indicators* ``C`` — the vertex/keyword pairs whose
   recorded distances might shrink once the private graph is attached to
   the public one (consumed by ARefine), and
-* qualification bookkeeping — which keywords were matched by genuine
-  private vertices vs. routed through portals (consumed by the
-  public-private answer test of Def. II.2).
+* completion and qualification bookkeeping — the keywords still routed
+  through a portal or missing, and the equal-distance witnesses on the
+  other side of Def. II.2 that the steps met while comparing routes
+  (read by :func:`repro.core.qualify.qualify`).
 """
 
 from __future__ import annotations
@@ -64,15 +65,14 @@ class PartialAnswer:
     answer: RootedAnswer
     pair_indicators: List[PairIndicator] = field(default_factory=list)
     keyword_indicators: List[KeywordIndicator] = field(default_factory=list)
-    #: keywords matched by a real private vertex (portal-routed ones are
-    #: excluded) — the counter behind the public-private qualification.
-    private_matched: Set[Label] = field(default_factory=set)
     #: keyword -> portal it is currently routed through (completion target)
     portal_routed: Dict[Label, Vertex] = field(default_factory=dict)
     #: keywords with no private match at all (Blinks "missing keywords")
     missing: Set[Label] = field(default_factory=set)
-    #: keywords completed by a public vertex during AComplete
-    public_matched: Set[Label] = field(default_factory=set)
+    #: keyword -> ``(distance, witness)`` of a route on the Def.-II.2 side
+    #: the match may lack, kept where a step compared routes; qualification
+    #: swaps to it only if it ties the match (:mod:`repro.core.qualify`)
+    ties: Dict[Label, Tuple[float, Vertex]] = field(default_factory=dict)
 
     @property
     def root(self) -> Vertex:
@@ -87,21 +87,6 @@ class PartialAnswer:
         """Write a match slot (creating it if needed)."""
         self.answer.matches[keyword] = Match(vertex, d)
 
-    def is_public_private(self) -> bool:
-        """Def. II.2: keywords matched on both the private and public side."""
-        return bool(self.private_matched) and bool(self.public_matched)
-
-    def copy(self) -> "PartialAnswer":
-        """Deep copy — AComplete's backward expansion clones per new root."""
-        return PartialAnswer(
-            answer=self.answer.copy(),
-            pair_indicators=list(self.pair_indicators),
-            keyword_indicators=list(self.keyword_indicators),
-            private_matched=set(self.private_matched),
-            portal_routed=dict(self.portal_routed),
-            missing=set(self.missing),
-            public_matched=set(self.public_matched),
-        )
 
 
 def salvage_rooted_answers(

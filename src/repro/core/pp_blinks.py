@@ -18,6 +18,11 @@
   weight order until k survive.  Public-only roots are ranked before
   they are built: the walk builds only the prefix it reads.
 
+Def. II.2 is decided by construction (:mod:`repro.core.qualify`): ARefine
+keeps the Eq.-5 private route of each keyword PEval missed, and part (b)
+keeps the routes it compares but does not take when they tie the match
+from the other side; part (c) swaps to one of them or prunes.
+
 Budget checkpoints, step timing, degradation bookkeeping and obs hooks
 all live in :mod:`repro.core.engine` (the engine equivalence suite
 pins them); this module only
@@ -53,7 +58,7 @@ from repro.core.framework import (
 )
 from repro.core.partial import KeywordIndicator, PartialAnswer, salvage_rooted_answers
 from repro.core.pp_rclique import CompletionCache
-from repro.core.repair import try_requalify
+from repro.core.qualify import _EPS, note_tie, qualify
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.traversal import INF
 from repro.semantics.answers import Match, RootedAnswer
@@ -110,7 +115,6 @@ def peval_blinks(
                 partial.missing.add(q)
                 hit = Match(None, INF)
             else:
-                partial.private_matched.add(q)
                 partial.keyword_indicators.append(KeywordIndicator(r, q))
             partial.answer.matches[q] = hit  # the cover's own Match: no copy
     return partials
@@ -123,7 +127,12 @@ def arefine_keywords(
     reduced: bool,
     budget: Optional[QueryBudget] = None,
 ) -> None:
-    """Step 2: Algo 4 — refine (root, keyword) distances via portal pairs."""
+    """Step 2: Algo 4 — refine (root, keyword) distances via portal pairs.
+
+    A keyword PEval missed has no distance to refine; its Eq.-5 route
+    from the same table is kept as the slot's private-side tie, for
+    AComplete's public completion to meet (:mod:`repro.core.qualify`).
+    """
     if reduced and not attachment.has_refined_portals:
         counters.refinement_checks += sum(
             len(p.keyword_indicators) for p in partials.values()
@@ -134,7 +143,20 @@ def arefine_keywords(
     # Eq. 5's portal-pair minimum does not depend on the root: one table
     # per keyword, built on first use, serves every indicator.
     via: Dict[Label, Dict[Vertex, Tuple[float, Vertex]]] = {}
+
+    def table(keyword: Label) -> Dict[Vertex, Tuple[float, Vertex]]:
+        got = via.get(keyword)
+        if got is None:
+            got = via[keyword] = oracle.keyword_detours(keyword, pairs)
+        return got
+
     for partial in partials.values():
+        for q in partial.missing:
+            d, witness = oracle.refine_vertex_keyword_with_witness(
+                partial.root, q, INF, via=table(q)
+            )
+            if witness is not None:
+                partial.ties[q] = (d, witness)
         for ind in partial.keyword_indicators:
             if budget is not None:
                 budget.checkpoint()
@@ -142,11 +164,8 @@ def arefine_keywords(
             match = partial.match(ind.keyword)
             if match is None:
                 continue
-            table = via.get(ind.keyword)
-            if table is None:
-                table = via[ind.keyword] = oracle.keyword_detours(ind.keyword, pairs)
             refined, witness = oracle.refine_vertex_keyword_with_witness(
-                ind.root, ind.keyword, match.distance, via=table
+                ind.root, ind.keyword, match.distance, via=table(ind.keyword)
             )
             if refined < match.distance:
                 # The refined path ends at the portal-side nearest keyword
@@ -220,12 +239,17 @@ def _complete_roots(
     portals and finishes with ``d_hat(portal, q)`` read from the keyword's
     PKA row (Sec. VI-B) — filled once per query through ``ctx.cache``,
     its reads accounted in bulk.  Marks the cache for part (c)'s report.
+
+    The route a slot does not take is kept as its tie when it is equal
+    and ends on the other side (:func:`~repro.core.qualify.note_tie`):
+    the public route beside a private match, the replaced match beside a
+    public one, and the nearest route whose witness is a portal.
     """
     if ctx.cache is None:
         ctx.cache = CompletionCache(ctx.options.dp_completion)
     ctx.scratch["cache_marks"] = ctx.cache.marks()
     engine, cache, keywords = ctx.engine, ctx.cache, ctx.params["keywords"]
-    public = engine.public
+    public, private = engine.public, ctx.attachment.private
     vpm = ctx.attachment.oracle.vertex_portal
     rows = {q: cache.row(engine, vpm.portals, q) for q in keywords}
     reads = 0
@@ -235,25 +259,37 @@ def _complete_roots(
         exits = vpm.portal_distances(root)
         reads += len(exits)
         root_is_public = root in public
-        matches = partial.answer.matches
+        matches, ties = partial.answer.matches, partial.ties
         for q in keywords:
             match = matches.get(q)
             current = match.distance if match is not None else INF
             best, witness = public_probe(root, q) if root_is_public else (INF, None)
+            # the nearest route whose witness is a portal (on both sides)
+            portal_d, portal_w = (best, witness) if witness in private else (INF, None)
             row = rows[q]
             for portal, d1 in exits.items():
                 if row is None:  # dp_completion off: every read re-queries
                     pub_d, w = cache.lookup(engine, portal, q)
-                elif d1 < current:
+                elif d1 <= current:
                     pub_d, w = row[portal]
                 else:
-                    continue  # d1 + d_hat >= current cannot improve the match
-                if w is not None and d1 + pub_d < best:
-                    best, witness = d1 + pub_d, w
+                    continue  # d1 + d_hat > current cannot improve or tie
+                if w is None:
+                    continue
+                d = d1 + pub_d
+                if d < best:
+                    best, witness = d, w
+                if d <= best and d < portal_d and w in private:
+                    portal_d, portal_w = d, w
             if witness is not None and best < current:
-                matches[q] = Match(witness, best)
+                kept = matches[q] = Match(witness, best)
                 partial.missing.discard(q)
-                partial.public_matched.add(q)
+                if current - best <= _EPS:
+                    note_tie(ties, q, kept, match.vertex, current, public, private)
+            elif match is not None and best - current <= _EPS:
+                note_tie(ties, q, match, witness, best, public, private)
+            if portal_w is not None:
+                note_tie(ties, q, matches[q], portal_w, portal_d, public, private)
     if cache.enabled:
         # every portal is a root, so each row entry was some root's first
         # read (counted by the fill); all the other reads hit the table
@@ -264,11 +300,11 @@ def _qualify(ctx: PipelineContext, candidates: Iterable[PartialAnswer]) -> None:
     """Part (c): walk candidates in weight order, stop at k survivors.
 
     ``candidates`` must arrive in ``sort_key()`` order; the walk stops
-    once the top-k survivors are in hand, so the (comparatively
-    expensive) witness repair only ever touches the cheap prefix — and
-    the survivors are the ranked answers as they stand.
+    once the top-k survivors are in hand, and the survivors are the
+    ranked answers as they stand (a tie swap keeps every distance).
     """
     p, counters = ctx.params, ctx.counters
+    public, private = ctx.engine.public, ctx.attachment.private
     final: List[RootedAnswer] = []
     for partial in candidates:
         if ctx.budget is not None:
@@ -281,8 +317,8 @@ def _qualify(ctx: PipelineContext, candidates: Iterable[PartialAnswer]) -> None:
         if any(not m.is_resolved() for m in partial.answer.matches.values()):
             counters.answers_pruned += 1
             continue
-        if p["require_public_private"] and not try_requalify(
-            ctx.engine, ctx.attachment, partial, p["keywords"], ctx.cache
+        if p["require_public_private"] and not qualify(
+            partial.answer, partial.ties, p["keywords"], public, private
         ):
             counters.answers_pruned += 1
             continue
@@ -323,7 +359,8 @@ def _acomplete(ctx: PipelineContext) -> None:
     one batch (:meth:`~repro.sketches.kpads.KeywordSketch.estimate_with_witness_many`)
     and ranked by ``(weight, repr)``; the qualification walk builds only
     the prefix it reads, in exactly the stable ``sort_key()`` order of
-    building all.
+    building all.  A column keeps the probe (or the sweep match) that it
+    does not take when the two tie, as part (b) would.
     """
     public, partials = ctx.engine.public, ctx.state
     keywords, tau = ctx.params["keywords"], ctx.params["tau"]
@@ -361,16 +398,20 @@ def _acomplete(ctx: PipelineContext) -> None:
         ctx.budget.checkpoint(cost=len(fresh))
     wins: List[List[Optional[Tuple[Vertex, float]]]] = [[] for _ in keywords]
     dists: List[List[float]] = [[] for _ in keywords]
+    # fresh position -> the (vertex, distance) a column did not take
+    losers: List[Dict[int, Tuple[Optional[Vertex], float]]] = [{} for _ in keywords]
     index = ctx.engine.index
-    for q, win_col, dist_col in zip(keywords, wins, dists):
+    for q, win_col, dist_col, lost in zip(keywords, wins, dists, losers):
         cover = swept[q]
         probes = index.kpads.estimate_with_witness_many(index.pads, fresh, q)
-        for u, (best, witness) in zip(fresh, probes):
+        for i, (u, (best, witness)) in enumerate(zip(fresh, probes)):
             hit = cover.get(u)
             d = INF if hit is None else hit.distance
             won = witness is not None and best < d
             win_col.append((witness, best) if won else None)
             dist_col.append(best if won else d)
+            if hit is not None and abs(best - d) <= _EPS:
+                lost[i] = (hit.vertex, d) if won else (witness, best)
     # sum() in keyword order is RootedAnswer.weight(), bit for bit
     keys = [(sum(ds), repr(u)) for ds, u in zip(zip(*dists), fresh)]
     order = sorted(range(len(fresh)), key=keys.__getitem__)
@@ -378,12 +419,16 @@ def _acomplete(ctx: PipelineContext) -> None:
     def build(rank: int) -> PartialAnswer:
         i = order[rank]
         partial = _merge_swept_root({}, fresh[i], swept, keywords)
-        for q, win_col in zip(keywords, wins):
+        for q, win_col, lost in zip(keywords, wins, losers):
             win = win_col[i]
             if win is not None:  # as _complete_roots writes a win
                 partial.set_match(q, *win)
                 partial.missing.discard(q)
-                partial.public_matched.add(q)
+            if i in lost:
+                note_tie(
+                    partial.ties, q, partial.answer.matches[q], *lost[i],
+                    public, ctx.attachment.private,
+                )
         return partial
 
     # (c) Qualification.

@@ -12,6 +12,10 @@
   KPADS lookup on the public side (``d_hat(p, q)`` plus the recorded
   ``d'(root, p)``), prunes answers that exceed ``tau`` or fail the
   public-private qualification (Def. II.2), and ranks by star weight.
+  A star that touches one side only reads the routes of the other before
+  it is tested (:func:`_note_star_ties`): the PKA row through the root's
+  portal exits for the keywords it matched privately, and the Eq.-5
+  table for the ones it completed publicly.
 
 Budget checkpoints, step timing, degradation bookkeeping and obs hooks
 all live in :mod:`repro.core.engine` (the engine equivalence suite
@@ -37,8 +41,9 @@ from repro.core.framework import (
     QueryResult,
 )
 from repro.core.partial import PairIndicator, PartialAnswer, salvage_rooted_answers
-from repro.core.repair import try_requalify
+from repro.core.qualify import answer_sides, note_tie, qualify
 from repro.graph.labeled_graph import Label, Vertex
+from repro.graph.traversal import INF
 from repro.semantics.answers import RootedAnswer
 from repro.semantics.rclique import rclique_search
 from repro.semantics.wire import ROOTED_FIELDS, rooted_payload
@@ -133,7 +138,6 @@ def peval_rclique(
         budget=budget,
     )
     partials: List[PartialAnswer] = []
-    private = attachment.private
     for answer in raw:
         partial = PartialAnswer(answer=answer)
         for q, m in answer.matches.items():
@@ -144,9 +148,9 @@ def peval_rclique(
             partial.pair_indicators.append(
                 PairIndicator(answer.root, m.vertex, q)
             )
-            if private.has_label(m.vertex, q):
-                partial.private_matched.add(q)
-            elif m.vertex in attachment.portals:
+            if attachment.private.has_label(m.vertex, q):
+                continue
+            if m.vertex in attachment.portals:
                 partial.portal_routed[q] = m.vertex
             else:  # pragma: no cover - rclique_search only matches label/portal
                 partial.missing.add(q)
@@ -185,6 +189,50 @@ def arefine_pairs(
                 counters.refinements_applied += 1
 
 
+def _note_star_ties(
+    engine: PPKWS,
+    attachment: Attachment,
+    partial: PartialAnswer,
+    cache: CompletionCache,
+    via: Dict[Label, Dict[Vertex, Tuple[float, Vertex]]],
+) -> None:
+    """Keep the ties a star needs for the Def.-II.2 side it lacks.
+
+    Every match of a star without a public vertex is private, so each
+    keyword reads the PKA row through the root's portal exits.  Every
+    match of one without a private vertex was completed publicly, so
+    each keyword reads its Eq.-5 route off the keyword's table (built
+    once per query in ``via``, every portal pair and the diagonal
+    counted), then the exits whose PKA witness is a portal, which serve
+    both sides and so are kept in its place when they tie too.
+    """
+    public, private = engine.public, attachment.private
+    oracle, matches = attachment.oracle, partial.answer.matches
+    touches_private, touches_public = answer_sides(
+        (m.vertex for m in matches.values()), public, private
+    )
+    if touches_private == touches_public:
+        return
+    exits = oracle.vertex_portal.portal_distances(partial.root)
+    for q, match in matches.items():
+        if touches_public:
+            table = via.get(q)
+            if table is None:
+                table = via[q] = oracle.keyword_detours(q)
+            d, w = oracle.refine_vertex_keyword_with_witness(
+                partial.root, q, INF, via=table
+            )
+            note_tie(partial.ties, q, match, w, d, public, private)
+        best, witness = INF, None
+        for portal, d1 in exits.items():
+            pub_d, w = cache.lookup(engine, portal, q)
+            if w is not None and d1 + pub_d < best and (
+                touches_private or w in private
+            ):
+                best, witness = d1 + pub_d, w
+        note_tie(partial.ties, q, match, witness, best, public, private)
+
+
 def _acomplete(
     engine: PPKWS,
     attachment: Attachment,
@@ -197,9 +245,8 @@ def _acomplete(
     budget: Optional[QueryBudget] = None,
 ) -> List[RootedAnswer]:
     """Step 3: complete portal-routed keywords and qualify (Sec. IV-A (3))."""
-    public = engine.public
-    private = attachment.private
     completed: List[RootedAnswer] = []
+    via: Dict[Label, Dict[Vertex, Tuple[float, Vertex]]] = {}
     for partial in partials:
         if budget is not None:
             budget.checkpoint()
@@ -215,15 +262,17 @@ def _acomplete(
                 ok = False
                 break
             partial.set_match(q, witness, match.distance + pub_d)
-            partial.public_matched.add(q)
         if not ok or not partial.answer.within_bound(tau):
             counters.answers_pruned += 1
             continue
-        if require_public_private and not try_requalify(
-            engine, attachment, partial, keywords, cache
-        ):
-            counters.answers_pruned += 1
-            continue
+        if require_public_private:
+            _note_star_ties(engine, attachment, partial, cache, via)
+            if not qualify(
+                partial.answer, partial.ties, keywords, engine.public,
+                attachment.private,
+            ):
+                counters.answers_pruned += 1
+                continue
         completed.append(partial.answer)
     return completed
 

@@ -487,7 +487,6 @@ class RankedMerge:
         for qi, q in enumerate(self.keywords):
             if bool(self._win[qi][j]):
                 partial.set_match(q, self._wit[qi][j], float(self._best[qi][j]))
-                partial.public_matched.add(q)
             else:
                 hit = swept[q].get(u)
                 if hit is None:

@@ -86,26 +86,6 @@ class TestPartialAnswer:
         assert p.match("a").vertex == "u"
         assert p.root == "r"
 
-    def test_public_private_flag(self):
-        p = PartialAnswer(answer=RootedAnswer("r"))
-        assert not p.is_public_private()
-        p.private_matched.add("a")
-        assert not p.is_public_private()
-        p.public_matched.add("b")
-        assert p.is_public_private()
-
-    def test_copy_deep(self):
-        p = PartialAnswer(answer=RootedAnswer("r"))
-        p.set_match("a", "u", 1.0)
-        p.private_matched.add("a")
-        p.pair_indicators.append(PairIndicator("r", "u", "a"))
-        c = p.copy()
-        c.set_match("a", "u", 9.0)
-        c.private_matched.add("b")
-        assert p.match("a").distance == 1.0
-        assert p.private_matched == {"a"}
-        assert c.pair_indicators == p.pair_indicators
-
     def test_indicators_hashable(self):
         assert PairIndicator(1, 2, "a") == PairIndicator(1, 2, "a")
         assert len({KeywordIndicator("r", "q"), KeywordIndicator("r", "q")}) == 1

@@ -101,3 +101,14 @@ def test_rows_append_to_the_trajectory(pairs_script, tmp_path):
     pairs_script.append_rows(path, [{"pr": "b"}, {"pr": "c"}])
     with open(path, encoding="utf-8") as handle:
         assert [row["pr"] for row in json.load(handle)] == ["a", "b", "c"]
+
+
+def test_a_moved_digest_without_a_reason_appends_nothing(pairs_script, tmp_path):
+    path = str(tmp_path / "BENCH_TRAJECTORY.json")
+    rows = [{"workload": "cold_knk", "answers_sha256_equal": True},
+            {"workload": "cold_keyword", "answers_sha256_equal": False}]
+    assert pairs_script.record(path, rows, None) == 1
+    assert not os.path.exists(path)
+    assert pairs_script.record(path, rows, "ties break differently") == 0
+    with open(path, encoding="utf-8") as handle:
+        assert len(json.load(handle)) == 2

@@ -39,11 +39,6 @@ class TestPEvalRclique:
         for p in routed:
             assert p.portal_routed["ml"] in att.portals
 
-    def test_private_matched_tracked(self, engine_pair):
-        _, att = engine_pair
-        partials = peval_rclique(att, ["db", "ai"], tau=6.0, max_answers=16)
-        assert any("db" in p.private_matched for p in partials)
-
 
 class TestPEvalBlinks:
     def test_all_portals_are_roots(self, engine_pair):

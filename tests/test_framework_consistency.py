@@ -17,9 +17,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PPKWS, query_model_m2
+from repro.core.qualify import is_public_private_answer
 from repro.graph import combine
 from repro.semantics import blinks_search
 from tests.test_core_correctness import _instance
+
+
+def _distances(answer):
+    return {q: m.distance for q, m in answer.matches.items()}
+
+
+def _distances_by_root(result):
+    """Root -> its answers' per-keyword distances (an r-clique root may
+    center several stars)."""
+    out = {}
+    for answer in result.answers:
+        out.setdefault(answer.root, []).append(_distances(answer))
+    return out
 
 
 def _exact_engine(pub):
@@ -136,6 +150,26 @@ def test_rclique_distance_guarantees(seed):
             # completion witness, so restrict to non-portal privates
             if m.vertex in priv and m.vertex not in portals:
                 assert m.distance == pytest.approx(exact[m.vertex])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 1500), semantics=st.sampled_from(["blinks", "banks", "rclique"]))
+def test_qualified_answers_keep_their_distances(seed, semantics):
+    """Def. II.2 holds for every answer, and qualifying one never moved a
+    distance: each equals an answer's at its root in the same query
+    unqualified."""
+    pub, priv = _instance(seed)
+    engine = _exact_engine(pub)
+    engine.attach("u", priv)
+    query = getattr(engine, semantics)
+    strict = query("u", ["a", "b"], 4.0, k=10_000).answers
+    loose = _distances_by_root(
+        query("u", ["a", "b"], 4.0, k=10_000, require_public_private=False)
+    )
+    for ans in strict:
+        assert is_public_private_answer(ans, engine.public, priv), (seed, ans)
+        assert _distances(ans) in loose[ans.root], (seed, ans)
+
 
 def test_witness_repair_uses_combined_portal_map():
     """Regression: a portal-rooted answer whose only qualifying witness is
